@@ -61,8 +61,10 @@ fn campaign_setup(cli: &bench::Cli, lineages: usize, chain: usize) -> (CorpusOpt
 }
 
 fn scale_args(cli: &bench::Cli, skip: usize) -> (usize, usize) {
-    let arg = |i: usize| cli.positional.get(skip + i).and_then(|s| s.parse().ok());
-    (arg(0).unwrap_or(12), arg(1).unwrap_or(5))
+    (
+        cli.scale_arg(skip, "lineages", 12),
+        cli.scale_arg(skip + 1, "chain length", 5),
+    )
 }
 
 fn fleet_main(cli: &bench::Cli, configs: &[Configuration]) -> ! {

@@ -57,11 +57,7 @@ fn campaign_setup(cli: &bench::Cli, kernels_per_mode: usize) -> (CampaignOptions
 
 fn fleet_main(cli: &bench::Cli, configs: &[Configuration]) -> ! {
     let role = cli.positional[0].clone();
-    let kernels_per_mode: usize = cli
-        .positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let kernels_per_mode = cli.scale_arg(1, "kernels per mode", 8);
     let (options, total_jobs) = campaign_setup(cli, kernels_per_mode);
     if role == "worker" {
         bench::fleet::worker_loop(
@@ -140,11 +136,7 @@ fn main() {
     }
 
     let scheduler = &cli.scheduler;
-    let kernels_per_mode: usize = cli
-        .positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let kernels_per_mode = cli.scale_arg(0, "kernels per mode", 8);
     let (options, _total_jobs) = campaign_setup(&cli, kernels_per_mode);
     let sharded = classify_configurations_sharded(
         scheduler,

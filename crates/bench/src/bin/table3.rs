@@ -143,11 +143,7 @@ fn main() {
     }
 
     let scheduler = &cli.scheduler;
-    let bodies_per_benchmark: usize = cli
-        .positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let bodies_per_benchmark = cli.scale_arg(0, "bodies per benchmark", 3);
     let exec = cli.exec_options();
     let generator = cli.generator_or(GeneratorOptions {
         min_threads: 16,

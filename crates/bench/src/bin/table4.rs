@@ -54,11 +54,7 @@ fn campaign_setup(cli: &bench::Cli, kernels: usize) -> (CampaignOptions, u64) {
 
 fn fleet_main(cli: &bench::Cli, configs: &[Configuration]) -> ! {
     let role = cli.positional[0].clone();
-    let kernels: usize = cli
-        .positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let kernels = cli.scale_arg(1, "kernels per mode", 20);
     let (options, total_jobs) = campaign_setup(cli, kernels);
     if role == "worker" {
         bench::fleet::worker_loop(
@@ -143,11 +139,7 @@ fn main() {
     }
 
     let scheduler = &cli.scheduler;
-    let kernels: usize = cli
-        .positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let kernels = cli.scale_arg(0, "kernels per mode", 20);
     let (options, _total_jobs) = campaign_setup(&cli, kernels);
     let sharded = run_modes_campaign_sharded(
         scheduler,

@@ -37,16 +37,8 @@ fn main() {
     }
 
     let scheduler = &cli.scheduler;
-    let bases: usize = cli
-        .positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let variants: usize = cli
-        .positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let bases = cli.scale_arg(0, "bases", 4);
+    let variants = cli.scale_arg(1, "variants per base", 10);
     let options = EmiCampaignOptions {
         bases,
         variants_per_base: variants,

@@ -118,6 +118,18 @@ impl Default for FleetCliOptions {
 }
 
 impl Cli {
+    /// The scale positional at `index` (kernels per mode, bases, variants,
+    /// ...), or `default` when it is absent; exits through [`usage_error`]
+    /// when it is not a non-negative integer (see [`parse_scale`]).
+    pub fn scale_arg(&self, index: usize, name: &str, default: usize) -> usize {
+        parse_scale(
+            name,
+            self.positional.get(index).map(String::as_str),
+            default,
+        )
+        .unwrap_or_else(|e| usage_error(e))
+    }
+
     /// The base generator options selected by the flags: the paper's
     /// generation scale under `--paper-scale`, otherwise the given fast
     /// default.  Mode and seed are overridden per kernel by the campaign
@@ -254,6 +266,18 @@ pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
             "--threads requires a positive integer, got {:?}",
             value.unwrap_or("nothing")
         )),
+    }
+}
+
+/// Parses a scale positional: `default` when absent, otherwise a
+/// non-negative integer.  A value that does not parse is an error rather
+/// than a silent fall-back to the default, like [`parse_threads`].
+pub fn parse_scale(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} requires a non-negative integer, got {v:?}")),
     }
 }
 
@@ -441,6 +465,21 @@ mod tests {
         assert!(parse_threads(Some("-3")).is_err());
         assert!(parse_threads(Some("two")).is_err());
         assert!(parse_threads(None).is_err());
+    }
+
+    #[test]
+    fn scale_arguments_default_when_absent_and_reject_garbage() {
+        assert_eq!(parse_scale("kernels", None, 20), Ok(20));
+        assert_eq!(parse_scale("kernels", Some("3"), 20), Ok(3));
+        assert_eq!(parse_scale("kernels", Some("0"), 20), Ok(0));
+        let err = parse_scale("kernels", Some("abc"), 20).unwrap_err();
+        assert!(
+            err.contains("kernels") && err.contains("\"abc\""),
+            "got: {err}"
+        );
+        assert!(parse_scale("kernels", Some("-1"), 20).is_err());
+        assert!(parse_scale("kernels", Some("2.5"), 20).is_err());
+        assert!(parse_scale("kernels", Some(""), 20).is_err());
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! When every live work-item waits at the same barrier the group is released
 //! into the next *barrier interval*; arriving at different barriers (or
 //! finishing while others wait) is reported as barrier divergence.
+//!
+//! On the bytecode tier, [`launch`] first runs the launch's lane-independent
+//! prefix once, on a representative work-item
+//! (`vm::run_representative`), and each group's work-items are forked from
+//! it before the scheduler takes over; an error in the prefix is the
+//! launch's error.  The tree walker runs every work-item from the kernel
+//! entry and stays the per-item reference.
 
 use crate::error::{RaceReport, RuntimeError};
 use crate::eval::{
@@ -139,7 +146,10 @@ pub struct LaunchResult {
     pub result_hash: u64,
     /// First data race detected, if race detection was enabled.
     pub race: Option<RaceReport>,
-    /// Total interpreter steps across all work-items.
+    /// Total interpreter steps across all work-items.  On the bytecode tier
+    /// each work-item is charged the steps of the prefix its representative
+    /// ran for it (see `uniform_prefix_steps`), so the total is what running
+    /// every work-item from the kernel entry would count.
     pub total_steps: u64,
     /// Number of barriers executed inside helper functions (not
     /// synchronising; see `clc-interp`'s crate documentation).
@@ -151,7 +161,9 @@ pub struct LaunchResult {
     /// Objects allocated in the launch's memory (buffers, parameters and
     /// every variable declaration that needed backing storage).  Diagnostic
     /// and tier-specific: the bytecode tier's register file keeps scalar
-    /// temporaries out of the object table entirely.
+    /// temporaries out of the object table entirely, and its work-items
+    /// copy the representative's live private objects at the fork instead
+    /// of declaring them again.
     pub objects_allocated: u64,
     /// Maximum number of barriers any work-group released — how deep the
     /// barrier-arrival ladder ran.  Tier-identical (both tiers share the
@@ -159,6 +171,12 @@ pub struct LaunchResult {
     /// kernels, so coverage feedback may fold it into its dynamic bits.
     /// Excluded from memoised outcomes, like `race_stats`.
     pub barrier_intervals: u64,
+    /// Steps of the launch's lane-independent prefix, which the bytecode
+    /// tier runs once on a representative work-item instead of once per
+    /// work-item (each work-item's count in `total_steps` still includes
+    /// them).  Diagnostic and tier-specific, like `objects_allocated`: 0 on
+    /// the tree walker.
+    pub uniform_prefix_steps: u64,
 }
 
 thread_local! {
@@ -312,24 +330,42 @@ fn launch_with(
     let mut total_steps = 0u64;
     let mut soft_barriers = 0u64;
     let mut barrier_intervals = 0u64;
+    let mut uniform_prefix_steps = 0u64;
 
     // Run the group loop and result readback inside a closure so that the
     // detector is harvested and returned to the spare slot on the error
     // paths too, not just on success.
     let run = (|| -> Result<(Vec<Scalar>, String), RuntimeError> {
+        // The bytecode tier runs the launch's lane-independent prefix once,
+        // on a representative work-item that every group then forks from.
+        let bytecode = match compiled {
+            Some(compiled) => {
+                let representative = crate::vm::run_representative(
+                    program,
+                    compiled,
+                    options,
+                    &mut memory,
+                    &mut races,
+                    &buffer_objects,
+                    permutations_obj,
+                )?;
+                uniform_prefix_steps = representative.steps();
+                Some((compiled, representative))
+            }
+            None => None,
+        };
         for gz in 0..groups[2] {
             for gy in 0..groups[1] {
                 for gx in 0..groups[0] {
                     let group = [gx, gy, gz];
-                    match compiled {
-                        Some(compiled) => crate::vm::run_group(
+                    match &bytecode {
+                        Some((compiled, representative)) => crate::vm::run_group(
                             program,
                             compiled,
                             options,
                             &mut memory,
                             &mut races,
-                            &buffer_objects,
-                            permutations_obj,
+                            representative,
                             group,
                             &mut total_steps,
                             &mut soft_barriers,
@@ -388,6 +424,7 @@ fn launch_with(
         race_stats,
         objects_allocated: memory.allocations(),
         barrier_intervals,
+        uniform_prefix_steps,
     })
 }
 

@@ -22,6 +22,17 @@
 //!   not synchronise.  CLsmith only emits barriers in the kernel body, and
 //!   the paper's callee-barrier examples (Figures 1(d), 2(c), 2(d)) do not
 //!   depend on callee barriers for cross-thread communication.
+//! * The bytecode tier runs each launch's lane-independent prefix once.  A
+//!   representative work-item executes from the kernel entry until the
+//!   first instruction whose effect could depend on which work-item runs
+//!   it: an identity query, an access to memory outside the private space,
+//!   a `local` declaration, a barrier or the kernel's return.  Every
+//!   work-item of every group is then forked from that snapshot and
+//!   continues under the cooperative scheduler above.  Before the fork no
+//!   work-item can compute anything different and no shared memory has
+//!   been touched, so this is exact, not an approximation.  CLsmith keeps
+//!   work-item ids out of generated expressions (§4.2), so for BASIC and
+//!   VECTOR kernels the prefix is nearly all of each work-item's work.
 //!
 //! ## Execution tiers
 //!

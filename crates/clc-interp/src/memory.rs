@@ -118,6 +118,16 @@ impl Memory {
         }
     }
 
+    /// Allocates a copy of a live object: same name, type, space and cells.
+    pub(crate) fn duplicate(&mut self, id: ObjId) -> Result<ObjId, RuntimeError> {
+        let mut cells = self.spare_cells.pop().unwrap_or_default();
+        cells.clear();
+        let source = self.object(id)?;
+        cells.extend_from_slice(&source.cells);
+        let (name, ty, space) = (source.name.clone(), source.ty.clone(), source.space);
+        Ok(self.alloc_with_cells(name, ty, space, cells))
+    }
+
     /// Marks an object as dead, recycling both its slot and (up to the pool
     /// cap) its cell storage.
     pub fn free(&mut self, id: ObjId) {

@@ -15,6 +15,17 @@
 //! freeing of objects — matches the tree walker statement by statement, which
 //! is what makes the two tiers agree bit-for-bit on results, errors and race
 //! verdicts (enforced by the `tier_equivalence` integration test).
+//!
+//! Each launch starts with one *representative* work-item
+//! ([`run_representative`]).  It runs the same loop, but stops — before the
+//! step is counted — at the first instruction whose effect could depend on
+//! which work-item runs it (`lane_dependent`).  Each group's work-items are
+//! then forked from it (`VmItem::fork`): its private objects are copied and
+//! every pointer to them redirected, its step and soft-barrier counts
+//! carried over, and the work-items continue from the same instruction.
+//! Nothing before the fork can differ between work-items or touch shared
+//! memory, so the result, the errors, the race verdicts and `total_steps`
+//! are those of running every work-item from the kernel entry.
 
 use crate::compile::{BranchKind, CompiledProgram, Instr, LeafTy, KERNEL_FUNC};
 use crate::error::RuntimeError;
@@ -62,6 +73,10 @@ pub(crate) struct VmItem {
     status: Status,
     steps: u64,
     soft_barriers: u64,
+    /// Whether this is the launch's representative, which stops (without
+    /// counting the step) before the first instruction whose effect could
+    /// depend on which work-item runs it; see [`run_representative`].
+    representative: bool,
 }
 
 impl VmItem {
@@ -71,6 +86,74 @@ impl VmItem {
 
     fn pop_place(&mut self) -> Place {
         self.places.pop().expect("place stack underflow")
+    }
+
+    /// Steps executed so far.
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Materialises work-item `ids` from a representative stopped at its
+    /// first lane-dependent instruction: every private object the
+    /// representative owns is copied, and the pointers in the copies, the
+    /// slots, the value and place stacks are redirected to them.  The step
+    /// and soft-barrier counts carry over, so the fork is indistinguishable
+    /// from a work-item that ran the prefix itself.
+    fn fork(&self, ids: ThreadIds, memory: &mut Memory) -> Result<VmItem, RuntimeError> {
+        let owned = || self.frames.iter().flat_map(|f| f.owned.iter().copied());
+        let mut copies: Vec<Option<ObjId>> =
+            vec![None; owned().map(|o| o.0 + 1).max().unwrap_or(0)];
+        for obj in owned() {
+            copies[obj.0] = Some(memory.duplicate(obj)?);
+        }
+        let redirect = |obj: ObjId| copies.get(obj.0).copied().flatten().unwrap_or(obj);
+        let redirect_cell = |cell: &mut Cell| {
+            if let Cell::Ptr(p) = cell {
+                p.obj = redirect(p.obj);
+            }
+        };
+        for &copy in copies.iter().flatten() {
+            memory
+                .object_mut(copy)?
+                .cells
+                .iter_mut()
+                .for_each(&redirect_cell);
+        }
+        let frames = self
+            .frames
+            .iter()
+            .map(|f| Frame {
+                func: f.func,
+                pc: f.pc,
+                slots: f.slots.iter().map(|s| s.map(redirect)).collect(),
+                regs: f.regs.clone(),
+                owned: f.owned.iter().map(|&o| redirect(o)).collect(),
+                scope_bases: f.scope_bases.clone(),
+            })
+            .collect();
+        let mut values = self.values.clone();
+        for value in &mut values {
+            match value {
+                Value::Pointer(p) => p.obj = redirect(p.obj),
+                Value::Aggregate(_, cells) => cells.iter_mut().for_each(&redirect_cell),
+                Value::Scalar(_) | Value::Vector(..) => {}
+            }
+        }
+        let mut places = self.places.clone();
+        for place in &mut places {
+            place.obj = redirect(place.obj);
+        }
+        Ok(VmItem {
+            ids,
+            frames,
+            frame_pool: Vec::new(),
+            values,
+            places,
+            status: Status::Ready,
+            steps: self.steps,
+            soft_barriers: self.soft_barriers,
+            representative: false,
+        })
     }
 }
 
@@ -106,10 +189,16 @@ impl World<'_> {
     }
 }
 
-/// Executes one work-group on the bytecode tier (the VM counterpart of
-/// `exec::run_group`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_group(
+/// Runs the launch's representative work-item from the kernel entry up to
+/// its first instruction whose effect could depend on which work-item runs
+/// it (see [`lane_dependent`]), and returns it stopped there.
+///
+/// Until that point every work-item of every group would execute exactly the
+/// same instructions on the same private state, and none of them touches
+/// shared memory, so no schedule can tell the difference: running the prefix
+/// once and forking the result ([`run_group`]) is exact.  An error raised in
+/// the prefix is every work-item's error, and so the launch's.
+pub(crate) fn run_representative(
     program: &Program,
     compiled: &CompiledProgram,
     options: &LaunchOptions,
@@ -117,6 +206,62 @@ pub(crate) fn run_group(
     races: &mut Option<RaceDetector>,
     buffer_objects: &HashMap<String, (ObjId, ScalarType, usize)>,
     permutations_obj: Option<ObjId>,
+) -> Result<VmItem, RuntimeError> {
+    let kernel = &compiled.funcs[KERNEL_FUNC];
+    // Slot 0 is the permutation table, followed by the kernel parameters,
+    // matching the environment the tree walker builds.
+    let mut slots = vec![None; kernel.n_slots];
+    let mut owned = Vec::new();
+    if let Some(perm) = permutations_obj {
+        slots[0] = Some(perm);
+    }
+    for (i, param) in program.kernel.params.iter().enumerate() {
+        let obj = alloc_param_object(memory, buffer_objects, options, param)?;
+        slots[1 + i] = Some(obj);
+        owned.push(obj);
+    }
+    let mut item = VmItem {
+        // Never observed: identity queries and shared accesses end the prefix.
+        ids: thread_ids(&program.launch, [0; 3], [0; 3]),
+        frames: vec![Frame {
+            func: KERNEL_FUNC,
+            pc: 0,
+            slots,
+            regs: vec![None; kernel.n_regs],
+            owned,
+            scope_bases: Vec::new(),
+        }],
+        frame_pool: Vec::new(),
+        values: Vec::new(),
+        places: Vec::new(),
+        status: Status::Ready,
+        steps: 0,
+        soft_barriers: 0,
+        representative: true,
+    };
+    let mut world = World {
+        compiled,
+        program,
+        step_limit: options.step_limit,
+        memory,
+        races,
+        group_locals: &mut HashMap::new(),
+    };
+    run_frames(&mut world, &mut item)?;
+    Ok(item)
+}
+
+/// Executes one work-group on the bytecode tier (the VM counterpart of
+/// `exec::run_group`), forking its work-items from the launch's
+/// representative.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_group(
+    program: &Program,
+    compiled: &CompiledProgram,
+    options: &LaunchOptions,
+    memory: &mut Memory,
+    races: &mut Option<RaceDetector>,
+    representative: &VmItem,
     group: [usize; 3],
     total_steps: &mut u64,
     soft_barriers: &mut u64,
@@ -125,43 +270,12 @@ pub(crate) fn run_group(
     let cfg = &program.launch;
     let local = cfg.local;
     let mut group_locals: HashMap<String, ObjId> = HashMap::new();
-    let kernel = &compiled.funcs[KERNEL_FUNC];
 
-    // Create the work-items of this group.  Slot 0 is the permutation
-    // table, followed by the kernel parameters, matching the environment
-    // the tree walker builds.
     let mut items: Vec<VmItem> = Vec::with_capacity(cfg.group_size());
     for lz in 0..local[2] {
         for ly in 0..local[1] {
             for lx in 0..local[0] {
-                let ids = thread_ids(cfg, group, [lx, ly, lz]);
-                let mut slots = vec![None; kernel.n_slots];
-                let mut owned = Vec::new();
-                if let Some(perm) = permutations_obj {
-                    slots[0] = Some(perm);
-                }
-                for (i, param) in program.kernel.params.iter().enumerate() {
-                    let obj = alloc_param_object(memory, buffer_objects, options, param)?;
-                    slots[1 + i] = Some(obj);
-                    owned.push(obj);
-                }
-                items.push(VmItem {
-                    ids,
-                    frames: vec![Frame {
-                        func: KERNEL_FUNC,
-                        pc: 0,
-                        slots,
-                        regs: vec![None; kernel.n_regs],
-                        owned,
-                        scope_bases: Vec::new(),
-                    }],
-                    frame_pool: Vec::new(),
-                    values: Vec::new(),
-                    places: Vec::new(),
-                    status: Status::Ready,
-                    steps: 0,
-                    soft_barriers: 0,
-                });
+                items.push(representative.fork(thread_ids(cfg, group, [lx, ly, lz]), memory)?);
             }
         }
     }
@@ -222,13 +336,17 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
         let code: &[Instr] = &compiled.funcs[func].code;
         let mut pc = item.frames[frame_idx].pc;
         loop {
+            let instr = &code[pc];
+            if item.representative && lane_dependent(world, item, frame_idx, instr) {
+                item.frames[frame_idx].pc = pc;
+                return Ok(());
+            }
             item.steps += 1;
             if item.steps > world.step_limit {
                 return Err(RuntimeError::StepLimitExceeded {
                     limit: world.step_limit,
                 });
             }
-            let instr = &code[pc];
             pc += 1;
 
             match instr {
@@ -1120,6 +1238,58 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                 Instr::Fail(e) => return Err((**e).clone()),
             }
         }
+    }
+}
+
+/// Whether executing `instr` next could depend on which work-item runs it,
+/// which ends the representative's prefix: a work-item or group identity
+/// query, any access to memory outside the private space (the run-time
+/// targets of pointer-based accesses are resolved here, without side
+/// effects), a `local` declaration or group-local place, a kernel-body
+/// barrier, or the kernel's return.  Constant memory counts too: nothing
+/// in the emulator stops a kernel from writing it, and a read in the prefix
+/// must not see a value another work-item had yet to write.  An access
+/// whose target cannot be resolved is not lane-dependent: it raises the
+/// same error on every work-item.
+fn lane_dependent(world: &World<'_>, item: &VmItem, frame_idx: usize, instr: &Instr) -> bool {
+    let memory: &Memory = world.memory;
+    let outside_private = |space: AddressSpace| space != AddressSpace::Private;
+    let slot_obj = |slot: u16| item.frames[frame_idx].slots[slot as usize];
+    let arrow_space = |slot: u16| Some(memory.read_pointer(slot_obj(slot)?, 0).ok()?.space);
+    // Before the fork a slot holds a private object or the permutation
+    // table (which, as an array, decays to a pointer when loaded whole):
+    // shared objects are bound only by `DeclLocal`, which ends the prefix.
+    // So `LoadSlot` and the fused slot accesses, which address a slot's own
+    // object, never need a check; accesses through pointers do.
+    match instr {
+        Instr::Id(kind) => kind.is_identity_dependent(),
+        Instr::ArrowSlotLoad { slot, .. } | Instr::ArrowSlotStore { slot, .. } => {
+            arrow_space(*slot).is_some_and(outside_private)
+        }
+        Instr::IndexSlotLoad { slot } | Instr::IndexSlotStore { slot, .. } => {
+            // The index operand is on top of the value stack.
+            let target = item
+                .values
+                .last()
+                .and_then(Value::as_scalar)
+                .zip(slot_obj(*slot))
+                .and_then(|(idx, obj)| {
+                    resolve_slot_index(memory, &world.program.structs, obj, idx.as_i64()).ok()
+                });
+            target.is_some_and(|(_, _, space, _, _)| outside_private(space))
+        }
+        Instr::LoadPlace | Instr::Store { .. } | Instr::ResolveIndexable => item
+            .places
+            .last()
+            .is_some_and(|place| outside_private(place.space)),
+        Instr::AtomicBegin => {
+            matches!(item.values.last(), Some(Value::Pointer(p)) if outside_private(p.space))
+        }
+        Instr::DeclLocal { .. }
+        | Instr::PlaceGroupLocal(_)
+        | Instr::Barrier
+        | Instr::ReturnKernel { .. } => true,
+        _ => false,
     }
 }
 

@@ -363,3 +363,620 @@ fn struct_field_race_reports_identically_across_tiers() {
         "tiers render the race report differently"
     );
 }
+
+// --- The bytecode tier's representative work-item ------------------------
+//
+// The bytecode tier runs each launch's lane-independent prefix once and
+// forks every work-item from it at the first instruction that could depend
+// on which work-item runs it.  Each case below puts one hazard of that fork
+// in front of both tiers, pins the expected values, and checks that the
+// bytecode tier really took the fork (a non-zero `uniform_prefix_steps`)
+// where a prefix exists.
+
+fn lid() -> Expr {
+    Expr::IdQuery(IdKind::LocalLinearId)
+}
+
+fn int_ty() -> clc::Type {
+    clc::Type::Scalar(ScalarType::Int)
+}
+
+/// `out[get_global_linear_id()] = value`.
+fn store_out(value: Expr) -> Stmt {
+    Stmt::assign(
+        Expr::index(Expr::var("out"), Expr::IdQuery(IdKind::GlobalLinearId)),
+        value,
+    )
+}
+
+/// A kernel over `launch` with one `out` slot per work-item.
+fn program_over(launch: LaunchConfig, body: Vec<Stmt>) -> Program {
+    let items = launch.total_work_items();
+    let mut p = Program::new(
+        KernelDef {
+            name: "k".into(),
+            params: Program::standard_clsmith_params(0),
+            body: clc::Block::of(body),
+        },
+        launch,
+    );
+    p.buffers
+        .push(BufferSpec::result("out", ScalarType::ULong, items));
+    p
+}
+
+/// `struct G { int a; int b; }`, added to `program`.
+fn add_pair_struct(program: &mut Program) -> clc::StructId {
+    use clc::types::{Field, StructDef};
+    program.add_struct(StructDef::new(
+        "G",
+        vec![Field::new("a", int_ty()), Field::new("b", int_ty())],
+    ))
+}
+
+/// Runs `program` on both tiers with race detection, asserts they agree, and
+/// returns both results (tree walker first).
+fn launch_both(
+    program: &Program,
+    schedule: Schedule,
+    label: &str,
+) -> Vec<clc_interp::LaunchResult> {
+    assert_tiers_agree(program, true, schedule, label);
+    ExecutionTier::ALL
+        .into_iter()
+        .map(|tier| {
+            launch(program, &options_for(tier, true, schedule))
+                .unwrap_or_else(|e| panic!("{label} failed on the {}: {e}", tier.name()))
+        })
+        .collect()
+}
+
+fn outputs(result: &clc_interp::LaunchResult) -> Vec<u64> {
+    result.output.iter().map(|s| s.as_u64()).collect()
+}
+
+/// Runs `program` on both tiers with race detection (see [`launch_both`]),
+/// asserts both write `expected` to `out`, and that the bytecode tier ran a
+/// non-empty prefix on its representative.  Returns both results.
+fn assert_forked(
+    program: &Program,
+    label: &str,
+    expected: &[u64],
+) -> Vec<clc_interp::LaunchResult> {
+    let results = launch_both(program, Schedule::Forward, label);
+    for result in &results {
+        assert_eq!(outputs(result), expected, "{label}");
+    }
+    assert_eq!(results[0].uniform_prefix_steps, 0, "{label}");
+    assert!(
+        results[1].uniform_prefix_steps > 0,
+        "{label}: no prefix ran once"
+    );
+    results
+}
+
+/// The identity query sits in a helper: the fork happens inside the call
+/// frame, whose `gp` parameter points at the kernel frame's struct and must
+/// be redirected to each work-item's own copy.
+#[test]
+fn fork_inside_a_helper_frame_redirects_the_pointer_parameter() {
+    let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+    let sid = add_pair_struct(&mut p);
+    let gp = || Expr::var("gp");
+    p.functions.push(clc::FunctionDef::new(
+        "helper",
+        None,
+        vec![clc::Param::new(
+            "gp",
+            clc::Type::Struct(sid).pointer_to(clc::AddressSpace::Private),
+        )],
+        clc::Block::of(vec![
+            Stmt::assign(
+                Expr::arrow(gp(), "a"),
+                Expr::binary(BinOp::Add, Expr::arrow(gp(), "a"), Expr::int(1)),
+            ),
+            Stmt::assign(
+                Expr::arrow(gp(), "b"),
+                Expr::binary(BinOp::Add, Expr::arrow(gp(), "b"), lid()),
+            ),
+        ]),
+    ));
+    p.kernel.body = clc::Block::of(vec![
+        Stmt::decl("g", clc::Type::Struct(sid), None),
+        Stmt::assign(Expr::field(Expr::var("g"), "a"), Expr::int(10)),
+        Stmt::assign(Expr::field(Expr::var("g"), "b"), Expr::int(20)),
+        Stmt::expr(Expr::call("helper", vec![Expr::addr_of(Expr::var("g"))])),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(
+                BinOp::Mul,
+                Expr::field(Expr::var("g"), "a"),
+                Expr::int(1000),
+            ),
+            Expr::field(Expr::var("g"), "b"),
+        )),
+    ]);
+    assert_forked(&p, "helper-frame fork", &[11_020, 11_021, 11_022, 11_023]);
+}
+
+/// `p = &s` before the fork, written through after it: the pointer cell in
+/// each work-item's copy of `p` must aim at that work-item's copy of `s`.
+#[test]
+fn fork_redirects_a_private_pointer_into_a_private_struct() {
+    let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+    let sid = add_pair_struct(&mut p);
+    p.kernel.body = clc::Block::of(vec![
+        Stmt::decl("s", clc::Type::Struct(sid), None),
+        Stmt::assign(Expr::field(Expr::var("s"), "a"), Expr::int(1)),
+        Stmt::decl(
+            "p",
+            clc::Type::Struct(sid).pointer_to(clc::AddressSpace::Private),
+            Some(Expr::addr_of(Expr::var("s"))),
+        ),
+        Stmt::decl("id", int_ty(), Some(lid())),
+        Stmt::assign(
+            Expr::arrow(Expr::var("p"), "a"),
+            Expr::binary(
+                BinOp::Add,
+                Expr::arrow(Expr::var("p"), "a"),
+                Expr::var("id"),
+            ),
+        ),
+        store_out(Expr::field(Expr::var("s"), "a")),
+    ]);
+    assert_forked(&p, "private pointer fork", &[1, 2, 3, 4]);
+}
+
+/// The fork lands mid-expression: the call's first argument (a pointer to a
+/// private struct, then a struct holding a pointer) and the atomic's old
+/// value wait on the value stack, and the atomic's private target waits on
+/// the place stack, while a later operand queries the local id.
+#[test]
+fn fork_carries_pending_values_and_places() {
+    let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+    let sid = add_pair_struct(&mut p);
+    p.functions.push(clc::FunctionDef::new(
+        "helper",
+        None,
+        vec![
+            clc::Param::new(
+                "sp",
+                clc::Type::Struct(sid).pointer_to(clc::AddressSpace::Private),
+            ),
+            clc::Param::new("v", int_ty()),
+        ],
+        clc::Block::of(vec![Stmt::assign(
+            Expr::arrow(Expr::var("sp"), "a"),
+            Expr::binary(
+                BinOp::Add,
+                Expr::arrow(Expr::var("sp"), "a"),
+                Expr::binary(BinOp::Mul, Expr::var("v"), Expr::int(10)),
+            ),
+        )]),
+    ));
+    p.kernel.body = clc::Block::of(vec![
+        Stmt::decl("x", int_ty(), Some(Expr::int(5))),
+        Stmt::decl("s", clc::Type::Struct(sid), None),
+        Stmt::assign(Expr::field(Expr::var("s"), "a"), Expr::int(1)),
+        Stmt::expr(Expr::call(
+            "helper",
+            vec![
+                Expr::addr_of(Expr::var("s")),
+                Expr::builtin(
+                    Builtin::AtomicAdd,
+                    vec![Expr::addr_of(Expr::var("x")), lid()],
+                ),
+            ],
+        )),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, Expr::field(Expr::var("s"), "a"), Expr::int(100)),
+            Expr::var("x"),
+        )),
+    ]);
+    // s.a = 1 + 5 * 10 (the atomic returns the old x), x = 5 + lid.
+    assert_forked(&p, "pending stacks fork", &[5_105, 5_106, 5_107, 5_108]);
+
+    // A struct passed by value waits on the value stack as an aggregate
+    // whose pointer cell must be redirected too.
+    let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+    let int_ptr = int_ty().pointer_to(clc::AddressSpace::Private);
+    let holder = p.add_struct(clc::StructDef::new(
+        "H",
+        vec![clc::Field::new("p", int_ptr)],
+    ));
+    let through = || Expr::deref(Expr::field(Expr::var("h"), "p"));
+    p.functions.push(clc::FunctionDef::new(
+        "bump",
+        None,
+        vec![
+            clc::Param::new("h", clc::Type::Struct(holder)),
+            clc::Param::new("v", int_ty()),
+        ],
+        clc::Block::of(vec![Stmt::assign(
+            through(),
+            Expr::binary(BinOp::Add, through(), Expr::var("v")),
+        )]),
+    ));
+    p.kernel.body = clc::Block::of(vec![
+        Stmt::decl("x", int_ty(), Some(Expr::int(5))),
+        Stmt::decl("h", clc::Type::Struct(holder), None),
+        Stmt::assign(
+            Expr::field(Expr::var("h"), "p"),
+            Expr::addr_of(Expr::var("x")),
+        ),
+        Stmt::expr(Expr::call("bump", vec![Expr::var("h"), lid()])),
+        store_out(Expr::var("x")),
+    ]);
+    assert_forked(&p, "pending aggregate fork", &[5, 6, 7, 8]);
+}
+
+/// Errors raised before the fork are every work-item's error, so the launch
+/// fails exactly as the tree walker's does.
+#[test]
+fn errors_before_the_fork_fail_the_launch_identically() {
+    use clc_interp::RuntimeError;
+    let uninit = program_over(
+        LaunchConfig::single_group(4),
+        vec![
+            Stmt::decl("x", int_ty(), None),
+            Stmt::decl(
+                "y",
+                int_ty(),
+                Some(Expr::binary(BinOp::Add, Expr::var("x"), Expr::int(1))),
+            ),
+            store_out(Expr::var("y")),
+        ],
+    );
+    let div_zero = program_over(
+        LaunchConfig::single_group(4),
+        vec![
+            Stmt::decl("z", int_ty(), Some(Expr::int(0))),
+            Stmt::decl(
+                "w",
+                int_ty(),
+                Some(Expr::binary(BinOp::Div, Expr::int(7), Expr::var("z"))),
+            ),
+            store_out(Expr::var("w")),
+        ],
+    );
+    let spin = program_over(
+        LaunchConfig::new([8, 1, 1], [4, 1, 1]).unwrap(),
+        vec![
+            Stmt::While {
+                cond: Expr::int(1),
+                body: clc::Block::of(vec![Stmt::expr(Expr::int(0))]),
+            },
+            store_out(Expr::int(1)),
+        ],
+    );
+    let cases = [
+        (
+            &uninit,
+            RuntimeError::UninitializedRead { object: "x".into() },
+        ),
+        (&div_zero, RuntimeError::DivisionByZero),
+        (&spin, RuntimeError::StepLimitExceeded { limit: 10_000 }),
+    ];
+    for (program, expected) in cases {
+        for detect_races in [false, true] {
+            for tier in ExecutionTier::ALL {
+                let opts = LaunchOptions {
+                    step_limit: 10_000,
+                    ..options_for(tier, detect_races, Schedule::Forward)
+                };
+                let err = launch(program, &opts).unwrap_err();
+                assert_eq!(err, expected, "on the {} tier", tier.name());
+            }
+        }
+    }
+}
+
+/// Multi-group launches: the prefix is shared by every group, so a group id
+/// query and a `local` declaration must both end it.
+#[test]
+fn multi_group_prefixes_stop_at_group_ids_and_local_declarations() {
+    use clc::stmt::MemFence;
+    let launch_cfg = LaunchConfig::new([8, 1, 1], [4, 1, 1]).unwrap();
+    let group_id = || Expr::IdQuery(IdKind::GroupId(clc::expr::Dim::X));
+    let base = || {
+        Stmt::decl(
+            "base",
+            int_ty(),
+            Some(Expr::binary(BinOp::Mul, Expr::int(3), Expr::int(7))),
+        )
+    };
+    let reads_group_id = program_over(
+        launch_cfg,
+        vec![
+            base(),
+            Stmt::decl("grp", int_ty(), Some(group_id())),
+            store_out(Expr::binary(
+                BinOp::Add,
+                Expr::binary(
+                    BinOp::Add,
+                    Expr::var("base"),
+                    Expr::binary(BinOp::Mul, Expr::var("grp"), Expr::int(100)),
+                ),
+                lid(),
+            )),
+        ],
+    );
+    assert_forked(
+        &reads_group_id,
+        "group id prefix",
+        &[21, 22, 23, 24, 121, 122, 123, 124],
+    );
+
+    let declares_local = program_over(
+        launch_cfg,
+        vec![
+            base(),
+            Stmt::Decl {
+                name: "A".into(),
+                ty: int_ty().array_of(4),
+                space: clc::AddressSpace::Local,
+                volatile: false,
+                init: None,
+                init_list: None,
+            },
+            Stmt::assign(
+                Expr::index(Expr::var("A"), lid()),
+                Expr::binary(BinOp::Add, Expr::var("base"), lid()),
+            ),
+            Stmt::Barrier(MemFence::Local),
+            store_out(Expr::binary(
+                BinOp::Add,
+                Expr::index(
+                    Expr::var("A"),
+                    Expr::binary(
+                        BinOp::Mod,
+                        Expr::binary(BinOp::Add, lid(), Expr::int(1)),
+                        Expr::int(4),
+                    ),
+                ),
+                Expr::binary(BinOp::Mul, group_id(), Expr::int(100)),
+            )),
+        ],
+    );
+    assert_forked(
+        &declares_local,
+        "local array prefix",
+        &[22, 23, 24, 21, 122, 123, 124, 121],
+    );
+}
+
+/// Kernels that race on `out[0]` at or right after the fork: under
+/// reversed and shuffled schedules both tiers must report the same race and
+/// keep the same last writer.  The last two kernels query no id at all:
+/// their indexed and dereferenced accesses to `out` end the prefix.
+#[test]
+fn races_after_the_fork_report_identically_under_every_schedule() {
+    let launch_cfg = LaunchConfig::new([8, 1, 1], [4, 1, 1]).unwrap();
+    let x = || {
+        Stmt::decl(
+            "x",
+            int_ty(),
+            Some(Expr::binary(BinOp::Mul, Expr::int(6), Expr::int(7))),
+        )
+    };
+    let indexed_write = program_over(
+        launch_cfg,
+        vec![
+            x(),
+            Stmt::assign(
+                Expr::index(Expr::var("out"), Expr::int(0)),
+                Expr::binary(BinOp::Add, Expr::var("x"), lid()),
+            ),
+        ],
+    );
+    let indexed_update = program_over(
+        launch_cfg,
+        vec![
+            x(),
+            Stmt::assign(
+                Expr::index(Expr::var("out"), Expr::int(0)),
+                Expr::binary(
+                    BinOp::Add,
+                    Expr::index(Expr::var("out"), Expr::int(1)),
+                    Expr::var("x"),
+                ),
+            ),
+        ],
+    );
+    let deref_update = program_over(
+        launch_cfg,
+        vec![
+            x(),
+            Stmt::decl(
+                "y",
+                clc::Type::Scalar(ScalarType::ULong),
+                Some(Expr::deref(Expr::var("out"))),
+            ),
+            Stmt::assign(
+                Expr::deref(Expr::var("out")),
+                Expr::binary(BinOp::Add, Expr::var("y"), Expr::var("x")),
+            ),
+        ],
+    );
+    let kernels = [
+        ("indexed write", &indexed_write),
+        ("indexed update", &indexed_update),
+        ("*out update", &deref_update),
+    ];
+    for (name, racy) in kernels {
+        for schedule in [
+            Schedule::Forward,
+            Schedule::Reverse,
+            Schedule::Shuffled(0x5EED),
+        ] {
+            let label = format!("{name} {schedule:?}");
+            let results = launch_both(racy, schedule, &label);
+            for result in &results {
+                let race = result
+                    .race
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{label}: expected a race on out[0]"));
+                assert!(race.involves_write && race.same_group, "{race:?}");
+            }
+            assert_eq!(results[0].race, results[1].race, "{label}");
+            assert_eq!(
+                results[0].result_string, results[1].result_string,
+                "{label}"
+            );
+            assert!(results[1].uniform_prefix_steps > 0, "{label}");
+        }
+    }
+    // Every work-item adds 42 in turn.
+    let results = launch_both(&deref_update, Schedule::Forward, "*out update");
+    assert_eq!(results[1].output[0].as_u64(), 8 * 42);
+}
+
+/// An atomic on global memory and a store through a pointer to a global
+/// struct end the prefix too, whichever comes first: every work-item must
+/// perform both.
+#[test]
+fn shared_atomics_and_struct_pointers_end_the_prefix() {
+    use clc::stmt::MemFence;
+    for atomic_first in [true, false] {
+        let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+        let sid = add_pair_struct(&mut p);
+        p.kernel.params.push(clc::Param::new(
+            "r",
+            int_ty().pointer_to(clc::AddressSpace::Global),
+        ));
+        p.buffers.push(BufferSpec::new(
+            "r",
+            ScalarType::Int,
+            2,
+            clc::BufferInit::Zero,
+        ));
+        let global_g = clc::Type::Struct(sid).pointer_to(clc::AddressSpace::Global);
+        let r_at = |i| Expr::index(Expr::var("r"), Expr::int(i));
+        let arrow_update = Stmt::assign(
+            Expr::arrow(Expr::var("gs"), "a"),
+            Expr::binary(
+                BinOp::Add,
+                Expr::arrow(Expr::var("gs"), "a"),
+                Expr::var("x"),
+            ),
+        );
+        let atomic_update = Stmt::expr(Expr::builtin(
+            Builtin::AtomicAdd,
+            vec![Expr::addr_of(r_at(1)), Expr::var("x")],
+        ));
+        let updates = if atomic_first {
+            [atomic_update, arrow_update]
+        } else {
+            [arrow_update, atomic_update]
+        };
+        let mut body = vec![
+            Stmt::decl(
+                "x",
+                int_ty(),
+                Some(Expr::binary(BinOp::Mul, Expr::int(6), Expr::int(7))),
+            ),
+            Stmt::decl(
+                "gs",
+                global_g.clone(),
+                Some(Expr::cast(global_g, Expr::var("r"))),
+            ),
+        ];
+        body.extend(updates);
+        body.push(Stmt::Barrier(MemFence::Global));
+        body.push(store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, r_at(0), Expr::int(1000)),
+            r_at(1),
+        )));
+        p.kernel.body = clc::Block::of(body);
+        let label = format!("global struct pointer and atomic (atomic first: {atomic_first})");
+        for result in assert_forked(&p, &label, &[168_168; 4]) {
+            assert!(
+                result.race.is_some(),
+                "{label}: unsynchronised gs->a updates race"
+            );
+        }
+    }
+}
+
+/// Constant memory ends the prefix like global memory: the emulator lets a
+/// kernel write the permutation table, so a read before the fork could miss
+/// another work-item's write.
+#[test]
+fn constant_memory_reads_end_the_prefix() {
+    let first = || {
+        Expr::index(
+            Expr::index(Expr::var("permutations"), Expr::int(0)),
+            Expr::int(0),
+        )
+    };
+    let mut p = program_over(
+        LaunchConfig::single_group(4),
+        vec![
+            Stmt::decl("v", clc::Type::Scalar(ScalarType::UInt), Some(first())),
+            Stmt::assign(
+                first(),
+                Expr::binary(BinOp::Add, Expr::var("v"), Expr::int(1)),
+            ),
+            store_out(Expr::var("v")),
+        ],
+    );
+    p.permutations = vec![vec![7, 0, 0, 0]];
+    assert_forked(&p, "constant memory", &[7, 8, 9, 10]);
+}
+
+/// A launch of a single work-item forks exactly once.
+#[test]
+fn one_work_item_launch_forks_once() {
+    let program = program_over(
+        LaunchConfig::single_group(1),
+        vec![
+            Stmt::decl("x", int_ty(), Some(Expr::int(40))),
+            Stmt::assign(
+                Expr::var("x"),
+                Expr::binary(BinOp::Add, Expr::var("x"), Expr::int(2)),
+            ),
+            store_out(Expr::var("x")),
+        ],
+    );
+    let results = assert_forked(&program, "one work-item", &[42]);
+    assert!(results[1].uniform_prefix_steps < results[1].total_steps);
+}
+
+/// CLsmith keeps work-item ids out of generated expressions, so a BASIC
+/// kernel's per-work-item work is almost all lane-independent: the bytecode
+/// tier must run ≥90% of it once, on the representative.  Pins the fast
+/// path on; the tree walker has none.
+#[test]
+fn representative_covers_generated_basic_kernels() {
+    for seed in 0..4 {
+        let opts = GeneratorOptions {
+            min_threads: 8,
+            max_threads: 32,
+            ..GeneratorOptions::new(GenMode::Basic, 0xBA51C + seed)
+        };
+        let program = generate(&opts);
+        let items = program.launch.total_work_items() as f64;
+        let tree = launch(
+            &program,
+            &options_for(ExecutionTier::TreeWalk, false, Schedule::Forward),
+        )
+        .unwrap();
+        let vm = launch(
+            &program,
+            &options_for(ExecutionTier::Bytecode, false, Schedule::Forward),
+        )
+        .unwrap();
+        assert_eq!(tree.result_hash, vm.result_hash, "seed {seed}");
+        assert_eq!(tree.uniform_prefix_steps, 0, "seed {seed}");
+        let per_item = vm.total_steps as f64 / items;
+        let share = vm.uniform_prefix_steps as f64 / per_item;
+        assert!(
+            share >= 0.9,
+            "seed {seed}: the representative ran {} of {per_item:.0} steps per work-item ({:.1}%)",
+            vm.uniform_prefix_steps,
+            share * 100.0
+        );
+    }
+}
