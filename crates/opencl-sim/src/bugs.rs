@@ -65,7 +65,7 @@ impl OptScope {
 }
 
 /// A concrete miscompiling transformation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Miscompilation {
     /// Figure 1(a) (AMD): structs whose first field is `char` followed by a
     /// wider member lose the wider member's initialiser.

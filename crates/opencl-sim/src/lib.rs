@@ -48,6 +48,6 @@ pub use figures::{all_figures, FigureKernel};
 pub use platform::{
     execute, process_cache_stats, process_race_stats, reference_execute, reset_process_cache_stats,
     reset_process_race_stats, reset_shared_outcome_cache, CacheStats, CompiledProgram, ExecMemo,
-    ExecOptions, RaceDetectorStats, Session, TestOutcome,
+    ExecOptions, RaceDetectorStats, Recipe, Session, TestOutcome,
 };
 pub use store::{set_io_fault_hook, IoFaultHook, OutcomeStore, StoreOp, StoreStats};

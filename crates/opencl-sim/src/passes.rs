@@ -6,7 +6,7 @@
 //! in OpenCL; `-cl-opt-disable` turns them off, §6 of the paper).  Their
 //! correctness is checked by differential tests against the reference
 //! emulator; the *bugs* that the paper's testing campaign finds live in
-//! [`crate::miscompile`], not here.
+//! [`crate::bugs`], not here.
 
 use clc::expr::{BinOp, Expr, UnOp};
 use clc::stmt::{Block, Stmt};
@@ -15,17 +15,6 @@ use clc::Program;
 use clc_interp::eval::{lift_builtin, scalar_binop};
 use clc_interp::{Scalar, Value};
 
-/// Runs the full optimisation pipeline in place.
-pub fn optimize(program: &mut Program) {
-    constant_fold(program);
-    eliminate_dead_code(program);
-    simplify(program);
-    // Folding may expose more dead code and vice versa; one extra round is
-    /* enough for the program shapes CLsmith produces. */
-    constant_fold(program);
-    eliminate_dead_code(program);
-}
-
 /// Coverage bit (in the `Passes` class word) for constant folding.
 pub const PASS_BIT_CONSTANT_FOLD: u32 = 0;
 /// Coverage bit (in the `Passes` class word) for dead-code elimination.
@@ -33,32 +22,43 @@ pub const PASS_BIT_DEAD_CODE: u32 = 1;
 /// Coverage bit (in the `Passes` class word) for trivial simplification.
 pub const PASS_BIT_SIMPLIFY: u32 = 2;
 
-/// Runs the same pipeline as [`optimize`] while recording which passes
-/// actually *changed* the program (detected by fingerprinting between
-/// stages).  Returns a bitmask over the `PASS_BIT_*` constants — the
-/// optimiser-pass word of the feedback layer's coverage map.  The final
-/// program is bit-identical to what [`optimize`] produces (pinned by a unit
-/// test below); only the fingerprint probes are extra.
+/// An optimisation pass: rewrites the program in place and returns whether
+/// it changed anything.
+type Pass = fn(&mut Program) -> bool;
+
+/// The optimisation pipeline: each pass with its `PASS_BIT_*` coverage bit.
+/// Folding may expose more dead code and vice versa; one extra round is
+/// enough for the program shapes CLsmith produces.
+const PIPELINE: [(Pass, u32); 5] = [
+    (constant_fold, PASS_BIT_CONSTANT_FOLD),
+    (eliminate_dead_code, PASS_BIT_DEAD_CODE),
+    (simplify, PASS_BIT_SIMPLIFY),
+    (constant_fold, PASS_BIT_CONSTANT_FOLD),
+    (eliminate_dead_code, PASS_BIT_DEAD_CODE),
+];
+
+/// Runs the full optimisation pipeline in place and returns a bitmask over
+/// the `PASS_BIT_*` constants of the passes that *changed* the program —
+/// the optimiser-pass word of the feedback layer's coverage map.  Each pass
+/// reports its own changes, so the pipeline walks the program only to
+/// rewrite it; a unit test pins every pass's report to a fingerprint
+/// comparison of the program before and after it.
 pub fn optimize_traced(program: &mut Program) -> u8 {
     let mut bits = 0u8;
-    let mut stage = |program: &mut Program, pass: fn(&mut Program), bit: u32| {
-        let before = program.fingerprint();
-        pass(program);
-        if program.fingerprint() != before {
+    for (pass, bit) in PIPELINE {
+        if pass(program) {
             bits |= 1u8 << bit;
         }
-    };
-    stage(program, constant_fold, PASS_BIT_CONSTANT_FOLD);
-    stage(program, eliminate_dead_code, PASS_BIT_DEAD_CODE);
-    stage(program, simplify, PASS_BIT_SIMPLIFY);
-    stage(program, constant_fold, PASS_BIT_CONSTANT_FOLD);
-    stage(program, eliminate_dead_code, PASS_BIT_DEAD_CODE);
+    }
     bits
 }
 
-/// Folds operations whose operands are integer literals.
-pub fn constant_fold(program: &mut Program) {
-    program.for_each_expr_mut(&mut fold_expr);
+/// Folds operations whose operands are integer literals.  Returns whether
+/// anything was folded.
+pub fn constant_fold(program: &mut Program) -> bool {
+    let mut changed = false;
+    program.for_each_expr_mut(&mut |e| changed |= fold_expr(e));
+    changed
 }
 
 fn literal_value(e: &Expr) -> Option<Scalar> {
@@ -79,7 +79,11 @@ fn scalar_to_expr(s: Scalar) -> Expr {
     }
 }
 
-fn fold_expr(e: &mut Expr) {
+/// Folds one expression whose operands are already folded (the walk is
+/// post-order).  Returns whether it was replaced; a replacement always
+/// changes the program, since it either swaps the node's kind for a literal
+/// or shrinks it to one of its operands.
+fn fold_expr(e: &mut Expr) -> bool {
     let replacement = match e {
         Expr::Binary { op, lhs, rhs } => match (literal_value(lhs), literal_value(rhs)) {
             (Some(a), Some(b)) => {
@@ -142,19 +146,26 @@ fn fold_expr(e: &mut Expr) {
         }
         _ => None,
     };
-    if let Some(new) = replacement {
-        *e = new;
+    match replacement {
+        Some(new) => {
+            *e = new;
+            true
+        }
+        None => false,
     }
 }
 
 /// Removes statically unreachable statements: branches with constant
 /// conditions, loops that can never run, and code following a jump.
-pub fn eliminate_dead_code(program: &mut Program) {
+/// Returns whether anything changed.
+pub fn eliminate_dead_code(program: &mut Program) -> bool {
+    let mut changed = false;
     program.for_each_block_mut(&mut |block| {
         let mut out: Vec<Stmt> = Vec::with_capacity(block.stmts.len());
         let mut unreachable = false;
         for stmt in block.stmts.drain(..) {
             if unreachable {
+                changed = true;
                 continue;
             }
             match stmt {
@@ -163,8 +174,12 @@ pub fn eliminate_dead_code(program: &mut Program) {
                     then_block,
                     else_block,
                 } => match literal_value(&cond) {
-                    Some(c) if c.is_true() => out.push(Stmt::Block(then_block)),
+                    Some(c) if c.is_true() => {
+                        changed = true;
+                        out.push(Stmt::Block(then_block));
+                    }
                     Some(_) => {
+                        changed = true;
                         if let Some(e) = else_block {
                             out.push(Stmt::Block(e));
                         }
@@ -176,7 +191,7 @@ pub fn eliminate_dead_code(program: &mut Program) {
                     }),
                 },
                 Stmt::While { cond, body } => match literal_value(&cond) {
-                    Some(c) if !c.is_true() => {}
+                    Some(c) if !c.is_true() => changed = true,
                     _ => out.push(Stmt::While { cond, body }),
                 },
                 Stmt::For {
@@ -191,6 +206,7 @@ pub fn eliminate_dead_code(program: &mut Program) {
                         .map(|c| !c.is_true())
                         .unwrap_or(false);
                     if never_runs {
+                        changed = true;
                         // The initialiser may still have side effects
                         // (e.g. an assignment); keep it.
                         if let Some(init) = init {
@@ -216,11 +232,13 @@ pub fn eliminate_dead_code(program: &mut Program) {
         }
         block.stmts = out;
     });
+    changed
 }
 
 /// Structural clean-ups: flattens nested bare blocks, removes empty `if`s and
-/// self-assignments.
-pub fn simplify(program: &mut Program) {
+/// self-assignments.  Returns whether anything was rewritten.
+pub fn simplify(program: &mut Program) -> bool {
+    let mut changed = false;
     program.for_each_block_mut(&mut |block| {
         let mut out: Vec<Stmt> = Vec::with_capacity(block.stmts.len());
         for stmt in block.stmts.drain(..) {
@@ -233,6 +251,7 @@ pub fn simplify(program: &mut Program) {
                             out.push(Stmt::Block(inner));
                         }
                     } else {
+                        changed = true;
                         out.extend(inner.stmts);
                     }
                 }
@@ -244,6 +263,7 @@ pub fn simplify(program: &mut Program) {
                     let else_empty = else_block.as_ref().map(Block::is_empty).unwrap_or(true);
                     if then_block.is_empty() && else_empty && !cond.has_side_effects() {
                         // if (c) {} with a pure condition: drop entirely.
+                        changed = true;
                     } else {
                         out.push(Stmt::If {
                             cond,
@@ -256,12 +276,14 @@ pub fn simplify(program: &mut Program) {
                     if *lhs == *rhs && op.binop().is_none() =>
                 {
                     // self-assignment x = x
+                    changed = true;
                 }
                 other => out.push(other),
             }
         }
         block.stmts = out;
     });
+    changed
 }
 
 #[cfg(test)]
@@ -284,21 +306,162 @@ mod tests {
         p
     }
 
-    #[test]
-    fn traced_pipeline_matches_optimize_and_reports_pass_bits() {
-        for seed in 0..8u64 {
-            let mut plain =
-                clsmith::generate(&clsmith::GeneratorOptions::new(clsmith::GenMode::All, seed));
-            let mut traced = plain.clone();
-            optimize(&mut plain);
-            let bits = optimize_traced(&mut traced);
+    /// Runs [`PIPELINE`] one pass at a time, asserting that each pass's
+    /// report equals "the program's fingerprint changed", and returns the
+    /// pass bits that fingerprint comparison gives.
+    fn fingerprinted_pipeline(program: &mut Program, what: &str) -> u8 {
+        let mut bits = 0u8;
+        for (stage, (pass, bit)) in PIPELINE.into_iter().enumerate() {
+            let before = program.fingerprint();
+            let reported = pass(program);
+            let changed = program.fingerprint() != before;
             assert_eq!(
-                plain.fingerprint(),
-                traced.fingerprint(),
-                "seed {seed}: traced pipeline diverged from optimize()"
+                reported, changed,
+                "{what}: stage {stage} reported {reported}, but the fingerprint changed: {changed}"
             );
-            // Generated programs always contain foldable arithmetic, so the
-            // constant-folding bit must light up.
+            if changed {
+                bits |= 1 << bit;
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn every_rewrite_reports_its_change() {
+        // Generated kernels rarely reach some rewrites (a `while (0)`, a
+        // `for` whose condition is a false literal), so each rewrite also
+        // gets a kernel of its own, where it is the only change its pass
+        // makes.
+        let x = || Expr::var("x");
+        let set_x = |v| Stmt::assign(x(), Expr::int(v));
+        let cases = vec![
+            (
+                "fold",
+                vec![Stmt::assign(
+                    x(),
+                    Expr::binary(BinOp::Mul, Expr::int(6), Expr::int(7)),
+                )],
+                PASS_BIT_CONSTANT_FOLD,
+            ),
+            (
+                "if true",
+                vec![Stmt::if_then(Expr::int(1), Block::of(vec![set_x(1)]))],
+                PASS_BIT_DEAD_CODE,
+            ),
+            (
+                "if false",
+                vec![Stmt::if_then(Expr::int(0), Block::of(vec![set_x(1)]))],
+                PASS_BIT_DEAD_CODE,
+            ),
+            (
+                "if false else",
+                vec![Stmt::if_else(
+                    Expr::int(0),
+                    Block::of(vec![set_x(1)]),
+                    Block::of(vec![set_x(2)]),
+                )],
+                PASS_BIT_DEAD_CODE,
+            ),
+            (
+                "while false",
+                vec![Stmt::While {
+                    cond: Expr::int(0),
+                    body: Block::of(vec![Stmt::Break]),
+                }],
+                PASS_BIT_DEAD_CODE,
+            ),
+            (
+                "for never runs",
+                vec![Stmt::For {
+                    init: Some(Box::new(set_x(1))),
+                    cond: Some(Expr::int(0)),
+                    update: None,
+                    body: Block::of(vec![set_x(2)]),
+                }],
+                PASS_BIT_DEAD_CODE,
+            ),
+            (
+                "after return",
+                vec![Stmt::Return(None), set_x(9)],
+                PASS_BIT_DEAD_CODE,
+            ),
+            (
+                "bare block",
+                vec![Stmt::Block(Block::of(vec![set_x(3)]))],
+                PASS_BIT_SIMPLIFY,
+            ),
+            (
+                "empty if",
+                vec![Stmt::if_then(x(), Block::new())],
+                PASS_BIT_SIMPLIFY,
+            ),
+            (
+                "self assignment",
+                vec![Stmt::assign(x(), x())],
+                PASS_BIT_SIMPLIFY,
+            ),
+        ];
+        for (what, stmts, bit) in cases {
+            let mut body = vec![Stmt::decl(
+                "x",
+                Type::Scalar(ScalarType::Int),
+                Some(Expr::int(0)),
+            )];
+            body.extend(stmts);
+            body.push(Stmt::assign(
+                Expr::index(Expr::var("out"), Expr::int(0)),
+                x(),
+            ));
+            let mut p = program_with_body(Block::of(body));
+            let bits = fingerprinted_pipeline(&mut p, what);
+            assert_ne!(bits & (1 << bit), 0, "{what}: bits {bits:#b}");
+        }
+    }
+
+    #[test]
+    fn pass_reports_match_fingerprint_changes_on_generated_kernels_and_mutants() {
+        use clsmith::{generate, mutate, GenMode, GeneratorOptions};
+        // The pass bits feed corpus acceptance, so `optimize_traced` must
+        // report exactly the bits that fingerprinting between the stages
+        // reports: over every mode, with and without EMI blocks, and over
+        // mutants, whose shapes the generator alone does not produce.
+        let check = |program: &Program, what: &str| {
+            let bits = fingerprinted_pipeline(&mut program.clone(), what);
+            assert_eq!(optimize_traced(&mut program.clone()), bits, "{what}");
+            bits
+        };
+        let (mut kernels, mut mutants) = (0, 0);
+        for seed in 0..84u64 {
+            for mode in GenMode::ALL {
+                for emi in [false, true] {
+                    let options = GeneratorOptions {
+                        min_threads: 16,
+                        max_threads: 64,
+                        ..GeneratorOptions::new(mode, seed)
+                    };
+                    let options = if emi { options.with_emi() } else { options };
+                    let program = generate(&options);
+                    let what = format!("{mode} seed {seed} emi {emi}");
+                    check(&program, &what);
+                    kernels += 1;
+                    if seed % 4 == 0 {
+                        let (mutant, mutation) =
+                            mutate(&program, seed).expect("a mutation applies");
+                        check(&mutant, &format!("{what} mutant {mutation:?}"));
+                        mutants += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            kernels >= 1000 && mutants >= 200,
+            "{kernels} kernels, {mutants} mutants"
+        );
+        // Default-size ALL kernels contain foldable arithmetic, so the
+        // constant-folding bit must light up.
+        for seed in 0..8u64 {
+            let program = generate(&GeneratorOptions::new(GenMode::All, seed));
+            let bits = check(&program, &format!("default ALL seed {seed}"));
             assert_ne!(bits & (1 << PASS_BIT_CONSTANT_FOLD), 0, "seed {seed}");
         }
     }
@@ -386,7 +549,7 @@ mod tests {
                 let program = generate(&opts);
                 let reference = clc_interp::run(&program).expect("reference run");
                 let mut optimized = program.clone();
-                optimize(&mut optimized);
+                optimize_traced(&mut optimized);
                 let result = clc_interp::run(&optimized).expect("optimized run");
                 assert_eq!(
                     reference.result_string, result.result_string,

@@ -23,15 +23,25 @@
 //! into two phases:
 //!
 //! * the **front end** ([`Session::compile`]) — deterministic bug rules,
-//!   background-rate rolls, optimisation passes and triggered
+//!   background-rate rolls, optimisation passes and the choice of triggered
 //!   miscompilations, producing a [`CompiledProgram`]: either an outcome
-//!   decided without execution, or a compiled AST tagged with its
-//!   structural [`Fingerprint`];
+//!   decided without execution, or a [`Recipe`] for the AST to execute —
+//!   the session's source or optimised AST plus the target's ordered
+//!   transforms, not yet applied;
 //! * the **execution phase** — memoised in an [`ExecMemo`] by
-//!   `(fingerprint, exec-relevant options)`: each distinct compiled program
-//!   is lowered once (a shared [`clc_interp::CompiledKernel`]) and launched
-//!   once per distinct execution-option set, with every further target
-//!   served from the outcome cache.
+//!   `(recipe key, exec-relevant options)`: the AST is built only when no
+//!   cache level holds the outcome, each distinct recipe is lowered once (a
+//!   shared [`clc_interp::CompiledKernel`]) and launched once per distinct
+//!   execution-option set, and every further target is served from the
+//!   outcome cache.
+//!
+//! The recipe key ([`Recipe::key`]) is the base AST's structural
+//! [`Fingerprint`] when the target transforms nothing — so i−/i+ targets
+//! whose optimisation passes change nothing share one launch — and
+//! otherwise a hash of that fingerprint and the transform list, which
+//! together determine the built AST exactly.  A transform that happens to
+//! leave the AST unchanged therefore gets a key of its own instead of
+//! sharing its base's entry; results are the same either way.
 //!
 //! A [`Session`] carries the per-kernel state both phases reuse across
 //! targets (detected [`Features`], the captured program hasher, the
@@ -39,7 +49,7 @@
 //! handful of real emulator launches.
 //!
 //! Beyond the per-job memo sit two more outcome-cache levels with the same
-//! `(fingerprint, exec key)` key: a **process-wide shared cache** (sharded,
+//! `(recipe key, exec key)` key: a **process-wide shared cache** (sharded,
 //! mutex-striped, bounded) that deduplicates across jobs and scheduler
 //! workers, and an optional **on-disk store** ([`OutcomeStore`]) that
 //! deduplicates across processes and campaigns.  Memoisation never changes
@@ -85,7 +95,7 @@ pub struct ExecOptions {
     /// On-disk cross-campaign outcome store consulted (and populated) after
     /// the in-memory caches miss (defaults to the `CLFUZZ_STORE` store, or
     /// `None` when unset).  Like memoisation, the store never changes
-    /// results: outcomes are deterministic in `(fingerprint, exec key)`.
+    /// results: outcomes are deterministic in `(recipe key, exec key)`.
     pub store: Option<Arc<OutcomeStore>>,
     /// Whether [`Session`]s may serve repeated executions of an identical
     /// compiled program from the outcome cache (on by default).  Turning
@@ -160,8 +170,8 @@ impl TestOutcome {
 ///
 /// Not to be confused with [`clc_interp::CompiledProgram`], the emulator's
 /// lowered bytecode module: this is the *platform-level* compile result —
-/// the (possibly transformed) AST the device would run, or an outcome the
-/// front end already decided.
+/// the recipe for the (possibly transformed) AST the device would run, or
+/// an outcome the front end already decided.
 #[derive(Debug)]
 pub enum CompiledProgram<'s> {
     /// The outcome was decided without running the kernel: a deterministic
@@ -174,15 +184,14 @@ pub enum CompiledProgram<'s> {
         /// miscompilations collected before the deciding rule fired).
         coverage: CoverageMap,
     },
-    /// The kernel must run.  `program` borrows the session's (possibly
-    /// optimised) AST when no target-specific transform applied, and is
-    /// owned otherwise; `fingerprint` is its structural hash, the key the
-    /// execution phase memoises on.
+    /// The kernel must run.  `recipe` names the AST the device executes —
+    /// the session's source or optimised AST plus the target's transforms —
+    /// without building it: the execution phase memoises on the recipe's
+    /// [`Recipe::key`] and builds the AST only when every cache level
+    /// misses.
     Execute {
-        /// The compiled AST the device executes.
-        program: Cow<'s, Program>,
-        /// Structural fingerprint of that AST.
-        fingerprint: Fingerprint,
+        /// How to build the AST the device executes.
+        recipe: Recipe<'s>,
         /// Front-end coverage: bug-rule hits, optimiser passes that changed
         /// the program, miscompilation transforms applied.  Recorded for
         /// free on the deduplicated path — the front end runs per target
@@ -191,11 +200,72 @@ pub enum CompiledProgram<'s> {
     },
 }
 
+/// How to build the AST one target executes: a base AST borrowed from the
+/// [`Session`] (the source, or its optimised form) and the ordered
+/// miscompilation transforms the target applies to it — the triggered bug
+/// rules' miscompilations, then the background literal perturbation.
+///
+/// The base and the transform list determine the built AST exactly, so the
+/// recipe stands in for it as a cache key ([`Recipe::key`]) and the AST is
+/// built ([`Recipe::build`]) only when the execution phase has to launch
+/// it.
+#[derive(Debug)]
+pub struct Recipe<'s> {
+    base: &'s Program,
+    transforms: Vec<Miscompilation>,
+    key: Fingerprint,
+}
+
+impl<'s> Recipe<'s> {
+    /// A recipe over `base`, whose structural fingerprint is
+    /// `base_fingerprint`.
+    fn new(
+        base: &'s Program,
+        base_fingerprint: Fingerprint,
+        transforms: Vec<Miscompilation>,
+    ) -> Recipe<'s> {
+        let key = if transforms.is_empty() {
+            base_fingerprint
+        } else {
+            let mut h = DefaultHasher::new();
+            (base_fingerprint, &transforms).hash(&mut h);
+            Fingerprint(h.finish())
+        };
+        Recipe {
+            base,
+            transforms,
+            key,
+        }
+    }
+
+    /// The key every outcome-cache level and the compiled-kernel cache use
+    /// for the built AST: the base's structural fingerprint when there are
+    /// no transforms, and otherwise a hash of that fingerprint and the
+    /// transform list.  Equal recipes share a key; a transform that happens
+    /// to leave the AST unchanged still gets a key of its own.
+    pub fn key(&self) -> Fingerprint {
+        self.key
+    }
+
+    /// The AST the device executes: the base itself when there are no
+    /// transforms, otherwise a copy with each transform applied in order.
+    pub fn build(&self) -> Cow<'s, Program> {
+        if self.transforms.is_empty() {
+            return Cow::Borrowed(self.base);
+        }
+        let mut program = self.base.clone();
+        for transform in &self.transforms {
+            apply_miscompilation(&mut program, *transform);
+        }
+        Cow::Owned(program)
+    }
+}
+
 /// Execution-phase caches shared by one or more [`Session`]s.
 ///
-/// Holds the compiled-kernel cache (fingerprint → lazily lowered
+/// Holds the compiled-kernel cache ([`Recipe::key`] → lazily lowered
 /// [`CompiledKernel`]) and the outcome cache
-/// (`(fingerprint, exec-option key)` → [`TestOutcome`]), plus hit/launch
+/// (`(recipe key, exec-option key)` → [`TestOutcome`]), plus hit/launch
 /// counters.  Cheap to create; share one memo (via [`Rc`]) across the
 /// sessions of related programs — e.g. the pruning variants of one EMI base,
 /// where structurally identical variants then collapse to one launch — and
@@ -206,7 +276,7 @@ pub struct ExecMemo {
     /// Outcome cache, with the launch's dynamic coverage bits stored next
     /// to each outcome so memoised hits replay the *same* coverage the real
     /// launch produced — coverage stays a deterministic function of
-    /// `(fingerprint, exec key)` at any worker count.
+    /// `(recipe key, exec key)` at any worker count.
     outcomes: RefCell<HashMap<(Fingerprint, u64), (TestOutcome, CoverageMap)>>,
     analyses: RefCell<HashMap<Fingerprint, Rc<AnalysisReport>>>,
     /// Coverage folded per *base* (unoptimised) fingerprint across every
@@ -424,7 +494,7 @@ pub fn reset_process_race_stats() {
 // A [`Session`]'s memo is `Rc`-confined to its job; campaigns running many
 // jobs — and schedulers running many workers — re-execute structurally
 // identical kernels once per job.  This sharded, mutex-guarded map shares
-// outcomes across every memo in the process: lock-striping by fingerprint
+// outcomes across every memo in the process: lock-striping by recipe key
 // keeps worker contention negligible, and a per-shard FIFO bound keeps the
 // footprint fixed.  Compiled kernels stay per-memo (`Rc`-based, deliberately
 // thread-confined); only final [`TestOutcome`]s — plain data — cross threads.
@@ -492,8 +562,8 @@ pub fn reset_shared_outcome_cache() {
 /// detection and the optimised AST are computed lazily, also at most once —
 /// and every [`Session::execute`] call reuses it.  The execution phase is
 /// memoised through the session's [`ExecMemo`]: targets whose front end
-/// produces a bit-identical compiled AST (and identical execution-relevant
-/// options) share a single emulator launch.
+/// produces the same [`Recipe`] (and identical execution-relevant options)
+/// share a single emulator launch.
 ///
 /// Sessions are single-threaded by design (the campaign engine runs one
 /// kernel job per worker); the memo is [`Rc`]-based precisely so it cannot
@@ -613,12 +683,13 @@ impl<'p> Session<'p> {
     /// optimisation passes and triggered miscompilations for one target.
     ///
     /// Pure per target — it touches no cache except the session's shared
-    /// optimised AST — and returns either a decided outcome or the compiled
-    /// AST with its fingerprint.
+    /// optimised AST — and returns either a decided outcome or the
+    /// [`Recipe`] of the AST to execute.  It never builds a transformed
+    /// AST: [`Session::execute`] does that only on a cache miss.
     pub fn compile(&self, config: &Configuration, opt: OptLevel) -> CompiledProgram<'_> {
         // --- Deterministic bug rules --------------------------------------
         let mut coverage = CoverageMap::new();
-        let mut miscompilations = Vec::new();
+        let mut transforms = Vec::new();
         for rule in &config.rules {
             if !rule.applies(self.features(), self.program, opt) {
                 continue;
@@ -645,7 +716,7 @@ impl<'p> Session<'p> {
                 }
                 BugEffect::Miscompile(m) => {
                     coverage.set(CoverageClass::Miscompiles, m.coverage_bit());
-                    miscompilations.push(*m);
+                    transforms.push(*m);
                 }
             }
         }
@@ -703,27 +774,14 @@ impl<'p> Session<'p> {
         } else {
             (self.program, self.base_fingerprint)
         };
-        if miscompilations.is_empty() && !perturb {
-            return CompiledProgram::Execute {
-                program: Cow::Borrowed(base),
-                fingerprint: base_fingerprint,
-                coverage,
-            };
-        }
-        let mut compiled = base.clone();
-        for m in &miscompilations {
-            apply_miscompilation(&mut compiled, *m);
-        }
         if perturb {
             let salt = self.hasher.chain(&(config.id, "perturb"));
             let perturbation = Miscompilation::PerturbLiteral(salt);
             coverage.set(CoverageClass::Miscompiles, perturbation.coverage_bit());
-            apply_miscompilation(&mut compiled, perturbation);
+            transforms.push(perturbation);
         }
-        let fingerprint = compiled.fingerprint();
         CompiledProgram::Execute {
-            program: Cow::Owned(compiled),
-            fingerprint,
+            recipe: Recipe::new(base, base_fingerprint, transforms),
             coverage,
         }
     }
@@ -740,11 +798,7 @@ impl<'p> Session<'p> {
         self.memo.stats.bump(Counter::Requests);
         let (outcome, mut coverage) = match self.compile(config, opt) {
             CompiledProgram::Decided { outcome, coverage } => (outcome, coverage),
-            CompiledProgram::Execute {
-                program,
-                fingerprint,
-                coverage,
-            } => (self.run(program, fingerprint, exec), coverage),
+            CompiledProgram::Execute { recipe, coverage } => (self.run(&recipe, exec), coverage),
         };
         // The outcome *kind* is itself a coverage signal (a kernel that
         // provokes its first build failure or crash is interesting), and it
@@ -759,33 +813,30 @@ impl<'p> Session<'p> {
     /// two runs of an EMI liveness probe share one lowered kernel.
     pub fn reference_execute(&self, exec: &ExecOptions) -> TestOutcome {
         self.memo.stats.bump(Counter::Requests);
-        self.run(Cow::Borrowed(self.program), self.base_fingerprint, exec)
+        let recipe = Recipe::new(self.program, self.base_fingerprint, Vec::new());
+        self.run(&recipe, exec)
     }
 
-    /// The execution phase: launch a compiled program, memoised by
-    /// `(fingerprint, exec-relevant options)`.
+    /// The execution phase: launch a recipe's AST, memoised by
+    /// `(recipe key, exec-relevant options)`.
     ///
     /// Lookup order on the memoised path: the per-job memo, then the
     /// process-wide shared cache, then the on-disk store (when one is
     /// configured); a launch back-fills every level, and a hit at an outer
     /// level back-fills the levels inside it.  All three levels key on the
-    /// same `(fingerprint, exec key)` pair, and outcomes are deterministic
-    /// functions of that pair, so hits can never change a result.
-    fn run(
-        &self,
-        program: Cow<'_, Program>,
-        fingerprint: Fingerprint,
-        exec: &ExecOptions,
-    ) -> TestOutcome {
+    /// same `(recipe key, exec key)` pair, and outcomes are deterministic
+    /// functions of that pair, so hits can never change a result.  The AST
+    /// is built only when every level misses (or memoisation is off).
+    fn run(&self, recipe: &Recipe<'_>, exec: &ExecOptions) -> TestOutcome {
         let options = launch_options(exec);
         if !exec.memoize {
             self.memo.stats.bump(Counter::Compiles);
             self.memo.stats.bump(Counter::Launches);
-            let result = clc_interp::launch(&program, &options);
+            let result = clc_interp::launch(&recipe.build(), &options);
             self.fold_coverage(&dynamic_coverage(&result));
             return launch_outcome(result);
         }
-        let key = (fingerprint, exec_key(exec));
+        let key = (recipe.key(), exec_key(exec));
         if let Some((hit, coverage)) = self.memo.outcomes.borrow().get(&key) {
             self.memo.stats.bump(Counter::OutcomeHits);
             self.fold_coverage(coverage);
@@ -801,7 +852,7 @@ impl<'p> Session<'p> {
             return hit;
         }
         if let Some(store) = &exec.store {
-            if let Some(hit) = store.get(fingerprint, key.1) {
+            if let Some(hit) = store.get(key.0, key.1) {
                 // The store holds outcomes only, so a store hit replays no
                 // launch-derived dynamic bits; the empty map is cached so
                 // later requests for this key stay consistent in-process.
@@ -816,14 +867,15 @@ impl<'p> Session<'p> {
         }
         let kernel = {
             let mut kernels = self.memo.kernels.borrow_mut();
-            match kernels.entry(fingerprint) {
+            match kernels.entry(key.0) {
                 Entry::Occupied(entry) => {
                     self.memo.stats.bump(Counter::KernelHits);
                     Rc::clone(entry.get())
                 }
                 Entry::Vacant(entry) => {
                     self.memo.stats.bump(Counter::Compiles);
-                    Rc::clone(entry.insert(Rc::new(CompiledKernel::compile(program.into_owned()))))
+                    let program = recipe.build().into_owned();
+                    Rc::clone(entry.insert(Rc::new(CompiledKernel::compile(program))))
                 }
             }
         };
@@ -838,7 +890,7 @@ impl<'p> Session<'p> {
             .insert(key, (outcome.clone(), coverage));
         shared_put(key, outcome.clone(), coverage);
         if let Some(store) = &exec.store {
-            store.put(fingerprint, key.1, &outcome);
+            store.put(key.0, key.1, &outcome);
         }
         outcome
     }
@@ -1296,13 +1348,94 @@ mod tests {
         // miscompilation or perturbation applies.
         let mut fingerprints = Vec::new();
         for id in [1usize, 3] {
-            if let CompiledProgram::Execute { fingerprint, .. } =
+            if let CompiledProgram::Execute { recipe, .. } =
                 session.compile(&configuration(id), OptLevel::Enabled)
             {
-                fingerprints.push(fingerprint);
+                fingerprints.push(recipe.key());
             }
         }
         assert_eq!(fingerprints.len(), 2);
         assert_eq!(fingerprints[0], fingerprints[1]);
+    }
+
+    #[test]
+    fn recipe_keys_serve_the_same_outcomes_as_built_asts() {
+        use clsmith::{generate, GenMode, GeneratorOptions};
+        let memoised = ExecOptions {
+            store: None,
+            ..ExecOptions::default()
+        };
+        let cold = ExecOptions {
+            memoize: false,
+            store: None,
+            ..ExecOptions::default()
+        };
+        let mut transformed_by_mode = HashMap::new();
+        let mut identity_by_key = HashMap::new();
+        let mut perturbed = 0;
+        for (mode, seed) in GenMode::ALL
+            .into_iter()
+            .flat_map(|m| (0..3u64).map(move |s| (m, s)))
+        {
+            let program = generate(&GeneratorOptions {
+                min_threads: 16,
+                max_threads: 64,
+                ..GeneratorOptions::new(mode, seed)
+            });
+            let session = Session::new(&program);
+            let cold_session = Session::new(&program);
+            for config in all_configurations() {
+                for opt in OptLevel::BOTH {
+                    assert_eq!(
+                        session.execute(&config, opt, &memoised),
+                        cold_session.execute(&config, opt, &cold),
+                        "{mode} seed {seed}: config {} {opt} diverged under memoisation",
+                        config.id
+                    );
+                    let CompiledProgram::Execute { recipe, .. } = session.compile(&config, opt)
+                    else {
+                        continue;
+                    };
+                    let base_fingerprint = recipe.base.fingerprint();
+                    let transforms = &recipe.transforms;
+                    *transformed_by_mode.entry(mode).or_insert(0) +=
+                        usize::from(!transforms.is_empty());
+                    assert_eq!(
+                        recipe.key() == base_fingerprint,
+                        transforms.is_empty(),
+                        "the key is the base fingerprint exactly when nothing transforms it: {transforms:?}"
+                    );
+                    // Equal recipes share a key, and a key names one recipe.
+                    let again = Recipe::new(recipe.base, base_fingerprint, transforms.clone());
+                    assert_eq!(again.key(), recipe.key());
+                    let identity = (base_fingerprint, transforms.clone());
+                    let previous = identity_by_key.insert(recipe.key(), identity.clone());
+                    assert!(
+                        previous.is_none_or(|previous| previous == identity),
+                        "two recipes share the key {}",
+                        recipe.key()
+                    );
+                    // Different perturbation salts never share a key.
+                    for (i, transform) in transforms.iter().enumerate() {
+                        if let Miscompilation::PerturbLiteral(salt) = transform {
+                            perturbed += 1;
+                            let mut resalted = transforms.clone();
+                            resalted[i] = Miscompilation::PerturbLiteral(salt.wrapping_add(1));
+                            let resalted = Recipe::new(recipe.base, base_fingerprint, resalted);
+                            assert_ne!(resalted.key(), recipe.key());
+                        }
+                    }
+                }
+            }
+        }
+        for mode in GenMode::ALL {
+            assert!(
+                transformed_by_mode.get(&mode).copied().unwrap_or(0) > 0,
+                "no transformed target in {mode}"
+            );
+        }
+        // Each target perturbs with a salt of its own, so two perturbed
+        // targets are two salts whose keys the map above kept apart.
+        assert!(perturbed >= 2, "{perturbed} perturbed targets");
     }
 }

@@ -5,10 +5,24 @@
 //! process-wide shared cache in [`platform`](crate::platform)) die with the
 //! process; campaigns, reducer runs and repeated table regenerations
 //! re-execute structurally identical kernels from scratch.  This module
-//! persists the outcome cache's `(fingerprint, exec-option key)` →
+//! persists the outcome cache's `(program key, exec-option key)` →
 //! [`TestOutcome`] mapping to a directory, so every process pointed at the
 //! same store — sequential re-runs or concurrent shard processes — shares
 //! one ever-growing cache.
+//!
+//! The program key is the platform's [`Recipe::key`](crate::Recipe::key)
+//! (the `fingerprint` argument of [`OutcomeStore::get`] and
+//! [`OutcomeStore::put`]).  For a program no miscompilation transforms it
+//! is the structural fingerprint of the source or optimised AST; for a
+//! transformed program it is a hash of that base fingerprint and the
+//! ordered transform list, which stands for the transformed AST without
+//! building it.
+//!
+//! An entry is therefore valid only under the platform semantics of the
+//! build that wrote it: the emulator that computed the outcome and the
+//! miscompilation transforms a key names.  A change to either must bump
+//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 1`), which turns
+//! every older entry into a miss.
 //!
 //! ## Entry format
 //!
@@ -88,7 +102,8 @@ fn injected_fault(op: StoreOp) -> Option<io::Error> {
 const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The store format tag; bumping the version invalidates (as misses) every
-/// existing entry.
+/// existing entry.  Bump it whenever the entry encoding, the emulator's
+/// semantics or a miscompilation transform changes (see the module docs).
 const FORMAT: &str = "CLFUZZ-STORE 1";
 
 /// Default size cap (bytes) when `CLFUZZ_STORE_CAP` is unset.
@@ -427,12 +442,23 @@ fn parse_payload(payload: &[u8]) -> Option<TestOutcome> {
     }
 }
 
-/// Renders a complete self-checksummed entry file.
+/// Renders a complete self-checksummed entry file in the current
+/// [`FORMAT`].
 fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Vec<u8> {
+    render_entry_in(FORMAT, fingerprint, key, outcome)
+}
+
+/// Renders an entry file under the format tag `format`.
+fn render_entry_in(
+    format: &str,
+    fingerprint: Fingerprint,
+    key: u64,
+    outcome: &TestOutcome,
+) -> Vec<u8> {
     let payload = render_payload(outcome);
     let digest = fnv1a(&payload);
     let prefix = format!(
-        "{FORMAT} {:016x} {key:016x} {} {digest:016x}",
+        "{format} {:016x} {key:016x} {} {digest:016x}",
         fingerprint.0,
         payload.len()
     );
@@ -442,8 +468,20 @@ fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Ve
     bytes
 }
 
-/// Parses and fully validates an entry file; `None` on any defect.
+/// Parses and fully validates an entry file in the current [`FORMAT`];
+/// `None` on any defect.
 fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
+    parse_entry_in(FORMAT, bytes, fingerprint, key)
+}
+
+/// Parses and fully validates an entry file written under the format tag
+/// `format`; an entry of any other format is a defect.
+fn parse_entry_in(
+    format: &str,
+    bytes: &[u8],
+    fingerprint: Fingerprint,
+    key: u64,
+) -> Option<TestOutcome> {
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
     let payload = &bytes[newline + 1..];
@@ -451,21 +489,25 @@ fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestO
     if u64::from_str_radix(crc, 16).ok()? != fnv1a(prefix.as_bytes()) {
         return None;
     }
-    let fields: Vec<&str> = prefix.split(' ').collect();
-    // "CLFUZZ-STORE" "1" fp key len digest
-    if fields.len() != 6 || fields[0] != "CLFUZZ-STORE" || fields[1] != "1" {
+    // "<format> <fp> <key> <len> <digest>"
+    let fields: Vec<&str> = prefix
+        .strip_prefix(format)?
+        .strip_prefix(' ')?
+        .split(' ')
+        .collect();
+    if fields.len() != 4 {
         return None;
     }
-    if u64::from_str_radix(fields[2], 16).ok()? != fingerprint.0
-        || u64::from_str_radix(fields[3], 16).ok()? != key
+    if u64::from_str_radix(fields[0], 16).ok()? != fingerprint.0
+        || u64::from_str_radix(fields[1], 16).ok()? != key
     {
         return None;
     }
-    let len: usize = fields[4].parse().ok()?;
+    let len: usize = fields[2].parse().ok()?;
     if payload.len() != len {
         return None;
     }
-    if u64::from_str_radix(fields[5], 16).ok()? != fnv1a(payload) {
+    if u64::from_str_radix(fields[3], 16).ok()? != fnv1a(payload) {
         return None;
     }
     parse_payload(payload)
@@ -549,6 +591,28 @@ mod tests {
         let mut rebuilt = format!("{fields} {crc:016x}\n").into_bytes();
         rebuilt.extend_from_slice(b"to\n");
         assert_eq!(parse_entry(&rebuilt, fp, key), None);
+    }
+
+    #[test]
+    fn entries_parse_under_the_format_that_wrote_them_only() {
+        // Bumping FORMAT must invalidate old entries *and* keep the entries
+        // the bumped build writes readable by that build.
+        let fp = Fingerprint(0xAB);
+        let key = 7;
+        let outcome = TestOutcome::Result {
+            hash: 42,
+            output: "5,5,5".into(),
+        };
+        let bumped = "CLFUZZ-STORE 2";
+        assert_ne!(bumped, FORMAT);
+        let written = render_entry_in(bumped, fp, key, &outcome);
+        assert_eq!(
+            parse_entry_in(bumped, &written, fp, key),
+            Some(outcome.clone())
+        );
+        assert_eq!(parse_entry(&written, fp, key), None);
+        let current = render_entry(fp, key, &outcome);
+        assert_eq!(parse_entry_in(bumped, &current, fp, key), None);
     }
 
     #[test]
