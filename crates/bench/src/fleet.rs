@@ -2,11 +2,12 @@
 //!
 //! A binary becomes a fleet by re-invoking itself: `<binary> coordinate …`
 //! partitions the campaign's job space and spawns `<binary> worker …`
-//! children (over stdin/stdout, via [`ProcessWorker`]), each of which runs
-//! leases through the campaign's range driver.  The coordinator's stdout is
-//! exactly what `<binary> merge <lease journals…>` would print, so a fleet
-//! run — even one riddled with injected faults — can be byte-diffed against
-//! a fault-free batch run's merged table.
+//! children (over stdin/stdout, via [`ProcessWorker`]), each of which
+//! builds the campaign once and runs leases through
+//! [`fuzz_harness::run_lease`].  The coordinator's stdout is exactly what
+//! `<binary> merge <lease journals…>` would print, so a fleet run — even one
+//! riddled with injected faults — can be byte-diffed against a fault-free
+//! batch run's merged table.
 //!
 //! Fault injection (`--faults SPEC` or `CLFUZZ_FAULTS`) is resolved by the
 //! *workers*: each worker derives the same deterministic [`FaultPlan`] from
@@ -25,11 +26,12 @@ use std::time::Duration;
 use fuzz_harness::faults::{FaultKind, FaultPlan, FaultSpec, LeaseFault};
 use fuzz_harness::fleet::append_worker_log;
 use fuzz_harness::{
-    run_worker, tear_journal_tail, Coordinator, FleetOptions, FleetOutcome, LeaseRecord,
-    ProcessWorker, WorkerLink,
+    run_lease, run_worker, tear_journal_tail, Campaign, CheckpointPolicy, Coordinator,
+    FleetOptions, FleetOutcome, LeaseRecord, ProcessWorker, WorkerLink,
 };
+use opencl_sim::Configuration;
 
-use crate::{fail, usage_error, Cli};
+use crate::{fail, merged_table, report_refold_summary, usage_error, Cli, Table};
 
 /// Exit code of a coordinator whose campaign completed with quarantined
 /// (dead-lettered) ranges: the table printed, but it has gaps.
@@ -72,34 +74,25 @@ pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
     }
     flags.push(format!("--checkpoint-every={}", cli.fleet.checkpoint_every));
     flags.push(format!("--threads={}", cli.scheduler.threads()));
-    if matches!(cli.scheduler.mode(), fuzz_harness::SchedulerMode::Pipelined) {
-        flags.push("--pipeline".to_string());
-    }
     flags
 }
 
-/// A binary's "merge these completed lease journals and render the partial
-/// table" closure, used by `--follow` to fill the table in live.
-pub type LiveTable<'a> = &'a dyn Fn(&[PathBuf]) -> Result<String, String>;
-
-/// Runs the coordinator side: spawns `worker_args` re-invocations of this
-/// binary as workers, leases the job space to them, and returns the
-/// outcome.  Writes the resolved fault schedule to `faults.log` first so
-/// chaos runs leave an auditable record even if the fleet dies.
+/// Runs the coordinator side and exits: spawns `worker` re-invocations of
+/// this binary with the same scale arguments, leases the campaign's job
+/// space to them, then prints the merge of the completed lease journals.
+/// Writes the resolved fault schedule to `faults.log` first so chaos runs
+/// leave an auditable record even if the fleet dies.
 ///
-/// Under `--follow` every coordinator event streams to stderr, and
-/// `live_table` — the binary's "merge these lease journals and render the
-/// partial table" closure — re-renders after every `DONE` event, so the
-/// table fills in live as leases land.  Rendering reads only journals of
-/// completed leases (the same ones the final merge reads), so a live
-/// rendering failure is reported but never aborts the fleet.
-pub fn run_coordinator(
-    cli: &Cli,
-    campaign_seed: u64,
-    total_jobs: u64,
-    worker_args: Vec<String>,
-    live_table: Option<LiveTable<'_>>,
-) -> FleetOutcome {
+/// Under `--follow` every coordinator event streams to stderr, and the
+/// partial table re-renders from the completed lease journals after every
+/// `DONE` event, so it fills in live as leases land.  Rendering reads only
+/// journals of completed leases (the same ones the final merge reads), so
+/// a live rendering failure is reported but never aborts the fleet.
+pub fn coordinate<T: Table>(cli: &Cli, campaign: &T::Campaign, configs: &[Configuration]) -> ! {
+    let mut worker_args = vec!["worker".to_string()];
+    worker_args.extend(cli.positional.iter().cloned());
+    worker_args.extend(forwarded_worker_flags(cli));
+    let (campaign_seed, total_jobs) = (campaign.seed(), campaign.total_jobs());
     let options = fleet_options(cli);
     let mut coordinator = Coordinator::new(options.clone(), total_jobs).unwrap_or_else(|e| fail(e));
     let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
@@ -134,9 +127,8 @@ pub fn run_coordinator(
         if !completed.contains(&path) {
             completed.push(path);
         }
-        let Some(render) = live_table else { return };
-        match render(&completed) {
-            Ok(table) => {
+        match merged_table::<T>(&completed, configs) {
+            Ok((table, _)) => {
                 eprintln!("fleet: partial table after {} lease(s):", completed.len());
                 for table_line in table.lines() {
                     eprintln!("fleet: {table_line}");
@@ -150,9 +142,19 @@ pub fn run_coordinator(
     } else {
         None
     };
-    coordinator
+    let outcome = coordinator
         .run(&mut spawn, observer)
-        .unwrap_or_else(|e| fail(e))
+        .unwrap_or_else(|e| fail(e));
+    let status = report_fleet_outcome(&outcome);
+    if outcome.journals.is_empty() {
+        eprintln!("fleet: no lease completed; nothing to merge");
+        std::process::exit(status.max(1));
+    }
+    let (table, summary) =
+        merged_table::<T>(&outcome.journals, configs).unwrap_or_else(|e| fail(e));
+    report_refold_summary(&summary);
+    print!("{table}");
+    std::process::exit(status);
 }
 
 /// Reports a fleet run on stderr (stdout is reserved for the merged table)
@@ -183,20 +185,16 @@ pub fn report_fleet_outcome(outcome: &FleetOutcome) -> i32 {
     FLEET_EXIT_QUARANTINE
 }
 
-/// Runs the worker side: serves leases from stdin until the coordinator
-/// hangs up, enacting this worker's share of the deterministic fault plan.
-///
-/// `run_lease` executes one lease's range — truncated to `stop_before`
-/// when a fault is scheduled — and returns the jobs executed.  Never
-/// returns normally except through process exit.
-pub fn worker_loop(
-    cli: &Cli,
-    campaign_seed: u64,
-    total_jobs: u64,
-    mut run_lease: impl FnMut(&LeaseRecord, Option<u64>) -> Result<u64, String>,
-) -> ! {
+/// Runs the worker side: serves leases of `campaign` from stdin until the
+/// coordinator hangs up, enacting this worker's share of the deterministic
+/// fault plan (a scheduled fault truncates its lease at the fault's job
+/// index).  Never returns normally except through process exit.
+pub fn worker_loop<C: Campaign>(cli: &Cli, campaign: &C) -> ! {
     let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
-    let plan = FaultPlan::resolve(&spec, campaign_seed, total_jobs);
+    let plan = FaultPlan::resolve(&spec, campaign.seed(), campaign.total_jobs());
+    let checkpoint = CheckpointPolicy {
+        every: cli.fleet.checkpoint_every,
+    };
     plan.install_store_faults();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -205,11 +203,12 @@ pub fn worker_loop(
     let result = run_worker(&mut input, &mut output, &mut |lease| {
         let fault = plan.lease_action(&(lease.start..lease.end), lease.attempt);
         let stop_before = fault.as_ref().map(|f| f.stop_before);
-        let jobs = run_lease(lease, stop_before)?;
+        let run = run_lease(&cli.scheduler, campaign, lease, checkpoint, stop_before)
+            .map_err(|e| e.to_string())?;
         if let Some(fault) = fault {
             enact_lease_fault(&fault, lease);
         }
-        Ok(jobs)
+        Ok(run.metrics.jobs_replayed)
     });
     std::process::exit(if result.is_ok() { 0 } else { 1 });
 }

@@ -8,29 +8,31 @@
 //!
 //! Every table binary accepts `--threads N` to pin the scheduler's worker
 //! count (default: `FUZZ_THREADS` or the machine's available parallelism;
-//! `N` must be at least 1 — a zero-worker pool could never drain its queue)
-//! and `--pipeline` to run campaign jobs as overlapping
-//! generate → execute → judge stages (default: `FUZZ_PIPELINE`, else whole
-//! jobs).  Neither flag ever changes the produced tables — only how fast
-//! they appear.
+//! `N` must be at least 1 — a zero-worker pool could never drain its
+//! queue).  The worker count never changes the produced tables — only how
+//! fast they appear.
 //!
-//! The campaign binaries (`table1`, `table3`, `table4`, `table5`)
-//! additionally speak the shard/journal layer:
+//! The campaign binaries (`table1`, `table3`, `table4`, `table5`, `corpus`)
+//! each implement [`Table`] for their `fuzz_harness::Campaign`, and [`run`]
+//! gives them all the same surface:
 //!
+//! * a plain run of the whole campaign;
 //! * `--shard I/N` runs shard `I` of an `N`-way split of the campaign's
 //!   job space (any subset of shards is independently computable — on any
 //!   machine — because job seeds derive from the job index);
 //! * `--journal PATH` records every completed job to a resumable journal;
 //! * `--resume` skips the jobs already in the journal (a half-written
 //!   record from a mid-write kill is detected by checksum and dropped);
-//! * `<binary> merge J1 [J2 ...]` refolds any subset of shard journals
-//!   into the (full or partial) table without re-running anything.
+//! * `<binary> merge J1 [J2 ...]` merges any subset of shard or lease
+//!   journals into the (full or partial) table without re-running anything;
+//! * `<binary> coordinate …` and `<binary> worker …` run the campaign as a
+//!   crash-tolerant worker fleet (see [`fleet`]).
 //!
 //! Every table binary also speaks the cross-campaign outcome store:
 //! `--store PATH` points executions at an on-disk outcome cache shared
 //! across runs (and across concurrent shard processes), `--no-store`
 //! disables it, and neither flag defers to the `CLFUZZ_STORE` environment
-//! variable.  Like the scheduler flags, the store never changes the
+//! variable.  Like the worker count, the store never changes the
 //! produced tables — only how fast repeat executions resolve.
 //!
 //! Tables go to stdout; shard/resume/merge progress lines go to stderr, so
@@ -43,8 +45,87 @@ use std::sync::Arc;
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, RefoldSummary, ShardMetrics, ShardSelect};
-use fuzz_harness::{Scheduler, SchedulerMode};
-use opencl_sim::{ExecOptions, OutcomeStore};
+use fuzz_harness::{merge, run_shard, Campaign, JournalError, Scheduler};
+use opencl_sim::{Configuration, ExecOptions, OutcomeStore};
+
+/// A campaign binary: how it builds its [`Campaign`] from the command line
+/// and renders the table a tally denotes.  [`run`] does the rest.
+pub trait Table {
+    /// The campaign the binary runs.
+    type Campaign: Campaign;
+    /// The configurations the table covers; merges validate journals
+    /// against them.
+    fn configs() -> Vec<Configuration>;
+    /// Builds the campaign from the scale positionals of `cli` (any
+    /// `coordinate`/`worker` subcommand already removed).
+    fn build(cli: &Cli, configs: &[Configuration], exec: ExecOptions) -> Self::Campaign;
+    /// Renders the (full or partial) table of `tally`.
+    fn render(
+        campaign: &Self::Campaign,
+        tally: &<Self::Campaign as Campaign>::Tally,
+        source: Source<'_>,
+    ) -> String;
+}
+
+/// Where a rendered tally came from.
+pub enum Source<'a> {
+    /// This process ran the campaign (or `--shard` of it), covering `jobs`
+    /// jobs.
+    Run {
+        /// The run's command line.
+        cli: &'a Cli,
+        /// Jobs the tally covers (resumed and executed).
+        jobs: u64,
+    },
+    /// Journals were merged.
+    Merged(&'a RefoldSummary),
+}
+
+/// The whole command-line surface of a campaign binary: a plain or
+/// `--shard`/`--journal`/`--resume` run, `merge`, `coordinate` and
+/// `worker`.  Tables go to stdout, progress to stderr.
+pub fn run<T: Table>() {
+    let mut cli = cli();
+    let configs = T::configs();
+    if let Some(paths) = &cli.merge {
+        let (table, summary) = merged_table::<T>(paths, &configs).unwrap_or_else(|e| fail(e));
+        report_refold_summary(&summary);
+        print!("{table}");
+        return;
+    }
+    let role = match cli.positional.first().map(String::as_str) {
+        Some("coordinate" | "worker") => Some(cli.positional.remove(0)),
+        _ => None,
+    };
+    let exec = cli.exec_options();
+    let campaign = T::build(&cli, &configs, exec.clone());
+    match role.as_deref() {
+        Some("worker") => fleet::worker_loop(&cli, &campaign),
+        Some(_) => fleet::coordinate::<T>(&cli, &campaign, &configs),
+        None => {}
+    }
+    let journal = cli.journal_options();
+    let run = run_shard(&cli.scheduler, &campaign, cli.shard, journal.as_ref())
+        .unwrap_or_else(|e| fail(e));
+    report_shard_metrics(&cli, &run.metrics);
+    report_store_stats(&exec);
+    let source = Source::Run {
+        cli: &cli,
+        jobs: run.jobs,
+    };
+    print!("{}", T::render(&campaign, &run.aggregate, source));
+}
+
+/// Merges `paths` and renders the table — what `merge` prints, and what a
+/// coordinator prints after its fleet finishes.
+pub fn merged_table<T: Table>(
+    paths: &[PathBuf],
+    configs: &[Configuration],
+) -> Result<(String, RefoldSummary), JournalError> {
+    let (campaign, tally, summary) = merge::<T::Campaign>(paths, configs)?;
+    let table = T::render(&campaign, &tally, Source::Merged(&summary));
+    Ok((table, summary))
+}
 
 /// Command-line options shared by the table binaries.
 pub struct Cli {
@@ -195,9 +276,8 @@ pub fn report_shard_metrics(cli: &Cli, metrics: &ShardMetrics) {
         return;
     }
     eprintln!(
-        "shard {} ({} scheduler): {} job(s) resumed from the journal, {} executed, journal {} byte(s){}",
+        "shard {}: {} job(s) resumed from the journal, {} executed, journal {} byte(s){}",
         cli.shard,
-        cli.scheduler.mode().name(),
         metrics.jobs_resumed,
         metrics.jobs_replayed,
         metrics.journal_bytes,
@@ -296,14 +376,13 @@ pub fn resolve_store(store: Option<&str>, no_store: bool) -> Result<Option<PathB
 }
 
 /// Parses the command-line arguments shared by the table binaries:
-/// extracts `--threads N` (or `--threads=N`), `--pipeline`, `--paper-scale`,
-/// `--shard I/N`, `--journal PATH`, `--resume`, `--store PATH` and
-/// `--no-store`, recognises the `merge` subcommand, and returns them with
-/// the remaining positional arguments.
+/// extracts `--threads N`, `--paper-scale`, `--shard I/N`, `--journal PATH`,
+/// `--resume`, `--store PATH`, `--no-store` and the fleet flags (each valued
+/// flag also as `--flag=V`), recognises the `merge` subcommand, and returns
+/// them with the remaining positional arguments.
 pub fn cli() -> Cli {
     let mut positional = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut pipeline = false;
     let mut paper_scale = false;
     let mut shard = ShardSelect::whole();
     let mut journal: Option<PathBuf> = None;
@@ -311,9 +390,6 @@ pub fn cli() -> Cli {
     let mut store: Option<String> = None;
     let mut no_store = false;
     let mut fleet = FleetCliOptions::default();
-    let parse = |value: Option<String>| -> usize {
-        parse_threads(value.as_deref()).unwrap_or_else(|e| usage_error(e))
-    };
     fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
         match value.as_deref().map(str::parse) {
             Some(Ok(n)) => n,
@@ -323,83 +399,41 @@ pub fn cli() -> Cli {
             )),
         }
     }
-    let parse_shard = |value: Option<String>| -> ShardSelect {
-        match value.as_deref().map(ShardSelect::parse) {
-            Some(Ok(s)) => s,
-            Some(Err(e)) => usage_error(e),
-            None => usage_error("--shard requires an I/N argument"),
-        }
-    };
+    fn required(flag: &str, value: Option<String>, what: &str) -> String {
+        value.unwrap_or_else(|| usage_error(format!("{flag} requires {what}")))
+    }
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            threads = Some(parse(args.next()));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            threads = Some(parse(Some(value.to_string())));
-        } else if arg == "--pipeline" {
-            pipeline = true;
-        } else if arg == "--paper-scale" {
-            paper_scale = true;
-        } else if arg == "--shard" {
-            shard = parse_shard(args.next());
-        } else if let Some(value) = arg.strip_prefix("--shard=") {
-            shard = parse_shard(Some(value.to_string()));
-        } else if arg == "--journal" {
-            match args.next() {
-                Some(path) => journal = Some(PathBuf::from(path)),
-                None => usage_error("--journal requires a path"),
+        // Valued flags take `--flag VALUE` or `--flag=VALUE`.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = || inline.clone().or_else(|| args.next());
+        match (flag, inline.is_some()) {
+            ("--paper-scale", false) => paper_scale = true,
+            ("--resume", false) => resume = true,
+            ("--no-store", false) => no_store = true,
+            ("--follow", false) => fleet.follow = true,
+            ("--threads", _) => {
+                threads = Some(parse_threads(value().as_deref()).unwrap_or_else(|e| usage_error(e)))
             }
-        } else if let Some(value) = arg.strip_prefix("--journal=") {
-            journal = Some(PathBuf::from(value));
-        } else if arg == "--resume" {
-            resume = true;
-        } else if arg == "--store" {
-            match args.next() {
-                Some(path) => store = Some(path),
-                None => usage_error("--store requires a path"),
+            ("--shard", _) => {
+                let value = required(flag, value(), "an I/N argument");
+                shard = ShardSelect::parse(&value).unwrap_or_else(|e| usage_error(e));
             }
-        } else if let Some(value) = arg.strip_prefix("--store=") {
-            store = Some(value.to_string());
-        } else if arg == "--no-store" {
-            no_store = true;
-        } else if arg == "--workers" {
-            fleet.workers = parse_num("--workers", args.next());
-        } else if let Some(value) = arg.strip_prefix("--workers=") {
-            fleet.workers = parse_num("--workers", Some(value.to_string()));
-        } else if arg == "--lease-jobs" {
-            fleet.lease_jobs = parse_num("--lease-jobs", args.next());
-        } else if let Some(value) = arg.strip_prefix("--lease-jobs=") {
-            fleet.lease_jobs = parse_num("--lease-jobs", Some(value.to_string()));
-        } else if arg == "--lease-timeout-ms" {
-            fleet.lease_timeout_ms = parse_num("--lease-timeout-ms", args.next());
-        } else if let Some(value) = arg.strip_prefix("--lease-timeout-ms=") {
-            fleet.lease_timeout_ms = parse_num("--lease-timeout-ms", Some(value.to_string()));
-        } else if arg == "--max-retries" {
-            fleet.max_retries = parse_num("--max-retries", args.next());
-        } else if let Some(value) = arg.strip_prefix("--max-retries=") {
-            fleet.max_retries = parse_num("--max-retries", Some(value.to_string()));
-        } else if arg == "--checkpoint-every" {
-            fleet.checkpoint_every = parse_num("--checkpoint-every", args.next());
-        } else if let Some(value) = arg.strip_prefix("--checkpoint-every=") {
-            fleet.checkpoint_every = parse_num("--checkpoint-every", Some(value.to_string()));
-        } else if arg == "--fleet-dir" {
-            match args.next() {
-                Some(path) => fleet.fleet_dir = Some(PathBuf::from(path)),
-                None => usage_error("--fleet-dir requires a path"),
+            ("--journal", _) => journal = Some(required(flag, value(), "a path").into()),
+            ("--store", _) => store = Some(required(flag, value(), "a path")),
+            ("--workers", _) => fleet.workers = parse_num(flag, value()),
+            ("--lease-jobs", _) => fleet.lease_jobs = parse_num(flag, value()),
+            ("--lease-timeout-ms", _) => fleet.lease_timeout_ms = parse_num(flag, value()),
+            ("--max-retries", _) => fleet.max_retries = parse_num(flag, value()),
+            ("--checkpoint-every", _) => fleet.checkpoint_every = parse_num(flag, value()),
+            ("--fleet-dir", _) => fleet.fleet_dir = Some(required(flag, value(), "a path").into()),
+            ("--faults", _) => {
+                fleet.faults = Some(required(flag, value(), "a spec (e.g. kill@3,torn@5)"))
             }
-        } else if let Some(value) = arg.strip_prefix("--fleet-dir=") {
-            fleet.fleet_dir = Some(PathBuf::from(value));
-        } else if arg == "--faults" {
-            match args.next() {
-                Some(spec) => fleet.faults = Some(spec),
-                None => usage_error("--faults requires a spec (e.g. kill@3,torn@5)"),
-            }
-        } else if let Some(value) = arg.strip_prefix("--faults=") {
-            fleet.faults = Some(value.to_string());
-        } else if arg == "--follow" {
-            fleet.follow = true;
-        } else {
-            positional.push(arg);
+            _ => positional.push(arg.clone()),
         }
     }
     if fleet.workers == 0 {
@@ -427,14 +461,7 @@ pub fn cli() -> Cli {
     if merge.is_some() && (journal.is_some() || resume || shard.count > 1) {
         usage_error("merge takes only journal paths (no --shard/--journal/--resume)");
     }
-    // `--threads N` pins the worker count but still honours `FUZZ_PIPELINE`;
-    // `--pipeline` then forces the pipelined mode either way.
-    let mut scheduler = threads
-        .map(|n| Scheduler::new(n).with_mode(SchedulerMode::from_env()))
-        .unwrap_or_else(Scheduler::from_env);
-    if pipeline {
-        scheduler = scheduler.with_mode(SchedulerMode::Pipelined);
-    }
+    let scheduler = threads.map_or_else(Scheduler::from_env, Scheduler::new);
     Cli {
         positional: if merge.is_some() {
             Vec::new()

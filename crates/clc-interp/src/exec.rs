@@ -413,7 +413,7 @@ fn launch_with(
         SPARE_DETECTOR.with(|spare| *spare.borrow_mut() = Some(detector));
     }
     let (output, result_string) = run?;
-    let result_hash = fnv1a(result_string.as_bytes());
+    let result_hash = clc::fnv1a(result_string.as_bytes());
     Ok(LaunchResult {
         output,
         result_string,
@@ -426,16 +426,6 @@ fn launch_with(
         barrier_intervals,
         uniform_prefix_steps,
     })
-}
-
-/// FNV-1a hash (used as a compact result fingerprint).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Execution status of one work-item.  Shared by both execution tiers; the

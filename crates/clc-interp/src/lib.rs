@@ -86,9 +86,7 @@ pub mod vm;
 pub use compile::{compile, CompiledProgram};
 pub use error::{RaceReport, RuntimeError};
 pub use eval::{Ctx, Env, Flow, ThreadIds};
-pub use exec::{
-    fnv1a, launch, run, CompiledKernel, ExecutionTier, LaunchOptions, LaunchResult, Schedule,
-};
+pub use exec::{launch, run, CompiledKernel, ExecutionTier, LaunchOptions, LaunchResult, Schedule};
 pub use memory::{Memory, Object};
 pub use race::{AccessKind, RaceDetector, RaceStats};
 pub use value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};

@@ -79,6 +79,18 @@ impl ProgramHasher {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`: the byte-string hash behind result digests,
+/// journal and store checksums and coverage bits.  Its values are persisted
+/// (journals, store entries, pinned table digests), so they must never move.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 impl Program {
     /// The program's structural fingerprint: a single-pass hash over the
     /// whole AST, launch geometry and buffer setup.  See [`Fingerprint`].
@@ -93,6 +105,13 @@ mod tests {
     use crate::expr::{Expr, IdKind};
     use crate::program::{BufferSpec, KernelDef, LaunchConfig};
     use crate::stmt::{Block, Stmt};
+
+    #[test]
+    fn fnv1a_matches_the_reference_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
     use crate::types::{Field, ScalarType, StructDef, Type};
 
     fn program(value: i64) -> Program {

@@ -62,7 +62,7 @@ pub mod visit;
 
 pub use analysis::Features;
 pub use expr::{AssignOp, BinOp, Builtin, Dim, Expr, IdKind, UnOp};
-pub use fingerprint::{Fingerprint, ProgramHasher};
+pub use fingerprint::{fnv1a, Fingerprint, ProgramHasher};
 pub use printer::{print_expr, print_program, print_stmt};
 pub use program::{BufferInit, BufferSpec, FunctionDef, KernelDef, LaunchConfig, Param, Program};
 pub use stmt::{Block, EmiBlock, Initializer, MemFence, Stmt};

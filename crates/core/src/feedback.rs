@@ -170,15 +170,10 @@ impl fmt::Display for CoverageMap {
     }
 }
 
-/// FNV-1a hash of a name, for mapping string identifiers (bug-rule names,
+/// [`clc::fnv1a`] of a name, for mapping string identifiers (bug-rule names,
 /// configuration names) onto coverage bits deterministically.
 pub fn coverage_hash(name: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    clc::fnv1a(name.as_bytes())
 }
 
 #[cfg(test)]

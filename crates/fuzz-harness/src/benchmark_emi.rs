@@ -9,7 +9,7 @@
 
 use crate::exec::{Scheduler, StagedJob};
 use crate::journal::JournalError;
-use crate::shard::{parse_fields, run_sharded, JournalPayload, Mergeable, ShardSpec};
+use crate::shard::{parse_fields, JournalPayload, Mergeable};
 use clsmith::emi::{inject_emi_blocks, InjectionOptions};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
 use std::rc::Rc;
@@ -213,6 +213,10 @@ impl Mergeable for CellTally {
         self.seen_with_subs |= other.seen_with_subs;
         self.seen_without_subs |= other.seen_without_subs;
         self.variants += other.variants;
+    }
+
+    fn same_shape(&self, _: &CellTally) -> bool {
+        true
     }
 
     fn serialize(&self) -> String {
@@ -427,9 +431,8 @@ pub fn evaluate_benchmark(
 
 /// [`evaluate_benchmark`] on an explicit scheduler: the baseline checks run
 /// inline, then one [`BenchmarkBodyJob`] per EMI body, folded into a
-/// [`CellTally`] over the shard executor (whole job space, no journal).
-/// Shards merge with `max`/`or`/`sum`, all commutative, and are folded in
-/// body-index order, so the cell is bit-identical at any worker count.
+/// [`CellTally`] in body-index order, so the cell is bit-identical at any
+/// worker count.
 pub fn evaluate_benchmark_with(
     scheduler: &Scheduler,
     benchmark: &EmiBenchmark,
@@ -480,23 +483,18 @@ pub fn evaluate_benchmark_with(
 
     let shared_benchmark = Arc::new(benchmark.clone());
     let shared_config = Arc::new(config.clone());
-    let spec = ShardSpec::full(0, benchmark.bodies.len() as u64);
-    let run = run_sharded::<BenchmarkBodyJob, _>(scheduler, &spec, "bodies", None, |body_index| {
-        (
-            body_index + 1, // the injection seed, recorded for analysis
-            BenchmarkBodyJob {
-                benchmark: Arc::clone(&shared_benchmark),
-                body_index: body_index as usize,
-                config: Arc::clone(&shared_config),
-                exec: exec.clone(),
-                expected,
-            },
-        )
-    })
-    .expect("journal-less body fan-out cannot fail");
+    let jobs = (0..benchmark.bodies.len())
+        .map(|body_index| BenchmarkBodyJob {
+            benchmark: Arc::clone(&shared_benchmark),
+            body_index,
+            config: Arc::clone(&shared_config),
+            exec: exec.clone(),
+            expected,
+        })
+        .collect();
     let mut tally = CellTally::default();
-    for (_, shard) in &run.outputs {
-        tally.record(shard);
+    for shard in scheduler.run_staged_all(jobs) {
+        tally.record(&shard);
     }
     tally.cell()
 }

@@ -2,18 +2,37 @@
 //! and the per-mode CLsmith campaigns (Table 4, §7.3).
 
 use crate::differential::{classify, run_on_targets, targets_for, TestTarget, Verdict};
-use crate::exec::{job_seed, PipelineMetrics, Scheduler, StagedJob};
-use crate::journal::{checksum, JournalError};
+use crate::exec::{job_seed, Scheduler, StagedJob};
+use crate::journal::{checksum, JournalError, JournalHeader};
 use crate::shard::{
-    lease_header, parse_fields, refold_journals, run_range_fold, run_sharded, CheckpointPolicy,
-    FoldRun, JournalOptions, JournalPayload, Mergeable, RefoldSummary, ShardMetrics, ShardSelect,
-    ShardSpec,
+    parse_fields, run_shard, Campaign, JournalOptions, JournalPayload, Mergeable, ShardMetrics,
+    ShardSelect,
 };
 use clsmith::{generate, GenMode, GeneratorOptions};
-use opencl_sim::{Configuration, ExecOptions, OptLevel, TestOutcome};
-use std::ops::Range;
-use std::path::PathBuf;
+use opencl_sim::{Configuration, ExecOptions, ExecutionTier, OptLevel, Schedule, TestOutcome};
 use std::sync::Arc;
+
+/// The options of a campaign [parsed](Campaign::parse) from a journal: its
+/// kernels and seed, the rest placeholders, since its jobs never run.  They
+/// are spelled out because `ExecOptions::default()` would open the
+/// `CLFUZZ_STORE` outcome store, which a merge never touches.
+pub fn parsed_options(kernels: usize, seed_offset: u64) -> CampaignOptions {
+    CampaignOptions {
+        kernels,
+        generator: GeneratorOptions::default(),
+        exec: ExecOptions {
+            step_limit: 0,
+            detect_races: false,
+            schedule: Schedule::Forward,
+            buffer_overrides: Arc::default(),
+            tier: ExecutionTier::Bytecode,
+            store: None,
+            memoize: false,
+        },
+        seed_offset,
+        prefilter: false,
+    }
+}
 
 /// Per-target tallies for a batch of kernels (one cell block of Table 4).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -84,22 +103,21 @@ impl TargetStats {
         )
     }
 
-    /// Parses a count token.  Accepts the legacy five-count form (journals
-    /// written before the static pre-filter existed) with `skipped = 0`.
+    /// Parses a count token.
     pub(crate) fn from_token(token: &str) -> Result<TargetStats, JournalError> {
         let fields = parse_fields::<usize>(token, ',', "target stats")?;
-        if fields.len() != 5 && fields.len() != 6 {
+        let [wrong, build_failures, crashes, timeouts, ok, skipped] = fields[..] else {
             return Err(JournalError::Format(format!(
-                "expected 5 or 6 target-stat counts, got {token:?}"
+                "expected 6 target-stat counts, got {token:?}"
             )));
-        }
+        };
         Ok(TargetStats {
-            wrong: fields[0],
-            build_failures: fields[1],
-            crashes: fields[2],
-            timeouts: fields[3],
-            ok: fields[4],
-            skipped: fields.get(5).copied().unwrap_or(0),
+            wrong,
+            build_failures,
+            crashes,
+            timeouts,
+            ok,
+            skipped,
         })
     }
 
@@ -182,6 +200,10 @@ impl Mergeable for ModeTally {
         merge_stats_rows(&mut self.per_target, &other.per_target);
     }
 
+    fn same_shape(&self, other: &ModeTally) -> bool {
+        self.per_target.len() == other.per_target.len()
+    }
+
     fn serialize(&self) -> String {
         stats_row_token(&self.per_target)
     }
@@ -220,6 +242,15 @@ impl Mergeable for MultiModeTally {
         for (a, b) in self.per_mode.iter_mut().zip(other.per_mode) {
             a.merge(b);
         }
+    }
+
+    fn same_shape(&self, other: &MultiModeTally) -> bool {
+        self.per_mode.len() == other.per_mode.len()
+            && self
+                .per_mode
+                .iter()
+                .zip(&other.per_mode)
+                .all(|(a, b)| a.same_shape(b))
     }
 
     fn serialize(&self) -> String {
@@ -335,10 +366,6 @@ impl Default for CampaignOptions {
 /// One kernel's worth of campaign work: generate the kernel from its
 /// job-derived seed, run it on every target, vote.  The target list is
 /// shared read-only state behind an [`Arc`].
-///
-/// A [`StagedJob`]: under the scheduler's pipelined mode the three stages
-/// below run on whichever worker is free, so one worker can execute kernel
-/// *k* while another generates kernel *k+1*.
 #[derive(Debug, Clone)]
 pub struct KernelJob {
     /// Generation mode.
@@ -444,6 +471,10 @@ impl JournalPayload for Vec<Verdict> {
             .collect()
     }
 
+    fn width(&self) -> usize {
+        self.len()
+    }
+
     fn decode(text: &str) -> Result<Self, JournalError> {
         if text == "-" {
             return Ok(Vec::new());
@@ -511,37 +542,56 @@ pub fn mode_campaign_descriptor(
     )
 }
 
+/// Splits a campaign descriptor `<kind>:…:gen<fp>:cfg<fp>` of `count`
+/// fields, checking its kind and that it was recorded over `targets`.  (The
+/// generator fingerprint is not re-validated — a merge has no generator
+/// options; journals only merge when their descriptors agree verbatim,
+/// which pins it across shards.)
+pub(crate) fn descriptor_fields<'a>(
+    descriptor: &'a str,
+    kind: &str,
+    count: usize,
+    targets: &[TestTarget],
+) -> Result<Vec<&'a str>, JournalError> {
+    let fields: Vec<&str> = descriptor.split(':').collect();
+    if fields.len() != count || fields[0] != kind || !fields[count - 2].starts_with("gen") {
+        return Err(JournalError::Format(format!(
+            "bad {kind} campaign descriptor {descriptor:?}"
+        )));
+    }
+    let expected = format!("cfg{:016x}", target_fingerprint(targets));
+    if fields[count - 1] != expected {
+        return Err(JournalError::Mismatch(format!(
+            "journal was recorded over a different target set ({} vs {expected})",
+            fields[count - 1]
+        )));
+    }
+    Ok(fields)
+}
+
+/// The number in a descriptor field, after its one-letter `prefix`.
+pub(crate) fn descriptor_number<T: std::str::FromStr>(
+    field: &str,
+    prefix: char,
+) -> Result<T, JournalError> {
+    field
+        .strip_prefix(prefix)
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| JournalError::Format(format!("bad campaign descriptor field {field:?}")))
+}
+
 /// Parses a [`mode_campaign_descriptor`] back into (modes, kernels per
-/// mode), validating the target fingerprint against `targets`.  (The
-/// generator fingerprint is not re-validated here — a merge has no
-/// generator options; journals only merge when their descriptors agree
-/// verbatim, which pins it across shards.)
+/// mode), validating the target fingerprint against `targets`.
 fn parse_mode_campaign_descriptor(
     descriptor: &str,
     targets: &[TestTarget],
 ) -> Result<(Vec<GenMode>, usize), JournalError> {
-    let fields: Vec<&str> = descriptor.split(':').collect();
-    let bad = || JournalError::Format(format!("bad mode-campaign descriptor {descriptor:?}"));
-    if fields.len() != 5 || fields[0] != "modes" || !fields[3].starts_with("gen") {
-        return Err(bad());
-    }
-    let modes: Vec<GenMode> = fields[1]
-        .split('+')
-        .map(mode_from_token)
-        .collect::<Result<_, _>>()?;
-    let kernels: usize = fields[2]
-        .strip_prefix('k')
-        .ok_or_else(bad)?
-        .parse()
-        .map_err(|_| bad())?;
-    let expected = format!("cfg{:016x}", target_fingerprint(targets));
-    if fields[4] != expected {
-        return Err(JournalError::Mismatch(format!(
-            "journal was recorded over a different target set ({} vs {expected})",
-            fields[4]
-        )));
-    }
-    Ok((modes, kernels))
+    let fields = descriptor_fields(descriptor, "modes", 5, targets)?;
+    let modes = fields[1].split('+').map(mode_from_token);
+    Ok((
+        modes.collect::<Result<_, _>>()?,
+        descriptor_number(fields[2], 'k')?,
+    ))
 }
 
 /// A sharded (multi-)mode campaign's outcome: per-mode partial results over
@@ -557,37 +607,126 @@ pub struct ShardedModeCampaign {
     pub tally: MultiModeTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the underlying staged run.
-    pub pipeline: PipelineMetrics,
 }
 
-/// Builds per-mode results from a tally (used by sharded runs and journal
-/// merges alike, so both render through the identical path).
-fn mode_results_from_tally(
-    modes: &[GenMode],
-    targets: &[TestTarget],
-    tally: &MultiModeTally,
-) -> Vec<CampaignResult> {
-    modes
-        .iter()
-        .zip(&tally.per_mode)
-        .map(|(mode, mode_tally)| CampaignResult {
-            mode: *mode,
-            kernels: mode_tally.kernels(),
-            targets: targets.to_vec(),
-            stats: mode_tally.per_target.clone(),
-        })
-        .collect()
+/// The job a kernel campaign runs for kernel `seed` of `mode`.
+fn kernel_job(
+    options: &CampaignOptions,
+    targets: &Arc<Vec<TestTarget>>,
+    mode: GenMode,
+    seed: u64,
+) -> KernelJob {
+    KernelJob {
+        mode,
+        seed,
+        generator: options.generator.clone(),
+        exec: options.exec.clone(),
+        prefilter: options.prefilter,
+        targets: Arc::clone(targets),
+    }
 }
 
-/// Runs one shard of a (multi-)mode campaign (Table 4 submits all six
-/// modes as one job space) with an optional resumable journal.
+/// A (multi-)mode CLsmith campaign (Table 4 submits all six modes as one
+/// job space).
 ///
 /// The job space is mode-major: job `g` is kernel `g % kernels` of mode
 /// `g / kernels`, seeded `job_seed(options.seed_offset, g % kernels)` —
 /// exactly the seed each kernel had under the historical per-mode
 /// campaigns, so sharded, resumed and merged runs reproduce their tallies
 /// bit for bit.
+#[derive(Debug, Clone)]
+pub struct ModeCampaign {
+    /// The modes, in job-space (and result) order.
+    pub modes: Vec<GenMode>,
+    /// Campaign scale options (`kernels` is kernels per mode).
+    pub options: CampaignOptions,
+    /// The targets, in column order.
+    pub targets: Arc<Vec<TestTarget>>,
+}
+
+impl ModeCampaign {
+    /// The campaign of `modes` over `configs` at both optimisation levels.
+    pub fn new(
+        modes: &[GenMode],
+        configs: &[Configuration],
+        options: &CampaignOptions,
+    ) -> ModeCampaign {
+        ModeCampaign {
+            modes: modes.to_vec(),
+            options: options.clone(),
+            targets: Arc::new(targets_for(configs)),
+        }
+    }
+
+    /// One [`CampaignResult`] per mode from a (full or partial) tally —
+    /// shared by runs and merges, so both render through the same path.
+    pub fn results(&self, tally: &MultiModeTally) -> Vec<CampaignResult> {
+        self.modes
+            .iter()
+            .zip(&tally.per_mode)
+            .map(|(mode, mode_tally)| CampaignResult {
+                mode: *mode,
+                kernels: mode_tally.kernels(),
+                targets: self.targets.to_vec(),
+                stats: mode_tally.per_target.clone(),
+            })
+            .collect()
+    }
+}
+
+impl Campaign for ModeCampaign {
+    type Job = KernelJob;
+    type Tally = MultiModeTally;
+
+    fn descriptor(&self) -> String {
+        mode_campaign_descriptor(
+            &self.modes,
+            self.options.kernels,
+            &self.options.generator,
+            &self.targets,
+        )
+    }
+
+    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let targets = targets_for(configs);
+        let (modes, kernels) = parse_mode_campaign_descriptor(&header.campaign, &targets)?;
+        Ok(ModeCampaign {
+            modes,
+            options: parsed_options(kernels, header.campaign_seed),
+            targets: Arc::new(targets),
+        })
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.seed_offset
+    }
+
+    fn total_jobs(&self) -> u64 {
+        (self.modes.len() * self.options.kernels) as u64
+    }
+
+    fn job(&self, g: u64) -> (u64, KernelJob) {
+        let kernels = self.options.kernels as u64;
+        let seed = job_seed(self.options.seed_offset, g % kernels);
+        let mode = self.modes[(g / kernels) as usize];
+        (seed, kernel_job(&self.options, &self.targets, mode, seed))
+    }
+
+    fn tally(&self) -> MultiModeTally {
+        MultiModeTally::new(self.modes.len(), self.targets.len())
+    }
+
+    fn fold(&self, tally: &mut MultiModeTally, g: u64, verdicts: Vec<Verdict>) {
+        tally.per_mode[(g / self.options.kernels as u64) as usize].record(&verdicts);
+    }
+
+    fn width(&self) -> usize {
+        self.targets.len()
+    }
+}
+
+/// Runs one shard of a (multi-)mode campaign ([`ModeCampaign`]) with an
+/// optional resumable journal.
 pub fn run_modes_campaign_sharded(
     scheduler: &Scheduler,
     modes: &[GenMode],
@@ -596,111 +735,13 @@ pub fn run_modes_campaign_sharded(
     select: ShardSelect,
     journal: Option<&JournalOptions>,
 ) -> Result<ShardedModeCampaign, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let kernels = options.kernels;
-    let descriptor = mode_campaign_descriptor(modes, kernels, &options.generator, &targets);
-    let total_jobs = (modes.len() * kernels) as u64;
-    let spec = ShardSpec::select(options.seed_offset, total_jobs, select);
-    let run = run_sharded::<KernelJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        mode_campaign_job(g, modes, options, &targets)
-    })?;
-    let mut tally = MultiModeTally::new(modes.len(), targets.len());
-    for (g, verdicts) in &run.outputs {
-        tally.per_mode[(g / kernels as u64) as usize].record(verdicts);
-    }
+    let campaign = ModeCampaign::new(modes, configs, options);
+    let run = run_shard(scheduler, &campaign, select, journal)?;
     Ok(ShardedModeCampaign {
-        results: mode_results_from_tally(modes, &targets, &tally),
-        tally,
+        results: campaign.results(&run.aggregate),
+        tally: run.aggregate,
         metrics: run.metrics,
-        pipeline: run.pipeline,
     })
-}
-
-/// Job `g` of a (multi-)mode campaign's mode-major job space: kernel
-/// `g % kernels` of mode `g / kernels`, with the historical per-mode seed
-/// derivation (see [`run_modes_campaign_sharded`]).
-fn mode_campaign_job(
-    g: u64,
-    modes: &[GenMode],
-    options: &CampaignOptions,
-    targets: &Arc<Vec<TestTarget>>,
-) -> (u64, KernelJob) {
-    let kernels = options.kernels as u64;
-    let mode = modes[(g / kernels) as usize];
-    let seed = job_seed(options.seed_offset, g % kernels);
-    (
-        seed,
-        KernelJob {
-            mode,
-            seed,
-            generator: options.generator.clone(),
-            exec: options.exec.clone(),
-            prefilter: options.prefilter,
-            targets: Arc::clone(targets),
-        },
-    )
-}
-
-/// One lease's worth of a (multi-)mode campaign, executed by a fleet
-/// worker: jobs `[range.start, range.end)` of the same mode-major job
-/// space as [`run_modes_campaign_sharded`], run through the fold-based
-/// checkpointing executor under a lease journal header.  Seeds, job order
-/// and the tally fold are identical to the sharded form, so any partition
-/// of the space into leases merges bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_modes_campaign_range(
-    scheduler: &Scheduler,
-    modes: &[GenMode],
-    configs: &[Configuration],
-    options: &CampaignOptions,
-    lease: u32,
-    range: Range<u64>,
-    journal: Option<&JournalOptions>,
-    checkpoint: Option<CheckpointPolicy>,
-    stop_before: Option<u64>,
-) -> Result<FoldRun<MultiModeTally>, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let kernels = options.kernels;
-    let descriptor = mode_campaign_descriptor(modes, kernels, &options.generator, &targets);
-    let total_jobs = (modes.len() * kernels) as u64;
-    let header = lease_header(&descriptor, options.seed_offset, total_jobs, lease, range);
-    let (modes_len, targets_len) = (modes.len(), targets.len());
-    run_range_fold::<KernelJob, MultiModeTally, _, _>(
-        scheduler,
-        &header,
-        journal,
-        checkpoint,
-        stop_before,
-        |g| mode_campaign_job(g, modes, options, &targets),
-        || MultiModeTally::new(modes_len, targets_len),
-        |tally, g, verdicts| {
-            tally.per_mode[(g / kernels as u64) as usize].record(&verdicts);
-        },
-    )
-}
-
-/// Merges any subset of a mode campaign's shard journals back into per-mode
-/// results — the full Table 4 when the journals cover the whole job space,
-/// a partial one otherwise.
-pub fn merge_mode_campaign_journals(
-    paths: &[PathBuf],
-    configs: &[Configuration],
-) -> Result<(Vec<CampaignResult>, RefoldSummary), JournalError> {
-    let targets = targets_for(configs);
-    let first = paths.first().ok_or_else(|| {
-        JournalError::Mismatch("no journals to merge (expected at least one path)".into())
-    })?;
-    let header = crate::journal::load_journal(first)?.header;
-    let (modes, kernels) = parse_mode_campaign_descriptor(&header.campaign, &targets)?;
-    let (tally, summary) = refold_journals::<Vec<Verdict>, MultiModeTally>(
-        paths,
-        |campaign| campaign == header.campaign,
-        |_| Ok(MultiModeTally::new(modes.len(), targets.len())),
-        |tally, g, verdicts| {
-            tally.per_mode[(g / kernels as u64) as usize].record(&verdicts);
-        },
-    )?;
-    Ok((mode_results_from_tally(&modes, &targets, &tally), summary))
 }
 
 /// Runs a CLsmith campaign for one mode against the given configurations
@@ -715,14 +756,8 @@ pub fn run_mode_campaign(
     run_mode_campaign_with(&Scheduler::from_env(), mode, configs, options)
 }
 
-/// [`run_mode_campaign`] on an explicit scheduler — a thin fold over the
-/// shard executor ([`run_modes_campaign_sharded`]) covering the whole job
-/// space with no journal.
-///
-/// Every kernel is an independent [`KernelJob`] seeded from
-/// `(options.seed_offset, kernel index)`, and per-kernel verdict shards are
-/// folded into [`TargetStats`] in job-index order, so the result is
-/// bit-identical at any worker count.
+/// [`run_mode_campaign`] on an explicit scheduler: the whole one-mode
+/// [`ModeCampaign`] as one batch, with no journal.
 pub fn run_mode_campaign_with(
     scheduler: &Scheduler,
     mode: GenMode,
@@ -782,18 +817,8 @@ pub fn classify_configurations(
     classify_configurations_with(&Scheduler::from_env(), configs, kernels_per_mode, options)
 }
 
-/// [`classify_configurations`] on an explicit scheduler — a thin fold over
-/// the shard executor ([`classify_configurations_sharded`]) covering the
-/// whole job space with no journal.
-///
-/// All six modes' kernel jobs are submitted as **one** scheduler batch
-/// (mode-major job order), so the pool drains a single queue instead of
-/// barriering five times between per-mode campaigns.  Each job keeps the
-/// exact seed it had under the historical per-mode submission
-/// (`job_seed(seed_offset + mode_index * 100_000, kernel_index)`), and
-/// verdicts are folded in job-index — i.e. mode — order, so the pooled
-/// per-configuration tallies are bit-identical to the barriered form at any
-/// worker count.
+/// [`classify_configurations`] on an explicit scheduler: the whole
+/// [`ClassificationCampaign`] as one batch, with no journal.
 pub fn classify_configurations_with(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -844,6 +869,10 @@ impl ClassificationTally {
 impl Mergeable for ClassificationTally {
     fn merge(&mut self, other: ClassificationTally) {
         merge_stats_rows(&mut self.per_config, &other.per_config);
+    }
+
+    fn same_shape(&self, other: &ClassificationTally) -> bool {
+        self.per_config.len() == other.per_config.len()
     }
 
     fn serialize(&self) -> String {
@@ -898,30 +927,6 @@ pub fn classification_descriptor(
     )
 }
 
-fn validate_classification_descriptor(
-    descriptor: &str,
-    targets: &[TestTarget],
-) -> Result<usize, JournalError> {
-    let fields: Vec<&str> = descriptor.split(':').collect();
-    let bad = || JournalError::Format(format!("bad classification descriptor {descriptor:?}"));
-    if fields.len() != 4 || fields[0] != "classify" || !fields[2].starts_with("gen") {
-        return Err(bad());
-    }
-    let kernels: usize = fields[1]
-        .strip_prefix('k')
-        .ok_or_else(bad)?
-        .parse()
-        .map_err(|_| bad())?;
-    let expected = format!("cfg{:016x}", target_fingerprint(targets));
-    if fields[3] != expected {
-        return Err(JournalError::Mismatch(format!(
-            "journal was recorded over a different configuration set ({} vs {expected})",
-            fields[3]
-        )));
-    }
-    Ok(kernels)
-}
-
 /// A sharded classification run: partial rows over this shard's slice, the
 /// mergeable tally behind them, and resume/journal metrics.
 #[derive(Debug)]
@@ -932,15 +937,95 @@ pub struct ShardedClassification {
     pub tally: ClassificationTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the underlying staged run.
-    pub pipeline: PipelineMetrics,
 }
 
-/// Runs one shard of the §7.1 classification with an optional resumable
-/// journal.  The job space is mode-major over all six modes
-/// (`GenMode::ALL.len() * kernels_per_mode` jobs); seeds keep the
-/// historical derivation `job_seed(seed_offset + mode_index * 100_000,
+/// The §7.1 reliability classification: a mode-major job space over all
+/// six modes (`GenMode::ALL.len() * kernels_per_mode` jobs) whose seeds keep
+/// the historical derivation `job_seed(seed_offset + mode_index * 100_000,
 /// kernel_index)`.
+#[derive(Debug, Clone)]
+pub struct ClassificationCampaign {
+    /// Kernels generated per mode.
+    pub kernels_per_mode: usize,
+    /// Campaign scale options (`kernels` is unused).
+    pub options: CampaignOptions,
+    /// The configurations, in row order.
+    pub configs: Vec<Configuration>,
+    /// Every configuration at both optimisation levels, in column order.
+    targets: Arc<Vec<TestTarget>>,
+}
+
+impl ClassificationCampaign {
+    /// The classification of `configs` with `kernels_per_mode` kernels from
+    /// each mode.
+    pub fn new(
+        configs: &[Configuration],
+        kernels_per_mode: usize,
+        options: &CampaignOptions,
+    ) -> ClassificationCampaign {
+        ClassificationCampaign {
+            kernels_per_mode,
+            options: options.clone(),
+            configs: configs.to_vec(),
+            targets: Arc::new(targets_for(configs)),
+        }
+    }
+}
+
+impl Campaign for ClassificationCampaign {
+    type Job = KernelJob;
+    type Tally = ClassificationTally;
+
+    fn descriptor(&self) -> String {
+        classification_descriptor(
+            self.kernels_per_mode,
+            &self.options.generator,
+            &self.targets,
+        )
+    }
+
+    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let targets = targets_for(configs);
+        let fields = descriptor_fields(&header.campaign, "classify", 4, &targets)?;
+        Ok(ClassificationCampaign {
+            kernels_per_mode: descriptor_number(fields[1], 'k')?,
+            options: parsed_options(0, header.campaign_seed),
+            configs: configs.to_vec(),
+            targets: Arc::new(targets),
+        })
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.seed_offset
+    }
+
+    fn total_jobs(&self) -> u64 {
+        (GenMode::ALL.len() * self.kernels_per_mode) as u64
+    }
+
+    fn job(&self, g: u64) -> (u64, KernelJob) {
+        let kernels = self.kernels_per_mode as u64;
+        let mode_index = g / kernels;
+        let seed = job_seed(self.options.seed_offset + mode_index * 100_000, g % kernels);
+        let mode = GenMode::ALL[mode_index as usize];
+        (seed, kernel_job(&self.options, &self.targets, mode, seed))
+    }
+
+    fn tally(&self) -> ClassificationTally {
+        ClassificationTally::new(self.configs.len())
+    }
+
+    fn fold(&self, tally: &mut ClassificationTally, _: u64, verdicts: Vec<Verdict>) {
+        tally.record(&verdicts);
+    }
+
+    fn width(&self) -> usize {
+        self.targets.len()
+    }
+}
+
+/// Runs one shard of the §7.1 classification ([`ClassificationCampaign`])
+/// with an optional resumable journal.
 pub fn classify_configurations_sharded(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -949,102 +1034,13 @@ pub fn classify_configurations_sharded(
     select: ShardSelect,
     journal: Option<&JournalOptions>,
 ) -> Result<ShardedClassification, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let descriptor = classification_descriptor(kernels_per_mode, &options.generator, &targets);
-    let total_jobs = (GenMode::ALL.len() * kernels_per_mode) as u64;
-    let spec = ShardSpec::select(options.seed_offset, total_jobs, select);
-    let run = run_sharded::<KernelJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        classification_job(g, kernels_per_mode, options, &targets)
-    })?;
-    let mut tally = ClassificationTally::new(configs.len());
-    for (_, verdicts) in &run.outputs {
-        tally.record(verdicts);
-    }
+    let campaign = ClassificationCampaign::new(configs, kernels_per_mode, options);
+    let run = run_shard(scheduler, &campaign, select, journal)?;
     Ok(ShardedClassification {
-        rows: reliability_rows(configs, &tally),
-        tally,
+        rows: reliability_rows(configs, &run.aggregate),
+        tally: run.aggregate,
         metrics: run.metrics,
-        pipeline: run.pipeline,
     })
-}
-
-/// Job `g` of the §7.1 classification's mode-major job space, with the
-/// historical seed derivation
-/// `job_seed(seed_offset + mode_index * 100_000, kernel_index)`.
-fn classification_job(
-    g: u64,
-    kernels_per_mode: usize,
-    options: &CampaignOptions,
-    targets: &Arc<Vec<TestTarget>>,
-) -> (u64, KernelJob) {
-    let mode_index = (g / kernels_per_mode as u64) as usize;
-    let seed_offset = options.seed_offset + (mode_index as u64) * 100_000;
-    let seed = job_seed(seed_offset, g % kernels_per_mode as u64);
-    (
-        seed,
-        KernelJob {
-            mode: GenMode::ALL[mode_index],
-            seed,
-            generator: options.generator.clone(),
-            exec: options.exec.clone(),
-            prefilter: options.prefilter,
-            targets: Arc::clone(targets),
-        },
-    )
-}
-
-/// One lease's worth of the §7.1 classification, executed by a fleet
-/// worker: jobs `[range.start, range.end)` of the same mode-major job space
-/// as [`classify_configurations_sharded`], run through the fold-based
-/// checkpointing executor under a lease journal header.  Seeds, job order
-/// and the tally fold are identical to the sharded form, so any partition
-/// of the space into leases merges bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn classify_configurations_range(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    kernels_per_mode: usize,
-    options: &CampaignOptions,
-    lease: u32,
-    range: Range<u64>,
-    journal: Option<&JournalOptions>,
-    checkpoint: Option<CheckpointPolicy>,
-    stop_before: Option<u64>,
-) -> Result<FoldRun<ClassificationTally>, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let descriptor = classification_descriptor(kernels_per_mode, &options.generator, &targets);
-    let total_jobs = (GenMode::ALL.len() * kernels_per_mode) as u64;
-    let header = lease_header(&descriptor, options.seed_offset, total_jobs, lease, range);
-    let configs_len = configs.len();
-    run_range_fold::<KernelJob, ClassificationTally, _, _>(
-        scheduler,
-        &header,
-        journal,
-        checkpoint,
-        stop_before,
-        |g| classification_job(g, kernels_per_mode, options, &targets),
-        || ClassificationTally::new(configs_len),
-        |tally, _, verdicts| tally.record(&verdicts),
-    )
-}
-
-/// Merges any subset of a classification campaign's shard journals back
-/// into reliability rows.
-pub fn merge_classification_journals(
-    paths: &[PathBuf],
-    configs: &[Configuration],
-) -> Result<(Vec<ReliabilityRow>, RefoldSummary), JournalError> {
-    let targets = targets_for(configs);
-    let (tally, summary) = refold_journals::<Vec<Verdict>, ClassificationTally>(
-        paths,
-        |campaign| campaign.starts_with("classify:"),
-        |header| {
-            validate_classification_descriptor(&header.campaign, &targets)?;
-            Ok(ClassificationTally::new(configs.len()))
-        },
-        |tally, _, verdicts| tally.record(&verdicts),
-    )?;
-    Ok((reliability_rows(configs, &tally), summary))
 }
 
 /// Runs one kernel across the above-threshold targets and returns both raw
@@ -1057,15 +1053,6 @@ pub fn quick_differential(
     let outcomes = run_on_targets(program, &targets, &ExecOptions::default());
     let verdicts = classify(&outcomes);
     (targets, outcomes, verdicts)
-}
-
-/// Returns `OptLevel::BOTH` targets for a single configuration (used by the
-/// EMI campaign, which does not compare across configurations).
-pub fn single_config_targets(config: &Configuration) -> Vec<TestTarget> {
-    OptLevel::BOTH
-        .iter()
-        .map(|opt| TestTarget::new(config.clone(), *opt))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1129,16 +1116,17 @@ mod tests {
         assert!(Vec::<Verdict>::decode("kxz").is_err());
 
         // TargetStats tokens: the 6-count form round-trips, and the
-        // pre-prefilter 5-count form still decodes (skipped = 0).
+        // pre-prefilter 5-count form is rejected.
         let mut stats = TargetStats::default();
         stats.record(Verdict::WrongCode);
         stats.record(Verdict::Skipped);
         stats.record(Verdict::Ok);
         let token = stats.to_token();
         assert_eq!(TargetStats::from_token(&token).unwrap(), stats);
-        let legacy = TargetStats::from_token("1,0,0,0,1").unwrap();
-        assert_eq!(legacy.skipped, 0);
-        assert_eq!(legacy.wrong, 1);
+        assert!(matches!(
+            TargetStats::from_token("1,0,0,0,1"),
+            Err(JournalError::Format(_))
+        ));
 
         let mut tally = ModeTally::new(6);
         tally.record(&row);

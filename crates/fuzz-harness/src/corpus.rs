@@ -19,26 +19,19 @@
 //! journals like any other payload, so `--shard`, `--journal`/`--resume`,
 //! lease fleets and `merge` work unchanged — and the determinism invariant
 //! carries over: for a fixed campaign seed the folded tally (and therefore
-//! the rendered table) is bit-identical at any worker count, in both
-//! scheduler modes and on both interpreter tiers (coverage uses only
-//! tier-stable signals).
+//! the rendered table) is bit-identical at any worker count and on both
+//! interpreter tiers (coverage uses only tier-stable signals).
 
 use crate::campaign::{
-    generator_fingerprint, merge_stats_rows, stats_row_from_token, stats_row_token,
-    target_fingerprint, TargetStats,
+    descriptor_fields, descriptor_number, generator_fingerprint, merge_stats_rows, parsed_options,
+    stats_row_from_token, stats_row_token, target_fingerprint, TargetStats,
 };
 use crate::differential::{classify, run_on_targets_session, targets_for, TestTarget};
-use crate::exec::{job_seed, PipelineMetrics, Scheduler, StagedJob};
-use crate::journal::JournalError;
-use crate::shard::{
-    lease_header, parse_fields, refold_journals, run_range_fold, run_sharded, CheckpointPolicy,
-    FoldRun, JournalOptions, JournalPayload, Mergeable, RefoldSummary, ShardMetrics, ShardSelect,
-    ShardSpec,
-};
+use crate::exec::{job_seed, Scheduler, StagedJob};
+use crate::journal::{JournalError, JournalHeader};
+use crate::shard::{parse_fields, run_shard, Campaign, JournalPayload, Mergeable, ShardSelect};
 use clsmith::{generate, mutate, CoverageMap, GeneratorOptions};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, Session};
-use std::ops::Range;
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -94,9 +87,6 @@ impl Default for CorpusOptions {
 
 /// One lineage's worth of corpus work: generate the base kernel, then walk
 /// the mutation chain, executing every link over the differential targets.
-///
-/// A [`StagedJob`]: generation overlaps execution under the scheduler's
-/// pipelined mode exactly like the blind campaign's [`crate::KernelJob`].
 #[derive(Debug, Clone)]
 pub struct CorpusJob {
     /// Selection strategy of this lineage.
@@ -211,6 +201,10 @@ impl StagedJob for CorpusJob {
 }
 
 impl JournalPayload for CorpusRecord {
+    fn width(&self) -> usize {
+        self.stats.len()
+    }
+
     fn encode(&self) -> String {
         format!(
             "{}|{}|{},{},{}",
@@ -348,13 +342,7 @@ impl StrategyTally {
 
     fn absorb(&mut self, other: StrategyTally) {
         self.coverage.merge(&other.coverage);
-        // An empty row is a tally no lineage has reached yet (e.g. a
-        // checkpoint deserialized from `-`); adopt the other side's shape.
-        if self.per_target.is_empty() {
-            self.per_target = other.per_target;
-        } else if !other.per_target.is_empty() {
-            merge_stats_rows(&mut self.per_target, &other.per_target);
-        }
+        merge_stats_rows(&mut self.per_target, &other.per_target);
         self.lineages += other.lineages;
         self.executed += other.executed;
         self.accepted += other.accepted;
@@ -394,6 +382,12 @@ impl Mergeable for CorpusTally {
         let [guided, blind] = other.per_strategy;
         self.per_strategy[0].absorb(guided);
         self.per_strategy[1].absorb(blind);
+    }
+
+    fn same_shape(&self, other: &CorpusTally) -> bool {
+        (0..2).all(|s| {
+            self.per_strategy[s].per_target.len() == other.per_strategy[s].per_target.len()
+        })
     }
 
     fn serialize(&self) -> String {
@@ -456,96 +450,102 @@ fn parse_corpus_descriptor(
     descriptor: &str,
     targets: &[TestTarget],
 ) -> Result<(usize, usize), JournalError> {
-    let fields: Vec<&str> = descriptor.split(':').collect();
-    let bad = || JournalError::Format(format!("bad corpus-campaign descriptor {descriptor:?}"));
-    if fields.len() != 5 || fields[0] != "corpus" || !fields[3].starts_with("gen") {
-        return Err(bad());
+    let fields = descriptor_fields(descriptor, "corpus", 5, targets)?;
+    Ok((
+        descriptor_number(fields[1], 'l')?,
+        descriptor_number(fields[2], 'c')?,
+    ))
+}
+
+/// A corpus campaign: the job space is strategy-major — jobs
+/// `0..lineages` are the guided lineages, `lineages..2*lineages` the blind
+/// ones — and both strategies reuse the same lineage seeds
+/// (`job_seed(seed_offset, lineage)`), so the comparison is paired at equal
+/// budget.
+#[derive(Debug, Clone)]
+pub struct CorpusCampaign {
+    /// Campaign scale options.
+    pub options: CorpusOptions,
+    /// The targets, in column order.
+    pub targets: Arc<Vec<TestTarget>>,
+}
+
+impl CorpusCampaign {
+    /// The corpus campaign over `configs` at both optimisation levels.
+    pub fn new(configs: &[Configuration], options: &CorpusOptions) -> CorpusCampaign {
+        CorpusCampaign {
+            options: options.clone(),
+            targets: Arc::new(targets_for(configs)),
+        }
     }
-    let lineages: usize = fields[1]
-        .strip_prefix('l')
-        .ok_or_else(bad)?
-        .parse()
-        .map_err(|_| bad())?;
-    let chain: usize = fields[2]
-        .strip_prefix('c')
-        .ok_or_else(bad)?
-        .parse()
-        .map_err(|_| bad())?;
-    let expected = format!("cfg{:016x}", target_fingerprint(targets));
-    if fields[4] != expected {
-        return Err(JournalError::Mismatch(format!(
-            "journal was recorded over a different target set ({} vs {expected})",
-            fields[4]
-        )));
-    }
-    Ok((lineages, chain))
-}
 
-/// A sharded corpus campaign's outcome.
-#[derive(Debug)]
-pub struct ShardedCorpusCampaign {
-    /// Partial (or full) per-strategy results over this shard's job slice.
-    pub result: CorpusCampaignResult,
-    /// Shard/resume metrics.
-    pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the underlying staged run.
-    pub pipeline: PipelineMetrics,
-}
-
-/// Job `g` of a corpus campaign's strategy-major job space: lineage
-/// `g % lineages` under strategy `g / lineages`, both strategies reusing
-/// the same lineage seeds so the comparison is paired at equal budget.
-fn corpus_job(g: u64, options: &CorpusOptions, targets: &Arc<Vec<TestTarget>>) -> (u64, CorpusJob) {
-    let lineages = options.lineages as u64;
-    let strategy = CorpusStrategy::ALL[(g / lineages) as usize];
-    let seed = job_seed(options.seed_offset, g % lineages);
-    (
-        seed,
-        CorpusJob {
-            strategy,
-            seed,
-            chain: options.chain,
-            generator: options.generator.clone(),
-            exec: options.exec.clone(),
-            targets: Arc::clone(targets),
-        },
-    )
-}
-
-fn fold_record(tally: &mut CorpusTally, g: u64, lineages: u64, record: &CorpusRecord) {
-    tally.per_strategy[(g / lineages) as usize].record(record);
-}
-
-/// Runs one shard of a corpus campaign with an optional resumable journal.
-///
-/// The job space is strategy-major: jobs `0..lineages` are the guided
-/// lineages, `lineages..2*lineages` the blind ones, with paired seeds.
-pub fn run_corpus_campaign_sharded(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    options: &CorpusOptions,
-    select: ShardSelect,
-    journal: Option<&JournalOptions>,
-) -> Result<ShardedCorpusCampaign, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let descriptor = corpus_campaign_descriptor(options, &targets);
-    let total_jobs = (CorpusStrategy::ALL.len() * options.lineages) as u64;
-    let spec = ShardSpec::select(options.seed_offset, total_jobs, select);
-    let run = run_sharded::<CorpusJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        corpus_job(g, options, &targets)
-    })?;
-    let mut tally = CorpusTally::new(targets.len());
-    for (g, record) in &run.outputs {
-        fold_record(&mut tally, *g, options.lineages as u64, record);
-    }
-    Ok(ShardedCorpusCampaign {
-        result: CorpusCampaignResult {
-            targets: targets.as_ref().clone(),
+    /// The (full or partial) result a tally renders as.
+    pub fn result(&self, tally: CorpusTally) -> CorpusCampaignResult {
+        CorpusCampaignResult {
+            targets: self.targets.to_vec(),
             tally,
-        },
-        metrics: run.metrics,
-        pipeline: run.pipeline,
-    })
+        }
+    }
+}
+
+impl Campaign for CorpusCampaign {
+    type Job = CorpusJob;
+    type Tally = CorpusTally;
+
+    fn descriptor(&self) -> String {
+        corpus_campaign_descriptor(&self.options, &self.targets)
+    }
+
+    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let targets = targets_for(configs);
+        let (lineages, chain) = parse_corpus_descriptor(&header.campaign, &targets)?;
+        let parsed = parsed_options(0, header.campaign_seed);
+        let options = CorpusOptions {
+            lineages,
+            chain,
+            generator: parsed.generator,
+            exec: parsed.exec,
+            seed_offset: header.campaign_seed,
+        };
+        Ok(CorpusCampaign {
+            options,
+            targets: Arc::new(targets),
+        })
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.seed_offset
+    }
+
+    fn total_jobs(&self) -> u64 {
+        (CorpusStrategy::ALL.len() * self.options.lineages) as u64
+    }
+
+    fn job(&self, g: u64) -> (u64, CorpusJob) {
+        let lineages = self.options.lineages as u64;
+        let seed = job_seed(self.options.seed_offset, g % lineages);
+        let job = CorpusJob {
+            strategy: CorpusStrategy::ALL[(g / lineages) as usize],
+            seed,
+            chain: self.options.chain,
+            generator: self.options.generator.clone(),
+            exec: self.options.exec.clone(),
+            targets: Arc::clone(&self.targets),
+        };
+        (seed, job)
+    }
+
+    fn tally(&self) -> CorpusTally {
+        CorpusTally::new(self.targets.len())
+    }
+
+    fn fold(&self, tally: &mut CorpusTally, g: u64, record: CorpusRecord) {
+        tally.per_strategy[(g / self.options.lineages as u64) as usize].record(&record);
+    }
+
+    fn width(&self) -> usize {
+        self.targets.len()
+    }
 }
 
 /// Runs a corpus campaign over the whole job space on an explicit
@@ -555,70 +555,10 @@ pub fn run_corpus_campaign_with(
     configs: &[Configuration],
     options: &CorpusOptions,
 ) -> CorpusCampaignResult {
-    run_corpus_campaign_sharded(scheduler, configs, options, ShardSelect::whole(), None)
-        .expect("journal-less campaigns cannot fail")
-        .result
-}
-
-/// [`run_corpus_campaign_with`] on the default scheduler.
-pub fn run_corpus_campaign(
-    configs: &[Configuration],
-    options: &CorpusOptions,
-) -> CorpusCampaignResult {
-    run_corpus_campaign_with(&Scheduler::from_env(), configs, options)
-}
-
-/// One lease's worth of a corpus campaign, executed by a fleet worker over
-/// the same strategy-major job space as [`run_corpus_campaign_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_corpus_campaign_range(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    options: &CorpusOptions,
-    lease: u32,
-    range: Range<u64>,
-    journal: Option<&JournalOptions>,
-    checkpoint: Option<CheckpointPolicy>,
-    stop_before: Option<u64>,
-) -> Result<FoldRun<CorpusTally>, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let descriptor = corpus_campaign_descriptor(options, &targets);
-    let total_jobs = (CorpusStrategy::ALL.len() * options.lineages) as u64;
-    let header = lease_header(&descriptor, options.seed_offset, total_jobs, lease, range);
-    let targets_len = targets.len();
-    let lineages = options.lineages as u64;
-    run_range_fold::<CorpusJob, CorpusTally, _, _>(
-        scheduler,
-        &header,
-        journal,
-        checkpoint,
-        stop_before,
-        |g| corpus_job(g, options, &targets),
-        || CorpusTally::new(targets_len),
-        |tally, g, record| fold_record(tally, g, lineages, &record),
-    )
-}
-
-/// Merges any subset of a corpus campaign's shard/lease journals back into
-/// a (full or partial) result without re-running anything.
-pub fn merge_corpus_campaign_journals(
-    paths: &[PathBuf],
-    configs: &[Configuration],
-) -> Result<(CorpusCampaignResult, RefoldSummary), JournalError> {
-    let targets = targets_for(configs);
-    let first = paths.first().ok_or_else(|| {
-        JournalError::Mismatch("no journals to merge (expected at least one path)".into())
-    })?;
-    let header = crate::journal::load_journal(first)?.header;
-    let (lineages, _chain) = parse_corpus_descriptor(&header.campaign, &targets)?;
-    let targets_len = targets.len();
-    let (tally, summary) = refold_journals::<CorpusRecord, CorpusTally>(
-        paths,
-        |campaign| campaign == header.campaign,
-        |_| Ok(CorpusTally::new(targets_len)),
-        |tally, g, record| fold_record(tally, g, lineages as u64, &record),
-    )?;
-    Ok((CorpusCampaignResult { targets, tally }, summary))
+    let campaign = CorpusCampaign::new(configs, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None)
+        .expect("journal-less campaigns cannot fail");
+    campaign.result(run.aggregate)
 }
 
 #[cfg(test)]

@@ -9,17 +9,19 @@
 //! terminating variants indicates a miscompilation — no cross-configuration
 //! comparison is needed, which is the selling point of EMI testing (§3.2).
 
-use crate::campaign::CampaignOptions;
-use crate::exec::{job_seed, PipelineMetrics, Scheduler, StagedJob};
-use crate::journal::{checksum, JournalError};
+use crate::campaign::{
+    descriptor_fields, descriptor_number, generator_fingerprint, parsed_options,
+    target_fingerprint, CampaignOptions,
+};
+use crate::differential::{targets_for, TestTarget};
+use crate::exec::{job_seed, Scheduler, StagedJob};
+use crate::journal::{JournalError, JournalHeader};
 use crate::shard::{
-    refold_journals, run_sharded, JournalOptions, JournalPayload, Mergeable, RefoldSummary,
-    ShardMetrics, ShardSelect, ShardSpec,
+    run_shard, Campaign, JournalOptions, JournalPayload, Mergeable, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, prune_variant, GenMode, GeneratorOptions, PruneProbabilities};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -264,8 +266,7 @@ pub struct EmiBaseJob {
 
 /// Stage-1 output of an [`EmiBaseJob`]: the base's pruning-variant grid
 /// plus the judging context.  Variant seeding depends only on the campaign
-/// seed and the base index, never on which worker pruned — the staged
-/// hand-off preserves that.
+/// seed and the base index, never on which worker pruned.
 #[derive(Debug)]
 pub struct EmiVariantGrid {
     /// The derived pruning variants, in grid order.
@@ -307,9 +308,7 @@ impl StagedJob for EmiBaseJob {
     /// gently pruned variants are often bit-identical to each other (or
     /// compile identically on non-optimising targets across both opt
     /// levels), so the unpruned AST is executed once, not once per target.
-    /// The memo is [`Rc`]-based and deliberately never crosses the stage
-    /// boundary: it lives and dies with this stage, on whichever worker
-    /// runs it.
+    /// The memo is [`Rc`]-based and lives and dies with this stage.
     fn execute(grid: EmiVariantGrid) -> EmiOutcomeGrid {
         let memo = Rc::new(ExecMemo::new());
         let sessions: Vec<Session<'_>> = grid
@@ -349,10 +348,8 @@ pub fn run_emi_campaign(
     run_emi_campaign_with(&Scheduler::from_env(), configs, options)
 }
 
-/// [`run_emi_campaign`] on an explicit scheduler — a thin fold over the
-/// shard executor ([`run_emi_campaign_sharded`]) covering the whole job
-/// space with no journal: one [`EmiBaseJob`] per live base, judgement
-/// shards folded into the per-target [`EmiStats`] in base-index order.
+/// [`run_emi_campaign`] on an explicit scheduler: the whole
+/// [`EmiCampaign`] as one batch, with no journal.
 pub fn run_emi_campaign_with(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -390,10 +387,13 @@ impl EmiTally {
 }
 
 impl Mergeable for EmiTally {
+    fn same_shape(&self, other: &EmiTally) -> bool {
+        self.per_target.len() == other.per_target.len()
+    }
+
     fn merge(&mut self, other: EmiTally) {
-        assert_eq!(
-            self.per_target.len(),
-            other.per_target.len(),
+        assert!(
+            self.same_shape(&other),
             "cannot merge tallies with different target counts"
         );
         for (a, b) in self.per_target.iter_mut().zip(other.per_target) {
@@ -453,6 +453,10 @@ impl Mergeable for EmiTally {
 /// hex digits per column (a six-bit mask of
 /// `bad_base/wrong/build_failure/crash/timeout/stable`).
 impl JournalPayload for Vec<BaseJudgement> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+
     fn encode(&self) -> String {
         if self.is_empty() {
             return "-".to_string();
@@ -509,54 +513,17 @@ impl JournalPayload for Vec<BaseJudgement> {
     }
 }
 
-/// Column labels of an EMI campaign over `configs` (e.g. `1-`, `1+`, ...).
-fn emi_labels(configs: &[Configuration]) -> Vec<String> {
-    let mut labels = Vec::with_capacity(configs.len() * OptLevel::BOTH.len());
-    for config in configs {
-        for opt in OptLevel::BOTH {
-            labels.push(config.label(opt));
-        }
-    }
-    labels
-}
-
 /// The self-describing campaign descriptor of an EMI campaign journal:
-/// requested bases, variants per base, and a fingerprint of the target
-/// columns.
+/// requested bases, variants per base, and fingerprints of the generator
+/// options and target columns.
 pub fn emi_campaign_descriptor(options: &EmiCampaignOptions, configs: &[Configuration]) -> String {
-    let labels = emi_labels(configs);
     format!(
         "emi:b{}:v{}:gen{:016x}:cfg{:016x}",
         options.bases,
         pruning_grid(options.variants_per_base).len(),
-        crate::campaign::generator_fingerprint(&options.campaign.generator),
-        checksum(labels.join("\n").as_bytes())
+        generator_fingerprint(&options.campaign.generator),
+        target_fingerprint(&targets_for(configs))
     )
-}
-
-fn parse_emi_descriptor(
-    descriptor: &str,
-    configs: &[Configuration],
-) -> Result<usize, JournalError> {
-    let fields: Vec<&str> = descriptor.split(':').collect();
-    let bad = || JournalError::Format(format!("bad EMI campaign descriptor {descriptor:?}"));
-    if fields.len() != 5 || fields[0] != "emi" || !fields[3].starts_with("gen") {
-        return Err(bad());
-    }
-    let variants: usize = fields[2]
-        .strip_prefix('v')
-        .ok_or_else(bad)?
-        .parse()
-        .map_err(|_| bad())?;
-    let labels = emi_labels(configs);
-    let expected = format!("cfg{:016x}", checksum(labels.join("\n").as_bytes()));
-    if fields[4] != expected {
-        return Err(JournalError::Mismatch(format!(
-            "journal was recorded over a different target set ({} vs {expected})",
-            fields[4]
-        )));
-    }
-    Ok(variants)
 }
 
 /// A sharded EMI campaign's outcome: the partial result over this shard's
@@ -570,18 +537,132 @@ pub struct ShardedEmiCampaign {
     pub tally: EmiTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the judging run.
-    pub pipeline: PipelineMetrics,
     /// Live bases found across the whole campaign (the global job space).
     pub total_bases: usize,
 }
 
-/// Runs one shard of the EMI campaign with an optional resumable journal.
+/// The CLsmith+EMI campaign of Table 5: the job space is the live-base
+/// index space, job `g` judging base `g` seeded `job_seed(seed_offset, g)`.
 ///
-/// Every shard regenerates the full live-base list (generation is a small
-/// fraction of judging cost, and acceptance scans candidates in index
-/// order, so all shards agree on the list bit for bit), then judges only
-/// the bases in its slice; the job space is the base index space.
+/// Building it probes for live bases ([`generate_live_bases_with`]);
+/// generation is a small fraction of judging cost, and acceptance scans
+/// candidates in index order, so every process that builds the campaign
+/// agrees on the base list bit for bit.
+#[derive(Debug, Clone)]
+pub struct EmiCampaign {
+    /// Campaign scale options.
+    pub options: EmiCampaignOptions,
+    /// The configurations, in column order (each at both opt levels).
+    pub configs: Arc<Vec<Configuration>>,
+    /// The live bases (empty in a campaign parsed from a journal).
+    bases: Vec<clc::Program>,
+    /// Live bases found: the size of the job space.
+    live: u64,
+    /// The pruning-probability grid every base is judged over.
+    grid: Arc<Vec<PruneProbabilities>>,
+}
+
+impl EmiCampaign {
+    /// Probes for `options.bases` live bases and builds the campaign over
+    /// `configs`.
+    pub fn new(
+        scheduler: &Scheduler,
+        configs: &[Configuration],
+        options: &EmiCampaignOptions,
+    ) -> EmiCampaign {
+        let bases = generate_live_bases_with(scheduler, options);
+        EmiCampaign {
+            options: options.clone(),
+            configs: Arc::new(configs.to_vec()),
+            live: bases.len() as u64,
+            bases,
+            grid: Arc::new(pruning_grid(options.variants_per_base)),
+        }
+    }
+
+    /// The Table 5 result of a (full or partial) tally over `bases` judged
+    /// bases — shared by runs and merges, so both render through the same
+    /// path.
+    pub fn result(&self, tally: &EmiTally, bases: u64) -> EmiCampaignResult {
+        EmiCampaignResult {
+            bases: bases as usize,
+            variants_per_base: self.grid.len(),
+            labels: targets_for(&self.configs)
+                .iter()
+                .map(TestTarget::label)
+                .collect(),
+            stats: tally.per_target.clone(),
+        }
+    }
+}
+
+impl Campaign for EmiCampaign {
+    type Job = EmiBaseJob;
+    type Tally = EmiTally;
+
+    fn descriptor(&self) -> String {
+        emi_campaign_descriptor(&self.options, &self.configs)
+    }
+
+    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let fields = descriptor_fields(&header.campaign, "emi", 5, &targets_for(configs))?;
+        let bases: u64 = descriptor_number(fields[1], 'b')?;
+        let variants_per_base = descriptor_number(fields[2], 'v')?;
+        if header.total_jobs > bases {
+            return Err(JournalError::Mismatch(format!(
+                "journals claim {} live bases of the {bases} requested",
+                header.total_jobs
+            )));
+        }
+        Ok(EmiCampaign {
+            options: EmiCampaignOptions {
+                bases: bases as usize,
+                variants_per_base,
+                campaign: parsed_options(0, header.campaign_seed),
+            },
+            configs: Arc::new(configs.to_vec()),
+            bases: Vec::new(),
+            live: header.total_jobs,
+            grid: Arc::new(pruning_grid(variants_per_base)),
+        })
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.campaign.seed_offset
+    }
+
+    fn total_jobs(&self) -> u64 {
+        self.live
+    }
+
+    fn job(&self, g: u64) -> (u64, EmiBaseJob) {
+        let job = EmiBaseJob {
+            base: self.bases[g as usize].clone(),
+            base_index: g as usize,
+            campaign_seed: self.seed(),
+            grid: Arc::clone(&self.grid),
+            configs: Arc::clone(&self.configs),
+            exec: self.options.campaign.exec.clone(),
+        };
+        (job_seed(self.seed(), g), job)
+    }
+
+    fn tally(&self) -> EmiTally {
+        EmiTally::new(self.width())
+    }
+
+    fn fold(&self, tally: &mut EmiTally, _: u64, judgements: Vec<BaseJudgement>) {
+        tally.record(&judgements);
+    }
+
+    fn width(&self) -> usize {
+        self.configs.len() * OptLevel::BOTH.len()
+    }
+}
+
+/// Runs one shard of the EMI campaign ([`EmiCampaign`]) with an optional
+/// resumable journal: every shard probes the full live-base list, then
+/// judges only the bases in its slice.
 pub fn run_emi_campaign_sharded(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -589,72 +670,14 @@ pub fn run_emi_campaign_sharded(
     select: ShardSelect,
     journal: Option<&JournalOptions>,
 ) -> Result<ShardedEmiCampaign, JournalError> {
-    let bases = Arc::new(generate_live_bases_with(scheduler, options));
-    let grid = Arc::new(pruning_grid(options.variants_per_base));
-    let shared_configs = Arc::new(configs.to_vec());
-    let labels = emi_labels(configs);
-    let campaign_seed = options.campaign.seed_offset;
-    let descriptor = emi_campaign_descriptor(options, configs);
-    let spec = ShardSpec::select(campaign_seed, bases.len() as u64, select);
-    let run = run_sharded::<EmiBaseJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        let base_index = g as usize;
-        (
-            job_seed(campaign_seed, g),
-            EmiBaseJob {
-                base: bases[base_index].clone(),
-                base_index,
-                campaign_seed,
-                grid: Arc::clone(&grid),
-                configs: Arc::clone(&shared_configs),
-                exec: options.campaign.exec.clone(),
-            },
-        )
-    })?;
-    let mut tally = EmiTally::new(labels.len());
-    let judged = run.outputs.len();
-    for (_, judgements) in &run.outputs {
-        tally.record(judgements);
-    }
+    let campaign = EmiCampaign::new(scheduler, configs, options);
+    let run = run_shard(scheduler, &campaign, select, journal)?;
     Ok(ShardedEmiCampaign {
-        result: EmiCampaignResult {
-            bases: judged,
-            variants_per_base: grid.len(),
-            labels,
-            stats: tally.per_target.clone(),
-        },
-        tally,
+        result: campaign.result(&run.aggregate, run.jobs),
+        tally: run.aggregate,
         metrics: run.metrics,
-        pipeline: run.pipeline,
-        total_bases: bases.len(),
+        total_bases: campaign.bases.len(),
     })
-}
-
-/// Merges any subset of an EMI campaign's shard journals back into an
-/// [`EmiCampaignResult`] — the full Table 5 when the journals cover every
-/// base, a partial one otherwise.
-pub fn merge_emi_campaign_journals(
-    paths: &[PathBuf],
-    configs: &[Configuration],
-) -> Result<(EmiCampaignResult, RefoldSummary), JournalError> {
-    let labels = emi_labels(configs);
-    let first = paths.first().ok_or_else(|| {
-        JournalError::Mismatch("no journals to merge (expected at least one path)".into())
-    })?;
-    let header = crate::journal::load_journal(first)?.header;
-    let variants_per_base = parse_emi_descriptor(&header.campaign, configs)?;
-    let (tally, summary) = refold_journals::<Vec<BaseJudgement>, EmiTally>(
-        paths,
-        |campaign| campaign == header.campaign,
-        |_| Ok(EmiTally::new(labels.len())),
-        |tally, _, judgements| tally.record(&judgements),
-    )?;
-    let result = EmiCampaignResult {
-        bases: summary.jobs_folded as usize,
-        variants_per_base,
-        labels,
-        stats: tally.per_target.clone(),
-    };
-    Ok((result, summary))
 }
 
 /// What a single base program induced on a single target.

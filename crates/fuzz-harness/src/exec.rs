@@ -29,28 +29,16 @@
 //! deque), and results flow back over an unbounded channel tagged with their
 //! job index.
 //!
-//! ## Staged jobs and the pipelined mode
+//! ## Staged jobs
 //!
 //! Campaign jobs are not opaque: each one is *generate a test case → execute
 //! it → judge the outcomes*.  The [`StagedJob`] trait makes those boundaries
-//! explicit, and [`SchedulerMode::Pipelined`] runs them as a bounded
-//! hand-off pipeline instead of whole-job batches: every worker pulls the
-//! most-advanced task available (judging before executing before
-//! generating), so one worker can execute kernel *k* while another generates
-//! kernel *k+1*, admission control bounds how many jobs are in flight across
-//! all stages, and the stage-granular queue shortens the ragged drain at the
-//! end of a batch (a worker never sits idle behind one last whole job).
-//! Stage functions are pure per job and results are still keyed by job
-//! index, so the two modes are **bit-identical** for any fixed campaign
-//! seed, at any worker count — the `scheduler_determinism` tests pin Tables
-//! 1/4/5 across modes, worker counts and interpreter tiers.
+//! explicit (they are where per-stage timing hooks in), and every staged job
+//! is a [`Job`] that runs its three stages back to back on one worker.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 pub use clsmith::rng::job_seed;
 
@@ -71,12 +59,9 @@ pub trait Job: Send {
 ///
 /// Stage one consumes the job description and produces the test case; stage
 /// two runs it; stage three turns raw outcomes into the job's result shard.
-/// The intermediate types carry everything the later stages need (they are
-/// associated functions, not methods, so a stage can run on a different
-/// worker than the one that produced its input — which is the whole point).
-/// Each stage must be a pure function of its input: the scheduler guarantees
-/// bit-identical results between [batch](SchedulerMode::Batch) and
-/// [pipelined](SchedulerMode::Pipelined) execution only under that contract.
+/// The intermediate types carry everything the later stages need, so each
+/// stage is a pure function of its input (which is what lets a tracer time
+/// them one by one).
 pub trait StagedJob: Send {
     /// The generated test case (plus whatever execution context it needs).
     type Generated: Send;
@@ -93,116 +78,12 @@ pub trait StagedJob: Send {
     fn judge(executed: Self::Executed) -> Self::Output;
 }
 
-/// How a scheduler turns a batch of [`StagedJob`]s into results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// Each job runs generate → execute → judge back to back on one worker
-    /// (the historical behaviour; plain [`Job`]s always run this way).
-    #[default]
-    Batch,
-    /// Stages run as a bounded hand-off pipeline: any worker picks up the
-    /// most-advanced pending stage of any in-flight job, so generator-bound
-    /// and emulator-bound work overlap across jobs.
-    Pipelined,
-}
+/// Every staged job runs whole: its three stages back to back on one worker.
+impl<J: StagedJob> Job for J {
+    type Output = J::Output;
 
-impl SchedulerMode {
-    /// The mode selected by the environment: [`SchedulerMode::Pipelined`]
-    /// when `FUZZ_PIPELINE` is `1`/`true`/`yes`, batch otherwise.
-    pub fn from_env() -> SchedulerMode {
-        SchedulerMode::from_value(std::env::var("FUZZ_PIPELINE").ok().as_deref())
-    }
-
-    /// [`SchedulerMode::from_env`]'s parsing rule on an explicit value
-    /// (testable without touching the process environment).
-    pub fn from_value(value: Option<&str>) -> SchedulerMode {
-        match value {
-            Some("1") | Some("true") | Some("yes") => SchedulerMode::Pipelined,
-            _ => SchedulerMode::Batch,
-        }
-    }
-
-    /// Human-readable name (bench/table output).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::Batch => "batch",
-            SchedulerMode::Pipelined => "pipelined",
-        }
-    }
-}
-
-/// The pipeline stages, in hand-off order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Test-case generation.
-    Generate,
-    /// Emulator execution.
-    Execute,
-    /// Outcome judging.
-    Judge,
-}
-
-impl Stage {
-    /// All stages in hand-off order.
-    pub const ALL: [Stage; 3] = [Stage::Generate, Stage::Execute, Stage::Judge];
-
-    /// Stable lowercase name (bench JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Generate => "generate",
-            Stage::Execute => "execute",
-            Stage::Judge => "judge",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Generate => 0,
-            Stage::Execute => 1,
-            Stage::Judge => 2,
-        }
-    }
-}
-
-/// What a staged run measured about itself: per-stage busy time (summed over
-/// workers), wall-clock, and the depth of the stage hand-off queue.  The
-/// throughput bench surfaces these as the `pipeline_*` JSON axes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineMetrics {
-    /// Total busy time per stage, summed across workers.
-    pub stage_busy: [Duration; 3],
-    /// Wall-clock time of the whole staged run.
-    pub wall: Duration,
-    /// Number of workers that ran the batch.
-    pub workers: usize,
-    /// Maximum observed depth of the stage hand-off queue (0 in batch mode,
-    /// where stages never cross workers).
-    pub handoff_depth_max: usize,
-    /// Sum of observed hand-off queue depths (one sample per hand-off).
-    pub handoff_depth_sum: u64,
-    /// Number of hand-off depth samples.
-    pub handoff_samples: u64,
-}
-
-impl PipelineMetrics {
-    /// Fraction of total worker capacity (`wall × workers`) spent busy in
-    /// `stage` — the stage-occupancy axis of the throughput bench.
-    pub fn occupancy(&self, stage: Stage) -> f64 {
-        let capacity = self.wall.as_secs_f64() * self.workers.max(1) as f64;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            self.stage_busy[stage.index()].as_secs_f64() / capacity
-        }
-    }
-
-    /// Mean depth of the hand-off queue over all hand-offs.
-    pub fn mean_handoff_depth(&self) -> f64 {
-        if self.handoff_samples == 0 {
-            0.0
-        } else {
-            self.handoff_depth_sum as f64 / self.handoff_samples as f64
-        }
+    fn run(self) -> J::Output {
+        J::judge(J::execute(J::generate(self)))
     }
 }
 
@@ -267,7 +148,6 @@ pub fn expect_completed<T>(results: Vec<JobResult<T>>) -> Vec<T> {
 pub struct Scheduler {
     threads: usize,
     queue_capacity: usize,
-    mode: SchedulerMode,
 }
 
 impl Scheduler {
@@ -281,7 +161,6 @@ impl Scheduler {
         Scheduler {
             threads,
             queue_capacity: threads * 4,
-            mode: SchedulerMode::Batch,
         }
     }
 
@@ -292,53 +171,33 @@ impl Scheduler {
 
     /// The default scheduler: `FUZZ_THREADS` from the environment if set
     /// (`FUZZ_THREADS=0` clamps to the sequential fallback via
-    /// [`Scheduler::new`]), otherwise the machine's available parallelism;
-    /// `FUZZ_PIPELINE=1` selects the pipelined mode.  Campaign results do
-    /// not depend on either choice — only wall-clock time does.
+    /// [`Scheduler::new`]), otherwise the machine's available parallelism.
+    /// Campaign results do not depend on the choice — only wall-clock time
+    /// does.
     pub fn from_env() -> Scheduler {
-        Scheduler::from_env_values(
-            std::env::var("FUZZ_THREADS").ok().as_deref(),
-            std::env::var("FUZZ_PIPELINE").ok().as_deref(),
+        Scheduler::from_env_value(std::env::var("FUZZ_THREADS").ok().as_deref())
+    }
+
+    /// [`Scheduler::from_env`]'s construction rule on an explicit
+    /// `FUZZ_THREADS` value — factored out so tests can pin the parsing
+    /// (including the `FUZZ_THREADS=0` clamp) without mutating the process
+    /// environment, which is undefined behaviour to race against concurrent
+    /// readers.
+    fn from_env_value(threads: Option<&str>) -> Scheduler {
+        Scheduler::new(
+            threads
+                .and_then(|s| s.parse::<usize>().ok())
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                }),
         )
-    }
-
-    /// [`Scheduler::from_env`]'s construction rule on explicit
-    /// `FUZZ_THREADS`/`FUZZ_PIPELINE` values — factored out so tests can
-    /// pin the parsing (including the `FUZZ_THREADS=0` clamp) without
-    /// mutating the process environment, which is undefined behaviour to
-    /// race against concurrent readers.
-    fn from_env_values(threads: Option<&str>, pipeline: Option<&str>) -> Scheduler {
-        let threads = threads
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Scheduler::new(threads).with_mode(SchedulerMode::from_value(pipeline))
-    }
-
-    /// Overrides the bound on in-flight jobs (clamped to at least 1).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Scheduler {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Selects how [`StagedJob`] batches run (plain [`Job`] batches always
-    /// run whole).  Results are bit-identical across modes.
-    pub fn with_mode(mut self, mode: SchedulerMode) -> Scheduler {
-        self.mode = mode;
-        self
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The staged-execution mode.
-    pub fn mode(&self) -> SchedulerMode {
-        self.mode
     }
 
     /// Runs a batch of jobs and returns one [`JobResult`] per job, **in
@@ -444,164 +303,9 @@ impl Scheduler {
         expect_completed(self.run(jobs))
     }
 
-    /// Runs a batch of [`StagedJob`]s under the scheduler's
-    /// [mode](SchedulerMode) and returns one [`JobResult`] per job in
-    /// job-index order — [`Scheduler::run`] for staged jobs.
-    pub fn run_staged<J: StagedJob>(&self, jobs: Vec<J>) -> Vec<JobResult<J::Output>> {
-        self.run_staged_streaming(jobs, |_, _| {})
-    }
-
-    /// [`Scheduler::run_staged`] with a completion-order observer (the seam
-    /// the shard layer's journal hangs off; see
-    /// [`Scheduler::run_streaming`]).  The observer contract is identical in
-    /// both modes: invoked on the collecting thread, once per job, as each
-    /// job's **judge** stage finishes.
-    pub fn run_staged_streaming<J: StagedJob>(
-        &self,
-        jobs: Vec<J>,
-        on_result: impl FnMut(usize, &JobResult<J::Output>),
-    ) -> Vec<JobResult<J::Output>> {
-        self.run_staged_metrics(jobs, on_result).0
-    }
-
-    /// [`Scheduler::run_staged_streaming`], additionally reporting what the
-    /// run measured about itself ([`PipelineMetrics`]): per-stage busy time
-    /// in both modes, hand-off queue depth in the pipelined mode.
-    pub fn run_staged_metrics<J: StagedJob>(
-        &self,
-        jobs: Vec<J>,
-        on_result: impl FnMut(usize, &JobResult<J::Output>),
-    ) -> (Vec<JobResult<J::Output>>, PipelineMetrics) {
-        match self.mode {
-            SchedulerMode::Batch => self.run_staged_batch(jobs, on_result),
-            SchedulerMode::Pipelined => self.run_staged_pipelined(jobs, on_result),
-        }
-    }
-
-    /// Runs a staged batch and unwraps every result (see
-    /// [`expect_completed`]).
+    /// [`Scheduler::run_all`] for a batch of [`StagedJob`]s.
     pub fn run_staged_all<J: StagedJob>(&self, jobs: Vec<J>) -> Vec<J::Output> {
-        expect_completed(self.run_staged(jobs))
-    }
-
-    /// Batch mode for staged jobs: wrap each job so its three stages run
-    /// back to back on one worker (timing each stage into shared counters),
-    /// then reuse the plain bounded-queue pool.
-    fn run_staged_batch<J: StagedJob>(
-        &self,
-        jobs: Vec<J>,
-        on_result: impl FnMut(usize, &JobResult<J::Output>),
-    ) -> (Vec<JobResult<J::Output>>, PipelineMetrics) {
-        let count = jobs.len();
-        let busy: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
-        let wrapped: Vec<WholeStagedJob<J>> = jobs
-            .into_iter()
-            .map(|job| WholeStagedJob {
-                job,
-                busy: Arc::clone(&busy),
-            })
-            .collect();
-        let start = Instant::now();
-        let results = self.run_streaming(wrapped, on_result);
-        let mut metrics = PipelineMetrics {
-            wall: start.elapsed(),
-            workers: self.threads.min(count.max(1)),
-            ..PipelineMetrics::default()
-        };
-        for (slot, counter) in metrics.stage_busy.iter_mut().zip(busy.iter()) {
-            *slot = Duration::from_nanos(counter.load(Ordering::Relaxed));
-        }
-        (results, metrics)
-    }
-
-    /// The pipelined mode: a shared stage queue under one mutex, workers
-    /// preferring the most-advanced pending stage (judge > execute >
-    /// generate), and admission control bounding in-flight jobs at the
-    /// queue capacity.  See the module docs for why this is deterministic.
-    fn run_staged_pipelined<J: StagedJob>(
-        &self,
-        jobs: Vec<J>,
-        mut on_result: impl FnMut(usize, &JobResult<J::Output>),
-    ) -> (Vec<JobResult<J::Output>>, PipelineMetrics) {
-        let count = jobs.len();
-        let start = Instant::now();
-        let mut metrics = PipelineMetrics {
-            workers: self.threads.min(count.max(1)),
-            ..PipelineMetrics::default()
-        };
-
-        // Inline fallback: one worker (or a trivial batch) cannot overlap
-        // stages, so run each job's stages back to back in index order —
-        // exactly the batch sequential path, with stage timing.
-        if self.threads == 1 || count <= 1 {
-            let results = jobs
-                .into_iter()
-                .enumerate()
-                .map(|(index, job)| {
-                    let result = run_stages_inline(index, job, &mut metrics.stage_busy);
-                    on_result(index, &result);
-                    result
-                })
-                .collect();
-            metrics.wall = start.elapsed();
-            return (results, metrics);
-        }
-
-        let workers = self.threads.min(count);
-        let shared = PipelineShared {
-            state: Mutex::new(PipelineState {
-                queue: VecDeque::new(),
-                jobs: jobs.into_iter().map(Some).collect(),
-                next: 0,
-                in_flight: 0,
-                completed: 0,
-                depth_max: 0,
-                depth_sum: 0,
-                depth_samples: 0,
-            }),
-            ready: Condvar::new(),
-            capacity: self.queue_capacity.max(workers),
-            count,
-            busy: Default::default(),
-        };
-        let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult<J::Output>)>();
-
-        let mut slots: Vec<Option<JobResult<J::Output>>> = Vec::with_capacity(count);
-        slots.resize_with(count, || None);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let shared = &shared;
-                let tx = result_tx.clone();
-                scope.spawn(move || pipeline_worker(shared, tx));
-            }
-            drop(result_tx);
-
-            // Collect exactly `count` results on this thread, in completion
-            // order, so the journal observer sees each job as it finishes —
-            // the same crash guarantee as the batch collector.
-            for (index, result) in result_rx.iter() {
-                debug_assert!(slots[index].is_none(), "job {index} reported twice");
-                on_result(index, &result);
-                slots[index] = Some(result);
-            }
-        });
-
-        let state = shared.state.into_inner().expect("pipeline lock poisoned");
-        metrics.handoff_depth_max = state.depth_max;
-        metrics.handoff_depth_sum = state.depth_sum;
-        metrics.handoff_samples = state.depth_samples;
-        for (slot, counter) in metrics.stage_busy.iter_mut().zip(shared.busy.iter()) {
-            *slot = Duration::from_nanos(counter.load(Ordering::Relaxed));
-        }
-        metrics.wall = start.elapsed();
-
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} produced no result")))
-            .collect();
-        (results, metrics)
+        self.run_all(jobs)
     }
 }
 
@@ -609,225 +313,6 @@ impl Default for Scheduler {
     fn default() -> Self {
         Scheduler::from_env()
     }
-}
-
-/// A [`StagedJob`] wrapped to run whole on one worker (batch mode), timing
-/// each stage into the shared per-stage counters.
-struct WholeStagedJob<J: StagedJob> {
-    job: J,
-    busy: Arc<[AtomicU64; 3]>,
-}
-
-impl<J: StagedJob> Job for WholeStagedJob<J> {
-    type Output = J::Output;
-
-    fn run(self) -> J::Output {
-        let record = |stage: Stage, start: Instant| {
-            self.busy[stage.index()]
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        };
-        let start = Instant::now();
-        let generated = J::generate(self.job);
-        record(Stage::Generate, start);
-        let start = Instant::now();
-        let executed = J::execute(generated);
-        record(Stage::Execute, start);
-        let start = Instant::now();
-        let output = J::judge(executed);
-        record(Stage::Judge, start);
-        output
-    }
-}
-
-/// Runs one job's three stages back to back with panic containment and
-/// per-stage timing — the pipelined mode's sequential fallback.
-fn run_stages_inline<J: StagedJob>(
-    index: usize,
-    job: J,
-    busy: &mut [Duration; 3],
-) -> JobResult<J::Output> {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let start = Instant::now();
-        let generated = J::generate(job);
-        busy[Stage::Generate.index()] += start.elapsed();
-        let start = Instant::now();
-        let executed = J::execute(generated);
-        busy[Stage::Execute.index()] += start.elapsed();
-        let start = Instant::now();
-        let output = J::judge(executed);
-        busy[Stage::Judge.index()] += start.elapsed();
-        output
-    }));
-    match caught {
-        Ok(value) => JobResult::Completed(value),
-        Err(payload) => JobResult::Failed(JobFailure {
-            index,
-            message: panic_message(&*payload),
-        }),
-    }
-}
-
-/// A pending stage of an in-flight job in the pipelined mode's hand-off
-/// queue (generate tasks are synthesised by admission control, so only the
-/// later stages appear here).
-enum StageTask<J: StagedJob> {
-    Execute(usize, J::Generated),
-    Judge(usize, J::Executed),
-}
-
-/// Mutable pipeline state, guarded by [`PipelineShared::state`].
-struct PipelineState<J: StagedJob> {
-    /// Pending later-stage tasks.  Judge tasks are pushed to the front and
-    /// execute tasks to the back, so `pop_front` drains the most-advanced
-    /// work first — bounding how much generated-but-unjudged state exists.
-    queue: VecDeque<StageTask<J>>,
-    /// Unadmitted jobs (`None` once taken), indexed by job index.
-    jobs: Vec<Option<J>>,
-    /// Next unadmitted job index.
-    next: usize,
-    /// Jobs admitted but not yet completed (any stage).
-    in_flight: usize,
-    /// Jobs fully completed (or failed).
-    completed: usize,
-    /// Hand-off queue depth telemetry.
-    depth_max: usize,
-    depth_sum: u64,
-    depth_samples: u64,
-}
-
-/// Everything the pipeline's workers share.
-struct PipelineShared<J: StagedJob> {
-    state: Mutex<PipelineState<J>>,
-    /// Signalled when a task is pushed or a job completes.
-    ready: Condvar,
-    /// Bound on in-flight jobs (admission control).
-    capacity: usize,
-    /// Total job count.
-    count: usize,
-    /// Per-stage busy nanoseconds, summed across workers.
-    busy: [AtomicU64; 3],
-}
-
-/// What a worker decided to do next while holding the pipeline lock.
-enum NextAction<J: StagedJob> {
-    Run(StageTask<J>),
-    Admit(usize, J),
-    Exit,
-}
-
-/// One pipeline worker: repeatedly pick the most-advanced pending stage
-/// (admitting a fresh job only when nothing later-stage is queued and the
-/// in-flight bound allows), run it with panic containment and stage timing,
-/// and hand the follow-up task — or the finished result — onward.
-fn pipeline_worker<J: StagedJob>(
-    shared: &PipelineShared<J>,
-    results: mpsc::Sender<(usize, JobResult<J::Output>)>,
-) {
-    loop {
-        let action = {
-            let mut state = shared.state.lock().expect("pipeline lock poisoned");
-            loop {
-                if let Some(task) = state.queue.pop_front() {
-                    break NextAction::Run(task);
-                }
-                if state.next < shared.count && state.in_flight < shared.capacity {
-                    let index = state.next;
-                    let job = state.jobs[index].take().expect("job admitted once");
-                    state.next += 1;
-                    state.in_flight += 1;
-                    break NextAction::Admit(index, job);
-                }
-                if state.completed == shared.count {
-                    break NextAction::Exit;
-                }
-                state = shared.ready.wait(state).expect("pipeline lock poisoned");
-            }
-        };
-        match action {
-            NextAction::Exit => return,
-            NextAction::Admit(index, job) => {
-                let start = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    StageTask::Execute(index, J::generate(job))
-                }));
-                shared.busy[Stage::Generate.index()]
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                hand_off(shared, &results, index, outcome);
-            }
-            NextAction::Run(StageTask::Execute(index, generated)) => {
-                let start = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    StageTask::Judge(index, J::execute(generated))
-                }));
-                shared.busy[Stage::Execute.index()]
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                hand_off(shared, &results, index, outcome);
-            }
-            NextAction::Run(StageTask::Judge(index, executed)) => {
-                let start = Instant::now();
-                let result = match catch_unwind(AssertUnwindSafe(|| J::judge(executed))) {
-                    Ok(output) => JobResult::Completed(output),
-                    Err(payload) => JobResult::Failed(JobFailure {
-                        index,
-                        message: panic_message(&*payload),
-                    }),
-                };
-                shared.busy[Stage::Judge.index()]
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                finish_job(shared, &results, index, result);
-            }
-        }
-    }
-}
-
-/// Queues a completed stage's follow-up task — or, if the stage panicked,
-/// finishes the job as failed.
-fn hand_off<J: StagedJob>(
-    shared: &PipelineShared<J>,
-    results: &mpsc::Sender<(usize, JobResult<J::Output>)>,
-    index: usize,
-    outcome: Result<StageTask<J>, Box<dyn std::any::Any + Send>>,
-) {
-    match outcome {
-        Ok(task) => {
-            let mut state = shared.state.lock().expect("pipeline lock poisoned");
-            match &task {
-                // Judge tasks jump the queue; execute tasks join the back.
-                StageTask::Judge(..) => state.queue.push_front(task),
-                StageTask::Execute(..) => state.queue.push_back(task),
-            }
-            let depth = state.queue.len();
-            state.depth_max = state.depth_max.max(depth);
-            state.depth_sum += depth as u64;
-            state.depth_samples += 1;
-            drop(state);
-            shared.ready.notify_one();
-        }
-        Err(payload) => {
-            let result = JobResult::Failed(JobFailure {
-                index,
-                message: panic_message(&*payload),
-            });
-            finish_job(shared, results, index, result);
-        }
-    }
-}
-
-/// Marks a job finished: report the result, release its in-flight slot and
-/// wake every waiting worker (completion can unblock both admission and the
-/// exit check).
-fn finish_job<J: StagedJob>(
-    shared: &PipelineShared<J>,
-    results: &mpsc::Sender<(usize, JobResult<J::Output>)>,
-    index: usize,
-    result: JobResult<J::Output>,
-) {
-    let _ = results.send((index, result));
-    let mut state = shared.state.lock().expect("pipeline lock poisoned");
-    state.in_flight -= 1;
-    state.completed += 1;
-    drop(state);
-    shared.ready.notify_all();
 }
 
 /// Executes one job with panic containment.
@@ -964,8 +449,8 @@ mod tests {
 
     #[test]
     fn queue_capacity_is_respected_without_deadlock() {
-        // A queue bound smaller than the batch exercises back-pressure.
-        let scheduler = Scheduler::new(2).with_queue_capacity(1);
+        // A batch larger than the queue bound exercises back-pressure.
+        let scheduler = Scheduler::new(2);
         let got = scheduler.run_all((0..64).map(Square).collect::<Vec<_>>());
         assert_eq!(got.len(), 64);
     }
@@ -984,14 +469,14 @@ mod tests {
     fn run_streaming_delivers_results_while_the_batch_is_still_running() {
         // The journal's crash guarantee rests on results reaching the
         // observer as they finish, not after the whole batch is enqueued:
-        // with 8 × 30ms jobs on 2 workers (queue bound 1), the first
-        // callback must arrive well before the ~120ms total — if feeding
+        // with 16 × 30ms jobs on 2 workers (queue bound 8), the first
+        // callback must arrive well before the ~240ms total — if feeding
         // and collection were sequential, every callback would fire at the
         // very end.
-        let jobs: Vec<Sleep> = (0..8)
+        let jobs: Vec<Sleep> = (0..16)
             .map(|_| Sleep(std::time::Duration::from_millis(30)))
             .collect();
-        let scheduler = Scheduler::new(2).with_queue_capacity(1);
+        let scheduler = Scheduler::new(2);
         let start = std::time::Instant::now();
         let mut first_callback = None;
         scheduler.run_streaming(jobs, |_, _| {
@@ -1045,22 +530,9 @@ mod tests {
         // outright).  Exercised through the value-level constructor:
         // mutating the real environment would race other tests' getenv
         // calls, which is undefined behaviour on glibc.
-        assert_eq!(Scheduler::from_env_values(Some("0"), None).threads(), 1);
-        assert_eq!(Scheduler::from_env_values(Some("3"), None).threads(), 3);
-        assert!(Scheduler::from_env_values(Some("junk"), None).threads() >= 1);
-        assert_eq!(
-            Scheduler::from_env_values(Some("2"), Some("1")).mode(),
-            SchedulerMode::Pipelined
-        );
-        assert_eq!(
-            Scheduler::from_env_values(Some("2"), Some("0")).mode(),
-            SchedulerMode::Batch
-        );
-        assert_eq!(
-            SchedulerMode::from_value(Some("yes")),
-            SchedulerMode::Pipelined
-        );
-        assert_eq!(SchedulerMode::from_value(None), SchedulerMode::Batch);
+        assert_eq!(Scheduler::from_env_value(Some("0")).threads(), 1);
+        assert_eq!(Scheduler::from_env_value(Some("3")).threads(), 3);
+        assert!(Scheduler::from_env_value(Some("junk")).threads() >= 1);
     }
 
     /// A staged job with observable stage boundaries: generate doubles,
@@ -1095,181 +567,53 @@ mod tests {
         }
     }
 
-    fn staged_expected(n: u64) -> Vec<u64> {
-        (0..n).map(|i| (2 * i + 1) * (2 * i + 1)).collect()
-    }
-
-    #[test]
-    fn staged_results_are_identical_across_modes_and_worker_counts() {
-        let jobs = |n: u64| (0..n).map(StagedSquare).collect::<Vec<_>>();
-        for mode in [SchedulerMode::Batch, SchedulerMode::Pipelined] {
-            for threads in [1, 2, 3, 8, 64] {
-                let scheduler = Scheduler::new(threads).with_mode(mode);
-                assert_eq!(
-                    scheduler.run_staged_all(jobs(97)),
-                    staged_expected(97),
-                    "{threads} threads, {} mode",
-                    mode.name()
-                );
-            }
-        }
-    }
-
     #[test]
     fn staged_panics_in_any_stage_are_contained_with_the_batch_message() {
         // A panic in generate, execute or judge must surface as the same
-        // JobFailure in both modes (index + payload, no stage prefix), with
-        // every other job still completing.
-        for mode in [SchedulerMode::Batch, SchedulerMode::Pipelined] {
-            for threads in [1, 4] {
-                let scheduler = Scheduler::new(threads).with_mode(mode);
-                let mut jobs: Vec<StagedSquare> = (0..16).map(StagedSquare).collect();
-                jobs[3] = StagedSquare(u64::MAX); // generate panics
-                jobs[7] = StagedSquare(u64::MAX - 1); // execute panics
-                jobs[11] = StagedSquare(u64::MAX - 2); // judge panics
-                let results = scheduler.run_staged(jobs);
-                assert_eq!(results.len(), 16);
-                for (i, result) in results.iter().enumerate() {
-                    let expect_message = match i {
-                        3 => Some("poisoned generate"),
-                        7 => Some("poisoned execute"),
-                        11 => Some("poisoned judge"),
-                        _ => None,
-                    };
-                    match expect_message {
-                        Some(message) => assert_eq!(
-                            *result,
-                            JobResult::Failed(JobFailure {
-                                index: i,
-                                message: message.to_string()
-                            }),
-                            "{} mode, {threads} threads",
-                            mode.name()
-                        ),
-                        None => assert_eq!(
-                            *result,
-                            JobResult::Completed((2 * i as u64 + 1) * (2 * i as u64 + 1)),
-                            "{} mode, {threads} threads, job {i}",
-                            mode.name()
-                        ),
-                    }
-                }
+        // JobFailure as a whole-job panic (index + payload, no stage
+        // prefix), with every other job still completing.
+        for threads in [1, 4] {
+            let mut jobs: Vec<StagedSquare> = (0..16).map(StagedSquare).collect();
+            jobs[3] = StagedSquare(u64::MAX); // generate panics
+            jobs[7] = StagedSquare(u64::MAX - 1); // execute panics
+            jobs[11] = StagedSquare(u64::MAX - 2); // judge panics
+            let results = Scheduler::new(threads).run(jobs);
+            assert_eq!(results.len(), 16);
+            for (i, result) in results.iter().enumerate() {
+                let expected = match i {
+                    3 => JobResult::Failed(JobFailure {
+                        index: i,
+                        message: "poisoned generate".to_string(),
+                    }),
+                    7 => JobResult::Failed(JobFailure {
+                        index: i,
+                        message: "poisoned execute".to_string(),
+                    }),
+                    11 => JobResult::Failed(JobFailure {
+                        index: i,
+                        message: "poisoned judge".to_string(),
+                    }),
+                    _ => JobResult::Completed((2 * i as u64 + 1) * (2 * i as u64 + 1)),
+                };
+                assert_eq!(*result, expected, "{threads} threads, job {i}");
             }
         }
     }
 
     #[test]
     fn staged_streaming_observes_every_result_exactly_once() {
-        for mode in [SchedulerMode::Batch, SchedulerMode::Pipelined] {
-            for threads in [1usize, 4] {
-                let scheduler = Scheduler::new(threads).with_mode(mode);
-                let mut seen = Vec::new();
-                let results = scheduler.run_staged_streaming(
-                    (0..32).map(StagedSquare).collect::<Vec<_>>(),
-                    |i, r| {
-                        assert_eq!(*r, JobResult::Completed((2 * i as u64 + 1).pow(2)));
-                        seen.push(i);
-                    },
-                );
-                let mut sorted = seen.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..32).collect::<Vec<_>>(), "{threads} threads");
-                assert_eq!(results.len(), 32);
-            }
-        }
-    }
-
-    #[test]
-    fn staged_metrics_report_stage_occupancy_in_both_modes() {
-        struct StageSleep;
-        impl StagedJob for StageSleep {
-            type Generated = ();
-            type Executed = ();
-            type Output = ();
-            fn generate(self) {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            fn execute(_: ()) {
-                std::thread::sleep(std::time::Duration::from_millis(6));
-            }
-            fn judge(_: ()) {}
-        }
-        for mode in [SchedulerMode::Batch, SchedulerMode::Pipelined] {
-            let scheduler = Scheduler::new(2).with_mode(mode);
-            let (results, metrics) =
-                scheduler.run_staged_metrics((0..8).map(|_| StageSleep).collect(), |_, _| {});
-            assert_eq!(results.len(), 8, "{} mode", mode.name());
-            assert!(metrics.wall > Duration::ZERO);
-            assert_eq!(metrics.workers, 2);
-            // Execute sleeps 3x longer than generate; the busy split must
-            // reflect that (with generous slack for timer coarseness).
-            assert!(
-                metrics.stage_busy[Stage::Execute.index()]
-                    > metrics.stage_busy[Stage::Generate.index()],
-                "{} mode: {:?}",
-                mode.name(),
-                metrics.stage_busy
+        for threads in [1usize, 4] {
+            let mut seen = Vec::new();
+            let results = Scheduler::new(threads).run_streaming(
+                (0..32).map(StagedSquare).collect::<Vec<_>>(),
+                |i, r| {
+                    assert_eq!(*r, JobResult::Completed((2 * i as u64 + 1).pow(2)));
+                    seen.push(i);
+                },
             );
-            let total_occupancy: f64 = Stage::ALL.iter().map(|s| metrics.occupancy(*s)).sum();
-            assert!(
-                total_occupancy <= 1.05,
-                "{} mode: occupancy {total_occupancy} exceeds capacity",
-                mode.name()
-            );
-            if mode == SchedulerMode::Batch {
-                assert_eq!(metrics.handoff_samples, 0);
-                assert_eq!(metrics.mean_handoff_depth(), 0.0);
-            } else {
-                assert!(
-                    metrics.handoff_samples > 0,
-                    "pipeline recorded no hand-offs"
-                );
-                assert!(metrics.handoff_depth_max >= 1);
-            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..32).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(results.len(), 32);
         }
-    }
-
-    #[test]
-    fn pipelined_empty_and_single_batches_work() {
-        let scheduler = Scheduler::new(4).with_mode(SchedulerMode::Pipelined);
-        assert_eq!(
-            scheduler.run_staged_all(Vec::<StagedSquare>::new()),
-            Vec::<u64>::new()
-        );
-        assert_eq!(scheduler.run_staged_all(vec![StagedSquare(3)]), vec![49]);
-    }
-
-    #[test]
-    fn pipelined_mode_overlaps_stages_across_jobs() {
-        // 8 jobs whose execute stage sleeps 30ms: 4 pipeline workers must
-        // overlap at least 2x over one worker (the latency is in a single
-        // stage, so overlap requires executing job k while generating k+1 —
-        // the hand-off property itself).
-        struct SleepyExec;
-        impl StagedJob for SleepyExec {
-            type Generated = ();
-            type Executed = ();
-            type Output = ();
-            fn generate(self) {}
-            fn execute(_: ()) {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }
-            fn judge(_: ()) {}
-        }
-        let jobs = || (0..8).map(|_| SleepyExec).collect::<Vec<_>>();
-        let start = std::time::Instant::now();
-        Scheduler::new(1)
-            .with_mode(SchedulerMode::Pipelined)
-            .run_staged_all(jobs());
-        let sequential = start.elapsed();
-        let start = std::time::Instant::now();
-        Scheduler::new(4)
-            .with_mode(SchedulerMode::Pipelined)
-            .run_staged_all(jobs());
-        let parallel = start.elapsed();
-        assert!(
-            sequential.as_secs_f64() >= 2.0 * parallel.as_secs_f64(),
-            "pipelined workers did not overlap: sequential {sequential:?}, parallel {parallel:?}"
-        );
     }
 }

@@ -21,8 +21,8 @@
 //!   records, and the campaign completes around them with explicit gap
 //!   accounting ([`FleetOutcome::gaps`]) instead of hanging forever.
 //!
-//! The merged result of a fleet run is produced by refolding the per-lease
-//! journals ([`crate::shard::refold_journals`]); because every lease folds
+//! The merged result of a fleet run is produced by merging the per-lease
+//! journals ([`crate::shard::merge`]); because every lease folds
 //! journal-decoded outputs in ascending job order, the merged tables are
 //! bit-identical to a fault-free single-process run of the same campaign —
 //! the invariant the chaos tests pin.
@@ -789,8 +789,8 @@ impl Coordinator {
 /// from `input` until `SHUTDOWN` or EOF.
 ///
 /// `execute` runs one lease and returns the number of jobs this attempt
-/// executed, or a one-line failure reason. The bench binaries plug the
-/// campaign range drivers (and the fault-injection actions) in here.
+/// executed, or a one-line failure reason. The bench binaries plug
+/// [`crate::run_lease`] (and the fault-injection actions) in here.
 pub fn run_worker(
     input: &mut dyn BufRead,
     output: &mut dyn Write,

@@ -12,7 +12,7 @@
 //! ## Format (version [`JOURNAL_FORMAT_VERSION`])
 //!
 //! One line per entry, space-separated single-token fields, every line
-//! carrying its own checksum ([`checksum`], FNV-1a 64):
+//! carrying its own checksum ([`checksum`], [`clc::fnv1a`]):
 //!
 //! ```text
 //! CLFUZZ-JOURNAL 2 <campaign> <seed:016x> <total_jobs> <shard>/<of> <start>-<end> <crc:016x>
@@ -41,10 +41,6 @@
 //! * Payloads are produced by [`crate::shard::JournalPayload`] encoders and
 //!   must not contain whitespace or newlines; the writer enforces this.
 //!
-//! Version 1 journals (no range field, no checkpoints) still load: the
-//! reader synthesizes the range from the shard fields using the same exact
-//! integer partition as `ShardSpec::job_range`.
-//!
 //! ## Robustness at the edges
 //!
 //! A process killed mid-write leaves a truncated final line.  [`load_journal`]
@@ -69,18 +65,14 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Version tag of the on-disk journal format.  Bump when the line format
-/// changes; [`load_journal`] accepts this version and the backward-compatible
-/// set in [`JOURNAL_COMPAT_VERSIONS`].
+/// changes; [`load_journal`] accepts this version only.
 pub const JOURNAL_FORMAT_VERSION: u32 = 2;
-
-/// Older format versions [`load_journal`] still reads.
-pub const JOURNAL_COMPAT_VERSIONS: &[u32] = &[1];
 
 /// Magic token opening every journal header line.
 pub const JOURNAL_MAGIC: &str = "CLFUZZ-JOURNAL";
@@ -90,14 +82,7 @@ const WRITE_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// The checksum protecting every journal line: FNV-1a 64 over the line's
 /// bytes up to (and excluding) the trailing checksum field.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+pub use clc::fnv1a as checksum;
 
 /// Errors surfaced by the journal and shard layer.
 #[derive(Debug)]
@@ -163,18 +148,6 @@ pub struct JournalHeader {
     pub range: (u64, u64),
 }
 
-/// The exact integer partition `shard I/N` covers — shared with
-/// `ShardSpec::job_range` so v1 journals (which carried no explicit range)
-/// reconstruct the identical bounds.
-pub fn partition_range(total_jobs: u64, index: u32, count: u32) -> (u64, u64) {
-    let count = count.max(1) as u128;
-    let index = (index as u128).min(count - 1);
-    let total = total_jobs as u128;
-    let start = (total * index / count) as u64;
-    let end = (total * (index + 1) / count) as u64;
-    (start, end)
-}
-
 impl JournalHeader {
     fn render(&self) -> Result<String, JournalError> {
         require_token("campaign descriptor", &self.campaign)?;
@@ -194,37 +167,22 @@ impl JournalHeader {
     fn parse(line: &str) -> Option<JournalHeader> {
         let body = verify_line_checksum(line)?;
         let fields: Vec<&str> = body.split(' ').collect();
-        if fields.len() < 6 || fields[0] != JOURNAL_MAGIC {
-            return None;
-        }
-        let version = fields[1].parse::<u32>().ok()?;
-        let v2 = version == JOURNAL_FORMAT_VERSION;
-        if !v2 && !JOURNAL_COMPAT_VERSIONS.contains(&version) {
-            return None;
-        }
-        if fields.len() != if v2 { 7 } else { 6 } {
+        if fields.len() != 7
+            || fields[0] != JOURNAL_MAGIC
+            || fields[1] != JOURNAL_FORMAT_VERSION.to_string()
+        {
             return None;
         }
         let (shard_index, shard_count) = fields[5].split_once('/')?;
-        let shard_index: u32 = shard_index.parse().ok()?;
-        let shard_count: u32 = shard_count.parse().ok()?;
-        let total_jobs: u64 = fields[4].parse().ok()?;
-        let range = if v2 {
-            let (start, end) = fields[6].split_once('-')?;
-            let (start, end) = (start.parse().ok()?, end.parse().ok()?);
-            (start <= end).then_some((start, end))?
-        } else {
-            // v1 carried no range field; reconstruct it from the shard
-            // arithmetic it was written under.
-            partition_range(total_jobs, shard_index, shard_count)
-        };
+        let (start, end) = fields[6].split_once('-')?;
+        let (start, end) = (start.parse().ok()?, end.parse().ok()?);
         Some(JournalHeader {
             campaign: fields[2].to_string(),
             campaign_seed: u64::from_str_radix(fields[3], 16).ok()?,
-            total_jobs,
-            shard_index,
-            shard_count,
-            range,
+            total_jobs: fields[4].parse().ok()?,
+            shard_index: shard_index.parse().ok()?,
+            shard_count: shard_count.parse().ok()?,
+            range: (start <= end).then_some((start, end))?,
         })
     }
 }
@@ -530,7 +488,6 @@ impl FileSink {
 pub struct JournalWriter {
     tx: mpsc::Sender<WriterMessage>,
     handle: Option<JoinHandle<Result<u64, JournalError>>>,
-    path: PathBuf,
 }
 
 impl JournalWriter {
@@ -550,7 +507,7 @@ impl JournalWriter {
         file.write_all(b"\n")?;
         file.flush()?;
         let offset = header_line.len() as u64 + 1;
-        Ok(JournalWriter::spawn(path, file, offset, faults))
+        Ok(JournalWriter::spawn(file, offset, faults))
     }
 
     /// Reopens an existing journal for appending, first truncating it to
@@ -561,15 +518,10 @@ impl JournalWriter {
         file.set_len(valid_bytes)?;
         let mut file = file;
         file.seek(SeekFrom::Start(valid_bytes))?;
-        Ok(JournalWriter::spawn(path, file, valid_bytes, None))
+        Ok(JournalWriter::spawn(file, valid_bytes, None))
     }
 
-    fn spawn(
-        path: &Path,
-        file: File,
-        offset: u64,
-        faults: Option<WriteFaultHook>,
-    ) -> JournalWriter {
+    fn spawn(file: File, offset: u64, faults: Option<WriteFaultHook>) -> JournalWriter {
         let (tx, rx) = mpsc::channel::<WriterMessage>();
         let handle = std::thread::spawn(move || -> Result<u64, JournalError> {
             let mut sink = FileSink {
@@ -608,13 +560,7 @@ impl JournalWriter {
         JournalWriter {
             tx,
             handle: Some(handle),
-            path: path.to_path_buf(),
         }
-    }
-
-    /// Path of the journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Queues one record for writing.  Never blocks on IO; the write happens
@@ -658,6 +604,7 @@ impl Drop for JournalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -790,25 +737,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_still_load_with_synthesized_range() {
-        // A hand-crafted v1 journal (6-field header, no checkpoints): the
-        // reader must accept it and reconstruct the shard's range from the
-        // same partition math the v1 writer used.
-        let path = temp_path("v1compat");
+    fn v1_journals_are_rejected() {
+        // A hand-crafted v1 journal (6-field header, no range field) is not
+        // a journal any more: it fails like any other missing header.
+        let path = temp_path("v1");
         let body = format!("{JOURNAL_MAGIC} 1 legacy:k10 {:016x} 10 1/3", 0xBEEFu64);
         let mut text = format!("{body} {:016x}\n", checksum(body.as_bytes()));
-        for (idx, payload) in [(3u64, "a"), (4, "b"), (5, "c")] {
-            let digest = checksum(payload.as_bytes());
-            let rbody = format!("R {idx} {:016x} {digest:016x} {payload}", 100 + idx);
-            text.push_str(&format!("{rbody} {:016x}\n", checksum(rbody.as_bytes())));
-        }
+        let rbody = format!("R 3 {:016x} {:016x} a", 103, checksum(b"a"));
+        text.push_str(&format!("{rbody} {:016x}\n", checksum(rbody.as_bytes())));
         std::fs::write(&path, &text).unwrap();
-        let loaded = load_journal(&path).unwrap();
-        // Shard 1/3 of 10 jobs covers [3, 6) under the exact partition.
-        assert_eq!(loaded.header.range, (3, 6));
-        assert_eq!(loaded.header.total_jobs, 10);
-        assert_eq!(loaded.records.len(), 3);
-        assert!(loaded.checkpoint.is_none());
+        match load_journal(&path) {
+            Err(JournalError::Format(msg)) => assert!(msg.contains("no valid journal header")),
+            other => panic!("expected a format error, got {other:?}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

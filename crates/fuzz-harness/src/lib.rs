@@ -23,10 +23,12 @@
 //! * [`exec`] — the parallel campaign engine every driver above runs on: a
 //!   bounded-queue worker pool with per-job deterministic seeding and
 //!   index-ordered aggregation, so that for a fixed campaign seed the
-//!   rendered tables are bit-identical at any thread count — and, since
-//!   every driver job is a [`StagedJob`] (generate → execute → judge), in
-//!   either scheduler mode: whole-job batches or the pipelined stage
-//!   hand-off ([`SchedulerMode::Pipelined`], `--pipeline`).
+//!   rendered tables are bit-identical at any thread count;
+//! * [`shard`] — the one [`Campaign`] trait every job space above
+//!   implements ([`ModeCampaign`], [`ClassificationCampaign`],
+//!   [`EmiCampaign`], [`CorpusCampaign`]), and the one executor they all
+//!   run on: shards ([`run_shard`]), fleet leases ([`run_lease`]) and
+//!   journal merges ([`merge`]).
 //!
 //! Every driver comes in two forms: the historical signature (e.g.
 //! [`run_mode_campaign`]), which fans out over [`exec::Scheduler::from_env`]
@@ -54,19 +56,16 @@ pub use benchmark_emi::{
     BodyShard, CellOutcome, CellTally, EmiBenchmark, InjectedVariants,
 };
 pub use campaign::{
-    classification_descriptor, classify_configurations, classify_configurations_range,
-    classify_configurations_sharded, classify_configurations_with, merge_classification_journals,
-    merge_mode_campaign_journals, mode_campaign_descriptor, quick_differential, reliability_rows,
-    run_mode_campaign, run_mode_campaign_with, run_modes_campaign_range,
-    run_modes_campaign_sharded, CampaignOptions, CampaignResult, ClassificationTally,
-    GeneratedKernel, KernelJob, ModeTally, MultiModeTally, ReliabilityRow, ShardedClassification,
+    classification_descriptor, classify_configurations, classify_configurations_sharded,
+    classify_configurations_with, mode_campaign_descriptor, parsed_options, quick_differential,
+    reliability_rows, run_mode_campaign, run_mode_campaign_with, run_modes_campaign_sharded,
+    CampaignOptions, CampaignResult, ClassificationCampaign, ClassificationTally, GeneratedKernel,
+    KernelJob, ModeCampaign, ModeTally, MultiModeTally, ReliabilityRow, ShardedClassification,
     ShardedModeCampaign, TargetStats, RELIABILITY_THRESHOLD,
 };
 pub use corpus::{
-    corpus_campaign_descriptor, merge_corpus_campaign_journals, run_corpus_campaign,
-    run_corpus_campaign_range, run_corpus_campaign_sharded, run_corpus_campaign_with,
-    CorpusCampaignResult, CorpusJob, CorpusOptions, CorpusRecord, CorpusStrategy, CorpusTally,
-    ShardedCorpusCampaign, StrategyTally,
+    corpus_campaign_descriptor, run_corpus_campaign_with, CorpusCampaign, CorpusCampaignResult,
+    CorpusJob, CorpusOptions, CorpusRecord, CorpusStrategy, CorpusTally, StrategyTally,
 };
 pub use differential::{
     classify, differential_test, run_on_targets, run_on_targets_session, targets_for, TestTarget,
@@ -74,24 +73,20 @@ pub use differential::{
 };
 pub use emi_campaign::{
     emi_campaign_descriptor, generate_live_bases, generate_live_bases_with, judge_base,
-    judge_base_sessions, judge_outcomes, merge_emi_campaign_journals, pruning_grid,
-    run_emi_campaign, run_emi_campaign_sharded, run_emi_campaign_with, EmiBaseJob,
-    EmiCampaignOptions, EmiCampaignResult, EmiOutcomeGrid, EmiStats, EmiTally, EmiVariantGrid,
-    LivenessCandidate, LivenessOutcomes, LivenessProbeJob, ShardedEmiCampaign,
+    judge_base_sessions, judge_outcomes, pruning_grid, run_emi_campaign, run_emi_campaign_sharded,
+    run_emi_campaign_with, EmiBaseJob, EmiCampaign, EmiCampaignOptions, EmiCampaignResult,
+    EmiOutcomeGrid, EmiStats, EmiTally, EmiVariantGrid, LivenessCandidate, LivenessOutcomes,
+    LivenessProbeJob, ShardedEmiCampaign,
 };
-pub use exec::{
-    expect_completed, job_seed, Job, JobFailure, JobResult, PipelineMetrics, Scheduler,
-    SchedulerMode, Stage, StagedJob,
-};
+pub use exec::{expect_completed, job_seed, Job, JobFailure, JobResult, Scheduler, StagedJob};
 pub use faults::{tear_journal_tail, FaultKind, FaultPlan, FaultSpec, LeaseFault};
 pub use fleet::{
     run_worker, Coordinator, DeadLetter, FleetCommand, FleetOptions, FleetOutcome, FleetReply,
     LeaseRecord, ProcessWorker, WorkerLink,
 };
 pub use journal::{
-    checksum, compact_journal, load_journal, partition_range, Checkpoint, JournalError,
-    JournalHeader, JournalRecord, JournalWriter, LoadedJournal, JOURNAL_FORMAT_VERSION,
-    JOURNAL_MAGIC,
+    checksum, compact_journal, load_journal, Checkpoint, JournalError, JournalHeader,
+    JournalRecord, JournalWriter, LoadedJournal, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
 };
 pub use opencl_sim::ExecutionTier;
 pub use report::{
@@ -99,7 +94,7 @@ pub use report::{
     render_reliability_table, render_table, EMPTY_CELL,
 };
 pub use shard::{
-    lease_header, refold_journal_records, refold_journals, run_range_fold, run_sharded,
+    lease_header, merge, run_lease, run_range_fold, run_shard, run_sharded, Campaign,
     CheckpointPolicy, FoldRun, JournalOptions, JournalPayload, Mergeable, RefoldSummary,
     ShardMetrics, ShardRun, ShardSelect, ShardSpec,
 };

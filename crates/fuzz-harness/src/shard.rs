@@ -1,24 +1,23 @@
-//! The shard/merge layer: every campaign driver runs as a set of **shards**
-//! over an explicit, serializable job index space, with an optional
-//! resumable journal ([`crate::journal`]) and deterministic merge.
-//!
-//! Three pieces:
+//! The shard/merge layer: every campaign is a [`Campaign`] — an explicit,
+//! serializable job index space with a mergeable tally — and runs through
+//! one executor, [`run_range_fold`], with an optional resumable journal
+//! ([`crate::journal`]) and a deterministic merge.
 //!
 //! * [`ShardSpec`] / [`ShardSelect`] — a campaign's job space is
 //!   `0..total_jobs`; a spec names one contiguous slice of it (shard `i` of
 //!   `n`).  Because every job's seed is a pure function of the campaign
 //!   seed and the job *index* (`campaign_seed → splitmix → job_seed`), any
 //!   slice is independently computable on any machine.
-//! * [`run_sharded`] — the shared shard executor the drivers' `*_with`
-//!   forms are thin folds over: it resolves which jobs in the slice still
-//!   need to run (skipping journaled ones on `--resume`), executes them on
-//!   a [`Scheduler`], streams each completed record to the journal's writer
-//!   thread in completion order, and hands back every (index, output) pair
-//!   of the slice in job-index order.
-//! * [`Mergeable`] + [`refold_journals`] — aggregation states
-//!   (`ModeTally`, classification tables, EMI verdicts, benchmark rows)
-//!   serialize, deserialize and merge associatively, and any subset of
-//!   shard journals refolds into one aggregate for full or partial tables.
+//! * [`run_range_fold`] — the executor: it runs the jobs of one range that
+//!   its journal does not already hold, streams each completed record to
+//!   the journal's writer thread, and folds every output into the tally in
+//!   job-index order.  [`run_shard`] runs a shard as a checkpoint-free
+//!   range under its `I/N` header; [`run_lease`] runs a fleet lease with
+//!   checkpoints under its lease header.
+//! * [`Mergeable`] + [`merge`] — tallies serialize, deserialize and merge
+//!   associatively, and any subset of a campaign's shard or lease journals
+//!   merges into one tally for full or partial tables, rebuilding the
+//!   campaign from the journals' descriptor alone.
 //!
 //! The invariant the `shard_equivalence` integration test pins: for a fixed
 //! campaign seed, *(single process)* ≡ *(N shards merged)* ≡ *(killed at
@@ -28,10 +27,13 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::exec::{JobResult, PipelineMetrics, Scheduler, StagedJob};
+use opencl_sim::Configuration;
+
+use crate::exec::{expect_completed, JobResult, Scheduler, StagedJob};
+use crate::fleet::LeaseRecord;
 use crate::journal::{
     compact_journal, load_journal, Checkpoint, JournalError, JournalHeader, JournalRecord,
-    JournalWriter, LoadedJournal,
+    JournalWriter,
 };
 
 /// A shard's slice of a campaign: the campaign seed, the size of the global
@@ -49,16 +51,6 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// The whole job space as a single shard.
-    pub fn full(campaign_seed: u64, total_jobs: u64) -> ShardSpec {
-        ShardSpec {
-            campaign_seed,
-            total_jobs,
-            shard_index: 0,
-            shard_count: 1,
-        }
-    }
-
     /// Shard `select.index` of `select.count` over `0..total_jobs`.
     pub fn select(campaign_seed: u64, total_jobs: u64, select: ShardSelect) -> ShardSpec {
         ShardSpec {
@@ -161,8 +153,13 @@ impl std::fmt::Display for ShardSelect {
 /// **associatively** (merging per-shard aggregates in any grouping yields
 /// the same state as folding every job into one aggregate).
 pub trait Mergeable: Sized {
-    /// Folds `other` into `self`.
+    /// Folds `other` into `self`; both must have the [same
+    /// shape](Mergeable::same_shape).
     fn merge(&mut self, other: Self);
+    /// Whether `other` has this tally's shape (mode and target counts), so
+    /// that merging it is defined.  A journal's checkpoint tally is checked
+    /// against the campaign's empty tally before it is merged.
+    fn same_shape(&self, other: &Self) -> bool;
     /// Serializes to a single whitespace-free token.
     fn serialize(&self) -> String;
     /// Parses a token produced by [`Mergeable::serialize`].
@@ -177,9 +174,14 @@ pub trait JournalPayload: Sized {
     fn encode(&self) -> String;
     /// Parses a token produced by [`JournalPayload::encode`].
     fn decode(text: &str) -> Result<Self, JournalError>;
+    /// Target columns the output carries (a verdict row's length); a
+    /// campaign folds only outputs of its own [width](Campaign::width).
+    fn width(&self) -> usize {
+        1
+    }
 }
 
-/// Where (and whether) a sharded run journals its progress.
+/// Where (and whether) a run journals its progress.
 #[derive(Debug, Clone)]
 pub struct JournalOptions {
     /// Journal file path.
@@ -207,9 +209,8 @@ impl JournalOptions {
     }
 }
 
-/// What a sharded run did: how much came from the journal, how much ran,
-/// and how big the journal grew.  Surfaced in the throughput bench JSON
-/// next to the `dedupe_*` axes.
+/// What a run did: how much came from the journal, how much ran, and how
+/// big the journal grew.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Jobs restored from the journal instead of executed.
@@ -220,7 +221,7 @@ pub struct ShardMetrics {
     pub journal_bytes: u64,
     /// Corrupt tail bytes dropped on resume (a mid-write kill's residue).
     pub dropped_bytes: u64,
-    /// Shard count of the spec the run executed under.
+    /// Shard count of the header the run executed under (0 for a lease).
     pub shard_count: u32,
 }
 
@@ -232,9 +233,6 @@ pub struct ShardRun<T> {
     pub outputs: Vec<(u64, T)>,
     /// Resume/journal metrics.
     pub metrics: ShardMetrics,
-    /// What the staged run measured about itself: per-stage busy time in
-    /// both scheduler modes, hand-off queue depth in the pipelined mode.
-    pub pipeline: PipelineMetrics,
 }
 
 /// Validates that a loaded journal belongs to the campaign and shard the
@@ -244,41 +242,20 @@ fn validate_header(
     expected: &JournalHeader,
     path: &Path,
 ) -> Result<(), JournalError> {
-    if loaded != expected {
-        return Err(JournalError::Mismatch(format!(
-            "{} was written by campaign {:?} (seed {:016x}, {} jobs, shard {}/{}), \
-             expected {:?} (seed {:016x}, {} jobs, shard {}/{})",
-            path.display(),
-            loaded.campaign,
-            loaded.campaign_seed,
-            loaded.total_jobs,
-            loaded.shard_index,
-            loaded.shard_count,
-            expected.campaign,
-            expected.campaign_seed,
-            expected.total_jobs,
-            expected.shard_index,
-            expected.shard_count,
-        )));
+    if loaded == expected {
+        return Ok(());
     }
-    Ok(())
+    Err(JournalError::Mismatch(format!(
+        "{} was written under {loaded:?}, expected {expected:?}",
+        path.display()
+    )))
 }
 
-/// The shared shard executor (see the module docs).
+/// Runs one shard's slice and returns every job's output in index order —
+/// [`run_range_fold`] under the shard's header, folding into a list.
 ///
-/// `make_job` maps a global job index to its derived seed and job; it is
-/// called once per job the shard still needs to execute.  Jobs are
-/// [`StagedJob`]s, so the scheduler's [mode](crate::exec::SchedulerMode)
-/// decides whether each runs whole on one worker or as pipelined
-/// generate → execute → judge stages — journaling, resume and the caller's
-/// fold are oblivious to the choice, because completed jobs stream to the
-/// journal writer thread in completion order either way and outputs are
-/// returned in job-index order.
-///
-/// A panicking job is re-raised deterministically (lowest failed index)
-/// *after* every completed job of the batch has been journaled — so even a
-/// campaign aborted by a poisoned job resumes from everything that
-/// finished.
+/// `make_job` maps a global job index to its derived seed and job.  Shard
+/// runs write no checkpoints, so a journal carrying one cannot resume here.
 pub fn run_sharded<J, F>(
     scheduler: &Scheduler,
     spec: &ShardSpec,
@@ -291,100 +268,45 @@ where
     J::Output: JournalPayload,
     F: Fn(u64) -> (u64, J),
 {
-    let range = spec.job_range();
-    let expected_header = spec.header(campaign);
-
-    // Phase 1: restore journaled outputs on resume.
-    let mut resumed: BTreeMap<u64, J::Output> = BTreeMap::new();
-    let mut dropped_bytes = 0u64;
-    let mut resume_from: Option<u64> = None;
-    if let Some(options) = journal {
-        if options.resume && options.path.exists() {
-            let LoadedJournal {
-                header,
-                records,
-                checkpoint,
-                valid_bytes,
-                dropped_bytes: dropped,
-            } = load_journal(&options.path)?;
-            validate_header(&header, &expected_header, &options.path)?;
-            if checkpoint.is_some() {
-                // A checkpoint folds covered jobs into one aggregate; the
-                // per-output resume below cannot reconstruct them.  Such
-                // journals belong to the fold-based executor.
-                return Err(JournalError::Mismatch(format!(
-                    "{} carries a checkpoint; resume it with a fold-based \
-                     (checkpointing) run, not a per-output shard run",
-                    options.path.display()
-                )));
-            }
-            dropped_bytes = dropped;
-            resume_from = Some(valid_bytes);
-            for record in records {
-                if !range.contains(&record.job_index) {
-                    return Err(JournalError::Mismatch(format!(
-                        "{} contains job {} outside shard range {}..{}",
-                        options.path.display(),
-                        record.job_index,
-                        range.start,
-                        range.end
-                    )));
-                }
-                resumed.insert(record.job_index, J::Output::decode(&record.payload)?);
-            }
-        }
-    }
-
-    // Phase 2: build the jobs the shard still needs.
-    let mut pending: Vec<(u64, u64, J)> = Vec::new();
-    for index in range.clone() {
-        if !resumed.contains_key(&index) {
-            let (seed, job) = make_job(index);
-            pending.push((index, seed, job));
-        }
-    }
-
-    // Phase 3: execute, streaming completed records to the writer thread.
-    let writer = match journal {
-        Some(options) => Some(match resume_from {
-            Some(valid_bytes) => JournalWriter::append(&options.path, valid_bytes)?,
-            None => JournalWriter::create(&options.path, &expected_header)?,
-        }),
-        None => None,
-    };
-    let meta: Vec<(u64, u64)> = pending.iter().map(|(i, s, _)| (*i, *s)).collect();
-    let jobs: Vec<J> = pending.into_iter().map(|(_, _, job)| job).collect();
-    let (results, pipeline) = scheduler.run_staged_metrics(jobs, |batch_index, result| {
-        if let (Some(writer), JobResult::Completed(output)) = (&writer, result) {
-            let (index, seed) = meta[batch_index];
-            writer.record(JournalRecord::new(index, seed, output.encode()));
-        }
-    });
-    let journal_bytes = match writer {
-        Some(writer) => writer.finish()?,
-        None => 0,
-    };
-
-    // Phase 4: re-raise contained panics (after journaling), then merge
-    // fresh and resumed outputs in job-index order.
-    let fresh = crate::exec::expect_completed(results);
-    let jobs_resumed = resumed.len() as u64;
-    let jobs_replayed = fresh.len() as u64;
-    let mut outputs: BTreeMap<u64, J::Output> = resumed;
-    for ((index, _), output) in meta.into_iter().zip(fresh) {
-        outputs.insert(index, output);
-    }
-    Ok(ShardRun {
-        outputs: outputs.into_iter().collect(),
-        metrics: ShardMetrics {
-            jobs_resumed,
-            jobs_replayed,
-            journal_bytes,
-            dropped_bytes,
-            shard_count: spec.shard_count,
+    let run = run_range_fold(
+        scheduler,
+        &spec.header(campaign),
+        journal,
+        None,
+        None,
+        make_job,
+        Outputs(Vec::new()),
+        |outputs, g, output| {
+            outputs.0.push((g, output));
+            Ok(())
         },
-        pipeline,
+    )?;
+    Ok(ShardRun {
+        outputs: run.aggregate.0,
+        metrics: run.metrics,
     })
+}
+
+/// [`run_sharded`]'s aggregate: the outputs themselves, in fold order.
+struct Outputs<T>(Vec<(u64, T)>);
+
+impl<T> Mergeable for Outputs<T> {
+    fn merge(&mut self, other: Self) {
+        self.0.extend(other.0);
+    }
+
+    fn same_shape(&self, _: &Self) -> bool {
+        true
+    }
+
+    fn serialize(&self) -> String {
+        unreachable!("shard runs write no checkpoints")
+    }
+
+    fn deserialize(_: &str) -> Result<Self, JournalError> {
+        let msg = "a checkpointed journal cannot resume a per-output shard run";
+        Err(JournalError::Mismatch(msg.into()))
+    }
 }
 
 /// How often a fold-based run emits journal checkpoints: one `K` line per
@@ -393,12 +315,6 @@ where
 pub struct CheckpointPolicy {
     /// Jobs folded between checkpoints (at least 1).
     pub every: u64,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> CheckpointPolicy {
-        CheckpointPolicy { every: 32 }
-    }
 }
 
 /// Output of [`run_range_fold`]: the folded aggregate of the journal's
@@ -411,49 +327,52 @@ pub struct FoldRun<A> {
     pub jobs: u64,
     /// Resume/journal metrics.
     pub metrics: ShardMetrics,
-    /// Stage-scheduler self-measurement.
-    pub pipeline: PipelineMetrics,
 }
 
-/// The fold-based range executor behind checkpointing journals and the
-/// fleet's lease workers.
+/// The executor every campaign runs on: the jobs of `header.range` that the
+/// journal does not already hold, folded into `aggregate`.
 ///
-/// Unlike [`run_sharded`] it never materializes per-job outputs: completed
-/// jobs are folded into a running aggregate as soon as the **contiguous
-/// completed prefix** of the range advances past them (a watermark — jobs
-/// finish out of order under a parallel scheduler, the fold stays in
-/// ascending index order regardless).  With a [`CheckpointPolicy`] the
-/// running aggregate is serialized into the journal as a `K` line every
-/// `every` folded jobs, and the journal is compacted after the run — resume
-/// cost is then O(tail since last checkpoint), not O(run).
+/// Completed jobs are folded as soon as the **contiguous completed prefix**
+/// of the range advances past them (a watermark — jobs finish out of order
+/// under a parallel scheduler, the fold stays in ascending index order
+/// regardless).  With a
+/// [`CheckpointPolicy`] the running aggregate is serialized into the
+/// journal as a `K` line every `every` folded jobs, and the journal is
+/// compacted after the run — resume cost is then O(tail since last
+/// checkpoint), not O(run).
 ///
 /// `fold` must agree with the journal payload round-trip: an executed
 /// output is folded via `decode(encode(output))`, exactly the value a
 /// resumed run would fold, so the two are bit-identical by construction.
 /// The aggregate's [`Mergeable::merge`] must be commutative as well as
-/// associative (every tally in this codebase is a vector of counters).
+/// associative (every tally in this codebase is a vector of counters).  A
+/// `fold` error — a journaled output the campaign cannot fold — ends the
+/// run with that error.
 ///
 /// `stop_before` truncates execution to `[range.0, stop_before)` while
 /// keeping the journal's declared range intact — the fault-injection layer
 /// uses it to abandon a lease at a chosen job index; a later resume of the
 /// same journal completes the rest.
+///
+/// A panicking job is re-raised deterministically (lowest failed index)
+/// *after* every completed job of the batch has been journaled, so even a
+/// campaign aborted by a poisoned job resumes from everything that
+/// finished.
 #[allow(clippy::too_many_arguments)]
-pub fn run_range_fold<J, A, F, G>(
+pub fn run_range_fold<J, A>(
     scheduler: &Scheduler,
     header: &JournalHeader,
     journal: Option<&JournalOptions>,
     checkpoint: Option<CheckpointPolicy>,
     stop_before: Option<u64>,
-    make_job: F,
-    init: impl FnOnce() -> A,
-    mut fold: G,
+    make_job: impl Fn(u64) -> (u64, J),
+    mut aggregate: A,
+    mut fold: impl FnMut(&mut A, u64, J::Output) -> Result<(), JournalError>,
 ) -> Result<FoldRun<A>, JournalError>
 where
     J: StagedJob,
     J::Output: JournalPayload,
     A: Mergeable,
-    F: Fn(u64) -> (u64, J),
-    G: FnMut(&mut A, u64, J::Output),
 {
     let range = header.range.0..header.range.1;
     let limit = stop_before
@@ -462,7 +381,6 @@ where
 
     // Phase 1: resume — seed the aggregate from the checkpoint, restore the
     // uncovered records, and advance the watermark over both.
-    let mut aggregate = init();
     let mut watermark = range.start;
     let mut staged: BTreeMap<u64, J::Output> = BTreeMap::new();
     let mut jobs_resumed = 0u64;
@@ -475,36 +393,30 @@ where
             dropped_bytes = loaded.dropped_bytes;
             resume_from = Some(loaded.valid_bytes);
             if let Some(cp) = &loaded.checkpoint {
-                aggregate.merge(A::deserialize(&cp.aggregate)?);
+                merge_checkpoint(&mut aggregate, &cp.aggregate, &options.path)?;
                 watermark = cp.upto;
                 jobs_resumed += cp.jobs;
             }
             for record in loaded.records {
-                if !range.contains(&record.job_index) {
-                    return Err(JournalError::Mismatch(format!(
-                        "{} contains job {} outside range {}..{}",
-                        options.path.display(),
-                        record.job_index,
-                        range.start,
-                        range.end
-                    )));
-                }
+                check_in_range(&record, &range, &options.path)?;
                 staged.insert(record.job_index, J::Output::decode(&record.payload)?);
                 jobs_resumed += 1;
             }
             while let Some(output) = staged.remove(&watermark) {
-                fold(&mut aggregate, watermark, output);
+                fold(&mut aggregate, watermark, output)?;
                 watermark += 1;
             }
         }
     }
 
     // Phase 2: the jobs still missing below the execution limit.
-    let mut pending: Vec<(u64, u64, J)> = Vec::new();
+    let mut meta: Vec<(u64, u64)> = Vec::new();
+    let mut jobs: Vec<J> = Vec::new();
     for index in watermark..limit {
         if !staged.contains_key(&index) {
             let (seed, job) = make_job(index);
-            pending.push((index, seed, job));
+            meta.push((index, seed));
+            jobs.push(job);
         }
     }
 
@@ -517,13 +429,11 @@ where
         }),
         None => None,
     };
-    let meta: Vec<(u64, u64)> = pending.iter().map(|(i, s, _)| (*i, *s)).collect();
-    let jobs: Vec<J> = pending.into_iter().map(|(_, _, job)| job).collect();
     let jobs_replayed = jobs.len() as u64;
     let mut checkpointed_upto = watermark;
     let mut since_checkpoint = 0u64;
     let mut fold_error: Option<JournalError> = None;
-    let (results, pipeline) = scheduler.run_staged_metrics(jobs, |batch_index, result| {
+    let results = scheduler.run_streaming(jobs, |batch_index, result| {
         let JobResult::Completed(output) = result else {
             return;
         };
@@ -537,19 +447,18 @@ where
         }
         // Fold through the journal token round-trip so an executed job
         // contributes bit-identically to a resumed one.
-        match J::Output::decode(&token) {
-            Ok(decoded) => {
-                staged.insert(index, decoded);
+        let folded = J::Output::decode(&token).and_then(|decoded| {
+            staged.insert(index, decoded);
+            while let Some(next) = staged.remove(&watermark) {
+                fold(&mut aggregate, watermark, next)?;
+                watermark += 1;
+                since_checkpoint += 1;
             }
-            Err(e) => {
-                fold_error = Some(e);
-                return;
-            }
-        }
-        while let Some(next) = staged.remove(&watermark) {
-            fold(&mut aggregate, watermark, next);
-            watermark += 1;
-            since_checkpoint += 1;
+            Ok(())
+        });
+        if let Err(e) = folded {
+            fold_error = Some(e);
+            return;
         }
         if let (Some(policy), Some(writer)) = (&checkpoint, &writer) {
             if since_checkpoint >= policy.every.max(1) && watermark > checkpointed_upto {
@@ -566,7 +475,7 @@ where
     if let (Some(_), Some(writer)) = (&checkpoint, &writer) {
         // Final checkpoint: everything folded so far, so the compacted
         // journal is header + one K line (+ any out-of-order residue).
-        if watermark > checkpointed_upto {
+        if watermark > checkpointed_upto && fold_error.is_none() {
             writer.checkpoint(Checkpoint {
                 upto: watermark,
                 jobs: watermark - range.start,
@@ -584,7 +493,7 @@ where
     }
 
     // Phase 4: re-raise contained panics, then surface any fold error.
-    crate::exec::expect_completed(results);
+    expect_completed(results);
     if let Some(error) = fold_error {
         return Err(error);
     }
@@ -599,11 +508,158 @@ where
             dropped_bytes,
             shard_count: header.shard_count,
         },
-        pipeline,
     })
 }
 
-/// What a refold over a set of journals covered.
+/// Merges a journal's checkpoint tally into `aggregate`, refusing one whose
+/// shape differs from the campaign's.
+fn merge_checkpoint<A: Mergeable>(
+    aggregate: &mut A,
+    token: &str,
+    path: &Path,
+) -> Result<(), JournalError> {
+    let part = A::deserialize(token)?;
+    if !aggregate.same_shape(&part) {
+        return Err(JournalError::Format(format!(
+            "{} holds a checkpoint tally of the wrong shape for its campaign",
+            path.display()
+        )));
+    }
+    aggregate.merge(part);
+    Ok(())
+}
+
+/// Refuses a record outside the journal's declared range.
+fn check_in_range(
+    record: &JournalRecord,
+    range: &Range<u64>,
+    path: &Path,
+) -> Result<(), JournalError> {
+    if range.contains(&record.job_index) {
+        return Ok(());
+    }
+    Err(JournalError::Mismatch(format!(
+        "{} contains job {} outside range {}..{}",
+        path.display(),
+        record.job_index,
+        range.start,
+        range.end
+    )))
+}
+
+/// A campaign's job space: what every shard run, fleet lease and merge of
+/// it needs to agree on.
+///
+/// Job `g` of `0..total_jobs()` is built by [`Campaign::job`] with its
+/// seed, run whole on one worker, and its output (journaled as a
+/// [`JournalPayload`]) is folded into the campaign's [`Mergeable`] tally by
+/// [`Campaign::fold`] in job-index order.  [`Campaign::descriptor`] names
+/// the job space in every journal header, and [`Campaign::parse`] rebuilds
+/// the campaign from such a header: the job space, tally and fold — all a
+/// merge needs — but not job inputs the descriptor only fingerprints
+/// (generator options, live bases), so a parsed campaign is merged, never
+/// run.
+pub trait Campaign: Sized {
+    /// One job of the space.
+    type Job: StagedJob<Output: JournalPayload>;
+    /// The aggregation state jobs fold into.
+    type Tally: Mergeable;
+
+    /// The single-token descriptor written into every journal header.
+    fn descriptor(&self) -> String;
+    /// Rebuilds the campaign from a journal header (`configs` are the
+    /// target configurations the merging table renders).
+    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError>;
+    /// The campaign seed every job seed derives from.
+    fn seed(&self) -> u64;
+    /// Size of the job index space.
+    fn total_jobs(&self) -> u64;
+    /// Job `g` and its derived seed (recorded in the journal).
+    fn job(&self, g: u64) -> (u64, Self::Job);
+    /// The empty tally.
+    fn tally(&self) -> Self::Tally;
+    /// Folds job `g`'s output into `tally`.
+    fn fold(&self, tally: &mut Self::Tally, g: u64, output: Output<Self>);
+    /// The [width](JournalPayload::width) of every job's output.
+    fn width(&self) -> usize {
+        1
+    }
+}
+
+/// What one job of campaign `C` journals and folds.
+pub type Output<C> = <<C as Campaign>::Job as StagedJob>::Output;
+
+/// [`Campaign::fold`] behind the check every executor and merge shares: an
+/// output of the wrong width (a corrupt or foreign journal record) is a
+/// [`JournalError`], never a panic.
+fn fold_checked<C: Campaign>(
+    campaign: &C,
+    tally: &mut C::Tally,
+    g: u64,
+    output: Output<C>,
+) -> Result<(), JournalError> {
+    if output.width() != campaign.width() {
+        return Err(JournalError::Format(format!(
+            "job {g} has {} column(s); the campaign's jobs have {}",
+            output.width(),
+            campaign.width()
+        )));
+    }
+    campaign.fold(tally, g, output);
+    Ok(())
+}
+
+/// Runs one shard of `campaign`: a checkpoint-free range under its `I/N`
+/// header, optionally journaled and resumed.
+pub fn run_shard<C: Campaign>(
+    scheduler: &Scheduler,
+    campaign: &C,
+    select: ShardSelect,
+    journal: Option<&JournalOptions>,
+) -> Result<FoldRun<C::Tally>, JournalError> {
+    let spec = ShardSpec::select(campaign.seed(), campaign.total_jobs(), select);
+    run_range_fold(
+        scheduler,
+        &spec.header(&campaign.descriptor()),
+        journal,
+        None,
+        None,
+        |g| campaign.job(g),
+        campaign.tally(),
+        |tally, g, output| fold_checked(campaign, tally, g, output),
+    )
+}
+
+/// Runs one fleet lease of `campaign`: its range under a lease header,
+/// resuming the lease journal and checkpointing into it, truncated at
+/// `stop_before` when a fault is scheduled there.
+pub fn run_lease<C: Campaign>(
+    scheduler: &Scheduler,
+    campaign: &C,
+    lease: &LeaseRecord,
+    checkpoint: CheckpointPolicy,
+    stop_before: Option<u64>,
+) -> Result<FoldRun<C::Tally>, JournalError> {
+    let header = lease_header(
+        &campaign.descriptor(),
+        campaign.seed(),
+        campaign.total_jobs(),
+        lease.id,
+        lease.start..lease.end,
+    );
+    run_range_fold(
+        scheduler,
+        &header,
+        Some(&JournalOptions::resume(&lease.journal)),
+        Some(checkpoint),
+        stop_before,
+        |g| campaign.job(g),
+        campaign.tally(),
+        |tally, g, output| fold_checked(campaign, tally, g, output),
+    )
+}
+
+/// What a merge over a set of journals covered.
 #[derive(Debug, Clone)]
 pub struct RefoldSummary {
     /// The campaign header shared by every journal (shard fields taken from
@@ -617,132 +673,82 @@ pub struct RefoldSummary {
     pub jobs_folded: u64,
     /// Whether every job of the space was present (a complete table).
     pub complete: bool,
-    /// Total bytes across the journal files.
-    pub journal_bytes: u64,
     /// Number of journal files merged.
     pub journals: usize,
 }
 
-/// Refolds any subset of a campaign's shard (or fleet lease) journals into
-/// one aggregate: loads every journal, validates they belong to the same
-/// campaign, sorts all records by job index (duplicate indices must carry
-/// identical digests — overlapping shards are fine, conflicting ones are
-/// corrupt), and folds each payload in index order.
+/// Merges any subset of a campaign's shard or lease journals into one
+/// tally, without generating or running a single job.
 ///
-/// A journal carrying a checkpoint contributes its pre-folded aggregate
-/// directly (merged via [`Mergeable`]); its segment `[range.0, upto)` must
-/// not overlap any other journal's checkpoint segment (there is no per-job
+/// The campaign is [parsed](Campaign::parse) from the first journal's
+/// header, and every journal must carry the same descriptor, seed and job
+/// count.  Records are folded in job-index order; duplicate indices must
+/// carry identical digests (overlapping shards are fine, conflicting ones
+/// are corrupt).  A journal carrying a checkpoint contributes its
+/// pre-folded tally directly; its segment `[range.0, upto)` must not
+/// overlap any other journal's checkpoint segment (there is no per-job
 /// digest left to arbitrate a conflict), and plain records duplicated under
 /// a checkpoint segment are dropped as redundant.
 ///
-/// `expect_campaign` filters which campaigns the caller can consume (e.g. a
-/// `table4` merge rejects `emi:*` journals); `init` builds the empty
-/// aggregate from the validated header.
-pub fn refold_journals<P, T>(
+/// Journal input is checked before anything is folded: a header job count
+/// that differs from the campaign's, a record outside its journal's range,
+/// and an output or checkpoint tally of the wrong width are each a
+/// [`JournalError`].
+pub fn merge<C: Campaign>(
     paths: &[PathBuf],
-    expect_campaign: impl Fn(&str) -> bool,
-    init: impl FnOnce(&JournalHeader) -> Result<T, JournalError>,
-    fold: impl FnMut(&mut T, u64, P),
-) -> Result<(T, RefoldSummary), JournalError>
-where
-    P: JournalPayload,
-    T: Mergeable,
-{
-    let mut merge = |aggregate: &mut T, token: &str| -> Result<(), JournalError> {
-        aggregate.merge(T::deserialize(token)?);
-        Ok(())
-    };
-    refold_journals_with(paths, expect_campaign, init, fold, Some(&mut merge))
-}
-
-/// [`refold_journals`] for aggregates that are *not* [`Mergeable`] (e.g. a
-/// flat cell grid): folds plain records only, and rejects any journal
-/// carrying a checkpoint (whose pre-folded aggregate it could not consume).
-pub fn refold_journal_records<P, T>(
-    paths: &[PathBuf],
-    expect_campaign: impl Fn(&str) -> bool,
-    init: impl FnOnce(&JournalHeader) -> Result<T, JournalError>,
-    fold: impl FnMut(&mut T, u64, P),
-) -> Result<(T, RefoldSummary), JournalError>
-where
-    P: JournalPayload,
-{
-    refold_journals_with(paths, expect_campaign, init, fold, None)
-}
-
-/// Folds a serialized checkpoint aggregate into the accumulator; `None`
-/// means the caller cannot consume checkpoints at all.
-type CheckpointMerger<'a, T> = Option<&'a mut dyn FnMut(&mut T, &str) -> Result<(), JournalError>>;
-
-fn refold_journals_with<P, T>(
-    paths: &[PathBuf],
-    expect_campaign: impl Fn(&str) -> bool,
-    init: impl FnOnce(&JournalHeader) -> Result<T, JournalError>,
-    mut fold: impl FnMut(&mut T, u64, P),
-    mut merge_checkpoint: CheckpointMerger<'_, T>,
-) -> Result<(T, RefoldSummary), JournalError>
-where
-    P: JournalPayload,
-{
-    if paths.is_empty() {
+    configs: &[Configuration],
+) -> Result<(C, C::Tally, RefoldSummary), JournalError> {
+    let journals = paths
+        .iter()
+        .map(|path| Ok((path, load_journal(path)?)))
+        .collect::<Result<Vec<_>, JournalError>>()?;
+    let Some((_, first)) = journals.first() else {
         return Err(JournalError::Mismatch(
             "no journals to merge (expected at least one path)".into(),
         ));
+    };
+    let header = first.header.clone();
+    let campaign = C::parse(&header, configs)?;
+    if campaign.total_jobs() != header.total_jobs {
+        return Err(JournalError::Mismatch(format!(
+            "journals claim {} jobs; campaign {:?} has {}",
+            header.total_jobs,
+            header.campaign,
+            campaign.total_jobs()
+        )));
     }
-    let mut reference: Option<JournalHeader> = None;
+    let mut tally = campaign.tally();
     let mut records: BTreeMap<u64, JournalRecord> = BTreeMap::new();
-    // Checkpoint segments as (start, upto, aggregate token, source path).
-    let mut segments: Vec<(u64, u64, String, PathBuf)> = Vec::new();
-    let mut journal_bytes = 0u64;
-    for path in paths {
-        let loaded = load_journal(path)?;
-        if !expect_campaign(&loaded.header.campaign) {
+    // Checkpoint segments as (start, upto, source path).
+    let mut segments: Vec<(u64, u64, &Path)> = Vec::new();
+    // (descriptor, seed, job count): what every journal must share.
+    let key = |h: &JournalHeader| (h.campaign.clone(), h.campaign_seed, h.total_jobs);
+    for (path, journal) in journals {
+        let h = &journal.header;
+        if key(h) != key(&header) {
             return Err(JournalError::Mismatch(format!(
-                "{} holds campaign {:?}, which this merge cannot consume",
+                "{} belongs to campaign {:?}; the first journal holds {:?}",
                 path.display(),
-                loaded.header.campaign
+                key(h),
+                key(&header)
             )));
         }
-        match &reference {
-            None => reference = Some(loaded.header.clone()),
-            Some(first) => {
-                if loaded.header.campaign != first.campaign
-                    || loaded.header.campaign_seed != first.campaign_seed
-                    || loaded.header.total_jobs != first.total_jobs
-                {
-                    return Err(JournalError::Mismatch(format!(
-                        "{} belongs to campaign {:?} seed {:016x} ({} jobs); \
-                         the first journal holds {:?} seed {:016x} ({} jobs)",
-                        path.display(),
-                        loaded.header.campaign,
-                        loaded.header.campaign_seed,
-                        loaded.header.total_jobs,
-                        first.campaign,
-                        first.campaign_seed,
-                        first.total_jobs,
-                    )));
-                }
-            }
+        if h.range.1 > h.total_jobs {
+            return Err(JournalError::Mismatch(format!(
+                "{} covers jobs {}..{} of a {}-job campaign",
+                path.display(),
+                h.range.0,
+                h.range.1,
+                h.total_jobs
+            )));
         }
-        journal_bytes += loaded.valid_bytes;
-        if let Some(cp) = &loaded.checkpoint {
-            if merge_checkpoint.is_none() {
-                return Err(JournalError::Mismatch(format!(
-                    "{} carries a checkpoint, which this merge cannot consume \
-                     (its aggregate is not mergeable)",
-                    path.display()
-                )));
-            }
-            if cp.jobs > 0 {
-                segments.push((
-                    loaded.header.range.0,
-                    cp.upto,
-                    cp.aggregate.clone(),
-                    path.clone(),
-                ));
-            }
+        if let Some(cp) = journal.checkpoint.filter(|cp| cp.jobs > 0) {
+            merge_checkpoint(&mut tally, &cp.aggregate, path)?;
+            segments.push((h.range.0, cp.upto, path.as_path()));
         }
-        for record in loaded.records {
+        let range = h.range.0..h.range.1;
+        for record in journal.records {
+            check_in_range(&record, &range, path)?;
             match records.get(&record.job_index) {
                 Some(existing) if existing.digest != record.digest => {
                     return Err(JournalError::Mismatch(format!(
@@ -758,19 +764,15 @@ where
             }
         }
     }
-    let header = reference.expect("at least one journal was loaded");
-    segments.sort_by_key(|(start, _, _, _)| *start);
+    segments.sort_by_key(|(start, _, _)| *start);
     for pair in segments.windows(2) {
-        let (_, upto, _, prev_path) = &pair[0];
-        let (start, _, _, next_path) = &pair[1];
+        let ((_, upto, prev), (start, _, next)) = (pair[0], pair[1]);
         if upto > start {
             return Err(JournalError::Mismatch(format!(
-                "checkpoint segments overlap: {} covers through job {} but {} \
-                 starts at job {}",
-                prev_path.display(),
-                upto,
-                next_path.display(),
-                start
+                "checkpoint segments overlap: {} covers through job {upto} but {} \
+                 starts at job {start}",
+                prev.display(),
+                next.display(),
             )));
         }
     }
@@ -778,33 +780,26 @@ where
     records.retain(|index, _| {
         !segments
             .iter()
-            .any(|(start, upto, _, _)| (*start..*upto).contains(index))
+            .any(|(start, upto, _)| (*start..*upto).contains(index))
     });
-    let mut aggregate = init(&header)?;
-    let mut jobs_folded = 0u64;
-    for (start, upto, token, _) in &segments {
-        let merge = merge_checkpoint
-            .as_mut()
-            .expect("checkpointed journals were rejected above");
-        merge(&mut aggregate, token)?;
-        jobs_folded += upto - start;
-    }
-    jobs_folded += records.len() as u64;
+    let jobs_folded = segments
+        .iter()
+        .map(|(start, upto, _)| upto - start)
+        .sum::<u64>()
+        + records.len() as u64;
     for (index, record) in records {
-        fold(&mut aggregate, index, P::decode(&record.payload)?);
+        let output = JournalPayload::decode(&record.payload)?;
+        fold_checked(&campaign, &mut tally, index, output)?;
     }
-    Ok((
-        aggregate,
-        RefoldSummary {
-            complete: jobs_folded == header.total_jobs,
-            campaign: header.campaign,
-            campaign_seed: header.campaign_seed,
-            total_jobs: header.total_jobs,
-            jobs_folded,
-            journal_bytes,
-            journals: paths.len(),
-        },
-    ))
+    let summary = RefoldSummary {
+        complete: jobs_folded == header.total_jobs,
+        campaign: header.campaign,
+        campaign_seed: header.campaign_seed,
+        total_jobs: header.total_jobs,
+        jobs_folded,
+        journals: paths.len(),
+    };
+    Ok((campaign, tally, summary))
 }
 
 /// Splits `value` on `sep` and parses each piece — the small-deserializer
@@ -830,7 +825,6 @@ pub(crate) fn parse_fields<T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{SchedulerMode, StagedJob};
 
     #[test]
     fn shard_ranges_tile_the_job_space_exactly() {
@@ -904,12 +898,63 @@ mod tests {
         fn merge(&mut self, other: Self) {
             *self += other;
         }
+        fn same_shape(&self, _: &Self) -> bool {
+            true
+        }
         fn serialize(&self) -> String {
             self.to_string()
         }
         fn deserialize(text: &str) -> Result<Self, JournalError> {
             text.parse()
                 .map_err(|_| JournalError::Format(format!("bad u64 aggregate {text:?}")))
+        }
+    }
+
+    /// A campaign of [`Double`] jobs summing their outputs; its descriptor
+    /// is `test:<name>:<total jobs>`.
+    #[derive(Debug)]
+    struct Sum {
+        name: String,
+        seed: u64,
+        total: u64,
+    }
+
+    impl Campaign for Sum {
+        type Job = Double;
+        type Tally = u64;
+        fn descriptor(&self) -> String {
+            format!("test:{}:{}", self.name, self.total)
+        }
+        fn parse(header: &JournalHeader, _: &[Configuration]) -> Result<Sum, JournalError> {
+            match header.campaign.split(':').collect::<Vec<_>>()[..] {
+                ["test", name, total] => {
+                    Ok(sum(name, header.campaign_seed, total.parse().unwrap()))
+                }
+                _ => Err(JournalError::Mismatch(header.campaign.clone())),
+            }
+        }
+        fn seed(&self) -> u64 {
+            self.seed
+        }
+        fn total_jobs(&self) -> u64 {
+            self.total
+        }
+        fn job(&self, g: u64) -> (u64, Double) {
+            make_job(g)
+        }
+        fn tally(&self) -> u64 {
+            0
+        }
+        fn fold(&self, tally: &mut u64, _: u64, output: u64) {
+            *tally += output;
+        }
+    }
+
+    fn sum(name: &str, seed: u64, total: u64) -> Sum {
+        Sum {
+            name: name.to_string(),
+            seed,
+            total,
         }
     }
 
@@ -922,6 +967,33 @@ mod tests {
 
     fn make_job(index: u64) -> (u64, Double) {
         (1000 + index, Double(index))
+    }
+
+    /// Runs lease `id` of `campaign` over `range` with checkpoints every
+    /// `every` jobs, stopping before `stop_before`.
+    fn lease(
+        campaign: &Sum,
+        id: u32,
+        range: Range<u64>,
+        path: &Path,
+        every: u64,
+        stop_before: Option<u64>,
+    ) -> FoldRun<u64> {
+        let lease = LeaseRecord {
+            id,
+            start: range.start,
+            end: range.end,
+            attempt: 1,
+            journal: path.to_path_buf(),
+        };
+        run_lease(
+            &Scheduler::new(3),
+            campaign,
+            &lease,
+            CheckpointPolicy { every },
+            stop_before,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -941,50 +1013,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_shard_outputs_and_journals_match_batch_mode() {
-        // Journaling and resume must be oblivious to the scheduler mode:
-        // same outputs, same journal records, at several worker counts.
-        let spec = ShardSpec::full(11, 16);
-        let batch_path = temp_path("mode-batch");
-        let batch = run_sharded::<Double, _>(
-            &Scheduler::new(2),
-            &spec,
-            "test:mode",
-            Some(&JournalOptions::create(&batch_path)),
-            make_job,
-        )
-        .unwrap();
-        for threads in [1usize, 3, 8] {
-            let path = temp_path(&format!("mode-pipe-{threads}"));
-            let pipelined = run_sharded::<Double, _>(
-                &Scheduler::new(threads).with_mode(SchedulerMode::Pipelined),
-                &spec,
-                "test:mode",
-                Some(&JournalOptions::create(&path)),
-                make_job,
-            )
-            .unwrap();
-            assert_eq!(pipelined.outputs, batch.outputs, "{threads} workers");
-            // Journals hold the same record set (byte order differs only by
-            // completion order, which the loader sorts out).
-            let a = load_journal(&batch_path).unwrap();
-            let b = load_journal(&path).unwrap();
-            let key = |r: &JournalRecord| (r.job_index, r.job_seed, r.digest, r.payload.clone());
-            let mut ra: Vec<_> = a.records.iter().map(key).collect();
-            let mut rb: Vec<_> = b.records.iter().map(key).collect();
-            ra.sort();
-            rb.sort();
-            assert_eq!(ra, rb, "{threads} workers");
-            let _ = std::fs::remove_file(&path);
-        }
-        let _ = std::fs::remove_file(&batch_path);
-    }
-
-    #[test]
     fn journal_then_resume_skips_completed_jobs() {
         let path = temp_path("resume");
         let scheduler = Scheduler::new(2);
-        let spec = ShardSpec::full(5, 10);
+        let spec = ShardSpec::select(5, 10, ShardSelect::whole());
         let first = run_sharded::<Double, _>(
             &scheduler,
             &spec,
@@ -1034,7 +1066,7 @@ mod tests {
     fn resume_rejects_a_journal_from_another_campaign() {
         let path = temp_path("mismatch");
         let scheduler = Scheduler::sequential();
-        let spec = ShardSpec::full(5, 4);
+        let spec = ShardSpec::select(5, 4, ShardSelect::whole());
         run_sharded::<Double, _>(
             &scheduler,
             &spec,
@@ -1055,7 +1087,7 @@ mod tests {
         // Same campaign but different seed: also rejected.
         let err = run_sharded::<Double, _>(
             &scheduler,
-            &ShardSpec::full(6, 4),
+            &ShardSpec::select(6, 4, ShardSelect::whole()),
             "test:a",
             Some(&JournalOptions::resume(&path)),
             make_job,
@@ -1068,42 +1100,25 @@ mod tests {
     #[test]
     fn refold_merges_shard_journals_into_one_aggregate() {
         let scheduler = Scheduler::new(3);
+        let campaign = sum("merge", 7, 11);
         let mut paths = Vec::new();
         for index in 0..3u32 {
             let path = temp_path(&format!("merge-{index}"));
-            let spec = ShardSpec::select(7, 11, ShardSelect { index, count: 3 });
-            run_sharded::<Double, _>(
-                &scheduler,
-                &spec,
-                "test:merge",
-                Some(&JournalOptions::create(&path)),
-                make_job,
-            )
-            .unwrap();
+            let journal = JournalOptions::create(&path);
+            let select = ShardSelect { index, count: 3 };
+            run_shard(&scheduler, &campaign, select, Some(&journal)).unwrap();
             paths.push(path);
         }
-        let (sum, summary) = refold_journals::<u64, u64>(
-            &paths,
-            |c| c == "test:merge",
-            |_| Ok(0u64),
-            |acc, _, payload| *acc += payload,
-        )
-        .unwrap();
-        assert_eq!(sum, (0..11u64).map(|i| i * 2).sum::<u64>());
+        let (_, total, summary) = merge::<Sum>(&paths, &[]).unwrap();
+        assert_eq!(total, (0..11u64).map(|i| i * 2).sum::<u64>());
         assert!(summary.complete);
         assert_eq!(summary.jobs_folded, 11);
         assert_eq!(summary.journals, 3);
 
-        // A subset of shards refolds too — partial, not complete.
-        let (partial_sum, summary) = refold_journals::<u64, u64>(
-            &paths[..2],
-            |c| c == "test:merge",
-            |_| Ok(0u64),
-            |acc, _, payload| *acc += payload,
-        )
-        .unwrap();
+        // A subset of shards merges too — partial, not complete.
+        let (_, partial, summary) = merge::<Sum>(&paths[..2], &[]).unwrap();
         assert!(!summary.complete);
-        assert!(partial_sum < sum);
+        assert!(partial < total);
         for path in &paths {
             let _ = std::fs::remove_file(path);
         }
@@ -1111,27 +1126,16 @@ mod tests {
 
     #[test]
     fn range_fold_checkpoints_compact_and_resume() {
-        // A checkpointing fold run over a lease range: the compacted journal
-        // must be tiny (header + one K line), an interrupted attempt
-        // (stop_before) must resume from the checkpoint, and the final
-        // aggregate must equal the plain fold.
+        // A checkpointing lease run: the compacted journal must be tiny
+        // (header + one K line), an interrupted attempt (stop_before) must
+        // resume from the checkpoint, and the final aggregate must equal
+        // the plain fold.
         let path = temp_path("rangefold");
-        let header = lease_header("test:fold", 5, 40, 2, 10..30);
+        let campaign = sum("fold", 5, 40);
         let expected: u64 = (10..30u64).map(|i| i * 2).sum();
 
         // Attempt 1: stop before job 21 (fault-injection style truncation).
-        let journal = JournalOptions::create(&path);
-        let partial = run_range_fold::<Double, u64, _, _>(
-            &Scheduler::new(3),
-            &header,
-            Some(&journal),
-            Some(CheckpointPolicy { every: 4 }),
-            Some(21),
-            make_job,
-            || 0u64,
-            |acc, _, out| *acc += out,
-        )
-        .unwrap();
+        let partial = lease(&campaign, 2, 10..30, &path, 4, Some(21));
         assert_eq!(partial.jobs, 11);
         let loaded = load_journal(&path).unwrap();
         let cp = loaded.checkpoint.as_ref().unwrap();
@@ -1143,32 +1147,15 @@ mod tests {
         );
 
         // Attempt 2: resume to completion.
-        let journal = JournalOptions::resume(&path);
-        let run = run_range_fold::<Double, u64, _, _>(
-            &Scheduler::new(3),
-            &header,
-            Some(&journal),
-            Some(CheckpointPolicy { every: 4 }),
-            None,
-            make_job,
-            || 0u64,
-            |acc, _, out| *acc += out,
-        )
-        .unwrap();
+        let run = lease(&campaign, 2, 10..30, &path, 4, None);
         assert_eq!(run.aggregate, expected);
         assert_eq!(run.metrics.jobs_resumed, 11);
         assert_eq!(run.metrics.jobs_replayed, 9);
         assert_eq!(run.jobs, 20);
 
-        // The compacted journal refolds (checkpoint consumed, no records).
-        let (sum, summary) = refold_journals::<u64, u64>(
-            std::slice::from_ref(&path),
-            |c| c == "test:fold",
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap();
-        assert_eq!(sum, expected);
+        // The compacted journal merges (checkpoint consumed, no records).
+        let (_, total, summary) = merge::<Sum>(std::slice::from_ref(&path), &[]).unwrap();
+        assert_eq!(total, expected);
         assert_eq!(summary.jobs_folded, 20);
         assert!(!summary.complete, "a 20-job lease of a 40-job space");
         let _ = std::fs::remove_file(&path);
@@ -1177,39 +1164,18 @@ mod tests {
     #[test]
     fn refold_mixes_checkpointed_and_plain_journals() {
         // Lease 0 journals [0, 6) with checkpoints; shard 1/2 journals
-        // [6, 12) as plain records.  The refold must consume both forms and
+        // [6, 12) as plain records.  The merge must consume both forms and
         // match the whole-space fold.
         let lease_path = temp_path("mix-lease");
         let shard_path = temp_path("mix-shard");
-        let header = lease_header("test:mix", 3, 12, 0, 0..6);
-        run_range_fold::<Double, u64, _, _>(
-            &Scheduler::sequential(),
-            &header,
-            Some(&JournalOptions::create(&lease_path)),
-            Some(CheckpointPolicy { every: 2 }),
-            None,
-            make_job,
-            || 0u64,
-            |acc, _, out| *acc += out,
-        )
-        .unwrap();
-        let spec = ShardSpec::select(3, 12, ShardSelect { index: 1, count: 2 });
-        run_sharded::<Double, _>(
-            &Scheduler::sequential(),
-            &spec,
-            "test:mix",
-            Some(&JournalOptions::create(&shard_path)),
-            make_job,
-        )
-        .unwrap();
-        let (sum, summary) = refold_journals::<u64, u64>(
-            &[lease_path.clone(), shard_path.clone()],
-            |c| c == "test:mix",
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap();
-        assert_eq!(sum, (0..12u64).map(|i| i * 2).sum::<u64>());
+        let campaign = sum("mix", 3, 12);
+        lease(&campaign, 0, 0..6, &lease_path, 2, None);
+        let select = ShardSelect { index: 1, count: 2 };
+        let journal = JournalOptions::create(&shard_path);
+        run_shard(&Scheduler::sequential(), &campaign, select, Some(&journal)).unwrap();
+        let paths = [lease_path.clone(), shard_path.clone()];
+        let (_, total, summary) = merge::<Sum>(&paths, &[]).unwrap();
+        assert_eq!(total, (0..12u64).map(|i| i * 2).sum::<u64>());
         assert_eq!(summary.jobs_folded, 12);
         assert!(summary.complete);
         let _ = std::fs::remove_file(&lease_path);
@@ -1219,31 +1185,14 @@ mod tests {
     #[test]
     fn refold_rejects_overlapping_checkpoint_segments() {
         // Two checkpointed journals over overlapping ranges cannot be
-        // arbitrated (no per-job digests under a checkpoint) — refold must
-        // refuse rather than double-count.
+        // arbitrated (no per-job digests under a checkpoint) — the merge
+        // must refuse rather than double-count.
         let a = temp_path("overlap-a");
         let b = temp_path("overlap-b");
-        for (path, lease, range) in [(&a, 0u32, 0..6u64), (&b, 1, 4..10)] {
-            let header = lease_header("test:overlap", 9, 10, lease, range);
-            run_range_fold::<Double, u64, _, _>(
-                &Scheduler::sequential(),
-                &header,
-                Some(&JournalOptions::create(path)),
-                Some(CheckpointPolicy { every: 2 }),
-                None,
-                make_job,
-                || 0u64,
-                |acc, _, out| *acc += out,
-            )
-            .unwrap();
-        }
-        let err = refold_journals::<u64, u64>(
-            &[a.clone(), b.clone()],
-            |_| true,
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap_err();
+        let campaign = sum("overlap", 9, 10);
+        lease(&campaign, 0, 0..6, &a, 2, None);
+        lease(&campaign, 1, 4..10, &b, 2, None);
+        let err = merge::<Sum>(&[a.clone(), b.clone()], &[]).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)), "{err}");
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
@@ -1254,39 +1203,26 @@ mod tests {
         let scheduler = Scheduler::sequential();
         let a = temp_path("mixed-a");
         let b = temp_path("mixed-b");
-        run_sharded::<Double, _>(
-            &scheduler,
-            &ShardSpec::full(1, 3),
-            "test:one",
-            Some(&JournalOptions::create(&a)),
-            make_job,
-        )
-        .unwrap();
-        run_sharded::<Double, _>(
-            &scheduler,
-            &ShardSpec::full(1, 3),
-            "test:two",
-            Some(&JournalOptions::create(&b)),
-            make_job,
-        )
-        .unwrap();
-        let err = refold_journals::<u64, u64>(
-            &[a.clone(), b.clone()],
-            |_| true,
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap_err();
+        let c = temp_path("mixed-c");
+        for (path, name) in [(&a, "one"), (&b, "two")] {
+            let journal = JournalOptions::create(path);
+            run_shard(
+                &scheduler,
+                &sum(name, 1, 3),
+                ShardSelect::whole(),
+                Some(&journal),
+            )
+            .unwrap();
+        }
+        let err = merge::<Sum>(&[a.clone(), b.clone()], &[]).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)));
-        let err = refold_journals::<u64, u64>(
-            std::slice::from_ref(&a),
-            |c| c == "test:two",
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap_err();
+        let spec = ShardSpec::select(1, 3, ShardSelect::whole());
+        let journal = JournalOptions::create(&c);
+        run_sharded(&scheduler, &spec, "alien", Some(&journal), make_job).unwrap();
+        let err = merge::<Sum>(std::slice::from_ref(&c), &[]).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)));
-        let _ = std::fs::remove_file(&a);
-        let _ = std::fs::remove_file(&b);
+        for path in [a, b, c] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

@@ -1,23 +1,21 @@
 //! The campaign engine's headline guarantee: for a fixed campaign seed,
 //! every driver produces **bit-identical** results — including the rendered
-//! report tables — at any worker count, and (since the staged scheduler)
-//! in either execution mode: whole-job batches or the pipelined
-//! generate → execute → judge hand-off.
+//! report tables — at any worker count, on either interpreter tier.
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::{
     classify_configurations_with, evaluate_benchmark_with, generate_live_bases_with, percent,
     render_campaign_table, render_emi_table, render_reliability_table, run_emi_campaign_with,
     run_mode_campaign_with, CampaignOptions, EmiBenchmark, EmiCampaignOptions, ExecutionTier,
-    Scheduler, SchedulerMode,
+    Scheduler,
 };
 use opencl_sim::ExecOptions;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Worker counts of the pipeline-vs-batch differential (1, a small prime,
+/// Worker counts of the worker-count × tier differential (1, a small prime,
 /// and "many" relative to the job counts below).
-const PIPELINE_WORKER_COUNTS: [usize; 3] = [1, 3, 8];
+const DIFFERENTIAL_WORKER_COUNTS: [usize; 3] = [1, 3, 8];
 
 fn small_campaign_options(seed_offset: u64) -> CampaignOptions {
     CampaignOptions {
@@ -140,12 +138,12 @@ fn reliability_classification_is_bit_identical_at_any_worker_count() {
     }
 }
 
-/// The pipeline-vs-batch differential: Tables 1, 4 and 5 must be
-/// bit-identical between the two scheduler modes at 1, 3 and 8 workers —
-/// on both interpreter tiers, since the tier is the execution half of every
-/// staged job.
+/// The worker-count × tier differential: Tables 1, 4 and 5 at 1, 3 and 8
+/// workers must be bit-identical to the 2-worker reference — on both
+/// interpreter tiers, since the tier is the execution half of every staged
+/// job.
 #[test]
-fn tables_1_4_5_are_bit_identical_between_batch_and_pipelined_modes() {
+fn tables_1_4_5_are_bit_identical_across_workers_and_tiers() {
     for tier in ExecutionTier::ALL {
         let exec = ExecOptions {
             tier,
@@ -190,7 +188,7 @@ fn tables_1_4_5_are_bit_identical_between_batch_and_pipelined_modes() {
         };
 
         // Table 5: the EMI campaign (variant pruning, the memoised judging
-        // grid and row classification are distinct pipeline stages here).
+        // grid and row classification are distinct job stages here).
         let table5_configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(19)];
         let emi_options = EmiCampaignOptions {
             bases: 2,
@@ -209,12 +207,11 @@ fn tables_1_4_5_are_bit_identical_between_batch_and_pipelined_modes() {
         let tables: [(&str, RenderTable<'_>); 3] = [("1", &table1), ("4", &table4), ("5", &table5)];
         for (name, render) in tables {
             let reference = render(&Scheduler::new(2));
-            for workers in PIPELINE_WORKER_COUNTS {
-                let pipelined = Scheduler::new(workers).with_mode(SchedulerMode::Pipelined);
+            for workers in DIFFERENTIAL_WORKER_COUNTS {
                 assert_eq!(
-                    render(&pipelined),
+                    render(&Scheduler::new(workers)),
                     reference,
-                    "Table {name} diverged between batch and pipelined mode \
+                    "Table {name} diverged from the 2-worker reference \
                      at {workers} workers on the {} tier",
                     tier.name()
                 );

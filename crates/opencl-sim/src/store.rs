@@ -53,8 +53,7 @@
 //! until the store fits again.
 
 use crate::platform::TestOutcome;
-use clc::Fingerprint;
-use clc_interp::fnv1a;
+use clc::{fnv1a, Fingerprint};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

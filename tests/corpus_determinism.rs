@@ -1,10 +1,10 @@
 //! The corpus campaign's determinism invariant (the feedback-loop
 //! extension of `tests/shard_equivalence.rs`): for a fixed campaign seed,
 //! the rendered guided-vs-blind table and the **canonical journal record
-//! set** are bit-identical at 1, 3 and 8 workers, under both scheduler
-//! modes (batch and pipelined stage hand-off), on both interpreter tiers.
+//! set** are bit-identical at 1, 3 and 8 workers, on both interpreter
+//! tiers.
 //!
-//! Journal *bytes* are deliberately not compared: `run_sharded` streams
+//! Journal *bytes* are deliberately not compared: `run_shard` streams
 //! records in completion order, which legitimately varies with worker
 //! count.  The canonical set — job index → payload, which is what resume
 //! and merge consume — must not.
@@ -19,15 +19,13 @@
 
 use fuzz_harness::shard::{JournalOptions, ShardSelect};
 use fuzz_harness::{
-    load_journal, merge_corpus_campaign_journals, render_corpus_table, run_corpus_campaign_sharded,
-    CorpusOptions, Scheduler, SchedulerMode,
+    load_journal, merge, render_corpus_table, run_shard, CorpusCampaign, CorpusOptions, Scheduler,
 };
 use opencl_sim::{ExecOptions, ExecutionTier};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const WORKER_COUNTS: [usize; 3] = [1, 3, 8];
-const MODES: [SchedulerMode; 2] = [SchedulerMode::Batch, SchedulerMode::Pipelined];
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -66,7 +64,7 @@ fn record_set(path: &Path) -> BTreeMap<u64, String> {
 }
 
 #[test]
-fn corpus_campaign_is_bit_identical_across_workers_modes_and_tiers() {
+fn corpus_campaign_is_bit_identical_across_workers_and_tiers() {
     let configs = vec![
         opencl_sim::configuration(1),
         opencl_sim::configuration(9),
@@ -75,41 +73,36 @@ fn corpus_campaign_is_bit_identical_across_workers_modes_and_tiers() {
     let mut cross_tier_tables: Vec<String> = Vec::new();
     let mut paths = Vec::new();
     for tier in ExecutionTier::ALL {
-        let options = corpus_options(tier);
+        let campaign = CorpusCampaign::new(&configs, &corpus_options(tier));
         let mut reference: Option<(String, BTreeMap<u64, String>)> = None;
-        for mode in MODES {
-            for workers in WORKER_COUNTS {
-                let scheduler = Scheduler::new(workers).with_mode(mode);
-                let path = temp_path(&format!("{}-{}-{workers}", tier.name(), mode.name()));
-                let run = run_corpus_campaign_sharded(
-                    &scheduler,
-                    &configs,
-                    &options,
-                    ShardSelect::whole(),
-                    Some(&JournalOptions::create(&path)),
-                )
-                .expect("journaled corpus campaign");
-                let table = render_corpus_table(&run.result);
-                let records = record_set(&path);
-                paths.push(path);
-                match &reference {
-                    None => reference = Some((table, records)),
-                    Some((ref_table, ref_records)) => {
-                        assert_eq!(
-                            ref_table,
-                            &table,
-                            "{} {} {workers} worker(s): table diverged",
-                            tier.name(),
-                            mode.name()
-                        );
-                        assert_eq!(
-                            ref_records,
-                            &records,
-                            "{} {} {workers} worker(s): journal record set diverged",
-                            tier.name(),
-                            mode.name()
-                        );
-                    }
+        for workers in WORKER_COUNTS {
+            let scheduler = Scheduler::new(workers);
+            let path = temp_path(&format!("{}-{workers}", tier.name()));
+            let run = run_shard(
+                &scheduler,
+                &campaign,
+                ShardSelect::whole(),
+                Some(&JournalOptions::create(&path)),
+            )
+            .expect("journaled corpus campaign");
+            let table = render_corpus_table(&campaign.result(run.aggregate));
+            let records = record_set(&path);
+            paths.push(path);
+            match &reference {
+                None => reference = Some((table, records)),
+                Some((ref_table, ref_records)) => {
+                    assert_eq!(
+                        ref_table,
+                        &table,
+                        "{} {workers} worker(s): table diverged",
+                        tier.name()
+                    );
+                    assert_eq!(
+                        ref_records,
+                        &records,
+                        "{} {workers} worker(s): journal record set diverged",
+                        tier.name()
+                    );
                 }
             }
         }
@@ -135,28 +128,27 @@ fn corpus_campaign_is_bit_identical_across_workers_modes_and_tiers() {
 #[test]
 fn corpus_shard_merge_matches_the_whole_run() {
     let configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(19)];
-    let options = corpus_options(ExecutionTier::Bytecode);
+    let campaign = CorpusCampaign::new(&configs, &corpus_options(ExecutionTier::Bytecode));
     let scheduler = Scheduler::new(3);
-    let whole =
-        run_corpus_campaign_sharded(&scheduler, &configs, &options, ShardSelect::whole(), None)
-            .expect("whole corpus campaign");
-    let reference = render_corpus_table(&whole.result);
+    let whole = run_shard(&scheduler, &campaign, ShardSelect::whole(), None)
+        .expect("whole corpus campaign");
+    let reference = render_corpus_table(&campaign.result(whole.aggregate));
 
     let mut paths = Vec::new();
     for index in 0..3u32 {
         let path = temp_path(&format!("shard-{index}"));
-        run_corpus_campaign_sharded(
+        run_shard(
             &scheduler,
-            &configs,
-            &options,
+            &campaign,
             ShardSelect { index, count: 3 },
             Some(&JournalOptions::create(&path)),
         )
         .expect("sharded corpus campaign");
         paths.push(path);
     }
-    let (merged, summary) =
-        merge_corpus_campaign_journals(&paths, &configs).expect("merge corpus journals");
+    let (campaign, tally, summary) =
+        merge::<CorpusCampaign>(&paths, &configs).expect("merge corpus journals");
+    let merged = campaign.result(tally);
     assert!(summary.complete, "3 shards must cover the whole job space");
     assert_eq!(
         render_corpus_table(&merged),

@@ -13,11 +13,11 @@
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, Mergeable, ShardSelect};
 use fuzz_harness::{
-    classify_configurations_sharded, classify_configurations_with, load_journal,
-    merge_classification_journals, merge_emi_campaign_journals, merge_mode_campaign_journals,
-    render_campaign_table, render_emi_table, render_reliability_table, run_emi_campaign_sharded,
-    run_emi_campaign_with, run_mode_campaign_with, run_modes_campaign_sharded, CampaignOptions,
-    EmiCampaignOptions, EmiTally, MultiModeTally, Scheduler,
+    classify_configurations_sharded, classify_configurations_with, load_journal, merge,
+    reliability_rows, render_campaign_table, render_emi_table, render_reliability_table,
+    run_emi_campaign_sharded, run_emi_campaign_with, run_mode_campaign_with,
+    run_modes_campaign_sharded, CampaignOptions, ClassificationCampaign, EmiCampaign,
+    EmiCampaignOptions, EmiTally, ModeCampaign, MultiModeTally, Scheduler,
 };
 use opencl_sim::{ExecOptions, OutcomeStore};
 use std::path::PathBuf;
@@ -122,8 +122,9 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
             reference,
             "{workers} workers: merged shard tallies diverged from the single run"
         );
-        let (from_journals, summary) =
-            merge_mode_campaign_journals(&paths, &configs).expect("journal merge");
+        let (campaign, tally, summary) =
+            merge::<ModeCampaign>(&paths, &configs).expect("journal merge");
+        let from_journals = campaign.results(&tally);
         assert!(summary.complete, "{SHARDS} shards must cover the job space");
         assert_eq!(
             render_campaign_table(&from_journals[0]),
@@ -165,9 +166,9 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
             "{workers} workers: resumed campaign diverged from the single run"
         );
         // The healed journal alone now reproduces the full table too.
-        let (healed, summary) =
-            merge_mode_campaign_journals(std::slice::from_ref(&journal), &configs)
-                .expect("healed merge");
+        let (campaign, tally, summary) =
+            merge::<ModeCampaign>(std::slice::from_ref(&journal), &configs).expect("healed merge");
+        let healed = campaign.results(&tally);
         assert!(summary.complete);
         assert_eq!(render_campaign_table(&healed[0]), reference);
         paths.push(journal);
@@ -211,8 +212,9 @@ fn table1_single_sharded_and_resumed_runs_are_byte_identical() {
             .expect("sharded classification");
             paths.push(path);
         }
-        let (rows, summary) =
-            merge_classification_journals(&paths, &configs).expect("journal merge");
+        let (_, tally, summary) =
+            merge::<ClassificationCampaign>(&paths, &configs).expect("journal merge");
+        let rows = reliability_rows(&configs, &tally);
         assert!(summary.complete);
         assert_eq!(
             render_reliability_table(&rows),
@@ -298,8 +300,9 @@ fn table5_single_sharded_and_resumed_runs_are_byte_identical() {
             reference,
             "{workers} workers: merged shard tallies diverged from the single run"
         );
-        let (from_journals, summary) =
-            merge_emi_campaign_journals(&paths, &configs).expect("journal merge");
+        let (campaign, tally, summary) =
+            merge::<EmiCampaign>(&paths, &configs).expect("journal merge");
+        let from_journals = campaign.result(&tally, summary.jobs_folded);
         assert!(summary.complete);
         assert_eq!(from_journals.bases, single.bases);
         assert_eq!(from_journals.variants_per_base, single.variants_per_base);
