@@ -1,16 +1,14 @@
-//! # bench — reproduction binaries and performance benchmarks
+//! # bench — the reproduction binaries
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation (see DESIGN.md for the per-experiment index); the
-//! benchmark in `benches/throughput.rs` measures generator/emulator/campaign
-//! throughput, including how campaign wall-clock scales with the worker
-//! count of the `fuzz_harness::exec` scheduler.
+//! paper's evaluation.  Their performance is measured by the separate
+//! `campaign-bench` package at the repository root, which runs whole
+//! campaigns through the same entry points.
 //!
 //! Every table binary accepts `--threads N` to pin the scheduler's worker
-//! count (default: `FUZZ_THREADS` or the machine's available parallelism;
-//! `N` must be at least 1 — a zero-worker pool could never drain its
-//! queue).  The worker count never changes the produced tables — only how
-//! fast they appear.
+//! count (default: the machine's available parallelism; `N` must be at
+//! least 1 — a zero-worker pool could never drain its queue).  The worker
+//! count never changes the produced tables — only how fast they appear.
 //!
 //! The campaign binaries (`table1`, `table3`, `table4`, `table5`, `corpus`)
 //! each implement [`Table`] for their `fuzz_harness::Campaign`, and [`run`]
@@ -32,15 +30,17 @@
 //! `--store PATH` points executions at an on-disk outcome cache shared
 //! across runs (and across concurrent shard processes), `--no-store`
 //! disables it, and neither flag defers to the `CLFUZZ_STORE` environment
-//! variable.  Like the worker count, the store never changes the
-//! produced tables — only how fast repeat executions resolve.
+//! variable (`CLFUZZ_STORE_CAP` sets its size cap in bytes).  These two
+//! variables are read here, in [`Cli::exec_options`], and nowhere in the
+//! libraries.  Like the worker count, the store never changes the produced
+//! tables — only how fast repeat executions resolve.
 //!
 //! Tables go to stdout; shard/resume/merge progress lines go to stderr, so
 //! merged outputs can be diffed byte for byte.
 
 pub mod fleet;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use clsmith::{GenMode, GeneratorOptions};
@@ -131,8 +131,8 @@ pub fn merged_table<T: Table>(
 pub struct Cli {
     /// Positional arguments (after flags are extracted).
     pub positional: Vec<String>,
-    /// The scheduler campaigns run on (`--threads N`, `FUZZ_THREADS`, or
-    /// the machine's available parallelism).
+    /// The scheduler campaigns run on (`--threads N`, or the machine's
+    /// available parallelism).
     pub scheduler: Scheduler,
     /// Whether `--paper-scale` was given: generate kernels at the paper's
     /// scale (100–10 000 work-items, full permutation tables) instead of
@@ -241,19 +241,34 @@ impl Cli {
     /// The execution options selected by the store flags: `--store PATH`
     /// opens (creating if needed) an explicit outcome store, `--no-store`
     /// disables the store even when `CLFUZZ_STORE` is set, and neither flag
-    /// defers to the environment default.  The store never changes the
+    /// defers to `CLFUZZ_STORE` (a path that cannot be opened prints one
+    /// warning and runs without a store).  `CLFUZZ_STORE_CAP` caps either
+    /// store in bytes (default 256 MiB).  The store never changes the
     /// produced tables — only how fast repeat executions resolve.
     pub fn exec_options(&self) -> ExecOptions {
-        let mut exec = ExecOptions::default();
-        if self.no_store {
-            exec.store = None;
+        let env = |name| std::env::var(name).ok().filter(|v| !v.is_empty());
+        let cap = env("CLFUZZ_STORE_CAP").and_then(|v| v.parse().ok());
+        let open = |path: &Path| match cap {
+            Some(cap) => OutcomeStore::open_with_cap(path, cap),
+            None => OutcomeStore::open(path),
+        };
+        let store = if self.no_store {
+            None
         } else if let Some(path) = &self.store {
-            match OutcomeStore::open(path) {
-                Ok(store) => exec.store = Some(Arc::new(store)),
-                Err(e) => fail(format!("--store {}: {e}", path.display())),
-            }
+            let store =
+                open(path).unwrap_or_else(|e| fail(format!("--store {}: {e}", path.display())));
+            Some(store)
+        } else if let Some(path) = env("CLFUZZ_STORE") {
+            open(Path::new(&path))
+                .map_err(|e| eprintln!("warning: CLFUZZ_STORE={path}: {e}; outcome store disabled"))
+                .ok()
+        } else {
+            None
+        };
+        ExecOptions {
+            store: store.map(Arc::new),
+            ..ExecOptions::default()
         }
-        exec
     }
 }
 
@@ -461,7 +476,9 @@ pub fn cli() -> Cli {
     if merge.is_some() && (journal.is_some() || resume || shard.count > 1) {
         usage_error("merge takes only journal paths (no --shard/--journal/--resume)");
     }
-    let scheduler = threads.map_or_else(Scheduler::from_env, Scheduler::new);
+    let threads =
+        threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let scheduler = Scheduler::new(threads);
     Cli {
         positional: if merge.is_some() {
             Vec::new()

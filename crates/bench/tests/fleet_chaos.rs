@@ -26,12 +26,7 @@ fn campaign_bin(name: &str) -> Command {
     });
     // The ambient environment must not redirect the store or inject extra
     // faults into either side of the differential.
-    for var in [
-        "CLFUZZ_FAULTS",
-        "CLFUZZ_STORE",
-        "CLFUZZ_STORE_CAP",
-        "FUZZ_THREADS",
-    ] {
+    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
         cmd.env_remove(var);
     }
     cmd

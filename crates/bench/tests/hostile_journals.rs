@@ -14,7 +14,7 @@ fn campaign_bin(name: &str) -> Command {
         "table4" => env!("CARGO_BIN_EXE_table4"),
         other => panic!("no campaign binary {other}"),
     });
-    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE", "FUZZ_THREADS"] {
+    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE"] {
         cmd.env_remove(var);
     }
     cmd.args(["--no-store", "--threads", "1"]);

@@ -11,7 +11,7 @@
 //!   subscripts ([`classify::IndexClass`]) and barrier-interval separation,
 //!   classifying every access pair as disjoint, may-race or must-race.
 //! * **Use before init** ([`init`]): a forward dataflow over the basic-block
-//!   CFG ([`cfg`], [`dataflow`]) tracking maybe-uninitialised private
+//!   CFG ([`cfg`](mod@cfg), [`dataflow`]) tracking maybe-uninitialised private
 //!   variables.
 //! * **Bounds** ([`bounds`]): provable subscript ranges checked against
 //!   declared buffer extents.

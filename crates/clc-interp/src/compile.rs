@@ -22,7 +22,7 @@
 //!
 //! Compilation is total: constructs the tree walker would only reject *when
 //! executed* (unknown variables or functions, non-lvalue assignment targets,
-//! `break` outside a loop, ...) are lowered to [`Instr::Fail`] instructions
+//! `break` outside a loop, ...) are lowered to `Instr::Fail` instructions
 //! carrying the identical [`RuntimeError`], so dead code containing them
 //! stays dead and live code fails with exactly the same error on both tiers.
 
@@ -539,7 +539,7 @@ fn escape_place(e: &Expr, out: &mut HashSet<String>) {
 /// Lowers a program (kernel plus helper functions) into bytecode.
 ///
 /// Compilation never fails: unresolvable constructs are lowered to
-/// [`Instr::Fail`] so they raise the tree walker's error if — and only if —
+/// `Instr::Fail` so they raise the tree walker's error if — and only if —
 /// they are actually executed.
 pub fn compile(program: &Program) -> CompiledProgram {
     // First definition wins on name collisions, matching `Program::function`.

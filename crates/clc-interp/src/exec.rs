@@ -52,7 +52,7 @@ pub enum Schedule {
 /// Both tiers share the same [`Memory`], race detector, barrier/scheduling
 /// machinery and [`RuntimeError`] surface, and are required (and tested) to
 /// agree bit-for-bit on results, errors and race verdicts.  The bytecode tier
-/// lowers the kernel once ([`crate::compile`]) and then executes a flat
+/// lowers the kernel once ([`crate::compile()`]) and then executes a flat
 /// instruction stream ([`crate::vm`]), which avoids the per-statement
 /// name-lookup and AST-traversal costs of the tree walker.
 ///

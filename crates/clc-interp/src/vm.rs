@@ -1,9 +1,9 @@
 //! The bytecode execution tier: a stack machine over the instruction streams
-//! produced by [`crate::compile`].
+//! produced by [`crate::compile()`].
 //!
 //! The VM shares everything observable with the tree-walking evaluator — the
 //! [`Memory`] object store, the race detector, the cooperative work-group
-//! scheduler ([`crate::exec::drive_group`]) and the [`RuntimeError`] surface.
+//! scheduler (`exec::drive_group`) and the [`RuntimeError`] surface.
 //! Each work-item holds a stack of call frames; a frame carries the resolved
 //! variable slots of its function, the objects it owns (freed on scope exit,
 //! mirroring the tree walker's `Env`), and a program counter.  A kernel-body
@@ -17,7 +17,7 @@
 //! verdicts (enforced by the `tier_equivalence` integration test).
 //!
 //! Each launch starts with one *representative* work-item
-//! ([`run_representative`]).  It runs the same loop, but stops — before the
+//! (`run_representative`).  It runs the same loop, but stops — before the
 //! step is counted — at the first instruction whose effect could depend on
 //! which work-item runs it (`lane_dependent`).  Each group's work-items are
 //! then forked from it (`VmItem::fork`): its private objects are copied and

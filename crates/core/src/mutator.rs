@@ -16,8 +16,8 @@
 //!   work-item ids leak into expressions, no declaration is removed;
 //! * may **change semantics** — that is the point: a mutant explores
 //!   different constant ranges, vector shapes, schedules and sync
-//!   patterns than its parent, lighting different [`CoverageMap`]
-//!   (crate::feedback::CoverageMap) bits.
+//!   patterns than its parent, lighting different
+//!   [`CoverageMap`](crate::feedback::CoverageMap) bits.
 //!
 //! Validity is protected by construction: mutations never touch the
 //! communication idioms' bookkeeping (the `out`/`result` observables, the
@@ -99,8 +99,8 @@ pub struct Mutation {
 ///
 /// The seed picks both the mutation kind (trying kinds in a seeded order
 /// until one is applicable) and the rewrite site.  Returns `None` only if
-/// no kind applies — practically impossible, since [`ToggleBarrier`]
-/// (MutationKind::ToggleBarrier) always applies.
+/// no kind applies — practically impossible, since
+/// [`ToggleBarrier`](MutationKind::ToggleBarrier) always applies.
 ///
 /// Deterministic: same `(program, seed)` in, same mutant out.
 pub fn mutate(program: &Program, seed: u64) -> Option<(Program, Mutation)> {

@@ -420,19 +420,9 @@ impl StagedJob for BenchmarkBodyJob {
 /// Table 3.  `exec` should have race detection enabled if the caller wants to
 /// reproduce the paper's discovery of racy benchmarks (§2.4).
 ///
-/// Parallelised over the default scheduler; see [`evaluate_benchmark_with`].
-pub fn evaluate_benchmark(
-    benchmark: &EmiBenchmark,
-    config: &Configuration,
-    exec: &ExecOptions,
-) -> BenchmarkCell {
-    evaluate_benchmark_with(&Scheduler::from_env(), benchmark, config, exec)
-}
-
-/// [`evaluate_benchmark`] on an explicit scheduler: the baseline checks run
-/// inline, then one [`BenchmarkBodyJob`] per EMI body, folded into a
-/// [`CellTally`] in body-index order, so the cell is bit-identical at any
-/// worker count.
+/// The baseline checks run inline, then one [`BenchmarkBodyJob`] per EMI
+/// body on `scheduler`, folded into a [`CellTally`] in body-index order, so
+/// the cell is bit-identical at any worker count.
 pub fn evaluate_benchmark_with(
     scheduler: &Scheduler,
     benchmark: &EmiBenchmark,
@@ -546,7 +536,8 @@ mod tests {
     #[test]
     fn healthy_configuration_reports_ok() {
         let bench = tiny_benchmark();
-        let cell = evaluate_benchmark(
+        let cell = evaluate_benchmark_with(
+            &Scheduler::sequential(),
             &bench,
             &opencl_sim::configuration(1),
             &ExecOptions::default(),
@@ -562,7 +553,8 @@ mod tests {
     #[test]
     fn unreliable_configuration_reports_ng_or_failure() {
         let bench = tiny_benchmark();
-        let cell = evaluate_benchmark(
+        let cell = evaluate_benchmark_with(
+            &Scheduler::sequential(),
             &bench,
             &opencl_sim::configuration(21),
             &ExecOptions::default(),

@@ -1,7 +1,7 @@
 //! Campaign drivers: the initial reliability classification (Table 1, §7.1)
 //! and the per-mode CLsmith campaigns (Table 4, §7.3).
 
-use crate::differential::{classify, run_on_targets, targets_for, TestTarget, Verdict};
+use crate::differential::{classify, targets_for, TestTarget, Verdict};
 use crate::exec::{job_seed, Scheduler, StagedJob};
 use crate::journal::{checksum, JournalError, JournalHeader};
 use crate::shard::{
@@ -9,28 +9,16 @@ use crate::shard::{
     ShardSelect,
 };
 use clsmith::{generate, GenMode, GeneratorOptions};
-use opencl_sim::{Configuration, ExecOptions, ExecutionTier, OptLevel, Schedule, TestOutcome};
+use opencl_sim::{Configuration, ExecOptions, OptLevel, TestOutcome};
 use std::sync::Arc;
 
 /// The options of a campaign [parsed](Campaign::parse) from a journal: its
-/// kernels and seed, the rest placeholders, since its jobs never run.  They
-/// are spelled out because `ExecOptions::default()` would open the
-/// `CLFUZZ_STORE` outcome store, which a merge never touches.
+/// kernels and seed, the rest defaults, since its jobs never run.
 pub fn parsed_options(kernels: usize, seed_offset: u64) -> CampaignOptions {
     CampaignOptions {
         kernels,
-        generator: GeneratorOptions::default(),
-        exec: ExecOptions {
-            step_limit: 0,
-            detect_races: false,
-            schedule: Schedule::Forward,
-            buffer_overrides: Arc::default(),
-            tier: ExecutionTier::Bytecode,
-            store: None,
-            memoize: false,
-        },
         seed_offset,
-        prefilter: false,
+        ..CampaignOptions::default()
     }
 }
 
@@ -727,6 +715,9 @@ impl Campaign for ModeCampaign {
 
 /// Runs one shard of a (multi-)mode campaign ([`ModeCampaign`]) with an
 /// optional resumable journal.
+///
+/// Only the campaign benchmark (`campaign-bench`) calls this wrapper;
+/// everything else builds the campaign and calls [`run_shard`].
 pub fn run_modes_campaign_sharded(
     scheduler: &Scheduler,
     modes: &[GenMode],
@@ -742,46 +733,6 @@ pub fn run_modes_campaign_sharded(
         tally: run.aggregate,
         metrics: run.metrics,
     })
-}
-
-/// Runs a CLsmith campaign for one mode against the given configurations
-/// (both optimisation levels), reproducing one row block of Table 4.
-///
-/// Parallelised over the default scheduler; see [`run_mode_campaign_with`].
-pub fn run_mode_campaign(
-    mode: GenMode,
-    configs: &[Configuration],
-    options: &CampaignOptions,
-) -> CampaignResult {
-    run_mode_campaign_with(&Scheduler::from_env(), mode, configs, options)
-}
-
-/// [`run_mode_campaign`] on an explicit scheduler: the whole one-mode
-/// [`ModeCampaign`] as one batch, with no journal.
-pub fn run_mode_campaign_with(
-    scheduler: &Scheduler,
-    mode: GenMode,
-    configs: &[Configuration],
-    options: &CampaignOptions,
-) -> CampaignResult {
-    let sharded = run_modes_campaign_sharded(
-        scheduler,
-        &[mode],
-        configs,
-        options,
-        ShardSelect::whole(),
-        None,
-    )
-    .expect("journal-less campaigns cannot fail");
-    let mut result = sharded
-        .results
-        .into_iter()
-        .next()
-        .expect("one mode was submitted");
-    // Historical signature: the result reports the requested batch size
-    // even for the degenerate zero-target case.
-    result.kernels = options.kernels;
-    result
 }
 
 /// Outcome of the §7.1 initial classification for one configuration.
@@ -802,40 +753,6 @@ pub struct ReliabilityRow {
 /// The §7.1 reliability threshold: at most 25 % of the initial tests may be
 /// build failures, runtime crashes or wrong-code results.
 pub const RELIABILITY_THRESHOLD: f64 = 0.25;
-
-/// Classifies every configuration against the reliability threshold using
-/// `kernels_per_mode` kernels from each of the six modes (the paper uses 100
-/// per mode, i.e. 600 in total).
-///
-/// Parallelised over the default scheduler; see
-/// [`classify_configurations_with`].
-pub fn classify_configurations(
-    configs: &[Configuration],
-    kernels_per_mode: usize,
-    options: &CampaignOptions,
-) -> Vec<ReliabilityRow> {
-    classify_configurations_with(&Scheduler::from_env(), configs, kernels_per_mode, options)
-}
-
-/// [`classify_configurations`] on an explicit scheduler: the whole
-/// [`ClassificationCampaign`] as one batch, with no journal.
-pub fn classify_configurations_with(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    kernels_per_mode: usize,
-    options: &CampaignOptions,
-) -> Vec<ReliabilityRow> {
-    classify_configurations_sharded(
-        scheduler,
-        configs,
-        kernels_per_mode,
-        options,
-        ShardSelect::whole(),
-        None,
-    )
-    .expect("journal-less campaigns cannot fail")
-    .rows
-}
 
 /// The aggregation state of the §7.1 reliability classification: one pooled
 /// [`TargetStats`] per configuration (both optimisation levels folded
@@ -1026,6 +943,9 @@ impl Campaign for ClassificationCampaign {
 
 /// Runs one shard of the §7.1 classification ([`ClassificationCampaign`])
 /// with an optional resumable journal.
+///
+/// Only the campaign benchmark (`campaign-bench`) calls this wrapper;
+/// everything else builds the campaign and calls [`run_shard`].
 pub fn classify_configurations_sharded(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -1041,18 +961,6 @@ pub fn classify_configurations_sharded(
         tally: run.aggregate,
         metrics: run.metrics,
     })
-}
-
-/// Runs one kernel across the above-threshold targets and returns both raw
-/// outcomes and verdicts (useful to examples and tests).
-pub fn quick_differential(
-    program: &clc::Program,
-) -> (Vec<TestTarget>, Vec<TestOutcome>, Vec<Verdict>) {
-    let configs = opencl_sim::above_threshold_configurations();
-    let targets = targets_for(&configs);
-    let outcomes = run_on_targets(program, &targets, &ExecOptions::default());
-    let verdicts = classify(&outcomes);
-    (targets, outcomes, verdicts)
 }
 
 #[cfg(test)]
@@ -1093,7 +1001,9 @@ mod tests {
             },
             ..CampaignOptions::default()
         };
-        let result = run_mode_campaign(GenMode::Basic, &configs, &options);
+        let campaign = ModeCampaign::new(&[GenMode::Basic], &configs, &options);
+        let run = run_shard(&Scheduler::new(2), &campaign, ShardSelect::whole(), None).unwrap();
+        let result = &campaign.results(&run.aggregate)[0];
         assert_eq!(result.stats.len(), 8);
         assert!(result.stats.iter().all(|s| s.total() == 6));
         assert!(result.stats_for("9+").is_some());
@@ -1218,25 +1128,18 @@ mod tests {
             ..CampaignOptions::default()
         };
         let scheduler = Scheduler::new(2);
-        let single = run_mode_campaign_with(&scheduler, GenMode::Basic, &configs, &options);
+        let campaign = ModeCampaign::new(&[GenMode::Basic], &configs, &options);
+        let single = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
         let mut merged: Option<MultiModeTally> = None;
         for index in 0..3u32 {
-            let shard = run_modes_campaign_sharded(
-                &scheduler,
-                &[GenMode::Basic],
-                &configs,
-                &options,
-                crate::shard::ShardSelect { index, count: 3 },
-                None,
-            )
-            .unwrap();
+            let select = ShardSelect { index, count: 3 };
+            let shard = run_shard(&scheduler, &campaign, select, None).unwrap();
             match &mut merged {
-                None => merged = Some(shard.tally),
-                Some(t) => t.merge(shard.tally),
+                None => merged = Some(shard.aggregate),
+                Some(t) => t.merge(shard.aggregate),
             }
         }
-        let merged = merged.unwrap();
-        assert_eq!(merged.per_mode[0].per_target, single.stats);
+        assert_eq!(merged.unwrap(), single.aggregate);
     }
 
     #[test]
@@ -1253,7 +1156,9 @@ mod tests {
             },
             ..CampaignOptions::default()
         };
-        let rows = classify_configurations(&configs, 3, &options);
+        let campaign = ClassificationCampaign::new(&configs, 3, &options);
+        let run = run_shard(&Scheduler::new(2), &campaign, ShardSelect::whole(), None).unwrap();
+        let rows = reliability_rows(&configs, &run.aggregate);
         assert_eq!(rows.len(), 2);
         assert!(
             rows[0].above_threshold,

@@ -27,9 +27,9 @@ use crate::campaign::{
     stats_row_from_token, stats_row_token, target_fingerprint, TargetStats,
 };
 use crate::differential::{classify, run_on_targets_session, targets_for, TestTarget};
-use crate::exec::{job_seed, Scheduler, StagedJob};
+use crate::exec::{job_seed, StagedJob};
 use crate::journal::{JournalError, JournalHeader};
-use crate::shard::{parse_fields, run_shard, Campaign, JournalPayload, Mergeable, ShardSelect};
+use crate::shard::{parse_fields, Campaign, JournalPayload, Mergeable};
 use clsmith::{generate, mutate, CoverageMap, GeneratorOptions};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, Session};
 use std::rc::Rc;
@@ -548,23 +548,12 @@ impl Campaign for CorpusCampaign {
     }
 }
 
-/// Runs a corpus campaign over the whole job space on an explicit
-/// scheduler, with no journal.
-pub fn run_corpus_campaign_with(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    options: &CorpusOptions,
-) -> CorpusCampaignResult {
-    let campaign = CorpusCampaign::new(configs, options);
-    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None)
-        .expect("journal-less campaigns cannot fail");
-    campaign.result(run.aggregate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::differential::Verdict;
+    use crate::exec::Scheduler;
+    use crate::shard::{run_shard, ShardSelect};
 
     fn sample_record(bit: u32) -> CorpusRecord {
         let mut coverage = CoverageMap::new();
@@ -648,13 +637,11 @@ mod tests {
         let options = CorpusOptions {
             lineages: 2,
             chain: 3,
-            exec: ExecOptions {
-                store: None,
-                ..ExecOptions::default()
-            },
             ..CorpusOptions::default()
         };
-        let result = run_corpus_campaign_with(&Scheduler::new(2), &configs, &options);
+        let campaign = CorpusCampaign::new(&configs, &options);
+        let run = run_shard(&Scheduler::new(2), &campaign, ShardSelect::whole(), None).unwrap();
+        let result = campaign.result(run.aggregate);
         let (guided, blind) = (result.guided(), result.blind());
         assert_eq!(guided.lineages, 2);
         assert_eq!(blind.lineages, 2);

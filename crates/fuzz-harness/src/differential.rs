@@ -74,20 +74,10 @@ impl Verdict {
     }
 }
 
-/// Runs one kernel on every target through a fresh per-kernel
-/// [`Session`], so targets that compile the program to a bit-identical AST
-/// share a single emulator launch.
-pub fn run_on_targets(
-    program: &clc::Program,
-    targets: &[TestTarget],
-    exec: &ExecOptions,
-) -> Vec<TestOutcome> {
-    run_on_targets_session(&Session::new(program), targets, exec)
-}
-
-/// [`run_on_targets`] over an existing session — used when the caller wants
-/// to share the session's memo with other executions of the same kernel job
-/// or to read the cache counters afterwards.
+/// Runs one kernel on every target through its per-kernel [`Session`], so
+/// targets that compile the program to a bit-identical AST share a single
+/// emulator launch (and the caller can read the session's cache counters
+/// afterwards).
 pub fn run_on_targets_session(
     session: &Session<'_>,
     targets: &[TestTarget],
@@ -142,15 +132,6 @@ pub fn classify(outcomes: &[TestOutcome]) -> Vec<Verdict> {
             TestOutcome::Timeout => Verdict::Timeout,
         })
         .collect()
-}
-
-/// Convenience: run and classify in one step.
-pub fn differential_test(
-    program: &clc::Program,
-    targets: &[TestTarget],
-    exec: &ExecOptions,
-) -> Vec<Verdict> {
-    classify(&run_on_targets(program, targets, exec))
 }
 
 #[cfg(test)]
@@ -260,7 +241,12 @@ mod tests {
             .into_iter()
             .map(|c| TestTarget::new(c, OptLevel::Enabled))
             .collect();
-        let verdicts = differential_test(&fig.program, &targets, &ExecOptions::default());
+        let session = Session::new(&fig.program);
+        let verdicts = classify(&run_on_targets_session(
+            &session,
+            &targets,
+            &ExecOptions::default(),
+        ));
         assert_eq!(verdicts[3], Verdict::WrongCode, "verdicts: {verdicts:?}");
     }
 }

@@ -190,13 +190,6 @@ impl StagedJob for LivenessProbeJob {
 /// must not all sit in already-dead code, which is checked by comparing the
 /// reference result with the `dead` array inverted.
 ///
-/// Parallelised over the default scheduler; see [`generate_live_bases_with`].
-pub fn generate_live_bases(options: &EmiCampaignOptions) -> Vec<clc::Program> {
-    generate_live_bases_with(&Scheduler::from_env(), options)
-}
-
-/// [`generate_live_bases`] on an explicit scheduler.
-///
 /// Probes are evaluated in chunks of candidate seeds, but acceptance scans
 /// candidates strictly in index order and keeps the first `options.bases`
 /// live ones — exactly the set the sequential loop accepts — so the base
@@ -335,29 +328,6 @@ impl StagedJob for EmiBaseJob {
     fn judge(rows: EmiOutcomeGrid) -> Vec<BaseJudgement> {
         rows.iter().map(|row| judge_outcomes(row)).collect()
     }
-}
-
-/// Runs the EMI campaign against each configuration at both optimisation
-/// levels.
-///
-/// Parallelised over the default scheduler; see [`run_emi_campaign_with`].
-pub fn run_emi_campaign(
-    configs: &[Configuration],
-    options: &EmiCampaignOptions,
-) -> EmiCampaignResult {
-    run_emi_campaign_with(&Scheduler::from_env(), configs, options)
-}
-
-/// [`run_emi_campaign`] on an explicit scheduler: the whole
-/// [`EmiCampaign`] as one batch, with no journal.
-pub fn run_emi_campaign_with(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    options: &EmiCampaignOptions,
-) -> EmiCampaignResult {
-    run_emi_campaign_sharded(scheduler, configs, options, ShardSelect::whole(), None)
-        .expect("journal-less campaigns cannot fail")
-        .result
 }
 
 /// The aggregation state of an EMI campaign: per-target base-level tallies,
@@ -663,6 +633,9 @@ impl Campaign for EmiCampaign {
 /// Runs one shard of the EMI campaign ([`EmiCampaign`]) with an optional
 /// resumable journal: every shard probes the full live-base list, then
 /// judges only the bases in its slice.
+///
+/// Only the campaign benchmark (`campaign-bench`) calls this wrapper;
+/// everything else builds the campaign and calls [`run_shard`].
 pub fn run_emi_campaign_sharded(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -697,41 +670,8 @@ pub struct BaseJudgement {
     pub stable: bool,
 }
 
-/// Runs all variants of one base on one target and classifies the base
-/// according to §7.4.
-///
-/// One-shot form of [`judge_base_sessions`]: each variant gets a private
-/// session, so nothing is shared across the variant set.  The campaign
-/// driver uses the session form to share one memo over the whole judging
-/// grid.
-pub fn judge_base(
-    variants: &[clc::Program],
-    config: &Configuration,
-    opt: OptLevel,
-    exec: &ExecOptions,
-) -> BaseJudgement {
-    let sessions: Vec<Session<'_>> = variants.iter().map(Session::new).collect();
-    judge_base_sessions(&sessions, config, opt, exec)
-}
-
-/// [`judge_base`] over pre-built variant [`Session`]s (typically sharing an
-/// [`ExecMemo`]).
-pub fn judge_base_sessions(
-    variants: &[Session<'_>],
-    config: &Configuration,
-    opt: OptLevel,
-    exec: &ExecOptions,
-) -> BaseJudgement {
-    let outcomes: Vec<TestOutcome> = variants
-        .iter()
-        .map(|variant| variant.execute(config, opt, exec))
-        .collect();
-    judge_outcomes(&outcomes)
-}
-
 /// Classifies one outcome row — every variant of a base on one target —
-/// according to §7.4.  This is the judge stage of [`EmiBaseJob`], factored
-/// out so the one-shot helpers above apply the identical rule.
+/// according to §7.4: the judge stage of [`EmiBaseJob`].
 pub fn judge_outcomes(outcomes: &[TestOutcome]) -> BaseJudgement {
     // A BTreeMap keeps the tally independent of hash iteration order (the
     // verdict only reads set size and totals today, but stable ordering is
@@ -858,32 +798,29 @@ mod tests {
         let configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(19)];
         let options = small_options(3);
         let scheduler = Scheduler::new(2);
-        let single = run_emi_campaign_with(&scheduler, &configs, &options);
+        let campaign = EmiCampaign::new(&scheduler, &configs, &options);
+        let single = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
         let mut merged: Option<EmiTally> = None;
-        let mut judged = 0usize;
+        let mut judged = 0;
         for index in 0..2u32 {
-            let shard = run_emi_campaign_sharded(
-                &scheduler,
-                &configs,
-                &options,
-                crate::shard::ShardSelect { index, count: 2 },
-                None,
-            )
-            .unwrap();
-            judged += shard.result.bases;
-            assert_eq!(shard.total_bases, single.bases);
+            // Every shard probes the live-base list afresh.
+            let shard_campaign = EmiCampaign::new(&scheduler, &configs, &options);
+            assert_eq!(shard_campaign.total_jobs(), campaign.total_jobs());
+            let select = ShardSelect { index, count: 2 };
+            let shard = run_shard(&scheduler, &shard_campaign, select, None).unwrap();
+            judged += shard.jobs;
             match &mut merged {
-                None => merged = Some(shard.tally),
-                Some(t) => t.merge(shard.tally),
+                None => merged = Some(shard.aggregate),
+                Some(t) => t.merge(shard.aggregate),
             }
         }
-        assert_eq!(judged, single.bases);
-        assert_eq!(merged.unwrap().per_target, single.stats);
+        assert_eq!(judged, single.jobs);
+        assert_eq!(merged.unwrap(), single.aggregate);
     }
 
     #[test]
     fn live_base_generation_filters_dead_placements() {
-        let bases = generate_live_bases(&small_options(2));
+        let bases = generate_live_bases_with(&Scheduler::new(2), &small_options(2));
         assert!(!bases.is_empty());
         for base in &bases {
             assert!(base.has_dead_array());
@@ -894,7 +831,7 @@ mod tests {
     #[test]
     fn judging_a_base_on_a_healthy_config_is_stable() {
         let options = small_options(1);
-        let bases = generate_live_bases(&options);
+        let bases = generate_live_bases_with(&Scheduler::new(2), &options);
         let grid = pruning_grid(4);
         let variants: Vec<clc::Program> = grid
             .iter()
@@ -919,7 +856,10 @@ mod tests {
     fn small_emi_campaign_produces_consistent_counts() {
         let configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(19)];
         let options = small_options(2);
-        let result = run_emi_campaign(&configs, &options);
+        let scheduler = Scheduler::new(2);
+        let campaign = EmiCampaign::new(&scheduler, &configs, &options);
+        let run = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+        let result = campaign.result(&run.aggregate, run.jobs);
         assert_eq!(result.labels.len(), 4);
         for stats in &result.stats {
             // Every base is accounted for: either a bad base or judged.

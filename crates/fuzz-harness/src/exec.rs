@@ -33,8 +33,8 @@
 //!
 //! Campaign jobs are not opaque: each one is *generate a test case → execute
 //! it → judge the outcomes*.  The [`StagedJob`] trait makes those boundaries
-//! explicit (they are where per-stage timing hooks in), and every staged job
-//! is a [`Job`] that runs its three stages back to back on one worker.
+//! explicit (they are where per-stage timing hooks in), and the scheduler
+//! runs a job's three stages back to back on one worker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -42,20 +42,11 @@ use std::sync::{Arc, Mutex};
 
 pub use clsmith::rng::job_seed;
 
-/// A unit of campaign work: owns everything it needs (inputs by value,
-/// shared read-only state behind [`Arc`]) and produces a result shard that
-/// the driver merges in job-index order.
-pub trait Job: Send {
-    /// The per-job result shard.
-    type Output: Send;
-
-    /// Executes the job.  Runs on a worker thread; panics are contained and
-    /// reported as [`JobResult::Failed`].
-    fn run(self) -> Self::Output;
-}
-
-/// A campaign job with explicit *generate → execute → judge* stage
-/// boundaries.
+/// A unit of campaign work with explicit *generate → execute → judge* stage
+/// boundaries.  A job owns everything it needs (inputs by value, shared
+/// read-only state behind [`Arc`]) and produces a result shard that the
+/// driver merges in job-index order; it runs on a worker thread, where
+/// panics are contained and reported as [`JobResult::Failed`].
 ///
 /// Stage one consumes the job description and produces the test case; stage
 /// two runs it; stage three turns raw outcomes into the job's result shard.
@@ -76,15 +67,6 @@ pub trait StagedJob: Send {
     fn execute(generated: Self::Generated) -> Self::Executed;
     /// Stage 3: judge the execution outcomes.
     fn judge(executed: Self::Executed) -> Self::Output;
-}
-
-/// Every staged job runs whole: its three stages back to back on one worker.
-impl<J: StagedJob> Job for J {
-    type Output = J::Output;
-
-    fn run(self) -> J::Output {
-        J::judge(J::execute(J::generate(self)))
-    }
 }
 
 /// What became of one job.
@@ -169,32 +151,6 @@ impl Scheduler {
         Scheduler::new(1)
     }
 
-    /// The default scheduler: `FUZZ_THREADS` from the environment if set
-    /// (`FUZZ_THREADS=0` clamps to the sequential fallback via
-    /// [`Scheduler::new`]), otherwise the machine's available parallelism.
-    /// Campaign results do not depend on the choice — only wall-clock time
-    /// does.
-    pub fn from_env() -> Scheduler {
-        Scheduler::from_env_value(std::env::var("FUZZ_THREADS").ok().as_deref())
-    }
-
-    /// [`Scheduler::from_env`]'s construction rule on an explicit
-    /// `FUZZ_THREADS` value — factored out so tests can pin the parsing
-    /// (including the `FUZZ_THREADS=0` clamp) without mutating the process
-    /// environment, which is undefined behaviour to race against concurrent
-    /// readers.
-    fn from_env_value(threads: Option<&str>) -> Scheduler {
-        Scheduler::new(
-            threads
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                }),
-        )
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
@@ -203,7 +159,7 @@ impl Scheduler {
     /// Runs a batch of jobs and returns one [`JobResult`] per job, **in
     /// job-index order**, regardless of which workers ran what and in which
     /// order they finished.
-    pub fn run<J: Job>(&self, jobs: Vec<J>) -> Vec<JobResult<J::Output>> {
+    pub fn run<J: StagedJob>(&self, jobs: Vec<J>) -> Vec<JobResult<J::Output>> {
         self.run_streaming(jobs, |_, _| {})
     }
 
@@ -218,7 +174,7 @@ impl Scheduler {
     /// separate threads), so a process killed mid-batch has journaled
     /// everything that finished more than a moment earlier — and workers
     /// never touch IO.
-    pub fn run_streaming<J: Job>(
+    pub fn run_streaming<J: StagedJob>(
         &self,
         jobs: Vec<J>,
         mut on_result: impl FnMut(usize, &JobResult<J::Output>),
@@ -283,7 +239,7 @@ impl Scheduler {
 
             // Collect exactly `count` results.  Every job sends exactly one
             // result — even a panicking job, because the panic is caught
-            // around `Job::run` — so this cannot hang.
+            // around its stages — so this cannot hang.
             for (index, result) in result_rx.iter() {
                 debug_assert!(slots[index].is_none(), "job {index} reported twice");
                 on_result(index, &result);
@@ -299,25 +255,17 @@ impl Scheduler {
     }
 
     /// Runs a batch and unwraps every result (see [`expect_completed`]).
-    pub fn run_all<J: Job>(&self, jobs: Vec<J>) -> Vec<J::Output> {
+    pub fn run_staged_all<J: StagedJob>(&self, jobs: Vec<J>) -> Vec<J::Output> {
         expect_completed(self.run(jobs))
     }
-
-    /// [`Scheduler::run_all`] for a batch of [`StagedJob`]s.
-    pub fn run_staged_all<J: StagedJob>(&self, jobs: Vec<J>) -> Vec<J::Output> {
-        self.run_all(jobs)
-    }
 }
 
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::from_env()
-    }
-}
-
-/// Executes one job with panic containment.
-fn run_one<J: Job>(index: usize, job: J) -> JobResult<J::Output> {
-    match catch_unwind(AssertUnwindSafe(move || job.run())) {
+/// Executes one job whole — its three stages back to back — with panic
+/// containment.
+fn run_one<J: StagedJob>(index: usize, job: J) -> JobResult<J::Output> {
+    match catch_unwind(AssertUnwindSafe(move || {
+        J::judge(J::execute(J::generate(job)))
+    })) {
         Ok(value) => JobResult::Completed(value),
         Err(payload) => {
             // `&*payload` reborrows the payload itself; a plain `&payload`
@@ -346,16 +294,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    /// A trivial job for exercising the pool.
+    /// A trivial job for exercising the pool: its first two stages pass
+    /// the value through, and judging squares it.
     struct Square(u64);
 
-    impl Job for Square {
+    impl StagedJob for Square {
+        type Generated = u64;
+        type Executed = u64;
         type Output = u64;
-        fn run(self) -> u64 {
-            if self.0 == u64::MAX {
+
+        fn generate(self) -> u64 {
+            self.0
+        }
+
+        fn execute(n: u64) -> u64 {
+            n
+        }
+
+        fn judge(n: u64) -> u64 {
+            if n == u64::MAX {
                 panic!("poisoned job");
             }
-            self.0 * self.0
+            n * n
         }
     }
 
@@ -381,7 +341,11 @@ mod tests {
         let expected: Vec<u64> = (0..97).map(|i| i * i).collect();
         for threads in [1, 2, 3, 8, 64] {
             let scheduler = Scheduler::new(threads);
-            assert_eq!(scheduler.run_all(jobs(97)), expected, "{threads} threads");
+            assert_eq!(
+                scheduler.run_staged_all(jobs(97)),
+                expected,
+                "{threads} threads"
+            );
         }
     }
 
@@ -408,8 +372,11 @@ mod tests {
     #[test]
     fn empty_and_single_batches_work() {
         let scheduler = Scheduler::new(4);
-        assert_eq!(scheduler.run_all(Vec::<Square>::new()), Vec::<u64>::new());
-        assert_eq!(scheduler.run_all(vec![Square(3)]), vec![9]);
+        assert_eq!(
+            scheduler.run_staged_all(Vec::<Square>::new()),
+            Vec::<u64>::new()
+        );
+        assert_eq!(scheduler.run_staged_all(vec![Square(3)]), vec![9]);
     }
 
     #[test]
@@ -444,25 +411,34 @@ mod tests {
     fn expect_completed_reraises_the_failure_deterministically() {
         let scheduler = Scheduler::new(4);
         let jobs = vec![Square(1), Square(2), Square(u64::MAX), Square(4)];
-        scheduler.run_all(jobs);
+        scheduler.run_staged_all(jobs);
     }
 
     #[test]
     fn queue_capacity_is_respected_without_deadlock() {
         // A batch larger than the queue bound exercises back-pressure.
         let scheduler = Scheduler::new(2);
-        let got = scheduler.run_all((0..64).map(Square).collect::<Vec<_>>());
+        let got = scheduler.run_staged_all((0..64).map(Square).collect::<Vec<_>>());
         assert_eq!(got.len(), 64);
     }
 
     /// A fixed-latency job (wall-clock cost, no CPU cost).
     struct Sleep(std::time::Duration);
 
-    impl Job for Sleep {
+    impl StagedJob for Sleep {
+        type Generated = std::time::Duration;
+        type Executed = ();
         type Output = ();
-        fn run(self) {
-            std::thread::sleep(self.0);
+
+        fn generate(self) -> std::time::Duration {
+            self.0
         }
+
+        fn execute(latency: std::time::Duration) {
+            std::thread::sleep(latency);
+        }
+
+        fn judge(_: ()) {}
     }
 
     #[test]
@@ -503,10 +479,10 @@ mod tests {
                 .collect()
         };
         let start = std::time::Instant::now();
-        Scheduler::new(1).run_all(jobs());
+        Scheduler::new(1).run_staged_all(jobs());
         let sequential = start.elapsed();
         let start = std::time::Instant::now();
-        Scheduler::new(4).run_all(jobs());
+        Scheduler::new(4).run_staged_all(jobs());
         let parallel = start.elapsed();
         assert!(
             sequential.as_secs_f64() >= 2.0 * parallel.as_secs_f64(),
@@ -515,24 +491,11 @@ mod tests {
     }
 
     #[test]
-    fn from_env_and_default_produce_at_least_one_worker() {
-        assert!(Scheduler::from_env().threads() >= 1);
-        assert!(Scheduler::default().threads() >= 1);
+    fn sequential_and_zero_worker_schedulers_have_one_worker() {
+        // A zero-worker pool could never drain its queue, so `new(0)`
+        // clamps to the sequential fallback.
         assert_eq!(Scheduler::sequential().threads(), 1);
         assert_eq!(Scheduler::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn fuzz_threads_zero_clamps_to_one_worker() {
-        // Pins that FUZZ_THREADS=0 reaches Scheduler::new's >= 1 clamp
-        // rather than being accepted verbatim (a zero-worker pool could
-        // never drain its queue; the table binaries reject --threads 0
-        // outright).  Exercised through the value-level constructor:
-        // mutating the real environment would race other tests' getenv
-        // calls, which is undefined behaviour on glibc.
-        assert_eq!(Scheduler::from_env_value(Some("0")).threads(), 1);
-        assert_eq!(Scheduler::from_env_value(Some("3")).threads(), 3);
-        assert!(Scheduler::from_env_value(Some("junk")).threads() >= 1);
     }
 
     /// A staged job with observable stage boundaries: generate doubles,

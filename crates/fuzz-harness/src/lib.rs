@@ -30,11 +30,11 @@
 //!   run on: shards ([`run_shard`]), fleet leases ([`run_lease`]) and
 //!   journal merges ([`merge`]).
 //!
-//! Every driver comes in two forms: the historical signature (e.g.
-//! [`run_mode_campaign`]), which fans out over [`exec::Scheduler::from_env`]
-//! (`FUZZ_THREADS` or the machine's available parallelism), and an explicit
-//! `*_with(&Scheduler, ...)` form for callers that manage their own worker
-//! pool.
+//! There is one way to run a campaign: build it, then run it with
+//! [`run_shard`] on a [`Scheduler`] of the caller's choosing
+//! ([`ShardSelect::whole`] for the whole job space), and render its tally
+//! (e.g. [`ModeCampaign::results`]).  The table binaries in the `bench`
+//! crate do exactly this.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,33 +52,28 @@ pub mod report;
 pub mod shard;
 
 pub use benchmark_emi::{
-    evaluate_benchmark, evaluate_benchmark_with, BenchmarkBodyJob, BenchmarkCell, BodyOutcomes,
-    BodyShard, CellOutcome, CellTally, EmiBenchmark, InjectedVariants,
+    evaluate_benchmark_with, BenchmarkBodyJob, BenchmarkCell, BodyOutcomes, BodyShard, CellOutcome,
+    CellTally, EmiBenchmark, InjectedVariants,
 };
 pub use campaign::{
-    classification_descriptor, classify_configurations, classify_configurations_sharded,
-    classify_configurations_with, mode_campaign_descriptor, parsed_options, quick_differential,
-    reliability_rows, run_mode_campaign, run_mode_campaign_with, run_modes_campaign_sharded,
-    CampaignOptions, CampaignResult, ClassificationCampaign, ClassificationTally, GeneratedKernel,
-    KernelJob, ModeCampaign, ModeTally, MultiModeTally, ReliabilityRow, ShardedClassification,
-    ShardedModeCampaign, TargetStats, RELIABILITY_THRESHOLD,
+    classification_descriptor, classify_configurations_sharded, mode_campaign_descriptor,
+    parsed_options, reliability_rows, run_modes_campaign_sharded, CampaignOptions, CampaignResult,
+    ClassificationCampaign, ClassificationTally, GeneratedKernel, KernelJob, ModeCampaign,
+    ModeTally, MultiModeTally, ReliabilityRow, ShardedClassification, ShardedModeCampaign,
+    TargetStats, RELIABILITY_THRESHOLD,
 };
 pub use corpus::{
-    corpus_campaign_descriptor, run_corpus_campaign_with, CorpusCampaign, CorpusCampaignResult,
-    CorpusJob, CorpusOptions, CorpusRecord, CorpusStrategy, CorpusTally, StrategyTally,
+    corpus_campaign_descriptor, CorpusCampaign, CorpusCampaignResult, CorpusJob, CorpusOptions,
+    CorpusRecord, CorpusStrategy, CorpusTally, StrategyTally,
 };
-pub use differential::{
-    classify, differential_test, run_on_targets, run_on_targets_session, targets_for, TestTarget,
-    Verdict,
-};
+pub use differential::{classify, run_on_targets_session, targets_for, TestTarget, Verdict};
 pub use emi_campaign::{
-    emi_campaign_descriptor, generate_live_bases, generate_live_bases_with, judge_base,
-    judge_base_sessions, judge_outcomes, pruning_grid, run_emi_campaign, run_emi_campaign_sharded,
-    run_emi_campaign_with, EmiBaseJob, EmiCampaign, EmiCampaignOptions, EmiCampaignResult,
+    emi_campaign_descriptor, generate_live_bases_with, judge_outcomes, pruning_grid,
+    run_emi_campaign_sharded, EmiBaseJob, EmiCampaign, EmiCampaignOptions, EmiCampaignResult,
     EmiOutcomeGrid, EmiStats, EmiTally, EmiVariantGrid, LivenessCandidate, LivenessOutcomes,
     LivenessProbeJob, ShardedEmiCampaign,
 };
-pub use exec::{expect_completed, job_seed, Job, JobFailure, JobResult, Scheduler, StagedJob};
+pub use exec::{expect_completed, job_seed, JobFailure, JobResult, Scheduler, StagedJob};
 pub use faults::{tear_journal_tail, FaultKind, FaultPlan, FaultSpec, LeaseFault};
 pub use fleet::{
     run_worker, Coordinator, DeadLetter, FleetCommand, FleetOptions, FleetOutcome, FleetReply,

@@ -4,9 +4,9 @@
 //! [`render_emi_table`], [`render_reliability_table`]) are the *single*
 //! source of the Table 1 / Table 4 / Table 5 artefacts: the table binaries
 //! print them, and the scheduler determinism, cache equivalence and shard
-//! equivalence tests (plus the throughput benchmark) compare them byte for
-//! byte — so any rendering change stays under the bit-identical guarantees
-//! automatically.
+//! equivalence tests (plus the campaign benchmark's pinned digests) compare
+//! them byte for byte — so any rendering change stays under the
+//! bit-identical guarantees automatically.
 //!
 //! All three renderers accept **partial** tallies — the streaming tables a
 //! shard, a journal prefix, or a subset of shard journals produces.  A

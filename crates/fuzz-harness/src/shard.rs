@@ -256,6 +256,8 @@ fn validate_header(
 ///
 /// `make_job` maps a global job index to its derived seed and job.  Shard
 /// runs write no checkpoints, so a journal carrying one cannot resume here.
+/// Outside this module's tests, only the campaign benchmark
+/// (`campaign-bench`) calls it; campaigns run through [`run_shard`].
 pub fn run_sharded<J, F>(
     scheduler: &Scheduler,
     spec: &ShardSpec,

@@ -4,12 +4,12 @@
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::{
-    classify_configurations_with, evaluate_benchmark_with, generate_live_bases_with, percent,
-    render_campaign_table, render_emi_table, render_reliability_table, run_emi_campaign_with,
-    run_mode_campaign_with, CampaignOptions, EmiBenchmark, EmiCampaignOptions, ExecutionTier,
-    Scheduler,
+    evaluate_benchmark_with, generate_live_bases_with, percent, reliability_rows,
+    render_campaign_table, render_emi_table, render_reliability_table, run_shard, CampaignOptions,
+    CampaignResult, ClassificationCampaign, EmiBenchmark, EmiCampaign, EmiCampaignOptions,
+    EmiCampaignResult, ExecutionTier, ModeCampaign, ReliabilityRow, Scheduler, ShardSelect,
 };
-use opencl_sim::ExecOptions;
+use opencl_sim::{Configuration, ExecOptions};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -31,6 +31,41 @@ fn small_campaign_options(seed_offset: u64) -> CampaignOptions {
     }
 }
 
+/// One mode's Table 4 result, run the way `table4` runs its campaign.
+fn table4_result(
+    scheduler: &Scheduler,
+    mode: GenMode,
+    configs: &[Configuration],
+    options: &CampaignOptions,
+) -> CampaignResult {
+    let campaign = ModeCampaign::new(&[mode], configs, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+    campaign.results(&run.aggregate).remove(0)
+}
+
+/// The Table 5 result, run the way `table5` runs its campaign.
+fn table5_result(
+    scheduler: &Scheduler,
+    configs: &[Configuration],
+    options: &EmiCampaignOptions,
+) -> EmiCampaignResult {
+    let campaign = EmiCampaign::new(scheduler, configs, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+    campaign.result(&run.aggregate, run.jobs)
+}
+
+/// The Table 1 rows, run the way `table1` runs its campaign.
+fn table1_rows(
+    scheduler: &Scheduler,
+    configs: &[Configuration],
+    kernels_per_mode: usize,
+    options: &CampaignOptions,
+) -> Vec<ReliabilityRow> {
+    let campaign = ClassificationCampaign::new(configs, kernels_per_mode, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+    reliability_rows(configs, &run.aggregate)
+}
+
 #[test]
 fn mode_campaign_is_bit_identical_at_any_worker_count() {
     let configs = vec![
@@ -40,7 +75,7 @@ fn mode_campaign_is_bit_identical_at_any_worker_count() {
         opencl_sim::configuration(19),
     ];
     let options = small_campaign_options(0xC0FFEE);
-    let reference = run_mode_campaign_with(
+    let reference = table4_result(
         &Scheduler::sequential(),
         GenMode::Barrier,
         &configs,
@@ -49,7 +84,7 @@ fn mode_campaign_is_bit_identical_at_any_worker_count() {
     let reference_table = render_campaign_table(&reference);
     assert!(reference.stats.iter().any(|s| s.total() == options.kernels));
     for workers in WORKER_COUNTS {
-        let result = run_mode_campaign_with(
+        let result = table4_result(
             &Scheduler::new(workers),
             GenMode::Barrier,
             &configs,
@@ -75,11 +110,11 @@ fn emi_campaign_is_bit_identical_at_any_worker_count() {
         variants_per_base: 6,
         campaign: small_campaign_options(7),
     };
-    let reference = run_emi_campaign_with(&Scheduler::sequential(), &configs, &options);
+    let reference = table5_result(&Scheduler::sequential(), &configs, &options);
     let reference_table = render_emi_table(&reference);
     assert!(reference.bases > 0, "liveness filtering accepted no bases");
     for workers in WORKER_COUNTS {
-        let result = run_emi_campaign_with(&Scheduler::new(workers), &configs, &options);
+        let result = table5_result(&Scheduler::new(workers), &configs, &options);
         assert_eq!(
             result, reference,
             "{workers} workers changed the EMI campaign result"
@@ -117,7 +152,7 @@ fn reliability_classification_is_bit_identical_at_any_worker_count() {
     let configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(21)];
     let options = small_campaign_options(0);
     let describe = |scheduler: &Scheduler| -> Vec<(usize, String, bool)> {
-        classify_configurations_with(scheduler, &configs, 3, &options)
+        table1_rows(scheduler, &configs, 3, &options)
             .into_iter()
             .map(|row| {
                 (
@@ -164,7 +199,7 @@ fn tables_1_4_5_are_bit_identical_across_workers_and_tiers() {
         // Table 1: the reliability classification.
         let table1_configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(21)];
         let table1 = |scheduler: &Scheduler| {
-            render_reliability_table(&classify_configurations_with(
+            render_reliability_table(&table1_rows(
                 scheduler,
                 &table1_configs,
                 3,
@@ -179,7 +214,7 @@ fn tables_1_4_5_are_bit_identical_across_workers_and_tiers() {
             opencl_sim::configuration(19),
         ];
         let table4 = |scheduler: &Scheduler| {
-            render_campaign_table(&run_mode_campaign_with(
+            render_campaign_table(&table4_result(
                 scheduler,
                 GenMode::Barrier,
                 &table4_configs,
@@ -196,11 +231,7 @@ fn tables_1_4_5_are_bit_identical_across_workers_and_tiers() {
             campaign: campaign_options(0x7AB1E5),
         };
         let table5 = |scheduler: &Scheduler| {
-            render_emi_table(&run_emi_campaign_with(
-                scheduler,
-                &table5_configs,
-                &emi_options,
-            ))
+            render_emi_table(&table5_result(scheduler, &table5_configs, &emi_options))
         };
 
         type RenderTable<'a> = &'a dyn Fn(&Scheduler) -> String;
@@ -288,8 +319,7 @@ fn prefilter_campaign_is_deterministic_and_renders_sk_row() {
         prefilter: true,
         ..small_campaign_options(0xF117E2)
     };
-    let reference =
-        run_mode_campaign_with(&Scheduler::sequential(), GenMode::All, &configs, &options);
+    let reference = table4_result(&Scheduler::sequential(), GenMode::All, &configs, &options);
     let reference_table = render_campaign_table(&reference);
     let skipped: usize = reference.stats.iter().map(|s| s.skipped).sum();
     assert!(
@@ -309,8 +339,7 @@ fn prefilter_campaign_is_deterministic_and_renders_sk_row() {
         );
     }
     for workers in WORKER_COUNTS {
-        let result =
-            run_mode_campaign_with(&Scheduler::new(workers), GenMode::All, &configs, &options);
+        let result = table4_result(&Scheduler::new(workers), GenMode::All, &configs, &options);
         assert_eq!(
             render_campaign_table(&result),
             reference_table,
@@ -318,7 +347,7 @@ fn prefilter_campaign_is_deterministic_and_renders_sk_row() {
         );
     }
     // Prefilter off on the same seed renders no sk row at all.
-    let off = run_mode_campaign_with(
+    let off = table4_result(
         &Scheduler::sequential(),
         GenMode::All,
         &configs,

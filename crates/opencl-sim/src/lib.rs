@@ -46,8 +46,7 @@ pub use configs::{
 };
 pub use figures::{all_figures, FigureKernel};
 pub use platform::{
-    execute, process_cache_stats, process_race_stats, reference_execute, reset_process_cache_stats,
-    reset_process_race_stats, reset_shared_outcome_cache, CacheStats, CompiledProgram, ExecMemo,
-    ExecOptions, RaceDetectorStats, Recipe, Session, TestOutcome,
+    execute, process_cache_stats, reference_execute, reset_shared_outcome_cache, CacheStats,
+    CompiledProgram, ExecMemo, ExecOptions, Recipe, Session, TestOutcome,
 };
 pub use store::{set_io_fault_hook, IoFaultHook, OutcomeStore, StoreOp, StoreStats};

@@ -93,9 +93,9 @@ pub struct ExecOptions {
     /// bytecode tier, `CLC_INTERP_TIER` overrides process-wide).
     pub tier: ExecutionTier,
     /// On-disk cross-campaign outcome store consulted (and populated) after
-    /// the in-memory caches miss (defaults to the `CLFUZZ_STORE` store, or
-    /// `None` when unset).  Like memoisation, the store never changes
-    /// results: outcomes are deterministic in `(recipe key, exec key)`.
+    /// the in-memory caches miss (`None` by default).  Like memoisation, the
+    /// store never changes results: outcomes are deterministic in
+    /// `(recipe key, exec key)`.
     pub store: Option<Arc<OutcomeStore>>,
     /// Whether [`Session`]s may serve repeated executions of an identical
     /// compiled program from the outcome cache (on by default).  Turning
@@ -113,7 +113,7 @@ impl Default for ExecOptions {
             schedule: Schedule::Forward,
             buffer_overrides: Arc::new(HashMap::new()),
             tier: ExecutionTier::from_env(),
-            store: OutcomeStore::from_env(),
+            store: None,
             memoize: true,
         }
     }
@@ -321,35 +321,6 @@ pub struct CacheStats {
     pub store_hits: u64,
 }
 
-impl CacheStats {
-    /// Fraction of executions that reused an already-compiled kernel — via
-    /// an outcome cache (which skips the launch entirely) or the
-    /// compiled-kernel cache (which skips only the lowering).  `0.0` (never
-    /// `NaN`) when no lookups occurred.
-    pub fn compile_hit_rate(&self) -> f64 {
-        let cached = self.outcome_hits + self.shared_hits + self.store_hits + self.kernel_hits;
-        let lookups = cached + self.compiles;
-        if lookups == 0 {
-            0.0
-        } else {
-            cached as f64 / lookups as f64
-        }
-    }
-
-    /// Fraction of executions whose *outcome* was served from any cache
-    /// level (per-job, process-wide, or on-disk store), skipping the launch
-    /// entirely.  `0.0` (never `NaN`) when no lookups occurred.
-    pub fn outcome_hit_rate(&self) -> f64 {
-        let cached = self.outcome_hits + self.shared_hits + self.store_hits;
-        let lookups = cached + self.launches;
-        if lookups == 0 {
-            0.0
-        } else {
-            cached as f64 / lookups as f64
-        }
-    }
-}
-
 /// The cache-counter kinds.  Doubles as the index into the process-wide
 /// atomic array, so the per-memo cell and the global counter cannot drift
 /// apart.
@@ -417,9 +388,7 @@ impl ExecMemo {
 }
 
 /// Process-wide cache counters summed over every memo on every thread since
-/// start (or the last [`reset_process_cache_stats`]).  Benchmarks use this
-/// to report `launches_per_kernel` and `compile_cache_hit_rate` across a
-/// whole campaign.
+/// the process started.  Benchmarks read the difference across a campaign.
 pub fn process_cache_stats() -> CacheStats {
     CacheStats {
         requests: process_count(Counter::Requests),
@@ -429,63 +398,6 @@ pub fn process_cache_stats() -> CacheStats {
         kernel_hits: process_count(Counter::KernelHits),
         shared_hits: process_count(Counter::SharedHits),
         store_hits: process_count(Counter::StoreHits),
-    }
-}
-
-/// Zeroes the process-wide cache counters (benchmark bracketing; not
-/// synchronised with concurrently running campaigns).
-pub fn reset_process_cache_stats() {
-    for counter in &PROCESS {
-        counter.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Process-wide shadow-memory race-detector counters, summed over every
-/// real launch that ran with race detection enabled.  Memoised outcome hits
-/// add nothing (no launch happens), so these measure actual detector work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RaceDetectorStats {
-    /// Launches that ran with the detector on.
-    pub detected_launches: u64,
-    /// Shared-memory accesses recorded.
-    pub accesses: u64,
-    /// Shadow arrays active (objects with at least one recorded access).
-    pub shadow_arrays: u64,
-    /// O(1) era bumps taken instead of clearing shadow state.
-    pub epoch_bumps: u64,
-}
-
-/// Process-wide race-detector counters — indexed like [`RaceDetectorStats`]
-/// fields: launches, accesses, shadow arrays, epoch bumps.
-static RACE_PROCESS: [AtomicU64; 4] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-fn record_race_stats(stats: clc_interp::RaceStats) {
-    RACE_PROCESS[0].fetch_add(1, Ordering::Relaxed);
-    RACE_PROCESS[1].fetch_add(stats.accesses, Ordering::Relaxed);
-    RACE_PROCESS[2].fetch_add(stats.shadow_arrays, Ordering::Relaxed);
-    RACE_PROCESS[3].fetch_add(stats.epoch_bumps, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide race-detector counters since start (or the
-/// last [`reset_process_race_stats`]).
-pub fn process_race_stats() -> RaceDetectorStats {
-    RaceDetectorStats {
-        detected_launches: RACE_PROCESS[0].load(Ordering::Relaxed),
-        accesses: RACE_PROCESS[1].load(Ordering::Relaxed),
-        shadow_arrays: RACE_PROCESS[2].load(Ordering::Relaxed),
-        epoch_bumps: RACE_PROCESS[3].load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the process-wide race-detector counters (benchmark bracketing).
-pub fn reset_process_race_stats() {
-    for counter in &RACE_PROCESS {
-        counter.store(0, Ordering::Relaxed);
     }
 }
 
@@ -543,8 +455,8 @@ fn shared_put(key: (Fingerprint, u64), outcome: TestOutcome, coverage: CoverageM
     }
 }
 
-/// Empties the process-wide shared outcome cache (benchmark bracketing and
-/// test isolation; campaigns never need this — eviction bounds the size).
+/// Empties the process-wide shared outcome cache (cold-start bracketing in
+/// tests; campaigns never need this — eviction bounds the size).
 pub fn reset_shared_outcome_cache() {
     if let Some(shards) = SHARED.get() {
         for shard in shards {
@@ -930,15 +842,8 @@ fn launch_options(exec: &ExecOptions) -> LaunchOptions {
     }
 }
 
-/// Maps an emulator result onto the platform outcome surface, folding the
-/// launch's race-detector counters (when detection ran) into the
-/// process-wide aggregate.
+/// Maps an emulator result onto the platform outcome surface.
 fn launch_outcome(result: Result<clc_interp::LaunchResult, RuntimeError>) -> TestOutcome {
-    if let Ok(result) = &result {
-        if let Some(stats) = result.race_stats {
-            record_race_stats(stats);
-        }
-    }
     match result {
         Ok(result) => TestOutcome::Result {
             hash: result.result_hash,
@@ -1238,21 +1143,6 @@ mod tests {
         let stats = memo.stats();
         assert_eq!(stats.launches, 1);
         assert_eq!(stats.outcome_hits, 1);
-    }
-
-    #[test]
-    fn hit_rates_are_zero_not_nan_without_lookups() {
-        let empty = CacheStats::default();
-        assert_eq!(empty.compile_hit_rate(), 0.0);
-        assert_eq!(empty.outcome_hit_rate(), 0.0);
-        let busy = CacheStats {
-            launches: 1,
-            outcome_hits: 1,
-            shared_hits: 1,
-            store_hits: 1,
-            ..CacheStats::default()
-        };
-        assert_eq!(busy.outcome_hit_rate(), 0.75);
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! atomic rename, so concurrent shard processes sharing one store directory
 //! never observe partial entries; because outcomes are deterministic
 //! functions of the key, racing writers publish identical bytes and either
-//! rename may win.  The store is capped (`CLFUZZ_STORE_CAP`, default
-//! 256 MiB): when a write pushes past the cap, the oldest entries (by
+//! rename may win.  The store is capped (256 MiB unless opened with an
+//! explicit cap): when a write pushes past the cap, the oldest entries (by
 //! modification time — LRU-ish, since hits do not touch files) are evicted
 //! until the store fits again.
 
@@ -57,7 +57,7 @@ use clc::{fnv1a, Fingerprint};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 /// Store I/O operation kinds, as seen by the injectable fault hook.
@@ -105,7 +105,7 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 /// semantics or a miscompilation transform changes (see the module docs).
 const FORMAT: &str = "CLFUZZ-STORE 1";
 
-/// Default size cap (bytes) when `CLFUZZ_STORE_CAP` is unset.
+/// Size cap (bytes) of a store opened without an explicit one.
 const DEFAULT_CAP: u64 = 256 * 1024 * 1024;
 
 /// Counter snapshot of one [`OutcomeStore`].
@@ -165,10 +165,10 @@ pub struct OutcomeStore {
 }
 
 impl OutcomeStore {
-    /// Opens (creating if needed) the store at `dir` with the cap from
-    /// `CLFUZZ_STORE_CAP` (default 256 MiB).
+    /// Opens (creating if needed) the store at `dir` with the default
+    /// 256 MiB cap.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<OutcomeStore> {
-        OutcomeStore::open_with_cap(dir, cap_from_env())
+        OutcomeStore::open_with_cap(dir, DEFAULT_CAP)
     }
 
     /// Opens (creating if needed) the store at `dir` with an explicit size
@@ -192,29 +192,6 @@ impl OutcomeStore {
         let existing: u64 = store.scan().iter().map(|e| e.len).sum();
         store.bytes.store(existing, Ordering::Relaxed);
         Ok(store)
-    }
-
-    /// The store selected by the `CLFUZZ_STORE` environment variable, opened
-    /// once per process, or `None` when the variable is unset or empty.  An
-    /// unopenable path prints one warning and disables the store rather
-    /// than failing the campaign.
-    pub fn from_env() -> Option<Arc<OutcomeStore>> {
-        static STORE: OnceLock<Option<Arc<OutcomeStore>>> = OnceLock::new();
-        STORE
-            .get_or_init(|| {
-                let path = std::env::var("CLFUZZ_STORE").ok()?;
-                if path.is_empty() {
-                    return None;
-                }
-                match OutcomeStore::open(&path) {
-                    Ok(store) => Some(Arc::new(store)),
-                    Err(e) => {
-                        eprintln!("warning: CLFUZZ_STORE={path}: {e}; outcome store disabled");
-                        None
-                    }
-                }
-            })
-            .clone()
     }
 
     /// The store's root directory.
@@ -402,14 +379,6 @@ struct ScannedEntry {
     path: PathBuf,
     len: u64,
     modified: Option<std::time::SystemTime>,
-}
-
-/// The size cap from `CLFUZZ_STORE_CAP` (bytes), or the 256 MiB default.
-fn cap_from_env() -> u64 {
-    std::env::var("CLFUZZ_STORE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CAP)
 }
 
 /// Serialises an outcome to the payload carried after the header line.  The

@@ -5,7 +5,7 @@
 
 use clc_interp::{launch, LaunchOptions};
 use clsmith::{generate, GenMode, GeneratorOptions};
-use fuzz_harness::{evaluate_benchmark, EmiBenchmark};
+use fuzz_harness::{evaluate_benchmark_with, EmiBenchmark, Scheduler};
 use opencl_sim::ExecOptions;
 use parboil_rodinia::all_benchmarks;
 
@@ -43,7 +43,8 @@ fn main() {
             bodies,
             injection_points: 1,
         };
-        let cell = evaluate_benchmark(
+        let cell = evaluate_benchmark_with(
+            &Scheduler::sequential(),
             &emi,
             &opencl_sim::configuration(12),
             &ExecOptions::default(),

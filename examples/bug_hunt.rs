@@ -1,11 +1,12 @@
-//! Bug hunt: run a small differential campaign per CLsmith mode and report
-//! which simulated configurations miscompile which kinds of kernels —
-//! a miniature of the paper's §7.3 study.
+//! Bug hunt: run a small differential campaign over every CLsmith mode and
+//! report which simulated configurations miscompile which kinds of kernels —
+//! a miniature of the paper's §7.3 study, run the way the `table4` binary
+//! runs it.
 //!
 //! Run with: `cargo run --release --example bug_hunt -- [kernels-per-mode]`
 
 use clsmith::{GenMode, GeneratorOptions};
-use fuzz_harness::{run_mode_campaign, CampaignOptions};
+use fuzz_harness::{run_shard, CampaignOptions, ModeCampaign, Scheduler, ShardSelect};
 
 fn main() {
     let kernels: usize = std::env::args()
@@ -22,11 +23,19 @@ fn main() {
         },
         ..CampaignOptions::default()
     };
-    for mode in GenMode::ALL {
-        let result = run_mode_campaign(mode, &configs, &options);
+    let campaign = ModeCampaign::new(&GenMode::ALL, &configs, &options);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let run = run_shard(
+        &Scheduler::new(threads),
+        &campaign,
+        ShardSelect::whole(),
+        None,
+    )
+    .expect("a campaign without a journal cannot fail");
+    for result in campaign.results(&run.aggregate) {
         println!(
             "mode {:<16} total w% = {:.2}",
-            mode.name(),
+            result.mode.name(),
             result.total_wrong_code_percentage()
         );
         for (target, stats) in result.targets.iter().zip(&result.stats) {

@@ -1,15 +1,16 @@
 //! EMI testing end to end: build base kernels with dead-by-construction EMI
 //! blocks, derive pruning variants, and look for variant disagreement on a
 //! single configuration — no cross-compiler comparison needed (§5, §7.4).
+//! The campaign runs the way the `table5` binary runs it.
 //!
 //! Run with: `cargo run --release --example emi_campaign`
 
-use clsmith::prune_variant;
 use clsmith::GeneratorOptions;
 use fuzz_harness::{
-    generate_live_bases, judge_base, pruning_grid, CampaignOptions, EmiCampaignOptions,
+    render_emi_table, run_shard, CampaignOptions, EmiCampaign, EmiCampaignOptions, Scheduler,
+    ShardSelect,
 };
-use opencl_sim::{configuration, ExecOptions, OptLevel};
+use opencl_sim::configuration;
 
 fn main() {
     let options = EmiCampaignOptions {
@@ -24,29 +25,18 @@ fn main() {
             ..CampaignOptions::default()
         },
     };
-    let bases = generate_live_bases(&options);
-    println!("accepted {} live base programs", bases.len());
-    let grid = pruning_grid(options.variants_per_base);
-    for (i, base) in bases.iter().enumerate() {
-        let variants: Vec<clc::Program> = grid
-            .iter()
-            .enumerate()
-            .map(|(j, p)| prune_variant(base, p, (i * 100 + j) as u64))
-            .collect();
-        for id in [1usize, 12, 19] {
-            let config = configuration(id);
-            for opt in OptLevel::BOTH {
-                let judgement = judge_base(&variants, &config, opt, &ExecOptions::default());
-                println!(
-                    "base {i} on {:>4}: wrong={} bf={} crash={} timeout={} stable={}",
-                    config.label(opt),
-                    judgement.wrong,
-                    judgement.build_failure,
-                    judgement.crash,
-                    judgement.timeout,
-                    judgement.stable
-                );
-            }
-        }
-    }
+    let configs = [1, 12, 19].map(configuration);
+    let scheduler = Scheduler::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    // Building the campaign keeps the first candidates that pass the
+    // liveness check; each job then judges one base's variants on every
+    // (configuration, optimisation level) target.
+    let campaign = EmiCampaign::new(&scheduler, &configs, &options);
+    let run = run_shard(&scheduler, &campaign, ShardSelect::whole(), None)
+        .expect("a campaign without a journal cannot fail");
+    let result = campaign.result(&run.aggregate, run.jobs);
+    println!(
+        "accepted {} live base programs, {} variants each",
+        result.bases, result.variants_per_base
+    );
+    print!("{}", render_emi_table(&result));
 }

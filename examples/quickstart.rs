@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use clsmith::{generate, GenMode, GeneratorOptions};
-use fuzz_harness::quick_differential;
+use fuzz_harness::{classify, run_on_targets_session, targets_for};
+use opencl_sim::{ExecOptions, Session};
 
 fn main() {
     // 1. Generate a kernel in ALL mode (vectors + barriers + atomics).
@@ -28,8 +29,15 @@ fn main() {
         &reference.result_string[..reference.result_string.len().min(60)]
     );
 
-    // 3. Differential-test it across the above-threshold configurations.
-    let (targets, _outcomes, verdicts) = quick_differential(&program);
+    // 3. Differential-test it across the above-threshold configurations,
+    //    each with optimisations off and on, and vote on the results.
+    let targets = targets_for(&opencl_sim::above_threshold_configurations());
+    let session = Session::new(&program);
+    let verdicts = classify(&run_on_targets_session(
+        &session,
+        &targets,
+        &ExecOptions::default(),
+    ));
     for (target, verdict) in targets.iter().zip(&verdicts) {
         println!("  config {:>4}: {:?}", target.label(), verdict);
     }

@@ -8,10 +8,11 @@
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::{
-    classify_configurations_with, render_campaign_table, render_emi_table, run_emi_campaign_with,
-    run_mode_campaign_with, CampaignOptions, EmiCampaignOptions, Scheduler,
+    reliability_rows, render_campaign_table, render_emi_table, run_shard, CampaignOptions,
+    CampaignResult, ClassificationCampaign, EmiCampaign, EmiCampaignOptions, EmiCampaignResult,
+    ModeCampaign, ReliabilityRow, Scheduler, ShardSelect,
 };
-use opencl_sim::{ExecOptions, ExecutionTier, OutcomeStore};
+use opencl_sim::{Configuration, ExecOptions, ExecutionTier, OutcomeStore};
 use std::sync::Arc;
 
 fn options(memoize: bool, seed_offset: u64) -> CampaignOptions {
@@ -31,6 +32,41 @@ fn options(memoize: bool, seed_offset: u64) -> CampaignOptions {
     }
 }
 
+/// One mode's Table 4 result, run the way `table4` runs its campaign.
+fn table4_result(
+    scheduler: &Scheduler,
+    mode: GenMode,
+    configs: &[Configuration],
+    options: &CampaignOptions,
+) -> CampaignResult {
+    let campaign = ModeCampaign::new(&[mode], configs, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+    campaign.results(&run.aggregate).remove(0)
+}
+
+/// The Table 1 rows, run the way `table1` runs its campaign.
+fn table1_rows(
+    scheduler: &Scheduler,
+    configs: &[Configuration],
+    kernels_per_mode: usize,
+    options: &CampaignOptions,
+) -> Vec<ReliabilityRow> {
+    let campaign = ClassificationCampaign::new(configs, kernels_per_mode, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+    reliability_rows(configs, &run.aggregate)
+}
+
+/// The Table 5 result, run the way `table5` runs its campaign.
+fn table5_result(
+    scheduler: &Scheduler,
+    configs: &[Configuration],
+    options: &EmiCampaignOptions,
+) -> EmiCampaignResult {
+    let campaign = EmiCampaign::new(scheduler, configs, options);
+    let run = run_shard(scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+    campaign.result(&run.aggregate, run.jobs)
+}
+
 #[test]
 fn table4_mode_campaign_is_bit_identical_with_memo_off_and_on() {
     let configs = vec![
@@ -40,9 +76,8 @@ fn table4_mode_campaign_is_bit_identical_with_memo_off_and_on() {
         opencl_sim::configuration(19),
     ];
     let scheduler = Scheduler::sequential();
-    let cold = run_mode_campaign_with(&scheduler, GenMode::Barrier, &configs, &options(false, 42));
-    let memoized =
-        run_mode_campaign_with(&scheduler, GenMode::Barrier, &configs, &options(true, 42));
+    let cold = table4_result(&scheduler, GenMode::Barrier, &configs, &options(false, 42));
+    let memoized = table4_result(&scheduler, GenMode::Barrier, &configs, &options(true, 42));
     assert_eq!(cold, memoized, "memoisation changed the campaign result");
     assert_eq!(
         render_campaign_table(&cold),
@@ -59,8 +94,8 @@ fn table1_classification_is_bit_identical_with_memo_off_and_on() {
         opencl_sim::configuration(21),
     ];
     let scheduler = Scheduler::sequential();
-    let cold = classify_configurations_with(&scheduler, &configs, 2, &options(false, 7));
-    let memoized = classify_configurations_with(&scheduler, &configs, 2, &options(true, 7));
+    let cold = table1_rows(&scheduler, &configs, 2, &options(false, 7));
+    let memoized = table1_rows(&scheduler, &configs, 2, &options(true, 7));
     assert_eq!(cold.len(), memoized.len());
     for (c, m) in cold.iter().zip(&memoized) {
         assert_eq!(c.config.id, m.config.id);
@@ -82,8 +117,8 @@ fn table5_emi_campaign_is_bit_identical_with_memo_off_and_on() {
         variants_per_base: 6,
         campaign: options(memoize, 11),
     };
-    let cold = run_emi_campaign_with(&Scheduler::sequential(), &configs, &emi_options(false));
-    let memoized = run_emi_campaign_with(&Scheduler::sequential(), &configs, &emi_options(true));
+    let cold = table5_result(&Scheduler::sequential(), &configs, &emi_options(false));
+    let memoized = table5_result(&Scheduler::sequential(), &configs, &emi_options(true));
     assert_eq!(cold, memoized, "memoisation changed the EMI campaign");
     assert_eq!(
         render_emi_table(&cold),
@@ -126,7 +161,7 @@ fn tables_are_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
                 seed_offset: 0x5702E,
                 prefilter: false,
             };
-            render_campaign_table(&run_mode_campaign_with(
+            render_campaign_table(&table4_result(
                 &scheduler,
                 GenMode::Basic,
                 &configs,
@@ -149,6 +184,11 @@ fn tables_are_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
             warm_store.stats().hits > 0,
             "warm pass must serve outcomes from the store"
         );
+        // A warm store serves every execution the memory caches miss: no
+        // lookup misses, so nothing is launched or written.
+        let warm_stats = warm_store.stats();
+        assert_eq!(warm_stats.misses, 0, "{}: warm store missed", tier.name());
+        assert_eq!(warm_stats.writes, 0, "{}: warm store wrote", tier.name());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

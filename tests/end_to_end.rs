@@ -2,8 +2,8 @@
 //! through simulated compilation to differential / EMI verdicts.
 
 use clsmith::{generate, GenMode, GeneratorOptions};
-use fuzz_harness::{differential_test, targets_for, Verdict};
-use opencl_sim::{configuration, ExecOptions, OptLevel, TestOutcome};
+use fuzz_harness::{classify, run_on_targets_session, targets_for, Scheduler, Verdict};
+use opencl_sim::{configuration, ExecOptions, OptLevel, Session, TestOutcome};
 
 fn small(mode: GenMode, seed: u64) -> clc::Program {
     generate(&GeneratorOptions {
@@ -66,7 +66,12 @@ fn differential_testing_finds_the_oclgrind_comma_bug() {
             continue;
         }
         comma_kernels += 1;
-        let verdicts = differential_test(&program, &targets, &ExecOptions::default());
+        let session = Session::new(&program);
+        let verdicts = classify(&run_on_targets_session(
+            &session,
+            &targets,
+            &ExecOptions::default(),
+        ));
         // Targets 6 and 7 are 19- and 19+.
         if verdicts[6] == Verdict::WrongCode || verdicts[7] == Verdict::WrongCode {
             flagged += 1;
@@ -103,12 +108,18 @@ fn emi_testing_finds_a_bug_without_cross_compiler_comparison() {
         .enumerate()
         .map(|(i, p)| clsmith::prune_variant(&base, p, i as u64))
         .collect();
-    let judgement = fuzz_harness::judge_base(
-        &variants,
-        &configuration(1),
-        OptLevel::Enabled,
-        &ExecOptions::default(),
-    );
+    let outcomes: Vec<TestOutcome> = variants
+        .iter()
+        .map(|v| {
+            opencl_sim::execute(
+                v,
+                &configuration(1),
+                OptLevel::Enabled,
+                &ExecOptions::default(),
+            )
+        })
+        .collect();
+    let judgement = fuzz_harness::judge_outcomes(&outcomes);
     assert!(
         !judgement.wrong,
         "healthy configuration disagreed across EMI variants"
@@ -166,8 +177,12 @@ fn benchmark_emi_pipeline_runs_for_every_table3_benchmark() {
             bodies: bodies.clone(),
             injection_points: 1,
         };
-        let cell =
-            fuzz_harness::evaluate_benchmark(&emi, &configuration(1), &ExecOptions::default());
+        let cell = fuzz_harness::evaluate_benchmark_with(
+            &Scheduler::sequential(),
+            &emi,
+            &configuration(1),
+            &ExecOptions::default(),
+        );
         // The healthy NVIDIA configuration must never report wrong code for
         // dead-code injection into a deterministic benchmark.
         assert_ne!(

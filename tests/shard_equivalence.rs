@@ -13,11 +13,9 @@
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, Mergeable, ShardSelect};
 use fuzz_harness::{
-    classify_configurations_sharded, classify_configurations_with, load_journal, merge,
-    reliability_rows, render_campaign_table, render_emi_table, render_reliability_table,
-    run_emi_campaign_sharded, run_emi_campaign_with, run_mode_campaign_with,
-    run_modes_campaign_sharded, CampaignOptions, ClassificationCampaign, EmiCampaign,
-    EmiCampaignOptions, EmiTally, ModeCampaign, MultiModeTally, Scheduler,
+    load_journal, merge, reliability_rows, render_campaign_table, render_emi_table,
+    render_reliability_table, run_shard, Campaign, CampaignOptions, ClassificationCampaign,
+    EmiCampaign, EmiCampaignOptions, EmiTally, ModeCampaign, MultiModeTally, Scheduler,
 };
 use opencl_sim::{ExecOptions, OutcomeStore};
 use std::path::PathBuf;
@@ -77,25 +75,20 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
     ];
     let options = campaign_options(0x7AB1E4);
     let modes = [GenMode::Barrier];
+    let campaign = ModeCampaign::new(&modes, &configs, &options);
     for workers in WORKER_COUNTS {
         let scheduler = Scheduler::new(workers);
-        let reference = render_campaign_table(&run_mode_campaign_with(
-            &scheduler,
-            GenMode::Barrier,
-            &configs,
-            &options,
-        ));
+        let single = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+        let reference = render_campaign_table(&campaign.results(&single.aggregate)[0]);
 
         // N shards, merged two ways: in-memory tallies and journal refold.
         let mut tally: Option<MultiModeTally> = None;
         let mut paths = Vec::new();
         for index in 0..SHARDS {
             let path = temp_path(&format!("t4-{workers}-{index}"));
-            let shard = run_modes_campaign_sharded(
+            let shard = run_shard(
                 &scheduler,
-                &modes,
-                &configs,
-                &options,
+                &campaign,
                 ShardSelect {
                     index,
                     count: SHARDS,
@@ -105,8 +98,8 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
             .expect("sharded campaign");
             assert_eq!(shard.metrics.shard_count, SHARDS);
             match &mut tally {
-                None => tally = Some(shard.tally),
-                Some(t) => t.merge(shard.tally),
+                None => tally = Some(shard.aggregate),
+                Some(t) => t.merge(shard.aggregate),
             }
             paths.push(path);
         }
@@ -122,9 +115,9 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
             reference,
             "{workers} workers: merged shard tallies diverged from the single run"
         );
-        let (campaign, tally, summary) =
+        let (merged, tally, summary) =
             merge::<ModeCampaign>(&paths, &configs).expect("journal merge");
-        let from_journals = campaign.results(&tally);
+        let from_journals = merged.results(&tally);
         assert!(summary.complete, "{SHARDS} shards must cover the job space");
         assert_eq!(
             render_campaign_table(&from_journals[0]),
@@ -134,21 +127,17 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
 
         // Kill after 3 jobs (with a torn half-record), then resume.
         let journal = temp_path(&format!("t4-{workers}-resume"));
-        run_modes_campaign_sharded(
+        run_shard(
             &scheduler,
-            &modes,
-            &configs,
-            &options,
+            &campaign,
             ShardSelect::whole(),
             Some(&JournalOptions::create(&journal)),
         )
         .expect("full journaled campaign");
         kill_after(&journal, 3);
-        let resumed = run_modes_campaign_sharded(
+        let resumed = run_shard(
             &scheduler,
-            &modes,
-            &configs,
-            &options,
+            &campaign,
             ShardSelect::whole(),
             Some(&JournalOptions::resume(&journal)),
         )
@@ -161,14 +150,14 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
         );
         assert!(resumed.metrics.dropped_bytes > 0, "torn record not dropped");
         assert_eq!(
-            render_campaign_table(&resumed.results[0]),
+            render_campaign_table(&campaign.results(&resumed.aggregate)[0]),
             reference,
             "{workers} workers: resumed campaign diverged from the single run"
         );
         // The healed journal alone now reproduces the full table too.
-        let (campaign, tally, summary) =
+        let (merged, tally, summary) =
             merge::<ModeCampaign>(std::slice::from_ref(&journal), &configs).expect("healed merge");
-        let healed = campaign.results(&tally);
+        let healed = merged.results(&tally);
         assert!(summary.complete);
         assert_eq!(render_campaign_table(&healed[0]), reference);
         paths.push(journal);
@@ -186,23 +175,18 @@ fn table1_single_sharded_and_resumed_runs_are_byte_identical() {
     let options = campaign_options(0x7AB1E1);
     let kernels_per_mode = 2;
     let total_jobs = (GenMode::ALL.len() * kernels_per_mode) as u64;
+    let campaign = ClassificationCampaign::new(&configs, kernels_per_mode, &options);
     for workers in WORKER_COUNTS {
         let scheduler = Scheduler::new(workers);
-        let reference = render_reliability_table(&classify_configurations_with(
-            &scheduler,
-            &configs,
-            kernels_per_mode,
-            &options,
-        ));
+        let single = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+        let reference = render_reliability_table(&reliability_rows(&configs, &single.aggregate));
 
         let mut paths = Vec::new();
         for index in 0..SHARDS {
             let path = temp_path(&format!("t1-{workers}-{index}"));
-            classify_configurations_sharded(
+            run_shard(
                 &scheduler,
-                &configs,
-                kernels_per_mode,
-                &options,
+                &campaign,
                 ShardSelect {
                     index,
                     count: SHARDS,
@@ -224,21 +208,17 @@ fn table1_single_sharded_and_resumed_runs_are_byte_identical() {
 
         // Kill mid-campaign, resume, compare.
         let journal = temp_path(&format!("t1-{workers}-resume"));
-        classify_configurations_sharded(
+        run_shard(
             &scheduler,
-            &configs,
-            kernels_per_mode,
-            &options,
+            &campaign,
             ShardSelect::whole(),
             Some(&JournalOptions::create(&journal)),
         )
         .expect("full journaled classification");
         kill_after(&journal, 5);
-        let resumed = classify_configurations_sharded(
+        let resumed = run_shard(
             &scheduler,
-            &configs,
-            kernels_per_mode,
-            &options,
+            &campaign,
             ShardSelect::whole(),
             Some(&JournalOptions::resume(&journal)),
         )
@@ -246,7 +226,7 @@ fn table1_single_sharded_and_resumed_runs_are_byte_identical() {
         assert_eq!(resumed.metrics.jobs_resumed, 5);
         assert_eq!(resumed.metrics.jobs_replayed, total_jobs - 5);
         assert_eq!(
-            render_reliability_table(&resumed.rows),
+            render_reliability_table(&reliability_rows(&configs, &resumed.aggregate)),
             reference,
             "{workers} workers: resumed classification diverged from the single run"
         );
@@ -265,7 +245,11 @@ fn table5_single_sharded_and_resumed_runs_are_byte_identical() {
     };
     for workers in WORKER_COUNTS {
         let scheduler = Scheduler::new(workers);
-        let single = run_emi_campaign_with(&scheduler, &configs, &options);
+        // Every run below builds its own campaign, so each probes the
+        // live-base list afresh, as a separate process would.
+        let campaign = EmiCampaign::new(&scheduler, &configs, &options);
+        let run = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
+        let single = campaign.result(&run.aggregate, run.jobs);
         assert!(single.bases > 0, "liveness filtering accepted no bases");
         let reference = render_emi_table(&single);
 
@@ -274,18 +258,18 @@ fn table5_single_sharded_and_resumed_runs_are_byte_identical() {
         for index in 0..SHARDS.min(single.bases as u32) {
             let count = SHARDS.min(single.bases as u32);
             let path = temp_path(&format!("t5-{workers}-{index}"));
-            let shard = run_emi_campaign_sharded(
+            let campaign = EmiCampaign::new(&scheduler, &configs, &options);
+            let shard = run_shard(
                 &scheduler,
-                &configs,
-                &options,
+                &campaign,
                 ShardSelect { index, count },
                 Some(&JournalOptions::create(&path)),
             )
             .expect("sharded EMI campaign");
-            assert_eq!(shard.total_bases, single.bases);
+            assert_eq!(campaign.total_jobs(), single.bases as u64);
             match &mut tally {
-                None => tally = Some(shard.tally),
-                Some(t) => t.merge(shard.tally),
+                None => tally = Some(shard.aggregate),
+                Some(t) => t.merge(shard.aggregate),
             }
             paths.push(path);
         }
@@ -300,9 +284,9 @@ fn table5_single_sharded_and_resumed_runs_are_byte_identical() {
             reference,
             "{workers} workers: merged shard tallies diverged from the single run"
         );
-        let (campaign, tally, summary) =
+        let (merged, tally, summary) =
             merge::<EmiCampaign>(&paths, &configs).expect("journal merge");
-        let from_journals = campaign.result(&tally, summary.jobs_folded);
+        let from_journals = merged.result(&tally, summary.jobs_folded);
         assert!(summary.complete);
         assert_eq!(from_journals.bases, single.bases);
         assert_eq!(from_journals.variants_per_base, single.variants_per_base);
@@ -314,19 +298,18 @@ fn table5_single_sharded_and_resumed_runs_are_byte_identical() {
 
         // Kill after the first judged base, resume, compare.
         let journal = temp_path(&format!("t5-{workers}-resume"));
-        run_emi_campaign_sharded(
+        run_shard(
             &scheduler,
-            &configs,
-            &options,
+            &EmiCampaign::new(&scheduler, &configs, &options),
             ShardSelect::whole(),
             Some(&JournalOptions::create(&journal)),
         )
         .expect("full journaled EMI campaign");
         kill_after(&journal, 1);
-        let resumed = run_emi_campaign_sharded(
+        let campaign = EmiCampaign::new(&scheduler, &configs, &options);
+        let resumed = run_shard(
             &scheduler,
-            &configs,
-            &options,
+            &campaign,
             ShardSelect::whole(),
             Some(&JournalOptions::resume(&journal)),
         )
@@ -337,7 +320,7 @@ fn table5_single_sharded_and_resumed_runs_are_byte_identical() {
             single.bases as u64
         );
         assert_eq!(
-            render_emi_table(&resumed.result),
+            render_emi_table(&campaign.result(&resumed.aggregate, resumed.jobs)),
             reference,
             "{workers} workers: resumed EMI campaign diverged from the single run"
         );
@@ -363,12 +346,14 @@ fn concurrent_shards_sharing_one_store_directory_stay_byte_identical() {
     let modes = [GenMode::Barrier];
     let dir = std::env::temp_dir().join(format!("clfuzz-shard-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let reference = render_campaign_table(&run_mode_campaign_with(
+    let campaign = ModeCampaign::new(&modes, &configs, &options);
+    let single = run_shard(
         &Scheduler::sequential(),
-        GenMode::Barrier,
-        &configs,
-        &options,
-    ));
+        &campaign,
+        ShardSelect::whole(),
+        None,
+    );
+    let reference = render_campaign_table(&campaign.results(&single.unwrap().aggregate)[0]);
 
     let with_store = |store: Arc<OutcomeStore>| CampaignOptions {
         exec: ExecOptions {
@@ -385,11 +370,9 @@ fn concurrent_shards_sharing_one_store_directory_stay_byte_identical() {
                 scope.spawn(move || {
                     let store =
                         Arc::new(OutcomeStore::open_with_cap(dir, u64::MAX).expect("open store"));
-                    run_modes_campaign_sharded(
+                    run_shard(
                         &Scheduler::new(2),
-                        modes,
-                        configs,
-                        &with_store(store),
+                        &ModeCampaign::new(modes, configs, &with_store(store)),
                         ShardSelect {
                             index,
                             count: SHARDS,
@@ -397,7 +380,7 @@ fn concurrent_shards_sharing_one_store_directory_stay_byte_identical() {
                         None,
                     )
                     .expect("sharded campaign with store")
-                    .tally
+                    .aggregate
                 })
             })
             .collect();
@@ -428,12 +411,14 @@ fn concurrent_shards_sharing_one_store_directory_stay_byte_identical() {
 
     // Warm re-run over the store the racing shards populated.
     let warm_store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).expect("reopen store"));
-    let warm = render_campaign_table(&run_mode_campaign_with(
+    let warm_campaign = ModeCampaign::new(&modes, &configs, &with_store(Arc::clone(&warm_store)));
+    let warm_run = run_shard(
         &Scheduler::new(3),
-        GenMode::Barrier,
-        &configs,
-        &with_store(Arc::clone(&warm_store)),
-    ));
+        &warm_campaign,
+        ShardSelect::whole(),
+        None,
+    );
+    let warm = render_campaign_table(&warm_campaign.results(&warm_run.unwrap().aggregate)[0]);
     assert_eq!(warm, reference, "warm store re-run diverged");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -445,11 +430,9 @@ fn journals_are_self_describing_and_versioned() {
     let configs = vec![opencl_sim::configuration(1)];
     let options = campaign_options(0xD0C);
     let path = temp_path("header");
-    run_modes_campaign_sharded(
+    run_shard(
         &Scheduler::sequential(),
-        &[GenMode::Basic],
-        &configs,
-        &options,
+        &ModeCampaign::new(&[GenMode::Basic], &configs, &options),
         ShardSelect { index: 1, count: 2 },
         Some(&JournalOptions::create(&path)),
     )
