@@ -47,7 +47,8 @@ impl bench::Table for Table1 {
             ..CampaignOptions::default()
         };
         let kernels_per_mode = cli.scale_arg(0, "kernels per mode", 8);
-        ClassificationCampaign::new(configs, kernels_per_mode, &options)
+        ClassificationCampaign::try_new(configs, kernels_per_mode, &options)
+            .unwrap_or_else(|e| bench::usage_error(e))
     }
 
     fn render(

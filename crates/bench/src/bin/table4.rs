@@ -47,7 +47,8 @@ impl bench::Table for Table4 {
             exec,
             ..CampaignOptions::default()
         };
-        ModeCampaign::new(&GenMode::ALL, configs, &options)
+        ModeCampaign::try_new(&GenMode::ALL, configs, &options)
+            .unwrap_or_else(|e| bench::usage_error(e))
     }
 
     fn render(campaign: &ModeCampaign, tally: &MultiModeTally, source: Source<'_>) -> String {

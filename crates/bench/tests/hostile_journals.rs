@@ -96,6 +96,15 @@ fn contradictory_journals_are_errors_in_merge_and_resume() {
         );
     }
 
+    // Table 4 with a descriptor claiming 2⁶⁴ − 1 kernels per mode: six modes
+    // of them overflow the job index.
+    let mut overflow = table4.clone();
+    assert!(overflow[2].contains(":k1:"), "{}", overflow[2]);
+    overflow[2] = overflow[2].replace(":k1:", ":k18446744073709551615:");
+    let journal = write_journal(&dir, "overflow.journal", &overflow, "");
+    let merge = campaign_bin("table4").arg("merge").arg(&journal).output();
+    assert_journal_error(merge.expect("spawn merge"), "table4 merge overflow");
+
     // Table 3 with a header claiming 4·10¹⁸ jobs.
     let mut table3 = header_fields("table3", &dir);
     let huge = "4000000000000000000";

@@ -317,6 +317,11 @@ pub(crate) struct CompiledFunc {
     pub(crate) reg_names: Vec<String>,
     /// Parameters, for call-frame setup.
     pub(crate) params: Vec<Param>,
+    /// Whether the VM may serve calls of this helper from its call memo:
+    /// neither the helper nor anything it calls has an identity-dependent
+    /// `Id`, a `DeclLocal`, a `PlaceGroupLocal`, a barrier or an atomic
+    /// (see [`mark_memoisable`]).  Always false for the kernel.
+    pub(crate) memoisable: bool,
 }
 
 /// A program lowered to bytecode, ready for [`crate::vm`] execution.
@@ -552,7 +557,49 @@ pub fn compile(program: &Program) -> CompiledProgram {
     for f in &program.functions {
         funcs.push(compile_helper(program, &func_ids, f));
     }
+    mark_memoisable(&mut funcs);
     CompiledProgram { funcs }
+}
+
+/// Decides which helpers are memoisable.  A helper that queries its
+/// work-item's identity, declares or names group-`local` memory, or runs a
+/// barrier or an atomic is not, and neither is any helper that calls one
+/// (a fixpoint over the call graph, so recursion is covered).  Whatever else
+/// a memoisable helper does, it can reach only its own objects and those
+/// its arguments point to.
+fn mark_memoisable(funcs: &mut [CompiledFunc]) {
+    let observes_lanes = |instr: &Instr| match instr {
+        Instr::Id(kind) => kind.is_identity_dependent(),
+        Instr::DeclLocal { .. }
+        | Instr::PlaceGroupLocal(_)
+        | Instr::Barrier
+        | Instr::AtomicBegin
+        | Instr::AtomicEnd { .. } => true,
+        _ => false,
+    };
+    let mut memoisable: Vec<bool> = funcs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| i != KERNEL_FUNC && !f.code.iter().any(observes_lanes))
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, f) in funcs.iter().enumerate() {
+            let calls_unmemoisable = || {
+                f.code.iter().any(
+                    |instr| matches!(instr, Instr::Call { func, .. } if !memoisable[*func as usize]),
+                )
+            };
+            if memoisable[i] && calls_unmemoisable() {
+                memoisable[i] = false;
+                changed = true;
+            }
+        }
+    }
+    for (f, memoisable) in funcs.iter_mut().zip(memoisable) {
+        f.memoisable = memoisable;
+    }
 }
 
 fn compile_kernel(program: &Program, func_ids: &HashMap<&str, u32>) -> CompiledFunc {
@@ -664,6 +711,7 @@ impl<'p> FnCompiler<'p> {
             n_regs: self.regs.len(),
             reg_names: self.regs.into_iter().map(|(n, _)| n).collect(),
             params,
+            memoisable: false,
         }
     }
 

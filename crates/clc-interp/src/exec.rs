@@ -14,8 +14,11 @@
 //! prefix once, on a representative work-item
 //! (`vm::run_representative`), and each group's work-items are forked from
 //! it before the scheduler takes over; an error in the prefix is the
-//! launch's error.  The tree walker runs every work-item from the kernel
-//! entry and stays the per-item reference.
+//! launch's error.  The launch also owns the bytecode tier's memo of helper
+//! calls (`vm::CallMemo`), which every work-item of every group shares and
+//! which is dropped when the launch returns.  The tree walker runs every
+//! work-item from the kernel entry and every call in full, and stays the
+//! per-item reference.
 
 use crate::error::{RaceReport, RuntimeError};
 use crate::eval::{
@@ -148,7 +151,8 @@ pub struct LaunchResult {
     pub race: Option<RaceReport>,
     /// Total interpreter steps across all work-items.  On the bytecode tier
     /// each work-item is charged the steps of the prefix its representative
-    /// ran for it (see `uniform_prefix_steps`), so the total is what running
+    /// ran for it (see `uniform_prefix_steps`) and of the calls the call
+    /// memo served it (see `memoized_steps`), so the total is what running
     /// every work-item from the kernel entry would count.
     pub total_steps: u64,
     /// Number of barriers executed inside helper functions (not
@@ -161,9 +165,10 @@ pub struct LaunchResult {
     /// Objects allocated in the launch's memory (buffers, parameters and
     /// every variable declaration that needed backing storage).  Diagnostic
     /// and tier-specific: the bytecode tier's register file keeps scalar
-    /// temporaries out of the object table entirely, and its work-items
-    /// copy the representative's live private objects at the fork instead
-    /// of declaring them again.
+    /// temporaries out of the object table entirely, its work-items copy
+    /// the representative's live private objects at the fork instead of
+    /// declaring them again, and a call served from the call memo
+    /// allocates nothing.
     pub objects_allocated: u64,
     /// Maximum number of barriers any work-group released — how deep the
     /// barrier-arrival ladder ran.  Tier-identical (both tiers share the
@@ -177,6 +182,12 @@ pub struct LaunchResult {
     /// them).  Diagnostic and tier-specific, like `objects_allocated`: 0 on
     /// the tree walker.
     pub uniform_prefix_steps: u64,
+    /// Steps charged to work-items for helper calls the bytecode tier
+    /// served from the launch's call memo instead of running them (included
+    /// in `total_steps`; a call the representative took from the memo
+    /// counts once for every work-item forked from it).  Diagnostic and
+    /// tier-specific, like `uniform_prefix_steps`: 0 on the tree walker.
+    pub memoized_steps: u64,
 }
 
 thread_local! {
@@ -331,6 +342,10 @@ fn launch_with(
     let mut soft_barriers = 0u64;
     let mut barrier_intervals = 0u64;
     let mut uniform_prefix_steps = 0u64;
+    let mut memoized_steps = 0u64;
+    // The bytecode tier's memo of helper calls lives exactly as long as the
+    // launch: every work-item of every group shares it.
+    let mut memo = crate::vm::CallMemo::default();
 
     // Run the group loop and result readback inside a closure so that the
     // detector is harvested and returned to the spare slot on the error
@@ -346,6 +361,7 @@ fn launch_with(
                     options,
                     &mut memory,
                     &mut races,
+                    &mut memo,
                     &buffer_objects,
                     permutations_obj,
                 )?;
@@ -365,11 +381,13 @@ fn launch_with(
                             options,
                             &mut memory,
                             &mut races,
+                            &mut memo,
                             representative,
                             group,
                             &mut total_steps,
                             &mut soft_barriers,
                             &mut barrier_intervals,
+                            &mut memoized_steps,
                         )?,
                         None => run_group(
                             program,
@@ -425,6 +443,7 @@ fn launch_with(
         objects_allocated: memory.allocations(),
         barrier_intervals,
         uniform_prefix_steps,
+        memoized_steps,
     })
 }
 

@@ -33,6 +33,25 @@
 //!   been touched, so this is exact, not an approximation.  CLsmith keeps
 //!   work-item ids out of generated expressions (§4.2), so for BASIC and
 //!   VECTOR kernels the prefix is nearly all of each work-item's work.
+//! * The bytecode tier also runs each distinct helper call once per launch.
+//!   OpenCL C has no global variables, so CLsmith passes every helper a
+//!   pointer to the work-item's private globals struct (§4), and past the
+//!   fork the work-items of the idiom modes make the same calls on equal
+//!   copies of it.  A helper is *memoisable* when neither it nor anything
+//!   it calls queries a work-item's identity, declares or names `local`
+//!   memory, or runs a barrier or an atomic: it can then reach only its own
+//!   objects and the objects its arguments point to.  A call of such a
+//!   helper is keyed by the callee, its arguments (each pointer's object
+//!   renamed to its index among the argument objects, so aliasing is part
+//!   of the key) and those objects' cells, when every pointer argument
+//!   names a live private object that holds no pointer.  The launch's memo
+//!   records each keyed call whose result and argument objects hold no
+//!   pointer when it returns.  A later call with an equal key, from any
+//!   work-item of any group, gets the recorded cells written back into its
+//!   argument objects, the recorded result, and the recorded steps and soft
+//!   barriers, unless the step limit or the call-depth limit could stop the
+//!   work-item inside the call, in which case it runs for real.  The memo
+//!   lives and dies with its launch.
 //!
 //! ## Execution tiers
 //!

@@ -23,17 +23,21 @@ pub struct Object {
     pub space: AddressSpace,
     /// Flattened storage.
     pub cells: Vec<Cell>,
-    /// Whether the object is live (freed objects are kept so that dangling
-    /// pointers are detected rather than silently reused).
+    /// Whether the object is live.  A freed object's slot is reused by a
+    /// later allocation under the next generation, so a dangling pointer
+    /// fails on every access rather than reading the slot's new object.
     pub live: bool,
+    /// The generation this object holds its slot under (see [`ObjId`]).
+    generation: u32,
 }
 
 /// The object store for one kernel launch.
 #[derive(Debug, Default)]
 pub struct Memory {
     objects: Vec<Object>,
-    /// Indices of freed objects whose storage may be reused.
-    free_list: Vec<usize>,
+    /// Slots of freed objects, reused (under their next generation) by
+    /// later allocations.
+    free_list: Vec<u32>,
     /// Cell buffers recovered from freed objects, reused by later
     /// allocations.  Loop bodies declare (and scope-exit free) the same
     /// variables every iteration, so without this pool the interpreter
@@ -101,20 +105,30 @@ impl Memory {
         space: AddressSpace,
         cells: Vec<Cell>,
     ) -> ObjId {
-        let object = Object {
+        let mut object = Object {
             name: name.into(),
             ty,
             space,
             cells,
             live: true,
+            generation: 0,
         };
         self.allocations += 1;
         if let Some(slot) = self.free_list.pop() {
-            self.objects[slot] = object;
-            ObjId(slot)
+            let entry = &mut self.objects[slot as usize];
+            object.generation = entry.generation + 1;
+            *entry = object;
+            ObjId {
+                slot,
+                generation: entry.generation,
+            }
         } else {
+            let slot = u32::try_from(self.objects.len()).expect("object table exceeds u32 slots");
             self.objects.push(object);
-            ObjId(self.objects.len() - 1)
+            ObjId {
+                slot,
+                generation: 0,
+            }
         }
     }
 
@@ -129,17 +143,21 @@ impl Memory {
     }
 
     /// Marks an object as dead, recycling both its slot and (up to the pool
-    /// cap) its cell storage.
+    /// cap) its cell storage.  Freeing a dead object does nothing.  A slot
+    /// whose generations are used up is retired instead of recycled, so no
+    /// id can ever name a later object.
     pub fn free(&mut self, id: ObjId) {
-        if let Some(obj) = self.objects.get_mut(id.0) {
-            if obj.live {
+        if let Some(obj) = self.objects.get_mut(id.slot as usize) {
+            if obj.live && obj.generation == id.generation {
                 obj.live = false;
                 let mut cells = std::mem::take(&mut obj.cells);
                 if cells.capacity() > 0 && self.spare_cells.len() < SPARE_CELL_BUFFERS {
                     cells.clear();
                     self.spare_cells.push(cells);
                 }
-                self.free_list.push(id.0);
+                if obj.generation < u32::MAX {
+                    self.free_list.push(id.slot);
+                }
             }
         }
     }
@@ -155,27 +173,23 @@ impl Memory {
     }
 
     /// Accesses an object, failing if it has been freed.
+    ///
+    /// The error does not name the freed object: its slot may hold another
+    /// object by now, and which slots get reused depends on the execution
+    /// tier, so no name read from the slot would be the same on both.
     pub fn object(&self, id: ObjId) -> Result<&Object, RuntimeError> {
-        match self.objects.get(id.0) {
-            Some(o) if o.live => Ok(o),
-            Some(o) => Err(RuntimeError::InvalidAccess {
-                detail: format!("use of freed object `{}`", o.name),
-            }),
-            None => Err(RuntimeError::InvalidAccess {
-                detail: format!("bad object id {}", id.0),
-            }),
+        match self.objects.get(id.slot as usize) {
+            Some(o) if o.live && o.generation == id.generation => Ok(o),
+            Some(_) => Err(freed_object()),
+            None => Err(bad_object(id)),
         }
     }
 
     pub(crate) fn object_mut(&mut self, id: ObjId) -> Result<&mut Object, RuntimeError> {
-        match self.objects.get_mut(id.0) {
-            Some(o) if o.live => Ok(o),
-            Some(o) => Err(RuntimeError::InvalidAccess {
-                detail: format!("use of freed object `{}`", o.name),
-            }),
-            None => Err(RuntimeError::InvalidAccess {
-                detail: format!("bad object id {}", id.0),
-            }),
+        match self.objects.get_mut(id.slot as usize) {
+            Some(o) if o.live && o.generation == id.generation => Ok(o),
+            Some(_) => Err(freed_object()),
+            None => Err(bad_object(id)),
         }
     }
 
@@ -315,6 +329,18 @@ impl Memory {
     }
 }
 
+fn freed_object() -> RuntimeError {
+    RuntimeError::InvalidAccess {
+        detail: "use of a freed object".into(),
+    }
+}
+
+fn bad_object(id: ObjId) -> RuntimeError {
+    RuntimeError::InvalidAccess {
+        detail: format!("bad object id {}", id.slot),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,8 +414,9 @@ mod tests {
             AddressSpace::Private,
             &[],
         );
-        // Slot is recycled.
-        assert_eq!(a.0, b.0);
+        // The slot is recycled, and `a` still fails now that `b` holds it.
+        assert_eq!(a.slot, b.slot);
+        assert!(m.read_scalar(a, 0, ScalarType::Int).is_err());
         assert_eq!(m.live_objects(), 1);
     }
 

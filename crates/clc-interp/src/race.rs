@@ -134,7 +134,9 @@ pub struct RaceStats {
 /// Records shared-memory accesses and reports the first conflicting pair.
 #[derive(Debug)]
 pub struct RaceDetector {
-    /// Shadow arrays indexed by `ObjId`, grown lazily.
+    /// Shadow arrays indexed by `ObjId::slot`, grown lazily.  Only shared
+    /// objects are recorded, and they are never freed, so no two objects
+    /// share a slot's shadow.
     shadows: Vec<Shadow>,
     /// Human-readable object names for reports.
     names: HashMap<ObjId, String>,
@@ -198,10 +200,11 @@ impl RaceDetector {
             return;
         }
         self.stats.accesses += 1;
-        if obj.0 >= self.shadows.len() {
-            self.shadows.resize_with(obj.0 + 1, Shadow::default);
+        let slot = obj.slot as usize;
+        if slot >= self.shadows.len() {
+            self.shadows.resize_with(slot + 1, Shadow::default);
         }
-        let shadow = &mut self.shadows[obj.0];
+        let shadow = &mut self.shadows[slot];
         if shadow.counted_era != shadow.era {
             shadow.counted_era = shadow.era;
             self.stats.shadow_arrays += 1;
@@ -248,7 +251,7 @@ impl RaceDetector {
                         .names
                         .get(&obj)
                         .cloned()
-                        .unwrap_or_else(|| format!("obj{}", obj.0));
+                        .unwrap_or_else(|| format!("obj{}", obj.slot));
                     self.first_race = Some(RaceReport {
                         object,
                         offset,
@@ -292,7 +295,7 @@ impl RaceDetector {
     /// `local` declarations starts from logically empty shadows.
     pub fn clear_group_local(&mut self, local_objects: &[ObjId]) {
         for obj in local_objects {
-            if let Some(shadow) = self.shadows.get_mut(obj.0) {
+            if let Some(shadow) = self.shadows.get_mut(obj.slot as usize) {
                 shadow.era += 1;
                 self.stats.epoch_bumps += 1;
             }
@@ -304,8 +307,11 @@ impl RaceDetector {
 mod tests {
     use super::*;
 
-    fn obj(n: usize) -> ObjId {
-        ObjId(n)
+    fn obj(n: u32) -> ObjId {
+        ObjId {
+            slot: n,
+            generation: 0,
+        }
     }
 
     #[test]

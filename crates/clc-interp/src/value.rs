@@ -105,9 +105,16 @@ pub fn sign_extend(bits: u64, ty: ScalarType) -> i64 {
 }
 
 /// Identifies an allocated object in the [`Memory`](crate::memory::Memory)
-/// store.
+/// store: a slot of the store's object table plus the slot's generation at
+/// allocation.  A freed slot is reused by later allocations under a new
+/// generation, so an id stays invalid once its object is freed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjId(pub usize);
+pub struct ObjId {
+    /// Index of the object's slot in the store.
+    pub slot: u32,
+    /// How many earlier objects the slot held.
+    pub generation: u32,
+}
 
 /// A typed pointer value: an object, a cell offset within it, the pointee
 /// type and the address space the pointer refers to.

@@ -26,6 +26,22 @@
 //! Nothing before the fork can differ between work-items or touch shared
 //! memory, so the result, the errors, the race verdicts and `total_steps`
 //! are those of running every work-item from the kernel entry.
+//!
+//! Calls of memoisable helpers (`CompiledFunc::memoisable`, decided at
+//! lowering) go through the launch's `CallMemo`, shared by the
+//! representative and every work-item of every group.  A `Call` whose
+//! pointer arguments all name live private objects free of pointer cells is
+//! keyed by the callee, the arguments with each pointer's object renamed to
+//! its argument-object index, and those objects' cells.  On a miss the call
+//! runs as before and is recorded at its `Return` (unless its result or an
+//! argument object then holds a pointer): the argument objects' cells, the
+//! result, and the steps, soft barriers and nested call depth it took.  On
+//! a hit the cells are written back into this work-item's argument objects,
+//! the result is pushed and the steps and soft barriers are charged, so
+//! nothing the caller can observe differs from running the call.  A hit is
+//! taken only when the work-item could not have stopped inside the call:
+//! its steps plus the recorded ones stay within the step limit, and its
+//! frames plus the recorded depth within `MAX_CALL_DEPTH`.
 
 use crate::compile::{BranchKind, CompiledProgram, Instr, LeafTy, KERNEL_FUNC};
 use crate::error::RuntimeError;
@@ -37,7 +53,7 @@ use crate::eval::{
 use crate::exec::{
     alloc_param_object, drive_group, group_linear, thread_ids, CoopItem, LaunchOptions, Status,
 };
-use crate::memory::Memory;
+use crate::memory::{Memory, Object};
 use crate::race::{AccessKind, RaceDetector};
 use crate::value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};
 use clc::expr::{BinOp, Builtin};
@@ -73,6 +89,12 @@ pub(crate) struct VmItem {
     status: Status,
     steps: u64,
     soft_barriers: u64,
+    /// Steps charged for calls served from the launch's [`CallMemo`]
+    /// (included in `steps`).
+    memoized_steps: u64,
+    /// The memoised calls this work-item is running for real, innermost
+    /// last, to be recorded when they return.
+    recording: Vec<Recording>,
     /// Whether this is the launch's representative, which stops (without
     /// counting the step) before the first instruction whose effect could
     /// depend on which work-item runs it; see [`run_representative`].
@@ -100,19 +122,25 @@ impl VmItem {
     /// and soft-barrier counts carry over, so the fork is indistinguishable
     /// from a work-item that ran the prefix itself.
     fn fork(&self, ids: ThreadIds, memory: &mut Memory) -> Result<VmItem, RuntimeError> {
+        debug_assert!(self.recording.is_empty(), "fork inside a recorded call");
         let owned = || self.frames.iter().flat_map(|f| f.owned.iter().copied());
-        let mut copies: Vec<Option<ObjId>> =
-            vec![None; owned().map(|o| o.0 + 1).max().unwrap_or(0)];
+        // Indexed by slot; a pointer is redirected only when it names the
+        // owned object itself, not an earlier generation of its slot.
+        let mut copies: Vec<Option<(ObjId, ObjId)>> =
+            vec![None; owned().map(|o| o.slot as usize + 1).max().unwrap_or(0)];
         for obj in owned() {
-            copies[obj.0] = Some(memory.duplicate(obj)?);
+            copies[obj.slot as usize] = Some((obj, memory.duplicate(obj)?));
         }
-        let redirect = |obj: ObjId| copies.get(obj.0).copied().flatten().unwrap_or(obj);
+        let redirect = |obj: ObjId| match copies.get(obj.slot as usize) {
+            Some(&Some((from, to))) if from == obj => to,
+            _ => obj,
+        };
         let redirect_cell = |cell: &mut Cell| {
             if let Cell::Ptr(p) = cell {
                 p.obj = redirect(p.obj);
             }
         };
-        for &copy in copies.iter().flatten() {
+        for &(_, copy) in copies.iter().flatten() {
             memory
                 .object_mut(copy)?
                 .cells
@@ -152,6 +180,8 @@ impl VmItem {
             status: Status::Ready,
             steps: self.steps,
             soft_barriers: self.soft_barriers,
+            memoized_steps: self.memoized_steps,
+            recording: Vec::new(),
             representative: false,
         })
     }
@@ -176,6 +206,7 @@ struct World<'a> {
     memory: &'a mut Memory,
     races: &'a mut Option<RaceDetector>,
     group_locals: &'a mut HashMap<String, ObjId>,
+    memo: &'a mut CallMemo,
 }
 
 impl World<'_> {
@@ -198,12 +229,14 @@ impl World<'_> {
 /// shared memory, so no schedule can tell the difference: running the prefix
 /// once and forking the result ([`run_group`]) is exact.  An error raised in
 /// the prefix is every work-item's error, and so the launch's.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_representative(
     program: &Program,
     compiled: &CompiledProgram,
     options: &LaunchOptions,
     memory: &mut Memory,
     races: &mut Option<RaceDetector>,
+    memo: &mut CallMemo,
     buffer_objects: &HashMap<String, (ObjId, ScalarType, usize)>,
     permutations_obj: Option<ObjId>,
 ) -> Result<VmItem, RuntimeError> {
@@ -237,6 +270,8 @@ pub(crate) fn run_representative(
         status: Status::Ready,
         steps: 0,
         soft_barriers: 0,
+        memoized_steps: 0,
+        recording: Vec::new(),
         representative: true,
     };
     let mut world = World {
@@ -246,6 +281,7 @@ pub(crate) fn run_representative(
         memory,
         races,
         group_locals: &mut HashMap::new(),
+        memo,
     };
     run_frames(&mut world, &mut item)?;
     Ok(item)
@@ -261,11 +297,13 @@ pub(crate) fn run_group(
     options: &LaunchOptions,
     memory: &mut Memory,
     races: &mut Option<RaceDetector>,
+    memo: &mut CallMemo,
     representative: &VmItem,
     group: [usize; 3],
     total_steps: &mut u64,
     soft_barriers: &mut u64,
     barrier_intervals: &mut u64,
+    memoized_steps: &mut u64,
 ) -> Result<(), RuntimeError> {
     let cfg = &program.launch;
     let local = cfg.local;
@@ -287,6 +325,7 @@ pub(crate) fn run_group(
         memory,
         races,
         group_locals: &mut group_locals,
+        memo,
     };
     let released = drive_group(
         &mut items,
@@ -299,6 +338,7 @@ pub(crate) fn run_group(
     for item in &mut items {
         *total_steps += item.steps;
         *soft_barriers += item.soft_barriers;
+        *memoized_steps += item.memoized_steps;
         // Free the kernel frame's ownership (parameters plus top-level
         // declarations) in allocation order, as the tree walker's final
         // `pop_to_depth(0)` does.
@@ -1037,13 +1077,63 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                 }
                 Instr::SoftBarrier => item.soft_barriers += 1,
                 Instr::CheckDepth => {
-                    if item.frames.len() > MAX_CALL_DEPTH {
+                    let frames = item.frames.len();
+                    if frames > MAX_CALL_DEPTH {
                         return Err(RuntimeError::CallDepthExceeded);
+                    }
+                    if let Some(call) = item.recording.last_mut() {
+                        call.reach = call.reach.max(frames);
                     }
                 }
                 Instr::Call { func, argc } => {
                     let target = &compiled.funcs[*func as usize];
                     let start = item.values.len() - *argc as usize;
+                    let caller_frames = item.frames.len();
+                    let mut recording = None;
+                    if target.memoisable
+                        && world.memo.keys(*func)
+                        && world
+                            .memo
+                            .key_call(*func, &item.values[start..], world.memory)
+                    {
+                        let memo = &mut *world.memo;
+                        match memo.entries.get(&memo.key) {
+                            None => {
+                                memo.missed(*func);
+                                recording = Some(Recording {
+                                    key: memo.key.clone(),
+                                    objs: memo.objs.clone(),
+                                    caller_frames,
+                                    steps: item.steps,
+                                    soft_barriers: item.soft_barriers,
+                                    reach: 0,
+                                });
+                            }
+                            // A hit is taken only where running the call
+                            // could not stop the work-item: within its step
+                            // limit and, at every nested call, within
+                            // `MAX_CALL_DEPTH`.
+                            Some(entry)
+                                if item.steps + entry.steps <= world.step_limit
+                                    && caller_frames + entry.depth <= MAX_CALL_DEPTH =>
+                            {
+                                write_back(world.memory, &memo.objs, &entry.cells)?;
+                                item.values.truncate(start);
+                                item.values.push(entry.result.clone());
+                                item.steps += entry.steps;
+                                item.soft_barriers += entry.soft_barriers;
+                                item.memoized_steps += entry.steps;
+                                if entry.depth > 0 {
+                                    if let Some(outer) = item.recording.last_mut() {
+                                        outer.reach = outer.reach.max(caller_frames + entry.depth);
+                                    }
+                                }
+                                continue;
+                            }
+                            // Run for real: it is recorded already.
+                            Some(_) => {}
+                        }
+                    }
                     let mut frame = item.frame_pool.pop().unwrap_or_else(|| Frame {
                         func: 0,
                         pc: 0,
@@ -1092,6 +1182,7 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                     drop(args);
                     item.frames[frame_idx].pc = pc;
                     item.frames.push(frame);
+                    item.recording.extend(recording);
                     continue 'frames;
                 }
                 Instr::CallBuiltin { func, argc } => {
@@ -1215,6 +1306,20 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                         world.memory.free(obj);
                     }
                     item.frame_pool.push(frame);
+                    if item
+                        .recording
+                        .last()
+                        .is_some_and(|call| call.caller_frames == item.frames.len())
+                    {
+                        let call = item.recording.pop().expect("checked above");
+                        if let Some(outer) = item.recording.last_mut() {
+                            outer.reach = outer.reach.max(call.reach);
+                        }
+                        let (steps, soft_barriers) = (item.steps, item.soft_barriers);
+                        world
+                            .memo
+                            .record(call, &result, steps, soft_barriers, world.memory);
+                    }
                     item.values.push(result);
                     continue 'frames;
                 }
@@ -1239,6 +1344,204 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
             }
         }
     }
+}
+
+// --- The call memo ---------------------------------------------------------
+
+/// A launch's memo of helper calls: what each recorded call of a
+/// memoisable helper did, keyed by everything the call could read.
+/// `exec::launch_with` creates one per launch; the representative and every
+/// work-item of every group share it, and it is dropped with the launch.
+#[derive(Default)]
+pub(crate) struct CallMemo {
+    entries: HashMap<CallKey, MemoEntry>,
+    /// Per function, how many of its keyed calls missed.
+    misses: Vec<u32>,
+    /// The key of the call being looked up, reused so a hit allocates
+    /// nothing.
+    key: CallKey,
+    /// That call's argument objects, in key order.
+    objs: Vec<ObjId>,
+}
+
+/// Everything a call of a memoisable helper can read: the callee, the
+/// arguments with each pointer's object renamed to its index among the
+/// argument objects (so which arguments alias is part of the key), and the
+/// cells of those objects.
+#[derive(Default, Clone, PartialEq, Eq, Hash)]
+struct CallKey {
+    func: u32,
+    args: Vec<Value>,
+    /// Cell count of each argument object, in index order.
+    lens: Vec<u32>,
+    /// The argument objects' cells, concatenated (see [`push_memo_cells`]).
+    cells: Vec<Option<u64>>,
+}
+
+/// What a recorded call did, as far as its caller can tell.
+struct MemoEntry {
+    /// The argument objects' cells after the call, in key order.
+    cells: Box<[Option<u64>]>,
+    result: Value,
+    steps: u64,
+    soft_barriers: u64,
+    /// How many frames deeper than its caller's the call's nested
+    /// `CheckDepth`s ran (0 when it called nothing).
+    depth: usize,
+}
+
+/// A keyed call that missed and is running for real, recorded at its
+/// `Return`.
+struct Recording {
+    key: CallKey,
+    objs: Vec<ObjId>,
+    /// The caller's frame count: the callee's frame is the next one.
+    caller_frames: usize,
+    steps: u64,
+    soft_barriers: u64,
+    /// The largest frame count a nested `CheckDepth` has seen (0 = none).
+    reach: usize,
+}
+
+/// Misses after which a helper stops being keyed for the rest of the
+/// launch.  Each miss records an entry, so this bounds the memo's size and
+/// the time spent keying calls that never repeat.  Generated kernels stay
+/// far below it: the most entries one launch of `table4 10` records for
+/// all its helpers together is 176.
+const KEYED_MISSES: u32 = 256;
+
+impl CallMemo {
+    /// Whether calls of `func` are still keyed in this launch.
+    fn keys(&self, func: u32) -> bool {
+        self.misses
+            .get(func as usize)
+            .is_none_or(|&m| m < KEYED_MISSES)
+    }
+
+    fn missed(&mut self, func: u32) {
+        let func = func as usize;
+        if self.misses.len() <= func {
+            self.misses.resize(func + 1, 0);
+        }
+        self.misses[func] += 1;
+    }
+
+    /// Builds `key` and `objs` for a call of `func` with `args`.  Returns
+    /// false when the call cannot be keyed: a pointer argument does not
+    /// name a live private object free of pointer cells, or an aggregate
+    /// argument holds a pointer.
+    fn key_call(&mut self, func: u32, args: &[Value], memory: &Memory) -> bool {
+        let key = &mut self.key;
+        key.func = func;
+        key.args.clear();
+        key.lens.clear();
+        key.cells.clear();
+        self.objs.clear();
+        for arg in args {
+            let arg = match arg {
+                Value::Pointer(p) => {
+                    let index = match self.objs.iter().position(|&o| o == p.obj) {
+                        Some(index) => index,
+                        None => {
+                            let Ok(object) = memory.object(p.obj) else {
+                                return false;
+                            };
+                            if object.space != AddressSpace::Private
+                                || !push_memo_cells(&mut key.cells, object)
+                            {
+                                return false;
+                            }
+                            key.lens.push(object.cells.len() as u32);
+                            self.objs.push(p.obj);
+                            self.objs.len() - 1
+                        }
+                    };
+                    Value::Pointer(PointerValue {
+                        obj: ObjId {
+                            slot: index as u32,
+                            generation: 0,
+                        },
+                        ..p.clone()
+                    })
+                }
+                Value::Aggregate(_, cells) if cells.iter().any(|c| matches!(c, Cell::Ptr(_))) => {
+                    return false
+                }
+                other => other.clone(),
+            };
+            key.args.push(arg);
+        }
+        true
+    }
+
+    /// Records a call that ran for real and returned `result`, unless the
+    /// result or an argument object now holds a pointer.
+    fn record(
+        &mut self,
+        call: Recording,
+        result: &Value,
+        steps: u64,
+        soft_barriers: u64,
+        memory: &Memory,
+    ) {
+        let pointer = match result {
+            Value::Pointer(_) => true,
+            Value::Aggregate(_, cells) => cells.iter().any(|c| matches!(c, Cell::Ptr(_))),
+            Value::Scalar(_) | Value::Vector(..) => false,
+        };
+        if pointer {
+            return;
+        }
+        let mut cells = Vec::with_capacity(call.key.cells.len());
+        for &obj in &call.objs {
+            match memory.object(obj) {
+                Ok(object) if push_memo_cells(&mut cells, object) => {}
+                _ => return,
+            }
+        }
+        self.entries.insert(
+            call.key,
+            MemoEntry {
+                cells: cells.into(),
+                result: result.clone(),
+                steps: steps - call.steps,
+                soft_barriers: soft_barriers - call.soft_barriers,
+                depth: call.reach.saturating_sub(call.caller_frames),
+            },
+        );
+    }
+}
+
+/// Appends `object`'s cells as the memo stores them, `Some(bits)` or
+/// `None` when uninitialised; false at the first pointer cell, which the
+/// memo has no form for.
+fn push_memo_cells(out: &mut Vec<Option<u64>>, object: &Object) -> bool {
+    for cell in &object.cells {
+        out.push(match cell {
+            Cell::Bits(bits) => Some(*bits),
+            Cell::Uninit => None,
+            Cell::Ptr(_) => return false,
+        });
+    }
+    true
+}
+
+/// Writes a memo entry's cells into this call's argument objects.
+fn write_back(
+    memory: &mut Memory,
+    objs: &[ObjId],
+    cells: &[Option<u64>],
+) -> Result<(), RuntimeError> {
+    let mut rest = cells;
+    for &obj in objs {
+        let object = memory.object_mut(obj)?;
+        let (mine, tail) = rest.split_at(object.cells.len());
+        for (cell, bits) in object.cells.iter_mut().zip(mine) {
+            *cell = bits.map_or(Cell::Uninit, Cell::Bits);
+        }
+        rest = tail;
+    }
+    Ok(())
 }
 
 /// Whether executing `instr` next could depend on which work-item runs it,

@@ -980,3 +980,728 @@ fn representative_covers_generated_basic_kernels() {
         );
     }
 }
+
+/// A pointer to a block's variable dangles once the block ends, whether or
+/// not a later declaration reuses the variable's storage: reading through
+/// it is the same `InvalidAccess` on both tiers, before or after the block
+/// that declares `b`, although only the tree walker allocates `b` an object.
+#[test]
+fn dangling_pointers_fail_identically_on_both_tiers() {
+    use clc::types::AddressSpace;
+    use clc_interp::RuntimeError;
+    let decl_p = || Stmt::decl("p", int_ty().pointer_to(AddressSpace::Private), None);
+    let block_a = || {
+        Stmt::Block(clc::Block::of(vec![
+            Stmt::decl("a", int_ty(), Some(Expr::int(5))),
+            Stmt::assign(Expr::var("p"), Expr::addr_of(Expr::var("a"))),
+        ]))
+    };
+    let block_b = |tail: Vec<Stmt>| {
+        let mut stmts = vec![
+            Stmt::decl("b", int_ty(), Some(Expr::int(7))),
+            Stmt::assign(
+                Expr::var("b"),
+                Expr::binary(BinOp::Add, Expr::var("b"), Expr::int(1)),
+            ),
+        ];
+        stmts.extend(tail);
+        Stmt::Block(clc::Block::of(stmts))
+    };
+    let read_p = || store_out(Expr::deref(Expr::var("p")));
+    let inside = program_over(
+        LaunchConfig::single_group(2),
+        vec![decl_p(), block_a(), block_b(vec![read_p()])],
+    );
+    let after = program_over(
+        LaunchConfig::single_group(2),
+        vec![decl_p(), block_a(), block_b(Vec::new()), read_p()],
+    );
+    let expected = RuntimeError::InvalidAccess {
+        detail: "use of a freed object".into(),
+    };
+    for (label, program) in [("read inside", &inside), ("read after", &after)] {
+        for tier in ExecutionTier::ALL {
+            let err = launch(program, &options_for(tier, true, Schedule::Forward)).unwrap_err();
+            assert_eq!(err, expected, "{label} on the {} tier", tier.name());
+        }
+    }
+}
+
+// --- The bytecode tier's call memo ----------------------------------------
+//
+// The bytecode tier serves a call of a memoisable helper from the launch's
+// call memo when an equal call already ran in the launch: same callee, same
+// arguments, same cells in the objects they point to, and the same
+// aliasing among them.  Each case pins one part of that contract on both
+// tiers and reads `memoized_steps` to see whether the memo served a call.
+
+const SCHEDULES: [Schedule; 3] = [
+    Schedule::Forward,
+    Schedule::Reverse,
+    Schedule::Shuffled(0x3E30),
+];
+
+/// `G *`, the first parameter of every helper below.
+fn pair_ptr(sid: clc::StructId) -> clc::Type {
+    clc::Type::Struct(sid).pointer_to(clc::AddressSpace::Private)
+}
+
+/// `struct G name; name.a = a; name.b = b;`
+fn pair_decl(name: &str, sid: clc::StructId, a: i64, b: i64) -> Vec<Stmt> {
+    vec![
+        Stmt::decl(name, clc::Type::Struct(sid), None),
+        Stmt::assign(Expr::field(Expr::var(name), "a"), Expr::int(a)),
+        Stmt::assign(Expr::field(Expr::var(name), "b"), Expr::int(b)),
+    ]
+}
+
+/// `int id = get_local_linear_id();` — ends the representative's prefix,
+/// so every work-item makes the calls after it itself.
+fn fork_here() -> Stmt {
+    Stmt::decl("id", int_ty(), Some(lid()))
+}
+
+/// `int step(G *gp, int k) { for (int i = 0; i < 3; i++) gp->a = gp->a * 2
+/// + k; gp->b = gp->b + gp->a; return gp->a + gp->b; }`
+fn add_step_helper(program: &mut Program, sid: clc::StructId) {
+    use clc::expr::AssignOp;
+    let gp = || Expr::var("gp");
+    program.functions.push(clc::FunctionDef::new(
+        "step",
+        Some(int_ty()),
+        vec![
+            clc::Param::new("gp", pair_ptr(sid)),
+            clc::Param::new("k", int_ty()),
+        ],
+        clc::Block::of(vec![
+            Stmt::For {
+                init: Some(Box::new(Stmt::decl("i", int_ty(), Some(Expr::int(0))))),
+                cond: Some(Expr::binary(BinOp::Lt, Expr::var("i"), Expr::int(3))),
+                update: Some(Expr::assign_op(
+                    AssignOp::AddAssign,
+                    Expr::var("i"),
+                    Expr::int(1),
+                )),
+                body: clc::Block::of(vec![Stmt::assign(
+                    Expr::arrow(gp(), "a"),
+                    Expr::binary(
+                        BinOp::Add,
+                        Expr::binary(BinOp::Mul, Expr::arrow(gp(), "a"), Expr::int(2)),
+                        Expr::var("k"),
+                    ),
+                )]),
+            },
+            Stmt::assign(
+                Expr::arrow(gp(), "b"),
+                Expr::binary(BinOp::Add, Expr::arrow(gp(), "b"), Expr::arrow(gp(), "a")),
+            ),
+            Stmt::Return(Some(Expr::binary(
+                BinOp::Add,
+                Expr::arrow(gp(), "a"),
+                Expr::arrow(gp(), "b"),
+            ))),
+        ]),
+    ));
+}
+
+/// `r * 1000 + g.a * 10 + id` after `r = step(&g, 5)` from `g = {1, 2}`:
+/// `g.a` goes 7, 19, 43, `g.b` becomes 45 and `r` 88.
+fn step_kernel(launch: LaunchConfig) -> Program {
+    let mut p = program_over(launch, Vec::new());
+    let sid = add_pair_struct(&mut p);
+    add_step_helper(&mut p, sid);
+    let mut body = pair_decl("g", sid, 1, 2);
+    body.push(fork_here());
+    body.push(Stmt::decl(
+        "r",
+        int_ty(),
+        Some(Expr::call(
+            "step",
+            vec![Expr::addr_of(Expr::var("g")), Expr::int(5)],
+        )),
+    ));
+    body.push(store_out(Expr::binary(
+        BinOp::Add,
+        Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, Expr::var("r"), Expr::int(1000)),
+            Expr::binary(BinOp::Mul, Expr::field(Expr::var("g"), "a"), Expr::int(10)),
+        ),
+        Expr::var("id"),
+    )));
+    p.kernel.body = clc::Block::of(body);
+    p
+}
+
+/// Every work-item calls `step` on an equal private state, so every
+/// work-item but the first takes the call from the memo, in its own group
+/// or in another: the memo spans the launch, including launches of 1-item
+/// groups.
+#[test]
+fn memoised_calls_hit_across_work_groups() {
+    let shapes = [
+        (LaunchConfig::new([8, 1, 1], [4, 1, 1]).unwrap(), 8u64),
+        (LaunchConfig::new([4, 1, 1], [1, 1, 1]).unwrap(), 4),
+    ];
+    let mut per_hit = None;
+    for (launch_cfg, items) in shapes {
+        let program = step_kernel(launch_cfg);
+        let expected: Vec<u64> = (0..items)
+            .map(|gid| 88_000 + 430 + gid % launch_cfg.local[0] as u64)
+            .collect();
+        for schedule in SCHEDULES {
+            let label = format!("{items} work-items {schedule:?}");
+            let results = launch_both(&program, schedule, &label);
+            for result in &results {
+                assert_eq!(outputs(result), expected, "{label}");
+            }
+            assert_eq!(results[0].memoized_steps, 0, "{label}");
+            let memoized = results[1].memoized_steps;
+            assert!(memoized > 0, "{label}: no call was served from the memo");
+            assert_eq!(memoized % (items - 1), 0, "{label}");
+            let call = memoized / (items - 1);
+            assert_eq!(*per_hit.get_or_insert(call), call, "{label}");
+        }
+    }
+}
+
+/// `mix(G *gp, G *q)` adds `q->b` to `gp->a` and returns `100 + gp->a` when
+/// its arguments alias, `200 + gp->a` otherwise.  `mix(&g, &g)` and
+/// `mix(&h, &k)` see equal cells, but only the first aliases: the second
+/// must not be served the first's entry.
+#[test]
+fn aliasing_arguments_key_differently_from_equal_distinct_objects() {
+    let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+    let sid = add_pair_struct(&mut p);
+    let (gp, q) = (|| Expr::var("gp"), || Expr::var("q"));
+    p.functions.push(clc::FunctionDef::new(
+        "mix",
+        Some(int_ty()),
+        vec![
+            clc::Param::new("gp", pair_ptr(sid)),
+            clc::Param::new("q", pair_ptr(sid)),
+        ],
+        clc::Block::of(vec![
+            Stmt::assign(
+                Expr::arrow(gp(), "a"),
+                Expr::binary(BinOp::Add, Expr::arrow(gp(), "a"), Expr::arrow(q(), "b")),
+            ),
+            Stmt::Return(Some(Expr::binary(
+                BinOp::Add,
+                Expr::cond(
+                    Expr::binary(BinOp::Eq, gp(), q()),
+                    Expr::int(100),
+                    Expr::int(200),
+                ),
+                Expr::arrow(gp(), "a"),
+            ))),
+        ]),
+    ));
+    let mut body = Vec::new();
+    for name in ["g", "h", "k"] {
+        body.extend(pair_decl(name, sid, 1, 2));
+    }
+    body.push(fork_here());
+    let mix = |a: &str, b: &str| {
+        Expr::call(
+            "mix",
+            vec![Expr::addr_of(Expr::var(a)), Expr::addr_of(Expr::var(b))],
+        )
+    };
+    body.push(Stmt::decl("r1", int_ty(), Some(mix("g", "g"))));
+    body.push(Stmt::decl("r2", int_ty(), Some(mix("h", "k"))));
+    // ((r1 * 1000 + r2) * 10 + k.a) * 10 + id
+    let mut value = Expr::binary(
+        BinOp::Add,
+        Expr::binary(BinOp::Mul, Expr::var("r1"), Expr::int(1000)),
+        Expr::var("r2"),
+    );
+    value = Expr::binary(
+        BinOp::Add,
+        Expr::binary(BinOp::Mul, value, Expr::int(10)),
+        Expr::field(Expr::var("k"), "a"),
+    );
+    value = Expr::binary(
+        BinOp::Add,
+        Expr::binary(BinOp::Mul, value, Expr::int(10)),
+        Expr::var("id"),
+    );
+    body.push(store_out(value));
+    p.kernel.body = clc::Block::of(body);
+    let expected: Vec<u64> = (0..4).map(|id| 10_320_310 + id).collect();
+    for schedule in SCHEDULES {
+        let label = format!("aliasing {schedule:?}");
+        let results = launch_both(&p, schedule, &label);
+        for result in &results {
+            assert_eq!(outputs(result), expected, "{label}");
+        }
+        assert!(results[1].memoized_steps > 0, "{label}");
+    }
+}
+
+/// A call whose argument object holds a pointer, a helper returning a
+/// pointer, and a helper storing `&local` into `*pp`: the memo can key none
+/// of the first, and records none of the other two, so no call is served
+/// from it.
+#[test]
+fn calls_involving_pointers_are_never_served_from_the_memo() {
+    use clc::types::{AddressSpace, Field, StructDef, Type};
+    let int_ptr = || int_ty().pointer_to(AddressSpace::Private);
+
+    // struct H { int *p; int v; };  int bump(H *hp) { hp->v = hp->v + *hp->p; return hp->v; }
+    let mut holds = program_over(LaunchConfig::single_group(4), Vec::new());
+    let holder = holds.add_struct(StructDef::new(
+        "H",
+        vec![Field::new("p", int_ptr()), Field::new("v", int_ty())],
+    ));
+    let hp = || Expr::var("hp");
+    holds.functions.push(clc::FunctionDef::new(
+        "bump",
+        Some(int_ty()),
+        vec![clc::Param::new(
+            "hp",
+            Type::Struct(holder).pointer_to(AddressSpace::Private),
+        )],
+        clc::Block::of(vec![
+            Stmt::assign(
+                Expr::arrow(hp(), "v"),
+                Expr::binary(
+                    BinOp::Add,
+                    Expr::arrow(hp(), "v"),
+                    Expr::deref(Expr::arrow(hp(), "p")),
+                ),
+            ),
+            Stmt::Return(Some(Expr::arrow(hp(), "v"))),
+        ]),
+    ));
+    holds.kernel.body = clc::Block::of(vec![
+        Stmt::decl("x", int_ty(), Some(Expr::int(5))),
+        Stmt::decl("h", Type::Struct(holder), None),
+        Stmt::assign(
+            Expr::field(Expr::var("h"), "p"),
+            Expr::addr_of(Expr::var("x")),
+        ),
+        Stmt::assign(Expr::field(Expr::var("h"), "v"), Expr::int(1)),
+        fork_here(),
+        Stmt::decl(
+            "r",
+            int_ty(),
+            Some(Expr::call("bump", vec![Expr::addr_of(Expr::var("h"))])),
+        ),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, Expr::var("r"), Expr::int(10)),
+            Expr::var("id"),
+        )),
+    ]);
+
+    // int *first(G *gp) { return &gp->a; }  — then `*p += 10` in the kernel.
+    let mut returns = program_over(LaunchConfig::single_group(4), Vec::new());
+    let sid = add_pair_struct(&mut returns);
+    returns.functions.push(clc::FunctionDef::new(
+        "first",
+        Some(int_ptr()),
+        vec![clc::Param::new("gp", pair_ptr(sid))],
+        clc::Block::of(vec![Stmt::Return(Some(Expr::addr_of(Expr::arrow(
+            Expr::var("gp"),
+            "a",
+        ))))]),
+    ));
+    let mut body = pair_decl("g", sid, 1, 2);
+    body.extend([
+        fork_here(),
+        Stmt::decl(
+            "p",
+            int_ptr(),
+            Some(Expr::call("first", vec![Expr::addr_of(Expr::var("g"))])),
+        ),
+        Stmt::assign(
+            Expr::deref(Expr::var("p")),
+            Expr::binary(BinOp::Add, Expr::deref(Expr::var("p")), Expr::int(10)),
+        ),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, Expr::field(Expr::var("g"), "a"), Expr::int(10)),
+            Expr::var("id"),
+        )),
+    ]);
+    returns.kernel.body = clc::Block::of(body);
+
+    // int leak(int **pp) { int local = 3; *pp = &local; return 1; }
+    let mut leaks = program_over(LaunchConfig::single_group(4), Vec::new());
+    leaks.functions.push(clc::FunctionDef::new(
+        "leak",
+        Some(int_ty()),
+        vec![clc::Param::new(
+            "pp",
+            int_ptr().pointer_to(AddressSpace::Private),
+        )],
+        clc::Block::of(vec![
+            Stmt::decl("local", int_ty(), Some(Expr::int(3))),
+            Stmt::assign(
+                Expr::deref(Expr::var("pp")),
+                Expr::addr_of(Expr::var("local")),
+            ),
+            Stmt::Return(Some(Expr::int(1))),
+        ]),
+    ));
+    leaks.kernel.body = clc::Block::of(vec![
+        Stmt::decl("x", int_ty(), Some(Expr::int(40))),
+        Stmt::decl("p", int_ptr(), None),
+        fork_here(),
+        Stmt::decl(
+            "r",
+            int_ty(),
+            Some(Expr::call("leak", vec![Expr::addr_of(Expr::var("p"))])),
+        ),
+        Stmt::assign(Expr::var("p"), Expr::addr_of(Expr::var("x"))),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Add, Expr::deref(Expr::var("p")), Expr::var("r")),
+            Expr::var("id"),
+        )),
+    ]);
+
+    let cases = [
+        ("argument object holds a pointer", &holds, [60, 61, 62, 63]),
+        ("helper returns a pointer", &returns, [110, 111, 112, 113]),
+        ("helper stores &local", &leaks, [41, 42, 43, 44]),
+    ];
+    for (name, program, expected) in cases {
+        for schedule in SCHEDULES {
+            let label = format!("{name} {schedule:?}");
+            let results = launch_both(program, schedule, &label);
+            for result in &results {
+                assert_eq!(outputs(result), expected, "{label}");
+            }
+            assert_eq!(results[1].memoized_steps, 0, "{label}");
+        }
+    }
+}
+
+/// Work-items reach an equal `step` call after `lid` iterations of an empty
+/// loop, so they reach it with different step counts and the later ones
+/// are served from the memo.  The launch must time out exactly as running
+/// every call would: at one step below the slowest work-item's count, and
+/// not at that count.  The count comes from a launch whose every work-item
+/// runs the slowest loop (`get_local_size(0) - 1` iterations).
+#[test]
+fn memoised_calls_keep_the_step_limit_exact() {
+    use clc::expr::{AssignOp, Dim};
+    use clc_interp::RuntimeError;
+    let kernel = |bound: Expr| {
+        let mut p = program_over(LaunchConfig::single_group(4), Vec::new());
+        let sid = add_pair_struct(&mut p);
+        add_step_helper(&mut p, sid);
+        let mut body = pair_decl("g", sid, 1, 2);
+        body.extend([
+            Stmt::decl("n", int_ty(), Some(bound)),
+            Stmt::For {
+                init: Some(Box::new(Stmt::decl("i", int_ty(), Some(Expr::int(0))))),
+                cond: Some(Expr::binary(BinOp::Lt, Expr::var("i"), Expr::var("n"))),
+                update: Some(Expr::assign_op(
+                    AssignOp::AddAssign,
+                    Expr::var("i"),
+                    Expr::int(1),
+                )),
+                body: clc::Block::new(),
+            },
+            Stmt::decl(
+                "r",
+                int_ty(),
+                Some(Expr::call(
+                    "step",
+                    vec![Expr::addr_of(Expr::var("g")), Expr::int(5)],
+                )),
+            ),
+            store_out(Expr::binary(BinOp::Add, Expr::var("r"), Expr::var("n"))),
+        ]);
+        p.kernel.body = clc::Block::of(body);
+        p
+    };
+    // `lid + 0` and `size - 1` lower to the same number of steps.
+    let varying = kernel(Expr::binary(BinOp::Add, lid(), Expr::int(0)));
+    let slowest = kernel(Expr::binary(
+        BinOp::Sub,
+        Expr::IdQuery(IdKind::LocalSize(Dim::X)),
+        Expr::int(1),
+    ));
+    for tier in ExecutionTier::ALL {
+        let reference = launch(&slowest, &options_for(tier, true, Schedule::Forward)).unwrap();
+        let limit = reference.total_steps / 4;
+        assert_eq!(outputs(&reference), [91, 91, 91, 91]);
+        for schedule in SCHEDULES {
+            let label = format!("{} {schedule:?}", tier.name());
+            let at = |step_limit| {
+                launch(
+                    &varying,
+                    &LaunchOptions {
+                        step_limit,
+                        ..options_for(tier, true, schedule)
+                    },
+                )
+            };
+            let ok = at(limit).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(outputs(&ok), [88, 89, 90, 91], "{label}");
+            if tier == ExecutionTier::Bytecode {
+                assert!(ok.memoized_steps > 0, "{label}");
+            }
+            assert_eq!(
+                at(limit - 1).unwrap_err(),
+                RuntimeError::StepLimitExceeded { limit: limit - 1 },
+                "{label}"
+            );
+        }
+    }
+}
+
+/// `rec(gp, n)` recurses `n` frames deep before reading `gp->a`.  Called
+/// from the kernel it stays within `MAX_CALL_DEPTH`; the same call (equal
+/// key) made six frames deeper, through `deep`, exceeds it.  The memo holds
+/// the shallow call's entry when the deep one comes, and must not serve it:
+/// only the deep site fails, on both tiers.
+#[test]
+fn memoised_calls_keep_the_call_depth_limit_exact() {
+    use clc_interp::RuntimeError;
+    let mut p = program_over(LaunchConfig::single_group(2), Vec::new());
+    let sid = add_pair_struct(&mut p);
+    let recurse = |name: &str, base: Expr, next: Expr| {
+        clc::FunctionDef::new(
+            name,
+            Some(int_ty()),
+            vec![
+                clc::Param::new("gp", pair_ptr(sid)),
+                clc::Param::new("n", int_ty()),
+            ],
+            clc::Block::of(vec![
+                Stmt::if_then(
+                    Expr::binary(BinOp::Eq, Expr::var("n"), Expr::int(0)),
+                    clc::Block::of(vec![Stmt::Return(Some(base))]),
+                ),
+                Stmt::Return(Some(next)),
+            ]),
+        )
+    };
+    let less = || Expr::binary(BinOp::Sub, Expr::var("n"), Expr::int(1));
+    p.functions.push(recurse(
+        "rec",
+        Expr::arrow(Expr::var("gp"), "a"),
+        Expr::call("rec", vec![Expr::var("gp"), less()]),
+    ));
+    p.functions.push(recurse(
+        "deep",
+        Expr::call("rec", vec![Expr::var("gp"), Expr::int(60)]),
+        Expr::call("deep", vec![Expr::var("gp"), less()]),
+    ));
+    let call =
+        |name: &str, n: i64| Expr::call(name, vec![Expr::addr_of(Expr::var("g")), Expr::int(n)]);
+    let with_calls = |calls: Vec<Stmt>| {
+        let mut program = p.clone();
+        let mut body = pair_decl("g", sid, 7, 0);
+        body.push(fork_here());
+        body.extend(calls);
+        body.push(store_out(Expr::binary(
+            BinOp::Add,
+            Expr::var("r"),
+            Expr::var("id"),
+        )));
+        program.kernel.body = clc::Block::of(body);
+        program
+    };
+    let shallow = with_calls(vec![Stmt::decl("r", int_ty(), Some(call("rec", 60)))]);
+    let shallow_then_deep = with_calls(vec![
+        Stmt::decl("r", int_ty(), Some(call("rec", 60))),
+        Stmt::assign(Expr::var("r"), call("deep", 5)),
+    ]);
+    for schedule in SCHEDULES {
+        let label = format!("shallow {schedule:?}");
+        let results = launch_both(&shallow, schedule, &label);
+        for result in &results {
+            assert_eq!(outputs(result), [7, 8], "{label}");
+        }
+        assert!(results[1].memoized_steps > 0, "{label}");
+        for tier in ExecutionTier::ALL {
+            let err = launch(&shallow_then_deep, &options_for(tier, true, schedule)).unwrap_err();
+            assert_eq!(
+                err,
+                RuntimeError::CallDepthExceeded,
+                "deep site {schedule:?} on the {} tier",
+                tier.name()
+            );
+        }
+    }
+}
+
+/// Soft barriers inside a memoised helper are charged to every work-item
+/// that the memo serves, as if it had run them.
+#[test]
+fn memoised_calls_charge_their_soft_barriers() {
+    use clc::stmt::MemFence;
+    let mut p = program_over(LaunchConfig::new([8, 1, 1], [4, 1, 1]).unwrap(), Vec::new());
+    let sid = add_pair_struct(&mut p);
+    p.functions.push(clc::FunctionDef::new(
+        "sync",
+        Some(int_ty()),
+        vec![clc::Param::new("gp", pair_ptr(sid))],
+        clc::Block::of(vec![
+            Stmt::Barrier(MemFence::Local),
+            Stmt::assign(
+                Expr::arrow(Expr::var("gp"), "a"),
+                Expr::binary(BinOp::Add, Expr::arrow(Expr::var("gp"), "a"), Expr::int(1)),
+            ),
+            Stmt::Barrier(MemFence::Local),
+            Stmt::Return(Some(Expr::arrow(Expr::var("gp"), "a"))),
+        ]),
+    ));
+    let mut body = pair_decl("g", sid, 4, 0);
+    body.extend([
+        fork_here(),
+        Stmt::decl(
+            "r",
+            int_ty(),
+            Some(Expr::call("sync", vec![Expr::addr_of(Expr::var("g"))])),
+        ),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, Expr::var("r"), Expr::int(10)),
+            Expr::var("id"),
+        )),
+    ]);
+    p.kernel.body = clc::Block::of(body);
+    for schedule in SCHEDULES {
+        let label = format!("soft barriers {schedule:?}");
+        let results = launch_both(&p, schedule, &label);
+        for result in &results {
+            assert_eq!(outputs(result), [50, 51, 52, 53, 50, 51, 52, 53], "{label}");
+            assert_eq!(result.soft_barriers, 16, "{label}");
+        }
+        assert!(results[1].memoized_steps > 0, "{label}");
+    }
+}
+
+/// A helper that queries its work-item's identity or declares `local`
+/// memory, and a helper calling one, is never memoised, even where every
+/// call would return the same value.  A launch-wide query such as
+/// `get_global_size` does not stop a helper from being memoised.
+#[test]
+fn helpers_observing_work_items_are_never_memoised() {
+    use clc::expr::Dim;
+    // `int name(G *gp) { <stmt>; return gp->a; }`
+    let helper = |sid: clc::StructId, name: &str, stmt: Stmt| {
+        clc::FunctionDef::new(
+            name,
+            Some(int_ty()),
+            vec![clc::Param::new("gp", pair_ptr(sid))],
+            clc::Block::of(vec![
+                stmt,
+                Stmt::Return(Some(Expr::arrow(Expr::var("gp"), "a"))),
+            ]),
+        )
+    };
+    // gp->b = get_X(0) * 0;
+    let query = |kind: IdKind| {
+        Stmt::assign(
+            Expr::arrow(Expr::var("gp"), "b"),
+            Expr::binary(BinOp::Mul, Expr::IdQuery(kind), Expr::int(0)),
+        )
+    };
+    let local_decl = Stmt::Decl {
+        name: "A".into(),
+        ty: int_ty().array_of(4),
+        space: clc::AddressSpace::Local,
+        volatile: false,
+        init: None,
+        init_list: None,
+    };
+    // `f(&g)` is the call the kernel makes; `inner` is there for `f` to call.
+    let cases = [
+        ("get_local_id", query(IdKind::LocalId(Dim::X)), false),
+        ("local declaration", local_decl, false),
+        (
+            "calls a get_local_id helper",
+            Stmt::expr(Expr::call("inner", vec![Expr::var("gp")])),
+            false,
+        ),
+        ("get_global_size", query(IdKind::GlobalSize(Dim::X)), true),
+    ];
+    for (name, stmt, memoised) in cases {
+        let mut p = program_over(LaunchConfig::new([8, 1, 1], [4, 1, 1]).unwrap(), Vec::new());
+        let sid = add_pair_struct(&mut p);
+        p.functions
+            .push(helper(sid, "inner", query(IdKind::LocalId(Dim::X))));
+        p.functions.push(helper(sid, "f", stmt));
+        let mut body = pair_decl("g", sid, 3, 0);
+        body.extend([
+            fork_here(),
+            Stmt::decl(
+                "r",
+                int_ty(),
+                Some(Expr::call("f", vec![Expr::addr_of(Expr::var("g"))])),
+            ),
+            store_out(Expr::binary(
+                BinOp::Add,
+                Expr::binary(BinOp::Mul, Expr::var("r"), Expr::int(10)),
+                Expr::var("id"),
+            )),
+        ]);
+        p.kernel.body = clc::Block::of(body);
+        for schedule in SCHEDULES {
+            let label = format!("{name} {schedule:?}");
+            let results = launch_both(&p, schedule, &label);
+            for result in &results {
+                assert_eq!(outputs(result), [30, 31, 32, 33, 30, 31, 32, 33], "{label}");
+            }
+            assert_eq!(results[1].memoized_steps > 0, memoised, "{label}");
+        }
+    }
+}
+
+/// In the four idiom modes every work-item runs the kernel body's helper
+/// calls on its own copy of the globals struct, which ends up equal in
+/// every work-item: over ten generated kernels per mode, at least half of
+/// the steps must be served from the memo.
+#[test]
+fn memo_serves_most_steps_of_generated_idiom_kernels() {
+    for mode in [
+        GenMode::Barrier,
+        GenMode::AtomicSection,
+        GenMode::AtomicReduction,
+        GenMode::All,
+    ] {
+        let (mut memoized, mut total) = (0u64, 0u64);
+        for seed in 0..10 {
+            let opts = GeneratorOptions {
+                min_threads: 16,
+                max_threads: 64,
+                ..GeneratorOptions::new(mode, 0x3E30 + seed)
+            };
+            let program = generate(&opts);
+            let tree = launch(
+                &program,
+                &options_for(ExecutionTier::TreeWalk, false, Schedule::Forward),
+            )
+            .unwrap();
+            let vm = launch(
+                &program,
+                &options_for(ExecutionTier::Bytecode, false, Schedule::Forward),
+            )
+            .unwrap();
+            assert_eq!(
+                tree.result_hash,
+                vm.result_hash,
+                "{} seed {seed}",
+                mode.name()
+            );
+            assert_eq!(tree.memoized_steps, 0);
+            memoized += vm.memoized_steps;
+            total += vm.total_steps;
+        }
+        let share = memoized as f64 / total as f64;
+        assert!(
+            share >= 0.5,
+            "{}: the memo served {:.1}% of {total} steps",
+            mode.name(),
+            share * 100.0
+        );
+    }
+}

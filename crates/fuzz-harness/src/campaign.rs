@@ -568,6 +568,14 @@ pub(crate) fn descriptor_number<T: std::str::FromStr>(
         .ok_or_else(|| JournalError::Format(format!("bad campaign descriptor field {field:?}")))
 }
 
+/// The size of a job space of `groups` × `per_group` jobs, or an error
+/// when it does not fit a job index.
+fn job_space(groups: usize, per_group: usize) -> Result<u64, String> {
+    (groups as u64)
+        .checked_mul(per_group as u64)
+        .ok_or_else(|| format!("{groups} × {per_group} jobs do not fit a 64-bit job index"))
+}
+
 /// Parses a [`mode_campaign_descriptor`] back into (modes, kernels per
 /// mode), validating the target fingerprint against `targets`.
 fn parse_mode_campaign_descriptor(
@@ -634,16 +642,31 @@ pub struct ModeCampaign {
 
 impl ModeCampaign {
     /// The campaign of `modes` over `configs` at both optimisation levels.
+    ///
+    /// # Panics
+    ///
+    /// When its job count overflows (see [`ModeCampaign::try_new`]).
     pub fn new(
         modes: &[GenMode],
         configs: &[Configuration],
         options: &CampaignOptions,
     ) -> ModeCampaign {
-        ModeCampaign {
+        ModeCampaign::try_new(modes, configs, options).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ModeCampaign::new`], or an error when `modes.len()` × `kernels`
+    /// jobs do not fit a 64-bit job index.
+    pub fn try_new(
+        modes: &[GenMode],
+        configs: &[Configuration],
+        options: &CampaignOptions,
+    ) -> Result<ModeCampaign, String> {
+        job_space(modes.len(), options.kernels)?;
+        Ok(ModeCampaign {
             modes: modes.to_vec(),
             options: options.clone(),
             targets: Arc::new(targets_for(configs)),
-        }
+        })
     }
 
     /// One [`CampaignResult`] per mode from a (full or partial) tally —
@@ -678,6 +701,7 @@ impl Campaign for ModeCampaign {
     fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
         let targets = targets_for(configs);
         let (modes, kernels) = parse_mode_campaign_descriptor(&header.campaign, &targets)?;
+        job_space(modes.len(), kernels).map_err(JournalError::Format)?;
         Ok(ModeCampaign {
             modes,
             options: parsed_options(kernels, header.campaign_seed),
@@ -690,7 +714,7 @@ impl Campaign for ModeCampaign {
     }
 
     fn total_jobs(&self) -> u64 {
-        (self.modes.len() * self.options.kernels) as u64
+        job_space(self.modes.len(), self.options.kernels).expect("checked when built")
     }
 
     fn job(&self, g: u64) -> (u64, KernelJob) {
@@ -875,17 +899,34 @@ pub struct ClassificationCampaign {
 impl ClassificationCampaign {
     /// The classification of `configs` with `kernels_per_mode` kernels from
     /// each mode.
+    ///
+    /// # Panics
+    ///
+    /// When its job count overflows (see
+    /// [`ClassificationCampaign::try_new`]).
     pub fn new(
         configs: &[Configuration],
         kernels_per_mode: usize,
         options: &CampaignOptions,
     ) -> ClassificationCampaign {
-        ClassificationCampaign {
+        ClassificationCampaign::try_new(configs, kernels_per_mode, options)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ClassificationCampaign::new`], or an error when six modes ×
+    /// `kernels_per_mode` jobs do not fit a 64-bit job index.
+    pub fn try_new(
+        configs: &[Configuration],
+        kernels_per_mode: usize,
+        options: &CampaignOptions,
+    ) -> Result<ClassificationCampaign, String> {
+        job_space(GenMode::ALL.len(), kernels_per_mode)?;
+        Ok(ClassificationCampaign {
             kernels_per_mode,
             options: options.clone(),
             configs: configs.to_vec(),
             targets: Arc::new(targets_for(configs)),
-        }
+        })
     }
 }
 
@@ -904,8 +945,10 @@ impl Campaign for ClassificationCampaign {
     fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
         let targets = targets_for(configs);
         let fields = descriptor_fields(&header.campaign, "classify", 4, &targets)?;
+        let kernels_per_mode = descriptor_number(fields[1], 'k')?;
+        job_space(GenMode::ALL.len(), kernels_per_mode).map_err(JournalError::Format)?;
         Ok(ClassificationCampaign {
-            kernels_per_mode: descriptor_number(fields[1], 'k')?,
+            kernels_per_mode,
             options: parsed_options(0, header.campaign_seed),
             configs: configs.to_vec(),
             targets: Arc::new(targets),
@@ -917,7 +960,7 @@ impl Campaign for ClassificationCampaign {
     }
 
     fn total_jobs(&self) -> u64 {
-        (GenMode::ALL.len() * self.kernels_per_mode) as u64
+        job_space(GenMode::ALL.len(), self.kernels_per_mode).expect("checked when built")
     }
 
     fn job(&self, g: u64) -> (u64, KernelJob) {
@@ -1112,6 +1155,47 @@ mod tests {
             descriptor,
             mode_campaign_descriptor(&GenMode::ALL, 20, &paper, &targets)
         );
+    }
+
+    #[test]
+    fn job_counts_that_overflow_are_errors_not_wrapped() {
+        let configs = vec![opencl_sim::configuration(1)];
+        let huge = CampaignOptions {
+            kernels: usize::MAX,
+            ..CampaignOptions::default()
+        };
+        assert!(ModeCampaign::try_new(&GenMode::ALL, &configs, &huge).is_err());
+        let one_mode = ModeCampaign::try_new(&[GenMode::Basic], &configs, &huge).unwrap();
+        assert_eq!(one_mode.total_jobs(), usize::MAX as u64);
+        let options = CampaignOptions::default();
+        assert!(ClassificationCampaign::try_new(&configs, usize::MAX, &options).is_err());
+        assert_eq!(
+            ClassificationCampaign::try_new(&configs, 3, &options)
+                .unwrap()
+                .total_jobs(),
+            18
+        );
+
+        // Journal descriptors claiming 2^64 - 1 kernels per mode.
+        let header = |campaign: String| JournalHeader {
+            campaign,
+            campaign_seed: 0,
+            total_jobs: 6,
+            shard_index: 0,
+            shard_count: 1,
+            range: (0, 6),
+        };
+        let huge_k = |descriptor: String| descriptor.replace(":k1:", ":k18446744073709551615:");
+        let mut one = ModeCampaign::new(&GenMode::ALL, &configs, &options);
+        one.options.kernels = 1;
+        assert!(ModeCampaign::parse(&header(one.descriptor()), &configs).is_ok());
+        let parsed = ModeCampaign::parse(&header(huge_k(one.descriptor())), &configs);
+        assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
+        let classify = ClassificationCampaign::new(&configs, 1, &options);
+        assert!(ClassificationCampaign::parse(&header(classify.descriptor()), &configs).is_ok());
+        let parsed =
+            ClassificationCampaign::parse(&header(huge_k(classify.descriptor())), &configs);
+        assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! An entry is therefore valid only under the platform semantics of the
 //! build that wrote it: the emulator that computed the outcome and the
 //! miscompilation transforms a key names.  A change to either must bump
-//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 1`), which turns
+//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 2`), which turns
 //! every older entry into a miss.
 //!
 //! ## Entry format
@@ -31,7 +31,7 @@
 //! by an exact-length payload:
 //!
 //! ```text
-//! CLFUZZ-STORE 1 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
+//! CLFUZZ-STORE 2 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
 //! <payload-len bytes of payload>
 //! ```
 //!
@@ -103,7 +103,7 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 /// The store format tag; bumping the version invalidates (as misses) every
 /// existing entry.  Bump it whenever the entry encoding, the emulator's
 /// semantics or a miscompilation transform changes (see the module docs).
-const FORMAT: &str = "CLFUZZ-STORE 1";
+const FORMAT: &str = "CLFUZZ-STORE 2";
 
 /// Size cap (bytes) of a store opened without an explicit one.
 const DEFAULT_CAP: u64 = 256 * 1024 * 1024;
@@ -552,7 +552,7 @@ mod tests {
         assert_eq!(parse_entry(&bytes, fp, 8), None);
         // A version bump invalidates old entries even with a valid crc.
         let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replace("CLFUZZ-STORE 1", "CLFUZZ-STORE 2");
+        let bumped = text.replace(FORMAT, &bumped_format());
         let (prefix, _) = bumped.split_once('\n').unwrap();
         let (fields, _) = prefix.rsplit_once(' ').unwrap();
         let crc = fnv1a(fields.as_bytes());
@@ -571,16 +571,22 @@ mod tests {
             hash: 42,
             output: "5,5,5".into(),
         };
-        let bumped = "CLFUZZ-STORE 2";
+        let bumped = bumped_format();
         assert_ne!(bumped, FORMAT);
-        let written = render_entry_in(bumped, fp, key, &outcome);
+        let written = render_entry_in(&bumped, fp, key, &outcome);
         assert_eq!(
-            parse_entry_in(bumped, &written, fp, key),
+            parse_entry_in(&bumped, &written, fp, key),
             Some(outcome.clone())
         );
         assert_eq!(parse_entry(&written, fp, key), None);
         let current = render_entry(fp, key, &outcome);
-        assert_eq!(parse_entry_in(bumped, &current, fp, key), None);
+        assert_eq!(parse_entry_in(&bumped, &current, fp, key), None);
+    }
+
+    /// The format tag the next version bump would make.
+    fn bumped_format() -> String {
+        let (magic, version) = FORMAT.rsplit_once(' ').unwrap();
+        format!("{magic} {}", version.parse::<u32>().unwrap() + 1)
     }
 
     #[test]
