@@ -46,7 +46,7 @@ impl bench::Table for Corpus {
             exec,
             ..CorpusOptions::default()
         };
-        CorpusCampaign::new(configs, &options)
+        CorpusCampaign::try_new(configs, &options).unwrap_or_else(|e| bench::usage_error(e))
     }
 
     fn render(campaign: &CorpusCampaign, tally: &CorpusTally, source: Source<'_>) -> String {

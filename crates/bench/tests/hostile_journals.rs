@@ -10,6 +10,7 @@ use fuzz_harness::checksum;
 
 fn campaign_bin(name: &str) -> Command {
     let mut cmd = Command::new(match name {
+        "corpus" => env!("CARGO_BIN_EXE_corpus"),
         "table3" => env!("CARGO_BIN_EXE_table3"),
         "table4" => env!("CARGO_BIN_EXE_table4"),
         other => panic!("no campaign binary {other}"),
@@ -33,11 +34,11 @@ fn record(index: u64, payload: &str) -> String {
 }
 
 /// The header fields (without the checksum) of a fresh whole-campaign
-/// journal of `bin 1`.
-fn header_fields(bin: &str, dir: &Path) -> Vec<String> {
+/// journal of `bin` at `scale`.
+fn header_fields(bin: &str, scale: &[&str], dir: &Path) -> Vec<String> {
     let journal = dir.join(format!("{bin}-fresh.journal"));
     let out = campaign_bin(bin)
-        .arg("1")
+        .args(scale)
         .arg("--journal")
         .arg(&journal)
         .output()
@@ -72,7 +73,7 @@ fn contradictory_journals_are_errors_in_merge_and_resume() {
     fs::create_dir_all(&dir).expect("create scratch dir");
 
     // Table 4 at one kernel per mode: six jobs over 20 target columns.
-    let table4 = header_fields("table4", &dir);
+    let table4 = header_fields("table4", &["1"], &dir);
     assert_eq!(table4[4], "6", "table4 1 has six jobs");
     let one_mode = vec!["0,0,0,0,1,0"; 20].join(";");
     let cases = [
@@ -105,8 +106,26 @@ fn contradictory_journals_are_errors_in_merge_and_resume() {
     let merge = campaign_bin("table4").arg("merge").arg(&journal).output();
     assert_journal_error(merge.expect("spawn merge"), "table4 merge overflow");
 
+    // The corpus campaign with a descriptor claiming 2⁶⁴ − 1 lineages: two
+    // strategies of them overflow the job index, and so does that scale.
+    let mut overflow = header_fields("corpus", &["1", "0"], &dir);
+    assert!(overflow[2].contains(":l1:"), "{}", overflow[2]);
+    overflow[2] = overflow[2].replace(":l1:", ":l18446744073709551615:");
+    let journal = write_journal(&dir, "corpus-overflow.journal", &overflow, "");
+    let merge = campaign_bin("corpus").arg("merge").arg(&journal).output();
+    assert_journal_error(merge.expect("spawn merge"), "corpus merge overflow");
+    let run = campaign_bin("corpus")
+        .args(["18446744073709551615", "--shard", "0/100000000"])
+        .output()
+        .expect("spawn corpus");
+    assert_eq!(
+        run.status.code(),
+        Some(2),
+        "an overflowing scale is a usage error"
+    );
+
     // Table 3 with a header claiming 4·10¹⁸ jobs.
-    let mut table3 = header_fields("table3", &dir);
+    let mut table3 = header_fields("table3", &["1"], &dir);
     let huge = "4000000000000000000";
     table3[4] = huge.to_string();
     table3[6] = format!("0-{huge}");

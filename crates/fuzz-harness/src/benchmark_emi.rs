@@ -4,14 +4,19 @@
 //! summarising the worst outcome over 500 tests (125 EMI blocks ×
 //! substitutions on/off × optimisations on/off), with a superscript recording
 //! whether substitutions had to be enabled (`e`), disabled (`d`) or either
-//! (`?`) to provoke the problem.  This module reproduces that judgement for
-//! an arbitrary host [`clc::Program`].
+//! (`?`) to provoke the problem.  [`evaluate_benchmark`] reproduces that
+//! judgement for an arbitrary host [`clc::Program`], and [`CellCampaign`]
+//! runs it over the Parboil/Rodinia miniatures × configurations grid, one
+//! job per cell.
 
-use crate::exec::{Scheduler, StagedJob};
-use crate::journal::JournalError;
-use crate::shard::{parse_fields, JournalPayload, Mergeable};
+use crate::campaign::{generator_fingerprint, parsed_options};
+use crate::exec::StagedJob;
+use crate::journal::{checksum, JournalError, JournalHeader};
+use crate::shard::{Campaign, JournalPayload, Mergeable};
 use clsmith::emi::{inject_emi_blocks, InjectionOptions};
+use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
+use parboil_rodinia::table3_benchmarks;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -84,7 +89,7 @@ impl SubstitutionSensitivity {
 }
 
 /// One cell of Table 3.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchmarkCell {
     /// Worst outcome.
     pub outcome: CellOutcome,
@@ -103,16 +108,6 @@ impl BenchmarkCell {
             self.sensitivity.superscript()
         )
     }
-}
-
-/// What one EMI body contributed to a Table 3 cell: its worst outcome, which
-/// substitution settings provoked a defect, and how many variants ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BodyShard {
-    worst: CellOutcome,
-    seen_with_subs: bool,
-    seen_without_subs: bool,
-    variants: usize,
 }
 
 impl CellOutcome {
@@ -143,109 +138,8 @@ impl CellOutcome {
     }
 }
 
-/// One body's journal payload: `worst,with_subs,without_subs,variants`.
-impl JournalPayload for BodyShard {
-    fn encode(&self) -> String {
-        format!(
-            "{},{},{},{}",
-            self.worst.to_digit(),
-            self.seen_with_subs as u8,
-            self.seen_without_subs as u8,
-            self.variants
-        )
-    }
-
-    fn decode(text: &str) -> Result<Self, JournalError> {
-        let fields = parse_fields::<usize>(text, ',', "body shard")?;
-        if fields.len() != 4 || fields[1] > 1 || fields[2] > 1 {
-            return Err(JournalError::Format(format!("bad body shard {text:?}")));
-        }
-        Ok(BodyShard {
-            worst: CellOutcome::from_digit(fields[0] as u8)?,
-            seen_with_subs: fields[1] == 1,
-            seen_without_subs: fields[2] == 1,
-            variants: fields[3],
-        })
-    }
-}
-
-/// The aggregation state of one Table 3 cell: the fold of every
-/// [`BodyShard`].  `max`/`or`/`sum` are all associative and commutative,
-/// so any shard grouping merges to the same cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellTally {
-    worst_digit: u8,
-    seen_with_subs: bool,
-    seen_without_subs: bool,
-    variants: usize,
-}
-
-impl CellTally {
-    /// Folds one body's contribution in.
-    pub fn record(&mut self, shard: &BodyShard) {
-        self.worst_digit = self.worst_digit.max(shard.worst.to_digit());
-        self.seen_with_subs |= shard.seen_with_subs;
-        self.seen_without_subs |= shard.seen_without_subs;
-        self.variants += shard.variants;
-    }
-
-    /// Renders the tally as the Table 3 cell it denotes.
-    pub fn cell(&self) -> BenchmarkCell {
-        let worst =
-            CellOutcome::from_digit(self.worst_digit).expect("tally digits come from CellOutcome");
-        let sensitivity = match (worst, self.seen_with_subs, self.seen_without_subs) {
-            (CellOutcome::Ok, _, _) => SubstitutionSensitivity::NotApplicable,
-            (_, true, false) => SubstitutionSensitivity::NeedsEnabled,
-            (_, false, true) => SubstitutionSensitivity::NeedsDisabled,
-            _ => SubstitutionSensitivity::Either,
-        };
-        BenchmarkCell {
-            outcome: worst,
-            sensitivity,
-            variants: self.variants,
-        }
-    }
-}
-
-impl Mergeable for CellTally {
-    fn merge(&mut self, other: CellTally) {
-        self.worst_digit = self.worst_digit.max(other.worst_digit);
-        self.seen_with_subs |= other.seen_with_subs;
-        self.seen_without_subs |= other.seen_without_subs;
-        self.variants += other.variants;
-    }
-
-    fn same_shape(&self, _: &CellTally) -> bool {
-        true
-    }
-
-    fn serialize(&self) -> String {
-        format!(
-            "{},{},{},{}",
-            self.worst_digit,
-            self.seen_with_subs as u8,
-            self.seen_without_subs as u8,
-            self.variants
-        )
-    }
-
-    fn deserialize(text: &str) -> Result<CellTally, JournalError> {
-        let fields = parse_fields::<usize>(text, ',', "cell tally")?;
-        if fields.len() != 4 || fields[0] > 4 || fields[1] > 1 || fields[2] > 1 {
-            return Err(JournalError::Format(format!("bad cell tally {text:?}")));
-        }
-        Ok(CellTally {
-            worst_digit: fields[0] as u8,
-            seen_with_subs: fields[1] == 1,
-            seen_without_subs: fields[2] == 1,
-            variants: fields[3],
-        })
-    }
-}
-
-/// A whole cell as a journal payload (`outcome,sensitivity,variants`) —
-/// used by the `table3` binary, which shards the benchmark × configuration
-/// grid at cell granularity.
+/// A whole cell as a journal payload (`outcome,sensitivity,variants`): the
+/// [`CellCampaign`] journals one per record.
 impl JournalPayload for BenchmarkCell {
     fn encode(&self) -> String {
         let sensitivity = match self.sensitivity {
@@ -284,135 +178,12 @@ impl JournalPayload for BenchmarkCell {
     }
 }
 
-/// One EMI body's worth of Table 3 work: inject the body with substitutions
-/// off and on, run at both optimisation levels, record the worst outcome.
-/// The benchmark and configuration are shared read-only state behind
-/// [`Arc`]s.
-#[derive(Debug, Clone)]
-pub struct BenchmarkBodyJob {
-    /// The benchmark under test, shared across the batch.
-    pub benchmark: Arc<EmiBenchmark>,
-    /// Index of the body in `benchmark.bodies` (drives injection seeding).
-    pub body_index: usize,
-    /// The configuration, shared across the batch.
-    pub config: Arc<Configuration>,
-    /// Execution options.
-    pub exec: ExecOptions,
-    /// Reference result hash of the unmodified benchmark.
-    pub expected: u64,
-}
-
-/// Stage-1 output of a [`BenchmarkBodyJob`]: the two injected EMI variants
-/// (substitutions off and on) plus the judging context.
-#[derive(Debug)]
-pub struct InjectedVariants {
-    /// `(substitutions, injected program)` pairs, substitutions-off first.
-    pub variants: Vec<(bool, clc::Program)>,
-    /// The configuration, shared across the batch.
-    pub config: Arc<Configuration>,
-    /// Execution options.
-    pub exec: ExecOptions,
-    /// Reference result hash of the unmodified benchmark.
-    pub expected: u64,
-}
-
-/// Stage-2 output of a [`BenchmarkBodyJob`]: each variant's outcome at both
-/// optimisation levels, tagged with its substitution setting, plus the
-/// expected hash.
-#[derive(Debug)]
-pub struct BodyOutcomes {
-    /// `(substitutions, outcome)` per (variant, opt level), in run order.
-    pub outcomes: Vec<(bool, TestOutcome)>,
-    /// Reference result hash of the unmodified benchmark.
-    pub expected: u64,
-}
-
-impl StagedJob for BenchmarkBodyJob {
-    type Generated = InjectedVariants;
-    type Executed = BodyOutcomes;
-    type Output = BodyShard;
-
-    /// EMI injection (stage 1).
-    fn generate(self) -> InjectedVariants {
-        let body = &self.benchmark.bodies[self.body_index];
-        let variants = [false, true]
-            .into_iter()
-            .map(|substitutions| {
-                (
-                    substitutions,
-                    inject_emi_blocks(
-                        &self.benchmark.program,
-                        std::slice::from_ref(body),
-                        &InjectionOptions {
-                            injection_points: self.benchmark.injection_points,
-                            substitutions,
-                            seed: self.body_index as u64 + 1,
-                            ..InjectionOptions::default()
-                        },
-                    ),
-                )
-            })
-            .collect();
-        InjectedVariants {
-            variants,
-            config: self.config,
-            exec: self.exec,
-            expected: self.expected,
-        }
-    }
-
-    /// Execution (stage 2), with one memo across the substitutions-off/on
-    /// pair: on non-optimising configurations both opt levels (and often
-    /// both variants, when substitutions change nothing) compile
-    /// identically and share one launch.  The [`Rc`]-based memo never
-    /// crosses the stage boundary.
-    fn execute(injected: InjectedVariants) -> BodyOutcomes {
-        let memo = Rc::new(ExecMemo::new());
-        let mut outcomes = Vec::with_capacity(injected.variants.len() * OptLevel::BOTH.len());
-        for (substitutions, variant) in &injected.variants {
-            let session = Session::with_memo(variant, Rc::clone(&memo));
-            for opt in OptLevel::BOTH {
-                outcomes.push((
-                    *substitutions,
-                    session.execute(&injected.config, opt, &injected.exec),
-                ));
-            }
-        }
-        BodyOutcomes {
-            outcomes,
-            expected: injected.expected,
-        }
-    }
-
-    /// Worst-outcome fold (stage 3).
-    fn judge(body: BodyOutcomes) -> BodyShard {
-        let mut shard = BodyShard {
-            worst: CellOutcome::Ok,
-            seen_with_subs: false,
-            seen_without_subs: false,
-            variants: 0,
-        };
-        for (substitutions, outcome) in &body.outcomes {
-            shard.variants += 1;
-            let observed = match outcome {
-                TestOutcome::Result { hash, .. } if *hash == body.expected => CellOutcome::Ok,
-                TestOutcome::Result { .. } => CellOutcome::WrongCode,
-                TestOutcome::Crash(_) => CellOutcome::Crash,
-                TestOutcome::BuildFailure(_) => CellOutcome::Crash,
-                TestOutcome::Timeout => CellOutcome::Timeout,
-            };
-            if observed > CellOutcome::Ok {
-                if *substitutions {
-                    shard.seen_with_subs = true;
-                } else {
-                    shard.seen_without_subs = true;
-                }
-            }
-            if observed > shard.worst {
-                shard.worst = observed;
-            }
-        }
-        shard
+/// The cell of a benchmark its configuration cannot run at all (`ng`).
+fn no_generation() -> BenchmarkCell {
+    BenchmarkCell {
+        outcome: CellOutcome::NoGeneration,
+        sensitivity: SubstitutionSensitivity::NotApplicable,
+        variants: 0,
     }
 }
 
@@ -420,11 +191,12 @@ impl StagedJob for BenchmarkBodyJob {
 /// Table 3.  `exec` should have race detection enabled if the caller wants to
 /// reproduce the paper's discovery of racy benchmarks (§2.4).
 ///
-/// The baseline checks run inline, then one [`BenchmarkBodyJob`] per EMI
-/// body on `scheduler`, folded into a [`CellTally`] in body-index order, so
-/// the cell is bit-identical at any worker count.
-pub fn evaluate_benchmark_with(
-    scheduler: &Scheduler,
+/// Every EMI body is injected with substitutions off and on, each variant
+/// runs at both optimisation levels, and the worst outcome is folded in
+/// body order.  One memo serves the whole cell: on non-optimising
+/// configurations both opt levels (and often both variants, when
+/// substitutions change nothing) compile identically and share a launch.
+pub fn evaluate_benchmark(
     benchmark: &EmiBenchmark,
     config: &Configuration,
     exec: &ExecOptions,
@@ -432,61 +204,277 @@ pub fn evaluate_benchmark_with(
     // Expected output: the original benchmark on the reference emulator.
     let expected = match opencl_sim::reference_execute(&benchmark.program, exec) {
         TestOutcome::Result { hash, .. } => hash,
-        _ => {
-            return BenchmarkCell {
-                outcome: CellOutcome::NoGeneration,
-                sensitivity: SubstitutionSensitivity::NotApplicable,
-                variants: 0,
-            }
-        }
+        _ => return no_generation(),
     };
+    let inject = |bodies: &[clc::Block], substitutions: bool, seed: u64| {
+        let options = InjectionOptions {
+            injection_points: benchmark.injection_points,
+            substitutions,
+            seed,
+            ..InjectionOptions::default()
+        };
+        inject_emi_blocks(&benchmark.program, bodies, &options)
+    };
+    let memo = Rc::new(ExecMemo::new());
 
     // "Generation with an empty EMI block": the benchmark with the dead
     // array plumbing but no injected statements.  If this fails, the
     // configuration cannot run the benchmark at all (`ng`).
-    let empty = inject_emi_blocks(
-        &benchmark.program,
-        &[clc::Block::new()],
-        &InjectionOptions {
-            injection_points: benchmark.injection_points,
-            substitutions: false,
-            seed: 0,
-            ..InjectionOptions::default()
-        },
-    );
-    let mut baseline_ok = false;
-    let empty_session = Session::new(&empty);
-    for opt in OptLevel::BOTH {
-        if let TestOutcome::Result { hash, .. } = empty_session.execute(config, opt, exec) {
-            if hash == expected {
-                baseline_ok = true;
+    let empty = inject(&[clc::Block::new()], false, 0);
+    let empty_session = Session::with_memo(&empty, Rc::clone(&memo));
+    let baseline_ok = OptLevel::BOTH.into_iter().any(|opt| {
+        matches!(empty_session.execute(config, opt, exec),
+            TestOutcome::Result { hash, .. } if hash == expected)
+    });
+    if !baseline_ok {
+        return no_generation();
+    }
+
+    let mut worst = CellOutcome::Ok;
+    let (mut seen_with_subs, mut seen_without_subs) = (false, false);
+    let mut variants = 0;
+    for (index, body) in benchmark.bodies.iter().enumerate() {
+        for substitutions in [false, true] {
+            let variant = inject(std::slice::from_ref(body), substitutions, index as u64 + 1);
+            let session = Session::with_memo(&variant, Rc::clone(&memo));
+            for opt in OptLevel::BOTH {
+                variants += 1;
+                let observed = match session.execute(config, opt, exec) {
+                    TestOutcome::Result { hash, .. } if hash == expected => CellOutcome::Ok,
+                    TestOutcome::Result { .. } => CellOutcome::WrongCode,
+                    TestOutcome::Crash(_) | TestOutcome::BuildFailure(_) => CellOutcome::Crash,
+                    TestOutcome::Timeout => CellOutcome::Timeout,
+                };
+                if observed > CellOutcome::Ok {
+                    if substitutions {
+                        seen_with_subs = true;
+                    } else {
+                        seen_without_subs = true;
+                    }
+                }
+                worst = worst.max(observed);
             }
         }
     }
-    if !baseline_ok {
-        return BenchmarkCell {
-            outcome: CellOutcome::NoGeneration,
-            sensitivity: SubstitutionSensitivity::NotApplicable,
-            variants: 0,
-        };
+    let sensitivity = match (worst, seen_with_subs, seen_without_subs) {
+        (CellOutcome::Ok, _, _) => SubstitutionSensitivity::NotApplicable,
+        (_, true, false) => SubstitutionSensitivity::NeedsEnabled,
+        (_, false, true) => SubstitutionSensitivity::NeedsDisabled,
+        _ => SubstitutionSensitivity::Either,
+    };
+    BenchmarkCell {
+        outcome: worst,
+        sensitivity,
+        variants,
+    }
+}
+
+/// One Table 3 cell: a benchmark evaluated on one configuration.  A cell's
+/// input is prebuilt and its verdict is folded inside the evaluation, so
+/// the whole cell is one execute stage (generate and judge pass through).
+#[derive(Debug)]
+pub struct CellJob {
+    benchmark: Arc<EmiBenchmark>,
+    config: Configuration,
+    exec: ExecOptions,
+}
+
+impl StagedJob for CellJob {
+    type Generated = CellJob;
+    type Executed = BenchmarkCell;
+    type Output = BenchmarkCell;
+
+    fn generate(self) -> CellJob {
+        self
     }
 
-    let shared_benchmark = Arc::new(benchmark.clone());
-    let shared_config = Arc::new(config.clone());
-    let jobs = (0..benchmark.bodies.len())
-        .map(|body_index| BenchmarkBodyJob {
-            benchmark: Arc::clone(&shared_benchmark),
-            body_index,
-            config: Arc::clone(&shared_config),
-            exec: exec.clone(),
-            expected,
-        })
-        .collect();
-    let mut tally = CellTally::default();
-    for shard in scheduler.run_staged_all(jobs) {
-        tally.record(&shard);
+    fn execute(cell: CellJob) -> BenchmarkCell {
+        evaluate_benchmark(&cell.benchmark, &cell.config, &cell.exec)
     }
-    tally.cell()
+
+    fn judge(cell: BenchmarkCell) -> BenchmarkCell {
+        cell
+    }
+}
+
+/// The benchmark × configuration cell grid, benchmark-major; unreached
+/// cells are `None`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cells(pub Vec<Option<BenchmarkCell>>);
+
+impl Mergeable for Cells {
+    fn merge(&mut self, other: Cells) {
+        for (cell, other) in self.0.iter_mut().zip(other.0) {
+            if other.is_some() {
+                *cell = other;
+            }
+        }
+    }
+
+    fn same_shape(&self, other: &Cells) -> bool {
+        self.0.len() == other.0.len()
+    }
+
+    fn serialize(&self) -> String {
+        let cells: Vec<String> = self
+            .0
+            .iter()
+            .map(|cell| cell.as_ref().map_or("-".to_string(), BenchmarkCell::encode))
+            .collect();
+        cells.join(";")
+    }
+
+    fn deserialize(text: &str) -> Result<Cells, JournalError> {
+        text.split(';')
+            .map(|token| match token {
+                "-" => Ok(None),
+                _ => BenchmarkCell::decode(token).map(Some),
+            })
+            .collect::<Result<_, _>>()
+            .map(Cells)
+    }
+}
+
+/// The Table 3 campaign: one job per cell of the Parboil/Rodinia miniatures
+/// (the `table3_benchmarks` list, rows) × configurations (columns) grid.
+#[derive(Debug)]
+pub struct CellCampaign {
+    /// Bodies per benchmark plus fingerprints of the generator options and
+    /// the cell grid.
+    descriptor: String,
+    /// The benchmark names, in row order.
+    pub names: Vec<String>,
+    /// The configurations, in column order.
+    pub configs: Vec<Configuration>,
+    /// The benchmarks with their EMI bodies (empty when parsed).
+    benchmarks: Vec<Arc<EmiBenchmark>>,
+    exec: ExecOptions,
+}
+
+/// Fingerprint token of the benchmark × configuration grid, embedded in
+/// the campaign descriptor and re-validated on merge so journals recorded
+/// over a different grid (reordered configurations, changed benchmark
+/// list) cannot silently land under the wrong rows/columns.
+fn grid_token(names: &[String], configs: &[Configuration]) -> String {
+    let config_ids: Vec<String> = configs.iter().map(|c| c.id.to_string()).collect();
+    let grid = format!("{}\n---\n{}", names.join("\n"), config_ids.join("\n"));
+    format!("grid{:016x}", checksum(grid.as_bytes()))
+}
+
+fn benchmark_names() -> Vec<String> {
+    table3_benchmarks()
+        .iter()
+        .map(|b| b.name.to_string())
+        .collect()
+}
+
+impl CellCampaign {
+    /// Table 3 over `configs`, each benchmark carrying `bodies` EMI block
+    /// bodies.  The bodies are taken from CLsmith kernels (§7.2) generated
+    /// with `generator` from fixed donor seeds, so every process derives
+    /// identical bodies.
+    pub fn new(
+        bodies: usize,
+        generator: &GeneratorOptions,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> CellCampaign {
+        let donor_bodies: Vec<clc::Block> = (0..bodies)
+            .map(|i| {
+                let donor = generate(
+                    &GeneratorOptions {
+                        mode: GenMode::Basic,
+                        seed: 900 + i as u64,
+                        ..generator.clone()
+                    }
+                    .with_emi(),
+                );
+                donor
+                    .emi_blocks()
+                    .first()
+                    .map(|b| b.body.clone())
+                    .unwrap_or_default()
+            })
+            .collect();
+        let benchmarks = table3_benchmarks()
+            .into_iter()
+            .map(|bench| {
+                Arc::new(EmiBenchmark {
+                    name: bench.name.to_string(),
+                    program: bench.program,
+                    bodies: donor_bodies.clone(),
+                    injection_points: 1,
+                })
+            })
+            .collect();
+        let names = benchmark_names();
+        let descriptor = format!(
+            "table3:bodies{bodies}:gen{:016x}:{}",
+            generator_fingerprint(generator),
+            grid_token(&names, configs)
+        );
+        CellCampaign {
+            descriptor,
+            names,
+            configs: configs.to_vec(),
+            benchmarks,
+            exec,
+        }
+    }
+}
+
+impl Campaign for CellCampaign {
+    type Job = CellJob;
+    type Tally = Cells;
+
+    fn descriptor(&self) -> String {
+        self.descriptor.clone()
+    }
+
+    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let names = benchmark_names();
+        let descriptor = header.campaign.clone();
+        if !descriptor.starts_with("table3:") || !descriptor.ends_with(&grid_token(&names, configs))
+        {
+            return Err(JournalError::Mismatch(format!(
+                "campaign {descriptor:?} is not Table 3 over this build's cell grid"
+            )));
+        }
+        Ok(CellCampaign {
+            descriptor,
+            names,
+            configs: configs.to_vec(),
+            benchmarks: Vec::new(),
+            exec: parsed_options(0, 0).exec,
+        })
+    }
+
+    fn seed(&self) -> u64 {
+        0
+    }
+
+    fn total_jobs(&self) -> u64 {
+        (self.names.len() * self.configs.len()) as u64
+    }
+
+    /// Cells have no RNG seed of their own; the journal records the index.
+    fn job(&self, g: u64) -> (u64, CellJob) {
+        let cols = self.configs.len() as u64;
+        let job = CellJob {
+            benchmark: Arc::clone(&self.benchmarks[(g / cols) as usize]),
+            config: self.configs[(g % cols) as usize].clone(),
+            exec: self.exec.clone(),
+        };
+        (g, job)
+    }
+
+    fn tally(&self) -> Cells {
+        Cells(vec![None; self.total_jobs() as usize])
+    }
+
+    fn fold(&self, cells: &mut Cells, g: u64, cell: BenchmarkCell) {
+        cells.0[g as usize] = Some(cell);
+    }
 }
 
 #[cfg(test)]
@@ -536,8 +524,7 @@ mod tests {
     #[test]
     fn healthy_configuration_reports_ok() {
         let bench = tiny_benchmark();
-        let cell = evaluate_benchmark_with(
-            &Scheduler::sequential(),
+        let cell = evaluate_benchmark(
             &bench,
             &opencl_sim::configuration(1),
             &ExecOptions::default(),
@@ -553,8 +540,7 @@ mod tests {
     #[test]
     fn unreliable_configuration_reports_ng_or_failure() {
         let bench = tiny_benchmark();
-        let cell = evaluate_benchmark_with(
-            &Scheduler::sequential(),
+        let cell = evaluate_benchmark(
             &bench,
             &opencl_sim::configuration(21),
             &ExecOptions::default(),
@@ -569,58 +555,29 @@ mod tests {
     }
 
     #[test]
-    fn body_shards_cells_and_tallies_round_trip_through_the_journal_forms() {
-        let shard = BodyShard {
-            worst: CellOutcome::Crash,
-            seen_with_subs: true,
-            seen_without_subs: false,
+    fn cells_and_cell_grids_round_trip_through_the_journal_forms() {
+        let cell = BenchmarkCell {
+            outcome: CellOutcome::Crash,
+            sensitivity: SubstitutionSensitivity::NeedsEnabled,
             variants: 4,
         };
-        assert_eq!(shard.encode(), "3,1,0,4");
-        assert_eq!(BodyShard::decode("3,1,0,4").unwrap(), shard);
-        assert!(BodyShard::decode("9,1,0,4").is_err());
-        assert!(BodyShard::decode("3,2,0,4").is_err());
+        assert_eq!(cell.encode(), "3,e,4");
+        assert_eq!(BenchmarkCell::decode("3,e,4").unwrap(), cell);
+        for bad in ["9,e,4", "3,x,4", "3,e", "3,e,four"] {
+            assert!(BenchmarkCell::decode(bad).is_err(), "{bad:?}");
+        }
 
-        let mut tally = CellTally::default();
-        tally.record(&shard);
-        tally.record(&BodyShard {
-            worst: CellOutcome::WrongCode,
-            seen_with_subs: false,
-            seen_without_subs: true,
-            variants: 4,
-        });
-        let round = CellTally::deserialize(&tally.serialize()).unwrap();
-        assert_eq!(round, tally);
-        let cell = tally.cell();
-        assert_eq!(cell.outcome, CellOutcome::WrongCode);
-        assert_eq!(cell.sensitivity, SubstitutionSensitivity::Either);
-        assert_eq!(cell.variants, 8);
-        assert_eq!(
-            BenchmarkCell::decode(&cell.encode()).unwrap().render(),
-            "w?"
-        );
-
-        // Merge matches folding everything into one tally.
-        let mut a = CellTally::default();
-        a.record(&shard);
-        let mut b = CellTally::default();
-        b.record(&BodyShard {
-            worst: CellOutcome::Timeout,
-            seen_with_subs: false,
-            seen_without_subs: true,
-            variants: 2,
-        });
-        let mut merged = a;
-        merged.merge(b);
-        let mut whole = CellTally::default();
-        whole.record(&shard);
-        whole.record(&BodyShard {
-            worst: CellOutcome::Timeout,
-            seen_with_subs: false,
-            seen_without_subs: true,
-            variants: 2,
-        });
-        assert_eq!(merged, whole);
+        // A grid merges cell by cell, and survives the checkpoint encoding.
+        let wrong = BenchmarkCell {
+            outcome: CellOutcome::WrongCode,
+            sensitivity: SubstitutionSensitivity::Either,
+            variants: 8,
+        };
+        let mut grid = Cells(vec![Some(cell.clone()), None, None]);
+        grid.merge(Cells(vec![None, None, Some(wrong.clone())]));
+        assert_eq!(grid, Cells(vec![Some(cell), None, Some(wrong)]));
+        assert_eq!(Cells::deserialize(&grid.serialize()).unwrap(), grid);
+        assert!(!grid.same_shape(&Cells(vec![None])));
     }
 
     #[test]

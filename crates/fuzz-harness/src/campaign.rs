@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// The options of a campaign [parsed](Campaign::parse) from a journal: its
 /// kernels and seed, the rest defaults, since its jobs never run.
-pub fn parsed_options(kernels: usize, seed_offset: u64) -> CampaignOptions {
+pub(crate) fn parsed_options(kernels: usize, seed_offset: u64) -> CampaignOptions {
     CampaignOptions {
         kernels,
         seed_offset,
@@ -570,7 +570,7 @@ pub(crate) fn descriptor_number<T: std::str::FromStr>(
 
 /// The size of a job space of `groups` × `per_group` jobs, or an error
 /// when it does not fit a job index.
-fn job_space(groups: usize, per_group: usize) -> Result<u64, String> {
+pub(crate) fn job_space(groups: usize, per_group: usize) -> Result<u64, String> {
     (groups as u64)
         .checked_mul(per_group as u64)
         .ok_or_else(|| format!("{groups} × {per_group} jobs do not fit a 64-bit job index"))
@@ -1195,6 +1195,35 @@ mod tests {
         assert!(ClassificationCampaign::parse(&header(classify.descriptor()), &configs).is_ok());
         let parsed =
             ClassificationCampaign::parse(&header(huge_k(classify.descriptor())), &configs);
+        assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
+    }
+
+    #[test]
+    fn corpus_job_counts_that_overflow_are_errors_not_wrapped() {
+        use crate::corpus::{CorpusCampaign, CorpusOptions};
+        let configs = vec![opencl_sim::configuration(1)];
+        let lineages = |lineages| CorpusOptions {
+            lineages,
+            ..CorpusOptions::default()
+        };
+        assert!(CorpusCampaign::try_new(&configs, &lineages(usize::MAX)).is_err());
+        let half = usize::MAX / 2;
+        let largest = CorpusCampaign::try_new(&configs, &lineages(half)).unwrap();
+        assert_eq!(largest.total_jobs(), 2 * half as u64);
+
+        // A journal descriptor claiming 2^64 - 1 lineages per strategy.
+        let one = CorpusCampaign::new(&configs, &lineages(1));
+        let header = |campaign: String| JournalHeader {
+            campaign,
+            campaign_seed: 0,
+            total_jobs: 2,
+            shard_index: 0,
+            shard_count: 1,
+            range: (0, 2),
+        };
+        assert!(CorpusCampaign::parse(&header(one.descriptor()), &configs).is_ok());
+        let huge = one.descriptor().replace(":l1:", ":l18446744073709551615:");
+        let parsed = CorpusCampaign::parse(&header(huge), &configs);
         assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
     }
 

@@ -23,8 +23,8 @@
 //! interpreter tiers (coverage uses only tier-stable signals).
 
 use crate::campaign::{
-    descriptor_fields, descriptor_number, generator_fingerprint, merge_stats_rows, parsed_options,
-    stats_row_from_token, stats_row_token, target_fingerprint, TargetStats,
+    descriptor_fields, descriptor_number, generator_fingerprint, job_space, merge_stats_rows,
+    parsed_options, stats_row_from_token, stats_row_token, target_fingerprint, TargetStats,
 };
 use crate::differential::{classify, run_on_targets_session, targets_for, TestTarget};
 use crate::exec::{job_seed, StagedJob};
@@ -472,11 +472,25 @@ pub struct CorpusCampaign {
 
 impl CorpusCampaign {
     /// The corpus campaign over `configs` at both optimisation levels.
+    ///
+    /// # Panics
+    ///
+    /// When its job count overflows (see [`CorpusCampaign::try_new`]).
     pub fn new(configs: &[Configuration], options: &CorpusOptions) -> CorpusCampaign {
-        CorpusCampaign {
+        CorpusCampaign::try_new(configs, options).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CorpusCampaign::new`], or an error when two strategies ×
+    /// `options.lineages` jobs do not fit a 64-bit job index.
+    pub fn try_new(
+        configs: &[Configuration],
+        options: &CorpusOptions,
+    ) -> Result<CorpusCampaign, String> {
+        job_space(CorpusStrategy::ALL.len(), options.lineages)?;
+        Ok(CorpusCampaign {
             options: options.clone(),
             targets: Arc::new(targets_for(configs)),
-        }
+        })
     }
 
     /// The (full or partial) result a tally renders as.
@@ -499,6 +513,7 @@ impl Campaign for CorpusCampaign {
     fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
         let targets = targets_for(configs);
         let (lineages, chain) = parse_corpus_descriptor(&header.campaign, &targets)?;
+        job_space(CorpusStrategy::ALL.len(), lineages).map_err(JournalError::Format)?;
         let parsed = parsed_options(0, header.campaign_seed);
         let options = CorpusOptions {
             lineages,
@@ -518,7 +533,7 @@ impl Campaign for CorpusCampaign {
     }
 
     fn total_jobs(&self) -> u64 {
-        (CorpusStrategy::ALL.len() * self.options.lineages) as u64
+        job_space(CorpusStrategy::ALL.len(), self.options.lineages).expect("checked when built")
     }
 
     fn job(&self, g: u64) -> (u64, CorpusJob) {

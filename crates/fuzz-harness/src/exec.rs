@@ -19,15 +19,16 @@
 //!    remaining jobs still complete.
 //!
 //! Together these guarantee the headline property (exercised by the
-//! `scheduler_determinism` integration tests): for a fixed campaign seed the
-//! rendered tables are **bit-identical at any thread count**.
+//! invariance matrix, `crates/bench/tests/matrix/mod.rs`): for a fixed
+//! campaign seed the rendered tables are **bit-identical at any thread
+//! count**.
 //!
-//! Mechanically this is a bounded-queue thread pool: jobs are fed through an
-//! [`mpsc::sync_channel`] whose capacity bounds the number of in-flight
-//! jobs, workers created with [`std::thread::scope`] pull from the shared
-//! receiver whenever they go idle (the channel acts as the work-distribution
-//! deque), and results flow back over an unbounded channel tagged with their
-//! job index.
+//! Mechanically this is a bounded-queue thread pool: the calling thread
+//! builds jobs only while fewer than the queue bound are in flight and
+//! feeds them through a channel, workers created with
+//! [`std::thread::scope`] pull from the shared receiver whenever they go
+//! idle (the channel acts as the work-distribution deque), and results flow
+//! back over a second channel tagged with their job index.
 //!
 //! ## Staged jobs
 //!
@@ -160,46 +161,50 @@ impl Scheduler {
     /// job-index order**, regardless of which workers ran what and in which
     /// order they finished.
     pub fn run<J: StagedJob>(&self, jobs: Vec<J>) -> Vec<JobResult<J::Output>> {
-        self.run_streaming(jobs, |_, _| {})
+        let mut slots: Vec<Option<JobResult<J::Output>>> = Vec::with_capacity(jobs.len());
+        slots.resize_with(jobs.len(), || None);
+        self.run_streaming(jobs, |index, result| {
+            debug_assert!(slots[index].is_none(), "job {index} reported twice");
+            slots[index] = Some(result);
+        });
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} produced no result")))
+            .collect()
     }
 
-    /// [`Scheduler::run`] with a completion-order observer: `on_result` is
-    /// invoked on the collecting thread for every job **as it finishes**
-    /// (not in index order), before the batch-wide index-ordered result
-    /// vector is assembled.
+    /// Runs jobs and hands each [`JobResult`] to `on_result`, with the job's
+    /// position in `jobs`, on the calling thread **as it finishes** (not in
+    /// position order).
     ///
     /// This is the seam the shard layer's journal hangs off: the observer
     /// forwards each completed record to the journal writer thread while
-    /// the batch is still executing (feeding and collection overlap on
-    /// separate threads), so a process killed mid-batch has journaled
-    /// everything that finished more than a moment earlier — and workers
-    /// never touch IO.
+    /// the batch is still executing, so a process killed mid-batch has
+    /// journaled everything that finished more than a moment earlier — and
+    /// workers never touch IO.
+    ///
+    /// `jobs` is drawn lazily on the calling thread, and only while fewer
+    /// than the queue bound (four jobs per worker) are built but not yet
+    /// reported, so a batch of any length runs in memory bounded by the
+    /// worker count.  Nothing is kept once `on_result` has it.
     pub fn run_streaming<J: StagedJob>(
         &self,
-        jobs: Vec<J>,
-        mut on_result: impl FnMut(usize, &JobResult<J::Output>),
-    ) -> Vec<JobResult<J::Output>> {
-        let count = jobs.len();
-        if self.threads == 1 || count <= 1 {
-            return jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, job)| {
-                    let result = run_one(i, job);
-                    on_result(i, &result);
-                    result
-                })
-                .collect();
+        jobs: impl IntoIterator<Item = J>,
+        mut on_result: impl FnMut(usize, JobResult<J::Output>),
+    ) {
+        let mut jobs = jobs.into_iter().enumerate();
+        let workers = self.threads.min(jobs.size_hint().1.unwrap_or(usize::MAX));
+        if workers <= 1 {
+            for (i, job) in jobs {
+                on_result(i, run_one(i, job));
+            }
+            return;
         }
 
-        let workers = self.threads.min(count);
-        let (job_tx, job_rx) = mpsc::sync_channel::<(usize, J)>(self.queue_capacity);
+        let (job_tx, job_rx) = mpsc::channel::<(usize, J)>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult<J::Output>)>();
-
-        let mut slots: Vec<Option<JobResult<J::Output>>> = Vec::with_capacity(count);
-        slots.resize_with(count, || None);
-
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let rx = Arc::clone(&job_rx);
@@ -221,37 +226,30 @@ impl Scheduler {
             }
             drop(result_tx);
 
-            // Feed the bounded queue from its own thread (back-pressure
-            // blocks the send when all workers are busy and the queue is
-            // full) so that this thread collects — and hands to
-            // `on_result` — each result as it completes.  Feeding and
-            // collecting must overlap: a journal observer that only ran
-            // after the whole batch was enqueued would leave every
-            // already-finished result stranded in memory until the end of
-            // the campaign, exactly what the journal exists to prevent.
-            scope.spawn(move || {
-                for item in jobs.into_iter().enumerate() {
+            // Top the queue up to its bound, then wait for one result and
+            // hand it on.  Every job sends exactly one result — even a
+            // panicking job, because the panic is caught around its stages
+            // — so the wait cannot hang.
+            let mut in_flight = 0;
+            loop {
+                while in_flight < self.queue_capacity {
+                    let Some(item) = jobs.next() else { break };
                     job_tx
                         .send(item)
                         .expect("all workers exited with jobs pending");
+                    in_flight += 1;
                 }
-            });
-
-            // Collect exactly `count` results.  Every job sends exactly one
-            // result — even a panicking job, because the panic is caught
-            // around its stages — so this cannot hang.
-            for (index, result) in result_rx.iter() {
-                debug_assert!(slots[index].is_none(), "job {index} reported twice");
-                on_result(index, &result);
-                slots[index] = Some(result);
+                if in_flight == 0 {
+                    break;
+                }
+                let (index, result) = result_rx
+                    .recv()
+                    .expect("all workers exited with jobs pending");
+                in_flight -= 1;
+                on_result(index, result);
             }
+            drop(job_tx);
         });
-
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} produced no result")))
-            .collect()
     }
 
     /// Runs a batch and unwraps every result (see [`expect_completed`]).
@@ -357,15 +355,12 @@ mod tests {
         for threads in [1usize, 4] {
             let scheduler = Scheduler::new(threads);
             let mut seen = Vec::new();
-            let results =
-                scheduler.run_streaming((0..32).map(Square).collect::<Vec<_>>(), |i, r| {
-                    assert_eq!(*r, JobResult::Completed((i * i) as u64));
-                    seen.push(i);
-                });
-            let mut sorted = seen.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..32).collect::<Vec<_>>(), "{threads} threads");
-            assert_eq!(results.len(), 32);
+            scheduler.run_streaming((0..32).map(Square), |i, r| {
+                assert_eq!(r, JobResult::Completed((i * i) as u64));
+                seen.push(i);
+            });
+            seen.sort_unstable();
+            assert_eq!(seen, (0..32).collect::<Vec<_>>(), "{threads} threads");
         }
     }
 
@@ -567,16 +562,12 @@ mod tests {
     fn staged_streaming_observes_every_result_exactly_once() {
         for threads in [1usize, 4] {
             let mut seen = Vec::new();
-            let results = Scheduler::new(threads).run_streaming(
-                (0..32).map(StagedSquare).collect::<Vec<_>>(),
-                |i, r| {
-                    assert_eq!(*r, JobResult::Completed((2 * i as u64 + 1).pow(2)));
-                    seen.push(i);
-                },
-            );
+            Scheduler::new(threads).run_streaming((0..32).map(StagedSquare), |i, r| {
+                assert_eq!(r, JobResult::Completed((2 * i as u64 + 1).pow(2)));
+                seen.push(i);
+            });
             seen.sort_unstable();
             assert_eq!(seen, (0..32).collect::<Vec<_>>(), "{threads} threads");
-            assert_eq!(results.len(), 32);
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   initial reliability classification (Table 1, §7.1);
 //! * [`emi_campaign`] — CLsmith+EMI campaigns over base programs and their
 //!   pruning variants (Table 5, §7.4);
-//! * [`benchmark_emi`] — EMI testing of existing kernels such as the
-//!   Parboil/Rodinia miniatures (Table 3, §7.2);
+//! * [`benchmark_emi`] — EMI testing of existing kernels, and the Table 3
+//!   campaign over the Parboil/Rodinia miniatures (§7.2);
 //! * [`corpus`] — feedback-guided corpus campaigns: lineages of seeded
 //!   mutation chains whose acceptance is driven by the platform's
 //!   [`opencl_sim::CoverageMap`], compared against a blind ablation at the
@@ -26,9 +26,9 @@
 //!   rendered tables are bit-identical at any thread count;
 //! * [`shard`] — the one [`Campaign`] trait every job space above
 //!   implements ([`ModeCampaign`], [`ClassificationCampaign`],
-//!   [`EmiCampaign`], [`CorpusCampaign`]), and the one executor they all
-//!   run on: shards ([`run_shard`]), fleet leases ([`run_lease`]) and
-//!   journal merges ([`merge`]).
+//!   [`EmiCampaign`], [`CellCampaign`], [`CorpusCampaign`]), and the one
+//!   executor they all run on: shards ([`run_shard`]), fleet leases
+//!   ([`run_lease`]) and journal merges ([`merge`]).
 //!
 //! There is one way to run a campaign: build it, then run it with
 //! [`run_shard`] on a [`Scheduler`] of the caller's choosing
@@ -52,12 +52,11 @@ pub mod report;
 pub mod shard;
 
 pub use benchmark_emi::{
-    evaluate_benchmark_with, BenchmarkBodyJob, BenchmarkCell, BodyOutcomes, BodyShard, CellOutcome,
-    CellTally, EmiBenchmark, InjectedVariants,
+    evaluate_benchmark, BenchmarkCell, CellCampaign, CellJob, CellOutcome, Cells, EmiBenchmark,
 };
 pub use campaign::{
     classification_descriptor, classify_configurations_sharded, mode_campaign_descriptor,
-    parsed_options, reliability_rows, run_modes_campaign_sharded, CampaignOptions, CampaignResult,
+    reliability_rows, run_modes_campaign_sharded, CampaignOptions, CampaignResult,
     ClassificationCampaign, ClassificationTally, GeneratedKernel, KernelJob, ModeCampaign,
     ModeTally, MultiModeTally, ReliabilityRow, ShardedClassification, ShardedModeCampaign,
     TargetStats, RELIABILITY_THRESHOLD,

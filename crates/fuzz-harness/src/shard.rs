@@ -19,9 +19,10 @@
 //!   merges into one tally for full or partial tables, rebuilding the
 //!   campaign from the journals' descriptor alone.
 //!
-//! The invariant the `shard_equivalence` integration test pins: for a fixed
-//! campaign seed, *(single process)* ≡ *(N shards merged)* ≡ *(killed at
-//! any job boundary, then resumed)* — bit-identical rendered tables.
+//! The invariant the invariance matrix (`crates/bench/tests/matrix/mod.rs`)
+//! pins for every campaign: for a fixed campaign seed, *(single process)* ≡
+//! *(N shards merged)* ≡ *(killed at any job boundary, then resumed)* ≡
+//! *(checkpointed leases merged)* — bit-identical rendered tables.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -29,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 use opencl_sim::Configuration;
 
-use crate::exec::{expect_completed, JobResult, Scheduler, StagedJob};
+use crate::exec::{JobFailure, JobResult, Scheduler, StagedJob};
 use crate::fleet::LeaseRecord;
 use crate::journal::{
     compact_journal, load_journal, Checkpoint, JournalError, JournalHeader, JournalRecord,
@@ -411,16 +412,19 @@ where
         }
     }
 
-    // Phase 2: the jobs still missing below the execution limit.
-    let mut meta: Vec<(u64, u64)> = Vec::new();
-    let mut jobs: Vec<J> = Vec::new();
-    for index in watermark..limit {
-        if !staged.contains_key(&index) {
-            let (seed, job) = make_job(index);
-            meta.push((index, seed));
-            jobs.push(job);
-        }
-    }
+    // Phase 2: the jobs still missing below the execution limit, built
+    // lazily as the scheduler's bounded queue drains, so a range of any
+    // size streams in memory bounded by the worker count.  A resumed
+    // journal may already reach past the limit.
+    let start = watermark.min(limit);
+    let resumed: Vec<u64> = staged.range(start..limit).map(|(&g, _)| g).collect();
+    let jobs_replayed = limit - start - resumed.len() as u64;
+    let jobs = (start..limit)
+        .filter(|g| resumed.binary_search(g).is_err())
+        .map(|g| {
+            let (seed, job) = make_job(g);
+            Tagged { g, seed, job }
+        });
 
     // Phase 3: execute, folding at the watermark and checkpointing as the
     // contiguous completed prefix grows.
@@ -431,18 +435,21 @@ where
         }),
         None => None,
     };
-    let jobs_replayed = jobs.len() as u64;
     let mut checkpointed_upto = watermark;
     let mut since_checkpoint = 0u64;
     let mut fold_error: Option<JournalError> = None;
-    let results = scheduler.run_streaming(jobs, |batch_index, result| {
-        let JobResult::Completed(output) = result else {
-            return;
+    let mut failures: Vec<JobFailure> = Vec::new();
+    scheduler.run_streaming(jobs, |_, result| {
+        let (index, seed, output) = match result {
+            JobResult::Completed(tagged) => tagged,
+            JobResult::Failed(failure) => {
+                failures.push(failure);
+                return;
+            }
         };
         if fold_error.is_some() {
             return;
         }
-        let (index, seed) = meta[batch_index];
         let token = output.encode();
         if let Some(writer) = &writer {
             writer.record(JournalRecord::new(index, seed, token.clone()));
@@ -494,8 +501,11 @@ where
         journal_bytes = after;
     }
 
-    // Phase 4: re-raise contained panics, then surface any fold error.
-    expect_completed(results);
+    // Phase 4: re-raise the first contained panic, then surface any fold
+    // error.
+    if let Some(failure) = failures.iter().min_by_key(|f| f.index) {
+        panic!("{failure}");
+    }
     if let Some(error) = fold_error {
         return Err(error);
     }
@@ -511,6 +521,32 @@ where
             shard_count: header.shard_count,
         },
     })
+}
+
+/// A job of a range carrying its global index and seed to the fold, which
+/// receives outputs in completion order.
+struct Tagged<J> {
+    g: u64,
+    seed: u64,
+    job: J,
+}
+
+impl<J: StagedJob> StagedJob for Tagged<J> {
+    type Generated = (u64, u64, J::Generated);
+    type Executed = (u64, u64, J::Executed);
+    type Output = (u64, u64, J::Output);
+
+    fn generate(self) -> Self::Generated {
+        (self.g, self.seed, self.job.generate())
+    }
+
+    fn execute((g, seed, generated): Self::Generated) -> Self::Executed {
+        (g, seed, J::execute(generated))
+    }
+
+    fn judge((g, seed, executed): Self::Executed) -> Self::Output {
+        (g, seed, J::judge(executed))
+    }
 }
 
 /// Merges a journal's checkpoint tally into `aggregate`, refusing one whose
@@ -827,6 +863,8 @@ pub(crate) fn parse_fields<T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn shard_ranges_tile_the_job_space_exactly() {
@@ -1014,6 +1052,54 @@ mod tests {
         assert_eq!(run.metrics.shard_count, 3);
     }
 
+    /// Counts jobs built and started, and the most ever built but not yet
+    /// started.
+    #[derive(Default)]
+    struct BuildCounters {
+        built: AtomicU64,
+        started: AtomicU64,
+        most_waiting: AtomicU64,
+    }
+
+    /// A job that reports its start to its counters.
+    struct Counted(Arc<BuildCounters>);
+
+    impl StagedJob for Counted {
+        type Generated = ();
+        type Executed = ();
+        type Output = u64;
+        fn generate(self) {
+            self.0.started.fetch_add(1, Ordering::SeqCst);
+        }
+        fn execute(_: ()) {}
+        fn judge(_: ()) -> u64 {
+            1
+        }
+    }
+
+    #[test]
+    fn jobs_are_built_only_as_the_queue_drains() {
+        let counters = Arc::new(BuildCounters::default());
+        let scheduler = Scheduler::new(3);
+        let spec = ShardSpec::select(1, 10_000, ShardSelect::whole());
+        let make_job = |g: u64| {
+            let built = counters.built.fetch_add(1, Ordering::SeqCst) + 1;
+            let waiting = built - counters.started.load(Ordering::SeqCst);
+            counters.most_waiting.fetch_max(waiting, Ordering::SeqCst);
+            (g, Counted(Arc::clone(&counters)))
+        };
+        let sum = |total: &mut u64, _: u64, output: u64| {
+            *total += output;
+            Ok(())
+        };
+        let header = spec.header("test:bounded");
+        let run = run_range_fold(&scheduler, &header, None, None, None, make_job, 0, sum).unwrap();
+        assert_eq!(run.aggregate, 10_000);
+        // The queue bound is four jobs per worker.
+        let most = counters.most_waiting.load(Ordering::SeqCst);
+        assert!(most <= 4 * 3, "{most} jobs were built ahead of the workers");
+    }
+
     #[test]
     fn journal_then_resume_skips_completed_jobs() {
         let path = temp_path("resume");
@@ -1160,6 +1246,19 @@ mod tests {
         assert_eq!(total, expected);
         assert_eq!(summary.jobs_folded, 20);
         assert!(!summary.complete, "a 20-job lease of a 40-job space");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resuming_a_journal_that_reaches_past_the_stop_index_runs_nothing() {
+        let path = temp_path("paststop");
+        let campaign = sum("past", 5, 40);
+        let partial = lease(&campaign, 1, 10..30, &path, 4, Some(21));
+        // Resume with the stop index below the checkpoint's watermark.
+        let run = lease(&campaign, 1, 10..30, &path, 4, Some(15));
+        assert_eq!(run.aggregate, partial.aggregate);
+        assert_eq!(run.metrics.jobs_resumed, 11);
+        assert_eq!(run.metrics.jobs_replayed, 0);
         let _ = std::fs::remove_file(&path);
     }
 

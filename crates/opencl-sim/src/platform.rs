@@ -52,10 +52,13 @@
 //! `(recipe key, exec key)` key: a **process-wide shared cache** (sharded,
 //! mutex-striped, bounded) that deduplicates across jobs and scheduler
 //! workers, and an optional **on-disk store** ([`OutcomeStore`]) that
-//! deduplicates across processes and campaigns.  Memoisation never changes
-//! results at any level — outcomes are deterministic in the key, and the
-//! `cache_equivalence` integration test pins campaign tables bit-identical
-//! with the memo forced off and with the store cold or warm.
+//! deduplicates across processes and campaigns.  Every level holds the
+//! `(outcome, dynamic coverage)` pair a launch produced, so a hit at any
+//! level replays the launch's coverage as well as its outcome.  Memoisation
+//! never changes results at any level — outcomes and coverage are
+//! deterministic in the key, and the invariance matrix
+//! (`crates/bench/tests/matrix/mod.rs`) pins every campaign's table
+//! bit-identical with the memo off, on, and over a cold or warm store.
 
 use crate::bugs::{apply_miscompilation, BugEffect, Miscompilation, OptLevel};
 use crate::configs::Configuration;
@@ -481,7 +484,8 @@ pub fn reset_shared_outcome_cache() {
 /// kernel job per worker); the memo is [`Rc`]-based precisely so it cannot
 /// leave its thread.  Cross-job and cross-worker sharing happens through
 /// the process-wide shared outcome cache (and, when configured, the
-/// on-disk [`OutcomeStore`]), which hold only plain-data [`TestOutcome`]s.
+/// on-disk [`OutcomeStore`]), which hold only plain data: [`TestOutcome`]s
+/// and their coverage.
 pub struct Session<'p> {
     program: &'p Program,
     hasher: ProgramHasher,
@@ -764,16 +768,14 @@ impl<'p> Session<'p> {
             return hit;
         }
         if let Some(store) = &exec.store {
-            if let Some(hit) = store.get(key.0, key.1) {
-                // The store holds outcomes only, so a store hit replays no
-                // launch-derived dynamic bits; the empty map is cached so
-                // later requests for this key stay consistent in-process.
+            if let Some((hit, coverage)) = store.get(key.0, key.1) {
                 self.memo.stats.bump(Counter::StoreHits);
-                shared_put(key, hit.clone(), CoverageMap::new());
+                self.fold_coverage(&coverage);
+                shared_put(key, hit.clone(), coverage);
                 self.memo
                     .outcomes
                     .borrow_mut()
-                    .insert(key, (hit.clone(), CoverageMap::new()));
+                    .insert(key, (hit.clone(), coverage));
                 return hit;
             }
         }
@@ -802,7 +804,7 @@ impl<'p> Session<'p> {
             .insert(key, (outcome.clone(), coverage));
         shared_put(key, outcome.clone(), coverage);
         if let Some(store) = &exec.store {
-            store.put(key.0, key.1, &outcome);
+            store.put(key.0, key.1, &outcome, &coverage);
         }
         outcome
     }
@@ -1161,7 +1163,8 @@ mod tests {
             store: Some(Arc::clone(&store)),
             ..ExecOptions::default()
         };
-        let first = Session::new(&p).reference_execute(&exec);
+        let launching = Session::new(&p);
+        let first = launching.reference_execute(&exec);
         assert_eq!(store.stats().writes, 1);
         reset_shared_outcome_cache();
         let reopened = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
@@ -1175,6 +1178,9 @@ mod tests {
         assert_eq!(stats.launches, 0, "warm store must skip the launch");
         assert_eq!(stats.store_hits, 1);
         assert_eq!(reopened.stats().hits, 1);
+        // The store replays the launch's dynamic coverage, not an empty map.
+        assert!(launching.coverage().contains(CoverageClass::Dynamic, 8));
+        assert_eq!(session.coverage(), launching.coverage());
         let _ = std::fs::remove_dir_all(&dir);
 
         // Part 2 — the process-wide shared cache deduplicates across

@@ -6,9 +6,11 @@
 //! process; campaigns, reducer runs and repeated table regenerations
 //! re-execute structurally identical kernels from scratch.  This module
 //! persists the outcome cache's `(program key, exec-option key)` →
-//! [`TestOutcome`] mapping to a directory, so every process pointed at the
-//! same store — sequential re-runs or concurrent shard processes — shares
-//! one ever-growing cache.
+//! `(`[`TestOutcome`]`, `[`CoverageMap`]`)` mapping to a directory, as the
+//! memory levels hold it, so every process pointed at the same store —
+//! sequential re-runs or concurrent shard processes — shares one
+//! ever-growing cache, and a hit replays the launch's dynamic coverage as
+//! well as its outcome.
 //!
 //! The program key is the platform's [`Recipe::key`](crate::Recipe::key)
 //! (the `fingerprint` argument of [`OutcomeStore::get`] and
@@ -21,7 +23,7 @@
 //! An entry is therefore valid only under the platform semantics of the
 //! build that wrote it: the emulator that computed the outcome and the
 //! miscompilation transforms a key names.  A change to either must bump
-//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 2`), which turns
+//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 3`), which turns
 //! every older entry into a miss.
 //!
 //! ## Entry format
@@ -31,9 +33,13 @@
 //! by an exact-length payload:
 //!
 //! ```text
-//! CLFUZZ-STORE 2 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
+//! CLFUZZ-STORE 3 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
 //! <payload-len bytes of payload>
 //! ```
+//!
+//! The payload's first line is the launch's dynamic coverage token
+//! ([`CoverageMap::token`]), the second the outcome kind (plus the result
+//! hash for `ok`), and the rest the outcome's raw message or output text.
 //!
 //! following the `CLFUZZ-JOURNAL` checksum discipline: `crc` is the FNV-1a
 //! checksum of the header prefix before it and `digest` the checksum of the
@@ -54,6 +60,7 @@
 
 use crate::platform::TestOutcome;
 use clc::{fnv1a, Fingerprint};
+use clsmith::CoverageMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,7 +110,7 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 /// The store format tag; bumping the version invalidates (as misses) every
 /// existing entry.  Bump it whenever the entry encoding, the emulator's
 /// semantics or a miscompilation transform changes (see the module docs).
-const FORMAT: &str = "CLFUZZ-STORE 2";
+const FORMAT: &str = "CLFUZZ-STORE 3";
 
 /// Size cap (bytes) of a store opened without an explicit one.
 const DEFAULT_CAP: u64 = 256 * 1024 * 1024;
@@ -225,8 +232,9 @@ impl OutcomeStore {
             .join(format!("{:016x}-{key:016x}", fingerprint.0))
     }
 
-    /// Looks up an outcome, distinguishing the three ways a lookup can come
-    /// up empty:
+    /// Looks up an outcome and the dynamic coverage of the launch that
+    /// produced it, distinguishing the three ways a lookup can come up
+    /// empty:
     ///
     /// - the entry simply is not there (`NotFound`): a plain miss;
     /// - the read failed with any other I/O error: retried once after a
@@ -237,7 +245,7 @@ impl OutcomeStore {
     ///   version-mismatched, foreign — a miss counted under
     ///   `corrupt_entries`, and the file is deleted so it cannot consume
     ///   cap space forever.
-    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
+    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<(TestOutcome, CoverageMap)> {
         let path = self.entry_path(fingerprint, key);
         let bytes = match self.read_entry(&path) {
             Ok(bytes) => bytes,
@@ -252,9 +260,9 @@ impl OutcomeStore {
             }
         };
         match parse_entry(&bytes, fingerprint, key) {
-            Some(outcome) => {
+            Some(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(outcome)
+                Some(entry)
             }
             None => {
                 self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
@@ -285,14 +293,21 @@ impl OutcomeStore {
         }
     }
 
-    /// Persists an outcome (best effort: I/O errors disable nothing and
-    /// corrupt nothing — the entry is simply absent next time).
-    pub fn put(&self, fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) {
+    /// Persists an outcome and its launch's dynamic coverage (best effort:
+    /// I/O errors disable nothing and corrupt nothing — the entry is simply
+    /// absent next time).
+    pub fn put(
+        &self,
+        fingerprint: Fingerprint,
+        key: u64,
+        outcome: &TestOutcome,
+        coverage: &CoverageMap,
+    ) {
         if injected_fault(StoreOp::Write).is_some() {
             return;
         }
         let path = self.entry_path(fingerprint, key);
-        let bytes = render_entry(fingerprint, key, outcome);
+        let bytes = render_entry(fingerprint, key, outcome, coverage);
         let Some(parent) = path.parent() else { return };
         if std::fs::create_dir_all(parent).is_err() {
             return;
@@ -381,39 +396,48 @@ struct ScannedEntry {
     modified: Option<std::time::SystemTime>,
 }
 
-/// Serialises an outcome to the payload carried after the header line.  The
-/// first payload line is the outcome kind (plus the result hash for `ok`);
-/// the rest is the raw message/output text, which may itself contain any
-/// bytes — the header's exact payload length makes escaping unnecessary.
-fn render_payload(outcome: &TestOutcome) -> Vec<u8> {
+/// Serialises an entry to the payload carried after the header line: the
+/// coverage token, then the outcome kind (plus the result hash for `ok`),
+/// then the raw message/output text, which may itself contain any bytes —
+/// the header's exact payload length makes escaping unnecessary.
+fn render_payload(outcome: &TestOutcome, coverage: &CoverageMap) -> Vec<u8> {
+    let coverage = coverage.token();
     let text = match outcome {
-        TestOutcome::Result { hash, output } => format!("ok {hash:016x}\n{output}"),
-        TestOutcome::BuildFailure(msg) => format!("bf\n{msg}"),
-        TestOutcome::Crash(msg) => format!("c\n{msg}"),
-        TestOutcome::Timeout => "to\n".to_string(),
+        TestOutcome::Result { hash, output } => format!("{coverage}\nok {hash:016x}\n{output}"),
+        TestOutcome::BuildFailure(msg) => format!("{coverage}\nbf\n{msg}"),
+        TestOutcome::Crash(msg) => format!("{coverage}\nc\n{msg}"),
+        TestOutcome::Timeout => format!("{coverage}\nto\n"),
     };
     text.into_bytes()
 }
 
-fn parse_payload(payload: &[u8]) -> Option<TestOutcome> {
+fn parse_payload(payload: &[u8]) -> Option<(TestOutcome, CoverageMap)> {
     let text = std::str::from_utf8(payload).ok()?;
+    let (coverage, text) = text.split_once('\n')?;
+    let coverage = CoverageMap::parse(coverage)?;
     let (head, rest) = text.split_once('\n')?;
-    match head.split(' ').collect::<Vec<_>>().as_slice() {
-        ["ok", hash] => Some(TestOutcome::Result {
+    let outcome = match head.split(' ').collect::<Vec<_>>().as_slice() {
+        ["ok", hash] => TestOutcome::Result {
             hash: u64::from_str_radix(hash, 16).ok()?,
             output: rest.to_string(),
-        }),
-        ["bf"] => Some(TestOutcome::BuildFailure(rest.to_string())),
-        ["c"] => Some(TestOutcome::Crash(rest.to_string())),
-        ["to"] => Some(TestOutcome::Timeout),
-        _ => None,
-    }
+        },
+        ["bf"] => TestOutcome::BuildFailure(rest.to_string()),
+        ["c"] => TestOutcome::Crash(rest.to_string()),
+        ["to"] => TestOutcome::Timeout,
+        _ => return None,
+    };
+    Some((outcome, coverage))
 }
 
 /// Renders a complete self-checksummed entry file in the current
 /// [`FORMAT`].
-fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Vec<u8> {
-    render_entry_in(FORMAT, fingerprint, key, outcome)
+fn render_entry(
+    fingerprint: Fingerprint,
+    key: u64,
+    outcome: &TestOutcome,
+    coverage: &CoverageMap,
+) -> Vec<u8> {
+    render_entry_in(FORMAT, fingerprint, key, outcome, coverage)
 }
 
 /// Renders an entry file under the format tag `format`.
@@ -422,8 +446,9 @@ fn render_entry_in(
     fingerprint: Fingerprint,
     key: u64,
     outcome: &TestOutcome,
+    coverage: &CoverageMap,
 ) -> Vec<u8> {
-    let payload = render_payload(outcome);
+    let payload = render_payload(outcome, coverage);
     let digest = fnv1a(&payload);
     let prefix = format!(
         "{format} {:016x} {key:016x} {} {digest:016x}",
@@ -438,7 +463,11 @@ fn render_entry_in(
 
 /// Parses and fully validates an entry file in the current [`FORMAT`];
 /// `None` on any defect.
-fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
+fn parse_entry(
+    bytes: &[u8],
+    fingerprint: Fingerprint,
+    key: u64,
+) -> Option<(TestOutcome, CoverageMap)> {
     parse_entry_in(FORMAT, bytes, fingerprint, key)
 }
 
@@ -449,7 +478,7 @@ fn parse_entry_in(
     bytes: &[u8],
     fingerprint: Fingerprint,
     key: u64,
-) -> Option<TestOutcome> {
+) -> Option<(TestOutcome, CoverageMap)> {
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
     let payload = &bytes[newline + 1..];
@@ -492,6 +521,14 @@ mod tests {
         dir
     }
 
+    /// A launch's dynamic coverage as the platform stores it.
+    fn coverage() -> CoverageMap {
+        let mut map = CoverageMap::new();
+        map.set(clsmith::CoverageClass::Dynamic, 9);
+        map.set(clsmith::CoverageClass::Dynamic, 41);
+        map
+    }
+
     fn sample_outcomes() -> Vec<TestOutcome> {
         vec![
             TestOutcome::Result {
@@ -509,8 +546,8 @@ mod tests {
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
             let fp = Fingerprint(0x1234 + i as u64);
             let key = 0x9999 + i as u64;
-            let bytes = render_entry(fp, key, &outcome);
-            assert_eq!(parse_entry(&bytes, fp, key), Some(outcome));
+            let bytes = render_entry(fp, key, &outcome, &coverage());
+            assert_eq!(parse_entry(&bytes, fp, key), Some((outcome, coverage())));
         }
     }
 
@@ -522,13 +559,13 @@ mod tests {
             hash: 42,
             output: "5,5,5".into(),
         };
-        let bytes = render_entry(fp, key, &outcome);
+        let bytes = render_entry(fp, key, &outcome, &coverage());
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let parsed = parse_entry(&flipped, fp, key);
             assert!(
-                parsed.is_none() || parsed == Some(outcome.clone()),
+                parsed.is_none() || parsed == Some((outcome.clone(), coverage())),
                 "bit flip {bit} produced a different outcome"
             );
             // Strictly: flips inside checksummed regions must be misses.
@@ -547,7 +584,7 @@ mod tests {
     fn wrong_key_wrong_fingerprint_and_wrong_version_are_misses() {
         let fp = Fingerprint(0xAB);
         let key = 7;
-        let bytes = render_entry(fp, key, &TestOutcome::Timeout);
+        let bytes = render_entry(fp, key, &TestOutcome::Timeout, &coverage());
         assert_eq!(parse_entry(&bytes, Fingerprint(0xAC), key), None);
         assert_eq!(parse_entry(&bytes, fp, 8), None);
         // A version bump invalidates old entries even with a valid crc.
@@ -557,7 +594,7 @@ mod tests {
         let (fields, _) = prefix.rsplit_once(' ').unwrap();
         let crc = fnv1a(fields.as_bytes());
         let mut rebuilt = format!("{fields} {crc:016x}\n").into_bytes();
-        rebuilt.extend_from_slice(b"to\n");
+        rebuilt.extend_from_slice(format!("{}\nto\n", coverage().token()).as_bytes());
         assert_eq!(parse_entry(&rebuilt, fp, key), None);
     }
 
@@ -573,13 +610,13 @@ mod tests {
         };
         let bumped = bumped_format();
         assert_ne!(bumped, FORMAT);
-        let written = render_entry_in(&bumped, fp, key, &outcome);
+        let written = render_entry_in(&bumped, fp, key, &outcome, &coverage());
         assert_eq!(
             parse_entry_in(&bumped, &written, fp, key),
-            Some(outcome.clone())
+            Some((outcome.clone(), coverage()))
         );
         assert_eq!(parse_entry(&written, fp, key), None);
-        let current = render_entry(fp, key, &outcome);
+        let current = render_entry(fp, key, &outcome, &coverage());
         assert_eq!(parse_entry_in(&bumped, &current, fp, key), None);
     }
 
@@ -596,8 +633,8 @@ mod tests {
         let fp = Fingerprint(0xF00);
         assert_eq!(store.get(fp, 1), None);
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
-            store.put(fp, i as u64, &outcome);
-            assert_eq!(store.get(fp, i as u64), Some(outcome));
+            store.put(fp, i as u64, &outcome, &coverage());
+            assert_eq!(store.get(fp, i as u64), Some((outcome, coverage())));
         }
         let stats = store.stats();
         assert_eq!(stats.hits, 4);
@@ -613,11 +650,31 @@ mod tests {
     }
 
     #[test]
+    fn entries_carry_the_launch_coverage_across_handles() {
+        // What a second process reads back is the coverage the launching
+        // process stored, not an empty map, and distinct maps stay distinct.
+        let dir = temp_store("coverage");
+        let fp = Fingerprint(0xC0DE);
+        let outcome = TestOutcome::Result {
+            hash: 7,
+            output: "7,7".into(),
+        };
+        let writer = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
+        writer.put(fp, 1, &outcome, &coverage());
+        writer.put(fp, 2, &outcome, &CoverageMap::new());
+        let reader = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
+        assert_eq!(reader.get(fp, 1), Some((outcome.clone(), coverage())));
+        assert_eq!(reader.get(fp, 2), Some((outcome, CoverageMap::new())));
+        assert_eq!(reader.stats().hits, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_files_on_disk_degrade_to_misses() {
         let dir = temp_store("corrupt");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xC0);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
         let path = store.entry_path(fp, 0);
         // Bit-flip the file in place.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -627,7 +684,7 @@ mod tests {
         assert_eq!(store.get(fp, 0), None);
         assert!(!path.exists(), "corrupt entry should be deleted");
         // Truncated file: also a miss.
-        store.put(fp, 1, &TestOutcome::Crash("boom".into()));
+        store.put(fp, 1, &TestOutcome::Crash("boom".into()), &coverage());
         let path = store.entry_path(fp, 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
@@ -646,7 +703,7 @@ mod tests {
         assert_eq!(store.stats().transient_errors, 0);
         // Corrupt entry: counted once, deleted, and the follow-up lookup is
         // a plain miss again.
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
         let path = store.entry_path(fp, 0);
         std::fs::write(&path, b"not a store entry").unwrap();
         assert_eq!(store.get(fp, 0), None);
@@ -687,9 +744,9 @@ mod tests {
         let dir = temp_store("transient-recover");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEE);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
         fail_next_on_this_thread(StoreOp::Read, 1);
-        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
+        assert_eq!(store.get(fp, 0), Some((TestOutcome::Timeout, coverage())));
         set_io_fault_hook(None);
         let stats = store.stats();
         assert_eq!(stats.hits, 1);
@@ -703,7 +760,7 @@ mod tests {
         let dir = temp_store("transient-exhaust");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEF);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
         fail_next_on_this_thread(StoreOp::Read, 2);
         assert_eq!(store.get(fp, 0), None, "both attempts failed");
         set_io_fault_hook(None);
@@ -715,7 +772,7 @@ mod tests {
             "transient failure must not delete the entry"
         );
         // With the fault gone, the same lookup hits.
-        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
+        assert_eq!(store.get(fp, 0), Some((TestOutcome::Timeout, coverage())));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -726,23 +783,29 @@ mod tests {
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xF0);
         fail_next_on_this_thread(StoreOp::Write, 1);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
         set_io_fault_hook(None);
         assert_eq!(store.stats().writes, 0);
         assert_eq!(store.get(fp, 0), None, "faulted put published nothing");
         // The next put goes through.
-        store.put(fp, 0, &TestOutcome::Timeout);
-        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
+        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
+        assert_eq!(store.get(fp, 0), Some((TestOutcome::Timeout, coverage())));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eviction_keeps_the_store_under_its_cap() {
         let dir = temp_store("evict");
-        // A tiny cap: every entry is ~60 bytes, so 4 writes must evict.
+        // A tiny cap: every entry is ~130 bytes, so the second write must
+        // evict.
         let store = OutcomeStore::open_with_cap(&dir, 150).unwrap();
         for i in 0..8u64 {
-            store.put(Fingerprint(i << 56 | i), i, &TestOutcome::Timeout);
+            store.put(
+                Fingerprint(i << 56 | i),
+                i,
+                &TestOutcome::Timeout,
+                &coverage(),
+            );
         }
         let stats = store.stats();
         assert!(stats.evictions > 0, "cap 150 must force evictions");

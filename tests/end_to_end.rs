@@ -2,7 +2,7 @@
 //! through simulated compilation to differential / EMI verdicts.
 
 use clsmith::{generate, GenMode, GeneratorOptions};
-use fuzz_harness::{classify, run_on_targets_session, targets_for, Scheduler, Verdict};
+use fuzz_harness::{classify, run_on_targets_session, targets_for, Verdict};
 use opencl_sim::{configuration, ExecOptions, OptLevel, Session, TestOutcome};
 
 fn small(mode: GenMode, seed: u64) -> clc::Program {
@@ -177,12 +177,8 @@ fn benchmark_emi_pipeline_runs_for_every_table3_benchmark() {
             bodies: bodies.clone(),
             injection_points: 1,
         };
-        let cell = fuzz_harness::evaluate_benchmark_with(
-            &Scheduler::sequential(),
-            &emi,
-            &configuration(1),
-            &ExecOptions::default(),
-        );
+        let cell =
+            fuzz_harness::evaluate_benchmark(&emi, &configuration(1), &ExecOptions::default());
         // The healthy NVIDIA configuration must never report wrong code for
         // dead-code injection into a deterministic benchmark.
         assert_ne!(
