@@ -29,6 +29,7 @@ struct Corpus;
 
 impl bench::Table for Corpus {
     type Campaign = CorpusCampaign;
+    const SCALE_ARGS: usize = 2;
 
     fn configs() -> Vec<Configuration> {
         opencl_sim::above_threshold_configurations()

@@ -31,6 +31,7 @@ struct Table1;
 
 impl bench::Table for Table1 {
     type Campaign = ClassificationCampaign;
+    const SCALE_ARGS: usize = 1;
 
     fn configs() -> Vec<Configuration> {
         opencl_sim::all_configurations()

@@ -28,6 +28,7 @@ struct Table3;
 
 impl bench::Table for Table3 {
     type Campaign = CellCampaign;
+    const SCALE_ARGS: usize = 1;
 
     fn configs() -> Vec<Configuration> {
         opencl_sim::all_configurations()

@@ -31,6 +31,7 @@ struct Table4;
 
 impl bench::Table for Table4 {
     type Campaign = ModeCampaign;
+    const SCALE_ARGS: usize = 1;
 
     fn configs() -> Vec<Configuration> {
         opencl_sim::above_threshold_configurations()

@@ -32,6 +32,7 @@ struct Table5;
 
 impl bench::Table for Table5 {
     type Campaign = EmiCampaign;
+    const SCALE_ARGS: usize = 2;
 
     fn configs() -> Vec<Configuration> {
         opencl_sim::above_threshold_configurations()

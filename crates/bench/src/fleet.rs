@@ -26,8 +26,8 @@ use std::time::Duration;
 use fuzz_harness::faults::{FaultKind, FaultPlan, FaultSpec, LeaseFault};
 use fuzz_harness::fleet::append_worker_log;
 use fuzz_harness::{
-    run_lease, run_worker, tear_journal_tail, Campaign, CheckpointPolicy, Coordinator,
-    FleetOptions, FleetOutcome, LeaseRecord, ProcessWorker, WorkerLink,
+    run_lease, run_worker, tear_journal_tail, Campaign, Coordinator, FleetOptions, FleetOutcome,
+    LeaseRecord, ProcessWorker, WorkerLink,
 };
 use opencl_sim::Configuration;
 
@@ -57,7 +57,7 @@ pub fn fleet_options(cli: &Cli) -> FleetOptions {
 
 /// The flags a coordinator forwards to its `worker` re-invocations so both
 /// sides derive the same campaign (generator scale, store, fault plan,
-/// checkpoint cadence, scheduler shape).
+/// scheduler shape).
 pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
     let mut flags = Vec::new();
     if cli.paper_scale {
@@ -72,7 +72,6 @@ pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
     if let Some(spec) = &cli.fleet.faults {
         flags.push(format!("--faults={spec}"));
     }
-    flags.push(format!("--checkpoint-every={}", cli.fleet.checkpoint_every));
     flags.push(format!("--threads={}", cli.scheduler.threads()));
     flags
 }
@@ -192,9 +191,6 @@ pub fn report_fleet_outcome(outcome: &FleetOutcome) -> i32 {
 pub fn worker_loop<C: Campaign>(cli: &Cli, campaign: &C) -> ! {
     let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
     let plan = FaultPlan::resolve(&spec, campaign.seed(), campaign.total_jobs());
-    let checkpoint = CheckpointPolicy {
-        every: cli.fleet.checkpoint_every,
-    };
     plan.install_store_faults();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -203,8 +199,8 @@ pub fn worker_loop<C: Campaign>(cli: &Cli, campaign: &C) -> ! {
     let result = run_worker(&mut input, &mut output, &mut |lease| {
         let fault = plan.lease_action(&(lease.start..lease.end), lease.attempt);
         let stop_before = fault.as_ref().map(|f| f.stop_before);
-        let run = run_lease(&cli.scheduler, campaign, lease, checkpoint, stop_before)
-            .map_err(|e| e.to_string())?;
+        let run =
+            run_lease(&cli.scheduler, campaign, lease, stop_before).map_err(|e| e.to_string())?;
         if let Some(fault) = fault {
             enact_lease_fault(&fault, lease);
         }

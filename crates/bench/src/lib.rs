@@ -53,6 +53,9 @@ use opencl_sim::{Configuration, ExecOptions, OutcomeStore};
 pub trait Table {
     /// The campaign the binary runs.
     type Campaign: Campaign;
+    /// How many scale positionals the binary takes (kernels per mode,
+    /// bases, ...); a run given more is a usage error.
+    const SCALE_ARGS: usize;
     /// The configurations the table covers; merges validate journals
     /// against them.
     fn configs() -> Vec<Configuration>;
@@ -97,6 +100,13 @@ pub fn run<T: Table>() {
         Some("coordinate" | "worker") => Some(cli.positional.remove(0)),
         _ => None,
     };
+    if let Some(extra) = cli.positional.get(T::SCALE_ARGS) {
+        usage_error(format!(
+            "unexpected argument {extra:?}: this binary takes at most {} scale argument(s), \
+             and merge, coordinate and worker only come first",
+            T::SCALE_ARGS
+        ));
+    }
     let exec = cli.exec_options();
     let campaign = T::build(&cli, &configs, exec.clone());
     match role.as_deref() {
@@ -171,9 +181,6 @@ pub struct FleetCliOptions {
     pub lease_timeout_ms: u64,
     /// Re-lease attempts before a range is quarantined (`--max-retries N`).
     pub max_retries: u32,
-    /// Jobs between journal checkpoints in lease workers
-    /// (`--checkpoint-every N`).
-    pub checkpoint_every: u64,
     /// Directory for lease journals and fleet logs (`--fleet-dir PATH`;
     /// required by `coordinate`).
     pub fleet_dir: Option<PathBuf>,
@@ -190,7 +197,6 @@ impl Default for FleetCliOptions {
             lease_jobs: 8,
             lease_timeout_ms: 30_000,
             max_retries: 3,
-            checkpoint_every: 16,
             fleet_dir: None,
             faults: None,
             follow: false,
@@ -394,7 +400,8 @@ pub fn resolve_store(store: Option<&str>, no_store: bool) -> Result<Option<PathB
 /// extracts `--threads N`, `--paper-scale`, `--shard I/N`, `--journal PATH`,
 /// `--resume`, `--store PATH`, `--no-store` and the fleet flags (each valued
 /// flag also as `--flag=V`), recognises the `merge` subcommand, and returns
-/// them with the remaining positional arguments.
+/// them with the remaining positional arguments.  Any other `--flag` is a
+/// usage error.
 pub fn cli() -> Cli {
     let mut positional = Vec::new();
     let mut threads: Option<usize> = None;
@@ -443,11 +450,11 @@ pub fn cli() -> Cli {
             ("--lease-jobs", _) => fleet.lease_jobs = parse_num(flag, value()),
             ("--lease-timeout-ms", _) => fleet.lease_timeout_ms = parse_num(flag, value()),
             ("--max-retries", _) => fleet.max_retries = parse_num(flag, value()),
-            ("--checkpoint-every", _) => fleet.checkpoint_every = parse_num(flag, value()),
             ("--fleet-dir", _) => fleet.fleet_dir = Some(required(flag, value(), "a path").into()),
             ("--faults", _) => {
                 fleet.faults = Some(required(flag, value(), "a spec (e.g. kill@3,torn@5)"))
             }
+            _ if arg.starts_with("--") => usage_error(format!("unknown flag {arg:?}")),
             _ => positional.push(arg.clone()),
         }
     }
@@ -456,9 +463,6 @@ pub fn cli() -> Cli {
     }
     if fleet.lease_jobs == 0 {
         usage_error("--lease-jobs must be at least 1");
-    }
-    if fleet.checkpoint_every == 0 {
-        usage_error("--checkpoint-every must be at least 1");
     }
     let store = resolve_store(store.as_deref(), no_store).unwrap_or_else(|e| usage_error(e));
     let merge = if positional.first().map(String::as_str) == Some("merge") {

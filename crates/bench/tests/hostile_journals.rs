@@ -1,6 +1,8 @@
 //! Journal input that contradicts its campaign — every line carrying a
 //! valid checksum, so nothing is dropped as a torn tail — must make `merge`
 //! and `--resume` exit with status 1 and an `error:` line, never a panic.
+//! A command line the binary does not take must exit with status 2 before
+//! any campaign runs.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,8 +13,10 @@ use fuzz_harness::checksum;
 fn campaign_bin(name: &str) -> Command {
     let mut cmd = Command::new(match name {
         "corpus" => env!("CARGO_BIN_EXE_corpus"),
+        "table1" => env!("CARGO_BIN_EXE_table1"),
         "table3" => env!("CARGO_BIN_EXE_table3"),
         "table4" => env!("CARGO_BIN_EXE_table4"),
+        "table5" => env!("CARGO_BIN_EXE_table5"),
         other => panic!("no campaign binary {other}"),
     });
     for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE"] {
@@ -56,14 +60,35 @@ fn write_journal(dir: &Path, name: &str, header: &[String], body: &str) -> PathB
     path
 }
 
-fn assert_journal_error(out: Output, what: &str) {
-    let stderr = String::from_utf8_lossy(&out.stderr);
+/// Asserts exit status `code` with an `error:` line, and returns stderr.
+fn assert_error(out: Output, code: i32, what: &str) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(
         out.status.code(),
-        Some(1),
-        "{what}: expected exit status 1\nstderr:\n{stderr}"
+        Some(code),
+        "{what}: expected exit status {code}\nstderr:\n{stderr}"
     );
     assert!(stderr.contains("error:"), "{what}: no error line\n{stderr}");
+    stderr
+}
+
+fn assert_journal_error(out: Output, what: &str) {
+    assert_error(out, 1, what);
+}
+
+#[test]
+fn stray_arguments_are_usage_errors() {
+    let cases: [(&str, &[&str]); 5] = [
+        ("table4", &["2", "merge"]),
+        ("table5", &["2", "1", "7"]),
+        ("table1", &["1", "bogus"]),
+        ("table4", &["1", "--checkpoint-every", "16"]),
+        ("table4", &["worker", "1", "--checkpoint-every=16"]),
+    ];
+    for (bin, args) in cases {
+        let out = campaign_bin(bin).args(args).output().expect("spawn");
+        assert_error(out, 2, &format!("{bin} {}", args.join(" ")));
+    }
 }
 
 #[test]
@@ -96,6 +121,18 @@ fn contradictory_journals_are_errors_in_merge_and_resume() {
             &format!("table4 resume {name}"),
         );
     }
+
+    // A lease journal as older builds wrote it: the header and one `K`
+    // checkpoint line holding the lease's folded tally.  It is refused
+    // whole, naming the line.
+    let mut lease = table4.clone();
+    lease[5] = "0/0".to_string();
+    let six_modes = [one_mode.as_str(); 6].join("|");
+    let body = line(&format!("K 6 6 {six_modes}"));
+    let journal = write_journal(&dir, "checkpointed-lease.journal", &lease, &body);
+    let merge = campaign_bin("table4").arg("merge").arg(&journal).output();
+    let stderr = assert_error(merge.expect("spawn merge"), 1, "table4 merge old lease");
+    assert!(stderr.contains("line 2 is a checkpoint"), "{stderr}");
 
     // Table 4 with a descriptor claiming 2⁶⁴ − 1 kernels per mode: six modes
     // of them overflow the job index.

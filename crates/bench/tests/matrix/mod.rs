@@ -7,16 +7,17 @@
 //! * tier — the tree walker or the bytecode VM;
 //! * cache — memo off, memo on, a cold outcome store or a warm one;
 //! * split — the whole job space at once, three concurrent shards merged
-//!   from their journals, a run killed mid-record and resumed, checkpointed
-//!   leases with an interrupted attempt merged, or a fleet of worker
-//!   processes under injected faults.
+//!   from their journals, a run killed mid-record and resumed, leases with
+//!   an interrupted attempt merged, or a fleet of worker processes under
+//!   injected faults.
 //!
 //! [`MATRIX`] is a pairwise covering array over those axes: every pair of
 //! levels from two different axes appears in at least one cell, except
 //! fleet × memo off (no binary can turn the memo off).  Each in-process
 //! cell must reproduce the reference run (whole, one worker, bytecode, memo
-//! on, no store) byte for byte: its rendered table, its serialized tally
-//! (coverage maps included) and, where it journals, its journal record set.
+//! on, no store) byte for byte: its rendered table, its tally's `Debug`
+//! text (coverage maps included) and, where it journals, its journal record
+//! set.
 //! Fleet cells spawn the campaign's binary with `CLC_INTERP_TIER` and
 //! `--store` selecting tier and cache, and must print exactly what `merge`
 //! prints over a fault-free batch journal of the same scale; a campaign's
@@ -47,18 +48,19 @@
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::{Arc, Mutex, RwLock};
 
 use clsmith::{GenMode, GeneratorOptions};
-use fuzz_harness::shard::{JournalOptions, Mergeable, ShardSelect, ShardSpec};
+use fuzz_harness::shard::{JournalOptions, ShardSelect, ShardSpec};
 use fuzz_harness::{
     load_journal, merge, reliability_rows, render_campaign_table, render_corpus_table,
     render_emi_table, render_reliability_table, run_lease, run_shard, Campaign, CampaignOptions,
-    CellCampaign, CheckpointPolicy, ClassificationCampaign, CorpusCampaign, CorpusOptions,
-    EmiCampaign, EmiCampaignOptions, LeaseRecord, ModeCampaign, Scheduler, JOURNAL_FORMAT_VERSION,
+    CellCampaign, ClassificationCampaign, CorpusCampaign, CorpusOptions, EmiCampaign,
+    EmiCampaignOptions, LeaseRecord, ModeCampaign, Scheduler, JOURNAL_FORMAT_VERSION,
     JOURNAL_MAGIC,
 };
 use opencl_sim::{Configuration, ExecOptions, ExecutionTier, OutcomeStore, StoreStats};
@@ -170,8 +172,8 @@ struct Fleet {
     faults: &'static str,
 }
 
-/// What a run left behind: the rendered table, the serialized tally, and
-/// the journal record set (job index → payload) where it journaled.
+/// What a run left behind: the rendered table, the tally's `Debug` text,
+/// and the journal record set (job index → payload) where it journaled.
 struct Observed {
     table: String,
     tally: String,
@@ -179,7 +181,7 @@ struct Observed {
 }
 
 impl Observed {
-    fn of<C: Campaign>(
+    fn of<C: Campaign<Tally: Debug>>(
         subject: &Subject<C>,
         campaign: &C,
         tally: &C::Tally,
@@ -188,7 +190,7 @@ impl Observed {
     ) -> Observed {
         Observed {
             table: (subject.render)(campaign, tally, jobs),
-            tally: tally.serialize(),
+            tally: format!("{tally:?}"),
             records: journals.map(record_set),
         }
     }
@@ -275,10 +277,7 @@ impl Stores {
 }
 
 /// Runs the in-process cell `(split, cache, workers, tier)` of `subject`.
-fn run_cell<C: Campaign>(subject: &Subject<C>, cell: Cell, dir: &Path) -> Observed
-where
-    C::Tally: Send,
-{
+fn run_cell<C: Campaign<Tally: Debug>>(subject: &Subject<C>, cell: Cell, dir: &Path) -> Observed {
     let (split, cache, workers, tier) = cell;
     let stored = matches!(cache, StoreCold | StoreWarm);
     let _exclusive = stored.then(|| subject.gate.write().unwrap_or_else(|e| e.into_inner()));
@@ -312,7 +311,7 @@ where
             // Three shard "processes" at once, each with its own campaign
             // and store handle, racing on one store directory.
             let paths: Vec<PathBuf> = (0..3).map(|i| journal(&format!("shard-{i}"))).collect();
-            let tallies: Vec<C::Tally> = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let shards: Vec<_> = (0..3u32)
                     .map(|index| {
                         let (path, build, scheduler) = (&paths[index as usize], &build, &scheduler);
@@ -325,20 +324,16 @@ where
                                 ShardSpec::select(campaign.seed(), campaign.total_jobs(), select);
                             let header = load_journal(path).unwrap().header;
                             assert_eq!(header, spec.header(&campaign.descriptor()));
-                            run.unwrap().aggregate
+                            run.unwrap();
                         })
                     })
                     .collect();
-                shards.into_iter().map(|s| s.join().unwrap()).collect()
+                shards.into_iter().for_each(|s| s.join().unwrap());
             });
             let magic = format!("{JOURNAL_MAGIC} {JOURNAL_FORMAT_VERSION} ");
             assert!(fs::read_to_string(&paths[0]).unwrap().starts_with(&magic));
-            let mut in_memory = tallies.into_iter();
-            let mut merged_in_memory = in_memory.next().unwrap();
-            in_memory.for_each(|tally| merged_in_memory.merge(tally));
             let (parsed, tally, summary) = merge::<C>(&paths, &subject.configs).unwrap();
             assert!(summary.complete, "three shards cover the job space");
-            assert_eq!(merged_in_memory.serialize(), tally.serialize());
             Observed::of(subject, &parsed, &tally, summary.jobs_folded, Some(&paths))
         }
         Resumed => {
@@ -368,8 +363,8 @@ where
             Observed::of(subject, &campaign, &run.aggregate, run.jobs, Some(healed))
         }
         Leased => {
-            // Three leases with a checkpoint after every job; each lease's
-            // first attempt stops halfway, and the second resumes it.
+            // Three leases; each lease's first attempt stops halfway, and
+            // the second resumes it from the records the first journaled.
             let campaign = build();
             let total = campaign.total_jobs();
             let size = total.div_ceil(3).max(1);
@@ -383,11 +378,10 @@ where
                     attempt: 1,
                     journal: journal(&format!("lease-{id}")),
                 };
-                let every = CheckpointPolicy { every: 1 };
                 let stop = Some(start + (end - start) / 2);
-                run_lease(&scheduler, &campaign, &lease, every, stop).unwrap();
+                run_lease(&scheduler, &campaign, &lease, stop).unwrap();
                 lease.attempt = 2;
-                run_lease(&scheduler, &campaign, &lease, every, None).unwrap();
+                run_lease(&scheduler, &campaign, &lease, None).unwrap();
                 paths.push(lease.journal);
             }
             let (parsed, tally, summary) = merge::<C>(&paths, &subject.configs).unwrap();
@@ -416,10 +410,7 @@ where
 
 /// Runs the cells of `subject` that belong to `parts`, in-process cells
 /// against the reference run and fleet cells against a batch merge.
-pub fn assert_invariant<C: Campaign>(subject: &Subject<C>, parts: &[Part])
-where
-    C::Tally: Send,
-{
+pub fn assert_invariant<C: Campaign<Tally: Debug>>(subject: &Subject<C>, parts: &[Part]) {
     let cells = MATRIX.into_iter().enumerate();
     let (fleet, in_process): (Vec<_>, Vec<_>) = cells
         .filter(|(_, (part, _))| parts.contains(part))
@@ -471,7 +462,7 @@ pub fn concurrently(checks: &[&(dyn Fn() + Sync)]) {
 
 /// The reference run every in-process cell reproduces: whole, one worker,
 /// bytecode, memo on, no store, journaled.
-fn reference<C: Campaign>(subject: &Subject<C>, dir: &Path) -> Observed {
+fn reference<C: Campaign<Tally: Debug>>(subject: &Subject<C>, dir: &Path) -> Observed {
     let _shared = subject.gate.read().unwrap_or_else(|e| e.into_inner());
     let journal = [dir.join("reference.journal")];
     let scheduler = Scheduler::sequential();
@@ -711,8 +702,8 @@ pub fn table5() -> Subject<EmiCampaign> {
         gate: &GATE,
         jobs: 3,
         configs: configs(&[1, 19]),
-        // Probing at the cell's worker count would probe up to 32
-        // candidates on the tree walker;
+        // Probing at the cell's worker count would probe up to 8
+        // candidates a round on the tree walker;
         // `live_base_acceptance_is_independent_of_worker_count_and_chunking`
         // pins chunking.
         build: |_, exec| {

@@ -12,7 +12,7 @@
 use crate::campaign::{generator_fingerprint, parsed_options};
 use crate::exec::StagedJob;
 use crate::journal::{checksum, JournalError, JournalHeader};
-use crate::shard::{Campaign, JournalPayload, Mergeable};
+use crate::shard::{Campaign, JournalPayload};
 use clsmith::emi::{inject_emi_blocks, InjectionOptions};
 use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
@@ -302,39 +302,6 @@ impl StagedJob for CellJob {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cells(pub Vec<Option<BenchmarkCell>>);
 
-impl Mergeable for Cells {
-    fn merge(&mut self, other: Cells) {
-        for (cell, other) in self.0.iter_mut().zip(other.0) {
-            if other.is_some() {
-                *cell = other;
-            }
-        }
-    }
-
-    fn same_shape(&self, other: &Cells) -> bool {
-        self.0.len() == other.0.len()
-    }
-
-    fn serialize(&self) -> String {
-        let cells: Vec<String> = self
-            .0
-            .iter()
-            .map(|cell| cell.as_ref().map_or("-".to_string(), BenchmarkCell::encode))
-            .collect();
-        cells.join(";")
-    }
-
-    fn deserialize(text: &str) -> Result<Cells, JournalError> {
-        text.split(';')
-            .map(|token| match token {
-                "-" => Ok(None),
-                _ => BenchmarkCell::decode(token).map(Some),
-            })
-            .collect::<Result<_, _>>()
-            .map(Cells)
-    }
-}
-
 /// The Table 3 campaign: one job per cell of the Parboil/Rodinia miniatures
 /// (the `table3_benchmarks` list, rows) × configurations (columns) grid.
 #[derive(Debug)]
@@ -566,18 +533,6 @@ mod tests {
         for bad in ["9,e,4", "3,x,4", "3,e", "3,e,four"] {
             assert!(BenchmarkCell::decode(bad).is_err(), "{bad:?}");
         }
-
-        // A grid merges cell by cell, and survives the checkpoint encoding.
-        let wrong = BenchmarkCell {
-            outcome: CellOutcome::WrongCode,
-            sensitivity: SubstitutionSensitivity::Either,
-            variants: 8,
-        };
-        let mut grid = Cells(vec![Some(cell.clone()), None, None]);
-        grid.merge(Cells(vec![None, None, Some(wrong.clone())]));
-        assert_eq!(grid, Cells(vec![Some(cell), None, Some(wrong)]));
-        assert_eq!(Cells::deserialize(&grid.serialize()).unwrap(), grid);
-        assert!(!grid.same_shape(&Cells(vec![None])));
     }
 
     #[test]

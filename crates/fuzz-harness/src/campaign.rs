@@ -5,8 +5,7 @@ use crate::differential::{classify, targets_for, TestTarget, Verdict};
 use crate::exec::{job_seed, Scheduler, StagedJob};
 use crate::journal::{checksum, JournalError, JournalHeader};
 use crate::shard::{
-    parse_fields, run_shard, Campaign, JournalOptions, JournalPayload, Mergeable, ShardMetrics,
-    ShardSelect,
+    parse_fields, run_shard, Campaign, JournalOptions, JournalPayload, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecOptions, OptLevel, TestOutcome};
@@ -120,7 +119,7 @@ impl TargetStats {
 }
 
 /// Serializes a row of per-target stats as `;`-joined count tokens (the
-/// shared backbone of the [`Mergeable`] campaign aggregates).
+/// per-target part of a corpus record's journal payload).
 pub(crate) fn stats_row_token(stats: &[TargetStats]) -> String {
     if stats.is_empty() {
         return "-".to_string();
@@ -151,9 +150,7 @@ pub(crate) fn merge_stats_rows(into: &mut [TargetStats], from: &[TargetStats]) {
 }
 
 /// The aggregation state of one mode's campaign: per-target verdict tallies,
-/// folded from per-kernel verdict shards and mergeable across campaign
-/// shards (counts sum elementwise, so the merge is associative and
-/// commutative — any shard grouping folds to the same state).
+/// folded from per-kernel verdict rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModeTally {
     /// Tallies per target, in target order.
@@ -183,26 +180,6 @@ impl ModeTally {
     }
 }
 
-impl Mergeable for ModeTally {
-    fn merge(&mut self, other: ModeTally) {
-        merge_stats_rows(&mut self.per_target, &other.per_target);
-    }
-
-    fn same_shape(&self, other: &ModeTally) -> bool {
-        self.per_target.len() == other.per_target.len()
-    }
-
-    fn serialize(&self) -> String {
-        stats_row_token(&self.per_target)
-    }
-
-    fn deserialize(text: &str) -> Result<ModeTally, JournalError> {
-        Ok(ModeTally {
-            per_target: stats_row_from_token(text)?,
-        })
-    }
-}
-
 /// The aggregation state of a multi-mode campaign (Table 4: all six modes):
 /// one [`ModeTally`] per mode, in mode order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -217,51 +194,6 @@ impl MultiModeTally {
         MultiModeTally {
             per_mode: vec![ModeTally::new(targets); modes],
         }
-    }
-}
-
-impl Mergeable for MultiModeTally {
-    fn merge(&mut self, other: MultiModeTally) {
-        assert_eq!(
-            self.per_mode.len(),
-            other.per_mode.len(),
-            "cannot merge tallies with different mode counts"
-        );
-        for (a, b) in self.per_mode.iter_mut().zip(other.per_mode) {
-            a.merge(b);
-        }
-    }
-
-    fn same_shape(&self, other: &MultiModeTally) -> bool {
-        self.per_mode.len() == other.per_mode.len()
-            && self
-                .per_mode
-                .iter()
-                .zip(&other.per_mode)
-                .all(|(a, b)| a.same_shape(b))
-    }
-
-    fn serialize(&self) -> String {
-        if self.per_mode.is_empty() {
-            return "-".to_string();
-        }
-        self.per_mode
-            .iter()
-            .map(Mergeable::serialize)
-            .collect::<Vec<_>>()
-            .join("|")
-    }
-
-    fn deserialize(text: &str) -> Result<MultiModeTally, JournalError> {
-        if text == "-" {
-            return Ok(MultiModeTally::default());
-        }
-        Ok(MultiModeTally {
-            per_mode: text
-                .split('|')
-                .map(Mergeable::deserialize)
-                .collect::<Result<_, _>>()?,
-        })
     }
 }
 
@@ -591,15 +523,13 @@ fn parse_mode_campaign_descriptor(
 }
 
 /// A sharded (multi-)mode campaign's outcome: per-mode partial results over
-/// this shard's slice, the mergeable tally behind them, and resume/journal
-/// metrics.
+/// this shard's slice, the tally behind them, and resume/journal metrics.
 #[derive(Debug)]
 pub struct ShardedModeCampaign {
     /// One partial [`CampaignResult`] per submitted mode (tallies cover
     /// only this shard's job slice).
     pub results: Vec<CampaignResult>,
-    /// The underlying aggregation state ([`Mergeable`], one tally per
-    /// mode) — merge shards' tallies and rebuild results for a full table.
+    /// The underlying aggregation state (one tally per mode).
     pub tally: MultiModeTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
@@ -780,8 +710,7 @@ pub const RELIABILITY_THRESHOLD: f64 = 0.25;
 
 /// The aggregation state of the §7.1 reliability classification: one pooled
 /// [`TargetStats`] per configuration (both optimisation levels folded
-/// together, as the paper does).  Counts sum elementwise, so shard merges
-/// are associative and commutative.
+/// together, as the paper does).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassificationTally {
     /// Pooled tallies per configuration, in configuration order.
@@ -804,26 +733,6 @@ impl ClassificationTally {
         for (column, verdict) in verdicts.iter().enumerate() {
             self.per_config[column / OptLevel::BOTH.len()].record(*verdict);
         }
-    }
-}
-
-impl Mergeable for ClassificationTally {
-    fn merge(&mut self, other: ClassificationTally) {
-        merge_stats_rows(&mut self.per_config, &other.per_config);
-    }
-
-    fn same_shape(&self, other: &ClassificationTally) -> bool {
-        self.per_config.len() == other.per_config.len()
-    }
-
-    fn serialize(&self) -> String {
-        stats_row_token(&self.per_config)
-    }
-
-    fn deserialize(text: &str) -> Result<ClassificationTally, JournalError> {
-        Ok(ClassificationTally {
-            per_config: stats_row_from_token(text)?,
-        })
     }
 }
 
@@ -1080,61 +989,6 @@ mod tests {
             TargetStats::from_token("1,0,0,0,1"),
             Err(JournalError::Format(_))
         ));
-
-        let mut tally = ModeTally::new(6);
-        tally.record(&row);
-        tally.record(&row);
-        let round = ModeTally::deserialize(&tally.serialize()).unwrap();
-        assert_eq!(round, tally);
-        assert_eq!(round.kernels(), 2);
-
-        let mut multi = MultiModeTally::new(2, 6);
-        multi.per_mode[0].record(&row);
-        multi.per_mode[1].record(&row);
-        let round = MultiModeTally::deserialize(&multi.serialize()).unwrap();
-        assert_eq!(round, multi);
-    }
-
-    #[test]
-    fn tally_merge_is_associative_and_matches_a_single_fold() {
-        let rows: Vec<Vec<Verdict>> = (0..12)
-            .map(|i| {
-                vec![
-                    if i % 3 == 0 {
-                        Verdict::WrongCode
-                    } else {
-                        Verdict::Ok
-                    },
-                    if i % 4 == 0 {
-                        Verdict::Crash
-                    } else {
-                        Verdict::Timeout
-                    },
-                ]
-            })
-            .collect();
-        let mut whole = ModeTally::new(2);
-        for row in &rows {
-            whole.record(row);
-        }
-        // Fold the same rows in three shards, merge in two groupings.
-        let shard = |range: std::ops::Range<usize>| {
-            let mut t = ModeTally::new(2);
-            for row in &rows[range] {
-                t.record(row);
-            }
-            t
-        };
-        let (a, b, c) = (shard(0..5), shard(5..8), shard(8..12));
-        let mut left = a.clone();
-        left.merge(b.clone());
-        left.merge(c.clone());
-        let mut right = b;
-        right.merge(c);
-        let mut right_first = a;
-        right_first.merge(right);
-        assert_eq!(left, whole);
-        assert_eq!(right_first, whole);
     }
 
     #[test]
@@ -1243,16 +1097,24 @@ mod tests {
         let scheduler = Scheduler::new(2);
         let campaign = ModeCampaign::new(&[GenMode::Basic], &configs, &options);
         let single = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
-        let mut merged: Option<MultiModeTally> = None;
-        for index in 0..3u32 {
-            let select = ShardSelect { index, count: 3 };
-            let shard = run_shard(&scheduler, &campaign, select, None).unwrap();
-            match &mut merged {
-                None => merged = Some(shard.aggregate),
-                Some(t) => t.merge(shard.aggregate),
-            }
+        let paths: Vec<_> = (0..3u32)
+            .map(|index| {
+                let path = std::env::temp_dir().join(format!(
+                    "clfuzz-campaign-test-{}-shard-{index}.journal",
+                    std::process::id()
+                ));
+                let select = ShardSelect { index, count: 3 };
+                let journal = JournalOptions::create(&path);
+                run_shard(&scheduler, &campaign, select, Some(&journal)).unwrap();
+                path
+            })
+            .collect();
+        let (_, merged, summary) = crate::shard::merge::<ModeCampaign>(&paths, &configs).unwrap();
+        assert!(summary.complete);
+        assert_eq!(merged, single.aggregate);
+        for path in paths {
+            let _ = std::fs::remove_file(path);
         }
-        assert_eq!(merged.unwrap(), single.aggregate);
     }
 
     #[test]

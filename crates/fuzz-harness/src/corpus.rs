@@ -29,7 +29,7 @@ use crate::campaign::{
 use crate::differential::{classify, run_on_targets_session, targets_for, TestTarget};
 use crate::exec::{job_seed, StagedJob};
 use crate::journal::{JournalError, JournalHeader};
-use crate::shard::{parse_fields, Campaign, JournalPayload, Mergeable};
+use crate::shard::{parse_fields, Campaign, JournalPayload};
 use clsmith::{generate, mutate, CoverageMap, GeneratorOptions};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, Session};
 use std::rc::Rc;
@@ -308,52 +308,10 @@ impl StrategyTally {
             self.accepted as f64 / self.executed as f64
         }
     }
-
-    fn token(&self) -> String {
-        format!(
-            "{}|{}|{},{},{},{}",
-            self.coverage.token(),
-            stats_row_token(&self.per_target),
-            self.lineages,
-            self.executed,
-            self.accepted,
-            self.rejected,
-        )
-    }
-
-    fn from_token(token: &str) -> Result<StrategyTally, JournalError> {
-        let bad = || JournalError::Format(format!("bad strategy tally {token:?}"));
-        let mut parts = token.split('|');
-        let coverage = CoverageMap::parse(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
-        let per_target = stats_row_from_token(parts.next().ok_or_else(bad)?)?;
-        let counters = parse_fields::<u64>(parts.next().ok_or_else(bad)?, ',', "tally counters")?;
-        if parts.next().is_some() || counters.len() != 4 {
-            return Err(bad());
-        }
-        Ok(StrategyTally {
-            coverage,
-            per_target,
-            lineages: counters[0],
-            executed: counters[1],
-            accepted: counters[2],
-            rejected: counters[3],
-        })
-    }
-
-    fn absorb(&mut self, other: StrategyTally) {
-        self.coverage.merge(&other.coverage);
-        merge_stats_rows(&mut self.per_target, &other.per_target);
-        self.lineages += other.lineages;
-        self.executed += other.executed;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-    }
 }
 
 /// The aggregation state of a corpus campaign: one [`StrategyTally`] per
-/// strategy, in [`CorpusStrategy::ALL`] order.  Coverage merges are bitwise
-/// OR and counts sum elementwise, so shard merges stay associative and
-/// commutative.
+/// strategy, in [`CorpusStrategy::ALL`] order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CorpusTally {
     /// One tally per strategy, in [`CorpusStrategy::ALL`] order.
@@ -374,40 +332,6 @@ impl CorpusTally {
             CorpusStrategy::Guided => &self.per_strategy[0],
             CorpusStrategy::Blind => &self.per_strategy[1],
         }
-    }
-}
-
-impl Mergeable for CorpusTally {
-    fn merge(&mut self, other: CorpusTally) {
-        let [guided, blind] = other.per_strategy;
-        self.per_strategy[0].absorb(guided);
-        self.per_strategy[1].absorb(blind);
-    }
-
-    fn same_shape(&self, other: &CorpusTally) -> bool {
-        (0..2).all(|s| {
-            self.per_strategy[s].per_target.len() == other.per_strategy[s].per_target.len()
-        })
-    }
-
-    fn serialize(&self) -> String {
-        format!(
-            "{}!{}",
-            self.per_strategy[0].token(),
-            self.per_strategy[1].token()
-        )
-    }
-
-    fn deserialize(text: &str) -> Result<CorpusTally, JournalError> {
-        let (guided, blind) = text.split_once('!').ok_or_else(|| {
-            JournalError::Format(format!("bad corpus tally {text:?} (expected two halves)"))
-        })?;
-        Ok(CorpusTally {
-            per_strategy: [
-                StrategyTally::from_token(guided)?,
-                StrategyTally::from_token(blind)?,
-            ],
-        })
     }
 }
 
@@ -592,27 +516,6 @@ mod tests {
         assert!(!token.contains(char::is_whitespace));
         assert_eq!(CorpusRecord::decode(&token).unwrap(), record);
         assert!(CorpusRecord::decode("garbage").is_err());
-    }
-
-    #[test]
-    fn corpus_tally_merge_matches_single_fold() {
-        let records = [sample_record(1), sample_record(2), sample_record(3)];
-        // Fold all three guided records into one tally...
-        let mut whole = CorpusTally::new(2);
-        for r in &records {
-            whole.per_strategy[0].record(r);
-        }
-        // ...and compare against merging two partial tallies.
-        let mut left = CorpusTally::new(2);
-        left.per_strategy[0].record(&records[0]);
-        let mut right = CorpusTally::new(2);
-        right.per_strategy[0].record(&records[1]);
-        right.per_strategy[0].record(&records[2]);
-        left.merge(right);
-        assert_eq!(left, whole);
-        // And the tally survives the journal checkpoint encoding.
-        let reloaded = CorpusTally::deserialize(&whole.serialize()).unwrap();
-        assert_eq!(reloaded, whole);
     }
 
     #[test]

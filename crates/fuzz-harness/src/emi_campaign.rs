@@ -17,7 +17,7 @@ use crate::differential::{targets_for, TestTarget};
 use crate::exec::{job_seed, Scheduler, StagedJob};
 use crate::journal::{JournalError, JournalHeader};
 use crate::shard::{
-    run_shard, Campaign, JournalOptions, JournalPayload, Mergeable, ShardMetrics, ShardSelect,
+    run_shard, Campaign, JournalOptions, JournalPayload, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, prune_variant, GenMode, GeneratorOptions, PruneProbabilities};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
@@ -202,11 +202,11 @@ pub fn generate_live_bases_with(
     let mut bases = Vec::new();
     let mut attempt = 0usize;
     while bases.len() < options.bases && attempt < max_attempts {
-        // Probe only about as many candidates as are still missing (with a
-        // floor that keeps every worker busy), so a nearly-complete campaign
-        // does not burn a full-sized chunk for its last base.
+        // Probe as many candidates as are still missing, or one per worker
+        // if that is more: bases are accepted in candidate order, so probing
+        // further ahead changes no base and only wastes probes.
         let missing = options.bases - bases.len();
-        let chunk = missing.max(scheduler.threads() * 4);
+        let chunk = missing.max(scheduler.threads());
         let upper = (attempt + chunk).min(max_attempts);
         let jobs: Vec<LivenessProbeJob> = (attempt..upper)
             .map(|candidate| LivenessProbeJob {
@@ -331,8 +331,7 @@ impl StagedJob for EmiBaseJob {
 }
 
 /// The aggregation state of an EMI campaign: per-target base-level tallies,
-/// folded from per-base judgement rows.  Counts sum elementwise, so shard
-/// merges are associative and commutative.
+/// folded from per-base judgement rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EmiTally {
     /// Tallies per (configuration, optimisation level) column.
@@ -353,69 +352,6 @@ impl EmiTally {
         for (stats, judgement) in self.per_target.iter_mut().zip(judgements) {
             record_base(stats, *judgement);
         }
-    }
-}
-
-impl Mergeable for EmiTally {
-    fn same_shape(&self, other: &EmiTally) -> bool {
-        self.per_target.len() == other.per_target.len()
-    }
-
-    fn merge(&mut self, other: EmiTally) {
-        assert!(
-            self.same_shape(&other),
-            "cannot merge tallies with different target counts"
-        );
-        for (a, b) in self.per_target.iter_mut().zip(other.per_target) {
-            a.base_fails += b.base_fails;
-            a.wrong += b.wrong;
-            a.build_failures += b.build_failures;
-            a.crashes += b.crashes;
-            a.timeouts += b.timeouts;
-            a.stable += b.stable;
-        }
-    }
-
-    fn serialize(&self) -> String {
-        if self.per_target.is_empty() {
-            return "-".to_string();
-        }
-        self.per_target
-            .iter()
-            .map(|s| {
-                format!(
-                    "{},{},{},{},{},{}",
-                    s.base_fails, s.wrong, s.build_failures, s.crashes, s.timeouts, s.stable
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(";")
-    }
-
-    fn deserialize(text: &str) -> Result<EmiTally, JournalError> {
-        if text == "-" {
-            return Ok(EmiTally::default());
-        }
-        let per_target = text
-            .split(';')
-            .map(|token| {
-                let fields = crate::shard::parse_fields::<usize>(token, ',', "EMI stats")?;
-                if fields.len() != 6 {
-                    return Err(JournalError::Format(format!(
-                        "expected 6 EMI counts, got {token:?}"
-                    )));
-                }
-                Ok(EmiStats {
-                    base_fails: fields[0],
-                    wrong: fields[1],
-                    build_failures: fields[2],
-                    crashes: fields[3],
-                    timeouts: fields[4],
-                    stable: fields[5],
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(EmiTally { per_target })
     }
 }
 
@@ -497,7 +433,7 @@ pub fn emi_campaign_descriptor(options: &EmiCampaignOptions, configs: &[Configur
 }
 
 /// A sharded EMI campaign's outcome: the partial result over this shard's
-/// base slice, the mergeable tally behind it, and resume/journal metrics.
+/// base slice, the tally behind it, and resume/journal metrics.
 #[derive(Debug)]
 pub struct ShardedEmiCampaign {
     /// Partial [`EmiCampaignResult`] (its `bases` counts only this shard's
@@ -783,14 +719,6 @@ mod tests {
         // Multi-byte characters in a corrupted/foreign journal must surface
         // as a format error, not a char-boundary panic.
         assert!(Vec::<BaseJudgement>::decode("\u{1D11E}").is_err());
-
-        let mut tally = EmiTally::new(2);
-        tally.record(&row);
-        let round = EmiTally::deserialize(&tally.serialize()).unwrap();
-        assert_eq!(round, tally);
-        let mut doubled = tally.clone();
-        doubled.merge(tally.clone());
-        assert_eq!(doubled.per_target[0].wrong, 2 * tally.per_target[0].wrong);
     }
 
     #[test]
@@ -800,22 +728,26 @@ mod tests {
         let scheduler = Scheduler::new(2);
         let campaign = EmiCampaign::new(&scheduler, &configs, &options);
         let single = run_shard(&scheduler, &campaign, ShardSelect::whole(), None).unwrap();
-        let mut merged: Option<EmiTally> = None;
-        let mut judged = 0;
+        let mut paths = Vec::new();
         for index in 0..2u32 {
             // Every shard probes the live-base list afresh.
             let shard_campaign = EmiCampaign::new(&scheduler, &configs, &options);
             assert_eq!(shard_campaign.total_jobs(), campaign.total_jobs());
+            let path = std::env::temp_dir().join(format!(
+                "clfuzz-emi-test-{}-shard-{index}.journal",
+                std::process::id()
+            ));
             let select = ShardSelect { index, count: 2 };
-            let shard = run_shard(&scheduler, &shard_campaign, select, None).unwrap();
-            judged += shard.jobs;
-            match &mut merged {
-                None => merged = Some(shard.aggregate),
-                Some(t) => t.merge(shard.aggregate),
-            }
+            let journal = JournalOptions::create(&path);
+            run_shard(&scheduler, &shard_campaign, select, Some(&journal)).unwrap();
+            paths.push(path);
         }
-        assert_eq!(judged, single.jobs);
-        assert_eq!(merged.unwrap(), single.aggregate);
+        let (_, merged, summary) = crate::shard::merge::<EmiCampaign>(&paths, &configs).unwrap();
+        assert_eq!(summary.jobs_folded, single.jobs);
+        assert_eq!(merged, single.aggregate);
+        for path in paths {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

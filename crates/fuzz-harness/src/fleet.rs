@@ -277,20 +277,6 @@ pub struct FleetOptions {
     pub journal_dir: PathBuf,
 }
 
-impl Default for FleetOptions {
-    fn default() -> FleetOptions {
-        FleetOptions {
-            workers: 2,
-            lease_jobs: 64,
-            lease_timeout: Duration::from_secs(10),
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(10),
-            journal_dir: PathBuf::from("."),
-        }
-    }
-}
-
 /// A quarantined range: retried past its budget and abandoned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadLetter {
@@ -938,19 +924,31 @@ mod tests {
         }
     }
 
-    fn test_options(dir: &str) -> FleetOptions {
+    /// A test's fleet directory, removed when the test ends.
+    struct TestDir(PathBuf);
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Options over a fresh fleet directory named after `dir`, and the
+    /// guard that removes it.
+    fn test_options(dir: &str) -> (FleetOptions, TestDir) {
         let journal_dir =
             std::env::temp_dir().join(format!("clfuzz-fleet-test-{}-{dir}", std::process::id()));
         let _ = std::fs::remove_dir_all(&journal_dir);
-        FleetOptions {
+        let options = FleetOptions {
             workers: 2,
             lease_jobs: 30,
             lease_timeout: Duration::from_millis(40),
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
             poll_interval: Duration::from_millis(1),
-            journal_dir,
-        }
+            journal_dir: journal_dir.clone(),
+        };
+        (options, TestDir(journal_dir))
     }
 
     #[test]
@@ -990,7 +988,8 @@ mod tests {
 
     #[test]
     fn fleet_completes_all_ranges_with_reliable_workers() {
-        let mut coordinator = Coordinator::new(test_options("ok"), 100).unwrap();
+        let (options, _dir) = test_options("ok");
+        let mut coordinator = Coordinator::new(options, 100).unwrap();
         let mut handles = Vec::new();
         let outcome = coordinator
             .run(
@@ -1029,7 +1028,7 @@ mod tests {
 
     #[test]
     fn failing_range_retries_then_quarantines_as_dead_letter() {
-        let mut options = test_options("poison");
+        let (mut options, _dir) = test_options("poison");
         options.workers = 1;
         options.lease_jobs = 64;
         let mut coordinator = Coordinator::new(options.clone(), 40).unwrap();
@@ -1054,7 +1053,7 @@ mod tests {
 
     #[test]
     fn dead_worker_is_replaced_and_its_lease_reissued() {
-        let mut options = test_options("die");
+        let (mut options, _dir) = test_options("die");
         options.workers = 1;
         let mut coordinator = Coordinator::new(options, 30).unwrap();
         let mut spawned = 0;
@@ -1081,7 +1080,7 @@ mod tests {
 
     #[test]
     fn stalled_lease_expires_via_journal_growth_liveness() {
-        let mut options = test_options("stall");
+        let (mut options, _dir) = test_options("stall");
         options.workers = 1;
         let mut coordinator = Coordinator::new(options, 30).unwrap();
         let mut handles = Vec::new();

@@ -17,7 +17,6 @@
 //! ```text
 //! CLFUZZ-JOURNAL 2 <campaign> <seed:016x> <total_jobs> <shard>/<of> <start>-<end> <crc:016x>
 //! R <job_index> <job_seed:016x> <digest:016x> <payload> <crc:016x>
-//! K <upto> <jobs> <aggregate> <crc:016x>
 //! R ...
 //! ```
 //!
@@ -30,16 +29,15 @@
 //!   "not an I-of-N shard" sentinel) with the range carrying the lease.
 //! * Each `R` record names its job index, the job's derived RNG seed, a
 //!   digest of the payload (checked again on load), the serialized per-job
-//!   tally contribution, and the line checksum.
-//! * Each `K` checkpoint asserts that **every** job index in
-//!   `[start, upto)` is complete and that their contributions fold to
-//!   `aggregate` (a [`crate::shard::Mergeable`] token); `jobs` repeats
-//!   `upto - start` as a cross-check.  A loader seeds its tally from the
-//!   last valid checkpoint and replays only the records past it, making
-//!   resume O(tail) instead of O(run); [`compact_journal`] rewrites the
-//!   file down to header + checkpoint + uncovered records.
+//!   tally contribution, and the line checksum.  Records are the whole
+//!   journal: resume and merge decode them and fold them in job order.
 //! * Payloads are produced by [`crate::shard::JournalPayload`] encoders and
 //!   must not contain whitespace or newlines; the writer enforces this.
+//!
+//! Older builds also wrote `K` checkpoint lines (a pre-folded tally) into
+//! fleet lease journals.  [`load_journal`] refuses a journal holding one
+//! with a [`JournalError::Format`] naming the line rather than read half of
+//! it; shard journals never held one and still load.
 //!
 //! ## Robustness at the edges
 //!
@@ -47,8 +45,7 @@
 //! verifies every line's checksum and **stops at the first invalid line**,
 //! reporting the byte offset of the last valid record so a resumed run can
 //! truncate the corrupt tail and append from there — a half-written record
-//! (or checkpoint) is dropped, degrading to the last good checkpoint plus
-//! the records after it, never allowed to poison the campaign.
+//! is dropped, never allowed to poison the campaign.
 //!
 //! ## Writer thread
 //!
@@ -245,49 +242,6 @@ impl JournalRecord {
     }
 }
 
-/// A checkpoint record: every job index in `[header.range.0, upto)` is
-/// complete and their contributions fold to `aggregate`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Exclusive upper bound of the contiguous completed prefix.
-    pub upto: u64,
-    /// Number of jobs the checkpoint covers (`upto - range.0`), stored as a
-    /// cross-check against the header's range.
-    pub jobs: u64,
-    /// The folded contribution of the covered jobs, serialized with
-    /// [`crate::shard::Mergeable::serialize`] (a single token).
-    pub aggregate: String,
-}
-
-impl Checkpoint {
-    fn render(&self) -> Result<String, JournalError> {
-        require_token("checkpoint aggregate", &self.aggregate)?;
-        let body = format!("K {} {} {}", self.upto, self.jobs, self.aggregate);
-        Ok(format!("{body} {:016x}", checksum(body.as_bytes())))
-    }
-
-    fn parse(line: &str) -> Option<Checkpoint> {
-        let body = verify_line_checksum(line)?;
-        let fields: Vec<&str> = body.split(' ').collect();
-        if fields.len() != 4 || fields[0] != "K" {
-            return None;
-        }
-        Some(Checkpoint {
-            upto: fields[1].parse().ok()?,
-            jobs: fields[2].parse().ok()?,
-            aggregate: fields[3].to_string(),
-        })
-    }
-
-    /// Internal consistency against the journal's declared range: a
-    /// checkpoint claiming jobs outside the range (or a job count that
-    /// disagrees with its bound) is corrupt.
-    fn consistent_with(&self, header: &JournalHeader) -> bool {
-        let (start, end) = header.range;
-        start <= self.upto && self.upto <= end && self.jobs == self.upto - start
-    }
-}
-
 /// Rejects tokens that would break the space-separated line format.
 fn require_token(what: &str, token: &str) -> Result<(), JournalError> {
     if token.is_empty() || token.contains(char::is_whitespace) {
@@ -306,20 +260,14 @@ fn verify_line_checksum(line: &str) -> Option<&str> {
     (checksum(body.as_bytes()) == crc).then_some(body)
 }
 
-/// A journal read back from disk: the header, the last valid checkpoint (if
-/// any), every valid record past it, and how much of the file they account
-/// for.
+/// A journal read back from disk: the header, every valid record, and how
+/// much of the file they account for.
 #[derive(Debug)]
 pub struct LoadedJournal {
     /// The parsed header.
     pub header: JournalHeader,
-    /// Every record whose checksum verified and that is **not** already
-    /// covered by `checkpoint`, in file order.
+    /// Every record whose checksum verified, in file order.
     pub records: Vec<JournalRecord>,
-    /// The last valid checkpoint, covering `[header.range.0, upto)`.
-    /// Records with `job_index < upto` were folded into its aggregate when
-    /// it was written and are dropped from `records`.
-    pub checkpoint: Option<Checkpoint>,
     /// Byte offset just past the last valid line — a resumed writer
     /// truncates the file here before appending.
     pub valid_bytes: u64,
@@ -327,23 +275,12 @@ pub struct LoadedJournal {
     pub dropped_bytes: u64,
 }
 
-impl LoadedJournal {
-    /// Number of completed jobs the journal accounts for: checkpoint
-    /// coverage plus the uncovered records.
-    pub fn jobs_completed(&self) -> u64 {
-        self.checkpoint.as_ref().map_or(0, |c| c.jobs) + self.records.len() as u64
-    }
-}
-
 /// Reads a journal, verifying every line's checksum and dropping the
 /// corrupt tail a mid-write kill leaves behind (see the module docs).
 ///
-/// A torn or corrupt checkpoint line stops the scan like any other bad
-/// line: the journal degrades to the last *good* checkpoint plus the valid
-/// records before the tear.
-///
 /// Returns `Format` if the header itself is missing or invalid — an empty
-/// or headerless file is not a journal.
+/// or headerless file is not a journal — and if a complete line is a `K`
+/// checkpoint line, which older builds wrote and this one does not read.
 pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let mut file = File::open(path)?;
     let mut raw = Vec::new();
@@ -351,9 +288,8 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let mut offset = 0usize;
     let mut header: Option<JournalHeader> = None;
     let mut records: Vec<JournalRecord> = Vec::new();
-    let mut checkpoint: Option<Checkpoint> = None;
     let mut valid_bytes = 0usize;
-    while offset < raw.len() {
+    for line_number in 1u64.. {
         // A line is only complete (and only checksummed) once its newline
         // is on disk; anything after the last newline is in-flight tail.
         let Some(nl) = raw[offset..].iter().position(|&b| b == b'\n') else {
@@ -362,26 +298,22 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
         let Ok(line) = std::str::from_utf8(&raw[offset..offset + nl]) else {
             break;
         };
-        match &header {
-            None => match JournalHeader::parse(line) {
+        if header.is_none() {
+            match JournalHeader::parse(line) {
                 Some(h) => header = Some(h),
                 None => break,
-            },
-            Some(h) if line.starts_with("K ") => {
-                match Checkpoint::parse(line).filter(|c| c.consistent_with(h)) {
-                    Some(c) => {
-                        // The new checkpoint covers everything the previous
-                        // one did plus the records folded since.
-                        records.retain(|r| r.job_index >= c.upto);
-                        checkpoint = Some(c);
-                    }
-                    None => break,
-                }
             }
-            Some(_) => match JournalRecord::parse(line) {
+        } else if line.starts_with("K ") {
+            return Err(JournalError::Format(format!(
+                "{} line {line_number} is a checkpoint (`K`) line; journals hold only \
+                 `R` records, so this one cannot be read",
+                path.display()
+            )));
+        } else {
+            match JournalRecord::parse(line) {
                 Some(r) => records.push(r),
                 None => break,
-            },
+            }
         }
         offset += nl + 1;
         valid_bytes = offset;
@@ -389,47 +321,17 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let header = header.ok_or_else(|| {
         JournalError::Format(format!("{} has no valid journal header", path.display()))
     })?;
-    if let Some(c) = &checkpoint {
-        records.retain(|r| r.job_index >= c.upto);
-    }
     Ok(LoadedJournal {
         header,
         records,
-        checkpoint,
         valid_bytes: valid_bytes as u64,
         dropped_bytes: (raw.len() - valid_bytes) as u64,
     })
 }
 
-/// Rewrites a journal down to its canonical minimum: header, the last
-/// checkpoint (if any), and the records it does not cover.  Also heals a
-/// corrupt tail (the rewrite only carries valid lines).  Atomic: the new
-/// content is staged in a sibling temp file and renamed over the original.
-///
-/// Returns `(bytes_before, bytes_after)`.
-pub fn compact_journal(path: &Path) -> Result<(u64, u64), JournalError> {
-    let loaded = load_journal(path)?;
-    let bytes_before = loaded.valid_bytes + loaded.dropped_bytes;
-    let mut text = loaded.header.render()?;
-    text.push('\n');
-    if let Some(c) = &loaded.checkpoint {
-        text.push_str(&c.render()?);
-        text.push('\n');
-    }
-    for r in &loaded.records {
-        text.push_str(&r.render()?);
-        text.push('\n');
-    }
-    let tmp = path.with_extension(format!("compact.{}", std::process::id()));
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, path)?;
-    Ok((bytes_before, text.len() as u64))
-}
-
 /// Message protocol between the shard executor and the writer thread.
 enum WriterMessage {
     Record(JournalRecord),
-    Checkpoint(Checkpoint),
     Finish,
 }
 
@@ -532,12 +434,8 @@ impl JournalWriter {
             };
             let mut failure: Option<std::io::Error> = None;
             let mut dropped = 0u64;
-            loop {
-                let line = match rx.recv() {
-                    Ok(WriterMessage::Record(record)) => record.render()?,
-                    Ok(WriterMessage::Checkpoint(checkpoint)) => checkpoint.render()?,
-                    Ok(WriterMessage::Finish) | Err(_) => break,
-                };
+            while let Ok(WriterMessage::Record(record)) = rx.recv() {
+                let line = record.render()?;
                 if failure.is_some() {
                     // Past the first persistent failure, drain and count so
                     // senders never block and the loss is reported exactly.
@@ -569,11 +467,6 @@ impl JournalWriter {
         // A send can only fail if the writer thread died (e.g. disk full);
         // the error surfaces from `finish`, which owns the thread's result.
         let _ = self.tx.send(WriterMessage::Record(record));
-    }
-
-    /// Queues one checkpoint line for writing.
-    pub fn checkpoint(&self, checkpoint: Checkpoint) {
-        let _ = self.tx.send(WriterMessage::Checkpoint(checkpoint));
     }
 
     /// Stops the writer thread, flushes, and returns the final file size in
@@ -754,134 +647,27 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_supersedes_covered_records() {
+    fn checkpoint_lines_are_refused() {
+        // Older builds wrote `K <upto> <jobs> <aggregate>` lines into lease
+        // journals.  Such a journal is refused whole, naming the line, even
+        // when records follow it.
         let path = temp_path("checkpoint");
-        let writer = JournalWriter::create(&path, &header()).unwrap();
-        writer.record(JournalRecord::new(0, 100, "p0".into()));
-        writer.record(JournalRecord::new(1, 101, "p1".into()));
-        writer.checkpoint(Checkpoint {
-            upto: 2,
-            jobs: 2,
-            aggregate: "agg2".into(),
-        });
-        writer.record(JournalRecord::new(2, 102, "p2".into()));
-        writer.finish().unwrap();
-        let loaded = load_journal(&path).unwrap();
-        let cp = loaded.checkpoint.as_ref().unwrap();
-        assert_eq!((cp.upto, cp.jobs, cp.aggregate.as_str()), (2, 2, "agg2"));
-        assert_eq!(
-            loaded
-                .records
-                .iter()
-                .map(|r| r.job_index)
-                .collect::<Vec<_>>(),
-            vec![2],
-            "records covered by the checkpoint must be dropped"
-        );
-        assert_eq!(loaded.jobs_completed(), 3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn later_checkpoint_wins_and_compaction_round_trips() {
-        let path = temp_path("compact");
-        let writer = JournalWriter::create(&path, &header()).unwrap();
-        writer.record(JournalRecord::new(0, 100, "p0".into()));
-        writer.checkpoint(Checkpoint {
-            upto: 1,
-            jobs: 1,
-            aggregate: "agg1".into(),
-        });
-        writer.record(JournalRecord::new(1, 101, "p1".into()));
-        writer.record(JournalRecord::new(2, 102, "p2".into()));
-        writer.checkpoint(Checkpoint {
-            upto: 3,
-            jobs: 3,
-            aggregate: "agg3".into(),
-        });
-        writer.record(JournalRecord::new(3, 103, "p3".into()));
-        writer.finish().unwrap();
-
-        let before = load_journal(&path).unwrap();
-        assert_eq!(before.checkpoint.as_ref().unwrap().aggregate, "agg3");
-        assert_eq!(before.records.len(), 1);
-
-        let (bytes_before, bytes_after) = compact_journal(&path).unwrap();
-        assert!(
-            bytes_after < bytes_before,
-            "compaction must shrink a journal with superseded lines \
-             ({bytes_after} !< {bytes_before})"
-        );
-        let after = load_journal(&path).unwrap();
-        assert_eq!(after.header, before.header);
-        assert_eq!(after.checkpoint, before.checkpoint);
-        assert_eq!(after.records, before.records);
-        assert_eq!(after.jobs_completed(), 4);
-        assert_eq!(after.dropped_bytes, 0);
-        // Compacting an already-canonical journal is a fixpoint.
-        let (b2, a2) = compact_journal(&path).unwrap();
-        assert_eq!(b2, a2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_checkpoint_degrades_to_last_good_checkpoint() {
-        let path = temp_path("torncp");
-        let writer = JournalWriter::create(&path, &header()).unwrap();
-        writer.record(JournalRecord::new(0, 100, "p0".into()));
-        writer.checkpoint(Checkpoint {
-            upto: 1,
-            jobs: 1,
-            aggregate: "agg1".into(),
-        });
-        writer.record(JournalRecord::new(1, 101, "p1".into()));
-        writer.checkpoint(Checkpoint {
-            upto: 2,
-            jobs: 2,
-            aggregate: "agg2".into(),
-        });
-        writer.finish().unwrap();
-        // Tear the file inside the *second* checkpoint line.
-        let full = std::fs::metadata(&path).unwrap().len();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(full - 5)
-            .unwrap();
-        let loaded = load_journal(&path).unwrap();
-        let cp = loaded.checkpoint.as_ref().unwrap();
-        assert_eq!(
-            cp.aggregate, "agg1",
-            "a torn checkpoint must fall back to the previous good one"
-        );
-        assert_eq!(
-            loaded
-                .records
-                .iter()
-                .map(|r| r.job_index)
-                .collect::<Vec<_>>(),
-            vec![1],
-            "records after the good checkpoint survive"
-        );
-        assert!(loaded.dropped_bytes > 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn inconsistent_checkpoint_stops_the_scan() {
-        // A checkpoint whose bounds contradict the header range is treated
-        // as corruption, not trusted.
-        let path = temp_path("badcp");
-        let h = header();
-        let mut text = h.render().unwrap();
-        text.push('\n');
-        let body = "K 9 9 bogus"; // upto=9 outside range (0,4)
+        write_journal(&path, 2);
+        let body = "K 2 2 agg2";
+        let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&format!("{body} {:016x}\n", checksum(body.as_bytes())));
+        text.push_str(&JournalRecord::new(2, 102, "p2".into()).render().unwrap());
+        text.push('\n');
         std::fs::write(&path, &text).unwrap();
-        let loaded = load_journal(&path).unwrap();
-        assert!(loaded.checkpoint.is_none());
-        assert!(loaded.dropped_bytes > 0);
+        match load_journal(&path) {
+            Err(JournalError::Format(msg)) => {
+                assert!(
+                    msg.contains("line 4") && msg.contains("checkpoint"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -79,8 +79,8 @@ pub use fleet::{
     LeaseRecord, ProcessWorker, WorkerLink,
 };
 pub use journal::{
-    checksum, compact_journal, load_journal, Checkpoint, JournalError, JournalHeader,
-    JournalRecord, JournalWriter, LoadedJournal, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
+    checksum, load_journal, JournalError, JournalHeader, JournalRecord, JournalWriter,
+    LoadedJournal, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
 };
 pub use opencl_sim::ExecutionTier;
 pub use report::{
@@ -88,7 +88,6 @@ pub use report::{
     render_reliability_table, render_table, EMPTY_CELL,
 };
 pub use shard::{
-    lease_header, merge, run_lease, run_range_fold, run_shard, run_sharded, Campaign,
-    CheckpointPolicy, FoldRun, JournalOptions, JournalPayload, Mergeable, RefoldSummary,
-    ShardMetrics, ShardRun, ShardSelect, ShardSpec,
+    lease_header, merge, run_lease, run_range_fold, run_shard, run_sharded, Campaign, FoldRun,
+    JournalOptions, JournalPayload, RefoldSummary, ShardMetrics, ShardRun, ShardSelect, ShardSpec,
 };

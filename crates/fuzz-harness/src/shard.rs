@@ -1,7 +1,7 @@
 //! The shard/merge layer: every campaign is a [`Campaign`] — an explicit,
-//! serializable job index space with a mergeable tally — and runs through
-//! one executor, [`run_range_fold`], with an optional resumable journal
-//! ([`crate::journal`]) and a deterministic merge.
+//! serializable job index space with a tally its jobs fold into — and runs
+//! through one executor, [`run_range_fold`], with an optional resumable
+//! journal ([`crate::journal`]) and a deterministic merge.
 //!
 //! * [`ShardSpec`] / [`ShardSelect`] — a campaign's job space is
 //!   `0..total_jobs`; a spec names one contiguous slice of it (shard `i` of
@@ -11,18 +11,19 @@
 //! * [`run_range_fold`] — the executor: it runs the jobs of one range that
 //!   its journal does not already hold, streams each completed record to
 //!   the journal's writer thread, and folds every output into the tally in
-//!   job-index order.  [`run_shard`] runs a shard as a checkpoint-free
-//!   range under its `I/N` header; [`run_lease`] runs a fleet lease with
-//!   checkpoints under its lease header.
-//! * [`Mergeable`] + [`merge`] — tallies serialize, deserialize and merge
-//!   associatively, and any subset of a campaign's shard or lease journals
-//!   merges into one tally for full or partial tables, rebuilding the
-//!   campaign from the journals' descriptor alone.
+//!   job-index order.  [`run_shard`] runs a shard under its `I/N` header;
+//!   [`run_lease`] runs a fleet lease under its lease header.
+//! * [`merge`] — any subset of a campaign's shard or lease journals merges
+//!   into one tally for full or partial tables, rebuilding the campaign
+//!   from the journals' descriptor alone.
 //!
-//! The invariant the invariance matrix (`crates/bench/tests/matrix/mod.rs`)
-//! pins for every campaign: for a fixed campaign seed, *(single process)* ≡
-//! *(N shards merged)* ≡ *(killed at any job boundary, then resumed)* ≡
-//! *(checkpointed leases merged)* — bit-identical rendered tables.
+//! Journals hold only per-job records, so resume and merge share one path:
+//! decode the journaled records and fold them in job order.  The invariant
+//! the invariance matrix (`crates/bench/tests/matrix/mod.rs`) pins for
+//! every campaign: for a fixed campaign seed, *(single process)* ≡ *(N
+//! shards merged)* ≡ *(killed at any job boundary, then resumed)* ≡
+//! *(interrupted and resumed leases merged)* — bit-identical rendered
+//! tables.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -32,10 +33,7 @@ use opencl_sim::Configuration;
 
 use crate::exec::{JobFailure, JobResult, Scheduler, StagedJob};
 use crate::fleet::LeaseRecord;
-use crate::journal::{
-    compact_journal, load_journal, Checkpoint, JournalError, JournalHeader, JournalRecord,
-    JournalWriter,
-};
+use crate::journal::{load_journal, JournalError, JournalHeader, JournalRecord, JournalWriter};
 
 /// A shard's slice of a campaign: the campaign seed, the size of the global
 /// job index space, and which contiguous slice of it this shard covers.
@@ -149,24 +147,6 @@ impl std::fmt::Display for ShardSelect {
     }
 }
 
-/// An aggregation state that campaign shards fold into: it serializes to a
-/// single whitespace-free token, deserializes back, and merges
-/// **associatively** (merging per-shard aggregates in any grouping yields
-/// the same state as folding every job into one aggregate).
-pub trait Mergeable: Sized {
-    /// Folds `other` into `self`; both must have the [same
-    /// shape](Mergeable::same_shape).
-    fn merge(&mut self, other: Self);
-    /// Whether `other` has this tally's shape (mode and target counts), so
-    /// that merging it is defined.  A journal's checkpoint tally is checked
-    /// against the campaign's empty tally before it is merged.
-    fn same_shape(&self, other: &Self) -> bool;
-    /// Serializes to a single whitespace-free token.
-    fn serialize(&self) -> String;
-    /// Parses a token produced by [`Mergeable::serialize`].
-    fn deserialize(text: &str) -> Result<Self, JournalError>;
-}
-
 /// A per-job output that can be journaled: encodes to a single
 /// whitespace-free token and decodes back to an identical value, so a
 /// resumed campaign folds journaled jobs bit-identically to executed ones.
@@ -255,8 +235,7 @@ fn validate_header(
 /// Runs one shard's slice and returns every job's output in index order —
 /// [`run_range_fold`] under the shard's header, folding into a list.
 ///
-/// `make_job` maps a global job index to its derived seed and job.  Shard
-/// runs write no checkpoints, so a journal carrying one cannot resume here.
+/// `make_job` maps a global job index to its derived seed and job.
 /// Outside this module's tests, only the campaign benchmark
 /// (`campaign-bench`) calls it; campaigns run through [`run_shard`].
 pub fn run_sharded<J, F>(
@@ -276,48 +255,17 @@ where
         &spec.header(campaign),
         journal,
         None,
-        None,
         make_job,
-        Outputs(Vec::new()),
+        Vec::new(),
         |outputs, g, output| {
-            outputs.0.push((g, output));
+            outputs.push((g, output));
             Ok(())
         },
     )?;
     Ok(ShardRun {
-        outputs: run.aggregate.0,
+        outputs: run.aggregate,
         metrics: run.metrics,
     })
-}
-
-/// [`run_sharded`]'s aggregate: the outputs themselves, in fold order.
-struct Outputs<T>(Vec<(u64, T)>);
-
-impl<T> Mergeable for Outputs<T> {
-    fn merge(&mut self, other: Self) {
-        self.0.extend(other.0);
-    }
-
-    fn same_shape(&self, _: &Self) -> bool {
-        true
-    }
-
-    fn serialize(&self) -> String {
-        unreachable!("shard runs write no checkpoints")
-    }
-
-    fn deserialize(_: &str) -> Result<Self, JournalError> {
-        let msg = "a checkpointed journal cannot resume a per-output shard run";
-        Err(JournalError::Mismatch(msg.into()))
-    }
-}
-
-/// How often a fold-based run emits journal checkpoints: one `K` line per
-/// `every` newly folded jobs (plus a final one at the end of the run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Jobs folded between checkpoints (at least 1).
-    pub every: u64,
 }
 
 /// Output of [`run_range_fold`]: the folded aggregate of the journal's
@@ -338,18 +286,14 @@ pub struct FoldRun<A> {
 /// Completed jobs are folded as soon as the **contiguous completed prefix**
 /// of the range advances past them (a watermark — jobs finish out of order
 /// under a parallel scheduler, the fold stays in ascending index order
-/// regardless).  With a
-/// [`CheckpointPolicy`] the running aggregate is serialized into the
-/// journal as a `K` line every `every` folded jobs, and the journal is
-/// compacted after the run — resume cost is then O(tail since last
-/// checkpoint), not O(run).
+/// regardless).  A resumed run decodes the journal's records and folds them
+/// through the same watermark, so it costs one decode per journaled job and
+/// no execution.
 ///
 /// `fold` must agree with the journal payload round-trip: an executed
 /// output is folded via `decode(encode(output))`, exactly the value a
 /// resumed run would fold, so the two are bit-identical by construction.
-/// The aggregate's [`Mergeable::merge`] must be commutative as well as
-/// associative (every tally in this codebase is a vector of counters).  A
-/// `fold` error — a journaled output the campaign cannot fold — ends the
+/// A `fold` error — a journaled output the campaign cannot fold — ends the
 /// run with that error.
 ///
 /// `stop_before` truncates execution to `[range.0, stop_before)` while
@@ -361,12 +305,10 @@ pub struct FoldRun<A> {
 /// *after* every completed job of the batch has been journaled, so even a
 /// campaign aborted by a poisoned job resumes from everything that
 /// finished.
-#[allow(clippy::too_many_arguments)]
 pub fn run_range_fold<J, A>(
     scheduler: &Scheduler,
     header: &JournalHeader,
     journal: Option<&JournalOptions>,
-    checkpoint: Option<CheckpointPolicy>,
     stop_before: Option<u64>,
     make_job: impl Fn(u64) -> (u64, J),
     mut aggregate: A,
@@ -375,15 +317,14 @@ pub fn run_range_fold<J, A>(
 where
     J: StagedJob,
     J::Output: JournalPayload,
-    A: Mergeable,
 {
     let range = header.range.0..header.range.1;
     let limit = stop_before
         .unwrap_or(range.end)
         .clamp(range.start, range.end);
 
-    // Phase 1: resume — seed the aggregate from the checkpoint, restore the
-    // uncovered records, and advance the watermark over both.
+    // Phase 1: resume — restore the journaled records and advance the
+    // watermark over them.
     let mut watermark = range.start;
     let mut staged: BTreeMap<u64, J::Output> = BTreeMap::new();
     let mut jobs_resumed = 0u64;
@@ -395,11 +336,6 @@ where
             validate_header(&loaded.header, header, &options.path)?;
             dropped_bytes = loaded.dropped_bytes;
             resume_from = Some(loaded.valid_bytes);
-            if let Some(cp) = &loaded.checkpoint {
-                merge_checkpoint(&mut aggregate, &cp.aggregate, &options.path)?;
-                watermark = cp.upto;
-                jobs_resumed += cp.jobs;
-            }
             for record in loaded.records {
                 check_in_range(&record, &range, &options.path)?;
                 staged.insert(record.job_index, J::Output::decode(&record.payload)?);
@@ -426,8 +362,8 @@ where
             Tagged { g, seed, job }
         });
 
-    // Phase 3: execute, folding at the watermark and checkpointing as the
-    // contiguous completed prefix grows.
+    // Phase 3: execute, journaling every record and folding at the
+    // watermark as the contiguous completed prefix grows.
     let writer = match journal {
         Some(options) => Some(match resume_from {
             Some(valid_bytes) => JournalWriter::append(&options.path, valid_bytes)?,
@@ -435,8 +371,6 @@ where
         }),
         None => None,
     };
-    let mut checkpointed_upto = watermark;
-    let mut since_checkpoint = 0u64;
     let mut fold_error: Option<JournalError> = None;
     let mut failures: Vec<JobFailure> = Vec::new();
     scheduler.run_streaming(jobs, |_, result| {
@@ -461,45 +395,17 @@ where
             while let Some(next) = staged.remove(&watermark) {
                 fold(&mut aggregate, watermark, next)?;
                 watermark += 1;
-                since_checkpoint += 1;
             }
             Ok(())
         });
         if let Err(e) = folded {
             fold_error = Some(e);
-            return;
-        }
-        if let (Some(policy), Some(writer)) = (&checkpoint, &writer) {
-            if since_checkpoint >= policy.every.max(1) && watermark > checkpointed_upto {
-                writer.checkpoint(Checkpoint {
-                    upto: watermark,
-                    jobs: watermark - range.start,
-                    aggregate: aggregate.serialize(),
-                });
-                checkpointed_upto = watermark;
-                since_checkpoint = 0;
-            }
         }
     });
-    if let (Some(_), Some(writer)) = (&checkpoint, &writer) {
-        // Final checkpoint: everything folded so far, so the compacted
-        // journal is header + one K line (+ any out-of-order residue).
-        if watermark > checkpointed_upto && fold_error.is_none() {
-            writer.checkpoint(Checkpoint {
-                upto: watermark,
-                jobs: watermark - range.start,
-                aggregate: aggregate.serialize(),
-            });
-        }
-    }
-    let mut journal_bytes = match writer {
+    let journal_bytes = match writer {
         Some(writer) => writer.finish()?,
         None => 0,
     };
-    if let (Some(_), Some(options)) = (&checkpoint, journal) {
-        let (_, after) = compact_journal(&options.path)?;
-        journal_bytes = after;
-    }
 
     // Phase 4: re-raise the first contained panic, then surface any fold
     // error.
@@ -549,24 +455,6 @@ impl<J: StagedJob> StagedJob for Tagged<J> {
     }
 }
 
-/// Merges a journal's checkpoint tally into `aggregate`, refusing one whose
-/// shape differs from the campaign's.
-fn merge_checkpoint<A: Mergeable>(
-    aggregate: &mut A,
-    token: &str,
-    path: &Path,
-) -> Result<(), JournalError> {
-    let part = A::deserialize(token)?;
-    if !aggregate.same_shape(&part) {
-        return Err(JournalError::Format(format!(
-            "{} holds a checkpoint tally of the wrong shape for its campaign",
-            path.display()
-        )));
-    }
-    aggregate.merge(part);
-    Ok(())
-}
-
 /// Refuses a record outside the journal's declared range.
 fn check_in_range(
     record: &JournalRecord,
@@ -590,7 +478,7 @@ fn check_in_range(
 ///
 /// Job `g` of `0..total_jobs()` is built by [`Campaign::job`] with its
 /// seed, run whole on one worker, and its output (journaled as a
-/// [`JournalPayload`]) is folded into the campaign's [`Mergeable`] tally by
+/// [`JournalPayload`]) is folded into the campaign's tally by
 /// [`Campaign::fold`] in job-index order.  [`Campaign::descriptor`] names
 /// the job space in every journal header, and [`Campaign::parse`] rebuilds
 /// the campaign from such a header: the job space, tally and fold — all a
@@ -601,7 +489,7 @@ pub trait Campaign: Sized {
     /// One job of the space.
     type Job: StagedJob<Output: JournalPayload>;
     /// The aggregation state jobs fold into.
-    type Tally: Mergeable;
+    type Tally;
 
     /// The single-token descriptor written into every journal header.
     fn descriptor(&self) -> String;
@@ -647,8 +535,8 @@ fn fold_checked<C: Campaign>(
     Ok(())
 }
 
-/// Runs one shard of `campaign`: a checkpoint-free range under its `I/N`
-/// header, optionally journaled and resumed.
+/// Runs one shard of `campaign` under its `I/N` header, optionally
+/// journaled and resumed.
 pub fn run_shard<C: Campaign>(
     scheduler: &Scheduler,
     campaign: &C,
@@ -661,7 +549,6 @@ pub fn run_shard<C: Campaign>(
         &spec.header(&campaign.descriptor()),
         journal,
         None,
-        None,
         |g| campaign.job(g),
         campaign.tally(),
         |tally, g, output| fold_checked(campaign, tally, g, output),
@@ -669,13 +556,12 @@ pub fn run_shard<C: Campaign>(
 }
 
 /// Runs one fleet lease of `campaign`: its range under a lease header,
-/// resuming the lease journal and checkpointing into it, truncated at
-/// `stop_before` when a fault is scheduled there.
+/// resuming the lease journal's records, truncated at `stop_before` when a
+/// fault is scheduled there.
 pub fn run_lease<C: Campaign>(
     scheduler: &Scheduler,
     campaign: &C,
     lease: &LeaseRecord,
-    checkpoint: CheckpointPolicy,
     stop_before: Option<u64>,
 ) -> Result<FoldRun<C::Tally>, JournalError> {
     let header = lease_header(
@@ -689,7 +575,6 @@ pub fn run_lease<C: Campaign>(
         scheduler,
         &header,
         Some(&JournalOptions::resume(&lease.journal)),
-        Some(checkpoint),
         stop_before,
         |g| campaign.job(g),
         campaign.tally(),
@@ -721,17 +606,12 @@ pub struct RefoldSummary {
 /// The campaign is [parsed](Campaign::parse) from the first journal's
 /// header, and every journal must carry the same descriptor, seed and job
 /// count.  Records are folded in job-index order; duplicate indices must
-/// carry identical digests (overlapping shards are fine, conflicting ones
-/// are corrupt).  A journal carrying a checkpoint contributes its
-/// pre-folded tally directly; its segment `[range.0, upto)` must not
-/// overlap any other journal's checkpoint segment (there is no per-job
-/// digest left to arbitrate a conflict), and plain records duplicated under
-/// a checkpoint segment are dropped as redundant.
+/// carry identical digests (overlapping shards or leases are fine,
+/// conflicting ones are corrupt).
 ///
 /// Journal input is checked before anything is folded: a header job count
 /// that differs from the campaign's, a record outside its journal's range,
-/// and an output or checkpoint tally of the wrong width are each a
-/// [`JournalError`].
+/// and an output of the wrong width are each a [`JournalError`].
 pub fn merge<C: Campaign>(
     paths: &[PathBuf],
     configs: &[Configuration],
@@ -755,10 +635,7 @@ pub fn merge<C: Campaign>(
             campaign.total_jobs()
         )));
     }
-    let mut tally = campaign.tally();
     let mut records: BTreeMap<u64, JournalRecord> = BTreeMap::new();
-    // Checkpoint segments as (start, upto, source path).
-    let mut segments: Vec<(u64, u64, &Path)> = Vec::new();
     // (descriptor, seed, job count): what every journal must share.
     let key = |h: &JournalHeader| (h.campaign.clone(), h.campaign_seed, h.total_jobs);
     for (path, journal) in journals {
@@ -780,10 +657,6 @@ pub fn merge<C: Campaign>(
                 h.total_jobs
             )));
         }
-        if let Some(cp) = journal.checkpoint.filter(|cp| cp.jobs > 0) {
-            merge_checkpoint(&mut tally, &cp.aggregate, path)?;
-            segments.push((h.range.0, cp.upto, path.as_path()));
-        }
         let range = h.range.0..h.range.1;
         for record in journal.records {
             check_in_range(&record, &range, path)?;
@@ -802,29 +675,8 @@ pub fn merge<C: Campaign>(
             }
         }
     }
-    segments.sort_by_key(|(start, _, _)| *start);
-    for pair in segments.windows(2) {
-        let ((_, upto, prev), (start, _, next)) = (pair[0], pair[1]);
-        if upto > start {
-            return Err(JournalError::Mismatch(format!(
-                "checkpoint segments overlap: {} covers through job {upto} but {} \
-                 starts at job {start}",
-                prev.display(),
-                next.display(),
-            )));
-        }
-    }
-    // Records a checkpoint already folded are redundant duplicates.
-    records.retain(|index, _| {
-        !segments
-            .iter()
-            .any(|(start, upto, _)| (*start..*upto).contains(index))
-    });
-    let jobs_folded = segments
-        .iter()
-        .map(|(start, upto, _)| upto - start)
-        .sum::<u64>()
-        + records.len() as u64;
+    let jobs_folded = records.len() as u64;
+    let mut tally = campaign.tally();
     for (index, record) in records {
         let output = JournalPayload::decode(&record.payload)?;
         fold_checked(&campaign, &mut tally, index, output)?;
@@ -841,8 +693,8 @@ pub fn merge<C: Campaign>(
 }
 
 /// Splits `value` on `sep` and parses each piece — the small-deserializer
-/// helper every [`Mergeable`]/[`JournalPayload`] implementation in the
-/// driver modules shares.
+/// helper every [`JournalPayload`] implementation in the driver modules
+/// shares.
 pub(crate) fn parse_fields<T: std::str::FromStr>(
     text: &str,
     sep: char,
@@ -934,22 +786,6 @@ mod tests {
         }
     }
 
-    impl Mergeable for u64 {
-        fn merge(&mut self, other: Self) {
-            *self += other;
-        }
-        fn same_shape(&self, _: &Self) -> bool {
-            true
-        }
-        fn serialize(&self) -> String {
-            self.to_string()
-        }
-        fn deserialize(text: &str) -> Result<Self, JournalError> {
-            text.parse()
-                .map_err(|_| JournalError::Format(format!("bad u64 aggregate {text:?}")))
-        }
-    }
-
     /// A campaign of [`Double`] jobs summing their outputs; its descriptor
     /// is `test:<name>:<total jobs>`.
     #[derive(Debug)]
@@ -1009,14 +845,13 @@ mod tests {
         (1000 + index, Double(index))
     }
 
-    /// Runs lease `id` of `campaign` over `range` with checkpoints every
-    /// `every` jobs, stopping before `stop_before`.
+    /// Runs lease `id` of `campaign` over `range`, stopping before
+    /// `stop_before`.
     fn lease(
         campaign: &Sum,
         id: u32,
         range: Range<u64>,
         path: &Path,
-        every: u64,
         stop_before: Option<u64>,
     ) -> FoldRun<u64> {
         let lease = LeaseRecord {
@@ -1026,14 +861,7 @@ mod tests {
             attempt: 1,
             journal: path.to_path_buf(),
         };
-        run_lease(
-            &Scheduler::new(3),
-            campaign,
-            &lease,
-            CheckpointPolicy { every },
-            stop_before,
-        )
-        .unwrap()
+        run_lease(&Scheduler::new(3), campaign, &lease, stop_before).unwrap()
     }
 
     #[test]
@@ -1093,7 +921,7 @@ mod tests {
             Ok(())
         };
         let header = spec.header("test:bounded");
-        let run = run_range_fold(&scheduler, &header, None, None, None, make_job, 0, sum).unwrap();
+        let run = run_range_fold(&scheduler, &header, None, None, make_job, 0, sum).unwrap();
         assert_eq!(run.aggregate, 10_000);
         // The queue bound is four jobs per worker.
         let most = counters.most_waiting.load(Ordering::SeqCst);
@@ -1213,35 +1041,29 @@ mod tests {
     }
 
     #[test]
-    fn range_fold_checkpoints_compact_and_resume() {
-        // A checkpointing lease run: the compacted journal must be tiny
-        // (header + one K line), an interrupted attempt (stop_before) must
-        // resume from the checkpoint, and the final aggregate must equal
-        // the plain fold.
+    fn range_fold_resumes_an_interrupted_lease_from_its_records() {
+        // An interrupted lease attempt (stop_before) journals its records
+        // only; the next attempt resumes from them, and the final aggregate
+        // and the journal's merge equal the plain fold.
         let path = temp_path("rangefold");
         let campaign = sum("fold", 5, 40);
         let expected: u64 = (10..30u64).map(|i| i * 2).sum();
 
         // Attempt 1: stop before job 21 (fault-injection style truncation).
-        let partial = lease(&campaign, 2, 10..30, &path, 4, Some(21));
+        let partial = lease(&campaign, 2, 10..30, &path, Some(21));
         assert_eq!(partial.jobs, 11);
         let loaded = load_journal(&path).unwrap();
-        let cp = loaded.checkpoint.as_ref().unwrap();
-        assert_eq!(cp.upto, 21);
-        assert_eq!(cp.jobs, 11);
-        assert!(
-            loaded.records.is_empty(),
-            "compaction folds all records into the final checkpoint"
-        );
+        let mut journaled: Vec<u64> = loaded.records.iter().map(|r| r.job_index).collect();
+        journaled.sort_unstable();
+        assert_eq!(journaled, (10..21).collect::<Vec<_>>());
 
         // Attempt 2: resume to completion.
-        let run = lease(&campaign, 2, 10..30, &path, 4, None);
+        let run = lease(&campaign, 2, 10..30, &path, None);
         assert_eq!(run.aggregate, expected);
         assert_eq!(run.metrics.jobs_resumed, 11);
         assert_eq!(run.metrics.jobs_replayed, 9);
         assert_eq!(run.jobs, 20);
 
-        // The compacted journal merges (checkpoint consumed, no records).
         let (_, total, summary) = merge::<Sum>(std::slice::from_ref(&path), &[]).unwrap();
         assert_eq!(total, expected);
         assert_eq!(summary.jobs_folded, 20);
@@ -1253,9 +1075,9 @@ mod tests {
     fn resuming_a_journal_that_reaches_past_the_stop_index_runs_nothing() {
         let path = temp_path("paststop");
         let campaign = sum("past", 5, 40);
-        let partial = lease(&campaign, 1, 10..30, &path, 4, Some(21));
-        // Resume with the stop index below the checkpoint's watermark.
-        let run = lease(&campaign, 1, 10..30, &path, 4, Some(15));
+        let partial = lease(&campaign, 1, 10..30, &path, Some(21));
+        // Resume with the stop index below the journal's watermark.
+        let run = lease(&campaign, 1, 10..30, &path, Some(15));
         assert_eq!(run.aggregate, partial.aggregate);
         assert_eq!(run.metrics.jobs_resumed, 11);
         assert_eq!(run.metrics.jobs_replayed, 0);
@@ -1263,14 +1085,14 @@ mod tests {
     }
 
     #[test]
-    fn refold_mixes_checkpointed_and_plain_journals() {
-        // Lease 0 journals [0, 6) with checkpoints; shard 1/2 journals
-        // [6, 12) as plain records.  The merge must consume both forms and
-        // match the whole-space fold.
+    fn refold_mixes_overlapping_lease_and_shard_journals() {
+        // Lease 0 journals [0, 7); shard 1/2 journals [6, 12).  Job 6 is in
+        // both with the same digest, so the merge folds it once and matches
+        // the whole-space fold.
         let lease_path = temp_path("mix-lease");
         let shard_path = temp_path("mix-shard");
         let campaign = sum("mix", 3, 12);
-        lease(&campaign, 0, 0..6, &lease_path, 2, None);
+        lease(&campaign, 0, 0..7, &lease_path, None);
         let select = ShardSelect { index: 1, count: 2 };
         let journal = JournalOptions::create(&shard_path);
         run_shard(&Scheduler::sequential(), &campaign, select, Some(&journal)).unwrap();
@@ -1281,22 +1103,6 @@ mod tests {
         assert!(summary.complete);
         let _ = std::fs::remove_file(&lease_path);
         let _ = std::fs::remove_file(&shard_path);
-    }
-
-    #[test]
-    fn refold_rejects_overlapping_checkpoint_segments() {
-        // Two checkpointed journals over overlapping ranges cannot be
-        // arbitrated (no per-job digests under a checkpoint) — the merge
-        // must refuse rather than double-count.
-        let a = temp_path("overlap-a");
-        let b = temp_path("overlap-b");
-        let campaign = sum("overlap", 9, 10);
-        lease(&campaign, 0, 0..6, &a, 2, None);
-        lease(&campaign, 1, 4..10, &b, 2, None);
-        let err = merge::<Sum>(&[a.clone(), b.clone()], &[]).unwrap_err();
-        assert!(matches!(err, JournalError::Mismatch(_)), "{err}");
-        let _ = std::fs::remove_file(&a);
-        let _ = std::fs::remove_file(&b);
     }
 
     #[test]
