@@ -1,6 +1,7 @@
 //! Journal input that contradicts its campaign — every line carrying a
 //! valid checksum, so nothing is dropped as a torn tail — must make `merge`
-//! and `--resume` exit with status 1 and an `error:` line, never a panic.
+//! and `--resume` exit with status 1 and an `error:` line, never a panic,
+//! and so must a fleet whose lease journal is such input.
 //! A command line the binary does not take must exit with status 2 before
 //! any campaign runs.
 
@@ -133,6 +134,20 @@ fn contradictory_journals_are_errors_in_merge_and_resume() {
     let merge = campaign_bin("table4").arg("merge").arg(&journal).output();
     let stderr = assert_error(merge.expect("spawn merge"), 1, "table4 merge old lease");
     assert!(stderr.contains("line 2 is a checkpoint"), "{stderr}");
+    // A fleet that finds it as a lease journal stops at the worker's
+    // failure instead of retrying a lease that fails the same way again.
+    let fleet_dir = dir.join("fleet");
+    fs::create_dir_all(&fleet_dir).expect("create fleet dir");
+    fs::copy(&journal, fleet_dir.join("lease-0000.journal")).expect("plant lease journal");
+    let fleet = campaign_bin("table4")
+        .args(["coordinate", "1", "--workers", "1", "--fleet-dir"])
+        .arg(&fleet_dir)
+        .output()
+        .expect("spawn coordinator");
+    let stderr = assert_error(fleet, 1, "table4 fleet old lease");
+    assert!(stderr.contains("lease-0000.journal"), "{stderr}");
+    let log = fs::read_to_string(fleet_dir.join("fleet.log")).expect("fleet.log");
+    assert!(!log.contains("RETRY"), "{log}");
 
     // Table 4 with a descriptor claiming 2⁶⁴ − 1 kernels per mode: six modes
     // of them overflow the job index.

@@ -37,12 +37,10 @@
 //! * corpus: `ShardedResumed` and `SharedStore` in one
 //!   `corpus_determinism` test, every other part in the other.
 //!
-//! The process-wide shared cache answers before the store, so an
-//! in-process store cell empties it before it fills the store and again
-//! before it runs, and holds its campaign's gate exclusively meanwhile:
-//! every other run of that campaign in the test binary holds the gate
-//! shared, so none refills the cache under the cell.  A cold cell must
-//! then write the store and a warm one must hit it, on both tiers.
+//! Every run builds its campaign from fresh `ExecOptions`, whose outcome
+//! cache starts empty and answers only that campaign, so no other run in
+//! the test binary can serve a store cell's lookups: a cold cell must
+//! write the store and a warm one must hit it, on both tiers.
 
 // Each test file uses the part of this module its tests need.
 #![allow(dead_code)]
@@ -52,7 +50,7 @@ use std::fmt::Debug;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, ShardSelect, ShardSpec};
@@ -63,7 +61,9 @@ use fuzz_harness::{
     EmiCampaignOptions, LeaseRecord, ModeCampaign, Scheduler, JOURNAL_FORMAT_VERSION,
     JOURNAL_MAGIC,
 };
-use opencl_sim::{Configuration, ExecOptions, ExecutionTier, OutcomeStore, StoreStats};
+use opencl_sim::{
+    Configuration, ExecOptions, ExecutionTier, OutcomeCache, OutcomeStore, StoreStats,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cache {
@@ -145,9 +145,6 @@ pub fn fleet_processes(workers: usize) -> usize {
 /// how its table renders, and which binary runs it as a fleet.
 pub struct Subject<C: Campaign> {
     name: &'static str,
-    /// Held exclusively by the campaign's store cells, shared by its other
-    /// runs (see the module docs).
-    gate: &'static RwLock<()>,
     /// The size of its job space at the matrix's scale.
     jobs: u64,
     /// The configurations journals merge against.
@@ -270,7 +267,7 @@ impl Stores {
         ExecOptions {
             tier: self.tier,
             store,
-            memoize: self.cache != MemoOff,
+            cache: (self.cache != MemoOff).then(OutcomeCache::default),
             ..ExecOptions::default()
         }
     }
@@ -279,9 +276,6 @@ impl Stores {
 /// Runs the in-process cell `(split, cache, workers, tier)` of `subject`.
 fn run_cell<C: Campaign<Tally: Debug>>(subject: &Subject<C>, cell: Cell, dir: &Path) -> Observed {
     let (split, cache, workers, tier) = cell;
-    let stored = matches!(cache, StoreCold | StoreWarm);
-    let _exclusive = stored.then(|| subject.gate.write().unwrap_or_else(|e| e.into_inner()));
-    let _shared = (!stored).then(|| subject.gate.read().unwrap_or_else(|e| e.into_inner()));
     fs::create_dir_all(dir).expect("create cell dir");
     let scheduler = Scheduler::new(workers);
     let stores = Stores {
@@ -291,14 +285,10 @@ fn run_cell<C: Campaign<Tally: Debug>>(subject: &Subject<C>, cell: Cell, dir: &P
         handles: Mutex::new(Vec::new()),
     };
     let build = || (subject.build)(&scheduler, stores.exec());
-    if stored {
-        opencl_sim::reset_shared_outcome_cache();
-    }
     if cache == StoreWarm {
         let prep = build();
         run_shard(&Scheduler::sequential(), &prep, ShardSelect::whole(), None).unwrap();
         stores.handles.lock().unwrap().clear();
-        opencl_sim::reset_shared_outcome_cache();
     }
     let journal = |name: &str| dir.join(format!("{name}.journal"));
     let observed = match split {
@@ -463,7 +453,6 @@ pub fn concurrently(checks: &[&(dyn Fn() + Sync)]) {
 /// The reference run every in-process cell reproduces: whole, one worker,
 /// bytecode, memo on, no store, journaled.
 fn reference<C: Campaign<Tally: Debug>>(subject: &Subject<C>, dir: &Path) -> Observed {
-    let _shared = subject.gate.read().unwrap_or_else(|e| e.into_inner());
     let journal = [dir.join("reference.journal")];
     let scheduler = Scheduler::sequential();
     let exec = ExecOptions {
@@ -627,10 +616,8 @@ fn assert_fleet_cell(fleet: &Fleet, cell: Cell, baseline: &str, dir: &Path) {
 }
 
 pub fn table1() -> Subject<ClassificationCampaign> {
-    static GATE: RwLock<()> = RwLock::new(());
     Subject {
         name: "table1",
-        gate: &GATE,
         jobs: 6,
         configs: configs(&[1, 12, 21]),
         build: |_, exec| {
@@ -664,10 +651,8 @@ pub fn table4_options(exec: ExecOptions, prefilter: bool) -> CampaignOptions {
 /// Table 4 with the static prefilter on, so every cell also renders the
 /// `sk` row of statically uncertified kernels.
 pub fn table4() -> Subject<ModeCampaign> {
-    static GATE: RwLock<()> = RwLock::new(());
     Subject {
         name: "table4",
-        gate: &GATE,
         jobs: 8,
         configs: configs(&TABLE4_CONFIGS),
         build: |_, exec| {
@@ -696,10 +681,8 @@ pub fn emi_options(exec: ExecOptions) -> EmiCampaignOptions {
 }
 
 pub fn table5() -> Subject<EmiCampaign> {
-    static GATE: RwLock<()> = RwLock::new(());
     Subject {
         name: "table5",
-        gate: &GATE,
         jobs: 3,
         configs: configs(&[1, 19]),
         // Probing at the cell's worker count would probe up to 8
@@ -721,10 +704,8 @@ pub fn table5() -> Subject<EmiCampaign> {
 }
 
 pub fn table3() -> Subject<CellCampaign> {
-    static GATE: RwLock<()> = RwLock::new(());
     Subject {
         name: "table3",
-        gate: &GATE,
         jobs: 24,
         configs: configs(&[1, 12, 21]),
         build: |_, exec| CellCampaign::new(1, &generator(32), &configs(&[1, 12, 21]), exec),
@@ -749,10 +730,8 @@ pub fn table3() -> Subject<CellCampaign> {
 }
 
 pub fn corpus() -> Subject<CorpusCampaign> {
-    static GATE: RwLock<()> = RwLock::new(());
     Subject {
         name: "corpus",
-        gate: &GATE,
         jobs: 4,
         configs: configs(&[1, 9, 19]),
         build: |_, exec| {

@@ -32,7 +32,7 @@ use clc::types::{AddressSpace, ScalarType, Type};
 use clc::Program;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Order in which ready work-items of a group are scheduled in each barrier
 /// interval.  Varying the schedule is how the harness checks that kernels
@@ -117,8 +117,6 @@ pub struct LaunchOptions {
     /// [`LaunchOptions`] can be derived from shared execution options
     /// without cloning the override data; use [`Arc::make_mut`] to edit.
     pub buffer_overrides: Arc<HashMap<String, Vec<i64>>>,
-    /// Values for scalar (non-pointer) kernel parameters.
-    pub scalar_args: HashMap<String, i64>,
     /// Which execution engine to use (defaults to the bytecode tier, with a
     /// `CLC_INTERP_TIER` environment override).
     pub tier: ExecutionTier,
@@ -131,7 +129,6 @@ impl Default for LaunchOptions {
             detect_races: false,
             schedule: Schedule::Forward,
             buffer_overrides: Arc::new(HashMap::new()),
-            scalar_args: HashMap::new(),
             tier: ExecutionTier::from_env(),
         }
     }
@@ -201,6 +198,10 @@ thread_local! {
 
 /// Executes a program over its NDRange.
 ///
+/// Launches are pure: for fixed options a program's launch returns the same
+/// result every time, which is what makes caching outcomes above this
+/// layer sound.
+///
 /// # Errors
 ///
 /// Returns a [`RuntimeError`] for undefined behaviour (barrier divergence,
@@ -209,74 +210,6 @@ thread_local! {
 /// missing buffers).  Data races are reported in the result rather than as
 /// errors so that the harness can distinguish them from crashes.
 pub fn launch(program: &Program, options: &LaunchOptions) -> Result<LaunchResult, RuntimeError> {
-    match options.tier {
-        ExecutionTier::Bytecode => {
-            launch_with(program, Some(&crate::compile::compile(program)), options)
-        }
-        ExecutionTier::TreeWalk => launch_with(program, None, options),
-    }
-}
-
-/// A kernel prepared for repeated launching: the program plus its lazily
-/// lowered bytecode module.
-///
-/// The historical entry point [`launch`] re-lowers the program to bytecode
-/// on every call; `CompiledKernel` splits that into an explicit
-/// compile-once / launch-many shape, so a differential harness that runs
-/// one compiled program under many launch options (schedules, buffer
-/// overrides, race detection on and off) pays the lowering exactly once.
-/// Lowering happens on the first bytecode-tier launch, so a kernel that is
-/// only ever tree-walked never pays it at all.
-///
-/// Launches are pure: for fixed options, [`CompiledKernel::launch`] returns
-/// the same result every time (the emulator is deterministic), which is what
-/// makes outcome memoisation above this layer sound.
-#[derive(Debug)]
-pub struct CompiledKernel {
-    program: Program,
-    bytecode: OnceLock<crate::compile::CompiledProgram>,
-}
-
-impl CompiledKernel {
-    /// Takes ownership of a program and prepares it for repeated launching.
-    pub fn compile(program: Program) -> CompiledKernel {
-        CompiledKernel {
-            program,
-            bytecode: OnceLock::new(),
-        }
-    }
-
-    /// The program this kernel was compiled from.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Executes the kernel over its NDRange, reusing the lowered bytecode
-    /// across calls.
-    ///
-    /// # Errors
-    ///
-    /// See [`launch`].
-    pub fn launch(&self, options: &LaunchOptions) -> Result<LaunchResult, RuntimeError> {
-        let compiled = match options.tier {
-            ExecutionTier::Bytecode => Some(
-                self.bytecode
-                    .get_or_init(|| crate::compile::compile(&self.program)),
-            ),
-            ExecutionTier::TreeWalk => None,
-        };
-        launch_with(&self.program, compiled, options)
-    }
-}
-
-/// The shared launch body: executes `program` with an optional pre-lowered
-/// bytecode module (present exactly when the tier is
-/// [`ExecutionTier::Bytecode`]).
-fn launch_with(
-    program: &Program,
-    compiled: Option<&crate::compile::CompiledProgram>,
-    options: &LaunchOptions,
-) -> Result<LaunchResult, RuntimeError> {
     program
         .launch
         .validate()
@@ -353,7 +286,9 @@ fn launch_with(
     let run = (|| -> Result<(Vec<Scalar>, String), RuntimeError> {
         // The bytecode tier runs the launch's lane-independent prefix once,
         // on a representative work-item that every group then forks from.
-        let bytecode = match compiled {
+        let compiled =
+            (options.tier == ExecutionTier::Bytecode).then(|| crate::compile::compile(program));
+        let bytecode = match &compiled {
             Some(compiled) => {
                 let representative = crate::vm::run_representative(
                     program,
@@ -552,12 +487,11 @@ pub(crate) fn drive_group<T: CoopItem>(
 }
 
 /// Allocates the per-work-item object backing one kernel parameter: a
-/// pointer cell aimed at the parameter's buffer, or a scalar cell fed from
-/// `scalar_args`.  Shared by both execution tiers.
+/// pointer cell aimed at the parameter's buffer, or a scalar cell holding
+/// 0.  Shared by both execution tiers.
 pub(crate) fn alloc_param_object(
     memory: &mut Memory,
     buffer_objects: &HashMap<String, (ObjId, ScalarType, usize)>,
-    options: &LaunchOptions,
     param: &clc::Param,
 ) -> Result<ObjId, RuntimeError> {
     match &param.ty {
@@ -583,13 +517,12 @@ pub(crate) fn alloc_param_object(
             ))
         }
         other => {
-            let value = options.scalar_args.get(&param.name).copied().unwrap_or(0);
             let elem = other.scalar_elem().unwrap_or(ScalarType::Int);
             Ok(memory.alloc_with_cells(
                 param.name.clone(),
                 param.ty.clone(),
                 AddressSpace::Private,
-                vec![Cell::Bits(Scalar::from_i128(value as i128, elem).bits)],
+                vec![Cell::Bits(Scalar::from_i128(0, elem).bits)],
             ))
         }
     }
@@ -682,7 +615,7 @@ fn run_group<'p>(
                 }
                 // Bind kernel parameters.
                 for param in &program.kernel.params {
-                    let obj = alloc_param_object(memory, buffer_objects, options, param)?;
+                    let obj = alloc_param_object(memory, buffer_objects, param)?;
                     env.bind_owned(param.name.clone(), obj);
                 }
                 let scope_depth = env.depth();

@@ -105,7 +105,7 @@ pub mod vm;
 pub use compile::{compile, CompiledProgram};
 pub use error::{RaceReport, RuntimeError};
 pub use eval::{Ctx, Env, Flow, ThreadIds};
-pub use exec::{launch, run, CompiledKernel, ExecutionTier, LaunchOptions, LaunchResult, Schedule};
+pub use exec::{launch, run, ExecutionTier, LaunchOptions, LaunchResult, Schedule};
 pub use memory::{Memory, Object};
 pub use race::{AccessKind, RaceDetector, RaceStats};
 pub use value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};

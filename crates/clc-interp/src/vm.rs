@@ -249,7 +249,7 @@ pub(crate) fn run_representative(
         slots[0] = Some(perm);
     }
     for (i, param) in program.kernel.params.iter().enumerate() {
-        let obj = alloc_param_object(memory, buffer_objects, options, param)?;
+        let obj = alloc_param_object(memory, buffer_objects, param)?;
         slots[1 + i] = Some(obj);
         owned.push(obj);
     }
@@ -1350,7 +1350,7 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
 
 /// A launch's memo of helper calls: what each recorded call of a
 /// memoisable helper did, keyed by everything the call could read.
-/// `exec::launch_with` creates one per launch; the representative and every
+/// `exec::launch` creates one per launch; the representative and every
 /// work-item of every group share it, and it is dropped with the launch.
 #[derive(Default)]
 pub(crate) struct CallMemo {

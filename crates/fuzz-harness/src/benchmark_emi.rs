@@ -15,9 +15,8 @@ use crate::journal::{checksum, JournalError, JournalHeader};
 use crate::shard::{Campaign, JournalPayload};
 use clsmith::emi::{inject_emi_blocks, InjectionOptions};
 use clsmith::{generate, GenMode, GeneratorOptions};
-use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
+use opencl_sim::{Configuration, ExecOptions, OptLevel, Session, TestOutcome};
 use parboil_rodinia::table3_benchmarks;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A benchmark prepared for EMI testing.
@@ -193,7 +192,8 @@ fn no_generation() -> BenchmarkCell {
 ///
 /// Every EMI body is injected with substitutions off and on, each variant
 /// runs at both optimisation levels, and the worst outcome is folded in
-/// body order.  One memo serves the whole cell: on non-optimising
+/// body order.  The campaign's outcome cache serves every cell: the
+/// reference run launches once per benchmark, and on non-optimising
 /// configurations both opt levels (and often both variants, when
 /// substitutions change nothing) compile identically and share a launch.
 pub fn evaluate_benchmark(
@@ -215,13 +215,12 @@ pub fn evaluate_benchmark(
         };
         inject_emi_blocks(&benchmark.program, bodies, &options)
     };
-    let memo = Rc::new(ExecMemo::new());
 
     // "Generation with an empty EMI block": the benchmark with the dead
     // array plumbing but no injected statements.  If this fails, the
     // configuration cannot run the benchmark at all (`ng`).
     let empty = inject(&[clc::Block::new()], false, 0);
-    let empty_session = Session::with_memo(&empty, Rc::clone(&memo));
+    let empty_session = Session::new(&empty);
     let baseline_ok = OptLevel::BOTH.into_iter().any(|opt| {
         matches!(empty_session.execute(config, opt, exec),
             TestOutcome::Result { hash, .. } if hash == expected)
@@ -236,7 +235,7 @@ pub fn evaluate_benchmark(
     for (index, body) in benchmark.bodies.iter().enumerate() {
         for substitutions in [false, true] {
             let variant = inject(std::slice::from_ref(body), substitutions, index as u64 + 1);
-            let session = Session::with_memo(&variant, Rc::clone(&memo));
+            let session = Session::new(&variant);
             for opt in OptLevel::BOTH {
                 variants += 1;
                 let observed = match session.execute(config, opt, exec) {

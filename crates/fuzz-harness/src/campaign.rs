@@ -347,8 +347,7 @@ impl StagedJob for KernelJob {
     }
 
     fn execute(generated: GeneratedKernel) -> ExecutedKernel {
-        let session = opencl_sim::Session::new(&generated.program);
-        if generated.prefilter && !session.analysis().is_certified() {
+        if generated.prefilter && !clsmith::validate(&generated.program).is_certified() {
             return ExecutedKernel {
                 outcomes: Vec::new(),
                 skipped_targets: Some(generated.targets.len()),
@@ -356,7 +355,7 @@ impl StagedJob for KernelJob {
         }
         ExecutedKernel {
             outcomes: crate::differential::run_on_targets_session(
-                &session,
+                &opencl_sim::Session::new(&generated.program),
                 &generated.targets,
                 &generated.exec,
             ),

@@ -31,8 +31,7 @@ use crate::exec::{job_seed, StagedJob};
 use crate::journal::{JournalError, JournalHeader};
 use crate::shard::{parse_fields, Campaign, JournalPayload};
 use clsmith::{generate, mutate, CoverageMap, GeneratorOptions};
-use opencl_sim::{Configuration, ExecMemo, ExecOptions, Session};
-use std::rc::Rc;
+use opencl_sim::{Configuration, ExecOptions, Session};
 use std::sync::Arc;
 
 /// How a lineage decides whether a mutant becomes the new chain head.
@@ -146,13 +145,12 @@ impl StagedJob for CorpusJob {
 
     fn execute(generated: GeneratedLineage) -> CorpusRecord {
         let GeneratedLineage { base, job } = generated;
-        // One memo for the whole lineage: structurally identical links (a
-        // mutation that undoes an earlier one) collapse to cached outcomes,
-        // and the cached coverage replays bit-identically.
-        let memo = Rc::new(ExecMemo::new());
+        // Structurally identical links (a mutation that undoes an earlier
+        // one) collapse to the campaign cache's outcomes, and the cached
+        // coverage replays bit-identically.
         let mut stats = vec![TargetStats::default(); job.targets.len()];
         let record = |program: &clc::Program, stats: &mut [TargetStats]| -> CoverageMap {
-            let session = Session::with_memo(program, Rc::clone(&memo));
+            let session = Session::new(program);
             let outcomes = run_on_targets_session(&session, &job.targets, &job.exec);
             for (stat, verdict) in stats.iter_mut().zip(classify(&outcomes)) {
                 stat.record(verdict);

@@ -20,9 +20,8 @@ use crate::shard::{
     run_shard, Campaign, JournalOptions, JournalPayload, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, prune_variant, GenMode, GeneratorOptions, PruneProbabilities};
-use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
+use opencl_sim::{Configuration, ExecOptions, OptLevel, Session, TestOutcome};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Per-target tallies over base programs (the rows of Table 5).
@@ -156,9 +155,10 @@ impl StagedJob for LivenessProbeJob {
     }
 
     fn execute(candidate: LivenessCandidate) -> LivenessOutcomes {
-        // One session for both reference runs: the normal and inverted
-        // executions differ only in buffer overrides, so they share a
-        // single lowered kernel (distinct outcome-cache lines).
+        // The normal and inverted reference runs differ only in buffer
+        // overrides, so they are two lines of the campaign cache; the
+        // normal one later serves the live base's unpruned variant on
+        // targets that run it untransformed.
         let session = Session::new(&candidate.program);
         let normal = session.reference_execute(&candidate.exec);
         let mut inverted_exec = candidate.exec.clone();
@@ -297,18 +297,13 @@ impl StagedJob for EmiBaseJob {
     }
 
     /// The memoised judging grid (stage 2): one session per variant, all
-    /// behind one [`ExecMemo`] spanning the whole (config × opt) grid —
-    /// gently pruned variants are often bit-identical to each other (or
-    /// compile identically on non-optimising targets across both opt
-    /// levels), so the unpruned AST is executed once, not once per target.
-    /// The memo is [`Rc`]-based and lives and dies with this stage.
+    /// served by the campaign's outcome cache across the whole (config ×
+    /// opt) grid — gently pruned variants are often bit-identical to each
+    /// other (or compile identically on non-optimising targets across both
+    /// opt levels), so the unpruned AST is executed once, not once per
+    /// target.
     fn execute(grid: EmiVariantGrid) -> EmiOutcomeGrid {
-        let memo = Rc::new(ExecMemo::new());
-        let sessions: Vec<Session<'_>> = grid
-            .variants
-            .iter()
-            .map(|v| Session::with_memo(v, Rc::clone(&memo)))
-            .collect();
+        let sessions: Vec<Session<'_>> = grid.variants.iter().map(Session::new).collect();
         let mut rows = Vec::with_capacity(grid.configs.len() * OptLevel::BOTH.len());
         for config in grid.configs.iter() {
             for opt in OptLevel::BOTH {

@@ -16,10 +16,16 @@
 //! * **crash recovery** is journal resume — a re-leased range picks up
 //!   after the last valid record of the previous attempt's journal, so
 //!   work done before a crash (even one with a torn final line) is kept;
-//! * **poisoned ranges** — ranges that keep failing past the bounded
-//!   retry-with-backoff budget — are quarantined as [`DeadLetter`]
-//!   records, and the campaign completes around them with explicit gap
-//!   accounting ([`FleetOutcome::gaps`]) instead of hanging forever.
+//! * **poisoned ranges** — ranges whose workers keep dying or stalling
+//!   past the bounded retry-with-backoff budget — are quarantined as
+//!   [`DeadLetter`] records, and the campaign completes around them with
+//!   explicit gap accounting ([`FleetOutcome::gaps`]) instead of hanging
+//!   forever;
+//! * **failed leases** stop the fleet: a worker replies `FAIL` only when
+//!   its lease journal cannot be read, belongs to another campaign, or
+//!   cannot be written, and another attempt on the same journal would fail
+//!   the same way, so [`Coordinator::run`] shuts the workers down and
+//!   returns an error naming the lease.
 //!
 //! The merged result of a fleet run is produced by merging the per-lease
 //! journals ([`crate::shard::merge`]); because every lease folds
@@ -116,7 +122,8 @@ pub enum FleetReply {
         /// Jobs executed *by this attempt* (resumed jobs not re-counted).
         jobs: u64,
     },
-    /// The lease failed; the coordinator will retry or quarantine.
+    /// The lease could not run (its journal cannot be read or written);
+    /// the coordinator stops the fleet.
     Fail {
         /// Lease id being failed.
         id: u32,
@@ -286,7 +293,7 @@ pub struct DeadLetter {
     pub end: u64,
     /// Total attempts spent before quarantine.
     pub attempts: u32,
-    /// Reason reported by (or inferred for) the final attempt.
+    /// Why the final attempt was lost (a death or a stalled journal).
     pub reason: String,
 }
 
@@ -422,6 +429,13 @@ impl Coordinator {
     /// quarantined. `spawn` fills worker slot `i` (initially and after
     /// deaths); `observer`, when given, receives every event-log line as
     /// it is written (the `--follow` hook).
+    ///
+    /// # Errors
+    ///
+    /// Fails when no worker can be spawned, when the fleet directory's
+    /// logs cannot be written, and when a worker replies `FAIL`: the
+    /// workers are then shut down and the error names the lease, its job
+    /// range, its journal and the worker's reason.
     pub fn run(
         &mut self,
         spawn: &mut dyn FnMut(usize) -> io::Result<Box<dyn WorkerLink>>,
@@ -458,10 +472,10 @@ impl Coordinator {
         let mut retries = 0u64;
         let mut respawns = 0u64;
         let mut dead_letters: Vec<(usize, DeadLetter)> = Vec::new();
-        let mut last_reasons: Vec<String> = vec![String::new(); self.ranges.len()];
 
         loop {
             let mut progressed = false;
+            let mut failure = None;
 
             // 1. Drain replies.
             for (slot_index, slot) in slots.iter_mut().enumerate() {
@@ -490,25 +504,25 @@ impl Coordinator {
                             );
                         }
                         FleetReply::Fail { id, reason } => {
-                            let range_index = id as usize;
-                            if slot.lease != Some(range_index) {
+                            if slot.lease != Some(id as usize) {
                                 continue;
                             }
-                            slot.lease = None;
-                            slot.idle = true;
-                            last_reasons[range_index] = reason.clone();
-                            self.requeue(
-                                &mut states,
-                                range_index,
-                                &mut retries,
-                                &mut dead_letters,
-                                &last_reasons,
+                            let (start, end) = self.ranges[id as usize];
+                            self.log_event(
                                 &mut observer,
-                                &format!("FAIL lease={id} reason={reason}"),
+                                &format!("FAIL lease={id} range={start}-{end} reason={reason}"),
                             );
+                            failure = Some(format!(
+                                "lease {id} (jobs {start}-{end}, journal {}) failed: {reason}",
+                                self.journal_path(id).display()
+                            ));
                         }
                     }
                 }
+            }
+            if let Some(failure) = failure {
+                shut_down(&mut slots);
+                return Err(io::Error::other(failure));
             }
 
             // 2. Liveness: dead workers and stalled journals.
@@ -517,13 +531,12 @@ impl Coordinator {
                 if !alive {
                     if let Some(range_index) = slot.lease.take() {
                         progressed = true;
-                        last_reasons[range_index] = "worker died".to_string();
                         self.requeue(
                             &mut states,
                             range_index,
                             &mut retries,
                             &mut dead_letters,
-                            &last_reasons,
+                            "worker died",
                             &mut observer,
                             &format!("LOST lease={range_index} worker={slot_index} (worker died)"),
                         );
@@ -553,13 +566,12 @@ impl Coordinator {
                             slot.link = None;
                             slot.lease = None;
                             slot.idle = false;
-                            last_reasons[range_index] = "lease expired (journal stalled)".into();
                             self.requeue(
                                 &mut states,
                                 range_index,
                                 &mut retries,
                                 &mut dead_letters,
-                                &last_reasons,
+                                "lease expired (journal stalled)",
                                 &mut observer,
                                 &format!(
                                     "EXPIRE lease={range_index} worker={slot_index} \
@@ -670,14 +682,7 @@ impl Coordinator {
             }
         }
 
-        // Orderly shutdown: ask, then insist.
-        for slot in slots.iter_mut() {
-            if let Some(link) = &mut slot.link {
-                let _ = link.send(&FleetCommand::Shutdown);
-                link.kill();
-            }
-        }
-
+        shut_down(&mut slots);
         dead_letters.sort_by_key(|(index, _)| *index);
         let dead_letters: Vec<DeadLetter> =
             dead_letters.into_iter().map(|(_, letter)| letter).collect();
@@ -723,8 +728,8 @@ impl Coordinator {
         Ok(outcome)
     }
 
-    /// Returns a failed/stalled range to the pending queue, or quarantines
-    /// it once its retry budget is spent.
+    /// Returns a lost or stalled range to the pending queue, or quarantines
+    /// it (for `reason`) once its retry budget is spent.
     #[allow(clippy::too_many_arguments)]
     fn requeue(
         &mut self,
@@ -732,7 +737,7 @@ impl Coordinator {
         range_index: usize,
         retries: &mut u64,
         dead_letters: &mut Vec<(usize, DeadLetter)>,
-        last_reasons: &[String],
+        reason: &str,
         observer: &mut Option<&mut dyn FnMut(&str)>,
         event: &str,
     ) {
@@ -747,7 +752,7 @@ impl Coordinator {
                 start,
                 end,
                 attempts,
-                reason: last_reasons[range_index].clone(),
+                reason: reason.to_string(),
             };
             self.log_event(observer, &format!("QUARANTINE {letter}"));
             states[range_index] = RangeState::Dead;
@@ -768,6 +773,14 @@ impl Coordinator {
                 attempts,
             };
         }
+    }
+}
+
+/// Orderly shutdown of every live worker: ask, then insist.
+fn shut_down(slots: &mut [Slot]) {
+    for link in slots.iter_mut().filter_map(|slot| slot.link.as_mut()) {
+        let _ = link.send(&FleetCommand::Shutdown);
+        link.kill();
     }
 }
 
@@ -1027,14 +1040,50 @@ mod tests {
     }
 
     #[test]
-    fn failing_range_retries_then_quarantines_as_dead_letter() {
+    fn failed_lease_stops_the_fleet() {
+        let (mut options, _dir) = test_options("fail");
+        options.workers = 1;
+        let mut coordinator = Coordinator::new(options.clone(), 100).unwrap();
+        let mut handles = Vec::new();
+        let error = coordinator
+            .run(
+                &mut |_slot| {
+                    let (worker, state) = scripted(Behavior::Fail);
+                    handles.push(state);
+                    Ok(Box::new(worker) as Box<dyn WorkerLink>)
+                },
+                None,
+            )
+            .unwrap_err()
+            .to_string();
+        for part in [
+            "lease 0",
+            "jobs 0-30",
+            "lease-0000.journal",
+            "scripted failure",
+        ] {
+            assert!(error.contains(part), "{part:?} missing from {error:?}");
+        }
+        // One lease was granted, and its worker was then shut down.
+        assert_eq!(handles.len(), 1);
+        let worker = handles[0].borrow();
+        assert_eq!(worker.received.len(), 2, "the lease and the shutdown");
+        assert_eq!(worker.received[1], FleetCommand::Shutdown);
+        assert!(worker.killed);
+        let log = std::fs::read_to_string(options.journal_dir.join("fleet.log")).unwrap();
+        assert!(log.contains("FAIL lease=0 range=0-30"), "{log}");
+        assert!(!log.contains("RETRY"), "{log}");
+    }
+
+    #[test]
+    fn dying_range_retries_then_quarantines_as_dead_letter() {
         let (mut options, _dir) = test_options("poison");
         options.workers = 1;
         options.lease_jobs = 64;
         let mut coordinator = Coordinator::new(options.clone(), 40).unwrap();
         let outcome = coordinator
             .run(
-                &mut |_slot| Ok(Box::new(scripted(Behavior::Fail).0) as Box<dyn WorkerLink>),
+                &mut |_slot| Ok(Box::new(scripted(Behavior::Die).0) as Box<dyn WorkerLink>),
                 None,
             )
             .unwrap();
@@ -1043,7 +1092,7 @@ mod tests {
         let letter = &outcome.dead_letters[0];
         assert_eq!((letter.start, letter.end), (0, 40));
         assert_eq!(letter.attempts, options.max_retries + 1);
-        assert_eq!(letter.reason, "scripted failure");
+        assert_eq!(letter.reason, "worker died");
         assert_eq!(outcome.retries, options.max_retries as u64);
         assert_eq!(outcome.gaps(), vec![(0, 40)]);
         // The quarantine is durably recorded.

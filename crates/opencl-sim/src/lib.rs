@@ -46,7 +46,7 @@ pub use configs::{
 };
 pub use figures::{all_figures, FigureKernel};
 pub use platform::{
-    execute, process_cache_stats, reference_execute, reset_shared_outcome_cache, CacheStats,
-    CompiledProgram, ExecMemo, ExecOptions, Recipe, Session, TestOutcome,
+    execute, process_cache_stats, reference_execute, CacheStats, CompiledProgram, ExecMemo,
+    ExecOptions, OutcomeCache, Recipe, Session, TestOutcome,
 };
 pub use store::{set_io_fault_hook, IoFaultHook, OutcomeStore, StoreOp, StoreStats};

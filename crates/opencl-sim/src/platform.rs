@@ -28,12 +28,11 @@
 //!   decided without execution, or a [`Recipe`] for the AST to execute —
 //!   the session's source or optimised AST plus the target's ordered
 //!   transforms, not yet applied;
-//! * the **execution phase** — memoised in an [`ExecMemo`] by
-//!   `(recipe key, exec-relevant options)`: the AST is built only when no
-//!   cache level holds the outcome, each distinct recipe is lowered once (a
-//!   shared [`clc_interp::CompiledKernel`]) and launched once per distinct
-//!   execution-option set, and every further target is served from the
-//!   outcome cache.
+//! * the **execution phase** — memoised in the campaign's [`OutcomeCache`]
+//!   by `(recipe key, exec-relevant options)`: the AST is built and launched
+//!   only when no cache level holds the outcome, so each distinct recipe is
+//!   launched once per distinct execution-option set, and every further
+//!   target is served from the cache.
 //!
 //! The recipe key ([`Recipe::key`]) is the base AST's structural
 //! [`Fingerprint`] when the target transforms nothing — so i−/i+ targets
@@ -48,36 +47,34 @@
 //! optimised AST); a fan-out over 42 targets typically collapses to a
 //! handful of real emulator launches.
 //!
-//! Beyond the per-job memo sit two more outcome-cache levels with the same
-//! `(recipe key, exec key)` key: a **process-wide shared cache** (sharded,
-//! mutex-striped, bounded) that deduplicates across jobs and scheduler
-//! workers, and an optional **on-disk store** ([`OutcomeStore`]) that
-//! deduplicates across processes and campaigns.  Every level holds the
-//! `(outcome, dynamic coverage)` pair a launch produced, so a hit at any
-//! level replays the launch's coverage as well as its outcome.  Memoisation
-//! never changes results at any level — outcomes and coverage are
+//! There are two outcome-cache levels, both keyed by `(recipe key, exec
+//! key)`: the **campaign cache** ([`ExecOptions::cache`], lock-striped and
+//! bounded), which every job and worker of a campaign shares because they
+//! all clone the campaign's options, and an optional **on-disk store**
+//! ([`OutcomeStore`]) that deduplicates across processes and campaigns.
+//! Both hold the `(outcome, dynamic coverage)` pair a launch produced, so a
+//! hit at either level replays the launch's coverage as well as its
+//! outcome.  Caching never changes results — outcomes and coverage are
 //! deterministic in the key, and the invariance matrix
 //! (`crates/bench/tests/matrix/mod.rs`) pins every campaign's table
-//! bit-identical with the memo off, on, and over a cold or warm store.
+//! bit-identical with the cache off, on, and over a cold or warm store.
 
 use crate::bugs::{apply_miscompilation, BugEffect, Miscompilation, OptLevel};
 use crate::configs::Configuration;
 use crate::passes;
 use crate::store::OutcomeStore;
 use clc::{Features, Fingerprint, Program, ProgramHasher};
-use clc_analyze::AnalysisReport;
-use clc_interp::{
-    CompiledKernel, ExecutionTier, LaunchOptions, LaunchResult, RuntimeError, Schedule,
-};
+use clc_interp::{ExecutionTier, LaunchOptions, LaunchResult, RuntimeError, Schedule};
 use clsmith::{coverage_hash, CoverageClass, CoverageMap};
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Execution options for the simulated platform.
 #[derive(Debug, Clone)]
@@ -96,16 +93,16 @@ pub struct ExecOptions {
     /// bytecode tier, `CLC_INTERP_TIER` overrides process-wide).
     pub tier: ExecutionTier,
     /// On-disk cross-campaign outcome store consulted (and populated) after
-    /// the in-memory caches miss (`None` by default).  Like memoisation, the
+    /// the campaign cache misses (`None` by default).  Like the cache, the
     /// store never changes results: outcomes are deterministic in
     /// `(recipe key, exec key)`.
     pub store: Option<Arc<OutcomeStore>>,
-    /// Whether [`Session`]s may serve repeated executions of an identical
-    /// compiled program from the outcome cache (on by default).  Turning
-    /// this off forces a cold compile + launch per target — outcomes are
-    /// identical either way; only wall-clock changes.  This is also the
-    /// opt-out for the process-wide shared cache and the on-disk store.
-    pub memoize: bool,
+    /// The in-memory outcome cache [`Session`]s consult first (a fresh,
+    /// empty one by default).  Clones of these options share it, so every
+    /// job and worker of a campaign built from one `ExecOptions` shares one
+    /// cache.  `None` launches every execution and consults no store —
+    /// outcomes are identical either way; only wall-clock changes.
+    pub cache: Option<OutcomeCache>,
 }
 
 impl Default for ExecOptions {
@@ -117,7 +114,7 @@ impl Default for ExecOptions {
             buffer_overrides: Arc::new(HashMap::new()),
             tier: ExecutionTier::from_env(),
             store: None,
-            memoize: true,
+            cache: Some(OutcomeCache::default()),
         }
     }
 }
@@ -241,11 +238,11 @@ impl<'s> Recipe<'s> {
         }
     }
 
-    /// The key every outcome-cache level and the compiled-kernel cache use
-    /// for the built AST: the base's structural fingerprint when there are
-    /// no transforms, and otherwise a hash of that fingerprint and the
-    /// transform list.  Equal recipes share a key; a transform that happens
-    /// to leave the AST unchanged still gets a key of its own.
+    /// The key both outcome-cache levels use for the built AST: the base's
+    /// structural fingerprint when there are no transforms, and otherwise a
+    /// hash of that fingerprint and the transform list.  Equal recipes share
+    /// a key; a transform that happens to leave the AST unchanged still
+    /// gets a key of its own.
     pub fn key(&self) -> Fingerprint {
         self.key
     }
@@ -264,40 +261,19 @@ impl<'s> Recipe<'s> {
     }
 }
 
-/// Execution-phase caches shared by one or more [`Session`]s.
+/// Per-kernel coverage and cache counters shared by one or more
+/// [`Session`]s.
 ///
-/// Holds the compiled-kernel cache ([`Recipe::key`] → lazily lowered
-/// [`CompiledKernel`]) and the outcome cache
-/// (`(recipe key, exec-option key)` → [`TestOutcome`]), plus hit/launch
-/// counters.  Cheap to create; share one memo (via [`Rc`]) across the
-/// sessions of related programs — e.g. the pruning variants of one EMI base,
-/// where structurally identical variants then collapse to one launch — and
-/// drop it with the job so cache footprint stays bounded.
+/// Cheap to create; share one memo (via [`Rc`]) across the sessions of
+/// related programs — e.g. the pruning variants of one EMI base — to count
+/// their executions together.  Outcomes are not kept here but in the
+/// campaign's [`OutcomeCache`].
 #[derive(Debug, Default)]
 pub struct ExecMemo {
-    kernels: RefCell<HashMap<Fingerprint, Rc<CompiledKernel>>>,
-    /// Outcome cache, with the launch's dynamic coverage bits stored next
-    /// to each outcome so memoised hits replay the *same* coverage the real
-    /// launch produced — coverage stays a deterministic function of
-    /// `(recipe key, exec key)` at any worker count.
-    outcomes: RefCell<HashMap<(Fingerprint, u64), (TestOutcome, CoverageMap)>>,
-    analyses: RefCell<HashMap<Fingerprint, Rc<AnalysisReport>>>,
     /// Coverage folded per *base* (unoptimised) fingerprint across every
-    /// target executed so far — the per-kernel map the feedback loop reads,
-    /// living next to the exec memo exactly like the analysis cache.
+    /// target executed so far — the per-kernel map the feedback loop reads.
     coverage: RefCell<HashMap<Fingerprint, CoverageMap>>,
     stats: MemoCounters,
-}
-
-#[derive(Debug, Default)]
-struct MemoCounters {
-    requests: Cell<u64>,
-    launches: Cell<u64>,
-    compiles: Cell<u64>,
-    outcome_hits: Cell<u64>,
-    kernel_hits: Cell<u64>,
-    shared_hits: Cell<u64>,
-    store_hits: Cell<u64>,
 }
 
 /// Counter snapshot for a memo (or the whole process, see
@@ -309,64 +285,59 @@ pub struct CacheStats {
     pub requests: u64,
     /// Real emulator launches performed.
     pub launches: u64,
-    /// Kernels lowered (compiled-kernel cache misses, plus every launch
-    /// when memoisation is off).
+    /// Equal to `launches`: no launch reuses another's lowered kernel.
     pub compiles: u64,
-    /// Executions served from the per-job outcome cache.
+    /// Executions served from the campaign's outcome cache.
     pub outcome_hits: u64,
-    /// Launches that reused an already-compiled kernel.
+    /// Always 0: no launch reuses a lowered kernel.
     pub kernel_hits: u64,
-    /// Executions served from the process-wide shared outcome cache (after
-    /// the per-job cache missed).
+    /// Always 0: every in-memory hit is a campaign-cache hit, counted in
+    /// `outcome_hits`.
     pub shared_hits: u64,
-    /// Executions served from the on-disk outcome store (after both
-    /// in-memory caches missed).
+    /// Executions served from the on-disk outcome store (after the
+    /// campaign cache missed).
     pub store_hits: u64,
 }
 
-/// The cache-counter kinds.  Doubles as the index into the process-wide
-/// atomic array, so the per-memo cell and the global counter cannot drift
-/// apart.
+/// The cache-counter kinds, indexing both a memo's cells and the
+/// process-wide atomic array, so the two cannot drift apart.
 #[derive(Clone, Copy)]
 enum Counter {
-    Requests = 0,
-    Launches = 1,
-    Compiles = 2,
-    OutcomeHits = 3,
-    KernelHits = 4,
-    SharedHits = 5,
-    StoreHits = 6,
+    Requests,
+    Launches,
+    OutcomeHits,
+    StoreHits,
 }
+
+/// A memo's counters, indexed by [`Counter`].
+#[derive(Debug, Default)]
+struct MemoCounters([Cell<u64>; 4]);
 
 /// Process-wide counters aggregated across every memo (all threads), for
 /// benchmark and CI reporting — indexed by [`Counter`].
-static PROCESS: [AtomicU64; 7] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-fn process_count(counter: Counter) -> u64 {
-    PROCESS[counter as usize].load(Ordering::Relaxed)
-}
+static PROCESS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 
 impl MemoCounters {
     fn bump(&self, counter: Counter) {
-        let cell = match counter {
-            Counter::Requests => &self.requests,
-            Counter::Launches => &self.launches,
-            Counter::Compiles => &self.compiles,
-            Counter::OutcomeHits => &self.outcome_hits,
-            Counter::KernelHits => &self.kernel_hits,
-            Counter::SharedHits => &self.shared_hits,
-            Counter::StoreHits => &self.store_hits,
-        };
+        let cell = &self.0[counter as usize];
         cell.set(cell.get() + 1);
         PROCESS[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl CacheStats {
+    /// The snapshot of one count per [`Counter`].
+    fn of(count: impl Fn(Counter) -> u64) -> CacheStats {
+        let launches = count(Counter::Launches);
+        CacheStats {
+            requests: count(Counter::Requests),
+            launches,
+            compiles: launches,
+            outcome_hits: count(Counter::OutcomeHits),
+            kernel_hits: 0,
+            shared_hits: 0,
+            store_hits: count(Counter::StoreHits),
+        }
     }
 }
 
@@ -378,95 +349,68 @@ impl ExecMemo {
 
     /// Counter snapshot for this memo.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            requests: self.stats.requests.get(),
-            launches: self.stats.launches.get(),
-            compiles: self.stats.compiles.get(),
-            outcome_hits: self.stats.outcome_hits.get(),
-            kernel_hits: self.stats.kernel_hits.get(),
-            shared_hits: self.stats.shared_hits.get(),
-            store_hits: self.stats.store_hits.get(),
-        }
+        CacheStats::of(|counter| self.stats.0[counter as usize].get())
     }
 }
 
 /// Process-wide cache counters summed over every memo on every thread since
 /// the process started.  Benchmarks read the difference across a campaign.
 pub fn process_cache_stats() -> CacheStats {
-    CacheStats {
-        requests: process_count(Counter::Requests),
-        launches: process_count(Counter::Launches),
-        compiles: process_count(Counter::Compiles),
-        outcome_hits: process_count(Counter::OutcomeHits),
-        kernel_hits: process_count(Counter::KernelHits),
-        shared_hits: process_count(Counter::SharedHits),
-        store_hits: process_count(Counter::StoreHits),
-    }
+    CacheStats::of(|counter| PROCESS[counter as usize].load(Ordering::Relaxed))
 }
 
-// --- The process-wide shared outcome cache (level 1) -----------------------
-//
-// A [`Session`]'s memo is `Rc`-confined to its job; campaigns running many
-// jobs — and schedulers running many workers — re-execute structurally
-// identical kernels once per job.  This sharded, mutex-guarded map shares
-// outcomes across every memo in the process: lock-striping by recipe key
-// keeps worker contention negligible, and a per-shard FIFO bound keeps the
-// footprint fixed.  Compiled kernels stay per-memo (`Rc`-based, deliberately
-// thread-confined); only final [`TestOutcome`]s — plain data — cross threads.
+/// Number of lock stripes of an [`OutcomeCache`].
+const STRIPES: usize = 16;
 
-/// Number of lock stripes (must be a power of two).
-const SHARED_SHARDS: usize = 16;
+/// Maximum outcomes retained per stripe before FIFO eviction.
+const STRIPE_CAP: usize = 4096;
 
-/// Maximum outcomes retained per shard before FIFO eviction.
-const SHARED_SHARD_CAP: usize = 4096;
+type OutcomeKey = (Fingerprint, u64);
 
 #[derive(Default)]
-struct SharedShard {
-    outcomes: HashMap<(Fingerprint, u64), (TestOutcome, CoverageMap)>,
-    order: VecDeque<(Fingerprint, u64)>,
+struct Stripe {
+    outcomes: HashMap<OutcomeKey, (TestOutcome, CoverageMap)>,
+    order: VecDeque<OutcomeKey>,
 }
 
-static SHARED: OnceLock<Vec<Mutex<SharedShard>>> = OnceLock::new();
+/// A campaign's in-memory outcome cache: `(recipe key, exec key)` → the
+/// outcome and dynamic coverage a launch produced.
+///
+/// A cheap-to-clone handle: clones share one cache, and since every job
+/// clones its campaign's [`ExecOptions`], all jobs and scheduler workers of
+/// a campaign share it.  Striping the locks by recipe key keeps worker
+/// contention negligible, and a per-stripe FIFO bound keeps the footprint
+/// fixed.  Only plain data crosses threads here.
+#[derive(Clone, Default)]
+pub struct OutcomeCache(Arc<[Mutex<Stripe>; STRIPES]>);
 
-fn shared_shard(fingerprint: Fingerprint) -> &'static Mutex<SharedShard> {
-    let shards = SHARED.get_or_init(|| {
-        (0..SHARED_SHARDS)
-            .map(|_| Mutex::new(SharedShard::default()))
-            .collect()
-    });
-    &shards[(fingerprint.0 as usize) & (SHARED_SHARDS - 1)]
-}
+impl OutcomeCache {
+    fn stripe(&self, key: &OutcomeKey) -> std::sync::MutexGuard<'_, Stripe> {
+        self.0[(key.0 .0 as usize) % STRIPES]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
 
-fn shared_get(key: &(Fingerprint, u64)) -> Option<(TestOutcome, CoverageMap)> {
-    let shard = shared_shard(key.0)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    shard.outcomes.get(key).cloned()
-}
+    fn get(&self, key: &OutcomeKey) -> Option<(TestOutcome, CoverageMap)> {
+        self.stripe(key).outcomes.get(key).cloned()
+    }
 
-fn shared_put(key: (Fingerprint, u64), outcome: TestOutcome, coverage: CoverageMap) {
-    let mut shard = shared_shard(key.0)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    if shard.outcomes.insert(key, (outcome, coverage)).is_none() {
-        shard.order.push_back(key);
-        if shard.order.len() > SHARED_SHARD_CAP {
-            if let Some(oldest) = shard.order.pop_front() {
-                shard.outcomes.remove(&oldest);
+    fn put(&self, key: OutcomeKey, outcome: TestOutcome, coverage: CoverageMap) {
+        let mut stripe = self.stripe(&key);
+        if stripe.outcomes.insert(key, (outcome, coverage)).is_none() {
+            stripe.order.push_back(key);
+            if stripe.order.len() > STRIPE_CAP {
+                if let Some(oldest) = stripe.order.pop_front() {
+                    stripe.outcomes.remove(&oldest);
+                }
             }
         }
     }
 }
 
-/// Empties the process-wide shared outcome cache (cold-start bracketing in
-/// tests; campaigns never need this — eviction bounds the size).
-pub fn reset_shared_outcome_cache() {
-    if let Some(shards) = SHARED.get() {
-        for shard in shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            shard.outcomes.clear();
-            shard.order.clear();
-        }
+impl fmt::Debug for OutcomeCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("OutcomeCache")
     }
 }
 
@@ -476,16 +420,13 @@ pub fn reset_shared_outcome_cache() {
 /// pass capturing reusable hasher state ([`ProgramHasher`]); feature
 /// detection and the optimised AST are computed lazily, also at most once —
 /// and every [`Session::execute`] call reuses it.  The execution phase is
-/// memoised through the session's [`ExecMemo`]: targets whose front end
+/// memoised through the options' [`OutcomeCache`]: targets whose front end
 /// produces the same [`Recipe`] (and identical execution-relevant options)
-/// share a single emulator launch.
+/// share a single emulator launch, across every session of the campaign.
 ///
 /// Sessions are single-threaded by design (the campaign engine runs one
-/// kernel job per worker); the memo is [`Rc`]-based precisely so it cannot
-/// leave its thread.  Cross-job and cross-worker sharing happens through
-/// the process-wide shared outcome cache (and, when configured, the
-/// on-disk [`OutcomeStore`]), which hold only plain data: [`TestOutcome`]s
-/// and their coverage.
+/// kernel job per worker); the memo of coverage and counters is
+/// [`Rc`]-based precisely so it cannot leave its thread.
 pub struct Session<'p> {
     program: &'p Program,
     hasher: ProgramHasher,
@@ -501,8 +442,8 @@ impl<'p> Session<'p> {
         Session::with_memo(program, Rc::new(ExecMemo::new()))
     }
 
-    /// A session over `program` sharing `memo` with other sessions (e.g.
-    /// the pruning variants of one EMI base within one kernel job).
+    /// A session over `program` sharing `memo`, its coverage and counters,
+    /// with other sessions (e.g. the pruning variants of one EMI base).
     pub fn with_memo(program: &'p Program, memo: Rc<ExecMemo>) -> Session<'p> {
         let hasher = ProgramHasher::new(program);
         let base_fingerprint = hasher.fingerprint();
@@ -531,20 +472,7 @@ impl<'p> Session<'p> {
         self.features.get_or_init(|| Features::detect(self.program))
     }
 
-    /// The program's static analysis report, cached in the memo by the
-    /// unoptimised fingerprint so the EMI variants and repeat jobs of one
-    /// base (and any structurally identical programs sharing this memo)
-    /// analyse once.
-    pub fn analysis(&self) -> Rc<AnalysisReport> {
-        self.memo
-            .analyses
-            .borrow_mut()
-            .entry(self.base_fingerprint)
-            .or_insert_with(|| Rc::new(clc_analyze::analyze(self.program)))
-            .clone()
-    }
-
-    /// The session's memo (shared caches and counters).
+    /// The session's memo (per-kernel coverage and counters).
     pub fn memo(&self) -> &ExecMemo {
         &self.memo
     }
@@ -703,8 +631,8 @@ impl<'p> Session<'p> {
     }
 
     /// Compiles and executes the kernel on one target, sharing front-end
-    /// state and (when `exec.memoize` is on) emulator launches with every
-    /// other target of this session's memo.
+    /// state with every other target of this session and (when `exec.cache`
+    /// is set) emulator launches with every session of the campaign.
     pub fn execute(
         &self,
         config: &Configuration,
@@ -725,8 +653,8 @@ impl<'p> Session<'p> {
     }
 
     /// Executes on the reference emulator with no configuration-specific
-    /// behaviour, through the same memoised execution phase — so e.g. the
-    /// two runs of an EMI liveness probe share one lowered kernel.
+    /// behaviour (the oracle used by the harness to sanity-check majorities
+    /// and by the reducer), through the same memoised execution phase.
     pub fn reference_execute(&self, exec: &ExecOptions) -> TestOutcome {
         self.memo.stats.bump(Counter::Requests);
         let recipe = Recipe::new(self.program, self.base_fingerprint, Vec::new());
@@ -736,85 +664,53 @@ impl<'p> Session<'p> {
     /// The execution phase: launch a recipe's AST, memoised by
     /// `(recipe key, exec-relevant options)`.
     ///
-    /// Lookup order on the memoised path: the per-job memo, then the
-    /// process-wide shared cache, then the on-disk store (when one is
-    /// configured); a launch back-fills every level, and a hit at an outer
-    /// level back-fills the levels inside it.  All three levels key on the
-    /// same `(recipe key, exec key)` pair, and outcomes are deterministic
-    /// functions of that pair, so hits can never change a result.  The AST
-    /// is built only when every level misses (or memoisation is off).
+    /// Lookup order: the campaign cache, then the on-disk store (when one
+    /// is configured); a launch back-fills both, and a store hit back-fills
+    /// the cache.  Both levels key on the same `(recipe key, exec key)`
+    /// pair, and outcomes are deterministic functions of that pair, so hits
+    /// can never change a result.  The AST is built only when both levels
+    /// miss (or there is no cache).
     fn run(&self, recipe: &Recipe<'_>, exec: &ExecOptions) -> TestOutcome {
-        let options = launch_options(exec);
-        if !exec.memoize {
-            self.memo.stats.bump(Counter::Compiles);
-            self.memo.stats.bump(Counter::Launches);
-            let result = clc_interp::launch(&recipe.build(), &options);
-            self.fold_coverage(&dynamic_coverage(&result));
-            return launch_outcome(result);
-        }
+        let Some(cache) = &exec.cache else {
+            return self.launch(recipe, exec).0;
+        };
         let key = (recipe.key(), exec_key(exec));
-        if let Some((hit, coverage)) = self.memo.outcomes.borrow().get(&key) {
+        if let Some((hit, coverage)) = cache.get(&key) {
             self.memo.stats.bump(Counter::OutcomeHits);
-            self.fold_coverage(coverage);
-            return hit.clone();
-        }
-        if let Some((hit, coverage)) = shared_get(&key) {
-            self.memo.stats.bump(Counter::SharedHits);
             self.fold_coverage(&coverage);
-            self.memo
-                .outcomes
-                .borrow_mut()
-                .insert(key, (hit.clone(), coverage));
             return hit;
         }
-        if let Some(store) = &exec.store {
-            if let Some((hit, coverage)) = store.get(key.0, key.1) {
-                self.memo.stats.bump(Counter::StoreHits);
-                self.fold_coverage(&coverage);
-                shared_put(key, hit.clone(), coverage);
-                self.memo
-                    .outcomes
-                    .borrow_mut()
-                    .insert(key, (hit.clone(), coverage));
-                return hit;
-            }
+        if let Some((hit, coverage)) = exec.store.as_ref().and_then(|s| s.get(key.0, key.1)) {
+            self.memo.stats.bump(Counter::StoreHits);
+            self.fold_coverage(&coverage);
+            cache.put(key, hit.clone(), coverage);
+            return hit;
         }
-        let kernel = {
-            let mut kernels = self.memo.kernels.borrow_mut();
-            match kernels.entry(key.0) {
-                Entry::Occupied(entry) => {
-                    self.memo.stats.bump(Counter::KernelHits);
-                    Rc::clone(entry.get())
-                }
-                Entry::Vacant(entry) => {
-                    self.memo.stats.bump(Counter::Compiles);
-                    let program = recipe.build().into_owned();
-                    Rc::clone(entry.insert(Rc::new(CompiledKernel::compile(program))))
-                }
-            }
-        };
-        self.memo.stats.bump(Counter::Launches);
-        let result = kernel.launch(&options);
-        let coverage = dynamic_coverage(&result);
-        self.fold_coverage(&coverage);
-        let outcome = launch_outcome(result);
-        self.memo
-            .outcomes
-            .borrow_mut()
-            .insert(key, (outcome.clone(), coverage));
-        shared_put(key, outcome.clone(), coverage);
+        let (outcome, coverage) = self.launch(recipe, exec);
+        cache.put(key, outcome.clone(), coverage);
         if let Some(store) = &exec.store {
             store.put(key.0, key.1, &outcome, &coverage);
         }
         outcome
+    }
+
+    /// Builds and launches a recipe's AST, folding the launch's dynamic
+    /// coverage into this kernel's map.
+    fn launch(&self, recipe: &Recipe<'_>, exec: &ExecOptions) -> (TestOutcome, CoverageMap) {
+        self.memo.stats.bump(Counter::Launches);
+        let result = clc_interp::launch(&recipe.build(), &launch_options(exec));
+        let coverage = dynamic_coverage(&result);
+        self.fold_coverage(&coverage);
+        (launch_outcome(result), coverage)
     }
 }
 
 /// Compiles and executes a kernel on a simulated configuration.
 ///
 /// One-shot form of [`Session::execute`]; a caller fanning the same kernel
-/// over many targets should hold a [`Session`] so compiled programs and
-/// outcomes are shared across the fan-out.
+/// over many targets should hold a [`Session`] so the front end's
+/// per-kernel work (features, hashing, the optimised AST) is shared across
+/// the fan-out.
 pub fn execute(
     program: &Program,
     config: &Configuration,
@@ -825,11 +721,9 @@ pub fn execute(
 }
 
 /// Executes on the reference emulator with no configuration-specific
-/// behaviour (the oracle used by the harness to sanity-check majorities and
-/// by the reducer).
+/// behaviour: one-shot form of [`Session::reference_execute`].
 pub fn reference_execute(program: &Program, exec: &ExecOptions) -> TestOutcome {
-    let options = launch_options(exec);
-    launch_outcome(clc_interp::launch(program, &options))
+    Session::new(program).reference_execute(exec)
 }
 
 /// Derives the emulator launch options for one execution.
@@ -839,7 +733,6 @@ fn launch_options(exec: &ExecOptions) -> LaunchOptions {
         detect_races: exec.detect_races,
         schedule: exec.schedule,
         buffer_overrides: Arc::clone(&exec.buffer_overrides),
-        scalar_args: HashMap::new(),
         tier: exec.tier,
     }
 }
@@ -922,7 +815,7 @@ fn race_site_bit(race: &clc_interp::RaceReport) -> u32 {
 /// Hash of every execution option that can change a launch outcome — the
 /// second half of the outcome-cache key.  Buffer overrides are folded in
 /// key-sorted order so the value is independent of map iteration order.
-/// `store` and `memoize` are deliberately excluded: they select *where*
+/// `store` and `cache` are deliberately excluded: they select *where*
 /// outcomes are cached, never *what* they are.
 fn exec_key(exec: &ExecOptions) -> u64 {
     let mut h = DefaultHasher::new();
@@ -1095,7 +988,7 @@ mod tests {
             .enumerate()
         {
             let cold = ExecOptions {
-                memoize: false,
+                cache: None,
                 ..ExecOptions::default()
             };
             assert_eq!(
@@ -1109,15 +1002,15 @@ mod tests {
 
     #[test]
     fn session_memoisation_matches_cold_execution_for_generated_outcomes() {
-        // The memo key must separate different exec options for the same
+        // The cache key must separate different exec options for the same
         // fingerprint: the same program with a different schedule or step
-        // limit is a different cache line.
+        // limit is a different cache line of the one shared cache.
         let p = trivial_program(2);
         let session = Session::new(&p);
         let fast = ExecOptions::default();
         let strict = ExecOptions {
             step_limit: 1, // tiny budget: the kernel times out
-            ..ExecOptions::default()
+            ..fast.clone()
         };
         let ok = session.reference_execute(&fast);
         let starved = session.reference_execute(&strict);
@@ -1128,13 +1021,12 @@ mod tests {
         let stats = session.memo().stats();
         assert_eq!(stats.launches, 2, "two distinct exec-option sets");
         assert_eq!(stats.outcome_hits, 1);
-        assert_eq!(stats.compiles, 1, "one lowered kernel serves both");
     }
 
     #[test]
     fn shared_memo_deduplicates_across_sessions_of_identical_programs() {
         // Two structurally identical programs behind one memo — the EMI
-        // variant case — must share both the compile and the launch.
+        // variant case — must share the launch and count it together.
         let a = trivial_program(4);
         let b = trivial_program(4);
         let memo = Rc::new(ExecMemo::new());
@@ -1148,12 +1040,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_and_store_serve_outcomes_beyond_the_job_memo() {
-        // This is the only test allowed to call reset_shared_outcome_cache:
-        // other tests' shared-cache expectations must not race a reset.
-        //
-        // Part 1 — the on-disk store survives a simulated process death
-        // (shared cache cleared, store reopened from the directory).
+    fn campaign_cache_and_store_serve_outcomes_across_sessions() {
+        // Part 1 — one `ExecOptions` is one campaign: sessions with memos
+        // of their own (i.e. jobs) share its cache.
+        let q = trivial_program(11);
+        let exec = ExecOptions::default();
+        let a = Session::new(&q);
+        let cold = a.reference_execute(&exec);
+        assert_eq!(a.memo().stats().launches, 1);
+        let b = Session::new(&q);
+        assert_eq!(b.reference_execute(&exec), cold);
+        let stats = b.memo().stats();
+        assert_eq!((stats.launches, stats.outcome_hits), (0, 1));
+        // Fresh options are a fresh campaign, whose cache starts empty.
+        let fresh = Session::new(&q);
+        assert_eq!(fresh.reference_execute(&ExecOptions::default()), cold);
+        assert_eq!(fresh.memo().stats().launches, 1);
+
+        // Part 2 — the on-disk store survives a simulated process death
+        // (fresh options over a reopened store), replays the launch's
+        // coverage, and back-fills the new campaign's cache.
         let dir =
             std::env::temp_dir().join(format!("clfuzz-platform-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1166,7 +1072,6 @@ mod tests {
         let launching = Session::new(&p);
         let first = launching.reference_execute(&exec);
         assert_eq!(store.stats().writes, 1);
-        reset_shared_outcome_cache();
         let reopened = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
         let exec = ExecOptions {
             store: Some(Arc::clone(&reopened)),
@@ -1178,29 +1083,34 @@ mod tests {
         assert_eq!(stats.launches, 0, "warm store must skip the launch");
         assert_eq!(stats.store_hits, 1);
         assert_eq!(reopened.stats().hits, 1);
-        // The store replays the launch's dynamic coverage, not an empty map.
         assert!(launching.coverage().contains(CoverageClass::Dynamic, 8));
         assert_eq!(session.coverage(), launching.coverage());
-        let _ = std::fs::remove_dir_all(&dir);
+        let third = Session::new(&p);
+        assert_eq!(third.reference_execute(&exec), first);
+        assert_eq!(third.memo().stats().outcome_hits, 1);
+        assert_eq!(third.coverage(), launching.coverage());
+        let read = reopened.stats();
+        assert_eq!(
+            (read.hits, read.misses),
+            (1, 0),
+            "served with no store read"
+        );
 
-        // Part 2 — the process-wide shared cache deduplicates across
-        // sessions with independent memos (i.e. across jobs).
-        let q = trivial_program(11);
-        let exec = ExecOptions {
-            store: None,
-            ..ExecOptions::default()
+        // Part 3 — no cache: every execution launches, and a configured
+        // store is neither read nor written.
+        let off = ExecOptions {
+            cache: None,
+            ..exec.clone()
         };
-        let a = Session::new(&q);
-        let cold = a.reference_execute(&exec);
-        assert_eq!(a.memo().stats().launches, 1);
-        let b = Session::new(&q); // fresh memo, same process
-        assert_eq!(b.reference_execute(&exec), cold);
-        let stats = b.memo().stats();
-        assert_eq!(stats.launches, 0, "served from the process-wide cache");
-        assert_eq!(stats.shared_hits, 1);
-        // The per-job memo is back-filled: a repeat hits locally.
-        assert_eq!(b.reference_execute(&exec), cold);
-        assert_eq!(b.memo().stats().outcome_hits, 1);
+        let r = trivial_program(13);
+        let session = Session::new(&r);
+        assert_eq!(
+            session.reference_execute(&off),
+            session.reference_execute(&off)
+        );
+        assert_eq!(session.memo().stats().launches, 2);
+        assert_eq!(reopened.stats(), read);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1226,10 +1136,9 @@ mod tests {
         // A warm fan-out is served from the caches; the replayed coverage
         // must be bit-identical to what the real launches produced.
         assert_eq!(fan_out(&exec), cold);
-        // So must a fan-out with memoisation off (all real launches).
+        // So must a fan-out with no cache (all real launches).
         let unmemoised = ExecOptions {
-            memoize: false,
-            store: None,
+            cache: None,
             ..ExecOptions::default()
         };
         assert_eq!(fan_out(&unmemoised), cold);
@@ -1262,8 +1171,7 @@ mod tests {
             ..ExecOptions::default()
         };
         let cold = ExecOptions {
-            memoize: false,
-            store: None,
+            cache: None,
             ..ExecOptions::default()
         };
         let mut transformed_by_mode = HashMap::new();

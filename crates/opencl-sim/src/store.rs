@@ -1,13 +1,13 @@
 //! The cross-campaign outcome store: an on-disk content-addressed cache of
 //! kernel execution outcomes.
 //!
-//! The in-memory caches ([`ExecMemo`](crate::ExecMemo) per job, the
-//! process-wide shared cache in [`platform`](crate::platform)) die with the
-//! process; campaigns, reducer runs and repeated table regenerations
-//! re-execute structurally identical kernels from scratch.  This module
-//! persists the outcome cache's `(program key, exec-option key)` →
-//! `(`[`TestOutcome`]`, `[`CoverageMap`]`)` mapping to a directory, as the
-//! memory levels hold it, so every process pointed at the same store —
+//! The in-memory outcome cache ([`OutcomeCache`](crate::OutcomeCache))
+//! belongs to one campaign and dies with it; other campaigns, reducer runs
+//! and repeated table regenerations re-execute structurally identical
+//! kernels from scratch.  This module persists the cache's `(program key,
+//! exec-option key)` → `(`[`TestOutcome`]`, `[`CoverageMap`]`)` mapping to
+//! a directory, as the cache holds it, so every process pointed at the
+//! same store —
 //! sequential re-runs or concurrent shard processes — shares one
 //! ever-growing cache, and a hit replays the launch's dynamic coverage as
 //! well as its outcome.
