@@ -1061,48 +1061,46 @@ fn eval_builtin(
 
 /// Applies a non-atomic builtin, lifting component-wise over vectors.
 pub fn lift_builtin(func: Builtin, values: &[Value]) -> Result<Value, RuntimeError> {
-    let lanes = values.iter().find_map(|v| match v {
-        Value::Vector(_, l) => Some(l.len()),
+    if values.len() > MAX_BUILTIN_ARGS {
+        return Err(RuntimeError::TypeMismatch {
+            detail: format!(
+                "builtin {} takes at most {MAX_BUILTIN_ARGS} arguments",
+                func.name()
+            ),
+        });
+    }
+    let mismatch = |v: &Value| RuntimeError::TypeMismatch {
+        detail: format!("builtin {} on {}", func.name(), v.kind()),
+    };
+    // One lane's arguments, rebuilt in place for every lane.
+    let mut lane_args = [Scalar::zero(ScalarType::Int); MAX_BUILTIN_ARGS];
+    let args = &mut lane_args[..values.len()];
+    let vector = values.iter().find_map(|v| match v {
+        Value::Vector(elem, lanes) => Some((*elem, lanes.len())),
         _ => None,
     });
-    match lanes {
-        None => {
-            let scalars: Vec<Scalar> = values
-                .iter()
-                .map(|v| {
-                    v.as_scalar().ok_or_else(|| RuntimeError::TypeMismatch {
-                        detail: format!("builtin {} on {}", func.name(), v.kind()),
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            scalar_builtin(func, &scalars).map(Value::Scalar)
+    let Some((elem, n)) = vector else {
+        for (arg, v) in args.iter_mut().zip(values) {
+            *arg = v.as_scalar().ok_or_else(|| mismatch(v))?;
         }
-        Some(n) => {
-            let elem = values
-                .iter()
-                .find_map(|v| match v {
-                    Value::Vector(e, _) => Some(*e),
-                    _ => None,
-                })
-                .expect("vector operand exists");
-            let mut out = Lanes::with_capacity(n);
-            for i in 0..n {
-                let scalars: Vec<Scalar> = values
-                    .iter()
-                    .map(|v| match v {
-                        Value::Vector(e, l) => Ok(Scalar::from_bits(l[i], *e)),
-                        Value::Scalar(s) => Ok(*s),
-                        other => Err(RuntimeError::TypeMismatch {
-                            detail: format!("builtin {} on {}", func.name(), other.kind()),
-                        }),
-                    })
-                    .collect::<Result<_, _>>()?;
-                out.push(scalar_builtin(func, &scalars)?.convert(elem).bits);
-            }
-            Ok(Value::Vector(elem, out))
+        return scalar_builtin(func, args).map(Value::Scalar);
+    };
+    let mut out = Lanes::with_capacity(n);
+    for i in 0..n {
+        for (arg, v) in args.iter_mut().zip(values) {
+            *arg = match v {
+                Value::Vector(e, l) => Scalar::from_bits(l[i], *e),
+                Value::Scalar(s) => *s,
+                other => return Err(mismatch(other)),
+            };
         }
+        out.push(scalar_builtin(func, args)?.convert(elem).bits);
     }
+    Ok(Value::Vector(elem, out))
 }
+
+/// The most arguments a non-atomic builtin takes (`clamp`, `safe_clamp`).
+const MAX_BUILTIN_ARGS: usize = 3;
 
 pub(crate) fn scalar_builtin(func: Builtin, args: &[Scalar]) -> Result<Scalar, RuntimeError> {
     let arg = |i: usize| args[i];

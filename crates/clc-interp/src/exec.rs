@@ -10,15 +10,14 @@
 //! into the next *barrier interval*; arriving at different barriers (or
 //! finishing while others wait) is reported as barrier divergence.
 //!
-//! On the bytecode tier, [`launch`] first runs the launch's lane-independent
-//! prefix once, on a representative work-item
-//! (`vm::run_representative`), and each group's work-items are forked from
-//! it before the scheduler takes over; an error in the prefix is the
-//! launch's error.  The launch also owns the bytecode tier's memo of helper
-//! calls (`vm::CallMemo`), which every work-item of every group shares and
-//! which is dropped when the launch returns.  The tree walker runs every
-//! work-item from the kernel entry and every call in full, and stays the
-//! per-item reference.
+//! On the bytecode tier, [`launch`] owns two memos that every work-item of
+//! every group shares and that are dropped when the launch returns: the
+//! memo of kernel segments (`vm::SegmentMemo`), from which a work-item
+//! replays a stretch of the kernel body that an earlier work-item ran from
+//! the same state without touching anything another work-item could see,
+//! and the memo of helper calls (`vm::CallMemo`).  The tree walker runs
+//! every work-item and every call in full, and stays the per-item
+//! reference.
 
 use crate::error::{RaceReport, RuntimeError};
 use crate::eval::{
@@ -147,10 +146,10 @@ pub struct LaunchResult {
     /// First data race detected, if race detection was enabled.
     pub race: Option<RaceReport>,
     /// Total interpreter steps across all work-items.  On the bytecode tier
-    /// each work-item is charged the steps of the prefix its representative
-    /// ran for it (see `uniform_prefix_steps`) and of the calls the call
-    /// memo served it (see `memoized_steps`), so the total is what running
-    /// every work-item from the kernel entry would count.
+    /// each work-item is charged the steps of the segments it replayed (see
+    /// `replayed_steps`) and of the calls the call memo served it (see
+    /// `memoized_steps`), so the total is what running every work-item in
+    /// full would count.
     pub total_steps: u64,
     /// Number of barriers executed inside helper functions (not
     /// synchronising; see `clc-interp`'s crate documentation).
@@ -162,10 +161,9 @@ pub struct LaunchResult {
     /// Objects allocated in the launch's memory (buffers, parameters and
     /// every variable declaration that needed backing storage).  Diagnostic
     /// and tier-specific: the bytecode tier's register file keeps scalar
-    /// temporaries out of the object table entirely, its work-items copy
-    /// the representative's live private objects at the fork instead of
-    /// declaring them again, and a call served from the call memo
-    /// allocates nothing.
+    /// temporaries out of the object table entirely, a replayed segment
+    /// allocates only the objects that outlive it, and a call served from
+    /// the call memo allocates nothing.
     pub objects_allocated: u64,
     /// Maximum number of barriers any work-group released — how deep the
     /// barrier-arrival ladder ran.  Tier-identical (both tiers share the
@@ -173,18 +171,24 @@ pub struct LaunchResult {
     /// kernels, so coverage feedback may fold it into its dynamic bits.
     /// Excluded from memoised outcomes, like `race_stats`.
     pub barrier_intervals: u64,
-    /// Steps of the launch's lane-independent prefix, which the bytecode
-    /// tier runs once on a representative work-item instead of once per
-    /// work-item (each work-item's count in `total_steps` still includes
-    /// them).  Diagnostic and tier-specific, like `objects_allocated`: 0 on
+    /// Steps of the launch's first segment: from the kernel entry to the
+    /// first instruction whose effect could depend on which work-item runs
+    /// it, which every work-item but the first replays on the bytecode
+    /// tier.  Diagnostic and tier-specific, like `objects_allocated`: 0 on
     /// the tree walker.
     pub uniform_prefix_steps: u64,
-    /// Steps charged to work-items for helper calls the bytecode tier
-    /// served from the launch's call memo instead of running them (included
-    /// in `total_steps`; a call the representative took from the memo
-    /// counts once for every work-item forked from it).  Diagnostic and
-    /// tier-specific, like `uniform_prefix_steps`: 0 on the tree walker.
+    /// Steps charged to work-items for helper calls the bytecode tier did
+    /// not run because the launch's call memo held them: the calls it
+    /// served, and the calls inside replayed segments that it held
+    /// (included in `total_steps`).  Diagnostic and tier-specific, like
+    /// `uniform_prefix_steps`: 0 on the tree walker.
     pub memoized_steps: u64,
+    /// Steps charged to work-items for kernel segments the bytecode tier
+    /// replayed from the launch's segment memo instead of running them
+    /// (included in `total_steps`; a replayed segment's helper calls count
+    /// in `memoized_steps` too).  Diagnostic and tier-specific: 0 on the
+    /// tree walker.
+    pub replayed_steps: u64,
 }
 
 thread_local! {
@@ -271,58 +275,36 @@ pub fn launch(program: &Program, options: &LaunchOptions) -> Result<LaunchResult
 
     let launch_cfg = &program.launch;
     let groups = launch_cfg.groups();
-    let mut total_steps = 0u64;
-    let mut soft_barriers = 0u64;
-    let mut barrier_intervals = 0u64;
-    let mut uniform_prefix_steps = 0u64;
-    let mut memoized_steps = 0u64;
-    // The bytecode tier's memo of helper calls lives exactly as long as the
-    // launch: every work-item of every group shares it.
+    let mut totals = crate::vm::GroupTotals::default();
+    // The bytecode tier's memos of kernel segments and of helper calls live
+    // exactly as long as the launch: every work-item of every group shares
+    // them.
     let mut memo = crate::vm::CallMemo::default();
+    let mut segments = crate::vm::SegmentMemo::default();
 
     // Run the group loop and result readback inside a closure so that the
     // detector is harvested and returned to the spare slot on the error
     // paths too, not just on success.
     let run = (|| -> Result<(Vec<Scalar>, String), RuntimeError> {
-        // The bytecode tier runs the launch's lane-independent prefix once,
-        // on a representative work-item that every group then forks from.
         let compiled =
             (options.tier == ExecutionTier::Bytecode).then(|| crate::compile::compile(program));
-        let bytecode = match &compiled {
-            Some(compiled) => {
-                let representative = crate::vm::run_representative(
-                    program,
-                    compiled,
-                    options,
-                    &mut memory,
-                    &mut races,
-                    &mut memo,
-                    &buffer_objects,
-                    permutations_obj,
-                )?;
-                uniform_prefix_steps = representative.steps();
-                Some((compiled, representative))
-            }
-            None => None,
-        };
         for gz in 0..groups[2] {
             for gy in 0..groups[1] {
                 for gx in 0..groups[0] {
                     let group = [gx, gy, gz];
-                    match &bytecode {
-                        Some((compiled, representative)) => crate::vm::run_group(
+                    match &compiled {
+                        Some(compiled) => crate::vm::run_group(
                             program,
                             compiled,
                             options,
                             &mut memory,
                             &mut races,
                             &mut memo,
-                            representative,
+                            &mut segments,
+                            &buffer_objects,
+                            permutations_obj,
                             group,
-                            &mut total_steps,
-                            &mut soft_barriers,
-                            &mut barrier_intervals,
-                            &mut memoized_steps,
+                            &mut totals,
                         )?,
                         None => run_group(
                             program,
@@ -332,9 +314,9 @@ pub fn launch(program: &Program, options: &LaunchOptions) -> Result<LaunchResult
                             &buffer_objects,
                             permutations_obj,
                             group,
-                            &mut total_steps,
-                            &mut soft_barriers,
-                            &mut barrier_intervals,
+                            &mut totals.steps,
+                            &mut totals.soft_barriers,
+                            &mut totals.barrier_intervals,
                         )?,
                     }
                 }
@@ -372,13 +354,14 @@ pub fn launch(program: &Program, options: &LaunchOptions) -> Result<LaunchResult
         result_string,
         result_hash,
         race,
-        total_steps,
-        soft_barriers,
+        total_steps: totals.steps,
+        soft_barriers: totals.soft_barriers,
         race_stats,
         objects_allocated: memory.allocations(),
-        barrier_intervals,
-        uniform_prefix_steps,
-        memoized_steps,
+        barrier_intervals: totals.barrier_intervals,
+        uniform_prefix_steps: segments.first_steps(),
+        memoized_steps: totals.memoized_steps,
+        replayed_steps: totals.replayed_steps,
     })
 }
 

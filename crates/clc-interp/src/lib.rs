@@ -22,25 +22,32 @@
 //!   not synchronise.  CLsmith only emits barriers in the kernel body, and
 //!   the paper's callee-barrier examples (Figures 1(d), 2(c), 2(d)) do not
 //!   depend on callee barriers for cross-thread communication.
-//! * The bytecode tier runs each launch's lane-independent prefix once.  A
-//!   representative work-item executes from the kernel entry until the
-//!   first instruction whose effect could depend on which work-item runs
-//!   it: an identity query, an access to memory outside the private space,
-//!   a `local` declaration, a barrier or the kernel's return.  Every
-//!   work-item of every group is then forked from that snapshot and
-//!   continues under the cooperative scheduler above.  Before the fork no
-//!   work-item can compute anything different and no shared memory has
-//!   been touched, so this is exact, not an approximation.  CLsmith keeps
-//!   work-item ids out of generated expressions (§4.2), so for BASIC and
-//!   VECTOR kernels the prefix is nearly all of each work-item's work.
+//! * The bytecode tier runs the work-items' shared work once per launch.
+//!   CLsmith gives every work-item the same computation apart from a few
+//!   communication idioms (§4), so most of a kernel body runs the same in
+//!   every work-item.  The bytecode tier cuts the kernel body into
+//!   *segments*: a segment starts at the kernel entry, or at the first
+//!   statement boundary of the kernel body after an instruction whose
+//!   effect could depend on which work-item runs it (an identity query, an
+//!   access to memory outside the private space, a `local` declaration, a
+//!   barrier or the kernel's return), and ends before the next such
+//!   instruction.  The first work-item to run a segment from a given state
+//!   records what it read (the kernel body's scalars and the cells of its
+//!   variables) and what it left behind; a later work-item of any group
+//!   that reaches the same start in the same state replays the record
+//!   instead of running it, unless the step limit could stop it inside the
+//!   segment.  A segment touches no shared memory and asks
+//!   nothing of the work-item's identity, so replaying it is exact, not an
+//!   approximation, and no shared access changes order.  The segments are
+//!   dropped with the launch.
 //! * The bytecode tier also runs each distinct helper call once per launch.
 //!   OpenCL C has no global variables, so CLsmith passes every helper a
-//!   pointer to the work-item's private globals struct (§4), and past the
-//!   fork the work-items of the idiom modes make the same calls on equal
-//!   copies of it.  A helper is *memoisable* when neither it nor anything
-//!   it calls queries a work-item's identity, declares or names `local`
-//!   memory, or runs a barrier or an atomic: it can then reach only its own
-//!   objects and the objects its arguments point to.  A call of such a
+//!   pointer to the work-item's private globals struct (§4), and the
+//!   work-items of the idiom modes make the same calls on equal copies of
+//!   it.  A helper is *memoisable* when neither it nor anything it calls
+//!   queries a work-item's identity, declares or names `local` memory, or
+//!   runs a barrier or an atomic: it can then reach only its own objects
+//!   and the objects its arguments point to.  A call of such a
 //!   helper is keyed by the callee, its arguments (each pointer's object
 //!   renamed to its index among the argument objects, so aliasing is part
 //!   of the key) and those objects' cells, when every pointer argument

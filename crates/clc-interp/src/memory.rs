@@ -11,6 +11,7 @@
 use crate::error::RuntimeError;
 use crate::value::{Cell, ObjId, PointerValue, Scalar};
 use clc::{AddressSpace, ScalarType, StructDef, Type};
+use std::cell::RefCell;
 
 /// An allocated object.
 #[derive(Debug, Clone)]
@@ -29,6 +30,9 @@ pub struct Object {
     pub live: bool,
     /// The generation this object holds its slot under (see [`ObjId`]).
     generation: u32,
+    /// The last tracking epoch in which this object was allocated or
+    /// touched (see [`Memory::begin_tracking`]).
+    touched: std::cell::Cell<u32>,
 }
 
 /// The object store for one kernel launch.
@@ -47,7 +51,30 @@ pub struct Memory {
     /// included).  Diagnostic: the register file shows up here as loop
     /// temporaries no longer churning the object table.
     allocations: u64,
+    /// The open tracking epoch, 0 when nothing is tracked.
+    tracking: u32,
+    /// The last epoch handed out.
+    epochs: u32,
+    /// What the open epoch has logged so far.
+    log: RefCell<TouchLog>,
 }
+
+/// What a tracking epoch logs (see [`Memory::begin_tracking`]).
+#[derive(Debug, Default)]
+pub(crate) struct TouchLog {
+    /// Objects that existed when the epoch began and were touched in it, in
+    /// first-touch order, each with the range of `cells` holding its cells
+    /// as they were just before that first touch.
+    pub(crate) touched: Vec<(ObjId, std::ops::Range<usize>)>,
+    pub(crate) cells: Vec<Cell>,
+    /// Objects allocated in the epoch, in allocation order.
+    pub(crate) created: Vec<ObjId>,
+}
+
+/// Generations from this one up are never handed out, so an [`ObjId`]
+/// with one of them names no object: the bytecode tier's segment memo
+/// uses them to tag the ids it stores relative to a work-item.
+pub(crate) const RESERVED_GENERATIONS: u32 = u32::MAX - 1;
 
 /// Cap on pooled cell buffers: enough for every per-iteration declaration
 /// of a deeply nested kernel, while one huge freed buffer set cannot pin
@@ -112,9 +139,10 @@ impl Memory {
             cells,
             live: true,
             generation: 0,
+            touched: std::cell::Cell::new(self.tracking),
         };
         self.allocations += 1;
-        if let Some(slot) = self.free_list.pop() {
+        let id = if let Some(slot) = self.free_list.pop() {
             let entry = &mut self.objects[slot as usize];
             object.generation = entry.generation + 1;
             *entry = object;
@@ -129,17 +157,26 @@ impl Memory {
                 slot,
                 generation: 0,
             }
+        };
+        if self.tracking != 0 {
+            self.log.get_mut().created.push(id);
         }
+        id
     }
 
-    /// Allocates a copy of a live object: same name, type, space and cells.
-    pub(crate) fn duplicate(&mut self, id: ObjId) -> Result<ObjId, RuntimeError> {
-        let mut cells = self.spare_cells.pop().unwrap_or_default();
-        cells.clear();
-        let source = self.object(id)?;
-        cells.extend_from_slice(&source.cells);
-        let (name, ty, space) = (source.name.clone(), source.ty.clone(), source.space);
-        Ok(self.alloc_with_cells(name, ty, space, cells))
+    /// Allocates an object holding a copy of `cells`, reusing a pooled
+    /// buffer when one is available.
+    pub(crate) fn alloc_copy(
+        &mut self,
+        name: &str,
+        ty: &Type,
+        space: AddressSpace,
+        cells: &[Cell],
+    ) -> ObjId {
+        let mut buffer = self.spare_cells.pop().unwrap_or_default();
+        buffer.clear();
+        buffer.extend_from_slice(cells);
+        self.alloc_with_cells(name, ty.clone(), space, buffer)
     }
 
     /// Marks an object as dead, recycling both its slot and (up to the pool
@@ -155,11 +192,62 @@ impl Memory {
                     cells.clear();
                     self.spare_cells.push(cells);
                 }
-                if obj.generation < u32::MAX {
+                if obj.generation + 1 < RESERVED_GENERATIONS {
                     self.free_list.push(id.slot);
                 }
             }
         }
+    }
+
+    /// Opens a tracking epoch: from now until [`Memory::end_tracking`],
+    /// every access to an object that exists now logs, on the object's
+    /// first touch, a copy of its cells as they were before it, and every
+    /// allocation logs the new object.  Returns false, opening nothing,
+    /// once the epochs are used up.
+    pub(crate) fn begin_tracking(&mut self) -> bool {
+        debug_assert_eq!(self.tracking, 0, "nested tracking epochs");
+        let Some(epoch) = self.epochs.checked_add(1) else {
+            return false;
+        };
+        self.epochs = epoch;
+        self.tracking = epoch;
+        let log = self.log.get_mut();
+        log.touched.clear();
+        log.cells.clear();
+        log.created.clear();
+        true
+    }
+
+    /// Closes the tracking epoch; its log stays readable through
+    /// [`Memory::touch_log`] until the next one begins.
+    pub(crate) fn end_tracking(&mut self) {
+        self.tracking = 0;
+    }
+
+    /// Suspends the tracking epoch (for accesses that are not the tracked
+    /// code's own) and returns what [`Memory::resume_tracking`] takes.
+    pub(crate) fn pause_tracking(&mut self) -> u32 {
+        std::mem::take(&mut self.tracking)
+    }
+
+    pub(crate) fn resume_tracking(&mut self, epoch: u32) {
+        self.tracking = epoch;
+    }
+
+    /// The log of the last tracking epoch.
+    pub(crate) fn touch_log(&self) -> std::cell::Ref<'_, TouchLog> {
+        self.log.borrow()
+    }
+
+    /// Logs the first touch of `object` in the open epoch.
+    #[cold]
+    fn touch(&self, id: ObjId, object: &Object) {
+        object.touched.set(self.tracking);
+        let mut log = self.log.borrow_mut();
+        let start = log.cells.len();
+        log.cells.extend_from_slice(&object.cells);
+        let end = log.cells.len();
+        log.touched.push((id, start..end));
     }
 
     /// Number of live objects (diagnostics).
@@ -179,13 +267,22 @@ impl Memory {
     /// tier, so no name read from the slot would be the same on both.
     pub fn object(&self, id: ObjId) -> Result<&Object, RuntimeError> {
         match self.objects.get(id.slot as usize) {
-            Some(o) if o.live && o.generation == id.generation => Ok(o),
+            Some(o) if o.live && o.generation == id.generation => {
+                if self.tracking != 0 && o.touched.get() != self.tracking {
+                    self.touch(id, o);
+                }
+                Ok(o)
+            }
             Some(_) => Err(freed_object()),
             None => Err(bad_object(id)),
         }
     }
 
     pub(crate) fn object_mut(&mut self, id: ObjId) -> Result<&mut Object, RuntimeError> {
+        if self.tracking != 0 {
+            // Logs the first touch before the caller writes.
+            self.object(id)?;
+        }
         match self.objects.get_mut(id.slot as usize) {
             Some(o) if o.live && o.generation == id.generation => Ok(o),
             Some(_) => Err(freed_object()),

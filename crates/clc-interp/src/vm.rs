@@ -16,32 +16,43 @@
 //! is what makes the two tiers agree bit-for-bit on results, errors and race
 //! verdicts (enforced by the `tier_equivalence` integration test).
 //!
-//! Each launch starts with one *representative* work-item
-//! (`run_representative`).  It runs the same loop, but stops — before the
-//! step is counted — at the first instruction whose effect could depend on
-//! which work-item runs it (`lane_dependent`).  Each group's work-items are
-//! then forked from it (`VmItem::fork`): its private objects are copied and
-//! every pointer to them redirected, its step and soft-barrier counts
-//! carried over, and the work-items continue from the same instruction.
-//! Nothing before the fork can differ between work-items or touch shared
-//! memory, so the result, the errors, the race verdicts and `total_steps`
-//! are those of running every work-item from the kernel entry.
+//! Each launch replays the *segments* of its kernel that run the same in
+//! every work-item, through one `SegmentMemo` shared by every work-item of
+//! every group.  A segment starts at the kernel entry, or at the first
+//! kernel-frame statement boundary (empty value and place stacks) after an
+//! instruction whose effect could depend on which work-item runs it
+//! (`lane_dependent`), and ends before the next such instruction.  The
+//! first work-item to run a segment from a given start records it: what it
+//! read before writing it (kernel-frame registers, and the cells of the
+//! kernel frame's objects, `Memory` logging each object's cells at its
+//! first touch) and what it left behind (written registers and cells,
+//! objects that outlive it, its scopes and frames, both stacks, its steps
+//! and soft barriers).  Object ids are stored relative to the work-item: an
+//! object the kernel frame owned at the start by its index in the frame's
+//! owned list, an object the segment allocated by its index among those
+//! that outlive it.  A later work-item at that start whose reads match the
+//! record, and whose steps plus the recorded ones stay within the step
+//! limit, replays it; any other runs it for real.  A segment never touches
+//! shared memory, queries a work-item's identity, or runs a barrier or an
+//! atomic on shared memory, so the result, the errors, the race verdicts
+//! and `total_steps` are those of running every work-item in full, and no
+//! shared access changes order.
 //!
 //! Calls of memoisable helpers (`CompiledFunc::memoisable`, decided at
-//! lowering) go through the launch's `CallMemo`, shared by the
-//! representative and every work-item of every group.  A `Call` whose
-//! pointer arguments all name live private objects free of pointer cells is
-//! keyed by the callee, the arguments with each pointer's object renamed to
-//! its argument-object index, and those objects' cells.  On a miss the call
-//! runs as before and is recorded at its `Return` (unless its result or an
-//! argument object then holds a pointer): the argument objects' cells, the
-//! result, and the steps, soft barriers and nested call depth it took.  On
-//! a hit the cells are written back into this work-item's argument objects,
-//! the result is pushed and the steps and soft barriers are charged, so
-//! nothing the caller can observe differs from running the call.  A hit is
-//! taken only when the work-item could not have stopped inside the call:
-//! its steps plus the recorded ones stay within the step limit, and its
-//! frames plus the recorded depth within `MAX_CALL_DEPTH`.
+//! lowering) go through the launch's `CallMemo`, shared by every work-item
+//! of every group.  A `Call` whose pointer arguments all name live private
+//! objects free of pointer cells is keyed by the callee, the arguments with
+//! each pointer's object renamed to its argument-object index, and those
+//! objects' cells.  On a miss the call runs as before and is recorded at its
+//! `Return` (unless its result or an argument object then holds a pointer):
+//! the argument objects' cells, the result, and the steps, soft barriers and
+//! nested call depth it took.  On a hit the cells are written back into this
+//! work-item's argument objects, the result is pushed and the steps and soft
+//! barriers are charged, so nothing the caller can observe differs from
+//! running the call.  A hit is taken only when the work-item could not have
+//! stopped inside the call: its steps plus the recorded ones stay within the
+//! step limit, and its frames plus the recorded depth within
+//! `MAX_CALL_DEPTH`.
 
 use crate::compile::{BranchKind, CompiledProgram, Instr, LeafTy, KERNEL_FUNC};
 use crate::error::RuntimeError;
@@ -53,7 +64,7 @@ use crate::eval::{
 use crate::exec::{
     alloc_param_object, drive_group, group_linear, thread_ids, CoopItem, LaunchOptions, Status,
 };
-use crate::memory::{Memory, Object};
+use crate::memory::{Memory, Object, RESERVED_GENERATIONS};
 use crate::race::{AccessKind, RaceDetector};
 use crate::value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};
 use clc::expr::{BinOp, Builtin};
@@ -78,6 +89,32 @@ struct Frame {
     scope_bases: Vec<usize>,
 }
 
+impl Frame {
+    fn empty() -> Frame {
+        Frame {
+            func: 0,
+            pc: 0,
+            slots: Vec::new(),
+            regs: Vec::new(),
+            owned: Vec::new(),
+            scope_bases: Vec::new(),
+        }
+    }
+
+    /// Makes this frame a copy of `from` with every object id mapped by
+    /// `id`.
+    fn copy_mapped(&mut self, from: &Frame, id: impl Fn(ObjId) -> ObjId) {
+        self.func = from.func;
+        self.pc = from.pc;
+        self.slots.clear();
+        self.slots.extend(from.slots.iter().map(|s| s.map(&id)));
+        self.regs.clone_from(&from.regs);
+        self.owned.clear();
+        self.owned.extend(from.owned.iter().map(|&o| id(o)));
+        self.scope_bases.clone_from(&from.scope_bases);
+    }
+}
+
 /// The execution state of one work-item on the bytecode tier.
 pub(crate) struct VmItem {
     ids: ThreadIds,
@@ -95,95 +132,69 @@ pub(crate) struct VmItem {
     /// The memoised calls this work-item is running for real, innermost
     /// last, to be recorded when they return.
     recording: Vec<Recording>,
-    /// Whether this is the launch's representative, which stops (without
-    /// counting the step) before the first instruction whose effect could
-    /// depend on which work-item runs it; see [`run_representative`].
-    representative: bool,
+    /// Steps of the calls made outside any memoised call that a work-item
+    /// running the same code after this one would take from the call memo:
+    /// each call the memo served or recorded.  A recorded segment charges
+    /// its share to the work-items that replay it, as `memoized_steps`.
+    memo_credit: u64,
+    /// Where this work-item stands towards the launch's segments.
+    phase: Phase,
+    /// Steps charged for segments replayed from the launch's
+    /// [`SegmentMemo`] (included in `steps`).
+    replayed_steps: u64,
 }
 
 impl VmItem {
+    /// A work-item `ids` at the kernel entry.  Slot 0 is the permutation
+    /// table, followed by the kernel parameters, matching the environment
+    /// the tree walker builds.
+    fn new(
+        ids: ThreadIds,
+        program: &Program,
+        compiled: &CompiledProgram,
+        memory: &mut Memory,
+        buffer_objects: &HashMap<String, (ObjId, ScalarType, usize)>,
+        permutations_obj: Option<ObjId>,
+    ) -> Result<VmItem, RuntimeError> {
+        let kernel = &compiled.funcs[KERNEL_FUNC];
+        let mut slots = vec![None; kernel.n_slots];
+        let mut owned = Vec::with_capacity(program.kernel.params.len());
+        slots[0] = permutations_obj;
+        for (i, param) in program.kernel.params.iter().enumerate() {
+            let obj = alloc_param_object(memory, buffer_objects, param)?;
+            slots[1 + i] = Some(obj);
+            owned.push(obj);
+        }
+        Ok(VmItem {
+            ids,
+            frames: vec![Frame {
+                func: KERNEL_FUNC,
+                pc: 0,
+                slots,
+                regs: vec![None; kernel.n_regs],
+                owned,
+                scope_bases: Vec::new(),
+            }],
+            frame_pool: Vec::new(),
+            values: Vec::new(),
+            places: Vec::new(),
+            status: Status::Ready,
+            steps: 0,
+            soft_barriers: 0,
+            memoized_steps: 0,
+            recording: Vec::new(),
+            memo_credit: 0,
+            phase: Phase::Seek,
+            replayed_steps: 0,
+        })
+    }
+
     fn pop_value(&mut self) -> Value {
         self.values.pop().expect("value stack underflow")
     }
 
     fn pop_place(&mut self) -> Place {
         self.places.pop().expect("place stack underflow")
-    }
-
-    /// Steps executed so far.
-    pub(crate) fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Materialises work-item `ids` from a representative stopped at its
-    /// first lane-dependent instruction: every private object the
-    /// representative owns is copied, and the pointers in the copies, the
-    /// slots, the value and place stacks are redirected to them.  The step
-    /// and soft-barrier counts carry over, so the fork is indistinguishable
-    /// from a work-item that ran the prefix itself.
-    fn fork(&self, ids: ThreadIds, memory: &mut Memory) -> Result<VmItem, RuntimeError> {
-        debug_assert!(self.recording.is_empty(), "fork inside a recorded call");
-        let owned = || self.frames.iter().flat_map(|f| f.owned.iter().copied());
-        // Indexed by slot; a pointer is redirected only when it names the
-        // owned object itself, not an earlier generation of its slot.
-        let mut copies: Vec<Option<(ObjId, ObjId)>> =
-            vec![None; owned().map(|o| o.slot as usize + 1).max().unwrap_or(0)];
-        for obj in owned() {
-            copies[obj.slot as usize] = Some((obj, memory.duplicate(obj)?));
-        }
-        let redirect = |obj: ObjId| match copies.get(obj.slot as usize) {
-            Some(&Some((from, to))) if from == obj => to,
-            _ => obj,
-        };
-        let redirect_cell = |cell: &mut Cell| {
-            if let Cell::Ptr(p) = cell {
-                p.obj = redirect(p.obj);
-            }
-        };
-        for &(_, copy) in copies.iter().flatten() {
-            memory
-                .object_mut(copy)?
-                .cells
-                .iter_mut()
-                .for_each(&redirect_cell);
-        }
-        let frames = self
-            .frames
-            .iter()
-            .map(|f| Frame {
-                func: f.func,
-                pc: f.pc,
-                slots: f.slots.iter().map(|s| s.map(redirect)).collect(),
-                regs: f.regs.clone(),
-                owned: f.owned.iter().map(|&o| redirect(o)).collect(),
-                scope_bases: f.scope_bases.clone(),
-            })
-            .collect();
-        let mut values = self.values.clone();
-        for value in &mut values {
-            match value {
-                Value::Pointer(p) => p.obj = redirect(p.obj),
-                Value::Aggregate(_, cells) => cells.iter_mut().for_each(&redirect_cell),
-                Value::Scalar(_) | Value::Vector(..) => {}
-            }
-        }
-        let mut places = self.places.clone();
-        for place in &mut places {
-            place.obj = redirect(place.obj);
-        }
-        Ok(VmItem {
-            ids,
-            frames,
-            frame_pool: Vec::new(),
-            values,
-            places,
-            status: Status::Ready,
-            steps: self.steps,
-            soft_barriers: self.soft_barriers,
-            memoized_steps: self.memoized_steps,
-            recording: Vec::new(),
-            representative: false,
-        })
     }
 }
 
@@ -207,6 +218,7 @@ struct World<'a> {
     races: &'a mut Option<RaceDetector>,
     group_locals: &'a mut HashMap<String, ObjId>,
     memo: &'a mut CallMemo,
+    segments: &'a mut SegmentMemo,
 }
 
 impl World<'_> {
@@ -218,78 +230,68 @@ impl World<'_> {
             structs: &self.program.structs,
         }
     }
-}
 
-/// Runs the launch's representative work-item from the kernel entry up to
-/// its first instruction whose effect could depend on which work-item runs
-/// it (see [`lane_dependent`]), and returns it stopped there.
-///
-/// Until that point every work-item of every group would execute exactly the
-/// same instructions on the same private state, and none of them touches
-/// shared memory, so no schedule can tell the difference: running the prefix
-/// once and forking the result ([`run_group`]) is exact.  An error raised in
-/// the prefix is every work-item's error, and so the launch's.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_representative(
-    program: &Program,
-    compiled: &CompiledProgram,
-    options: &LaunchOptions,
-    memory: &mut Memory,
-    races: &mut Option<RaceDetector>,
-    memo: &mut CallMemo,
-    buffer_objects: &HashMap<String, (ObjId, ScalarType, usize)>,
-    permutations_obj: Option<ObjId>,
-) -> Result<VmItem, RuntimeError> {
-    let kernel = &compiled.funcs[KERNEL_FUNC];
-    // Slot 0 is the permutation table, followed by the kernel parameters,
-    // matching the environment the tree walker builds.
-    let mut slots = vec![None; kernel.n_slots];
-    let mut owned = Vec::new();
-    if let Some(perm) = permutations_obj {
-        slots[0] = Some(perm);
+    /// Reads a register, failing like `Memory::read_scalar` on an
+    /// uninitialised cell (the same error, naming the same variable).  A
+    /// kernel-frame read is logged for the segment being recorded.
+    fn read_reg(
+        &mut self,
+        item: &VmItem,
+        frame_idx: usize,
+        func: usize,
+        reg: u16,
+        ty: ScalarType,
+    ) -> Result<Scalar, RuntimeError> {
+        match item.frames[frame_idx].regs[reg as usize] {
+            Some(bits) => {
+                if frame_idx == 0 && item.phase == Phase::Record {
+                    self.segments.pending.read(reg, bits);
+                }
+                Ok(Scalar::from_bits(bits, ty))
+            }
+            None => Err(RuntimeError::UninitializedRead {
+                object: self.compiled.funcs[func].reg_names[reg as usize].clone(),
+            }),
+        }
     }
-    for (i, param) in program.kernel.params.iter().enumerate() {
-        let obj = alloc_param_object(memory, buffer_objects, param)?;
-        slots[1 + i] = Some(obj);
-        owned.push(obj);
+
+    /// Stores into a register with `write_value`'s `Type::Scalar`
+    /// semantics: scalar conversion to the declared type, the
+    /// pointer-to-integer zero token, and the identical `TypeMismatch` for
+    /// anything else.
+    fn write_reg(
+        &mut self,
+        item: &mut VmItem,
+        frame_idx: usize,
+        reg: u16,
+        ty: ScalarType,
+        value: &Value,
+    ) -> Result<(), RuntimeError> {
+        let bits = match value {
+            Value::Scalar(v) => v.convert(ty).bits,
+            Value::Pointer(_) => Scalar::zero(ty).bits,
+            other => {
+                return Err(RuntimeError::TypeMismatch {
+                    detail: format!("cannot store {} into {:?}", other.kind(), Type::Scalar(ty)),
+                })
+            }
+        };
+        self.set_reg(item, frame_idx, reg, Some(bits));
+        Ok(())
     }
-    let mut item = VmItem {
-        // Never observed: identity queries and shared accesses end the prefix.
-        ids: thread_ids(&program.launch, [0; 3], [0; 3]),
-        frames: vec![Frame {
-            func: KERNEL_FUNC,
-            pc: 0,
-            slots,
-            regs: vec![None; kernel.n_regs],
-            owned,
-            scope_bases: Vec::new(),
-        }],
-        frame_pool: Vec::new(),
-        values: Vec::new(),
-        places: Vec::new(),
-        status: Status::Ready,
-        steps: 0,
-        soft_barriers: 0,
-        memoized_steps: 0,
-        recording: Vec::new(),
-        representative: true,
-    };
-    let mut world = World {
-        compiled,
-        program,
-        step_limit: options.step_limit,
-        memory,
-        races,
-        group_locals: &mut HashMap::new(),
-        memo,
-    };
-    run_frames(&mut world, &mut item)?;
-    Ok(item)
+
+    /// Sets a register, logging a kernel-frame write for the segment being
+    /// recorded.
+    fn set_reg(&mut self, item: &mut VmItem, frame_idx: usize, reg: u16, bits: Option<u64>) {
+        if frame_idx == 0 && item.phase == Phase::Record {
+            self.segments.pending.wrote(reg);
+        }
+        item.frames[frame_idx].regs[reg as usize] = bits;
+    }
 }
 
 /// Executes one work-group on the bytecode tier (the VM counterpart of
-/// `exec::run_group`), forking its work-items from the launch's
-/// representative.
+/// `exec::run_group`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_group(
     program: &Program,
@@ -298,12 +300,11 @@ pub(crate) fn run_group(
     memory: &mut Memory,
     races: &mut Option<RaceDetector>,
     memo: &mut CallMemo,
-    representative: &VmItem,
+    segments: &mut SegmentMemo,
+    buffer_objects: &HashMap<String, (ObjId, ScalarType, usize)>,
+    permutations_obj: Option<ObjId>,
     group: [usize; 3],
-    total_steps: &mut u64,
-    soft_barriers: &mut u64,
-    barrier_intervals: &mut u64,
-    memoized_steps: &mut u64,
+    totals: &mut GroupTotals,
 ) -> Result<(), RuntimeError> {
     let cfg = &program.launch;
     let local = cfg.local;
@@ -313,7 +314,14 @@ pub(crate) fn run_group(
     for lz in 0..local[2] {
         for ly in 0..local[1] {
             for lx in 0..local[0] {
-                items.push(representative.fork(thread_ids(cfg, group, [lx, ly, lz]), memory)?);
+                items.push(VmItem::new(
+                    thread_ids(cfg, group, [lx, ly, lz]),
+                    program,
+                    compiled,
+                    memory,
+                    buffer_objects,
+                    permutations_obj,
+                )?);
             }
         }
     }
@@ -326,6 +334,7 @@ pub(crate) fn run_group(
         races,
         group_locals: &mut group_locals,
         memo,
+        segments,
     };
     let released = drive_group(
         &mut items,
@@ -333,12 +342,13 @@ pub(crate) fn run_group(
         group_linear(group, cfg.groups()),
         |item| run_item(&mut world, item),
     )?;
-    *barrier_intervals = (*barrier_intervals).max(released);
+    totals.barrier_intervals = totals.barrier_intervals.max(released);
 
     for item in &mut items {
-        *total_steps += item.steps;
-        *soft_barriers += item.soft_barriers;
-        *memoized_steps += item.memoized_steps;
+        totals.steps += item.steps;
+        totals.soft_barriers += item.soft_barriers;
+        totals.memoized_steps += item.memoized_steps;
+        totals.replayed_steps += item.replayed_steps;
         // Free the kernel frame's ownership (parameters plus top-level
         // declarations) in allocation order, as the tree walker's final
         // `pop_to_depth(0)` does.
@@ -357,9 +367,26 @@ pub(crate) fn run_group(
     Ok(())
 }
 
+/// A launch's per-group sums on the bytecode tier.
+#[derive(Debug, Default)]
+pub(crate) struct GroupTotals {
+    pub(crate) steps: u64,
+    pub(crate) soft_barriers: u64,
+    pub(crate) barrier_intervals: u64,
+    pub(crate) memoized_steps: u64,
+    pub(crate) replayed_steps: u64,
+}
+
 /// Runs a single work-item until it blocks at a barrier, finishes or fails.
 fn run_item(world: &mut World<'_>, item: &mut VmItem) {
-    if let Err(e) = run_frames(world, item) {
+    let result = run_frames(world, item);
+    if item.phase == Phase::Record {
+        // Only an error leaves a segment unfinished: drop its recording.
+        debug_assert!(result.is_err(), "a recorded segment yielded");
+        world.memory.end_tracking();
+        item.phase = Phase::Seek;
+    }
+    if let Err(e) = result {
         item.status = Status::Failed(e);
     }
 }
@@ -377,9 +404,28 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
         let mut pc = item.frames[frame_idx].pc;
         loop {
             let instr = &code[pc];
-            if item.representative && lane_dependent(world, item, frame_idx, instr) {
-                item.frames[frame_idx].pc = pc;
-                return Ok(());
+            match item.phase {
+                Phase::Record => {
+                    let epoch = world.memory.pause_tracking();
+                    let ends = lane_dependent(world, item, frame_idx, instr);
+                    world.memory.resume_tracking(epoch);
+                    if ends {
+                        item.frames[frame_idx].pc = pc;
+                        world.segments.commit(world.memory, item);
+                    }
+                }
+                Phase::Seek | Phase::Run
+                    if frame_idx == 0
+                        && item.values.is_empty()
+                        && item.places.is_empty()
+                        && (item.phase == Phase::Seek || world.segments.started(pc)) =>
+                {
+                    item.frames[0].pc = pc;
+                    if start_segment(world, item, instr)? {
+                        continue 'frames;
+                    }
+                }
+                Phase::Seek | Phase::Run => {}
             }
             item.steps += 1;
             if item.steps > world.step_limit {
@@ -714,14 +760,12 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                         item.values.push(new_value);
                     }
                 }
-                Instr::DeclReg { reg } => {
-                    item.frames[frame_idx].regs[*reg as usize] = None;
-                }
+                Instr::DeclReg { reg } => world.set_reg(item, frame_idx, *reg, None),
                 Instr::DeclRegInit { reg, bits } => {
-                    item.frames[frame_idx].regs[*reg as usize] = Some(*bits);
+                    world.set_reg(item, frame_idx, *reg, Some(*bits))
                 }
                 Instr::LoadReg { reg, ty } => {
-                    let s = read_reg(item, frame_idx, func, compiled, *reg, *ty)?;
+                    let s = world.read_reg(item, frame_idx, func, *reg, *ty)?;
                     item.values.push(Value::Scalar(s));
                 }
                 Instr::StoreReg { reg, ty, op, push } => {
@@ -729,13 +773,12 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                     let new_value = match op {
                         None => rhs,
                         Some(binop) => {
-                            let current = Value::Scalar(read_reg(
-                                item, frame_idx, func, compiled, *reg, *ty,
-                            )?);
+                            let current =
+                                Value::Scalar(world.read_reg(item, frame_idx, func, *reg, *ty)?);
                             vm_value_binop(*binop, current, rhs)?
                         }
                     };
-                    write_reg(item, frame_idx, *reg, *ty, &new_value)?;
+                    world.write_reg(item, frame_idx, *reg, *ty, &new_value)?;
                     if *push {
                         item.values.push(new_value);
                     }
@@ -750,19 +793,18 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                     let new_value = match op {
                         None => Value::Scalar(*imm),
                         Some(binop) => {
-                            let current = Value::Scalar(read_reg(
-                                item, frame_idx, func, compiled, *reg, *ty,
-                            )?);
+                            let current =
+                                Value::Scalar(world.read_reg(item, frame_idx, func, *reg, *ty)?);
                             vm_value_binop(*binop, current, Value::Scalar(*imm))?
                         }
                     };
-                    write_reg(item, frame_idx, *reg, *ty, &new_value)?;
+                    world.write_reg(item, frame_idx, *reg, *ty, &new_value)?;
                     if *push {
                         item.values.push(new_value);
                     }
                 }
                 Instr::RegBinopImm { reg, ty, op, imm } => {
-                    let l = read_reg(item, frame_idx, func, compiled, *reg, *ty)?;
+                    let l = world.read_reg(item, frame_idx, func, *reg, *ty)?;
                     item.values.push(Value::Scalar(scalar_binop(*op, l, *imm)?));
                 }
                 Instr::Unary(op) => {
@@ -1123,6 +1165,9 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                                 item.steps += entry.steps;
                                 item.soft_barriers += entry.soft_barriers;
                                 item.memoized_steps += entry.steps;
+                                if item.recording.is_empty() {
+                                    item.memo_credit += entry.steps;
+                                }
                                 if entry.depth > 0 {
                                     if let Some(outer) = item.recording.last_mut() {
                                         outer.reach = outer.reach.max(caller_frames + entry.depth);
@@ -1134,14 +1179,7 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                             Some(_) => {}
                         }
                     }
-                    let mut frame = item.frame_pool.pop().unwrap_or_else(|| Frame {
-                        func: 0,
-                        pc: 0,
-                        slots: Vec::new(),
-                        regs: Vec::new(),
-                        owned: Vec::new(),
-                        scope_bases: Vec::new(),
-                    });
+                    let mut frame = item.frame_pool.pop().unwrap_or_else(Frame::empty);
                     frame.func = *func as usize;
                     frame.pc = 0;
                     frame.slots.clear();
@@ -1186,30 +1224,10 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                     continue 'frames;
                 }
                 Instr::CallBuiltin { func, argc } => {
-                    let n = *argc as usize;
-                    let start = item.values.len() - n;
-                    // Allocation-free fast path for all-scalar arguments (the
-                    // common case for the safe-math wrappers); mirrors
-                    // `lift_builtin`'s scalar branch, which `scalar_builtin` also
-                    // implements.
-                    let all_scalar = n <= 3
-                        && item.values[start..]
-                            .iter()
-                            .all(|v| matches!(v, Value::Scalar(_)));
-                    if all_scalar {
-                        let mut args = [Scalar::zero(ScalarType::Int); 3];
-                        for i in (0..n).rev() {
-                            args[i] = match item.values.pop() {
-                                Some(Value::Scalar(s)) => s,
-                                _ => unreachable!("checked scalar"),
-                            };
-                        }
-                        item.values
-                            .push(Value::Scalar(scalar_builtin(*func, &args[..n])?));
-                    } else {
-                        let args: Vec<Value> = item.values.drain(start..).collect();
-                        item.values.push(lift_builtin(*func, &args)?);
-                    }
+                    let start = item.values.len() - *argc as usize;
+                    let result = lift_builtin(*func, &item.values[start..])?;
+                    item.values.truncate(start);
+                    item.values.push(result);
                 }
                 Instr::AtomicBegin => {
                     let v = item.pop_value();
@@ -1312,13 +1330,17 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                         .is_some_and(|call| call.caller_frames == item.frames.len())
                     {
                         let call = item.recording.pop().expect("checked above");
-                        if let Some(outer) = item.recording.last_mut() {
-                            outer.reach = outer.reach.max(call.reach);
-                        }
                         let (steps, soft_barriers) = (item.steps, item.soft_barriers);
-                        world
-                            .memo
-                            .record(call, &result, steps, soft_barriers, world.memory);
+                        let (start_steps, reach) = (call.steps, call.reach);
+                        let recorded =
+                            world
+                                .memo
+                                .record(call, &result, steps, soft_barriers, world.memory);
+                        match item.recording.last_mut() {
+                            Some(outer) => outer.reach = outer.reach.max(reach),
+                            None if recorded => item.memo_credit += steps - start_steps,
+                            None => {}
+                        }
                     }
                     item.values.push(result);
                     continue 'frames;
@@ -1350,8 +1372,8 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
 
 /// A launch's memo of helper calls: what each recorded call of a
 /// memoisable helper did, keyed by everything the call could read.
-/// `exec::launch` creates one per launch; the representative and every
-/// work-item of every group share it, and it is dropped with the launch.
+/// `exec::launch` creates one per launch; every work-item of every group
+/// shares it, and it is dropped with the launch.
 #[derive(Default)]
 pub(crate) struct CallMemo {
     entries: HashMap<CallKey, MemoEntry>,
@@ -1475,7 +1497,8 @@ impl CallMemo {
     }
 
     /// Records a call that ran for real and returned `result`, unless the
-    /// result or an argument object now holds a pointer.
+    /// result or an argument object now holds a pointer.  Returns whether
+    /// it recorded the call.
     fn record(
         &mut self,
         call: Recording,
@@ -1483,20 +1506,20 @@ impl CallMemo {
         steps: u64,
         soft_barriers: u64,
         memory: &Memory,
-    ) {
+    ) -> bool {
         let pointer = match result {
             Value::Pointer(_) => true,
             Value::Aggregate(_, cells) => cells.iter().any(|c| matches!(c, Cell::Ptr(_))),
             Value::Scalar(_) | Value::Vector(..) => false,
         };
         if pointer {
-            return;
+            return false;
         }
         let mut cells = Vec::with_capacity(call.key.cells.len());
         for &obj in &call.objs {
             match memory.object(obj) {
                 Ok(object) if push_memo_cells(&mut cells, object) => {}
-                _ => return,
+                _ => return false,
             }
         }
         self.entries.insert(
@@ -1509,6 +1532,7 @@ impl CallMemo {
                 depth: call.reach.saturating_sub(call.caller_frames),
             },
         );
+        true
     }
 }
 
@@ -1544,31 +1568,549 @@ fn write_back(
     Ok(())
 }
 
+// --- The segment memo ------------------------------------------------------
+
+/// Where a work-item stands towards the launch's segments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// At the kernel entry or past a lane-dependent instruction: the next
+    /// kernel-frame statement boundary starts a segment.
+    Seek,
+    /// Recording the segment it runs.  A segment never yields, so at most
+    /// one work-item records at a time.
+    Record,
+    /// Running a segment it could neither replay nor record: it tries the
+    /// segments recorded at the next boundary that has some.
+    Run,
+}
+
+/// A launch's memo of kernel segments: per start, what each recorded run
+/// from there read and left behind.  `exec::launch` creates one per
+/// launch; every work-item of every group shares it, and it is dropped
+/// with the launch.
+#[derive(Default)]
+pub(crate) struct SegmentMemo {
+    /// Per kernel instruction address, 1 + the index in `starts` of the
+    /// segments recorded from there (0 = no recording began there).
+    at: Vec<u32>,
+    starts: Vec<Start>,
+    /// The steps of the launch's first segment, once a work-item ended it.
+    first_steps: Option<u64>,
+    /// The recording in progress.
+    pending: Pending,
+    /// The objects the last replay allocated, kept to reuse the buffer.
+    fresh: Vec<ObjId>,
+}
+
+/// The segments recorded from one start.
+#[derive(Default)]
+struct Start {
+    /// Recordings begun here, whether they were kept or not.
+    recordings: u32,
+    segments: Vec<Segment>,
+}
+
+/// Recordings begun at one start after which work-items stop recording
+/// there for the rest of the launch.  Each recording is one distinct state
+/// the segment met, so this bounds the memo's size and the time spent
+/// recording and matching segments that read per-work-item values: a
+/// segment reading the local id is recorded this many times and replayed
+/// never.
+const RECORDED_SEGMENTS: u32 = 8;
+
+/// Generation tags of the ids a [`Segment`] stores (see
+/// [`RESERVED_GENERATIONS`]): the slot is the object's index in the kernel
+/// frame's owned list at the segment's start, or among the objects the
+/// segment allocated that outlive it.  Any other id names an object no
+/// work-item owns, such as a buffer.
+const OWNED: u32 = RESERVED_GENERATIONS;
+const FRESH: u32 = RESERVED_GENERATIONS + 1;
+
+/// One recorded run of a segment.
+struct Segment {
+    // What it read: the state a work-item must be in to replay it.
+    /// Length of the kernel frame's owned list, and its scopes.
+    owned: usize,
+    scope_bases: Box<[usize]>,
+    regs_read: Box<[(u16, u64)]>,
+    /// Per object touched, its index in the owned list and the end of its
+    /// cells in `cells_read`.
+    objects_read: Box<[(u32, u32)]>,
+    cells_read: Box<[Cell]>,
+    // What it left behind.
+    steps: u64,
+    soft_barriers: u64,
+    /// Its share of `VmItem::memo_credit`.
+    memoized: u64,
+    /// The kernel frame's program counter at the end.
+    pc: usize,
+    /// How many of the owned objects survive; the rest were freed.
+    floor: usize,
+    /// Objects the segment allocated that outlive it.
+    objects: Box<[FreshObject]>,
+    /// The kernel frame's owned objects past `floor` at the end, all of
+    /// them allocated by the segment.
+    owned_after: Box<[ObjId]>,
+    scope_bases_after: Box<[usize]>,
+    regs: Box<[(u16, Option<u64>)]>,
+    slots: Box<[(u16, Option<ObjId>)]>,
+    /// New cells of the objects it wrote, by owned-list index.
+    writes: Box<[(u32, Box<[Cell]>)]>,
+    /// Helper frames it ended inside, outermost first.
+    frames: Box<[Frame]>,
+    values: Box<[Value]>,
+    places: Box<[Place]>,
+}
+
+/// An object a segment allocated that outlives it.
+struct FreshObject {
+    name: String,
+    ty: Type,
+    space: AddressSpace,
+    cells: Box<[Cell]>,
+}
+
+/// The recording in progress: the kernel frame as the segment found it,
+/// and the registers it touched.
+#[derive(Default)]
+struct Pending {
+    pc: usize,
+    steps: u64,
+    soft_barriers: u64,
+    credit: u64,
+    owned: Vec<ObjId>,
+    slots: Vec<Option<ObjId>>,
+    scope_bases: Vec<usize>,
+    /// `marks[r] == epoch` once the segment touched register `r`.
+    epoch: u32,
+    marks: Vec<u32>,
+    regs_read: Vec<(u16, u64)>,
+    regs_touched: Vec<u16>,
+}
+
+impl SegmentMemo {
+    /// Whether a recording began at kernel address `pc`.
+    fn started(&self, pc: usize) -> bool {
+        self.at.get(pc).is_some_and(|&at| at != 0)
+    }
+
+    /// The steps of the launch's first segment (0 before any work-item
+    /// ended it).
+    pub(crate) fn first_steps(&self) -> u64 {
+        self.first_steps.unwrap_or(0)
+    }
+
+    /// Ends the recording of `item`'s segment, stopped before a
+    /// lane-dependent instruction, and keeps it when it can be replayed.
+    fn commit(&mut self, memory: &mut Memory, item: &mut VmItem) {
+        memory.end_tracking();
+        item.phase = Phase::Seek;
+        let pending = &self.pending;
+        let steps = item.steps - pending.steps;
+        if pending.pc == 0 && pending.steps == 0 {
+            self.first_steps.get_or_insert(steps);
+        }
+        if let Some(segment) = pending.segment(memory, item, steps) {
+            let start = self.at[pending.pc] as usize - 1;
+            self.starts[start].segments.push(segment);
+        }
+    }
+}
+
+impl Pending {
+    fn read(&mut self, reg: u16, bits: u64) {
+        let mark = &mut self.marks[reg as usize];
+        if *mark != self.epoch {
+            *mark = self.epoch;
+            self.regs_touched.push(reg);
+            self.regs_read.push((reg, bits));
+        }
+    }
+
+    fn wrote(&mut self, reg: u16) {
+        let mark = &mut self.marks[reg as usize];
+        if *mark != self.epoch {
+            *mark = self.epoch;
+            self.regs_touched.push(reg);
+        }
+    }
+
+    /// Starts recording `item`'s segment from kernel address `pc`.
+    fn begin(&mut self, item: &VmItem, pc: usize) {
+        let kernel = &item.frames[0];
+        self.pc = pc;
+        self.steps = item.steps;
+        self.soft_barriers = item.soft_barriers;
+        self.credit = item.memo_credit;
+        self.owned.clone_from(&kernel.owned);
+        self.slots.clone_from(&kernel.slots);
+        self.scope_bases.clone_from(&kernel.scope_bases);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        self.marks.resize(kernel.regs.len(), 0);
+        self.regs_read.clear();
+        self.regs_touched.clear();
+    }
+
+    /// The recorded segment, or `None` when it touched an object the kernel
+    /// frame did not own at its start.
+    fn segment(&self, memory: &Memory, item: &VmItem, steps: u64) -> Option<Segment> {
+        let log = memory.touch_log();
+        let kernel = &item.frames[0];
+        let fresh: Vec<ObjId> = log
+            .created
+            .iter()
+            .copied()
+            .filter(|&id| memory.object(id).is_ok())
+            .collect();
+        // Ids relative to the recording work-item (see [`OWNED`]); any other
+        // id is kept as it is: an object no work-item owns, or a freed one,
+        // which stays freed for every work-item.
+        let rename = |id: ObjId| {
+            let tag = |generation, index: usize| ObjId {
+                slot: index as u32,
+                generation,
+            };
+            if let Some(index) = self.owned.iter().position(|&o| o == id) {
+                tag(OWNED, index)
+            } else if let Some(index) = fresh.iter().position(|&o| o == id) {
+                tag(FRESH, index)
+            } else {
+                id
+            }
+        };
+        let floor = kernel
+            .owned
+            .iter()
+            .zip(&self.owned)
+            .take_while(|(now, then)| now == then)
+            .count();
+        let mut objects_read = Vec::with_capacity(log.touched.len());
+        let mut cells_read = Vec::with_capacity(log.cells.len());
+        let mut writes = Vec::new();
+        for (id, range) in &log.touched {
+            let index = self.owned.iter().position(|o| o == id)?;
+            let start = cells_read.len();
+            cells_read.extend(log.cells[range.clone()].iter().map(|c| map_cell(c, rename)));
+            objects_read.push((index as u32, cells_read.len() as u32));
+            if index < floor {
+                let after: Box<[Cell]> = memory
+                    .object(*id)
+                    .ok()?
+                    .cells
+                    .iter()
+                    .map(|c| map_cell(c, rename))
+                    .collect();
+                if after[..] != cells_read[start..] {
+                    writes.push((index as u32, after));
+                }
+            }
+        }
+        let objects = fresh
+            .iter()
+            .map(|&id| {
+                let object = memory.object(id).ok()?;
+                Some(FreshObject {
+                    name: object.name.clone(),
+                    ty: object.ty.clone(),
+                    space: object.space,
+                    cells: object.cells.iter().map(|c| map_cell(c, rename)).collect(),
+                })
+            })
+            .collect::<Option<_>>()?;
+        let regs = self
+            .regs_touched
+            .iter()
+            .filter_map(|&reg| {
+                let now = kernel.regs[reg as usize];
+                let read = self.regs_read.iter().find(|(r, _)| *r == reg);
+                (read.map(|&(_, bits)| Some(bits)) != Some(now)).then_some((reg, now))
+            })
+            .collect();
+        let slots: Vec<(u16, Option<ObjId>)> = kernel
+            .slots
+            .iter()
+            .zip(&self.slots)
+            .enumerate()
+            .filter(|(_, (now, then))| now != then)
+            .map(|(slot, (now, _))| (slot as u16, now.map(rename)))
+            .collect();
+        let frames = item.frames[1..]
+            .iter()
+            .map(|f| {
+                let mut frame = Frame::empty();
+                frame.copy_mapped(f, rename);
+                frame
+            })
+            .collect();
+        Some(Segment {
+            owned: self.owned.len(),
+            scope_bases: self.scope_bases.as_slice().into(),
+            regs_read: self.regs_read.as_slice().into(),
+            objects_read: objects_read.into(),
+            cells_read: cells_read.into(),
+            steps,
+            soft_barriers: item.soft_barriers - self.soft_barriers,
+            memoized: item.memo_credit - self.credit,
+            pc: kernel.pc,
+            floor,
+            objects,
+            owned_after: kernel.owned[floor..].iter().map(|&id| rename(id)).collect(),
+            scope_bases_after: kernel.scope_bases.as_slice().into(),
+            regs,
+            slots: slots.into(),
+            writes: writes.into(),
+            frames,
+            values: item.values.iter().map(|v| map_value(v, rename)).collect(),
+            places: item
+                .places
+                .iter()
+                .map(|p| Place {
+                    obj: rename(p.obj),
+                    ..p.clone()
+                })
+                .collect(),
+        })
+    }
+}
+
+/// `cell` with its pointer's object id mapped by `id`.
+fn map_cell(cell: &Cell, id: impl Fn(ObjId) -> ObjId) -> Cell {
+    match cell {
+        Cell::Ptr(p) => Cell::Ptr(PointerValue {
+            obj: id(p.obj),
+            ..p.clone()
+        }),
+        other => other.clone(),
+    }
+}
+
+/// `value` with its pointers' object ids mapped by `id`.
+fn map_value(value: &Value, id: impl Fn(ObjId) -> ObjId) -> Value {
+    match value {
+        Value::Pointer(p) => Value::Pointer(PointerValue {
+            obj: id(p.obj),
+            ..p.clone()
+        }),
+        Value::Aggregate(ty, cells) => {
+            Value::Aggregate(ty.clone(), cells.iter().map(|c| map_cell(c, &id)).collect())
+        }
+        other => other.clone(),
+    }
+}
+
+/// The replaying work-item's id for a stored one (see [`OWNED`]).
+fn concrete(id: ObjId, owned: &[ObjId], fresh: &[ObjId]) -> ObjId {
+    match id.generation {
+        OWNED => owned[id.slot as usize],
+        FRESH => fresh[id.slot as usize],
+        _ => id,
+    }
+}
+
+impl Segment {
+    /// Whether `item`, at this segment's start, is in the state the
+    /// segment read.
+    fn matches(&self, item: &VmItem, memory: &Memory) -> bool {
+        let kernel = &item.frames[0];
+        if kernel.owned.len() != self.owned || kernel.scope_bases[..] != self.scope_bases[..] {
+            return false;
+        }
+        if !self
+            .regs_read
+            .iter()
+            .all(|&(reg, bits)| kernel.regs[reg as usize] == Some(bits))
+        {
+            return false;
+        }
+        let mut start = 0;
+        self.objects_read.iter().all(|&(index, end)| {
+            let read = &self.cells_read[start..end as usize];
+            start = end as usize;
+            memory
+                .object(kernel.owned[index as usize])
+                .is_ok_and(|object| {
+                    object.cells.len() == read.len()
+                        && object
+                            .cells
+                            .iter()
+                            .zip(read)
+                            .all(|(now, then)| match (now, then) {
+                                (Cell::Ptr(p), Cell::Ptr(q)) => {
+                                    p.obj == concrete(q.obj, &kernel.owned, &[])
+                                        && p.offset == q.offset
+                                        && p.space == q.space
+                                        && p.pointee == q.pointee
+                                }
+                                (now, then) => now == then,
+                            })
+                })
+        })
+    }
+
+    /// Leaves `item` as the recording work-item's run of this segment left
+    /// it, with every stored id made `item`'s own.
+    fn replay(
+        &self,
+        item: &mut VmItem,
+        memory: &mut Memory,
+        fresh: &mut Vec<ObjId>,
+    ) -> Result<(), RuntimeError> {
+        fresh.clear();
+        for object in self.objects.iter() {
+            fresh.push(memory.alloc_copy(&object.name, &object.ty, object.space, &object.cells));
+        }
+        // A segment starts in the kernel frame; the helper frames it ended
+        // inside go above it.
+        let mut kernel = item
+            .frames
+            .pop()
+            .expect("a segment starts in the kernel frame");
+        let (owned, fresh) = (&kernel.owned, &fresh[..]);
+        let id = |id| concrete(id, owned, fresh);
+        for &obj in fresh {
+            for cell in memory.object_mut(obj)?.cells.iter_mut() {
+                if let Cell::Ptr(p) = cell {
+                    p.obj = id(p.obj);
+                }
+            }
+        }
+        for (index, cells) in self.writes.iter() {
+            let object = memory.object_mut(owned[*index as usize])?;
+            for (cell, recorded) in object.cells.iter_mut().zip(cells.iter()) {
+                *cell = map_cell(recorded, id);
+            }
+        }
+        item.values
+            .extend(self.values.iter().map(|value| map_value(value, id)));
+        item.places.extend(self.places.iter().map(|place| Place {
+            obj: id(place.obj),
+            ..place.clone()
+        }));
+        for recorded in self.frames.iter() {
+            let mut frame = item.frame_pool.pop().unwrap_or_else(Frame::empty);
+            frame.copy_mapped(recorded, id);
+            item.frames.push(frame);
+        }
+        for &(slot, obj) in self.slots.iter() {
+            kernel.slots[slot as usize] = obj.map(id);
+        }
+        for &(reg, bits) in self.regs.iter() {
+            kernel.regs[reg as usize] = bits;
+        }
+        for obj in kernel.owned.drain(self.floor..) {
+            memory.free(obj);
+        }
+        kernel
+            .owned
+            .extend(self.owned_after.iter().map(|&id| concrete(id, &[], fresh)));
+        kernel.scope_bases.clear();
+        kernel
+            .scope_bases
+            .extend_from_slice(&self.scope_bases_after);
+        kernel.pc = self.pc;
+        item.frames.insert(0, kernel);
+        item.steps += self.steps;
+        item.soft_barriers += self.soft_barriers;
+        item.memoized_steps += self.memoized;
+        item.replayed_steps += self.steps;
+        Ok(())
+    }
+}
+
+/// `item` is at a kernel-frame statement boundary, before `instr`, seeking
+/// a segment or running one at a boundary where segments were recorded:
+/// replays a recorded segment whose reads match (returning true), or
+/// starts recording, or runs on.
+fn start_segment(
+    world: &mut World<'_>,
+    item: &mut VmItem,
+    instr: &Instr,
+) -> Result<bool, RuntimeError> {
+    if lane_dependent(world, item, 0, instr) {
+        // An empty segment: nothing to record or replay.
+        item.phase = Phase::Seek;
+        return Ok(false);
+    }
+    let pc = item.frames[0].pc;
+    let SegmentMemo {
+        at,
+        starts,
+        first_steps,
+        pending,
+        fresh,
+    } = &mut *world.segments;
+    if at.is_empty() {
+        at.resize(world.compiled.funcs[KERNEL_FUNC].code.len(), 0);
+    }
+    if at[pc] == 0 {
+        starts.push(Start::default());
+        at[pc] = starts.len() as u32;
+    }
+    let start = &mut starts[at[pc] as usize - 1];
+    if let Some(segment) = start
+        .segments
+        .iter()
+        .find(|s| s.matches(item, world.memory))
+    {
+        if item.steps + segment.steps > world.step_limit {
+            // Running it would stop the work-item inside it.
+            item.phase = Phase::Run;
+            return Ok(false);
+        }
+        if pc == 0 && item.steps == 0 {
+            first_steps.get_or_insert(segment.steps);
+        }
+        segment.replay(item, world.memory, fresh)?;
+        item.phase = Phase::Seek;
+        return Ok(true);
+    }
+    if start.recordings < RECORDED_SEGMENTS && world.memory.begin_tracking() {
+        start.recordings += 1;
+        pending.begin(item, pc);
+        item.phase = Phase::Record;
+    } else {
+        item.phase = Phase::Run;
+    }
+    Ok(false)
+}
+
 /// Whether executing `instr` next could depend on which work-item runs it,
-/// which ends the representative's prefix: a work-item or group identity
-/// query, any access to memory outside the private space (the run-time
-/// targets of pointer-based accesses are resolved here, without side
-/// effects), a `local` declaration or group-local place, a kernel-body
-/// barrier, or the kernel's return.  Constant memory counts too: nothing
-/// in the emulator stops a kernel from writing it, and a read in the prefix
-/// must not see a value another work-item had yet to write.  An access
-/// whose target cannot be resolved is not lane-dependent: it raises the
-/// same error on every work-item.
+/// which ends a segment: a work-item or group identity query, any access
+/// to memory outside the private space (the run-time targets of
+/// pointer-based accesses are resolved here, without side effects), a
+/// `local` declaration or group-local place, a kernel-body barrier, or the
+/// kernel's return.  Constant memory counts too: nothing in the emulator
+/// stops a kernel from writing it, and a segment must not read a value
+/// another work-item had yet to write.  An access whose target cannot be
+/// resolved is not lane-dependent: it raises the same error on every
+/// work-item.
 fn lane_dependent(world: &World<'_>, item: &VmItem, frame_idx: usize, instr: &Instr) -> bool {
     let memory: &Memory = world.memory;
     let outside_private = |space: AddressSpace| space != AddressSpace::Private;
     let slot_obj = |slot: u16| item.frames[frame_idx].slots[slot as usize];
     let arrow_space = |slot: u16| Some(memory.read_pointer(slot_obj(slot)?, 0).ok()?.space);
-    // Before the fork a slot holds a private object or the permutation
-    // table (which, as an array, decays to a pointer when loaded whole):
-    // shared objects are bound only by `DeclLocal`, which ends the prefix.
-    // So `LoadSlot` and the fused slot accesses, which address a slot's own
-    // object, never need a check; accesses through pointers do.
     match instr {
         Instr::Id(kind) => kind.is_identity_dependent(),
-        Instr::ArrowSlotLoad { slot, .. } | Instr::ArrowSlotStore { slot, .. } => {
-            arrow_space(*slot).is_some_and(outside_private)
+        // A slot bound to a `local` declaration or the permutation table
+        // names an object outside private memory, and a `local` one is a
+        // different object in every group.
+        Instr::LoadSlot(slot) | Instr::PlaceSlot(slot) => slot_obj(*slot)
+            .and_then(|obj| memory.object(obj).ok())
+            .is_some_and(|object| outside_private(object.space)),
+        Instr::LoadScalarSlot { shared, .. }
+        | Instr::StoreScalarSlot { shared, .. }
+        | Instr::LoadVectorSlot { shared, .. }
+        | Instr::StoreVectorSlot { shared, .. } => *shared,
+        Instr::ArrowSlotLoad {
+            slot, ptr_shared, ..
         }
+        | Instr::ArrowSlotStore {
+            slot, ptr_shared, ..
+        } => *ptr_shared || arrow_space(*slot).is_some_and(outside_private),
         Instr::IndexSlotLoad { slot } | Instr::IndexSlotStore { slot, .. } => {
             // The index operand is on top of the value stack.
             let target = item
@@ -1987,45 +2529,4 @@ fn bound_slot(
     item.frames[frame_idx].slots[slot as usize].ok_or_else(|| {
         RuntimeError::UnknownVariable(compiled.funcs[func].slot_names[slot as usize].clone())
     })
-}
-
-/// Reads a register, failing like `Memory::read_scalar` on an
-/// uninitialised cell (the same error, naming the same variable).
-fn read_reg(
-    item: &VmItem,
-    frame_idx: usize,
-    func: usize,
-    compiled: &CompiledProgram,
-    reg: u16,
-    ty: ScalarType,
-) -> Result<Scalar, RuntimeError> {
-    match item.frames[frame_idx].regs[reg as usize] {
-        Some(bits) => Ok(Scalar::from_bits(bits, ty)),
-        None => Err(RuntimeError::UninitializedRead {
-            object: compiled.funcs[func].reg_names[reg as usize].clone(),
-        }),
-    }
-}
-
-/// Stores into a register with `write_value`'s `Type::Scalar` semantics:
-/// scalar conversion to the declared type, the pointer-to-integer zero
-/// token, and the identical `TypeMismatch` for anything else.
-fn write_reg(
-    item: &mut VmItem,
-    frame_idx: usize,
-    reg: u16,
-    ty: ScalarType,
-    value: &Value,
-) -> Result<(), RuntimeError> {
-    let bits = match value {
-        Value::Scalar(v) => v.convert(ty).bits,
-        Value::Pointer(_) => Scalar::zero(ty).bits,
-        other => {
-            return Err(RuntimeError::TypeMismatch {
-                detail: format!("cannot store {} into {:?}", other.kind(), Type::Scalar(ty)),
-            })
-        }
-    };
-    item.frames[frame_idx].regs[reg as usize] = Some(bits);
-    Ok(())
 }

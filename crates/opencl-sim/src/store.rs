@@ -49,11 +49,13 @@
 //!
 //! ## Concurrency
 //!
-//! Writes go to a process-unique temporary file and are published with an
-//! atomic rename, so concurrent shard processes sharing one store directory
-//! never observe partial entries; because outcomes are deterministic
-//! functions of the key, racing writers publish identical bytes and either
-//! rename may win.  The store is capped (256 MiB unless opened with an
+//! Writes go to a process-unique temporary file and are published by hard
+//! linking it to the entry name, so concurrent shard processes sharing one
+//! store directory never observe partial entries.  A link never replaces an
+//! existing entry: of several writers racing on one key (outcomes are
+//! deterministic functions of the key, so they hold identical bytes), the
+//! first to link publishes the entry and is the only one to count it as a
+//! write and its bytes toward the cap.  The store is capped (256 MiB unless opened with an
 //! explicit cap): when a write pushes past the cap, the oldest entries (by
 //! modification time — LRU-ish, since hits do not touch files) are evicted
 //! until the store fits again.
@@ -295,7 +297,8 @@ impl OutcomeStore {
 
     /// Persists an outcome and its launch's dynamic coverage (best effort:
     /// I/O errors disable nothing and corrupt nothing — the entry is simply
-    /// absent next time).
+    /// absent next time).  An existing entry for the key is kept, and the
+    /// write is then not counted.
     pub fn put(
         &self,
         fingerprint: Fingerprint,
@@ -317,17 +320,20 @@ impl OutcomeStore {
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        let replaced = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         if std::fs::write(&tmp, &bytes).is_err() {
             let _ = std::fs::remove_file(&tmp);
             return;
         }
-        if std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        // Linking never replaces an entry: when another writer published
+        // this key first, the link fails and only that writer counts the
+        // entry and its bytes.
+        let created = std::fs::hard_link(&tmp, &path).is_ok();
+        let _ = std::fs::remove_file(&tmp);
+        if !created {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let added = (bytes.len() as u64).saturating_sub(replaced);
+        let added = bytes.len() as u64;
         let total = self.bytes.fetch_add(added, Ordering::Relaxed) + added;
         if total > self.cap {
             self.evict();
@@ -813,6 +819,33 @@ mod tests {
             stats.bytes <= 150,
             "store over cap after eviction: {stats:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writers racing on one key publish one entry: exactly one of them
+    /// counts the write, and the byte counter holds the entry's size on
+    /// disk, not a multiple of it.
+    #[test]
+    fn racing_writers_of_one_key_count_one_write_and_its_bytes() {
+        let dir = temp_store("race-one-key");
+        let store = OutcomeStore::open(&dir).unwrap();
+        let (fp, key) = (Fingerprint(0x5A << 56 | 3), 11);
+        let outcome = TestOutcome::Result {
+            hash: 7,
+            output: "7,7".into(),
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| store.put(fp, key, &outcome, &coverage()));
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.writes, 1, "{stats:?}");
+        let path = store.entry_path(fp, key);
+        assert_eq!(stats.bytes, std::fs::metadata(&path).unwrap().len());
+        let files = std::fs::read_dir(path.parent().unwrap()).unwrap().count();
+        assert_eq!(files, 1, "one entry and no temporaries left");
+        assert_eq!(store.get(fp, key), Some((outcome, coverage())));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
