@@ -29,7 +29,7 @@
 use crate::error::RuntimeError;
 use crate::value::{Lanes, Scalar};
 use clc::expr::{BinOp, Builtin, Expr, IdKind, UnOp};
-use clc::stmt::{Initializer, Stmt};
+use clc::stmt::{Block, EmiBlock, Initializer, Stmt};
 use clc::types::{AddressSpace, ScalarType, Type, VectorWidth};
 use clc::{Param, Program};
 use std::collections::{HashMap, HashSet};
@@ -362,15 +362,29 @@ pub(crate) const KERNEL_FUNC: usize = 0;
 // correctness.
 
 /// Collects the function-body names that must stay memory-allocated.
-fn escaping_names(body: &clc::stmt::Block) -> HashSet<String> {
+pub(crate) fn escaping_names(body: &Block) -> HashSet<&str> {
+    escaping_names_outside(body, &mut |_| false)
+}
+
+/// [`escaping_names`] of `body` without the bodies of the EMI blocks `skip`
+/// selects.  `skip` is asked about each EMI block outside the bodies it
+/// selects, outer blocks first.
+pub(crate) fn escaping_names_outside<'b>(
+    body: &'b Block,
+    skip: &mut dyn FnMut(&'b EmiBlock) -> bool,
+) -> HashSet<&'b str> {
     let mut out = HashSet::new();
     for s in body.iter() {
-        escape_stmt(s, &mut out);
+        escape_stmt(s, &mut out, skip);
     }
     out
 }
 
-fn escape_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
+fn escape_stmt<'b>(
+    stmt: &'b Stmt,
+    out: &mut HashSet<&'b str>,
+    skip: &mut dyn FnMut(&'b EmiBlock) -> bool,
+) {
     match stmt {
         Stmt::Decl {
             init, init_list, ..
@@ -390,11 +404,11 @@ fn escape_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
         } => {
             escape_expr(cond, out);
             for s in then_block.iter() {
-                escape_stmt(s, out);
+                escape_stmt(s, out, skip);
             }
             if let Some(eb) = else_block {
                 for s in eb.iter() {
-                    escape_stmt(s, out);
+                    escape_stmt(s, out, skip);
                 }
             }
         }
@@ -405,7 +419,7 @@ fn escape_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
             body,
         } => {
             if let Some(s) = init {
-                escape_stmt(s, out);
+                escape_stmt(s, out, skip);
             }
             if let Some(c) = cond {
                 escape_expr(c, out);
@@ -414,18 +428,18 @@ fn escape_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
                 escape_expr(u, out);
             }
             for s in body.iter() {
-                escape_stmt(s, out);
+                escape_stmt(s, out, skip);
             }
         }
         Stmt::While { cond, body } => {
             escape_expr(cond, out);
             for s in body.iter() {
-                escape_stmt(s, out);
+                escape_stmt(s, out, skip);
             }
         }
         Stmt::Block(b) => {
             for s in b.iter() {
-                escape_stmt(s, out);
+                escape_stmt(s, out, skip);
             }
         }
         Stmt::Return(e) => {
@@ -437,14 +451,16 @@ fn escape_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
         // The synthesised EMI guard only reads `dead[..]`, a kernel
         // parameter — parameters are never register candidates.
         Stmt::Emi(emi) => {
-            for s in emi.body.iter() {
-                escape_stmt(s, out);
+            if !skip(emi) {
+                for s in emi.body.iter() {
+                    escape_stmt(s, out, skip);
+                }
             }
         }
     }
 }
 
-fn escape_init(init: &Initializer, out: &mut HashSet<String>) {
+fn escape_init<'b>(init: &'b Initializer, out: &mut HashSet<&'b str>) {
     match init {
         Initializer::Expr(e) => escape_expr(e, out),
         Initializer::List(items) => {
@@ -456,7 +472,7 @@ fn escape_init(init: &Initializer, out: &mut HashSet<String>) {
 }
 
 /// Walks an expression in *value* position.
-fn escape_expr(e: &Expr, out: &mut HashSet<String>) {
+fn escape_expr<'b>(e: &'b Expr, out: &mut HashSet<&'b str>) {
     match e {
         Expr::IntLit { .. } | Expr::IdQuery(_) | Expr::Var(_) => {}
         Expr::VectorLit { parts, .. } => {
@@ -519,10 +535,10 @@ fn escape_expr(e: &Expr, out: &mut HashSet<String>) {
 
 /// Walks an expression in *place* position, marking the root name of the
 /// lvalue chain as escaping.
-fn escape_place(e: &Expr, out: &mut HashSet<String>) {
+fn escape_place<'b>(e: &'b Expr, out: &mut HashSet<&'b str>) {
     match e {
         Expr::Var(name) => {
-            out.insert(name.clone());
+            out.insert(name);
         }
         Expr::Index { base, index } => {
             escape_place(base, out);
@@ -669,7 +685,7 @@ struct FnCompiler<'p> {
     /// Register name and declared scalar type, indexed by register id.
     regs: Vec<(String, ScalarType)>,
     /// Names escape analysis found unsuitable for register allocation.
-    escaping: HashSet<String>,
+    escaping: HashSet<&'p str>,
     loops: Vec<LoopFrame>,
     in_kernel: bool,
     /// Number of *materialised* runtime scopes open at the current emission
@@ -684,7 +700,7 @@ impl<'p> FnCompiler<'p> {
         program: &'p Program,
         func_ids: &'p HashMap<&'p str, u32>,
         in_kernel: bool,
-        escaping: HashSet<String>,
+        escaping: HashSet<&'p str>,
     ) -> Self {
         FnCompiler {
             program,

@@ -28,7 +28,8 @@ use crate::race::{RaceDetector, RaceStats};
 use crate::value::{Cell, ObjId, PointerValue, Scalar};
 use clc::stmt::{Block, Stmt};
 use clc::types::{AddressSpace, ScalarType, Type};
-use clc::Program;
+use clc::{BufferSpec, Program};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -232,17 +233,8 @@ pub fn launch(program: &Program, options: &LaunchOptions) -> Result<LaunchResult
     // Allocate buffer objects for pointer parameters.
     let mut buffer_objects: HashMap<String, (ObjId, ScalarType, usize)> = HashMap::new();
     for spec in &program.buffers {
-        let data = match options.buffer_overrides.get(&spec.param) {
-            Some(d) => {
-                let mut v = d.clone();
-                v.resize(spec.len, 0);
-                v
-            }
-            None => spec.init.materialize(spec.len),
-        };
-        let cells: Vec<Cell> = data
-            .iter()
-            .map(|&v| Cell::Bits(Scalar::from_i128(v as i128, spec.elem).bits))
+        let cells: Vec<Cell> = initial_contents(spec, &options.buffer_overrides)
+            .map(|v| Cell::Bits(v.bits))
             .collect();
         let ty = Type::Scalar(spec.elem).array_of(spec.len);
         let obj = memory.alloc_with_cells(
@@ -467,6 +459,23 @@ pub(crate) fn drive_group<T: CoopItem>(
         }
         round += 1;
     }
+}
+
+/// The initial contents of a buffer, element by element: its override when
+/// one names it (cut or zero-padded to the buffer's length), otherwise its
+/// `init`, converted to the element type.
+pub(crate) fn initial_contents<'a>(
+    spec: &'a BufferSpec,
+    overrides: &'a HashMap<String, Vec<i64>>,
+) -> impl Iterator<Item = Scalar> + 'a {
+    let data = match overrides.get(&spec.param) {
+        Some(d) => Cow::Borrowed(d.as_slice()),
+        None => Cow::Owned(spec.init.materialize(spec.len)),
+    };
+    (0..spec.len).map(move |i| {
+        let v = data.get(i).copied().unwrap_or(0);
+        Scalar::from_i128(i128::from(v), spec.elem)
+    })
 }
 
 /// Allocates the per-work-item object backing one kernel parameter: a

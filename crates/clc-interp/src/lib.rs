@@ -60,6 +60,15 @@
 //!   work-item inside the call, in which case it runs for real.  The memo
 //!   lives and dies with its launch.
 //!
+//! ## Live keys
+//!
+//! [`live_fingerprint`] names the program a launch actually runs: the
+//! fingerprint of the program with the bodies of its never-entered EMI
+//! blocks (§5) removed, when removing them is invisible to a launch on both
+//! tiers.  An EMI base and its pruning variants differ only inside such
+//! bodies, so they share the key, and the platform above serves one launch
+//! for all of them.
+//!
 //! ## Execution tiers
 //!
 //! Two engines implement this model and are required to agree bit-for-bit
@@ -104,6 +113,7 @@ pub mod compile;
 pub mod error;
 pub mod eval;
 pub mod exec;
+mod live;
 pub mod memory;
 pub mod race;
 pub mod value;
@@ -113,6 +123,7 @@ pub use compile::{compile, CompiledProgram};
 pub use error::{RaceReport, RuntimeError};
 pub use eval::{Ctx, Env, Flow, ThreadIds};
 pub use exec::{launch, run, ExecutionTier, LaunchOptions, LaunchResult, Schedule};
+pub use live::live_fingerprint;
 pub use memory::{Memory, Object};
 pub use race::{AccessKind, RaceDetector, RaceStats};
 pub use value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};

@@ -18,11 +18,17 @@
 //!    paying the full AST traversal exactly once per kernel instead of
 //!    once per roll.
 //!
+//! [`Program::fingerprint_emptying`] hashes a program as if chosen EMI
+//! bodies were empty, without copying it: the emulator's live key
+//! (`clc_interp::live_fingerprint`) names a program by its live code this
+//! way.
+//!
 //! The hasher is [`DefaultHasher`] with its default (fixed) keys, the same
 //! hasher the platform has always used, so every historical table and
 //! campaign result is preserved.
 
-use crate::program::Program;
+use crate::program::{FunctionDef, KernelDef, Program};
+use crate::stmt::{Block, EmiBlock, Stmt};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -96,6 +102,136 @@ impl Program {
     /// whole AST, launch geometry and buffer setup.  See [`Fingerprint`].
     pub fn fingerprint(&self) -> Fingerprint {
         ProgramHasher::new(self).fingerprint()
+    }
+
+    /// The fingerprint the program would have if the body of every EMI block
+    /// that `empty` selects were an empty block, computed in one pass without
+    /// copying the program.
+    ///
+    /// `empty` is asked about each EMI block outside the bodies it selects,
+    /// outer blocks first; blocks nested in an emptied body go with it.  The
+    /// pass feeds the hasher exactly what the derived `Hash` impls would for
+    /// the emptied program, so the result equals emptying those bodies in a
+    /// clone and calling [`Program::fingerprint`].
+    pub fn fingerprint_emptying(&self, empty: &mut dyn FnMut(&EmiBlock) -> bool) -> Fingerprint {
+        let Program {
+            structs,
+            functions,
+            kernel,
+            launch,
+            buffers,
+            permutations,
+            dead_len,
+        } = self;
+        let mut h = EmptyingHasher {
+            state: DefaultHasher::new(),
+            empty,
+        };
+        structs.hash(&mut h.state);
+        functions.len().hash(&mut h.state);
+        for function in functions {
+            let FunctionDef {
+                name,
+                ret,
+                params,
+                body,
+                forward_declared,
+                noinline,
+            } = function;
+            name.hash(&mut h.state);
+            ret.hash(&mut h.state);
+            params.hash(&mut h.state);
+            h.block(body);
+            forward_declared.hash(&mut h.state);
+            noinline.hash(&mut h.state);
+        }
+        let KernelDef { name, params, body } = kernel;
+        name.hash(&mut h.state);
+        params.hash(&mut h.state);
+        h.block(body);
+        launch.hash(&mut h.state);
+        buffers.hash(&mut h.state);
+        permutations.hash(&mut h.state);
+        dead_len.hash(&mut h.state);
+        Fingerprint(h.state.finish())
+    }
+}
+
+/// The hash pass behind [`Program::fingerprint_emptying`]: statements that
+/// own blocks are hashed field by field in declaration order, after their
+/// variant's discriminant, as `#[derive(Hash)]` does; every other node goes
+/// through its derived impl.  A slice's length prefix is a `usize`.
+struct EmptyingHasher<'f> {
+    state: DefaultHasher,
+    empty: &'f mut dyn FnMut(&EmiBlock) -> bool,
+}
+
+impl EmptyingHasher<'_> {
+    fn block(&mut self, block: &Block) {
+        block.stmts.len().hash(&mut self.state);
+        for stmt in &block.stmts {
+            self.stmt(stmt);
+        }
+    }
+
+    fn stmt(&mut self, stmt: &Stmt) {
+        let discriminant = std::mem::discriminant(stmt);
+        match stmt {
+            Stmt::If {
+                cond,
+                then_block,
+                else_block,
+            } => {
+                discriminant.hash(&mut self.state);
+                cond.hash(&mut self.state);
+                self.block(then_block);
+                std::mem::discriminant(else_block).hash(&mut self.state);
+                if let Some(else_block) = else_block {
+                    self.block(else_block);
+                }
+            }
+            Stmt::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                discriminant.hash(&mut self.state);
+                std::mem::discriminant(init).hash(&mut self.state);
+                if let Some(init) = init {
+                    self.stmt(init);
+                }
+                cond.hash(&mut self.state);
+                update.hash(&mut self.state);
+                self.block(body);
+            }
+            Stmt::While { cond, body } => {
+                discriminant.hash(&mut self.state);
+                cond.hash(&mut self.state);
+                self.block(body);
+            }
+            Stmt::Block(block) => {
+                discriminant.hash(&mut self.state);
+                self.block(block);
+            }
+            Stmt::Emi(emi) => {
+                let EmiBlock { index, guard, body } = emi;
+                discriminant.hash(&mut self.state);
+                index.hash(&mut self.state);
+                guard.hash(&mut self.state);
+                if (self.empty)(emi) {
+                    Block::new().hash(&mut self.state);
+                } else {
+                    self.block(body);
+                }
+            }
+            Stmt::Decl { .. }
+            | Stmt::Expr(_)
+            | Stmt::Return(_)
+            | Stmt::Break
+            | Stmt::Continue
+            | Stmt::Barrier(_) => stmt.hash(&mut self.state),
+        }
     }
 }
 
@@ -175,6 +311,114 @@ mod tests {
         let mut regrouped = base.clone();
         regrouped.launch = LaunchConfig::new([4, 1, 1], [2, 1, 1]).unwrap();
         assert_ne!(base.fingerprint(), regrouped.fingerprint());
+    }
+
+    /// A program with EMI blocks in every block-owning position: nested in
+    /// each other, in both arms of an `if`, in `for` and `while` bodies, a
+    /// `for` initialiser, a nested block and a helper function.
+    fn emi_everywhere() -> Program {
+        use crate::program::FunctionDef;
+        use crate::stmt::EmiBlock;
+        let emi = |index: usize, body: Vec<Stmt>| {
+            Stmt::Emi(EmiBlock {
+                index,
+                guard: (index + 1, 0),
+                body: Block::of(body),
+            })
+        };
+        let leaf = |v: i64| Stmt::expr(Expr::int(v));
+        let mut p = program(1);
+        p.dead_len = 16;
+        p.kernel.body.stmts.extend([
+            emi(0, vec![leaf(1), emi(1, vec![leaf(2)])]),
+            Stmt::if_else(
+                Expr::int(1),
+                Block::of(vec![emi(2, vec![leaf(3)])]),
+                Block::of(vec![emi(3, vec![])]),
+            ),
+            Stmt::If {
+                cond: Expr::int(0),
+                then_block: Block::of(vec![emi(4, vec![leaf(4)])]),
+                else_block: None,
+            },
+            Stmt::For {
+                init: Some(Box::new(emi(5, vec![leaf(5)]))),
+                cond: Some(Expr::int(0)),
+                update: None,
+                body: Block::of(vec![emi(6, vec![leaf(6)])]),
+            },
+            Stmt::While {
+                cond: Expr::int(0),
+                body: Block::of(vec![emi(7, vec![leaf(7), Stmt::Break])]),
+            },
+            Stmt::Block(Block::of(vec![emi(8, vec![Stmt::Return(None)])])),
+        ]);
+        p.functions.push(FunctionDef::new(
+            "f",
+            None,
+            vec![],
+            Block::of(vec![emi(9, vec![leaf(9)])]),
+        ));
+        p
+    }
+
+    /// Empties, in place, the body of every EMI block `empty` selects, outer
+    /// blocks first.
+    fn empty_bodies(block: &mut Block, empty: &dyn Fn(usize) -> bool) {
+        for stmt in &mut block.stmts {
+            match stmt {
+                Stmt::If {
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    empty_bodies(then_block, empty);
+                    if let Some(b) = else_block {
+                        empty_bodies(b, empty);
+                    }
+                }
+                Stmt::For { init, body, .. } => {
+                    if let Some(init) = init {
+                        let mut wrapped = Block::of(vec![(**init).clone()]);
+                        empty_bodies(&mut wrapped, empty);
+                        **init = wrapped.stmts.pop().unwrap();
+                    }
+                    empty_bodies(body, empty);
+                }
+                Stmt::While { body, .. } | Stmt::Block(body) => empty_bodies(body, empty),
+                Stmt::Emi(emi) if empty(emi.index) => emi.body = Block::new(),
+                Stmt::Emi(emi) => empty_bodies(&mut emi.body, empty),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_emptying_matches_emptied_clones() {
+        let p = emi_everywhere();
+        assert_eq!(p.fingerprint_emptying(&mut |_| false), p.fingerprint());
+        let selections: [fn(usize) -> bool; 5] =
+            [|_| true, |i| i == 0, |i| i == 1, |i| i % 2 == 1, |i| i >= 5];
+        let mut seen = std::collections::HashSet::new();
+        for select in selections {
+            let mut emptied = p.clone();
+            for f in &mut emptied.functions {
+                empty_bodies(&mut f.body, &select);
+            }
+            empty_bodies(&mut emptied.kernel.body, &select);
+            let mut asked = Vec::new();
+            let fingerprint = p.fingerprint_emptying(&mut |emi| {
+                asked.push(emi.index);
+                select(emi.index)
+            });
+            assert_eq!(fingerprint, emptied.fingerprint());
+            assert!(
+                seen.insert(fingerprint),
+                "two selections share a fingerprint"
+            );
+            // Blocks inside an emptied body are never asked about.
+            assert_eq!(asked.contains(&1), !select(0));
+        }
     }
 
     #[test]

@@ -298,10 +298,11 @@ impl StagedJob for EmiBaseJob {
 
     /// The memoised judging grid (stage 2): one session per variant, all
     /// served by the campaign's outcome cache across the whole (config ×
-    /// opt) grid — gently pruned variants are often bit-identical to each
-    /// other (or compile identically on non-optimising targets across both
-    /// opt levels), so the unpruned AST is executed once, not once per
-    /// target.
+    /// opt) grid.  Variants differ from their base only inside
+    /// never-entered EMI blocks, so a target that compiles them alike up to
+    /// those blocks shares one launch through the built AST's live key
+    /// (`clc_interp::live_fingerprint`), and bit-identical compiles share
+    /// it through the recipe key.
     fn execute(grid: EmiVariantGrid) -> EmiOutcomeGrid {
         let sessions: Vec<Session<'_>> = grid.variants.iter().map(Session::new).collect();
         let mut rows = Vec::with_capacity(grid.configs.len() * OptLevel::BOTH.len());

@@ -29,10 +29,12 @@
 //!   the session's source or optimised AST plus the target's ordered
 //!   transforms, not yet applied;
 //! * the **execution phase** — memoised in the campaign's [`OutcomeCache`]
-//!   by `(recipe key, exec-relevant options)`: the AST is built and launched
-//!   only when no cache level holds the outcome, so each distinct recipe is
-//!   launched once per distinct execution-option set, and every further
-//!   target is served from the cache.
+//!   by `(recipe key, exec-relevant options)`: the AST is built only when
+//!   no cache level holds the recipe's outcome, and launched only when the
+//!   cache holds nothing under the built AST's live key either (see below),
+//!   so each distinct live program is launched once per distinct
+//!   execution-option set, and every further target is served from the
+//!   cache.
 //!
 //! The recipe key ([`Recipe::key`]) is the base AST's structural
 //! [`Fingerprint`] when the target transforms nothing — so i−/i+ targets
@@ -54,8 +56,29 @@
 //! ([`OutcomeStore`]) that deduplicates across processes and campaigns.
 //! Both hold the `(outcome, dynamic coverage)` pair a launch produced, so a
 //! hit at either level replays the launch's coverage as well as its
-//! outcome.  Caching never changes results — outcomes and coverage are
-//! deterministic in the key, and the invariance matrix
+//! outcome.
+//!
+//! An execution therefore makes up to three lookups before it launches:
+//!
+//! 1. the campaign cache by recipe key;
+//! 2. the store by recipe key;
+//! 3. with the AST built, the campaign cache by the AST's **live key**:
+//!    [`clc_interp::live_fingerprint`], the fingerprint of the program with
+//!    the bodies of its never-entered EMI blocks removed, when removing
+//!    them is invisible to a launch.  EMI variants (§5) differ from their
+//!    base only inside such blocks, so a base and its variants share one
+//!    live key, and one launch answers for all of them.
+//!
+//! A launch puts both keys into the cache; a hit at the third lookup puts
+//! the recipe key.  The store only ever holds recipe keys, and every recipe
+//! served is written under its own, so a warm store answers every recipe
+//! without building an AST.  Live keys are hashed under a tag into a
+//! namespace of their own: a variant whose EMI bodies are already empty has
+//! the base's live fingerprint as its recipe key, and without the tag its
+//! first lookup would hit the base's live entry and skip its store write.
+//!
+//! Caching never changes results — outcomes and coverage are deterministic
+//! in either key, and the invariance matrix
 //! (`crates/bench/tests/matrix/mod.rs`) pins every campaign's table
 //! bit-identical with the cache off, on, and over a cold or warm store.
 
@@ -287,7 +310,10 @@ pub struct CacheStats {
     pub launches: u64,
     /// Equal to `launches`: no launch reuses another's lowered kernel.
     pub compiles: u64,
-    /// Executions served from the campaign's outcome cache.
+    /// Executions served from the campaign's outcome cache: by recipe key,
+    /// or by live key when an earlier launch ran the same live program (an
+    /// EMI variant that differs from it only in never-entered blocks, see
+    /// [`clc_interp::live_fingerprint`]).
     pub outcome_hits: u64,
     /// Always 0: no launch reuses a lowered kernel.
     pub kernel_hits: u64,
@@ -662,17 +688,20 @@ impl<'p> Session<'p> {
     }
 
     /// The execution phase: launch a recipe's AST, memoised by
-    /// `(recipe key, exec-relevant options)`.
+    /// `(recipe key, exec-relevant options)` and by the AST's live key.
     ///
     /// Lookup order: the campaign cache, then the on-disk store (when one
-    /// is configured); a launch back-fills both, and a store hit back-fills
-    /// the cache.  Both levels key on the same `(recipe key, exec key)`
-    /// pair, and outcomes are deterministic functions of that pair, so hits
-    /// can never change a result.  The AST is built only when both levels
-    /// miss (or there is no cache).
+    /// is configured), both by recipe key.  Only when both miss is the AST
+    /// built; if it has a live key ([`clc_interp::live_fingerprint`], in a
+    /// namespace of its own, see [`live_key`]), the campaign cache is tried
+    /// by that key next, and a hit there is served as an outcome hit.
+    /// Otherwise the AST is launched and its live key put into the cache.
+    /// Either way the recipe key is then put into the cache and the store,
+    /// so a warm store answers every recipe.  Outcomes are deterministic in
+    /// either key with the exec key, so hits can never change a result.
     fn run(&self, recipe: &Recipe<'_>, exec: &ExecOptions) -> TestOutcome {
         let Some(cache) = &exec.cache else {
-            return self.launch(recipe, exec).0;
+            return self.launch(&recipe.build(), exec).0;
         };
         let key = (recipe.key(), exec_key(exec));
         if let Some((hit, coverage)) = cache.get(&key) {
@@ -686,7 +715,23 @@ impl<'p> Session<'p> {
             cache.put(key, hit.clone(), coverage);
             return hit;
         }
-        let (outcome, coverage) = self.launch(recipe, exec);
+        let program = recipe.build();
+        let live = clc_interp::live_fingerprint(&program, &exec.buffer_overrides)
+            .map(|fingerprint| (live_key(fingerprint), key.1));
+        let (outcome, coverage) = match live.and_then(|live| cache.get(&live)) {
+            Some((hit, coverage)) => {
+                self.memo.stats.bump(Counter::OutcomeHits);
+                self.fold_coverage(&coverage);
+                (hit, coverage)
+            }
+            None => {
+                let (outcome, coverage) = self.launch(&program, exec);
+                if let Some(live) = live {
+                    cache.put(live, outcome.clone(), coverage);
+                }
+                (outcome, coverage)
+            }
+        };
         cache.put(key, outcome.clone(), coverage);
         if let Some(store) = &exec.store {
             store.put(key.0, key.1, &outcome, &coverage);
@@ -694,15 +739,23 @@ impl<'p> Session<'p> {
         outcome
     }
 
-    /// Builds and launches a recipe's AST, folding the launch's dynamic
-    /// coverage into this kernel's map.
-    fn launch(&self, recipe: &Recipe<'_>, exec: &ExecOptions) -> (TestOutcome, CoverageMap) {
+    /// Launches a built AST, folding the launch's dynamic coverage into
+    /// this kernel's map.
+    fn launch(&self, program: &Program, exec: &ExecOptions) -> (TestOutcome, CoverageMap) {
         self.memo.stats.bump(Counter::Launches);
-        let result = clc_interp::launch(&recipe.build(), &launch_options(exec));
+        let result = clc_interp::launch(program, &launch_options(exec));
         let coverage = dynamic_coverage(&result);
         self.fold_coverage(&coverage);
         (launch_outcome(result), coverage)
     }
+}
+
+/// The campaign-cache key of a live fingerprint: a hash of it under a tag,
+/// so that no recipe key names a live entry (see the module docs).
+fn live_key(fingerprint: Fingerprint) -> Fingerprint {
+    let mut h = DefaultHasher::new();
+    ("live", fingerprint).hash(&mut h);
+    Fingerprint(h.finish())
 }
 
 /// Compiles and executes a kernel on a simulated configuration.
@@ -1110,6 +1163,137 @@ mod tests {
         );
         assert_eq!(session.memo().stats().launches, 2);
         assert_eq!(reopened.stats(), read);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn emi_variants_launch_once_per_live_program_and_store_every_recipe() {
+        use clsmith::{generate, prune_variant, GenMode, GeneratorOptions, PruneProbabilities};
+        use std::collections::HashSet;
+        let base = generate(
+            &GeneratorOptions {
+                min_threads: 16,
+                max_threads: 64,
+                ..GeneratorOptions::new(GenMode::All, 5)
+            }
+            .with_emi(),
+        );
+        // The variant whose EMI bodies are all empty: its recipe key is the
+        // base's live fingerprint.
+        let mut emptied = base.clone();
+        emptied.for_each_block_mut(&mut |block| {
+            for stmt in &mut block.stmts {
+                if let Stmt::Emi(emi) = stmt {
+                    emi.body = clc::Block::new();
+                }
+            }
+        });
+        let none = HashMap::new();
+        assert_eq!(
+            clc_interp::live_fingerprint(&base, &none),
+            Some(emptied.fingerprint())
+        );
+        let mut programs = vec![base.clone(), emptied.clone()];
+        for (i, probs) in PruneProbabilities::table5_combinations()
+            .iter()
+            .enumerate()
+            .step_by(7)
+        {
+            programs.push(prune_variant(&base, probs, i as u64));
+        }
+        let targets: Vec<(Configuration, OptLevel)> = all_configurations()
+            .into_iter()
+            .flat_map(|c| OptLevel::BOTH.map(|o| (c.clone(), o)))
+            .collect();
+        // One pass: every program on every target, then the reference run,
+        // all counted by one memo.
+        let pass = |exec: &ExecOptions| {
+            let memo = Rc::new(ExecMemo::new());
+            let outcomes: Vec<TestOutcome> = programs
+                .iter()
+                .flat_map(|program| {
+                    let session = Session::with_memo(program, Rc::clone(&memo));
+                    let mut outcomes: Vec<TestOutcome> = targets
+                        .iter()
+                        .map(|(config, opt)| session.execute(config, *opt, exec))
+                        .collect();
+                    outcomes.push(session.reference_execute(exec));
+                    outcomes
+                })
+                .collect();
+            (outcomes, memo.stats())
+        };
+
+        let dir = std::env::temp_dir().join(format!("clfuzz-platform-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
+        let exec = ExecOptions {
+            store: Some(Arc::clone(&store)),
+            ..ExecOptions::default()
+        };
+        let (outcomes, stats) = pass(&exec);
+
+        // Launches: one per live program, or per recipe where the built AST
+        // has no live key.  Writes: one per recipe, under its own key.
+        let mut recipes = HashSet::new();
+        let mut launched = HashSet::new();
+        for program in &programs {
+            let session = Session::new(program);
+            let recipes_of = targets
+                .iter()
+                .filter_map(|(config, opt)| match session.compile(config, *opt) {
+                    CompiledProgram::Execute { recipe, .. } => Some(recipe),
+                    CompiledProgram::Decided { .. } => None,
+                })
+                .chain([Recipe::new(program, program.fingerprint(), Vec::new())]);
+            for recipe in recipes_of {
+                let live = clc_interp::live_fingerprint(&recipe.build(), &none);
+                launched.insert(live.ok_or(recipe.key()));
+                recipes.insert(recipe.key());
+            }
+        }
+        assert_eq!(stats.launches, launched.len() as u64);
+        assert!(
+            stats.launches * 2 < recipes.len() as u64,
+            "{} launches for {} recipes",
+            stats.launches,
+            recipes.len()
+        );
+        assert_eq!(store.stats().writes, recipes.len() as u64);
+        assert_eq!(store.stats().misses, recipes.len() as u64);
+
+        // A reopened store answers every recipe under its own key, the
+        // emptied variant's included, without a miss, a write or a launch.
+        let reopened = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
+        let key = exec_key(&exec);
+        for &recipe in &recipes {
+            assert!(
+                reopened.get(recipe, key).is_some(),
+                "recipe {recipe} not stored"
+            );
+        }
+        assert!(recipes.contains(&emptied.fingerprint()));
+        let reopened = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
+        let warm = ExecOptions {
+            store: Some(Arc::clone(&reopened)),
+            ..ExecOptions::default()
+        };
+        let (warm_outcomes, warm_stats) = pass(&warm);
+        assert_eq!(warm_outcomes, outcomes);
+        assert_eq!(warm_stats.launches, 0);
+        let read = reopened.stats();
+        assert_eq!((read.misses, read.writes), (0, 0));
+
+        // Without a cache every execution launches, and nothing is keyed.
+        let off = ExecOptions {
+            cache: None,
+            ..exec.clone()
+        };
+        let (cold_outcomes, cold_stats) = pass(&off);
+        assert_eq!(cold_outcomes, outcomes);
+        let decided = stats.requests - stats.launches - stats.outcome_hits - stats.store_hits;
+        assert_eq!(cold_stats.launches, cold_stats.requests - decided);
+        assert_eq!(store.stats().writes, recipes.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
