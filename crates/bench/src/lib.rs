@@ -10,8 +10,8 @@
 //! least 1 — a zero-worker pool could never drain its queue).  The worker
 //! count never changes the produced tables — only how fast they appear.
 //!
-//! The campaign binaries (`table1`, `table3`, `table4`, `table5`, `corpus`)
-//! each implement [`Table`] for their `fuzz_harness::Campaign`, and [`run`]
+//! The campaign binaries (`table1`, `table3`, `table4`, `table5`) each
+//! implement [`Table`] for their `fuzz_harness::Campaign`, and [`run`]
 //! gives them all the same surface:
 //!
 //! * a plain run of the whole campaign;
@@ -30,10 +30,11 @@
 //! `--store PATH` points executions at an on-disk outcome cache shared
 //! across runs (and across concurrent shard processes), `--no-store`
 //! disables it, and neither flag defers to the `CLFUZZ_STORE` environment
-//! variable (`CLFUZZ_STORE_CAP` sets its size cap in bytes).  These two
-//! variables are read here, in [`Cli::exec_options`], and nowhere in the
-//! libraries.  Like the worker count, the store never changes the produced
-//! tables — only how fast repeat executions resolve.
+//! variable (`CLFUZZ_STORE_CAP` sets its size cap in bytes; a value that is
+//! not a byte count is a usage error whenever a store would be opened).
+//! These two variables are read here, in [`Cli::exec_options`], and nowhere
+//! in the libraries.  Like the worker count, the store never changes the
+//! produced tables — only how fast repeat executions resolve.
 //!
 //! Tables go to stdout; shard/resume/merge progress lines go to stderr, so
 //! merged outputs can be diffed byte for byte.
@@ -249,13 +250,21 @@ impl Cli {
     /// disables the store even when `CLFUZZ_STORE` is set, and neither flag
     /// defers to `CLFUZZ_STORE` (a path that cannot be opened prints one
     /// warning and runs without a store).  `CLFUZZ_STORE_CAP` caps either
-    /// store in bytes (default 256 MiB).  The store never changes the
-    /// produced tables — only how fast repeat executions resolve.
+    /// store in bytes (default 256 MiB); a value that is not a byte count
+    /// exits through [`usage_error`] before the store is opened.  The store
+    /// never changes the produced tables — only how fast repeat executions
+    /// resolve.
     pub fn exec_options(&self) -> ExecOptions {
         let env = |name| std::env::var(name).ok().filter(|v| !v.is_empty());
-        let cap = env("CLFUZZ_STORE_CAP").and_then(|v| v.parse().ok());
-        let open = |path: &Path| match cap {
-            Some(cap) => OutcomeStore::open_with_cap(path, cap),
+        let open = |path: &Path| match env("CLFUZZ_STORE_CAP") {
+            Some(cap) => {
+                let cap = cap.parse().unwrap_or_else(|_| {
+                    usage_error(format!(
+                        "CLFUZZ_STORE_CAP must be a byte count, got {cap:?}"
+                    ))
+                });
+                OutcomeStore::open_with_cap(path, cap)
+            }
             None => OutcomeStore::open(path),
         };
         let store = if self.no_store {

@@ -2,8 +2,9 @@
 //! valid checksum, so nothing is dropped as a torn tail — must make `merge`
 //! and `--resume` exit with status 1 and an `error:` line, never a panic,
 //! and so must a fleet whose lease journal is such input.
-//! A command line the binary does not take must exit with status 2 before
-//! any campaign runs.
+//! A command line the binary does not take, and a malformed
+//! `CLFUZZ_STORE_CAP` where a store would be opened, must exit with status
+//! 2 before any campaign runs.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,18 +12,24 @@ use std::process::{Command, Output};
 
 use fuzz_harness::checksum;
 
-fn campaign_bin(name: &str) -> Command {
+/// The campaign binary `name` with no ambient store or fault plan.
+fn bare_bin(name: &str) -> Command {
     let mut cmd = Command::new(match name {
-        "corpus" => env!("CARGO_BIN_EXE_corpus"),
         "table1" => env!("CARGO_BIN_EXE_table1"),
         "table3" => env!("CARGO_BIN_EXE_table3"),
         "table4" => env!("CARGO_BIN_EXE_table4"),
         "table5" => env!("CARGO_BIN_EXE_table5"),
         other => panic!("no campaign binary {other}"),
     });
-    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE"] {
+    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
         cmd.env_remove(var);
     }
+    cmd
+}
+
+/// [`bare_bin`] on one worker without a store.
+fn campaign_bin(name: &str) -> Command {
+    let mut cmd = bare_bin(name);
     cmd.args(["--no-store", "--threads", "1"]);
     cmd
 }
@@ -93,6 +100,23 @@ fn stray_arguments_are_usage_errors() {
 }
 
 #[test]
+fn a_store_cap_that_is_not_a_byte_count_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("clfuzz-hostile-cap-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let out = bare_bin("table4")
+        .args(["1", "--threads", "1", "--store"])
+        .arg(&dir)
+        .env("CLFUZZ_STORE_CAP", "256M")
+        .output()
+        .expect("spawn");
+    let opened = dir.exists();
+    let _ = fs::remove_dir_all(&dir);
+    let stderr = assert_error(out, 2, "table4 1 --store DIR with CLFUZZ_STORE_CAP=256M");
+    assert!(stderr.contains("CLFUZZ_STORE_CAP"), "{stderr}");
+    assert!(!opened, "the store was opened");
+}
+
+#[test]
 fn contradictory_journals_are_errors_in_merge_and_resume() {
     let dir = std::env::temp_dir().join(format!("clfuzz-hostile-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -157,24 +181,12 @@ fn contradictory_journals_are_errors_in_merge_and_resume() {
     let journal = write_journal(&dir, "overflow.journal", &overflow, "");
     let merge = campaign_bin("table4").arg("merge").arg(&journal).output();
     assert_journal_error(merge.expect("spawn merge"), "table4 merge overflow");
-
-    // The corpus campaign with a descriptor claiming 2⁶⁴ − 1 lineages: two
-    // strategies of them overflow the job index, and so does that scale.
-    let mut overflow = header_fields("corpus", &["1", "0"], &dir);
-    assert!(overflow[2].contains(":l1:"), "{}", overflow[2]);
-    overflow[2] = overflow[2].replace(":l1:", ":l18446744073709551615:");
-    let journal = write_journal(&dir, "corpus-overflow.journal", &overflow, "");
-    let merge = campaign_bin("corpus").arg("merge").arg(&journal).output();
-    assert_journal_error(merge.expect("spawn merge"), "corpus merge overflow");
-    let run = campaign_bin("corpus")
+    // So does that scale on the command line: a usage error.
+    let run = campaign_bin("table4")
         .args(["18446744073709551615", "--shard", "0/100000000"])
         .output()
-        .expect("spawn corpus");
-    assert_eq!(
-        run.status.code(),
-        Some(2),
-        "an overflowing scale is a usage error"
-    );
+        .expect("spawn table4");
+    assert_error(run, 2, "table4 overflowing scale");
 
     // Table 3 with a header claiming 4·10¹⁸ jobs.
     let mut table3 = header_fields("table3", &["1"], &dir);

@@ -1,7 +1,6 @@
 //! The invariance matrix: a campaign's table must not depend on how it ran.
 //!
-//! Every campaign (Tables 1, 3, 4 and 5 and the corpus campaign) goes
-//! through one generic [`assert_invariant`] over four axes:
+//! Every campaign (Tables 1, 3, 4 and 5) goes through one generic [`assert_invariant`] over four axes:
 //!
 //! * workers — 1, 3 or 8 scheduler workers;
 //! * tier — the tree walker or the bytecode VM;
@@ -16,8 +15,7 @@
 //! fleet × memo off (no binary can turn the memo off).  Each in-process
 //! cell must reproduce the reference run (whole, one worker, bytecode, memo
 //! on, no store) byte for byte: its rendered table, its tally's `Debug`
-//! text (coverage maps included) and, where it journals, its journal record
-//! set.
+//! text and, where it journals, its journal record set.
 //! Fleet cells spawn the campaign's binary with `CLC_INTERP_TIER` and
 //! `--store` selecting tier and cache, and must print exactly what `merge`
 //! prints over a fault-free batch journal of the same scale; a campaign's
@@ -33,9 +31,7 @@
 //!   `scheduler_determinism`, `ShardedResumed` and `SharedStore` in
 //!   `shard_equivalence`, `FleetFaults` in `fleet_chaos`;
 //! * Table 3: every in-process part in `scheduler_determinism`,
-//!   `FleetFaults` in `fleet_chaos`;
-//! * corpus: `ShardedResumed` and `SharedStore` in one
-//!   `corpus_determinism` test, every other part in the other.
+//!   `FleetFaults` in `fleet_chaos`.
 //!
 //! Every run builds its campaign from fresh `ExecOptions`, whose outcome
 //! cache starts empty and answers only that campaign, so no other run in
@@ -55,11 +51,10 @@ use std::sync::{Arc, Mutex};
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, ShardSelect, ShardSpec};
 use fuzz_harness::{
-    load_journal, merge, reliability_rows, render_campaign_table, render_corpus_table,
-    render_emi_table, render_reliability_table, run_lease, run_shard, Campaign, CampaignOptions,
-    CellCampaign, ClassificationCampaign, CorpusCampaign, CorpusOptions, EmiCampaign,
-    EmiCampaignOptions, LeaseRecord, ModeCampaign, Scheduler, JOURNAL_FORMAT_VERSION,
-    JOURNAL_MAGIC,
+    load_journal, merge, reliability_rows, render_campaign_table, render_emi_table,
+    render_reliability_table, run_lease, run_shard, Campaign, CampaignOptions, CellCampaign,
+    ClassificationCampaign, EmiCampaign, EmiCampaignOptions, LeaseRecord, ModeCampaign, Scheduler,
+    JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
 };
 use opencl_sim::{
     Configuration, ExecOptions, ExecutionTier, OutcomeCache, OutcomeStore, StoreStats,
@@ -478,7 +473,6 @@ pub fn campaign_bin(name: &str, tier: ExecutionTier) -> Command {
         "table3" => env!("CARGO_BIN_EXE_table3"),
         "table4" => env!("CARGO_BIN_EXE_table4"),
         "table5" => env!("CARGO_BIN_EXE_table5"),
-        "corpus" => env!("CARGO_BIN_EXE_corpus"),
         other => panic!("no campaign binary {other}"),
     });
     for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
@@ -725,31 +719,6 @@ pub fn table3() -> Subject<CellCampaign> {
             scale: &["1"],
             lease_jobs: "42",
             faults: "kill@50,hang@100,torn@150",
-        },
-    }
-}
-
-pub fn corpus() -> Subject<CorpusCampaign> {
-    Subject {
-        name: "corpus",
-        jobs: 4,
-        configs: configs(&[1, 9, 19]),
-        build: |_, exec| {
-            let options = CorpusOptions {
-                lineages: 2,
-                chain: 3,
-                generator: generator(32),
-                exec,
-                seed_offset: 0xC0FFEE,
-            };
-            CorpusCampaign::new(&configs(&[1, 9, 19]), &options)
-        },
-        render: |campaign, tally, _| render_corpus_table(&campaign.result(tally.clone())),
-        fleet: Fleet {
-            bin: "corpus",
-            scale: &["2", "2"],
-            lease_jobs: "1",
-            faults: "kill@0,hang@1,torn@2",
         },
     }
 }

@@ -169,8 +169,7 @@ pub struct LaunchResult {
     /// Maximum number of barriers any work-group released — how deep the
     /// barrier-arrival ladder ran.  Tier-identical (both tiers share the
     /// cooperative scheduler) and schedule-independent for race-free
-    /// kernels, so coverage feedback may fold it into its dynamic bits.
-    /// Excluded from memoised outcomes, like `race_stats`.
+    /// kernels.  Excluded from memoised outcomes, like `race_stats`.
     pub barrier_intervals: u64,
     /// Steps of the launch's first segment: from the kernel entry to the
     /// first instruction whose effect could depend on which work-item runs

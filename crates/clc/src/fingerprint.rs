@@ -85,8 +85,8 @@ impl ProgramHasher {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`: the byte-string hash behind result digests,
-/// journal and store checksums and coverage bits.  Its values are persisted
+/// 64-bit FNV-1a over `bytes`: the byte-string hash behind result digests
+/// and journal and store checksums.  Its values are persisted
 /// (journals, store entries, pinned table digests), so they must never move.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -5,7 +5,7 @@ use crate::differential::{classify, targets_for, TestTarget, Verdict};
 use crate::exec::{job_seed, Scheduler, StagedJob};
 use crate::journal::{checksum, JournalError, JournalHeader};
 use crate::shard::{
-    parse_fields, run_shard, Campaign, JournalOptions, JournalPayload, ShardMetrics, ShardSelect,
+    run_shard, Campaign, JournalOptions, JournalPayload, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecOptions, OptLevel, TestOutcome};
@@ -77,75 +77,6 @@ impl TargetStats {
         } else {
             (self.wrong + self.build_failures + self.crashes) as f64 / total as f64
         }
-    }
-}
-
-impl TargetStats {
-    /// Serializes to the journal's comma-separated count form
-    /// (`w,bf,c,to,ok,sk`).
-    pub(crate) fn to_token(&self) -> String {
-        format!(
-            "{},{},{},{},{},{}",
-            self.wrong, self.build_failures, self.crashes, self.timeouts, self.ok, self.skipped
-        )
-    }
-
-    /// Parses a count token.
-    pub(crate) fn from_token(token: &str) -> Result<TargetStats, JournalError> {
-        let fields = parse_fields::<usize>(token, ',', "target stats")?;
-        let [wrong, build_failures, crashes, timeouts, ok, skipped] = fields[..] else {
-            return Err(JournalError::Format(format!(
-                "expected 6 target-stat counts, got {token:?}"
-            )));
-        };
-        Ok(TargetStats {
-            wrong,
-            build_failures,
-            crashes,
-            timeouts,
-            ok,
-            skipped,
-        })
-    }
-
-    fn absorb(&mut self, other: &TargetStats) {
-        self.wrong += other.wrong;
-        self.build_failures += other.build_failures;
-        self.crashes += other.crashes;
-        self.timeouts += other.timeouts;
-        self.ok += other.ok;
-        self.skipped += other.skipped;
-    }
-}
-
-/// Serializes a row of per-target stats as `;`-joined count tokens (the
-/// per-target part of a corpus record's journal payload).
-pub(crate) fn stats_row_token(stats: &[TargetStats]) -> String {
-    if stats.is_empty() {
-        return "-".to_string();
-    }
-    stats
-        .iter()
-        .map(TargetStats::to_token)
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-pub(crate) fn stats_row_from_token(token: &str) -> Result<Vec<TargetStats>, JournalError> {
-    if token == "-" {
-        return Ok(Vec::new());
-    }
-    token.split(';').map(TargetStats::from_token).collect()
-}
-
-pub(crate) fn merge_stats_rows(into: &mut [TargetStats], from: &[TargetStats]) {
-    assert_eq!(
-        into.len(),
-        from.len(),
-        "cannot merge tallies with different target counts"
-    );
-    for (a, b) in into.iter_mut().zip(from) {
-        a.absorb(b);
     }
 }
 
@@ -962,7 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn verdict_rows_and_tallies_round_trip_through_the_journal_forms() {
+    fn verdict_rows_round_trip_through_the_journal_form() {
         let row = vec![
             Verdict::Ok,
             Verdict::WrongCode,
@@ -975,19 +906,6 @@ mod tests {
         assert_eq!(Vec::<Verdict>::decode("kwbcts").unwrap(), row);
         assert_eq!(Vec::<Verdict>::decode("-").unwrap(), Vec::new());
         assert!(Vec::<Verdict>::decode("kxz").is_err());
-
-        // TargetStats tokens: the 6-count form round-trips, and the
-        // pre-prefilter 5-count form is rejected.
-        let mut stats = TargetStats::default();
-        stats.record(Verdict::WrongCode);
-        stats.record(Verdict::Skipped);
-        stats.record(Verdict::Ok);
-        let token = stats.to_token();
-        assert_eq!(TargetStats::from_token(&token).unwrap(), stats);
-        assert!(matches!(
-            TargetStats::from_token("1,0,0,0,1"),
-            Err(JournalError::Format(_))
-        ));
     }
 
     #[test]
@@ -1048,35 +966,6 @@ mod tests {
         assert!(ClassificationCampaign::parse(&header(classify.descriptor()), &configs).is_ok());
         let parsed =
             ClassificationCampaign::parse(&header(huge_k(classify.descriptor())), &configs);
-        assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
-    }
-
-    #[test]
-    fn corpus_job_counts_that_overflow_are_errors_not_wrapped() {
-        use crate::corpus::{CorpusCampaign, CorpusOptions};
-        let configs = vec![opencl_sim::configuration(1)];
-        let lineages = |lineages| CorpusOptions {
-            lineages,
-            ..CorpusOptions::default()
-        };
-        assert!(CorpusCampaign::try_new(&configs, &lineages(usize::MAX)).is_err());
-        let half = usize::MAX / 2;
-        let largest = CorpusCampaign::try_new(&configs, &lineages(half)).unwrap();
-        assert_eq!(largest.total_jobs(), 2 * half as u64);
-
-        // A journal descriptor claiming 2^64 - 1 lineages per strategy.
-        let one = CorpusCampaign::new(&configs, &lineages(1));
-        let header = |campaign: String| JournalHeader {
-            campaign,
-            campaign_seed: 0,
-            total_jobs: 2,
-            shard_index: 0,
-            shard_count: 1,
-            range: (0, 2),
-        };
-        assert!(CorpusCampaign::parse(&header(one.descriptor()), &configs).is_ok());
-        let huge = one.descriptor().replace(":l1:", ":l18446744073709551615:");
-        let parsed = CorpusCampaign::parse(&header(huge), &configs);
         assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
     }
 

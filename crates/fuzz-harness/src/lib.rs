@@ -14,10 +14,6 @@
 //!   pruning variants (Table 5, §7.4);
 //! * [`benchmark_emi`] — EMI testing of existing kernels, and the Table 3
 //!   campaign over the Parboil/Rodinia miniatures (§7.2);
-//! * [`corpus`] — feedback-guided corpus campaigns: lineages of seeded
-//!   mutation chains whose acceptance is driven by the platform's
-//!   [`opencl_sim::CoverageMap`], compared against a blind ablation at the
-//!   same kernel budget;
 //! * [`report`] — plain-text table rendering used by the reproduction
 //!   binaries in the `bench` crate;
 //! * [`exec`] — the parallel campaign engine every driver above runs on: a
@@ -26,7 +22,7 @@
 //!   rendered tables are bit-identical at any thread count;
 //! * [`shard`] — the one [`Campaign`] trait every job space above
 //!   implements ([`ModeCampaign`], [`ClassificationCampaign`],
-//!   [`EmiCampaign`], [`CellCampaign`], [`CorpusCampaign`]), and the one
+//!   [`EmiCampaign`], [`CellCampaign`]), and the one
 //!   executor they all run on: shards ([`run_shard`]), fleet leases
 //!   ([`run_lease`]) and journal merges ([`merge`]).
 //!
@@ -41,7 +37,6 @@
 
 pub mod benchmark_emi;
 pub mod campaign;
-pub mod corpus;
 pub mod differential;
 pub mod emi_campaign;
 pub mod exec;
@@ -60,10 +55,6 @@ pub use campaign::{
     ClassificationCampaign, ClassificationTally, GeneratedKernel, KernelJob, ModeCampaign,
     ModeTally, MultiModeTally, ReliabilityRow, ShardedClassification, ShardedModeCampaign,
     TargetStats, RELIABILITY_THRESHOLD,
-};
-pub use corpus::{
-    corpus_campaign_descriptor, CorpusCampaign, CorpusCampaignResult, CorpusJob, CorpusOptions,
-    CorpusRecord, CorpusStrategy, CorpusTally, StrategyTally,
 };
 pub use differential::{classify, run_on_targets_session, targets_for, TestTarget, Verdict};
 pub use emi_campaign::{
@@ -84,8 +75,8 @@ pub use journal::{
 };
 pub use opencl_sim::ExecutionTier;
 pub use report::{
-    percent, render_campaign_table, render_corpus_table, render_emi_table,
-    render_reliability_table, render_table, EMPTY_CELL,
+    percent, render_campaign_table, render_emi_table, render_reliability_table, render_table,
+    EMPTY_CELL,
 };
 pub use shard::{
     lease_header, merge, run_lease, run_range_fold, run_shard, run_sharded, Campaign, FoldRun,

@@ -692,26 +692,6 @@ pub fn merge<C: Campaign>(
     Ok((campaign, tally, summary))
 }
 
-/// Splits `value` on `sep` and parses each piece — the small-deserializer
-/// helper every [`JournalPayload`] implementation in the driver modules
-/// shares.
-pub(crate) fn parse_fields<T: std::str::FromStr>(
-    text: &str,
-    sep: char,
-    what: &str,
-) -> Result<Vec<T>, JournalError> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(sep)
-        .map(|piece| {
-            piece.parse::<T>().map_err(|_| {
-                JournalError::Format(format!("bad {what} field {piece:?} in {text:?}"))
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

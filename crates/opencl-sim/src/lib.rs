@@ -39,7 +39,6 @@ pub mod store;
 
 pub use bugs::{BugEffect, BugRule, Miscompilation, OptLevel, OptScope, Trigger};
 pub use clc_interp::{ExecutionTier, Schedule};
-pub use clsmith::{coverage_hash, CoverageClass, CoverageMap};
 pub use configs::{
     above_threshold_configurations, all_configurations, configuration, Configuration, DeviceType,
     OutcomeRates,

@@ -15,18 +15,18 @@ use clc::Program;
 use clc_interp::eval::{lift_builtin, scalar_binop};
 use clc_interp::{Scalar, Value};
 
-/// Coverage bit (in the `Passes` class word) for constant folding.
+/// Bit of [`optimize_traced`]'s change mask for constant folding.
 pub const PASS_BIT_CONSTANT_FOLD: u32 = 0;
-/// Coverage bit (in the `Passes` class word) for dead-code elimination.
+/// Bit of [`optimize_traced`]'s change mask for dead-code elimination.
 pub const PASS_BIT_DEAD_CODE: u32 = 1;
-/// Coverage bit (in the `Passes` class word) for trivial simplification.
+/// Bit of [`optimize_traced`]'s change mask for trivial simplification.
 pub const PASS_BIT_SIMPLIFY: u32 = 2;
 
 /// An optimisation pass: rewrites the program in place and returns whether
 /// it changed anything.
 type Pass = fn(&mut Program) -> bool;
 
-/// The optimisation pipeline: each pass with its `PASS_BIT_*` coverage bit.
+/// The optimisation pipeline: each pass with its `PASS_BIT_*` mask bit.
 /// Folding may expose more dead code and vice versa; one extra round is
 /// enough for the program shapes CLsmith produces.
 const PIPELINE: [(Pass, u32); 5] = [
@@ -38,8 +38,8 @@ const PIPELINE: [(Pass, u32); 5] = [
 ];
 
 /// Runs the full optimisation pipeline in place and returns a bitmask over
-/// the `PASS_BIT_*` constants of the passes that *changed* the program —
-/// the optimiser-pass word of the feedback layer's coverage map.  Each pass
+/// the `PASS_BIT_*` constants of the passes that *changed* the program, so
+/// a caller can name the passes behind an optimised program.  Each pass
 /// reports its own changes, so the pipeline walks the program only to
 /// rewrite it; a unit test pins every pass's report to a fingerprint
 /// comparison of the program before and after it.
@@ -419,18 +419,17 @@ mod tests {
     }
 
     #[test]
-    fn pass_reports_match_fingerprint_changes_on_generated_kernels_and_mutants() {
-        use clsmith::{generate, mutate, GenMode, GeneratorOptions};
-        // The pass bits feed corpus acceptance, so `optimize_traced` must
-        // report exactly the bits that fingerprinting between the stages
-        // reports: over every mode, with and without EMI blocks, and over
-        // mutants, whose shapes the generator alone does not produce.
+    fn pass_reports_match_fingerprint_changes_on_generated_kernels() {
+        use clsmith::{generate, GenMode, GeneratorOptions};
+        // `optimize_traced` must report exactly the bits that
+        // fingerprinting between the stages reports: over every mode, with
+        // and without EMI blocks.
         let check = |program: &Program, what: &str| {
             let bits = fingerprinted_pipeline(&mut program.clone(), what);
             assert_eq!(optimize_traced(&mut program.clone()), bits, "{what}");
             bits
         };
-        let (mut kernels, mut mutants) = (0, 0);
+        let mut kernels = 0;
         for seed in 0..84u64 {
             for mode in GenMode::ALL {
                 for emi in [false, true] {
@@ -444,19 +443,10 @@ mod tests {
                     let what = format!("{mode} seed {seed} emi {emi}");
                     check(&program, &what);
                     kernels += 1;
-                    if seed % 4 == 0 {
-                        let (mutant, mutation) =
-                            mutate(&program, seed).expect("a mutation applies");
-                        check(&mutant, &format!("{what} mutant {mutation:?}"));
-                        mutants += 1;
-                    }
                 }
             }
         }
-        assert!(
-            kernels >= 1000 && mutants >= 200,
-            "{kernels} kernels, {mutants} mutants"
-        );
+        assert!(kernels >= 1000, "{kernels} kernels");
         // Default-size ALL kernels contain foldable arithmetic, so the
         // constant-folding bit must light up.
         for seed in 0..8u64 {

@@ -54,9 +54,7 @@
 //! bounded), which every job and worker of a campaign shares because they
 //! all clone the campaign's options, and an optional **on-disk store**
 //! ([`OutcomeStore`]) that deduplicates across processes and campaigns.
-//! Both hold the `(outcome, dynamic coverage)` pair a launch produced, so a
-//! hit at either level replays the launch's coverage as well as its
-//! outcome.
+//! Both hold the [`TestOutcome`] a launch produced and nothing else.
 //!
 //! An execution therefore makes up to three lookups before it launches:
 //!
@@ -77,8 +75,8 @@
 //! the base's live fingerprint as its recipe key, and without the tag its
 //! first lookup would hit the base's live entry and skip its store write.
 //!
-//! Caching never changes results — outcomes and coverage are deterministic
-//! in either key, and the invariance matrix
+//! Caching never changes results — outcomes are deterministic in either
+//! key, and the invariance matrix
 //! (`crates/bench/tests/matrix/mod.rs`) pins every campaign's table
 //! bit-identical with the cache off, on, and over a cold or warm store.
 
@@ -87,10 +85,9 @@ use crate::configs::Configuration;
 use crate::passes;
 use crate::store::OutcomeStore;
 use clc::{Features, Fingerprint, Program, ProgramHasher};
-use clc_interp::{ExecutionTier, LaunchOptions, LaunchResult, RuntimeError, Schedule};
-use clsmith::{coverage_hash, CoverageClass, CoverageMap};
+use clc_interp::{ExecutionTier, LaunchOptions, RuntimeError, Schedule};
 use std::borrow::Cow;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, OnceCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -203,9 +200,6 @@ pub enum CompiledProgram<'s> {
     Decided {
         /// The decided outcome.
         outcome: TestOutcome,
-        /// Front-end coverage recorded while deciding it (rule hits and any
-        /// miscompilations collected before the deciding rule fired).
-        coverage: CoverageMap,
     },
     /// The kernel must run.  `recipe` names the AST the device executes —
     /// the session's source or optimised AST plus the target's transforms —
@@ -215,11 +209,6 @@ pub enum CompiledProgram<'s> {
     Execute {
         /// How to build the AST the device executes.
         recipe: Recipe<'s>,
-        /// Front-end coverage: bug-rule hits, optimiser passes that changed
-        /// the program, miscompilation transforms applied.  Recorded for
-        /// free on the deduplicated path — the front end runs per target
-        /// regardless of whether the launch is memoised.
-        coverage: CoverageMap,
     },
 }
 
@@ -284,8 +273,7 @@ impl<'s> Recipe<'s> {
     }
 }
 
-/// Per-kernel coverage and cache counters shared by one or more
-/// [`Session`]s.
+/// Cache counters shared by one or more [`Session`]s.
 ///
 /// Cheap to create; share one memo (via [`Rc`]) across the sessions of
 /// related programs — e.g. the pruning variants of one EMI base — to count
@@ -293,9 +281,6 @@ impl<'s> Recipe<'s> {
 /// campaign's [`OutcomeCache`].
 #[derive(Debug, Default)]
 pub struct ExecMemo {
-    /// Coverage folded per *base* (unoptimised) fingerprint across every
-    /// target executed so far — the per-kernel map the feedback loop reads.
-    coverage: RefCell<HashMap<Fingerprint, CoverageMap>>,
     stats: MemoCounters,
 }
 
@@ -395,12 +380,12 @@ type OutcomeKey = (Fingerprint, u64);
 
 #[derive(Default)]
 struct Stripe {
-    outcomes: HashMap<OutcomeKey, (TestOutcome, CoverageMap)>,
+    outcomes: HashMap<OutcomeKey, TestOutcome>,
     order: VecDeque<OutcomeKey>,
 }
 
 /// A campaign's in-memory outcome cache: `(recipe key, exec key)` → the
-/// outcome and dynamic coverage a launch produced.
+/// outcome a launch produced.
 ///
 /// A cheap-to-clone handle: clones share one cache, and since every job
 /// clones its campaign's [`ExecOptions`], all jobs and scheduler workers of
@@ -417,13 +402,13 @@ impl OutcomeCache {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, key: &OutcomeKey) -> Option<(TestOutcome, CoverageMap)> {
+    fn get(&self, key: &OutcomeKey) -> Option<TestOutcome> {
         self.stripe(key).outcomes.get(key).cloned()
     }
 
-    fn put(&self, key: OutcomeKey, outcome: TestOutcome, coverage: CoverageMap) {
+    fn put(&self, key: OutcomeKey, outcome: TestOutcome) {
         let mut stripe = self.stripe(&key);
-        if stripe.outcomes.insert(key, (outcome, coverage)).is_none() {
+        if stripe.outcomes.insert(key, outcome).is_none() {
             stripe.order.push_back(key);
             if stripe.order.len() > STRIPE_CAP {
                 if let Some(oldest) = stripe.order.pop_front() {
@@ -451,14 +436,14 @@ impl fmt::Debug for OutcomeCache {
 /// share a single emulator launch, across every session of the campaign.
 ///
 /// Sessions are single-threaded by design (the campaign engine runs one
-/// kernel job per worker); the memo of coverage and counters is
-/// [`Rc`]-based precisely so it cannot leave its thread.
+/// kernel job per worker); the memo of counters is [`Rc`]-based precisely
+/// so it cannot leave its thread.
 pub struct Session<'p> {
     program: &'p Program,
     hasher: ProgramHasher,
     base_fingerprint: Fingerprint,
     features: OnceCell<Features>,
-    optimized: OnceCell<(Program, Fingerprint, u8)>,
+    optimized: OnceCell<(Program, Fingerprint)>,
     memo: Rc<ExecMemo>,
 }
 
@@ -468,8 +453,8 @@ impl<'p> Session<'p> {
         Session::with_memo(program, Rc::new(ExecMemo::new()))
     }
 
-    /// A session over `program` sharing `memo`, its coverage and counters,
-    /// with other sessions (e.g. the pruning variants of one EMI base).
+    /// A session over `program` sharing `memo`, its counters, with other
+    /// sessions (e.g. the pruning variants of one EMI base).
     pub fn with_memo(program: &'p Program, memo: Rc<ExecMemo>) -> Session<'p> {
         let hasher = ProgramHasher::new(program);
         let base_fingerprint = hasher.fingerprint();
@@ -498,33 +483,9 @@ impl<'p> Session<'p> {
         self.features.get_or_init(|| Features::detect(self.program))
     }
 
-    /// The session's memo (per-kernel coverage and counters).
+    /// The session's memo (its cache counters).
     pub fn memo(&self) -> &ExecMemo {
         &self.memo
-    }
-
-    /// Coverage folded for this kernel across every target executed so far:
-    /// front-end rule/pass/miscompilation bits plus the dynamic bits of the
-    /// launches those targets resolved to.  Keyed in the memo by the
-    /// *unoptimised* fingerprint, so repeat sessions over a structurally
-    /// identical program (sharing the memo) keep accumulating one map.
-    pub fn coverage(&self) -> CoverageMap {
-        self.memo
-            .coverage
-            .borrow()
-            .get(&self.base_fingerprint)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Folds `coverage` into this kernel's per-fingerprint map.
-    fn fold_coverage(&self, coverage: &CoverageMap) {
-        self.memo
-            .coverage
-            .borrow_mut()
-            .entry(self.base_fingerprint)
-            .or_default()
-            .merge(coverage);
     }
 
     /// Deterministic pseudo-probability in `[0, 1)` for a background
@@ -536,17 +497,16 @@ impl<'p> Session<'p> {
         (h % 1_000_000) as f64 / 1_000_000.0
     }
 
-    /// The passes-optimised AST, its fingerprint, and the `PASS_BIT_*` mask
-    /// of passes that changed the program (computed once and shared by
-    /// every optimising target).
-    fn optimized(&self) -> (&Program, Fingerprint, u8) {
-        let (program, fingerprint, pass_bits) = self.optimized.get_or_init(|| {
+    /// The passes-optimised AST and its fingerprint (computed once and
+    /// shared by every optimising target).
+    fn optimized(&self) -> (&Program, Fingerprint) {
+        let (program, fingerprint) = self.optimized.get_or_init(|| {
             let mut optimized = self.program.clone();
-            let pass_bits = passes::optimize_traced(&mut optimized);
+            passes::optimize_traced(&mut optimized);
             let fingerprint = optimized.fingerprint();
-            (optimized, fingerprint, pass_bits)
+            (optimized, fingerprint)
         });
-        (program, *fingerprint, *pass_bits)
+        (program, *fingerprint)
     }
 
     /// The front-end phase: deterministic bug rules, background-rate rolls,
@@ -558,36 +518,28 @@ impl<'p> Session<'p> {
     /// AST: [`Session::execute`] does that only on a cache miss.
     pub fn compile(&self, config: &Configuration, opt: OptLevel) -> CompiledProgram<'_> {
         // --- Deterministic bug rules --------------------------------------
-        let mut coverage = CoverageMap::new();
         let mut transforms = Vec::new();
         for rule in &config.rules {
             if !rule.applies(self.features(), self.program, opt) {
                 continue;
             }
-            coverage.set_hash(CoverageClass::Rules, coverage_hash(rule.name));
             match &rule.effect {
                 BugEffect::BuildFailure(msg) => {
                     return CompiledProgram::Decided {
                         outcome: TestOutcome::BuildFailure(format!("{} [{}]", msg, rule.reference)),
-                        coverage,
                     }
                 }
                 BugEffect::CompileHang(_) => {
                     return CompiledProgram::Decided {
                         outcome: TestOutcome::Timeout,
-                        coverage,
                     }
                 }
                 BugEffect::RuntimeCrash(msg) => {
                     return CompiledProgram::Decided {
                         outcome: TestOutcome::Crash(format!("{} [{}]", msg, rule.reference)),
-                        coverage,
                     }
                 }
-                BugEffect::Miscompile(m) => {
-                    coverage.set(CoverageClass::Miscompiles, m.coverage_bit());
-                    transforms.push(*m);
-                }
+                BugEffect::Miscompile(m) => transforms.push(*m),
             }
         }
 
@@ -603,13 +555,11 @@ impl<'p> Session<'p> {
                 outcome: TestOutcome::BuildFailure(
                     "driver rejected the program (background rate)".into(),
                 ),
-                coverage,
             };
         }
         if self.chance(config, opt, "to") < rates.timeout {
             return CompiledProgram::Decided {
                 outcome: TestOutcome::Timeout,
-                coverage,
             };
         }
         let wrong_rate = rates.wrong_code
@@ -628,31 +578,21 @@ impl<'p> Session<'p> {
         if self.chance(config, opt, "crash") < crash_rate {
             return CompiledProgram::Decided {
                 outcome: TestOutcome::Crash("kernel execution crashed (background rate)".into()),
-                coverage,
             };
         }
 
         // --- Compilation --------------------------------------------------
         let (base, base_fingerprint) = if opt == OptLevel::Enabled && config.optimizes {
-            let (base, base_fingerprint, pass_bits) = self.optimized();
-            for bit in 0..8 {
-                if pass_bits & (1 << bit) != 0 {
-                    coverage.set(CoverageClass::Passes, bit);
-                }
-            }
-            (base, base_fingerprint)
+            self.optimized()
         } else {
             (self.program, self.base_fingerprint)
         };
         if perturb {
             let salt = self.hasher.chain(&(config.id, "perturb"));
-            let perturbation = Miscompilation::PerturbLiteral(salt);
-            coverage.set(CoverageClass::Miscompiles, perturbation.coverage_bit());
-            transforms.push(perturbation);
+            transforms.push(Miscompilation::PerturbLiteral(salt));
         }
         CompiledProgram::Execute {
             recipe: Recipe::new(base, base_fingerprint, transforms),
-            coverage,
         }
     }
 
@@ -666,16 +606,10 @@ impl<'p> Session<'p> {
         exec: &ExecOptions,
     ) -> TestOutcome {
         self.memo.stats.bump(Counter::Requests);
-        let (outcome, mut coverage) = match self.compile(config, opt) {
-            CompiledProgram::Decided { outcome, coverage } => (outcome, coverage),
-            CompiledProgram::Execute { recipe, coverage } => (self.run(&recipe, exec), coverage),
-        };
-        // The outcome *kind* is itself a coverage signal (a kernel that
-        // provokes its first build failure or crash is interesting), and it
-        // is available on every path — decided, memoised or launched.
-        coverage.set(CoverageClass::Dynamic, outcome_kind_bit(&outcome));
-        self.fold_coverage(&coverage);
-        outcome
+        match self.compile(config, opt) {
+            CompiledProgram::Decided { outcome } => outcome,
+            CompiledProgram::Execute { recipe } => self.run(&recipe, exec),
+        }
     }
 
     /// Executes on the reference emulator with no configuration-specific
@@ -701,52 +635,45 @@ impl<'p> Session<'p> {
     /// either key with the exec key, so hits can never change a result.
     fn run(&self, recipe: &Recipe<'_>, exec: &ExecOptions) -> TestOutcome {
         let Some(cache) = &exec.cache else {
-            return self.launch(&recipe.build(), exec).0;
+            return self.launch(&recipe.build(), exec);
         };
         let key = (recipe.key(), exec_key(exec));
-        if let Some((hit, coverage)) = cache.get(&key) {
+        if let Some(hit) = cache.get(&key) {
             self.memo.stats.bump(Counter::OutcomeHits);
-            self.fold_coverage(&coverage);
             return hit;
         }
-        if let Some((hit, coverage)) = exec.store.as_ref().and_then(|s| s.get(key.0, key.1)) {
+        if let Some(hit) = exec.store.as_ref().and_then(|s| s.get(key.0, key.1)) {
             self.memo.stats.bump(Counter::StoreHits);
-            self.fold_coverage(&coverage);
-            cache.put(key, hit.clone(), coverage);
+            cache.put(key, hit.clone());
             return hit;
         }
         let program = recipe.build();
         let live = clc_interp::live_fingerprint(&program, &exec.buffer_overrides)
             .map(|fingerprint| (live_key(fingerprint), key.1));
-        let (outcome, coverage) = match live.and_then(|live| cache.get(&live)) {
-            Some((hit, coverage)) => {
+        let outcome = match live.and_then(|live| cache.get(&live)) {
+            Some(hit) => {
                 self.memo.stats.bump(Counter::OutcomeHits);
-                self.fold_coverage(&coverage);
-                (hit, coverage)
+                hit
             }
             None => {
-                let (outcome, coverage) = self.launch(&program, exec);
+                let outcome = self.launch(&program, exec);
                 if let Some(live) = live {
-                    cache.put(live, outcome.clone(), coverage);
+                    cache.put(live, outcome.clone());
                 }
-                (outcome, coverage)
+                outcome
             }
         };
-        cache.put(key, outcome.clone(), coverage);
+        cache.put(key, outcome.clone());
         if let Some(store) = &exec.store {
-            store.put(key.0, key.1, &outcome, &coverage);
+            store.put(key.0, key.1, &outcome);
         }
         outcome
     }
 
-    /// Launches a built AST, folding the launch's dynamic coverage into
-    /// this kernel's map.
-    fn launch(&self, program: &Program, exec: &ExecOptions) -> (TestOutcome, CoverageMap) {
+    /// Launches a built AST.
+    fn launch(&self, program: &Program, exec: &ExecOptions) -> TestOutcome {
         self.memo.stats.bump(Counter::Launches);
-        let result = clc_interp::launch(program, &launch_options(exec));
-        let coverage = dynamic_coverage(&result);
-        self.fold_coverage(&coverage);
-        (launch_outcome(result), coverage)
+        launch_outcome(clc_interp::launch(program, &launch_options(exec)))
     }
 }
 
@@ -800,69 +727,6 @@ fn launch_outcome(result: Result<clc_interp::LaunchResult, RuntimeError>) -> Tes
         Err(RuntimeError::StepLimitExceeded { .. }) => TestOutcome::Timeout,
         Err(e) => TestOutcome::Crash(e.to_string()),
     }
-}
-
-/// The dynamic-class coverage bit for an outcome kind (bits 4..=7: ok, bf,
-/// crash, timeout).  Available on every path — decided, memoised, launched.
-fn outcome_kind_bit(outcome: &TestOutcome) -> u32 {
-    match outcome.kind() {
-        "ok" => 4,
-        "bf" => 5,
-        "c" => 6,
-        _ => 7,
-    }
-}
-
-/// Maps one emulator launch onto the dynamic word of the coverage map —
-/// the thread-aware feedback bits (à la MUZZ) the blind campaign never saw.
-///
-/// Layout of the `Dynamic` class word:
-///
-/// * bit 0 — a data race was detected;
-/// * bit 1 — barrier divergence;
-/// * bit 2 — step-limit exhaustion;
-/// * bit 3 — any other runtime error;
-/// * bits 4..=7 — outcome kind (set in [`Session::execute`], not here);
-/// * bits 8..=15 — barrier-release depth bucket (`log2` of the deepest
-///   barrier ladder any work-group ran, saturated at 7);
-/// * bit 16 — non-synchronising helper-function barriers executed;
-/// * bits 32..=63 — race-*site* hash (object, offset, same-group), so two
-///   distinct racy sites light distinct bits.
-///
-/// Only tier-stable signals are used (`total_steps` and the race-detector
-/// work counters are tier- or schedule-specific and deliberately excluded),
-/// so both interpreter tiers produce identical maps.
-fn dynamic_coverage(result: &Result<LaunchResult, RuntimeError>) -> CoverageMap {
-    let mut map = CoverageMap::new();
-    match result {
-        Ok(result) => {
-            if let Some(race) = &result.race {
-                map.set(CoverageClass::Dynamic, 0);
-                map.set(CoverageClass::Dynamic, race_site_bit(race));
-            }
-            let depth = (64 - result.barrier_intervals.leading_zeros()).min(7);
-            map.set(CoverageClass::Dynamic, 8 + depth);
-            if result.soft_barriers > 0 {
-                map.set(CoverageClass::Dynamic, 16);
-            }
-        }
-        Err(RuntimeError::BarrierDivergence { .. }) => map.set(CoverageClass::Dynamic, 1),
-        Err(RuntimeError::StepLimitExceeded { .. }) => map.set(CoverageClass::Dynamic, 2),
-        Err(RuntimeError::DataRace(race)) => {
-            map.set(CoverageClass::Dynamic, 0);
-            map.set(CoverageClass::Dynamic, race_site_bit(race));
-        }
-        Err(_) => map.set(CoverageClass::Dynamic, 3),
-    }
-    map
-}
-
-/// One of the 32 race-site bits (32..=63) for a detected race, hashed from
-/// the site's stable identity (schedule-independent parts only: the object,
-/// offset and same-group flag, not the thread ids).
-fn race_site_bit(race: &clc_interp::RaceReport) -> u32 {
-    let site = format!("{}:{}:{}", race.object, race.offset, race.same_group);
-    32 + (coverage_hash(&site) % 32) as u32
 }
 
 /// Hash of every execution option that can change a launch outcome — the
@@ -1111,8 +975,8 @@ mod tests {
         assert_eq!(fresh.memo().stats().launches, 1);
 
         // Part 2 — the on-disk store survives a simulated process death
-        // (fresh options over a reopened store), replays the launch's
-        // coverage, and back-fills the new campaign's cache.
+        // (fresh options over a reopened store) and back-fills the new
+        // campaign's cache.
         let dir =
             std::env::temp_dir().join(format!("clfuzz-platform-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1136,12 +1000,9 @@ mod tests {
         assert_eq!(stats.launches, 0, "warm store must skip the launch");
         assert_eq!(stats.store_hits, 1);
         assert_eq!(reopened.stats().hits, 1);
-        assert!(launching.coverage().contains(CoverageClass::Dynamic, 8));
-        assert_eq!(session.coverage(), launching.coverage());
         let third = Session::new(&p);
         assert_eq!(third.reference_execute(&exec), first);
         assert_eq!(third.memo().stats().outcome_hits, 1);
-        assert_eq!(third.coverage(), launching.coverage());
         let read = reopened.stats();
         assert_eq!(
             (read.hits, read.misses),
@@ -1295,37 +1156,6 @@ mod tests {
         assert_eq!(cold_stats.launches, cold_stats.requests - decided);
         assert_eq!(store.stats().writes, recipes.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn coverage_replays_identically_from_every_cache_level() {
-        let p = trivial_program(11);
-        let exec = ExecOptions {
-            store: None,
-            ..ExecOptions::default()
-        };
-        let fan_out = |exec: &ExecOptions| {
-            let session = Session::new(&p);
-            for config in all_configurations() {
-                for opt in OptLevel::BOTH {
-                    session.execute(&config, opt, exec);
-                }
-            }
-            session.coverage()
-        };
-        let cold = fan_out(&exec);
-        // The outcome-kind bit fires on every path, so the map is never
-        // empty; the trivial kernel must at least produce results.
-        assert!(cold.contains(CoverageClass::Dynamic, 4));
-        // A warm fan-out is served from the caches; the replayed coverage
-        // must be bit-identical to what the real launches produced.
-        assert_eq!(fan_out(&exec), cold);
-        // So must a fan-out with no cache (all real launches).
-        let unmemoised = ExecOptions {
-            cache: None,
-            ..ExecOptions::default()
-        };
-        assert_eq!(fan_out(&unmemoised), cold);
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //! belongs to one campaign and dies with it; other campaigns, reducer runs
 //! and repeated table regenerations re-execute structurally identical
 //! kernels from scratch.  This module persists the cache's `(program key,
-//! exec-option key)` → `(`[`TestOutcome`]`, `[`CoverageMap`]`)` mapping to
-//! a directory, as the cache holds it, so every process pointed at the
-//! same store —
-//! sequential re-runs or concurrent shard processes — shares one
-//! ever-growing cache, and a hit replays the launch's dynamic coverage as
-//! well as its outcome.
+//! exec-option key)` → [`TestOutcome`] mapping to a directory, so every
+//! process pointed at the same store — sequential re-runs or concurrent
+//! shard processes — shares one ever-growing cache.
 //!
 //! The program key is the platform's [`Recipe::key`](crate::Recipe::key)
 //! (the `fingerprint` argument of [`OutcomeStore::get`] and
@@ -23,8 +20,10 @@
 //! An entry is therefore valid only under the platform semantics of the
 //! build that wrote it: the emulator that computed the outcome and the
 //! miscompilation transforms a key names.  A change to either must bump
-//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 3`), which turns
-//! every older entry into a miss.
+//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 4`), which turns
+//! every older entry into a miss.  A lookup deletes such an entry, so two
+//! builds of different formats sharing one directory delete each other's
+//! entries.
 //!
 //! ## Entry format
 //!
@@ -33,19 +32,18 @@
 //! by an exact-length payload:
 //!
 //! ```text
-//! CLFUZZ-STORE 3 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
+//! CLFUZZ-STORE 4 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
 //! <payload-len bytes of payload>
 //! ```
 //!
-//! The payload's first line is the launch's dynamic coverage token
-//! ([`CoverageMap::token`]), the second the outcome kind (plus the result
-//! hash for `ok`), and the rest the outcome's raw message or output text.
+//! The payload's first line is the outcome kind (plus the result hash for
+//! `ok`), and the rest the outcome's raw message or output text.
 //!
-//! following the `CLFUZZ-JOURNAL` checksum discipline: `crc` is the FNV-1a
-//! checksum of the header prefix before it and `digest` the checksum of the
-//! payload, so a torn write, a bit flip, a version bump or a foreign file
-//! can never be mistaken for a valid entry — every corruption degrades to a
-//! cache **miss**, never to a wrong outcome.
+//! The header follows the `CLFUZZ-JOURNAL` checksum discipline: `crc` is
+//! the FNV-1a checksum of the header prefix before it and `digest` the
+//! checksum of the payload, so a torn write, a bit flip, a version bump or
+//! a foreign file can never be mistaken for a valid entry — every
+//! corruption degrades to a cache **miss**, never to a wrong outcome.
 //!
 //! ## Concurrency
 //!
@@ -62,7 +60,6 @@
 
 use crate::platform::TestOutcome;
 use clc::{fnv1a, Fingerprint};
-use clsmith::CoverageMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +109,7 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 /// The store format tag; bumping the version invalidates (as misses) every
 /// existing entry.  Bump it whenever the entry encoding, the emulator's
 /// semantics or a miscompilation transform changes (see the module docs).
-const FORMAT: &str = "CLFUZZ-STORE 3";
+const FORMAT: &str = "CLFUZZ-STORE 4";
 
 /// Size cap (bytes) of a store opened without an explicit one.
 const DEFAULT_CAP: u64 = 256 * 1024 * 1024;
@@ -128,7 +125,8 @@ pub struct StoreStats {
     pub writes: u64,
     /// Entries evicted to stay under the size cap.
     pub evictions: u64,
-    /// Approximate store size in bytes (entry files only).
+    /// Store size in bytes (entry files only), as this handle has seen it
+    /// change: its writes, evictions and deletions of invalid entries.
     pub bytes: u64,
     /// Lookups abandoned after an I/O error persisted through the retry.
     /// The entry file (if any) is left in place for the next lookup.
@@ -234,9 +232,8 @@ impl OutcomeStore {
             .join(format!("{:016x}-{key:016x}", fingerprint.0))
     }
 
-    /// Looks up an outcome and the dynamic coverage of the launch that
-    /// produced it, distinguishing the three ways a lookup can come up
-    /// empty:
+    /// Looks up an outcome, distinguishing the three ways a lookup can come
+    /// up empty:
     ///
     /// - the entry simply is not there (`NotFound`): a plain miss;
     /// - the read failed with any other I/O error: retried once after a
@@ -246,8 +243,10 @@ impl OutcomeStore {
     /// - the entry read back but failed validation — torn, bit-flipped,
     ///   version-mismatched, foreign — a miss counted under
     ///   `corrupt_entries`, and the file is deleted so it cannot consume
-    ///   cap space forever.
-    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<(TestOutcome, CoverageMap)> {
+    ///   cap space forever.  Its size leaves the byte count only when this
+    ///   lookup's delete succeeds, so two readers of one bad entry subtract
+    ///   it once.
+    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
         let path = self.entry_path(fingerprint, key);
         let bytes = match self.read_entry(&path) {
             Ok(bytes) => bytes,
@@ -268,7 +267,14 @@ impl OutcomeStore {
             }
             None => {
                 self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
-                let _ = std::fs::remove_file(&path);
+                if std::fs::remove_file(&path).is_ok() {
+                    let len = bytes.len() as u64;
+                    let _ = self
+                        .bytes
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                            Some(b.saturating_sub(len))
+                        });
+                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -295,22 +301,15 @@ impl OutcomeStore {
         }
     }
 
-    /// Persists an outcome and its launch's dynamic coverage (best effort:
-    /// I/O errors disable nothing and corrupt nothing — the entry is simply
-    /// absent next time).  An existing entry for the key is kept, and the
-    /// write is then not counted.
-    pub fn put(
-        &self,
-        fingerprint: Fingerprint,
-        key: u64,
-        outcome: &TestOutcome,
-        coverage: &CoverageMap,
-    ) {
+    /// Persists an outcome (best effort: I/O errors disable nothing and
+    /// corrupt nothing — the entry is simply absent next time).  An existing
+    /// entry for the key is kept, and the write is then not counted.
+    pub fn put(&self, fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) {
         if injected_fault(StoreOp::Write).is_some() {
             return;
         }
         let path = self.entry_path(fingerprint, key);
-        let bytes = render_entry(fingerprint, key, outcome, coverage);
+        let bytes = render_entry(fingerprint, key, outcome);
         let Some(parent) = path.parent() else { return };
         if std::fs::create_dir_all(parent).is_err() {
             return;
@@ -402,25 +401,22 @@ struct ScannedEntry {
     modified: Option<std::time::SystemTime>,
 }
 
-/// Serialises an entry to the payload carried after the header line: the
-/// coverage token, then the outcome kind (plus the result hash for `ok`),
-/// then the raw message/output text, which may itself contain any bytes —
-/// the header's exact payload length makes escaping unnecessary.
-fn render_payload(outcome: &TestOutcome, coverage: &CoverageMap) -> Vec<u8> {
-    let coverage = coverage.token();
+/// Serialises an outcome to the payload carried after the header line: the
+/// outcome kind (plus the result hash for `ok`), then the raw
+/// message/output text, which may itself contain any bytes — the header's
+/// exact payload length makes escaping unnecessary.
+fn render_payload(outcome: &TestOutcome) -> Vec<u8> {
     let text = match outcome {
-        TestOutcome::Result { hash, output } => format!("{coverage}\nok {hash:016x}\n{output}"),
-        TestOutcome::BuildFailure(msg) => format!("{coverage}\nbf\n{msg}"),
-        TestOutcome::Crash(msg) => format!("{coverage}\nc\n{msg}"),
-        TestOutcome::Timeout => format!("{coverage}\nto\n"),
+        TestOutcome::Result { hash, output } => format!("ok {hash:016x}\n{output}"),
+        TestOutcome::BuildFailure(msg) => format!("bf\n{msg}"),
+        TestOutcome::Crash(msg) => format!("c\n{msg}"),
+        TestOutcome::Timeout => "to\n".to_string(),
     };
     text.into_bytes()
 }
 
-fn parse_payload(payload: &[u8]) -> Option<(TestOutcome, CoverageMap)> {
+fn parse_payload(payload: &[u8]) -> Option<TestOutcome> {
     let text = std::str::from_utf8(payload).ok()?;
-    let (coverage, text) = text.split_once('\n')?;
-    let coverage = CoverageMap::parse(coverage)?;
     let (head, rest) = text.split_once('\n')?;
     let outcome = match head.split(' ').collect::<Vec<_>>().as_slice() {
         ["ok", hash] => TestOutcome::Result {
@@ -432,18 +428,13 @@ fn parse_payload(payload: &[u8]) -> Option<(TestOutcome, CoverageMap)> {
         ["to"] => TestOutcome::Timeout,
         _ => return None,
     };
-    Some((outcome, coverage))
+    Some(outcome)
 }
 
 /// Renders a complete self-checksummed entry file in the current
 /// [`FORMAT`].
-fn render_entry(
-    fingerprint: Fingerprint,
-    key: u64,
-    outcome: &TestOutcome,
-    coverage: &CoverageMap,
-) -> Vec<u8> {
-    render_entry_in(FORMAT, fingerprint, key, outcome, coverage)
+fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Vec<u8> {
+    render_entry_in(FORMAT, fingerprint, key, outcome)
 }
 
 /// Renders an entry file under the format tag `format`.
@@ -452,9 +443,8 @@ fn render_entry_in(
     fingerprint: Fingerprint,
     key: u64,
     outcome: &TestOutcome,
-    coverage: &CoverageMap,
 ) -> Vec<u8> {
-    let payload = render_payload(outcome, coverage);
+    let payload = render_payload(outcome);
     let digest = fnv1a(&payload);
     let prefix = format!(
         "{format} {:016x} {key:016x} {} {digest:016x}",
@@ -469,11 +459,7 @@ fn render_entry_in(
 
 /// Parses and fully validates an entry file in the current [`FORMAT`];
 /// `None` on any defect.
-fn parse_entry(
-    bytes: &[u8],
-    fingerprint: Fingerprint,
-    key: u64,
-) -> Option<(TestOutcome, CoverageMap)> {
+fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
     parse_entry_in(FORMAT, bytes, fingerprint, key)
 }
 
@@ -484,7 +470,7 @@ fn parse_entry_in(
     bytes: &[u8],
     fingerprint: Fingerprint,
     key: u64,
-) -> Option<(TestOutcome, CoverageMap)> {
+) -> Option<TestOutcome> {
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
     let payload = &bytes[newline + 1..];
@@ -527,14 +513,6 @@ mod tests {
         dir
     }
 
-    /// A launch's dynamic coverage as the platform stores it.
-    fn coverage() -> CoverageMap {
-        let mut map = CoverageMap::new();
-        map.set(clsmith::CoverageClass::Dynamic, 9);
-        map.set(clsmith::CoverageClass::Dynamic, 41);
-        map
-    }
-
     fn sample_outcomes() -> Vec<TestOutcome> {
         vec![
             TestOutcome::Result {
@@ -552,8 +530,8 @@ mod tests {
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
             let fp = Fingerprint(0x1234 + i as u64);
             let key = 0x9999 + i as u64;
-            let bytes = render_entry(fp, key, &outcome, &coverage());
-            assert_eq!(parse_entry(&bytes, fp, key), Some((outcome, coverage())));
+            let bytes = render_entry(fp, key, &outcome);
+            assert_eq!(parse_entry(&bytes, fp, key), Some(outcome));
         }
     }
 
@@ -565,13 +543,13 @@ mod tests {
             hash: 42,
             output: "5,5,5".into(),
         };
-        let bytes = render_entry(fp, key, &outcome, &coverage());
+        let bytes = render_entry(fp, key, &outcome);
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let parsed = parse_entry(&flipped, fp, key);
             assert!(
-                parsed.is_none() || parsed == Some((outcome.clone(), coverage())),
+                parsed.is_none() || parsed == Some(outcome.clone()),
                 "bit flip {bit} produced a different outcome"
             );
             // Strictly: flips inside checksummed regions must be misses.
@@ -590,7 +568,7 @@ mod tests {
     fn wrong_key_wrong_fingerprint_and_wrong_version_are_misses() {
         let fp = Fingerprint(0xAB);
         let key = 7;
-        let bytes = render_entry(fp, key, &TestOutcome::Timeout, &coverage());
+        let bytes = render_entry(fp, key, &TestOutcome::Timeout);
         assert_eq!(parse_entry(&bytes, Fingerprint(0xAC), key), None);
         assert_eq!(parse_entry(&bytes, fp, 8), None);
         // A version bump invalidates old entries even with a valid crc.
@@ -600,7 +578,7 @@ mod tests {
         let (fields, _) = prefix.rsplit_once(' ').unwrap();
         let crc = fnv1a(fields.as_bytes());
         let mut rebuilt = format!("{fields} {crc:016x}\n").into_bytes();
-        rebuilt.extend_from_slice(format!("{}\nto\n", coverage().token()).as_bytes());
+        rebuilt.extend_from_slice(b"to\n");
         assert_eq!(parse_entry(&rebuilt, fp, key), None);
     }
 
@@ -616,13 +594,13 @@ mod tests {
         };
         let bumped = bumped_format();
         assert_ne!(bumped, FORMAT);
-        let written = render_entry_in(&bumped, fp, key, &outcome, &coverage());
+        let written = render_entry_in(&bumped, fp, key, &outcome);
         assert_eq!(
             parse_entry_in(&bumped, &written, fp, key),
-            Some((outcome.clone(), coverage()))
+            Some(outcome.clone())
         );
         assert_eq!(parse_entry(&written, fp, key), None);
-        let current = render_entry(fp, key, &outcome, &coverage());
+        let current = render_entry(fp, key, &outcome);
         assert_eq!(parse_entry_in(&bumped, &current, fp, key), None);
     }
 
@@ -639,8 +617,8 @@ mod tests {
         let fp = Fingerprint(0xF00);
         assert_eq!(store.get(fp, 1), None);
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
-            store.put(fp, i as u64, &outcome, &coverage());
-            assert_eq!(store.get(fp, i as u64), Some((outcome, coverage())));
+            store.put(fp, i as u64, &outcome);
+            assert_eq!(store.get(fp, i as u64), Some(outcome));
         }
         let stats = store.stats();
         assert_eq!(stats.hits, 4);
@@ -656,31 +634,11 @@ mod tests {
     }
 
     #[test]
-    fn entries_carry_the_launch_coverage_across_handles() {
-        // What a second process reads back is the coverage the launching
-        // process stored, not an empty map, and distinct maps stay distinct.
-        let dir = temp_store("coverage");
-        let fp = Fingerprint(0xC0DE);
-        let outcome = TestOutcome::Result {
-            hash: 7,
-            output: "7,7".into(),
-        };
-        let writer = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
-        writer.put(fp, 1, &outcome, &coverage());
-        writer.put(fp, 2, &outcome, &CoverageMap::new());
-        let reader = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
-        assert_eq!(reader.get(fp, 1), Some((outcome.clone(), coverage())));
-        assert_eq!(reader.get(fp, 2), Some((outcome, CoverageMap::new())));
-        assert_eq!(reader.stats().hits, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_files_on_disk_degrade_to_misses() {
         let dir = temp_store("corrupt");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xC0);
-        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
+        store.put(fp, 0, &TestOutcome::Timeout);
         let path = store.entry_path(fp, 0);
         // Bit-flip the file in place.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -690,7 +648,7 @@ mod tests {
         assert_eq!(store.get(fp, 0), None);
         assert!(!path.exists(), "corrupt entry should be deleted");
         // Truncated file: also a miss.
-        store.put(fp, 1, &TestOutcome::Crash("boom".into()), &coverage());
+        store.put(fp, 1, &TestOutcome::Crash("boom".into()));
         let path = store.entry_path(fp, 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
@@ -709,7 +667,7 @@ mod tests {
         assert_eq!(store.stats().transient_errors, 0);
         // Corrupt entry: counted once, deleted, and the follow-up lookup is
         // a plain miss again.
-        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
+        store.put(fp, 0, &TestOutcome::Timeout);
         let path = store.entry_path(fp, 0);
         std::fs::write(&path, b"not a store entry").unwrap();
         assert_eq!(store.get(fp, 0), None);
@@ -719,6 +677,48 @@ mod tests {
         assert_eq!(stats.corrupt_entries, 1);
         assert_eq!(stats.transient_errors, 0);
         assert_eq!(stats.misses, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store written by a build of the previous format: every lookup is a
+    /// miss that deletes the entry and takes its size off the byte count,
+    /// so once each entry is written again the count equals the bytes on
+    /// disk.
+    #[test]
+    fn previous_format_entries_leave_the_byte_count_equal_to_the_disk() {
+        let dir = temp_store("previous-format");
+        let outcome = TestOutcome::Result {
+            hash: 7,
+            output: "7,7".into(),
+        };
+        let keys: Vec<(Fingerprint, u64)> =
+            (0..10u64).map(|i| (Fingerprint(i << 56 | i), i)).collect();
+        let old = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
+        for &(fp, key) in &keys {
+            let path = old.entry_path(fp, key);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, render_entry_in("CLFUZZ-STORE 3", fp, key, &outcome)).unwrap();
+        }
+        let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
+        assert!(store.stats().bytes > 0);
+        for &(fp, key) in &keys {
+            assert_eq!(store.get(fp, key), None);
+            assert!(!store.entry_path(fp, key).exists());
+            store.put(fp, key, &outcome);
+            assert_eq!(store.get(fp, key), Some(outcome.clone()));
+        }
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.corrupt_entries,
+                stats.misses,
+                stats.writes,
+                stats.hits
+            ),
+            (10, 10, 10, 10)
+        );
+        let on_disk: u64 = store.scan().iter().map(|e| e.len).sum();
+        assert_eq!(stats.bytes, on_disk);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -750,9 +750,9 @@ mod tests {
         let dir = temp_store("transient-recover");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEE);
-        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
+        store.put(fp, 0, &TestOutcome::Timeout);
         fail_next_on_this_thread(StoreOp::Read, 1);
-        assert_eq!(store.get(fp, 0), Some((TestOutcome::Timeout, coverage())));
+        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
         set_io_fault_hook(None);
         let stats = store.stats();
         assert_eq!(stats.hits, 1);
@@ -766,7 +766,7 @@ mod tests {
         let dir = temp_store("transient-exhaust");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEF);
-        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
+        store.put(fp, 0, &TestOutcome::Timeout);
         fail_next_on_this_thread(StoreOp::Read, 2);
         assert_eq!(store.get(fp, 0), None, "both attempts failed");
         set_io_fault_hook(None);
@@ -778,7 +778,7 @@ mod tests {
             "transient failure must not delete the entry"
         );
         // With the fault gone, the same lookup hits.
-        assert_eq!(store.get(fp, 0), Some((TestOutcome::Timeout, coverage())));
+        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -789,29 +789,24 @@ mod tests {
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xF0);
         fail_next_on_this_thread(StoreOp::Write, 1);
-        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
+        store.put(fp, 0, &TestOutcome::Timeout);
         set_io_fault_hook(None);
         assert_eq!(store.stats().writes, 0);
         assert_eq!(store.get(fp, 0), None, "faulted put published nothing");
         // The next put goes through.
-        store.put(fp, 0, &TestOutcome::Timeout, &coverage());
-        assert_eq!(store.get(fp, 0), Some((TestOutcome::Timeout, coverage())));
+        store.put(fp, 0, &TestOutcome::Timeout);
+        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eviction_keeps_the_store_under_its_cap() {
         let dir = temp_store("evict");
-        // A tiny cap: every entry is ~130 bytes, so the second write must
+        // A tiny cap: every entry is ~90 bytes, so the second write must
         // evict.
         let store = OutcomeStore::open_with_cap(&dir, 150).unwrap();
         for i in 0..8u64 {
-            store.put(
-                Fingerprint(i << 56 | i),
-                i,
-                &TestOutcome::Timeout,
-                &coverage(),
-            );
+            store.put(Fingerprint(i << 56 | i), i, &TestOutcome::Timeout);
         }
         let stats = store.stats();
         assert!(stats.evictions > 0, "cap 150 must force evictions");
@@ -836,7 +831,7 @@ mod tests {
         };
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(|| store.put(fp, key, &outcome, &coverage()));
+                scope.spawn(|| store.put(fp, key, &outcome));
             }
         });
         let stats = store.stats();
@@ -845,7 +840,7 @@ mod tests {
         assert_eq!(stats.bytes, std::fs::metadata(&path).unwrap().len());
         let files = std::fs::read_dir(path.parent().unwrap()).unwrap().count();
         assert_eq!(files, 1, "one entry and no temporaries left");
-        assert_eq!(store.get(fp, key), Some((outcome, coverage())));
+        assert_eq!(store.get(fp, key), Some(outcome));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
