@@ -60,3 +60,59 @@ fn exhausted_retries_quarantine_the_range_and_exit_nonzero() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// `coordinate --follow` re-renders the table after every completed lease:
+/// one partial table per lease, counting up, the last of them exactly the
+/// final table, which is exactly the `merge` of the fleet's lease journals.
+#[test]
+fn follow_streams_a_partial_table_per_lease_ending_on_the_merge() {
+    let dir = scratch("follow");
+    let fleet_dir = dir.join("fleet");
+    let out = campaign_bin("table4", Bytecode)
+        .args(["coordinate", "1", "--no-store", "--threads", "1"])
+        .args(["--workers", "1", "--lease-jobs", "2", "--fleet-dir"])
+        .arg(&fleet_dir)
+        .arg("--follow")
+        .output()
+        .expect("spawn coordinate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+
+    let mut journals: Vec<_> = fs::read_dir(&fleet_dir)
+        .expect("fleet dir")
+        .map(|entry| entry.expect("fleet dir entry").path())
+        .filter(|path| {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with("lease-") && name.ends_with(".journal")
+        })
+        .collect();
+    journals.sort();
+    assert!(journals.len() > 1, "expected several leases: {journals:?}");
+    let merged = campaign_bin("table4", Bytecode)
+        .arg("merge")
+        .args(&journals)
+        .output()
+        .expect("spawn merge");
+    assert!(merged.status.success(), "merge failed");
+    assert_eq!(stdout, String::from_utf8_lossy(&merged.stdout));
+
+    let lines: Vec<&str> = stderr.lines().collect();
+    let headers: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("fleet: partial table after "))
+        .collect();
+    assert_eq!(headers.len(), journals.len(), "stderr:\n{stderr}");
+    for (n, &i) in headers.iter().enumerate() {
+        assert_eq!(
+            lines[i],
+            format!("fleet: partial table after {} lease(s):", n + 1)
+        );
+    }
+    let last: Vec<&str> = lines[headers[headers.len() - 1] + 1..]
+        .iter()
+        .take(stdout.lines().count())
+        .map(|line| line.strip_prefix("fleet: ").unwrap_or(line))
+        .collect();
+    assert_eq!(last, stdout.lines().collect::<Vec<_>>());
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -159,27 +159,22 @@ impl<'p> KernelModel<'p> {
 
     fn collect_written(&mut self) {
         let mut written = BTreeSet::new();
-        for s in crate::walk::program_stmts(self.program) {
-            for root_expr in crate::walk::own_exprs(s) {
-                crate::walk::expr_subtree(root_expr, &mut |e| {
-                    let target = match e {
-                        Expr::Assign { lhs, .. } => place_root(lhs),
-                        Expr::BuiltinCall { func, args } if func.is_atomic() => {
-                            args.first().and_then(place_root)
-                        }
-                        // A shared address that escapes may be written
-                        // through.
-                        Expr::AddrOf(inner) => place_root(inner),
-                        _ => None,
-                    };
-                    if let Some(root) = target {
-                        if self.objects.contains_key(root) {
-                            written.insert(root.to_string());
-                        }
-                    }
-                });
+        self.program.for_each_expr(&mut |e| {
+            let target = match e {
+                Expr::Assign { lhs, .. } => place_root(lhs),
+                Expr::BuiltinCall { func, args } if func.is_atomic() => {
+                    args.first().and_then(place_root)
+                }
+                // A shared address that escapes may be written through.
+                Expr::AddrOf(inner) => place_root(inner),
+                _ => None,
+            };
+            if let Some(root) = target {
+                if self.objects.contains_key(root) {
+                    written.insert(root.to_string());
+                }
             }
-        }
+        });
         self.written = written;
     }
 
@@ -223,23 +218,20 @@ impl<'p> KernelModel<'p> {
                     binds.push((name.clone(), Bind::Init(e), Vec::new()));
                 }
             }
-            for root_expr in crate::walk::own_exprs(s) {
-                crate::walk::expr_subtree(root_expr, &mut |e| {
-                    if let Expr::Assign { op, lhs, rhs } = e {
-                        if let Expr::Var(name) = lhs.as_ref() {
-                            if op.binop().is_none() {
-                                binds.push((name.clone(), Bind::Assign(rhs), guards.to_vec()));
-                            } else {
-                                binds.push((name.clone(), Bind::Opaque, Vec::new()));
-                            }
-                        } else if let Some(root) = place_root(lhs) {
-                            // Partial writes (fields / elements) spoil
-                            // precision.
-                            binds.push((root.to_string(), Bind::Opaque, Vec::new()));
+            s.for_each_expr(false, &mut |e| {
+                if let Expr::Assign { op, lhs, rhs } = e {
+                    if let Expr::Var(name) = lhs.as_ref() {
+                        if op.binop().is_none() {
+                            binds.push((name.clone(), Bind::Assign(rhs), guards.to_vec()));
+                        } else {
+                            binds.push((name.clone(), Bind::Opaque, Vec::new()));
                         }
+                    } else if let Some(root) = place_root(lhs) {
+                        // Partial writes (fields / elements) spoil precision.
+                        binds.push((root.to_string(), Bind::Opaque, Vec::new()));
                     }
-                });
-            }
+                }
+            });
         });
 
         let mut env: BTreeMap<String, IndexClass> = BTreeMap::new();
@@ -533,29 +525,27 @@ pub fn place_root(e: &Expr) -> Option<&str> {
 }
 
 fn collect_local_objects(body: &Block, objects: &mut BTreeMap<String, ObjectInfo>) {
-    for s in body.iter() {
-        s.for_each(&mut |s| {
-            if let Stmt::Decl {
-                name,
-                ty,
-                space: AddressSpace::Local,
-                ..
-            } = s
-            {
-                let len = match ty {
-                    Type::Array(_, n) => Some(*n as i128),
-                    _ => None,
-                };
-                objects.insert(
-                    name.clone(),
-                    ObjectInfo {
-                        space: AddressSpace::Local,
-                        len,
-                    },
-                );
-            }
-        });
-    }
+    body.for_each(&mut |s| {
+        if let Stmt::Decl {
+            name,
+            ty,
+            space: AddressSpace::Local,
+            ..
+        } = s
+        {
+            let len = match ty {
+                Type::Array(_, n) => Some(*n as i128),
+                _ => None,
+            };
+            objects.insert(
+                name.clone(),
+                ObjectInfo {
+                    space: AddressSpace::Local,
+                    len,
+                },
+            );
+        }
+    });
 }
 
 /// Marks every assignment (to a tracked variable) inside `body` as
@@ -579,26 +569,20 @@ fn mark_stmt_assignments(stmt: &Stmt, tracked: &BTreeSet<String>, unstable: &mut
                 unstable.insert(name.clone());
             }
         }
-        for root in crate::walk::own_exprs(s) {
-            record_assignment_targets(root, tracked, unstable);
-        }
+        s.for_each_expr(false, &mut |sub| {
+            record_assignment_target(sub, tracked, unstable)
+        });
     });
 }
 
-fn record_assignment_targets(
-    e: &Expr,
-    tracked: &BTreeSet<String>,
-    unstable: &mut BTreeSet<String>,
-) {
-    e.for_each(&mut |sub| {
-        if let Expr::Assign { lhs, .. } = sub {
-            if let Some(root) = place_root(lhs) {
-                if tracked.contains(root) {
-                    unstable.insert(root.to_string());
-                }
+fn record_assignment_target(e: &Expr, tracked: &BTreeSet<String>, unstable: &mut BTreeSet<String>) {
+    if let Expr::Assign { lhs, .. } = e {
+        if let Some(root) = place_root(lhs) {
+            if tracked.contains(root) {
+                unstable.insert(root.to_string());
             }
         }
-    });
+    }
 }
 
 /// Records every variable *use* (read) in an expression, excluding the bare
@@ -621,44 +605,12 @@ fn record_uses(e: &Expr, used: &mut BTreeSet<String>) {
             used.insert(name.clone());
         }
         _ => {
-            let mut children: Vec<&Expr> = Vec::new();
-            collect_children(e, &mut children);
-            for c in children {
-                record_uses(c, used);
-            }
+            e.for_each_part(|part| {
+                if let Some(c) = part.expr() {
+                    record_uses(c, used);
+                }
+            });
         }
-    }
-}
-
-fn collect_children<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::IntLit { .. } | Expr::Var(_) | Expr::IdQuery(_) => {}
-        Expr::VectorLit { parts, .. } => out.extend(parts.iter()),
-        Expr::Unary { expr, .. }
-        | Expr::Deref(expr)
-        | Expr::AddrOf(expr)
-        | Expr::Cast { expr, .. } => out.push(expr),
-        Expr::Binary { lhs, rhs, .. }
-        | Expr::Assign { lhs, rhs, .. }
-        | Expr::Comma { lhs, rhs } => {
-            out.push(lhs);
-            out.push(rhs);
-        }
-        Expr::Cond {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            out.push(cond);
-            out.push(then_expr);
-            out.push(else_expr);
-        }
-        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => out.extend(args.iter()),
-        Expr::Index { base, index } => {
-            out.push(base);
-            out.push(index);
-        }
-        Expr::Field { base, .. } | Expr::Swizzle { base, .. } => out.push(base),
     }
 }
 
@@ -718,7 +670,7 @@ fn walk_stability(
                     }
                 }
                 record_uses(e, used_since_sync);
-                record_assignment_targets(e, tracked, unstable);
+                e.for_each(&mut |sub| record_assignment_target(sub, tracked, unstable));
             }
             other => {
                 // Conditional / loop context: every assignment (or shadowing
@@ -726,9 +678,7 @@ fn walk_stability(
                 // use is recorded.
                 mark_stmt_assignments(other, tracked, unstable);
                 other.for_each(&mut |s| {
-                    for root in crate::walk::own_exprs(s) {
-                        record_uses(root, used_since_sync);
-                    }
+                    s.for_each_root(&mut |root| record_uses(root, used_since_sync))
                 });
             }
         }

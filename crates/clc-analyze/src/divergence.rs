@@ -12,7 +12,6 @@
 //! not synchronise), so only the kernel body is checked.
 
 use crate::classify::KernelModel;
-use crate::race::block_has_barrier;
 use crate::report::{Diagnostic, DiagnosticKind};
 use clc::stmt::{Block, Stmt};
 
@@ -22,7 +21,7 @@ pub fn check_divergence(model: &KernelModel<'_>) -> Vec<Diagnostic> {
     if model.group_size < 2 {
         return Vec::new();
     }
-    let kernel_has_barrier = block_has_barrier(&model.program.kernel.body);
+    let kernel_has_barrier = model.program.kernel.body.contains_barrier();
     let mut checker = Checker {
         model,
         kernel_has_barrier,
@@ -80,7 +79,7 @@ impl<'m, 'p> Checker<'m, 'p> {
             }
             Stmt::While { cond, body } => {
                 let d = nonuniform + usize::from(!self.model.is_uniform(cond));
-                self.loops.push((block_has_barrier(body), d));
+                self.loops.push((body.contains_barrier(), d));
                 self.walk_block(body, d);
                 self.loops.pop();
             }
@@ -95,7 +94,7 @@ impl<'m, 'p> Checker<'m, 'p> {
                 }
                 let uniform_trip = cond.as_ref().is_none_or(|c| self.model.is_uniform(c));
                 let d = nonuniform + usize::from(!uniform_trip);
-                self.loops.push((block_has_barrier(body), d));
+                self.loops.push((body.contains_barrier(), d));
                 self.walk_block(body, d);
                 self.loops.pop();
             }

@@ -137,11 +137,11 @@ impl<'a, 'p> Uninit<'a, 'p> {
                 fact.extend(t);
             }
             other => {
-                let mut children = Vec::new();
-                crate::walk::expr_children(other, &mut children);
-                for c in children {
-                    self.eval(c, fact);
-                }
+                other.for_each_part(|part| {
+                    if let Some(c) = part.expr() {
+                        self.eval(c, fact);
+                    }
+                });
             }
         }
     }
@@ -205,11 +205,7 @@ impl<'a, 'p> Analysis<'p> for Uninit<'a, 'p> {
                     self.eval(e, fact);
                 }
                 if let Some(list) = init_list {
-                    let mut leaves = Vec::new();
-                    crate::walk::initializer_exprs(list, &mut leaves);
-                    for e in leaves {
-                        self.eval(e, fact);
-                    }
+                    list.for_each_item(&mut |e| self.eval(e, fact));
                 }
                 if self.is_tracked_decl(*space, name)
                     && !self.params.contains(name)

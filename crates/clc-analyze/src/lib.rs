@@ -16,6 +16,10 @@
 //! * **Bounds** ([`bounds`]): provable subscript ranges checked against
 //!   declared buffer extents.
 //!
+//! The passes traverse the AST with `clc`'s walkers ([`clc::visit`]); the
+//! private `walk` module holds only the control-dependence guard stack that
+//! the uniformity environment needs (`Guard`, `guarded_program_stmts`).
+//!
 //! The soundness contract, enforced by the `analysis_soundness` differential
 //! against both interpreter tiers: a kernel whose [`AnalysisReport`] is
 //! *certified* (race-free and divergence-free) never produces a dynamic race
@@ -49,7 +53,7 @@ pub mod divergence;
 pub mod init;
 pub mod race;
 pub mod report;
-pub mod walk;
+mod walk;
 
 pub use classify::{IndexClass, KernelModel};
 pub use report::{AccessPair, AnalysisReport, Diagnostic, DiagnosticKind, PairVerdict};

@@ -353,9 +353,7 @@ impl<'m, 'p> Collector<'m, 'p> {
                 }
             }
             Stmt::Decl { .. } | Stmt::Expr(_) | Stmt::Return(_) => {
-                for e in crate::walk::own_exprs(s) {
-                    self.collect_expr(e);
-                }
+                s.for_each_root(&mut |e| self.collect_expr(e));
             }
             Stmt::If {
                 cond,
@@ -371,7 +369,7 @@ impl<'m, 'p> Collector<'m, 'p> {
                 self.conditional_depth -= 1;
             }
             Stmt::While { cond, body } => {
-                if block_has_barrier(body) {
+                if body.contains_barrier() {
                     self.unbounded = true;
                 }
                 self.loop_depth += 1;
@@ -388,7 +386,7 @@ impl<'m, 'p> Collector<'m, 'p> {
                 if let Some(i) = init {
                     self.walk_stmt(i);
                 }
-                if block_has_barrier(body) {
+                if body.contains_barrier() {
                     self.unbounded = true;
                 }
                 self.loop_depth += 1;
@@ -466,11 +464,11 @@ impl<'m, 'p> Collector<'m, 'p> {
                 }
             }
             _ => {
-                let mut children = Vec::new();
-                crate::walk::expr_children(e, &mut children);
-                for c in children {
-                    self.collect_expr(c);
-                }
+                e.for_each_part(|part| {
+                    if let Some(c) = part.expr() {
+                        self.collect_expr(c);
+                    }
+                });
             }
         }
     }
@@ -481,11 +479,11 @@ impl<'m, 'p> Collector<'m, 'p> {
         let Some(root) = place_root(place) else {
             // No identifiable root (e.g. a computed pointer): just collect
             // nested reads.
-            let mut children = Vec::new();
-            crate::walk::expr_children(place, &mut children);
-            for c in children {
-                self.collect_expr(c);
-            }
+            place.for_each_part(|part| {
+                if let Some(c) = part.expr() {
+                    self.collect_expr(c);
+                }
+            });
             return;
         };
         self.collect_subscripts(place);
@@ -545,17 +543,4 @@ impl<'m, 'p> Collector<'m, 'p> {
             other => self.collect_expr(other),
         }
     }
-}
-
-/// Whether a block (recursively) contains a `barrier()` statement.
-pub fn block_has_barrier(block: &Block) -> bool {
-    let mut found = false;
-    for s in block.iter() {
-        s.for_each(&mut |s| {
-            if matches!(s, Stmt::Barrier(_)) {
-                found = true;
-            }
-        });
-    }
-    found
 }

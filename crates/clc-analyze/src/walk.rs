@@ -1,63 +1,17 @@
-//! Lifetime-preserving AST walkers.
+//! The control-dependence guards a statement's expressions evaluate under.
 //!
-//! The `clc` convenience visitors (`Stmt::for_each`, `Program::for_each_stmt`)
-//! take `FnMut(&Stmt)` with an anonymous lifetime, which is fine for counting
-//! but cannot *collect references*.  The analyzer builds CFGs and binding
-//! tables that borrow the program, so these walkers thread the program
-//! lifetime `'p` through explicitly.
+//! Generic traversal lives in `clc` ([`clc::visit`]); this walk only adds the
+//! guard stack, built on [`Stmt::for_each_part`].
 
 use clc::expr::Expr;
 use clc::program::Program;
-use clc::stmt::{Block, Initializer, Stmt};
-
-/// Appends every statement of `block`, recursively, in program order.
-pub fn block_stmts<'p>(block: &'p Block, out: &mut Vec<&'p Stmt>) {
-    for s in block.iter() {
-        stmt_and_nested(s, out);
-    }
-}
-
-/// Appends `s` and every statement nested inside it, in program order.
-pub fn stmt_and_nested<'p>(s: &'p Stmt, out: &mut Vec<&'p Stmt>) {
-    out.push(s);
-    match s {
-        Stmt::If {
-            then_block,
-            else_block,
-            ..
-        } => {
-            block_stmts(then_block, out);
-            if let Some(b) = else_block {
-                block_stmts(b, out);
-            }
-        }
-        Stmt::For { init, body, .. } => {
-            if let Some(i) = init {
-                stmt_and_nested(i, out);
-            }
-            block_stmts(body, out);
-        }
-        Stmt::While { body, .. } => block_stmts(body, out),
-        Stmt::Block(b) => block_stmts(b, out),
-        Stmt::Emi(e) => block_stmts(&e.body, out),
-        _ => {}
-    }
-}
-
-/// Every statement of the program: helper bodies first, then the kernel.
-pub fn program_stmts(program: &Program) -> Vec<&Stmt> {
-    let mut out = Vec::new();
-    for f in &program.functions {
-        block_stmts(&f.body, &mut out);
-    }
-    block_stmts(&program.kernel.body, &mut out);
-    out
-}
+use clc::stmt::{Block, Stmt};
+use clc::visit::Part;
 
 /// One control-dependence guard enclosing a statement: executing the
 /// statement is conditional on this.
 #[derive(Clone, Copy)]
-pub enum Guard<'p> {
+pub(crate) enum Guard<'p> {
     /// An `if`/`while`/`for` condition.
     Cond(&'p Expr),
     /// An EMI dead-block guard (`dead[a] < dead[b]` over the `dead` input).
@@ -65,15 +19,19 @@ pub enum Guard<'p> {
 }
 
 /// Calls `f` on every statement of the program (helper bodies first, then
-/// the kernel, mirroring [`program_stmts`]) together with the stack of
-/// guards its *own expressions* evaluate under.
+/// the kernel) together with the stack of guards its *own expressions*
+/// evaluate under.
 ///
 /// Loop statements (`while`, `for`) are reported under their own condition:
 /// their condition and update expressions re-evaluate once per iteration,
 /// so any assignment inside them is control-dependent on the trip count.
 /// An `if` is reported outside its condition — the condition itself is
-/// evaluated by every work-item that reaches the statement.
-pub fn guarded_program_stmts<'p>(program: &'p Program, f: &mut impl FnMut(&'p Stmt, &[Guard<'p>])) {
+/// evaluated by every work-item that reaches the statement.  A `for`
+/// initialiser runs once, before the loop, and is reported first.
+pub(crate) fn guarded_program_stmts<'p>(
+    program: &'p Program,
+    f: &mut impl FnMut(&'p Stmt, &[Guard<'p>]),
+) {
     let mut guards = Vec::new();
     for func in &program.functions {
         guarded_block(&func.body, &mut guards, f);
@@ -91,203 +49,127 @@ fn guarded_block<'p>(
     }
 }
 
+/// Reports `s` before its first nested block, or after its parts when it has
+/// none; a condition guards the parts after it, and a loop's condition the
+/// loop statement too.
 fn guarded_stmt<'p>(
     s: &'p Stmt,
     guards: &mut Vec<Guard<'p>>,
     f: &mut impl FnMut(&'p Stmt, &[Guard<'p>]),
 ) {
-    match s {
-        Stmt::If {
-            cond,
-            then_block,
-            else_block,
-        } => {
-            f(s, guards);
-            guards.push(Guard::Cond(cond));
-            guarded_block(then_block, guards, f);
-            if let Some(b) = else_block {
-                guarded_block(b, guards, f);
+    let depth = guards.len();
+    let is_loop = matches!(s, Stmt::For { .. } | Stmt::While { .. });
+    let mut reported = false;
+    s.for_each_part(|part| match part {
+        Part::Cond(c) => {
+            if !is_loop && !reported {
+                f(s, guards);
+                reported = true;
             }
-            guards.pop();
+            guards.push(Guard::Cond(c));
         }
-        Stmt::While { cond, body } => {
-            guards.push(Guard::Cond(cond));
-            f(s, guards);
-            guarded_block(body, guards, f);
-            guards.pop();
-        }
-        Stmt::For {
-            init, cond, body, ..
-        } => {
-            if let Some(i) = init {
-                guarded_stmt(i, guards, f);
+        Part::Stmt(init) => guarded_stmt(init, guards, f),
+        Part::Block(b) | Part::LoopBody(b) | Part::EmiBody(b) => {
+            if !reported {
+                f(s, guards);
+                reported = true;
             }
-            let guarded = cond.as_ref().map(|c| guards.push(Guard::Cond(c)));
-            f(s, guards);
-            guarded_block(body, guards, f);
-            if guarded.is_some() {
-                guards.pop();
+            if let Part::EmiBody(_) = part {
+                guards.push(Guard::EmiDead);
             }
-        }
-        Stmt::Block(b) => {
-            f(s, guards);
             guarded_block(b, guards, f);
         }
-        Stmt::Emi(e) => {
-            f(s, guards);
-            guards.push(Guard::EmiDead);
-            guarded_block(&e.body, guards, f);
-            guards.pop();
-        }
-        _ => f(s, guards),
+        Part::Operand(_) | Part::Init(_) => {}
+    });
+    if !reported {
+        f(s, guards);
     }
-}
-
-/// The expression roots evaluated directly by `s` (conditions, initialisers,
-/// statement expressions) — not those of nested statements.
-pub fn own_exprs(s: &Stmt) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    match s {
-        Stmt::Decl {
-            init, init_list, ..
-        } => {
-            if let Some(e) = init {
-                out.push(e);
-            }
-            if let Some(list) = init_list {
-                initializer_exprs(list, &mut out);
-            }
-        }
-        Stmt::Expr(e) => out.push(e),
-        Stmt::If { cond, .. } => out.push(cond),
-        Stmt::For { cond, update, .. } => {
-            if let Some(c) = cond {
-                out.push(c);
-            }
-            if let Some(u) = update {
-                out.push(u);
-            }
-        }
-        Stmt::While { cond, .. } => out.push(cond),
-        Stmt::Return(Some(e)) => out.push(e),
-        _ => {}
-    }
-    out
-}
-
-/// Appends the leaf expressions of an initialiser, in order.
-pub fn initializer_exprs<'p>(init: &'p Initializer, out: &mut Vec<&'p Expr>) {
-    match init {
-        Initializer::Expr(e) => out.push(e),
-        Initializer::List(items) => {
-            for item in items {
-                initializer_exprs(item, out);
-            }
-        }
-    }
-}
-
-/// Appends the *direct* children of `e` (one level, no recursion).
-pub fn expr_children<'p>(e: &'p Expr, out: &mut Vec<&'p Expr>) {
-    match e {
-        Expr::IntLit { .. } | Expr::Var(_) | Expr::IdQuery(_) => {}
-        Expr::VectorLit { parts, .. } => out.extend(parts.iter()),
-        Expr::Unary { expr, .. }
-        | Expr::Deref(expr)
-        | Expr::AddrOf(expr)
-        | Expr::Cast { expr, .. } => out.push(expr),
-        Expr::Binary { lhs, rhs, .. }
-        | Expr::Assign { lhs, rhs, .. }
-        | Expr::Comma { lhs, rhs } => {
-            out.push(lhs);
-            out.push(rhs);
-        }
-        Expr::Cond {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            out.push(cond);
-            out.push(then_expr);
-            out.push(else_expr);
-        }
-        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => out.extend(args.iter()),
-        Expr::Index { base, index } => {
-            out.push(base);
-            out.push(index);
-        }
-        Expr::Field { base, .. } | Expr::Swizzle { base, .. } => out.push(base),
-    }
-}
-
-/// Calls `f` on `e` and every sub-expression, pre-order.
-pub fn expr_subtree<'p>(e: &'p Expr, f: &mut impl FnMut(&'p Expr)) {
-    f(e);
-    match e {
-        Expr::IntLit { .. } | Expr::Var(_) | Expr::IdQuery(_) => {}
-        Expr::VectorLit { parts, .. } => {
-            for p in parts {
-                expr_subtree(p, f);
-            }
-        }
-        Expr::Unary { expr, .. }
-        | Expr::Deref(expr)
-        | Expr::AddrOf(expr)
-        | Expr::Cast { expr, .. } => expr_subtree(expr, f),
-        Expr::Binary { lhs, rhs, .. }
-        | Expr::Assign { lhs, rhs, .. }
-        | Expr::Comma { lhs, rhs } => {
-            expr_subtree(lhs, f);
-            expr_subtree(rhs, f);
-        }
-        Expr::Cond {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            expr_subtree(cond, f);
-            expr_subtree(then_expr, f);
-            expr_subtree(else_expr, f);
-        }
-        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => {
-            for a in args {
-                expr_subtree(a, f);
-            }
-        }
-        Expr::Index { base, index } => {
-            expr_subtree(base, f);
-            expr_subtree(index, f);
-        }
-        Expr::Field { base, .. } | Expr::Swizzle { base, .. } => expr_subtree(base, f),
-    }
+    guards.truncate(depth);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use clc::expr::BinOp;
+    use clc::program::{KernelDef, LaunchConfig};
+    use clc::stmt::EmiBlock;
     use clc::types::{ScalarType, Type};
 
     #[test]
-    fn collects_nested_statements_and_exprs() {
-        let block = Block::of(vec![Stmt::if_then(
-            Expr::binary(BinOp::Lt, Expr::var("x"), Expr::int(3)),
-            Block::of(vec![Stmt::decl(
-                "y",
-                Type::Scalar(ScalarType::Int),
-                Some(Expr::int(1)),
-            )]),
-        )]);
-        let mut stmts = Vec::new();
-        block_stmts(&block, &mut stmts);
-        assert_eq!(stmts.len(), 2);
-        let mut leaves = 0usize;
-        for s in &stmts {
-            for root in own_exprs(s) {
-                expr_subtree(root, &mut |_| leaves += 1);
-            }
-        }
-        // (x < 3), x, 3, 1
-        assert_eq!(leaves, 4);
+    fn statements_are_reported_under_their_guards() {
+        let int = Type::Scalar(ScalarType::Int);
+        let lt = |v: &str, n| Expr::binary(BinOp::Lt, Expr::var(v), Expr::int(n));
+        let body = Block::of(vec![
+            Stmt::if_else(
+                lt("a", 1),
+                Block::of(vec![Stmt::assign(Expr::var("x"), Expr::int(2))]),
+                Block::of(vec![Stmt::Break]),
+            ),
+            Stmt::For {
+                init: Some(Box::new(Stmt::decl("i", int.clone(), Some(Expr::int(0))))),
+                cond: Some(lt("i", 3)),
+                update: None,
+                body: Block::of(vec![Stmt::While {
+                    cond: Expr::var("w"),
+                    body: Block::of(vec![Stmt::Block(Block::of(vec![Stmt::Continue]))]),
+                }]),
+            },
+            Stmt::Emi(EmiBlock {
+                index: 0,
+                guard: (2, 1),
+                body: Block::of(vec![Stmt::decl("y", int, None)]),
+            }),
+        ]);
+        let program = Program::new(
+            KernelDef {
+                name: "k".into(),
+                params: Vec::new(),
+                body,
+            },
+            LaunchConfig::single_group(4),
+        );
+        let mut seen = Vec::new();
+        guarded_program_stmts(&program, &mut |s, guards| {
+            let label = match s {
+                Stmt::If { .. } => "if",
+                Stmt::Expr(_) => "x=",
+                Stmt::Break => "break",
+                Stmt::For { .. } => "for",
+                Stmt::Decl { name, .. } if name == "i" => "decl i",
+                Stmt::While { .. } => "while",
+                Stmt::Block(_) => "block",
+                Stmt::Continue => "continue",
+                Stmt::Emi(_) => "emi",
+                Stmt::Decl { .. } => "decl y",
+                _ => "other",
+            };
+            let guards: Vec<String> = guards
+                .iter()
+                .map(|g| match g {
+                    Guard::Cond(Expr::Binary { lhs, .. }) => format!("{lhs:?}"),
+                    Guard::Cond(e) => format!("{e:?}"),
+                    Guard::EmiDead => "dead".into(),
+                })
+                .collect();
+            seen.push(format!("{label} [{}]", guards.join(" ")));
+        });
+        let a = r#"Var("a")"#;
+        let i = r#"Var("i")"#;
+        let w = r#"Var("w")"#;
+        assert_eq!(
+            seen,
+            vec![
+                "if []".to_string(),
+                format!("x= [{a}]"),
+                format!("break [{a}]"),
+                "decl i []".into(),
+                format!("for [{i}]"),
+                format!("while [{i} {w}]"),
+                format!("block [{i} {w}]"),
+                format!("continue [{i} {w}]"),
+                "emi []".into(),
+                "decl y [dead]".into(),
+            ]
+        );
     }
 }

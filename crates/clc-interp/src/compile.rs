@@ -31,6 +31,7 @@ use crate::value::{Lanes, Scalar};
 use clc::expr::{BinOp, Builtin, Expr, IdKind, UnOp};
 use clc::stmt::{Block, EmiBlock, Initializer, Stmt};
 use clc::types::{AddressSpace, ScalarType, Type, VectorWidth};
+use clc::visit::Part;
 use clc::{Param, Program};
 use std::collections::{HashMap, HashSet};
 
@@ -385,90 +386,23 @@ fn escape_stmt<'b>(
     out: &mut HashSet<&'b str>,
     skip: &mut dyn FnMut(&'b EmiBlock) -> bool,
 ) {
-    match stmt {
-        Stmt::Decl {
-            init, init_list, ..
-        } => {
-            if let Some(e) = init {
-                escape_expr(e, out);
-            }
-            if let Some(list) = init_list {
-                escape_init(list, out);
-            }
+    // The synthesised EMI guard only reads `dead[..]`, a kernel parameter —
+    // parameters are never register candidates.
+    if let Stmt::Emi(emi) = stmt {
+        if skip(emi) {
+            return;
         }
-        Stmt::Expr(e) => escape_expr(e, out),
-        Stmt::If {
-            cond,
-            then_block,
-            else_block,
-        } => {
-            escape_expr(cond, out);
-            for s in then_block.iter() {
-                escape_stmt(s, out, skip);
-            }
-            if let Some(eb) = else_block {
-                for s in eb.iter() {
-                    escape_stmt(s, out, skip);
-                }
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            update,
-            body,
-        } => {
-            if let Some(s) = init {
-                escape_stmt(s, out, skip);
-            }
-            if let Some(c) = cond {
-                escape_expr(c, out);
-            }
-            if let Some(u) = update {
-                escape_expr(u, out);
-            }
-            for s in body.iter() {
-                escape_stmt(s, out, skip);
-            }
-        }
-        Stmt::While { cond, body } => {
-            escape_expr(cond, out);
-            for s in body.iter() {
-                escape_stmt(s, out, skip);
-            }
-        }
-        Stmt::Block(b) => {
+    }
+    stmt.for_each_part(|part| match part {
+        Part::Cond(e) | Part::Operand(e) => escape_expr(e, out),
+        Part::Init(list) => list.for_each_item(&mut |e| escape_expr(e, out)),
+        Part::Stmt(s) => escape_stmt(s, out, skip),
+        Part::Block(b) | Part::LoopBody(b) | Part::EmiBody(b) => {
             for s in b.iter() {
                 escape_stmt(s, out, skip);
             }
         }
-        Stmt::Return(e) => {
-            if let Some(e) = e {
-                escape_expr(e, out);
-            }
-        }
-        Stmt::Break | Stmt::Continue | Stmt::Barrier(_) => {}
-        // The synthesised EMI guard only reads `dead[..]`, a kernel
-        // parameter — parameters are never register candidates.
-        Stmt::Emi(emi) => {
-            if !skip(emi) {
-                for s in emi.body.iter() {
-                    escape_stmt(s, out, skip);
-                }
-            }
-        }
-    }
-}
-
-fn escape_init<'b>(init: &'b Initializer, out: &mut HashSet<&'b str>) {
-    match init {
-        Initializer::Expr(e) => escape_expr(e, out),
-        Initializer::List(items) => {
-            for i in items {
-                escape_init(i, out);
-            }
-        }
-    }
+    });
 }
 
 /// Walks an expression in *value* position.

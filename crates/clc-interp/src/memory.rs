@@ -378,25 +378,6 @@ impl Memory {
         self.write_cell(id, offset, Cell::Bits(value.convert(ty).bits))
     }
 
-    /// Copies `count` cells between (possibly identical) objects.
-    pub fn copy_cells(
-        &mut self,
-        src: ObjId,
-        src_offset: usize,
-        dst: ObjId,
-        dst_offset: usize,
-        count: usize,
-    ) -> Result<(), RuntimeError> {
-        let mut buffer = Vec::with_capacity(count);
-        for i in 0..count {
-            buffer.push(self.read_cell(src, src_offset + i)?);
-        }
-        for (i, cell) in buffer.into_iter().enumerate() {
-            self.write_cell(dst, dst_offset + i, cell)?;
-        }
-        Ok(())
-    }
-
     /// Reads `count` cells as a vector of cells (used to build aggregate
     /// rvalues).
     pub fn read_cells(
@@ -515,34 +496,6 @@ mod tests {
         assert_eq!(a.slot, b.slot);
         assert!(m.read_scalar(a, 0, ScalarType::Int).is_err());
         assert_eq!(m.live_objects(), 1);
-    }
-
-    #[test]
-    fn cell_copies_move_aggregates() {
-        let mut m = Memory::new();
-        let src = m.alloc_zeroed(
-            "src",
-            Type::Scalar(ScalarType::Int).array_of(3),
-            AddressSpace::Private,
-            &[],
-        );
-        let dst = m.alloc_zeroed(
-            "dst",
-            Type::Scalar(ScalarType::Int).array_of(3),
-            AddressSpace::Private,
-            &[],
-        );
-        for i in 0..3 {
-            m.write_scalar(
-                src,
-                i,
-                Scalar::from_i128(i as i128 + 1, ScalarType::Int),
-                ScalarType::Int,
-            )
-            .unwrap();
-        }
-        m.copy_cells(src, 0, dst, 0, 3).unwrap();
-        assert_eq!(m.read_scalar(dst, 2, ScalarType::Int).unwrap().as_i64(), 3);
     }
 
     #[test]

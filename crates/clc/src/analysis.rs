@@ -317,7 +317,7 @@ impl<'p> Detector<'p> {
     }
 }
 
-impl Visitor for Detector<'_> {
+impl Visitor<'_> for Detector<'_> {
     fn enter_stmt(&mut self, stmt: &Stmt, cx: &VisitCtx) {
         match stmt {
             Stmt::Decl {
@@ -457,12 +457,6 @@ fn is_zero_valued(e: &Expr) -> bool {
 
 fn is_nonzero_literal(e: &Expr) -> bool {
     matches!(e, Expr::IntLit { value, .. } if *value != 0)
-}
-
-/// Convenience: true when a program would be rejected by a front-end that
-/// does not support logical operations on vectors (the Altera issue in §6).
-pub fn uses_vector_logical_ops(program: &Program) -> bool {
-    Features::detect(program).vector_logical_op
 }
 
 #[cfg(test)]

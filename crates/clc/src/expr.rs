@@ -4,6 +4,7 @@
 //! atomically; statements (see [`crate::stmt`]) are the resumption points.
 
 use crate::types::{ScalarType, Type, VectorWidth};
+use crate::visit::PartMut;
 use std::fmt;
 
 /// Unary operators.
@@ -672,88 +673,24 @@ impl Expr {
     }
 
     /// Calls `f` on this node and every sub-expression, pre-order.
-    pub fn for_each(&self, f: &mut impl FnMut(&Expr)) {
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
-        match self {
-            Expr::IntLit { .. } | Expr::Var(_) | Expr::IdQuery(_) => {}
-            Expr::VectorLit { parts, .. } => parts.iter().for_each(|p| p.for_each(f)),
-            Expr::Unary { expr, .. } | Expr::Deref(expr) | Expr::AddrOf(expr) => expr.for_each(f),
-            Expr::Cast { expr, .. } => expr.for_each(f),
-            Expr::Binary { lhs, rhs, .. }
-            | Expr::Assign { lhs, rhs, .. }
-            | Expr::Comma { lhs, rhs } => {
-                lhs.for_each(f);
-                rhs.for_each(f);
+        self.for_each_part(|part| {
+            if let Some(e) = part.expr() {
+                e.for_each(f);
             }
-            Expr::Cond {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                cond.for_each(f);
-                then_expr.for_each(f);
-                else_expr.for_each(f);
-            }
-            Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => {
-                args.iter().for_each(|a| a.for_each(f))
-            }
-            Expr::Index { base, index } => {
-                base.for_each(f);
-                index.for_each(f);
-            }
-            Expr::Field { base, .. } | Expr::Swizzle { base, .. } => base.for_each(f),
-        }
+        });
     }
 
     /// Calls `f` on every sub-expression, mutably, post-order (children
     /// before parents so rewrites compose bottom-up).
     pub fn for_each_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
-        match self {
-            Expr::IntLit { .. } | Expr::Var(_) | Expr::IdQuery(_) => {}
-            Expr::VectorLit { parts, .. } => parts.iter_mut().for_each(|p| p.for_each_mut(f)),
-            Expr::Unary { expr, .. } | Expr::Deref(expr) | Expr::AddrOf(expr) => {
-                expr.for_each_mut(f)
-            }
-            Expr::Cast { expr, .. } => expr.for_each_mut(f),
-            Expr::Binary { lhs, rhs, .. }
-            | Expr::Assign { lhs, rhs, .. }
-            | Expr::Comma { lhs, rhs } => {
-                lhs.for_each_mut(f);
-                rhs.for_each_mut(f);
-            }
-            Expr::Cond {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                cond.for_each_mut(f);
-                then_expr.for_each_mut(f);
-                else_expr.for_each_mut(f);
-            }
-            Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => {
-                args.iter_mut().for_each(|a| a.for_each_mut(f))
-            }
-            Expr::Index { base, index } => {
-                base.for_each_mut(f);
-                index.for_each_mut(f);
-            }
-            Expr::Field { base, .. } | Expr::Swizzle { base, .. } => base.for_each_mut(f),
-        }
-        f(self);
-    }
-
-    /// Whether the expression (recursively) contains a work-item identity
-    /// query that depends on the executing thread.
-    pub fn uses_thread_identity(&self) -> bool {
-        let mut found = false;
-        self.for_each(&mut |e| {
-            if let Expr::IdQuery(kind) = e {
-                if kind.is_identity_dependent() {
-                    found = true;
-                }
+        self.for_each_part_mut(|part| {
+            if let PartMut::Cond(e) | PartMut::Operand(e) = part {
+                e.for_each_mut(f);
             }
         });
-        found
+        f(self);
     }
 
     /// Whether the expression (recursively) contains a call or an atomic /
@@ -855,18 +792,11 @@ mod tests {
 
     #[test]
     fn identity_and_side_effect_queries() {
-        let e = Expr::binary(
-            BinOp::Add,
-            Expr::IdQuery(IdKind::GlobalLinearId),
-            Expr::int(1),
-        );
-        assert!(e.uses_thread_identity());
         let f = Expr::binary(
             BinOp::Add,
             Expr::IdQuery(IdKind::LocalSize(Dim::X)),
             Expr::int(1),
         );
-        assert!(!f.uses_thread_identity());
         let g = Expr::comma(Expr::assign(Expr::var("x"), Expr::int(1)), Expr::var("x"));
         assert!(g.has_side_effects());
         assert!(!f.has_side_effects());

@@ -14,6 +14,14 @@
 //!   injected miscompilation bug models,
 //! * the `fuzz-harness` crate compares the results.
 //!
+//! The AST has one traversal ([`visit`]): [`Expr::for_each_part`],
+//! [`Stmt::for_each_part`] and [`Initializer::for_each_part`] enumerate a
+//! node's children in source order, tagged with their roles, and every
+//! generic walker here (the `for_each*` methods, [`Program::emi_blocks`],
+//! the [`Visitor`] walk) is built on them, so downstream crates need no
+//! walker of their own.  The walkers' visit orders differ and outputs depend
+//! on them; the [`visit`] module states each.
+//!
 //! # Example
 //!
 //! Build and print a tiny kernel reminiscent of Figure 1(a) of the paper:

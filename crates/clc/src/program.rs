@@ -8,7 +8,7 @@
 //! input files.
 
 use crate::expr::Expr;
-use crate::stmt::Block;
+use crate::stmt::{Block, EmiBlock, Stmt};
 use crate::types::{AddressSpace, ScalarType, StructDef, StructId, Type};
 
 /// A formal parameter of a function or kernel.
@@ -315,45 +315,15 @@ impl Program {
         self.dead_len > 0
     }
 
-    /// All EMI blocks in the program (kernel and helper functions), in
-    /// pre-order.
-    pub fn emi_blocks(&self) -> Vec<&crate::stmt::EmiBlock> {
-        fn walk<'a>(block: &'a Block, out: &mut Vec<&'a crate::stmt::EmiBlock>) {
-            for s in block.iter() {
-                match s {
-                    crate::stmt::Stmt::Emi(emi) => {
-                        out.push(emi);
-                        walk(&emi.body, out);
-                    }
-                    crate::stmt::Stmt::If {
-                        then_block,
-                        else_block,
-                        ..
-                    } => {
-                        walk(then_block, out);
-                        if let Some(b) = else_block {
-                            walk(b, out);
-                        }
-                    }
-                    crate::stmt::Stmt::For { init, body, .. } => {
-                        if let Some(init) = init {
-                            if let crate::stmt::Stmt::Emi(emi) = init.as_ref() {
-                                out.push(emi);
-                            }
-                        }
-                        walk(body, out);
-                    }
-                    crate::stmt::Stmt::While { body, .. } => walk(body, out),
-                    crate::stmt::Stmt::Block(b) => walk(b, out),
-                    _ => {}
-                }
-            }
-        }
+    /// All EMI blocks in the program (helper functions, then the kernel), in
+    /// statement pre-order ([`Program::for_each_stmt`]'s order).
+    pub fn emi_blocks(&self) -> Vec<&EmiBlock> {
         let mut out = Vec::new();
-        for f in &self.functions {
-            walk(&f.body, &mut out);
-        }
-        walk(&self.kernel.body, &mut out);
+        self.for_each_stmt(&mut |s| {
+            if let Stmt::Emi(emi) = s {
+                out.push(emi);
+            }
+        });
         out
     }
 
@@ -367,19 +337,14 @@ impl Program {
                 .sum::<usize>()
     }
 
-    /// Calls `f` on every expression in the program (kernel and helpers).
-    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
-        for func in &self.functions {
-            for s in func.body.iter() {
-                s.for_each_expr(true, f);
-            }
-        }
-        for s in self.kernel.body.iter() {
-            s.for_each_expr(true, f);
-        }
+    /// Calls `f` on every expression in the program (helpers, then the
+    /// kernel), in [`Stmt::for_each_expr`]'s order.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.for_each_stmt(&mut |s| s.for_each_expr(false, f));
     }
 
-    /// Calls `f` mutably on every expression in the program.
+    /// Calls `f` mutably on every expression in the program, in
+    /// [`Stmt::for_each_expr_mut`]'s order.
     pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
         for func in &mut self.functions {
             func.body.for_each_expr_mut(f);
@@ -387,45 +352,21 @@ impl Program {
         self.kernel.body.for_each_expr_mut(f);
     }
 
-    /// Calls `f` on every statement in the program.
-    pub fn for_each_stmt(&self, f: &mut impl FnMut(&crate::stmt::Stmt)) {
+    /// Calls `f` on every statement in the program, pre-order.
+    pub fn for_each_stmt<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         for func in &self.functions {
             func.body.for_each(f);
         }
         self.kernel.body.for_each(f);
     }
 
-    /// Calls `f` mutably on every [`Block`] in the program (kernel, helper
-    /// bodies, and all nested blocks), children-first so structural rewrites
-    /// (statement insertion / removal) compose.
+    /// Calls `f` mutably on every [`Block`] in the program (helper bodies,
+    /// then the kernel), in [`Block::for_each_block_mut`]'s order.
     pub fn for_each_block_mut(&mut self, f: &mut impl FnMut(&mut Block)) {
-        fn walk(block: &mut Block, f: &mut impl FnMut(&mut Block)) {
-            for s in &mut block.stmts {
-                match s {
-                    crate::stmt::Stmt::If {
-                        then_block,
-                        else_block,
-                        ..
-                    } => {
-                        walk(then_block, f);
-                        if let Some(b) = else_block {
-                            walk(b, f);
-                        }
-                    }
-                    crate::stmt::Stmt::For { body, .. } | crate::stmt::Stmt::While { body, .. } => {
-                        walk(body, f)
-                    }
-                    crate::stmt::Stmt::Block(b) => walk(b, f),
-                    crate::stmt::Stmt::Emi(emi) => walk(&mut emi.body, f),
-                    _ => {}
-                }
-            }
-            f(block);
-        }
         for func in &mut self.functions {
-            walk(&mut func.body, f);
+            func.body.for_each_block_mut(f);
         }
-        walk(&mut self.kernel.body, f);
+        self.kernel.body.for_each_block_mut(f);
     }
 
     /// Standard kernel parameter list for CLsmith-style programs: the
@@ -449,7 +390,6 @@ impl Program {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::stmt::{EmiBlock, Stmt};
 
     fn trivial_kernel() -> KernelDef {
         KernelDef {

@@ -6,6 +6,7 @@
 
 use crate::expr::Expr;
 use crate::types::{AddressSpace, Type};
+use crate::visit::{Part, PartMut};
 
 /// The memory-fence argument of a `barrier(...)` call (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -192,120 +193,55 @@ impl Stmt {
         n
     }
 
-    /// Calls `f` on this statement and every nested statement, pre-order.
-    pub fn for_each(&self, f: &mut impl FnMut(&Stmt)) {
+    /// Calls `f` on this statement and every nested statement, pre-order: a
+    /// `for` initialiser after its loop, before the loop body.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         f(self);
-        match self {
-            Stmt::If {
-                then_block,
-                else_block,
-                ..
-            } => {
-                then_block.for_each(f);
-                if let Some(b) = else_block {
-                    b.for_each(f);
-                }
-            }
-            Stmt::For { init, body, .. } => {
-                if let Some(s) = init {
-                    s.for_each(f);
-                }
-                body.for_each(f);
-            }
-            Stmt::While { body, .. } => body.for_each(f),
-            Stmt::Block(b) => b.for_each(f),
-            Stmt::Emi(emi) => emi.body.for_each(f),
+        self.for_each_part(|part| match part {
+            Part::Stmt(s) => s.for_each(f),
+            Part::Block(b) | Part::LoopBody(b) | Part::EmiBody(b) => b.for_each(f),
             _ => {}
-        }
+        });
     }
 
-    /// Calls `f` on every expression contained in this statement (not
-    /// descending into nested statements' expressions unless `recursive`).
-    pub fn for_each_expr(&self, recursive: bool, f: &mut impl FnMut(&Expr)) {
-        let visit_own = |s: &Stmt, f: &mut dyn FnMut(&Expr)| match s {
-            Stmt::Decl {
-                init, init_list, ..
-            } => {
-                if let Some(e) = init {
-                    e.for_each(&mut |x| f(x));
-                }
-                if let Some(list) = init_list {
-                    list.for_each_expr(f);
-                }
-            }
-            Stmt::Expr(e) => e.for_each(&mut |x| f(x)),
-            Stmt::If { cond, .. } => cond.for_each(&mut |x| f(x)),
-            Stmt::For { cond, update, .. } => {
-                if let Some(c) = cond {
-                    c.for_each(&mut |x| f(x));
-                }
-                if let Some(u) = update {
-                    u.for_each(&mut |x| f(x));
-                }
-            }
-            Stmt::While { cond, .. } => cond.for_each(&mut |x| f(x)),
-            Stmt::Return(Some(e)) => e.for_each(&mut |x| f(x)),
+    /// Calls `f` on each expression this statement evaluates itself, in
+    /// source order, without descending into them: conditions, values, a
+    /// `for` update and a brace initialiser's items, not the expressions of
+    /// nested statements.
+    pub fn for_each_root<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.for_each_part(|part| match part {
+            Part::Cond(e) | Part::Operand(e) => f(e),
+            Part::Init(list) => list.for_each_item(f),
             _ => {}
-        };
+        });
+    }
+
+    /// Calls `f` on every expression contained in this statement, pre-order
+    /// (not descending into nested statements' expressions unless
+    /// `recursive`).  Statements are taken pre-order and each one's own
+    /// expressions before those of nested statements, so a `for` loop's
+    /// condition and update come before its initialiser's expressions.
+    pub fn for_each_expr<'a>(&'a self, recursive: bool, f: &mut impl FnMut(&'a Expr)) {
+        let mut own = |s: &'a Stmt| s.for_each_root(&mut |e| e.for_each(f));
         if recursive {
-            self.for_each(&mut |s| visit_own(s, f));
+            self.for_each(&mut own);
         } else {
-            visit_own(self, f);
+            own(self);
         }
     }
 
     /// Calls `f` mutably on every expression directly owned by this statement
-    /// and, recursively, by nested statements.
+    /// and, recursively, by nested statements: in source order (a `for`
+    /// initialiser first), each expression post-order.
     pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
-        match self {
-            Stmt::Decl {
-                init, init_list, ..
-            } => {
-                if let Some(e) = init {
-                    e.for_each_mut(f);
-                }
-                if let Some(list) = init_list {
-                    list.for_each_expr_mut(f);
-                }
+        self.for_each_part_mut(|part| match part {
+            PartMut::Cond(e) | PartMut::Operand(e) => e.for_each_mut(f),
+            PartMut::Init(list) => list.for_each_expr_mut(f),
+            PartMut::Stmt(s) => s.for_each_expr_mut(f),
+            PartMut::Block(b) | PartMut::LoopBody(b) | PartMut::EmiBody(b) => {
+                b.for_each_expr_mut(f)
             }
-            Stmt::Expr(e) => e.for_each_mut(f),
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-            } => {
-                cond.for_each_mut(f);
-                then_block.for_each_expr_mut(f);
-                if let Some(b) = else_block {
-                    b.for_each_expr_mut(f);
-                }
-            }
-            Stmt::For {
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(s) = init {
-                    s.for_each_expr_mut(f);
-                }
-                if let Some(c) = cond {
-                    c.for_each_mut(f);
-                }
-                if let Some(u) = update {
-                    u.for_each_mut(f);
-                }
-                body.for_each_expr_mut(f);
-            }
-            Stmt::While { cond, body } => {
-                cond.for_each_mut(f);
-                body.for_each_expr_mut(f);
-            }
-            Stmt::Block(b) => b.for_each_expr_mut(f),
-            Stmt::Emi(emi) => emi.body.for_each_expr_mut(f),
-            Stmt::Return(Some(e)) => e.for_each_mut(f),
-            _ => {}
-        }
+        });
     }
 
     /// Whether this statement or any nested statement is a barrier.
@@ -335,20 +271,28 @@ impl Initializer {
         Initializer::List(exprs.into_iter().map(Initializer::Expr).collect())
     }
 
-    /// Calls `f` on every expression in the initialiser.
-    pub fn for_each_expr(&self, f: &mut dyn FnMut(&Expr)) {
-        match self {
-            Initializer::Expr(e) => e.for_each(&mut |x| f(x)),
-            Initializer::List(items) => items.iter().for_each(|i| i.for_each_expr(f)),
-        }
+    /// Calls `f` on each item's value expression, in order, without
+    /// descending into it.
+    pub fn for_each_item<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.for_each_part(|part| match part {
+            Part::Cond(e) | Part::Operand(e) => f(e),
+            Part::Init(item) => item.for_each_item(f),
+            _ => {}
+        });
     }
 
-    /// Calls `f` mutably on every expression in the initialiser.
+    /// Calls `f` on every expression in the initialiser, pre-order.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.for_each_item(&mut |e| e.for_each(f));
+    }
+
+    /// Calls `f` mutably on every expression in the initialiser, post-order.
     pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
-        match self {
-            Initializer::Expr(e) => e.for_each_mut(f),
-            Initializer::List(items) => items.iter_mut().for_each(|i| i.for_each_expr_mut(f)),
-        }
+        self.for_each_part_mut(|part| match part {
+            PartMut::Cond(e) | PartMut::Operand(e) => e.for_each_mut(f),
+            PartMut::Init(item) => item.for_each_expr_mut(f),
+            _ => {}
+        });
     }
 }
 
@@ -391,7 +335,7 @@ impl Block {
     }
 
     /// Calls `f` on every statement in the block, recursively, pre-order.
-    pub fn for_each(&self, f: &mut impl FnMut(&Stmt)) {
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         for s in &self.stmts {
             s.for_each(f);
         }
@@ -402,6 +346,21 @@ impl Block {
         for s in &mut self.stmts {
             s.for_each_expr_mut(f);
         }
+    }
+
+    /// Calls `f` mutably on this block and every nested block,
+    /// children-first so structural rewrites (statement insertion / removal)
+    /// compose.  Blocks are reached through block parts only: the walk does
+    /// not enter a `for` initialiser.
+    pub fn for_each_block_mut(&mut self, f: &mut impl FnMut(&mut Block)) {
+        for s in &mut self.stmts {
+            s.for_each_part_mut(|part| {
+                if let PartMut::Block(b) | PartMut::LoopBody(b) | PartMut::EmiBody(b) = part {
+                    b.for_each_block_mut(f);
+                }
+            });
+        }
+        f(self);
     }
 
     /// Total number of statement nodes contained in the block.

@@ -328,11 +328,6 @@ impl StructDef {
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
     }
-
-    /// Index of a field by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
 }
 
 /// An OpenCL C type.
@@ -391,11 +386,6 @@ impl Type {
         matches!(self, Type::Struct(_))
     }
 
-    /// Whether this is an array type.
-    pub fn is_array(&self) -> bool {
-        matches!(self, Type::Array(..))
-    }
-
     /// The scalar type of a scalar, or the element type of a vector.
     pub fn scalar_elem(&self) -> Option<ScalarType> {
         match self {
@@ -409,14 +399,6 @@ impl Type {
     pub fn pointee(&self) -> Option<&Type> {
         match self {
             Type::Pointer(inner, _) => Some(inner),
-            _ => None,
-        }
-    }
-
-    /// The element type of an array type.
-    pub fn array_elem(&self) -> Option<&Type> {
-        match self {
-            Type::Array(inner, _) => Some(inner),
             _ => None,
         }
     }

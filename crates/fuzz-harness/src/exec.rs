@@ -179,10 +179,10 @@ impl Scheduler {
     /// position order).
     ///
     /// This is the seam the shard layer's journal hangs off: the observer
-    /// forwards each completed record to the journal writer thread while
-    /// the batch is still executing, so a process killed mid-batch has
-    /// journaled everything that finished more than a moment earlier — and
-    /// workers never touch IO.
+    /// writes each completed record to the journal while the batch is still
+    /// executing, so a process killed mid-batch has journaled everything
+    /// that finished more than a moment earlier — and workers never touch
+    /// IO.
     ///
     /// `jobs` is drawn lazily on the calling thread, and only while fewer
     /// than the queue bound (four jobs per worker) are built but not yet

@@ -439,7 +439,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("clfuzz-faults-torn-{}.log", std::process::id()));
         let header = crate::shard::lease_header("test:torn", 1, 10, 0, 0..10);
-        let writer = crate::journal::JournalWriter::create(&path, &header).unwrap();
+        let mut writer = crate::journal::JournalWriter::create(&path, &header).unwrap();
         writer.record(crate::journal::JournalRecord::new(0, 1, "p0".into()));
         writer.finish().unwrap();
         tear_journal_tail(&path).unwrap();

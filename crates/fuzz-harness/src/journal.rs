@@ -47,24 +47,22 @@
 //! truncate the corrupt tail and append from there — a half-written record
 //! is dropped, never allowed to poison the campaign.
 //!
-//! ## Writer thread
+//! ## Synchronous writes
 //!
-//! [`JournalWriter`] owns the file on a dedicated thread fed over an
-//! unbounded channel: the scheduler's collector hands completed records over
-//! as they arrive (completion order — the journal is an unordered set, the
-//! fold re-sorts by job index) and no worker ever blocks on journal IO.
-//! Each line is flushed as it is written, so a kill loses at most the few
-//! jobs still in flight.  A failed write is retried once after truncating
-//! back to the last good line boundary (transient errors — EINTR, brief
-//! ENOSPC — heal); a persistent failure is surfaced from
-//! [`JournalWriter::finish`] as [`JournalError::WriterFailed`] with a count
-//! of the records that never reached disk.
+//! [`JournalWriter::record`] renders, writes and flushes each line on the
+//! calling thread: the scheduler's collector, which folds the completed
+//! records as they arrive (completion order — the journal is an unordered
+//! set, the fold re-sorts by job index), so no worker ever blocks on
+//! journal IO and a kill loses at most the few jobs still in flight.  A
+//! failed write is retried once after truncating back to the last good
+//! line boundary (transient errors — EINTR, brief ENOSPC — heal); a
+//! persistent failure drops that record and every later one, and surfaces
+//! from [`JournalWriter::finish`] as [`JournalError::WriterFailed`] with a
+//! count of the records that never reached disk.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::mpsc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Version tag of the on-disk journal format.  Bump when the line format
@@ -74,7 +72,7 @@ pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 /// Magic token opening every journal header line.
 pub const JOURNAL_MAGIC: &str = "CLFUZZ-JOURNAL";
 
-/// Backoff before the writer thread's single retry of a failed write.
+/// Backoff before the writer's single retry of a failed write.
 const WRITE_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// The checksum protecting every journal line: FNV-1a 64 over the line's
@@ -91,13 +89,13 @@ pub enum JournalError {
     /// A structurally valid journal that belongs to a different campaign,
     /// shard or format version than the caller expected.
     Mismatch(String),
-    /// The writer thread hit a persistent I/O failure (one bounded retry
+    /// The writer hit a persistent I/O failure (one bounded retry
     /// already attempted).  The on-disk prefix up to the failure is still a
     /// valid, resumable journal.
     WriterFailed {
         /// The first unrecoverable write error, rendered.
         error: String,
-        /// Queued lines that never reached disk.
+        /// Recorded lines that never reached disk.
         dropped: u64,
     },
 }
@@ -110,7 +108,7 @@ impl std::fmt::Display for JournalError {
             JournalError::Mismatch(msg) => write!(f, "journal mismatch: {msg}"),
             JournalError::WriterFailed { error, dropped } => write!(
                 f,
-                "journal writer failed after retry ({error}); {dropped} queued line(s) lost"
+                "journal writer failed after retry ({error}); {dropped} line(s) lost"
             ),
         }
     }
@@ -329,29 +327,93 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     })
 }
 
-/// Message protocol between the shard executor and the writer thread.
-enum WriterMessage {
-    Record(JournalRecord),
-    Finish,
-}
-
-/// Per-write fault hook for the writer thread, used by tests to exercise
-/// the retry path: called once per write *attempt* with a running attempt
-/// ordinal; returning an error makes that attempt fail before touching the
-/// file.
+/// Per-write fault hook, used by tests to exercise the retry path: called
+/// once per write *attempt* with a running attempt ordinal; returning an
+/// error makes that attempt fail before touching the file.
 type WriteFaultHook = Box<dyn FnMut(u64) -> Option<std::io::Error> + Send>;
 
-/// The file half of the writer thread: tracks the byte offset of the last
-/// completed line so a failed write can be rolled back to a clean boundary
-/// and retried exactly once.
-struct FileSink {
+/// The journal writer.  It tracks the byte offset of the last completed
+/// line so a failed write can be rolled back to a clean boundary and
+/// retried exactly once.
+pub struct JournalWriter {
     file: File,
     offset: u64,
     attempts: u64,
     faults: Option<WriteFaultHook>,
+    /// The first failure; every record after it is dropped and counted.
+    failure: Option<JournalError>,
 }
 
-impl FileSink {
+impl JournalWriter {
+    /// Creates (or truncates) the journal at `path` and writes the header.
+    pub fn create(path: &Path, header: &JournalHeader) -> Result<JournalWriter, JournalError> {
+        JournalWriter::create_with_faults(path, header, None)
+    }
+
+    fn create_with_faults(
+        path: &Path,
+        header: &JournalHeader,
+        faults: Option<WriteFaultHook>,
+    ) -> Result<JournalWriter, JournalError> {
+        let header_line = header.render()?;
+        let mut file = File::create(path)?;
+        file.write_all(header_line.as_bytes())?;
+        file.write_all(b"\n")?;
+        file.flush()?;
+        let offset = header_line.len() as u64 + 1;
+        Ok(JournalWriter::new(file, offset, faults))
+    }
+
+    /// Reopens an existing journal for appending, first truncating it to
+    /// `valid_bytes` (dropping the corrupt tail reported by
+    /// [`load_journal`]).
+    pub fn append(path: &Path, valid_bytes: u64) -> Result<JournalWriter, JournalError> {
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(valid_bytes)?;
+        let mut file = file;
+        file.seek(SeekFrom::Start(valid_bytes))?;
+        Ok(JournalWriter::new(file, valid_bytes, None))
+    }
+
+    fn new(file: File, offset: u64, faults: Option<WriteFaultHook>) -> JournalWriter {
+        JournalWriter {
+            file,
+            offset,
+            attempts: 0,
+            faults,
+            failure: None,
+        }
+    }
+
+    /// Writes and flushes one record.  After a failure the record is only
+    /// counted; the failure surfaces from [`JournalWriter::finish`].
+    pub fn record(&mut self, record: JournalRecord) {
+        match &mut self.failure {
+            Some(JournalError::WriterFailed { dropped, .. }) => *dropped += 1,
+            Some(_) => {}
+            None => {
+                let written = record.render().and_then(|line| {
+                    self.write_line(&line)
+                        .map_err(|error| JournalError::WriterFailed {
+                            error: error.to_string(),
+                            dropped: 1,
+                        })
+                });
+                self.failure = written.err();
+            }
+        }
+    }
+
+    /// Returns the final file size in bytes.  A persistent write failure
+    /// (after the bounded retry) surfaces here as
+    /// [`JournalError::WriterFailed`].
+    pub fn finish(self) -> Result<u64, JournalError> {
+        match self.failure {
+            Some(error) => Err(error),
+            None => Ok(self.offset),
+        }
+    }
+
     fn attempt(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         let ordinal = self.attempts;
         self.attempts += 1;
@@ -384,116 +446,6 @@ impl FileSink {
     }
 }
 
-/// The journal writer: a dedicated IO thread owning the file, fed over an
-/// unbounded channel so the scheduler (and its workers) never block on disk.
-#[derive(Debug)]
-pub struct JournalWriter {
-    tx: mpsc::Sender<WriterMessage>,
-    handle: Option<JoinHandle<Result<u64, JournalError>>>,
-}
-
-impl JournalWriter {
-    /// Creates (or truncates) the journal at `path` and writes the header.
-    pub fn create(path: &Path, header: &JournalHeader) -> Result<JournalWriter, JournalError> {
-        JournalWriter::create_with_faults(path, header, None)
-    }
-
-    fn create_with_faults(
-        path: &Path,
-        header: &JournalHeader,
-        faults: Option<WriteFaultHook>,
-    ) -> Result<JournalWriter, JournalError> {
-        let header_line = header.render()?;
-        let mut file = File::create(path)?;
-        file.write_all(header_line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
-        let offset = header_line.len() as u64 + 1;
-        Ok(JournalWriter::spawn(file, offset, faults))
-    }
-
-    /// Reopens an existing journal for appending, first truncating it to
-    /// `valid_bytes` (dropping the corrupt tail reported by
-    /// [`load_journal`]).
-    pub fn append(path: &Path, valid_bytes: u64) -> Result<JournalWriter, JournalError> {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_bytes)?;
-        let mut file = file;
-        file.seek(SeekFrom::Start(valid_bytes))?;
-        Ok(JournalWriter::spawn(file, valid_bytes, None))
-    }
-
-    fn spawn(file: File, offset: u64, faults: Option<WriteFaultHook>) -> JournalWriter {
-        let (tx, rx) = mpsc::channel::<WriterMessage>();
-        let handle = std::thread::spawn(move || -> Result<u64, JournalError> {
-            let mut sink = FileSink {
-                file,
-                offset,
-                attempts: 0,
-                faults,
-            };
-            let mut failure: Option<std::io::Error> = None;
-            let mut dropped = 0u64;
-            while let Ok(WriterMessage::Record(record)) = rx.recv() {
-                let line = record.render()?;
-                if failure.is_some() {
-                    // Past the first persistent failure, drain and count so
-                    // senders never block and the loss is reported exactly.
-                    dropped += 1;
-                    continue;
-                }
-                if let Err(e) = sink.write_line(&line) {
-                    failure = Some(e);
-                    dropped += 1;
-                }
-            }
-            match failure {
-                Some(error) => Err(JournalError::WriterFailed {
-                    error: error.to_string(),
-                    dropped,
-                }),
-                None => Ok(sink.offset),
-            }
-        });
-        JournalWriter {
-            tx,
-            handle: Some(handle),
-        }
-    }
-
-    /// Queues one record for writing.  Never blocks on IO; the write happens
-    /// on the writer thread.
-    pub fn record(&self, record: JournalRecord) {
-        // A send can only fail if the writer thread died (e.g. disk full);
-        // the error surfaces from `finish`, which owns the thread's result.
-        let _ = self.tx.send(WriterMessage::Record(record));
-    }
-
-    /// Stops the writer thread, flushes, and returns the final file size in
-    /// bytes.  A persistent write failure (after the bounded retry)
-    /// surfaces here as [`JournalError::WriterFailed`].
-    pub fn finish(mut self) -> Result<u64, JournalError> {
-        let _ = self.tx.send(WriterMessage::Finish);
-        match self.handle.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| Err(JournalError::Format("journal writer panicked".into()))),
-            None => Err(JournalError::Format(
-                "journal writer already finished".into(),
-            )),
-        }
-    }
-}
-
-impl Drop for JournalWriter {
-    fn drop(&mut self) {
-        let _ = self.tx.send(WriterMessage::Finish);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,7 +475,7 @@ mod tests {
     }
 
     fn write_journal(path: &Path, records: usize) {
-        let writer = JournalWriter::create(path, &header()).unwrap();
+        let mut writer = JournalWriter::create(path, &header()).unwrap();
         for i in 0..records {
             writer.record(JournalRecord::new(
                 i as u64,
@@ -574,7 +526,7 @@ mod tests {
         assert!(loaded.dropped_bytes > 0);
         // The reported valid prefix ends exactly after record 3's newline, so
         // a resumed writer can truncate there and append record 3 afresh.
-        let writer = JournalWriter::append(&path, loaded.valid_bytes).unwrap();
+        let mut writer = JournalWriter::append(&path, loaded.valid_bytes).unwrap();
         writer.record(JournalRecord::new(3, 103, "p3".into()));
         writer.finish().unwrap();
         let healed = load_journal(&path).unwrap();
@@ -686,7 +638,7 @@ mod tests {
                 None
             }
         });
-        let writer = JournalWriter::create_with_faults(&path, &header(), Some(hook)).unwrap();
+        let mut writer = JournalWriter::create_with_faults(&path, &header(), Some(hook)).unwrap();
         for i in 0..4 {
             writer.record(JournalRecord::new(i, 100 + i, format!("p{i}")));
         }
@@ -706,7 +658,7 @@ mod tests {
         let hook: WriteFaultHook = Box::new(|ordinal| {
             (ordinal >= 2).then(|| std::io::Error::other("injected persistent failure"))
         });
-        let writer = JournalWriter::create_with_faults(&path, &header(), Some(hook)).unwrap();
+        let mut writer = JournalWriter::create_with_faults(&path, &header(), Some(hook)).unwrap();
         for i in 0..4 {
             writer.record(JournalRecord::new(i, 100 + i, format!("p{i}")));
         }

@@ -9,8 +9,8 @@
 //!   seed and the job *index* (`campaign_seed → splitmix → job_seed`), any
 //!   slice is independently computable on any machine.
 //! * [`run_range_fold`] — the executor: it runs the jobs of one range that
-//!   its journal does not already hold, streams each completed record to
-//!   the journal's writer thread, and folds every output into the tally in
+//!   its journal does not already hold, writes each completed record to
+//!   its journal as it arrives, and folds every output into the tally in
 //!   job-index order.  [`run_shard`] runs a shard under its `I/N` header;
 //!   [`run_lease`] runs a fleet lease under its lease header.
 //! * [`merge`] — any subset of a campaign's shard or lease journals merges
@@ -364,7 +364,7 @@ where
 
     // Phase 3: execute, journaling every record and folding at the
     // watermark as the contiguous completed prefix grows.
-    let writer = match journal {
+    let mut writer = match journal {
         Some(options) => Some(match resume_from {
             Some(valid_bytes) => JournalWriter::append(&options.path, valid_bytes)?,
             None => JournalWriter::create(&options.path, header)?,
@@ -385,7 +385,7 @@ where
             return;
         }
         let token = output.encode();
-        if let Some(writer) = &writer {
+        if let Some(writer) = &mut writer {
             writer.record(JournalRecord::new(index, seed, token.clone()));
         }
         // Fold through the journal token round-trip so an executed job

@@ -322,36 +322,15 @@ pub fn apply_miscompilation(program: &mut Program, bug: Miscompilation) {
                 if params.is_empty() {
                     continue;
                 }
-                strip_pointer_param_stores(&mut f.body, &params);
-            }
-
-            fn strip_pointer_param_stores(block: &mut clc::Block, params: &[String]) {
-                block.stmts.retain(|stmt| {
-                    !matches!(
-                        stmt,
-                        Stmt::Expr(Expr::Assign { lhs, .. })
-                            if assigns_through(lhs, params)
-                    )
+                f.body.for_each_block_mut(&mut |block| {
+                    block.stmts.retain(|stmt| {
+                        !matches!(
+                            stmt,
+                            Stmt::Expr(Expr::Assign { lhs, .. })
+                                if assigns_through(lhs, &params)
+                        )
+                    })
                 });
-                for stmt in &mut block.stmts {
-                    match stmt {
-                        Stmt::If {
-                            then_block,
-                            else_block,
-                            ..
-                        } => {
-                            strip_pointer_param_stores(then_block, params);
-                            if let Some(e) = else_block {
-                                strip_pointer_param_stores(e, params);
-                            }
-                        }
-                        Stmt::For { body, .. } | Stmt::While { body, .. } => {
-                            strip_pointer_param_stores(body, params)
-                        }
-                        Stmt::Block(b) => strip_pointer_param_stores(b, params),
-                        _ => {}
-                    }
-                }
             }
 
             fn assigns_through(lhs: &Expr, params: &[String]) -> bool {
@@ -399,9 +378,11 @@ pub fn apply_miscompilation(program: &mut Program, bug: Miscompilation) {
             });
         }
         Miscompilation::PerturbLiteral(salt) => {
-            // Count the literals, pick one by the salt, add one to it.  The
-            // hash-fold multiplier literals are skipped so the perturbation
-            // lands on "real" program constants.
+            // Count every integer literal, pick the salt-th (modulo the
+            // count) in `for_each_expr_mut`'s order, and add one to it,
+            // clamped to its type.  No literal is skipped: the count includes
+            // the `31` multipliers the ATOMIC SECTION idiom folds its hash
+            // with, so the bump can land on one of them.
             let mut literals = 0usize;
             program.for_each_expr(&mut |e| {
                 if matches!(e, Expr::IntLit { .. }) {
@@ -529,11 +510,6 @@ pub fn vector_logical_ops(f: &Features, _p: &Program) -> bool {
 /// vectoriser bugs of §7.3 and the crash blow-ups of configurations 14/15).
 pub fn uses_barriers(f: &Features, _p: &Program) -> bool {
     f.barrier_count > 0
-}
-
-/// Kernels making heavy use of barriers (two or more).
-pub fn barrier_heavy(f: &Features, _p: &Program) -> bool {
-    f.barrier_count >= 2
 }
 
 #[cfg(test)]
