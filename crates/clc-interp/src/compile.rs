@@ -9,8 +9,20 @@
 //!   scope-chain walks of the tree-walking evaluator.  Names that are not
 //!   statically in scope fall back to the per-group `local`-declaration
 //!   table at runtime, exactly mirroring the tree walker's lookup order.
-//! * **Pre-computed layout** — struct field offsets and aggregate
-//!   initialiser offsets are folded at compile time.
+//! * **Registers** — private scalars whose address is never needed (escape
+//!   analysis, below) live in a per-frame register bank instead of memory
+//!   objects; literal operands fold into the register instructions
+//!   (`DeclRegInit`, `StoreRegImm`, `RegBinopImm`) and into `BinaryImm`.
+//! * **Scalar slot accesses** — a scalar reached from a slot through
+//!   `.field` and constant in-range `[k]` steps is loaded and stored by one
+//!   instruction with the cell offset folded in (`LoadScalarSlot`,
+//!   `StoreScalarSlot`).  Every other access — vectors, whole aggregates,
+//!   `p->field`, `v[i]`, `*p` — builds a place on the place stack
+//!   (`PlaceSlot`, `PlaceDeref`, `FieldPlace`, `ResolveIndexable`,
+//!   `IndexPlace`, `LanePlace`) and loads or stores through it, as the
+//!   tree walker's `eval_place` does.
+//! * **Pre-computed layout** — aggregate initialiser offsets are folded at
+//!   compile time.
 //! * **Jump-target control flow** — `if` / `for` / `while` / `?:` and the
 //!   short-circuit operators become conditional branches over basic blocks;
 //!   `break` / `continue` / `return` become explicit scope-exit sequences
@@ -27,22 +39,13 @@
 //! stays dead and live code fails with exactly the same error on both tiers.
 
 use crate::error::RuntimeError;
-use crate::value::{Lanes, Scalar};
+use crate::value::Scalar;
 use clc::expr::{BinOp, Builtin, Expr, IdKind, UnOp};
 use clc::stmt::{Block, EmiBlock, Initializer, Stmt};
 use clc::types::{AddressSpace, ScalarType, Type, VectorWidth};
 use clc::visit::Part;
 use clc::{Param, Program};
 use std::collections::{HashMap, HashSet};
-
-/// The statically known element type of a fused memory access.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LeafTy {
-    /// A scalar location.
-    Scalar(ScalarType),
-    /// A vector location.
-    Vector(ScalarType, VectorWidth),
-}
 
 /// How a conditional branch treats its popped condition value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,64 +95,6 @@ pub(crate) enum Instr {
         ty: ScalarType,
         op: Option<BinOp>,
         shared: bool,
-        push: bool,
-    },
-    /// `→ value` — fused load of a statically resolved vector location
-    /// (single object lookup instead of one per lane).
-    LoadVectorSlot {
-        slot: u16,
-        offset: u32,
-        ty: ScalarType,
-        width: VectorWidth,
-        shared: bool,
-    },
-    /// `rhs-value → value?` — fused plain/compound assignment to a
-    /// statically resolved vector location.
-    StoreVectorSlot {
-        slot: u16,
-        offset: u32,
-        ty: ScalarType,
-        width: VectorWidth,
-        op: Option<BinOp>,
-        shared: bool,
-        push: bool,
-    },
-    /// `→ value` — fused `p->field` load where `p` is a resolved slot whose
-    /// declared pointee is a struct: the field offset and leaf type are
-    /// folded against the declared struct id, verified at runtime against
-    /// the actual pointee (a cast-retyped pointer falls back to the dynamic
-    /// field lookup, preserving tree-walker semantics).
-    ArrowSlotLoad {
-        slot: u16,
-        ptr_shared: bool,
-        expect: clc::StructId,
-        add: u32,
-        leaf: LeafTy,
-        field: Box<str>,
-    },
-    /// `rhs-value → value?` — fused plain/compound assignment to
-    /// `p->field`.
-    ArrowSlotStore {
-        slot: u16,
-        ptr_shared: bool,
-        expect: clc::StructId,
-        add: u32,
-        leaf: LeafTy,
-        field: Box<str>,
-        op: Option<BinOp>,
-        push: bool,
-    },
-    /// `→ value` — push a compile-time-folded vector literal.
-    ConstVector(Box<(ScalarType, Lanes)>),
-    /// `index-value → value` — fused `v[i]` load where `v` is a resolved
-    /// slot: combines `PlaceSlot` + `ResolveIndexable` + `IndexPlace` +
-    /// `LoadPlace` without materialising a place.
-    IndexSlotLoad { slot: u16 },
-    /// `rhs-value, index-value → value?` — fused plain/compound assignment
-    /// to `v[i]` where `v` is a resolved slot.
-    IndexSlotStore {
-        slot: u16,
-        op: Option<BinOp>,
         push: bool,
     },
     /// `→` — reset a register to *uninitialised*.  Emitted at every
@@ -334,11 +279,6 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Total number of lowered instructions (diagnostics / size accounting).
-    pub fn instruction_count(&self) -> usize {
-        self.funcs.iter().map(|f| f.code.len()).sum()
-    }
-
     /// Total number of scalar registers allocated by escape analysis across
     /// all functions (diagnostics; used by tests to pin which declarations
     /// are register-allocated).
@@ -773,10 +713,8 @@ impl<'p> FnCompiler<'p> {
                 arrow: false,
             } => {
                 let (slot, offset, ty, shared) = self.static_slot_path(base)?;
-                let Type::Struct(id) = ty else { return None };
-                let field_offset = Type::Struct(id).field_offset(field, &self.program.structs)?;
-                let field_ty = self.program.struct_def(id).field(field)?.ty.clone();
-                Some((slot, offset + field_offset as u32, field_ty, shared))
+                let (field_offset, field_ty) = ty.field_of(field, &self.program.structs)?;
+                Some((slot, offset + field_offset as u32, field_ty.clone(), shared))
             }
             Expr::Index { base, index } => {
                 let Expr::IntLit { value, .. } = &**index else {
@@ -801,109 +739,19 @@ impl<'p> FnCompiler<'p> {
         }
     }
 
-    /// Emits a fused load when `expr` is a statically resolved scalar or
-    /// vector location; returns whether it did.
+    /// Emits a fused load when `expr` is a statically resolved scalar
+    /// location; returns whether it did.
     fn emit_static_load(&mut self, expr: &Expr) -> bool {
-        match self.static_slot_path(expr) {
-            Some((slot, offset, Type::Scalar(ty), shared)) => {
-                self.emit(Instr::LoadScalarSlot {
-                    slot,
-                    offset,
-                    ty,
-                    shared,
-                });
-                true
-            }
-            Some((slot, offset, Type::Vector(ty, width), shared)) => {
-                self.emit(Instr::LoadVectorSlot {
-                    slot,
-                    offset,
-                    ty,
-                    width,
-                    shared,
-                });
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Compile-time evaluation of an all-literal vector literal, mirroring
-    /// the evaluator's assembly rules (nested literals extend raw lanes,
-    /// single-lane literals broadcast).  Returns `None` — deferring to the
-    /// dynamic lowering — for non-literal parts or lane-count mismatches
-    /// (which must raise the tree walker's runtime error).
-    fn fold_vector_lit(
-        &self,
-        elem: ScalarType,
-        width: VectorWidth,
-        parts: &[Expr],
-    ) -> Option<Vec<u64>> {
-        let mut lanes = Vec::with_capacity(width.lanes());
-        for part in parts {
-            match part {
-                Expr::IntLit { value, ty } => {
-                    lanes.push(Scalar::from_i128(*value, *ty).convert(elem).bits);
-                }
-                Expr::VectorLit {
-                    elem: e2,
-                    width: w2,
-                    parts: p2,
-                } => {
-                    lanes.extend(self.fold_vector_lit(*e2, *w2, p2)?);
-                }
-                _ => return None,
-            }
-        }
-        if lanes.len() == 1 {
-            let v = lanes[0];
-            lanes = vec![v; width.lanes()];
-        }
-        if lanes.len() != width.lanes() {
-            return None;
-        }
-        Some(lanes)
-    }
-
-    /// Statically resolves `p->field` when `p` is a slot declared as a
-    /// pointer to a struct and the field has a scalar or vector type.
-    fn static_arrow_path(
-        &self,
-        expr: &Expr,
-    ) -> Option<(u16, bool, clc::StructId, u32, LeafTy, Box<str>)> {
-        let Expr::Field {
-            base,
-            field,
-            arrow: true,
-        } = expr
-        else {
-            return None;
+        let Some((slot, offset, Type::Scalar(ty), shared)) = self.static_slot_path(expr) else {
+            return false;
         };
-        let Expr::Var(name) = &**base else {
-            return None;
-        };
-        let slot = self.lookup_slot(name)?;
-        let (ty, space) = self.slot_meta[slot as usize].as_ref()?;
-        let Type::Pointer(pointee, _) = ty else {
-            return None;
-        };
-        let Type::Struct(id) = &**pointee else {
-            return None;
-        };
-        let add = Type::Struct(*id).field_offset(field, &self.program.structs)? as u32;
-        let leaf = match &self.program.struct_def(*id).field(field)?.ty {
-            Type::Scalar(s) => LeafTy::Scalar(*s),
-            Type::Vector(s, w) => LeafTy::Vector(*s, *w),
-            _ => return None,
-        };
-        Some((
+        self.emit(Instr::LoadScalarSlot {
             slot,
-            space.is_shared(),
-            *id,
-            add,
-            leaf,
-            field.as_str().into(),
-        ))
+            offset,
+            ty,
+            shared,
+        });
+        true
     }
 
     /// Opens a compile-time name scope, materialising a runtime scope only
@@ -1347,13 +1195,6 @@ impl<'p> FnCompiler<'p> {
                 self.emit(Instr::Const(Scalar::from_i128(*value, *ty)));
             }
             Expr::VectorLit { elem, width, parts } => {
-                // All-literal vector literals (the common CLsmith shape)
-                // fold to a single pre-assembled constant; literals have no
-                // side effects, so folding is unobservable.
-                if let Some(lanes) = self.fold_vector_lit(*elem, *width, parts) {
-                    self.emit(Instr::ConstVector(Box::new((*elem, lanes.into()))));
-                    return;
-                }
                 for p in parts {
                     self.expr(p);
                 }
@@ -1381,38 +1222,8 @@ impl<'p> FnCompiler<'p> {
                     }
                 }
             }
-            Expr::Index { base, index } => {
+            Expr::Index { .. } | Expr::Field { .. } => {
                 if self.emit_static_load(expr) {
-                    return;
-                }
-                // Fused form for the hot single-level `v[i]` pattern on a
-                // resolved slot; the index is still evaluated first, as in
-                // `eval_place`.
-                if let Expr::Var(name) = &**base {
-                    if let Some(slot) = self.lookup_slot(name) {
-                        self.expr(index);
-                        self.emit(Instr::IndexSlotLoad { slot });
-                        return;
-                    }
-                }
-                self.place(expr);
-                self.emit(Instr::LoadPlace);
-            }
-            Expr::Field { .. } => {
-                if self.emit_static_load(expr) {
-                    return;
-                }
-                if let Some((slot, ptr_shared, expect, add, leaf, field)) =
-                    self.static_arrow_path(expr)
-                {
-                    self.emit(Instr::ArrowSlotLoad {
-                        slot,
-                        ptr_shared,
-                        expect,
-                        add,
-                        leaf,
-                        field,
-                    });
                     return;
                 }
                 self.place(expr);
@@ -1560,8 +1371,8 @@ impl<'p> FnCompiler<'p> {
     }
 
     /// Lowers an assignment: right-hand side first, then the target, as in
-    /// the tree walker.  Targets that are resolved slots (or single-level
-    /// indexes into them) use the fused store instructions.
+    /// the tree walker.  Registers and statically resolved scalar locations
+    /// use the fused store instructions.
     fn assign(&mut self, op: Option<BinOp>, lhs: &Expr, rhs: &Expr, push: bool) {
         if let Expr::Var(name) = lhs {
             if let Some((reg, ty)) = self.lookup_reg(name) {
@@ -1583,53 +1394,16 @@ impl<'p> FnCompiler<'p> {
             }
         }
         self.expr(rhs);
-        match self.static_slot_path(lhs) {
-            Some((slot, offset, Type::Scalar(ty), shared)) => {
-                self.emit(Instr::StoreScalarSlot {
-                    slot,
-                    offset,
-                    ty,
-                    op,
-                    shared,
-                    push,
-                });
-                return;
-            }
-            Some((slot, offset, Type::Vector(ty, width), shared)) => {
-                self.emit(Instr::StoreVectorSlot {
-                    slot,
-                    offset,
-                    ty,
-                    width,
-                    op,
-                    shared,
-                    push,
-                });
-                return;
-            }
-            _ => {}
-        }
-        if let Some((slot, ptr_shared, expect, add, leaf, field)) = self.static_arrow_path(lhs) {
-            self.emit(Instr::ArrowSlotStore {
+        if let Some((slot, offset, Type::Scalar(ty), shared)) = self.static_slot_path(lhs) {
+            self.emit(Instr::StoreScalarSlot {
                 slot,
-                ptr_shared,
-                expect,
-                add,
-                leaf,
-                field,
+                offset,
+                ty,
                 op,
+                shared,
                 push,
             });
             return;
-        }
-        if let Expr::Index { base, index } = lhs {
-            if let Expr::Var(name) = &**base {
-                if let Some(slot) = self.lookup_slot(name) {
-                    self.expr(index);
-                    self.emit(Instr::IndexSlotStore { slot, op, push });
-                    return;
-                }
-            }
         }
         self.place(lhs);
         self.emit(Instr::Store { op, push });
@@ -1712,7 +1486,7 @@ mod tests {
         )]);
         let c = compile(&p);
         assert_eq!(c.funcs.len(), 1);
-        assert!(c.instruction_count() > 0);
+        assert!(!c.funcs[KERNEL_FUNC].code.is_empty());
         // Kernel slots: permutations + out.
         assert_eq!(c.funcs[KERNEL_FUNC].n_slots, 2);
         // No unresolved jumps (all targets within the stream).

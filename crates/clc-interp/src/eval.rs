@@ -14,7 +14,7 @@
 use crate::error::RuntimeError;
 use crate::memory::Memory;
 use crate::race::{AccessKind, RaceDetector};
-use crate::value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};
+use crate::value::{Cell, ObjId, PointerValue, Scalar, Value};
 use clc::expr::{BinOp, Builtin, Expr, IdKind, UnOp};
 use clc::stmt::{Block, Initializer, Stmt};
 use clc::types::{AddressSpace, ScalarType, Type};
@@ -170,6 +170,102 @@ pub struct Place {
     pub space: AddressSpace,
 }
 
+impl From<PointerValue> for Place {
+    /// The location a pointer points to.
+    fn from(p: PointerValue) -> Place {
+        Place {
+            obj: p.obj,
+            offset: p.offset,
+            ty: p.pointee,
+            space: p.space,
+        }
+    }
+}
+
+// The steps from a place to a place inside it, shared by both tiers: the
+// tree walker's `eval_place` and the VM's place instructions.
+impl Place {
+    /// The base an index applies to: a pointer place gives way to the place
+    /// its pointer points to; any other place stays as it is.
+    pub(crate) fn indexable(self, memory: &Memory) -> Result<Place, RuntimeError> {
+        if !matches!(self.ty, Type::Pointer(..)) {
+            return Ok(self);
+        }
+        match memory.read_cell(self.obj, self.offset)? {
+            Cell::Ptr(p) => Ok(p.into()),
+            _ => Err(RuntimeError::UninitializedRead {
+                object: memory.object(self.obj)?.name.clone(),
+            }),
+        }
+    }
+
+    /// Element `idx` of this place: of an array, bounds-checked; of any
+    /// other type, the `idx`-th location of that type from here.
+    pub(crate) fn index(self, idx: i64, structs: &[clc::StructDef]) -> Result<Place, RuntimeError> {
+        let elem = match self.ty {
+            Type::Array(elem, len) => {
+                if idx < 0 || idx as usize >= len {
+                    return Err(RuntimeError::InvalidAccess {
+                        detail: format!("array index {idx} out of bounds for length {len}"),
+                    });
+                }
+                *elem
+            }
+            other => other,
+        };
+        if idx < 0 {
+            return Err(RuntimeError::InvalidAccess {
+                detail: format!("negative index {idx}"),
+            });
+        }
+        Ok(Place {
+            obj: self.obj,
+            offset: self.offset + idx as usize * elem.cell_count(structs),
+            ty: elem,
+            space: self.space,
+        })
+    }
+
+    /// Field `field` of this struct place.
+    pub(crate) fn field(
+        self,
+        field: &str,
+        structs: &[clc::StructDef],
+    ) -> Result<Place, RuntimeError> {
+        let Some((offset, ty)) = self.ty.field_of(field, structs) else {
+            return Err(RuntimeError::TypeMismatch {
+                detail: format!("no field `{field}` on {:?}", self.ty),
+            });
+        };
+        Ok(Place {
+            obj: self.obj,
+            offset: self.offset + offset,
+            ty: ty.clone(),
+            space: self.space,
+        })
+    }
+
+    /// Lane `lane` of this vector place (a one-lane swizzle as an lvalue).
+    pub(crate) fn lane(self, lane: usize) -> Result<Place, RuntimeError> {
+        let Type::Vector(elem, width) = self.ty else {
+            return Err(RuntimeError::TypeMismatch {
+                detail: "swizzle store on non-vector".into(),
+            });
+        };
+        if lane >= width.lanes() {
+            return Err(RuntimeError::InvalidAccess {
+                detail: format!("swizzle lane {lane} out of range"),
+            });
+        }
+        Ok(Place {
+            obj: self.obj,
+            offset: self.offset + lane,
+            ty: Type::Scalar(elem),
+            space: self.space,
+        })
+    }
+}
+
 /// Evaluation context threaded through the evaluator.
 pub struct Ctx<'a, 'p> {
     /// The program being executed.
@@ -306,7 +402,7 @@ pub(crate) fn record_shared(
 
 /// Reads a value of type `ty` at an explicit location (the race recording
 /// is the caller's responsibility — see [`AccessCtx::load`]).
-pub(crate) fn read_value(
+fn read_value(
     memory: &Memory,
     structs: &[clc::StructDef],
     obj: ObjId,
@@ -317,7 +413,7 @@ pub(crate) fn read_value(
     match ty {
         Type::Scalar(s) => Ok(Value::Scalar(memory.read_scalar(obj, offset, *s)?)),
         Type::Vector(s, w) => {
-            let mut lanes = Lanes::with_capacity(w.lanes());
+            let mut lanes = Vec::with_capacity(w.lanes());
             for i in 0..w.lanes() {
                 lanes.push(memory.read_scalar(obj, offset + i, *s)?.bits);
             }
@@ -345,7 +441,7 @@ pub(crate) fn read_value(
 /// Stores a value of type `ty` at an explicit location, converting scalars
 /// to `ty` (race recording is the caller's responsibility — see
 /// [`AccessCtx::store`]).
-pub(crate) fn write_value(
+fn write_value(
     memory: &mut Memory,
     structs: &[clc::StructDef],
     obj: ObjId,
@@ -405,7 +501,7 @@ pub fn eval_expr(ctx: &mut Ctx<'_, '_>, env: &mut Env, expr: &Expr) -> Result<Va
     match expr {
         Expr::IntLit { value, ty } => Ok(Value::Scalar(Scalar::from_i128(*value, *ty))),
         Expr::VectorLit { elem, width, parts } => {
-            let mut lanes = Lanes::with_capacity(width.lanes());
+            let mut lanes = Vec::with_capacity(width.lanes());
             for part in parts {
                 match eval_expr(ctx, env, part)? {
                     Value::Scalar(s) => lanes.push(s.convert(*elem).bits),
@@ -420,7 +516,7 @@ pub fn eval_expr(ctx: &mut Ctx<'_, '_>, env: &mut Env, expr: &Expr) -> Result<Va
             if lanes.len() == 1 {
                 // Broadcast form (int4)(x).
                 let v = lanes[0];
-                lanes = Lanes::splat(v, width.lanes());
+                lanes = vec![v; width.lanes()];
             }
             if lanes.len() != width.lanes() {
                 return Err(RuntimeError::TypeMismatch {
@@ -540,15 +636,7 @@ pub fn eval_place(
                 space: object.space,
             })
         }
-        Expr::Deref(inner) => {
-            let ptr = eval_pointer(ctx, env, inner)?;
-            Ok(Place {
-                obj: ptr.obj,
-                offset: ptr.offset,
-                ty: ptr.pointee,
-                space: ptr.space,
-            })
-        }
+        Expr::Deref(inner) => Ok(eval_pointer(ctx, env, inner)?.into()),
         Expr::Index { base, index } => {
             let idx_value = eval_expr(ctx, env, index)?;
             let idx = idx_value
@@ -557,127 +645,24 @@ pub fn eval_place(
                     detail: "index is not scalar".into(),
                 })?
                 .as_i64();
-            let base_place = resolve_indexable(ctx, env, base)?;
-            let (elem_ty, stride_base) = match &base_place.ty {
-                Type::Array(elem, len) => {
-                    if idx < 0 || idx as usize >= *len {
-                        return Err(RuntimeError::InvalidAccess {
-                            detail: format!("array index {idx} out of bounds for length {len}"),
-                        });
-                    }
-                    ((**elem).clone(), base_place.offset)
-                }
-                other => ((*other).clone(), base_place.offset),
-            };
-            let stride = elem_ty.cell_count(ctx.structs());
-            if idx < 0 {
-                return Err(RuntimeError::InvalidAccess {
-                    detail: format!("negative index {idx}"),
-                });
-            }
-            Ok(Place {
-                obj: base_place.obj,
-                offset: stride_base + idx as usize * stride,
-                ty: elem_ty,
-                space: base_place.space,
-            })
+            // Arrays and pointer variables are places.
+            let base_place = eval_place(ctx, env, base)?.indexable(ctx.memory)?;
+            base_place.index(idx, ctx.structs())
         }
         Expr::Field { base, field, arrow } => {
             let base_place = if *arrow {
-                let ptr = eval_pointer(ctx, env, base)?;
-                Place {
-                    obj: ptr.obj,
-                    offset: ptr.offset,
-                    ty: ptr.pointee,
-                    space: ptr.space,
-                }
+                eval_pointer(ctx, env, base)?.into()
             } else {
                 eval_place(ctx, env, base)?
             };
-            let field_offset = base_place
-                .ty
-                .field_offset(field, ctx.structs())
-                .ok_or_else(|| RuntimeError::TypeMismatch {
-                    detail: format!("no field `{field}` on {:?}", base_place.ty),
-                })?;
-            let field_ty = match &base_place.ty {
-                Type::Struct(id) => ctx
-                    .program
-                    .struct_def(*id)
-                    .field(field)
-                    .map(|f| f.ty.clone())
-                    .ok_or_else(|| RuntimeError::TypeMismatch {
-                        detail: format!("no field `{field}`"),
-                    })?,
-                _ => {
-                    return Err(RuntimeError::TypeMismatch {
-                        detail: "field access on non-struct".into(),
-                    })
-                }
-            };
-            Ok(Place {
-                obj: base_place.obj,
-                offset: base_place.offset + field_offset,
-                ty: field_ty,
-                space: base_place.space,
-            })
+            base_place.field(field, ctx.structs())
         }
         Expr::Swizzle { base, lanes } if lanes.len() == 1 => {
-            let base_place = eval_place(ctx, env, base)?;
-            match &base_place.ty {
-                Type::Vector(elem, width) => {
-                    let lane = lanes[0] as usize;
-                    if lane >= width.lanes() {
-                        return Err(RuntimeError::InvalidAccess {
-                            detail: format!("swizzle lane {lane} out of range"),
-                        });
-                    }
-                    Ok(Place {
-                        obj: base_place.obj,
-                        offset: base_place.offset + lane,
-                        ty: Type::Scalar(*elem),
-                        space: base_place.space,
-                    })
-                }
-                _ => Err(RuntimeError::TypeMismatch {
-                    detail: "swizzle store on non-vector".into(),
-                }),
-            }
+            eval_place(ctx, env, base)?.lane(lanes[0] as usize)
         }
         other => Err(RuntimeError::TypeMismatch {
             detail: format!("expression is not an lvalue: {other:?}"),
         }),
-    }
-}
-
-/// Resolves the base of an indexing expression: either an array-typed place
-/// or a pointer value.
-fn resolve_indexable(
-    ctx: &mut Ctx<'_, '_>,
-    env: &mut Env,
-    base: &Expr,
-) -> Result<Place, RuntimeError> {
-    // Try the place route first (covers arrays and pointer variables).
-    let place = eval_place(ctx, env, base)?;
-    match &place.ty {
-        Type::Array(..) => Ok(place),
-        Type::Pointer(..) => {
-            let ptr = match ctx.memory.read_cell(place.obj, place.offset)? {
-                Cell::Ptr(p) => p,
-                _ => {
-                    return Err(RuntimeError::UninitializedRead {
-                        object: ctx.memory.object(place.obj)?.name.clone(),
-                    })
-                }
-            };
-            Ok(Place {
-                obj: ptr.obj,
-                offset: ptr.offset,
-                ty: ptr.pointee,
-                space: ptr.space,
-            })
-        }
-        _ => Ok(place),
     }
 }
 
@@ -709,7 +694,7 @@ pub fn store_place(ctx: &mut Ctx<'_, '_>, place: &Place, value: Value) -> Result
 pub(crate) fn swizzle_value(value: Value, lanes: &[u8]) -> Result<Value, RuntimeError> {
     match value {
         Value::Vector(elem, data) => {
-            let selected: Result<Lanes, RuntimeError> = lanes
+            let selected: Result<Vec<u64>, RuntimeError> = lanes
                 .iter()
                 .map(|&l| {
                     data.get(l as usize)
@@ -767,10 +752,9 @@ pub(crate) fn cast_value(
     match (ty, value) {
         (Type::Scalar(s), Value::Scalar(v)) => Ok(Value::Scalar(v.convert(*s))),
         (Type::Scalar(s), Value::Pointer(_)) => Ok(Value::Scalar(Scalar::zero(*s))),
-        (Type::Vector(s, w), Value::Scalar(v)) => Ok(Value::Vector(
-            *s,
-            Lanes::splat(v.convert(*s).bits, w.lanes()),
-        )),
+        (Type::Vector(s, w), Value::Scalar(v)) => {
+            Ok(Value::Vector(*s, vec![v.convert(*s).bits; w.lanes()]))
+        }
         (Type::Vector(s, w), Value::Vector(from, lanes)) => {
             if lanes.len() != w.lanes() {
                 return Err(RuntimeError::TypeMismatch {
@@ -873,7 +857,7 @@ pub fn value_binop(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, RuntimeEr
                     detail: "vector operands of different widths".into(),
                 });
             }
-            let mut out = Lanes::with_capacity(la.len());
+            let mut out = Vec::with_capacity(la.len());
             for (&a, &b) in la.iter().zip(lb.iter()) {
                 let r = vector_lane_binop(op, Scalar::from_bits(a, ea), Scalar::from_bits(b, eb))?;
                 out.push(if op.is_comparison() {
@@ -896,11 +880,11 @@ pub fn value_binop(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, RuntimeEr
             Ok(Value::Vector(elem, out))
         }
         (Value::Vector(ea, la), Value::Scalar(b)) => {
-            let rhs_vec = Value::Vector(ea, Lanes::splat(b.convert(ea).bits, la.len()));
+            let rhs_vec = Value::Vector(ea, vec![b.convert(ea).bits; la.len()]);
             value_binop(op, Value::Vector(ea, la), rhs_vec)
         }
         (Value::Scalar(a), Value::Vector(eb, lb)) => {
-            let lhs_vec = Value::Vector(eb, Lanes::splat(a.convert(eb).bits, lb.len()));
+            let lhs_vec = Value::Vector(eb, vec![a.convert(eb).bits; lb.len()]);
             value_binop(op, lhs_vec, Value::Vector(eb, lb))
         }
         (Value::Pointer(p), Value::Scalar(s)) if matches!(op, BinOp::Add | BinOp::Sub) => {
@@ -1059,7 +1043,9 @@ fn eval_builtin(
     lift_builtin(func, &values)
 }
 
-/// Applies a non-atomic builtin, lifting component-wise over vectors.
+/// Applies a non-atomic builtin, lifting component-wise over vectors.  The
+/// result lanes have the element type of the vector argument, except for
+/// `abs`, whose lanes are unsigned, as its scalar result is.
 pub fn lift_builtin(func: Builtin, values: &[Value]) -> Result<Value, RuntimeError> {
     if values.len() > MAX_BUILTIN_ARGS {
         return Err(RuntimeError::TypeMismatch {
@@ -1085,7 +1071,12 @@ pub fn lift_builtin(func: Builtin, values: &[Value]) -> Result<Value, RuntimeErr
         }
         return scalar_builtin(func, args).map(Value::Scalar);
     };
-    let mut out = Lanes::with_capacity(n);
+    let out_elem = if func == Builtin::Abs {
+        elem.to_unsigned()
+    } else {
+        elem
+    };
+    let mut out = Vec::with_capacity(n);
     for i in 0..n {
         for (arg, v) in args.iter_mut().zip(values) {
             *arg = match v {
@@ -1094,9 +1085,9 @@ pub fn lift_builtin(func: Builtin, values: &[Value]) -> Result<Value, RuntimeErr
                 other => return Err(mismatch(other)),
             };
         }
-        out.push(scalar_builtin(func, args)?.convert(elem).bits);
+        out.push(scalar_builtin(func, args)?.convert(out_elem).bits);
     }
-    Ok(Value::Vector(elem, out))
+    Ok(Value::Vector(out_elem, out))
 }
 
 /// The most arguments a non-atomic builtin takes (`clamp`, `safe_clamp`).
@@ -2285,10 +2276,10 @@ mod tests {
     fn vector_shift_amounts_wrap_modulo_the_element_width() {
         // char lanes mask modulo 8: 1<<9 is 1<<1, 1<<8 is 1<<0, a -1
         // amount masks to 7, and overflow stays within the 8-bit lane.
-        let lanes = Value::Vector(ScalarType::Char, vec![1, 1, 1, 0x40].into());
+        let lanes = Value::Vector(ScalarType::Char, vec![1, 1, 1, 0x40]);
         let amounts = Value::Vector(
             ScalarType::Char,
-            vec![9, 8, Scalar::from_i128(-1, ScalarType::Char).bits, 1].into(),
+            vec![9, 8, Scalar::from_i128(-1, ScalarType::Char).bits, 1],
         );
         let shifted = value_binop(BinOp::Shl, lanes, amounts).unwrap();
         match shifted {
@@ -2308,7 +2299,7 @@ mod tests {
         .unwrap();
         assert_eq!(scalar.ty, ScalarType::Int);
         assert_eq!(scalar.as_u64(), 512);
-        let lanes = Value::Vector(ScalarType::Int, vec![1, 2, 4, 8].into());
+        let lanes = Value::Vector(ScalarType::Int, vec![1, 2, 4, 8]);
         let amounts = Value::Vector(
             ScalarType::Int,
             vec![
@@ -2316,8 +2307,7 @@ mod tests {
                 32,                                          // wraps to 0
                 Scalar::from_i128(-1, ScalarType::Int).bits, // -1 & 31 = 31
                 1,
-            ]
-            .into(),
+            ],
         );
         let shifted = value_binop(BinOp::Shl, lanes, amounts).unwrap();
         match shifted {
@@ -2329,7 +2319,7 @@ mod tests {
             other => panic!("vector shift produced {other:?}"),
         }
         // A scalar amount broadcasts, wrapping identically on every lane.
-        let lanes = Value::Vector(ScalarType::Int, vec![1, 2, 3, 4].into());
+        let lanes = Value::Vector(ScalarType::Int, vec![1, 2, 3, 4]);
         let shifted = value_binop(
             BinOp::Shl,
             lanes,

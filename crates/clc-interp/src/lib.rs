@@ -126,4 +126,4 @@ pub use exec::{launch, run, ExecutionTier, LaunchOptions, LaunchResult, Schedule
 pub use live::live_fingerprint;
 pub use memory::{Memory, Object};
 pub use race::{AccessKind, RaceDetector, RaceStats};
-pub use value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};
+pub use value::{Cell, ObjId, PointerValue, Scalar, Value};

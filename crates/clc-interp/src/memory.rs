@@ -250,11 +250,6 @@ impl Memory {
         log.touched.push((id, start..end));
     }
 
-    /// Number of live objects (diagnostics).
-    pub fn live_objects(&self) -> usize {
-        self.objects.iter().filter(|o| o.live).count()
-    }
-
     /// Total objects ever allocated by this memory (diagnostics).
     pub fn allocations(&self) -> u64 {
         self.allocations
@@ -495,7 +490,7 @@ mod tests {
         // The slot is recycled, and `a` still fails now that `b` holds it.
         assert_eq!(a.slot, b.slot);
         assert!(m.read_scalar(a, 0, ScalarType::Int).is_err());
-        assert_eq!(m.live_objects(), 1);
+        assert_eq!(m.objects.iter().filter(|o| o.live).count(), 1);
     }
 
     #[test]

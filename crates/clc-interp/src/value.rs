@@ -144,179 +144,13 @@ pub enum Cell {
     Ptr(PointerValue),
 }
 
-/// Lane storage for [`Value::Vector`].
-///
-/// OpenCL vectors have 2–16 lanes, and the widths CLsmith emits most
-/// (2 and 4 lanes) fit inline, so the VM's hottest value path — vector
-/// arithmetic on temporaries — allocates nothing.  Wider vectors (8/16
-/// lanes) spill to a heap `Vec`.  The representation is invisible through
-/// the API: `Lanes` dereferences to `[u64]`, compares and hashes by lane
-/// contents, and collects from any `u64` iterator.
-#[derive(Clone)]
-pub struct Lanes(LanesRepr);
-
-#[derive(Clone)]
-enum LanesRepr {
-    /// `len` lanes stored inline; the unused tail stays zeroed.
-    Inline { len: u8, buf: [u64; 4] },
-    /// More than four lanes, on the heap.
-    Heap(Vec<u64>),
-}
-
-impl Lanes {
-    /// An empty lane list (lanes are then [`push`](Lanes::push)ed).
-    pub fn new() -> Lanes {
-        Lanes(LanesRepr::Inline {
-            len: 0,
-            buf: [0; 4],
-        })
-    }
-
-    /// An empty lane list that will hold `n` lanes (heap storage is
-    /// reserved up front when `n` exceeds the inline capacity).
-    pub fn with_capacity(n: usize) -> Lanes {
-        if n <= 4 {
-            Lanes::new()
-        } else {
-            Lanes(LanesRepr::Heap(Vec::with_capacity(n)))
-        }
-    }
-
-    /// `n` copies of the same bit pattern (the vector broadcast forms
-    /// `(int4)(x)` and scalar-to-vector conversion).
-    pub fn splat(bits: u64, n: usize) -> Lanes {
-        if n <= 4 {
-            let mut buf = [0; 4];
-            buf[..n].fill(bits);
-            Lanes(LanesRepr::Inline { len: n as u8, buf })
-        } else {
-            Lanes(LanesRepr::Heap(vec![bits; n]))
-        }
-    }
-
-    /// Appends one lane.
-    pub fn push(&mut self, bits: u64) {
-        match &mut self.0 {
-            LanesRepr::Inline { len, buf } if (*len as usize) < 4 => {
-                buf[*len as usize] = bits;
-                *len += 1;
-            }
-            LanesRepr::Inline { len, buf } => {
-                let mut spilled = Vec::with_capacity(8);
-                spilled.extend_from_slice(&buf[..*len as usize]);
-                spilled.push(bits);
-                self.0 = LanesRepr::Heap(spilled);
-            }
-            LanesRepr::Heap(v) => v.push(bits),
-        }
-    }
-
-    /// The lanes as a slice.
-    pub fn as_slice(&self) -> &[u64] {
-        match &self.0 {
-            LanesRepr::Inline { len, buf } => &buf[..*len as usize],
-            LanesRepr::Heap(v) => v,
-        }
-    }
-
-    /// The lanes as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [u64] {
-        match &mut self.0 {
-            LanesRepr::Inline { len, buf } => &mut buf[..*len as usize],
-            LanesRepr::Heap(v) => v,
-        }
-    }
-}
-
-impl Default for Lanes {
-    fn default() -> Lanes {
-        Lanes::new()
-    }
-}
-
-impl std::ops::Deref for Lanes {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for Lanes {
-    fn deref_mut(&mut self) -> &mut [u64] {
-        self.as_mut_slice()
-    }
-}
-
-impl PartialEq for Lanes {
-    fn eq(&self, other: &Lanes) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Lanes {}
-
-impl std::hash::Hash for Lanes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl PartialEq<Vec<u64>> for Lanes {
-    fn eq(&self, other: &Vec<u64>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl fmt::Debug for Lanes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl From<Vec<u64>> for Lanes {
-    fn from(v: Vec<u64>) -> Lanes {
-        if v.len() <= 4 {
-            let mut lanes = Lanes::new();
-            for bits in v {
-                lanes.push(bits);
-            }
-            lanes
-        } else {
-            Lanes(LanesRepr::Heap(v))
-        }
-    }
-}
-
-impl From<&[u64]> for Lanes {
-    fn from(v: &[u64]) -> Lanes {
-        v.iter().copied().collect()
-    }
-}
-
-impl Extend<u64> for Lanes {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        for bits in iter {
-            self.push(bits);
-        }
-    }
-}
-
-impl FromIterator<u64> for Lanes {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Lanes {
-        let iter = iter.into_iter();
-        let mut lanes = Lanes::with_capacity(iter.size_hint().0);
-        lanes.extend(iter);
-        lanes
-    }
-}
-
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Integer scalar.
     Scalar(Scalar),
     /// Integer vector: element type plus one bit pattern per lane.
-    Vector(ScalarType, Lanes),
+    Vector(ScalarType, Vec<u64>),
     /// Pointer.
     Pointer(PointerValue),
     /// A struct or array rvalue, flattened to cells (used for whole-struct
@@ -413,10 +247,10 @@ mod tests {
     fn truthiness() {
         assert!(Value::int(3).is_true().unwrap());
         assert!(!Value::int(0).is_true().unwrap());
-        assert!(Value::Vector(ScalarType::Int, vec![0, 0, 1, 0].into())
+        assert!(Value::Vector(ScalarType::Int, vec![0, 0, 1, 0])
             .is_true()
             .unwrap());
-        assert!(!Value::Vector(ScalarType::Int, vec![0, 0].into())
+        assert!(!Value::Vector(ScalarType::Int, vec![0, 0])
             .is_true()
             .unwrap());
     }
@@ -424,50 +258,6 @@ mod tests {
     #[test]
     fn value_kinds() {
         assert_eq!(Value::int(1).kind(), "scalar");
-        assert_eq!(
-            Value::Vector(ScalarType::Int, vec![0, 0].into()).kind(),
-            "vector"
-        );
-    }
-
-    #[test]
-    fn lanes_stay_inline_up_to_four_and_spill_beyond() {
-        // Every construction path must agree with a plain Vec, across the
-        // inline/heap boundary (4 → 5 lanes) and up to the OpenCL maximum
-        // width of 16.
-        for n in 0..=16usize {
-            let expected: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
-            let collected: Lanes = expected.iter().copied().collect();
-            assert_eq!(collected, expected, "collect at {n} lanes");
-            let mut pushed = Lanes::with_capacity(n);
-            for &bits in &expected {
-                pushed.push(bits);
-            }
-            assert_eq!(pushed, expected, "push at {n} lanes");
-            assert_eq!(Lanes::from(expected.clone()), expected, "from at {n}");
-            assert_eq!(collected, pushed);
-            assert_eq!(collected.len(), n);
-        }
-        assert_eq!(Lanes::splat(7, 3), vec![7, 7, 7]);
-        assert_eq!(Lanes::splat(7, 8), vec![7; 8]);
-        // Mutation through the slice view.
-        let mut lanes = Lanes::from(vec![1, 2, 3, 4]);
-        lanes[2] = 9;
-        assert_eq!(lanes, vec![1, 2, 9, 4]);
-        // Pushing past the inline capacity preserves earlier lanes.
-        lanes.push(5);
-        assert_eq!(lanes, vec![1, 2, 9, 4, 5]);
-        // Equality and hashing are content-based across representations.
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let short: Lanes = vec![1, 2].into();
-        let same: Lanes = [1u64, 2].iter().copied().collect();
-        let hash = |l: &Lanes| {
-            let mut h = DefaultHasher::new();
-            l.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(short, same);
-        assert_eq!(hash(&short), hash(&same));
+        assert_eq!(Value::Vector(ScalarType::Int, vec![0, 0]).kind(), "vector");
     }
 }

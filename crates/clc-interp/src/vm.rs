@@ -11,6 +11,15 @@
 //! serves as the barrier site for divergence detection; execution resumes at
 //! the next instruction once the whole group arrives.
 //!
+//! Values live on a value stack, lvalues on a place stack.  A memory access
+//! pushes a [`Place`] (object, cell offset, type, address space) and
+//! `LoadPlace` / `Store` go through the same `AccessCtx` load and store as
+//! the tree walker's.  Two kinds of access skip the place: scalars held in
+//! the frame's registers (`LoadReg`, `StoreReg`, and the literal-operand
+//! forms `DeclRegInit`, `StoreRegImm`, `RegBinopImm`), and scalars at a
+//! compile-time cell offset of a slot's object (`LoadScalarSlot`,
+//! `StoreScalarSlot`).
+//!
 //! Side-effect order — loads, stores, race-detector records, allocation and
 //! freeing of objects — matches the tree walker statement by statement, which
 //! is what makes the two tiers agree bit-for-bit on results, errors and race
@@ -54,19 +63,19 @@
 //! step limit, and its frames plus the recorded depth within
 //! `MAX_CALL_DEPTH`.
 
-use crate::compile::{BranchKind, CompiledProgram, Instr, LeafTy, KERNEL_FUNC};
+use crate::compile::{BranchKind, CompiledProgram, Instr, KERNEL_FUNC};
 use crate::error::RuntimeError;
 use crate::eval::{
-    cast_value, id_query_value, lift_builtin, read_value, record_shared, scalar_binop,
-    scalar_builtin, swizzle_value, unary_op, value_binop, vector_lane_binop, write_value,
-    AccessCtx, Place, ThreadIds, MAX_CALL_DEPTH,
+    cast_value, id_query_value, lift_builtin, record_shared, scalar_binop, scalar_builtin,
+    swizzle_value, unary_op, value_binop, vector_lane_binop, AccessCtx, Place, ThreadIds,
+    MAX_CALL_DEPTH,
 };
 use crate::exec::{
     alloc_param_object, drive_group, group_linear, thread_ids, CoopItem, LaunchOptions, Status,
 };
 use crate::memory::{Memory, Object, RESERVED_GENERATIONS};
 use crate::race::{AccessKind, RaceDetector};
-use crate::value::{Cell, Lanes, ObjId, PointerValue, Scalar, Value};
+use crate::value::{Cell, ObjId, PointerValue, Scalar, Value};
 use clc::expr::{BinOp, Builtin};
 use clc::types::{AddressSpace, ScalarType, Type};
 use clc::Program;
@@ -256,9 +265,7 @@ impl World<'_> {
     }
 
     /// Stores into a register with `write_value`'s `Type::Scalar`
-    /// semantics: scalar conversion to the declared type, the
-    /// pointer-to-integer zero token, and the identical `TypeMismatch` for
-    /// anything else.
+    /// semantics (see [`scalar_store_bits`]).
     fn write_reg(
         &mut self,
         item: &mut VmItem,
@@ -267,15 +274,7 @@ impl World<'_> {
         ty: ScalarType,
         value: &Value,
     ) -> Result<(), RuntimeError> {
-        let bits = match value {
-            Value::Scalar(v) => v.convert(ty).bits,
-            Value::Pointer(_) => Scalar::zero(ty).bits,
-            other => {
-                return Err(RuntimeError::TypeMismatch {
-                    detail: format!("cannot store {} into {:?}", other.kind(), Type::Scalar(ty)),
-                })
-            }
-        };
+        let bits = scalar_store_bits(ty, value)?;
         self.set_reg(item, frame_idx, reg, Some(bits));
         Ok(())
     }
@@ -443,7 +442,7 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                 ))),
                 Instr::MakeVector { elem, width, parts } => {
                     let start = item.values.len() - *parts as usize;
-                    let mut lanes = Lanes::with_capacity(width.lanes());
+                    let mut lanes = Vec::with_capacity(width.lanes());
                     for part in item.values.drain(start..) {
                         match part {
                             Value::Scalar(s) => lanes.push(s.convert(*elem).bits),
@@ -461,7 +460,7 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                     if lanes.len() == 1 {
                         // Broadcast form (int4)(x).
                         let v = lanes[0];
-                        lanes = Lanes::splat(v, width.lanes());
+                        lanes = vec![v; width.lanes()];
                     }
                     if lanes.len() != width.lanes() {
                         return Err(RuntimeError::TypeMismatch {
@@ -511,251 +510,35 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                     let rhs = item.pop_value();
                     let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
                     let offset = *offset as usize;
-                    let leaf = LeafTy::Scalar(*ty);
                     let new_value = match op {
                         None => rhs,
                         Some(binop) => {
-                            let current = load_leaf(world, item.ids, obj, offset, &leaf, *shared)?;
-                            vm_value_binop(*binop, current, rhs)?
-                        }
-                    };
-                    store_leaf(world, item.ids, obj, offset, &leaf, *shared, &new_value)?;
-                    if *push {
-                        item.values.push(new_value);
-                    }
-                }
-                Instr::LoadVectorSlot {
-                    slot,
-                    offset,
-                    ty,
-                    width,
-                    shared,
-                } => {
-                    let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
-                    let value = load_leaf(
-                        world,
-                        item.ids,
-                        obj,
-                        *offset as usize,
-                        &LeafTy::Vector(*ty, *width),
-                        *shared,
-                    )?;
-                    item.values.push(value);
-                }
-                Instr::StoreVectorSlot {
-                    slot,
-                    offset,
-                    ty,
-                    width,
-                    op,
-                    shared,
-                    push,
-                } => {
-                    let rhs = item.pop_value();
-                    let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
-                    let offset = *offset as usize;
-                    let leaf = LeafTy::Vector(*ty, *width);
-                    let new_value = match op {
-                        None => rhs,
-                        Some(binop) => {
-                            let current = load_leaf(world, item.ids, obj, offset, &leaf, *shared)?;
-                            vm_value_binop(*binop, current, rhs)?
-                        }
-                    };
-                    store_leaf(world, item.ids, obj, offset, &leaf, *shared, &new_value)?;
-                    if *push {
-                        item.values.push(new_value);
-                    }
-                }
-                Instr::ConstVector(payload) => {
-                    let (elem, lanes) = &**payload;
-                    item.values.push(Value::Vector(*elem, lanes.clone()));
-                }
-                Instr::ArrowSlotLoad {
-                    slot,
-                    ptr_shared,
-                    expect,
-                    add,
-                    leaf,
-                    field,
-                } => {
-                    let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
-                    match resolve_arrow(world, item.ids, obj, *ptr_shared, *expect, *add, field)? {
-                        ArrowTarget::Leaf(tobj, toffset, tspace) => {
-                            let value = load_leaf(
-                                world,
-                                item.ids,
-                                tobj,
-                                toffset,
-                                leaf,
-                                tspace.is_shared(),
-                            )?;
-                            item.values.push(value);
-                        }
-                        ArrowTarget::Place(place) => {
-                            let v = world.access(item.ids).load(&place)?;
-                            item.values.push(v);
-                        }
-                    }
-                }
-                Instr::ArrowSlotStore {
-                    slot,
-                    ptr_shared,
-                    expect,
-                    add,
-                    leaf,
-                    field,
-                    op,
-                    push,
-                } => {
-                    let rhs = item.pop_value();
-                    let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
-                    match resolve_arrow(world, item.ids, obj, *ptr_shared, *expect, *add, field)? {
-                        ArrowTarget::Leaf(tobj, toffset, tspace) => {
-                            let shared = tspace.is_shared();
-                            let new_value = match op {
-                                None => rhs,
-                                Some(binop) => {
-                                    let current =
-                                        load_leaf(world, item.ids, tobj, toffset, leaf, shared)?;
-                                    vm_value_binop(*binop, current, rhs)?
-                                }
-                            };
-                            store_leaf(world, item.ids, tobj, toffset, leaf, shared, &new_value)?;
-                            if *push {
-                                item.values.push(new_value);
-                            }
-                        }
-                        ArrowTarget::Place(place) => {
-                            let new_value = match op {
-                                None => rhs,
-                                Some(binop) => {
-                                    let current = world.access(item.ids).load(&place)?;
-                                    vm_value_binop(*binop, current, rhs)?
-                                }
-                            };
-                            if *push {
-                                world.access(item.ids).store(&place, new_value.clone())?;
-                                item.values.push(new_value);
-                            } else {
-                                world.access(item.ids).store(&place, new_value)?;
-                            }
-                        }
-                    }
-                }
-                Instr::IndexSlotLoad { slot } => {
-                    let idx = index_operand(item)?;
-                    let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
-                    let memory: &Memory = &*world.memory;
-                    let (tobj, offset, tspace, elem, cells) =
-                        resolve_slot_index(memory, &world.program.structs, obj, idx)?;
-                    if tspace.is_shared() {
-                        record_shared(
-                            world.races.as_mut(),
-                            &item.ids,
-                            tobj,
-                            offset,
-                            cells,
-                            AccessKind::Read,
-                        );
-                    }
-                    let value =
-                        read_value(memory, &world.program.structs, tobj, offset, elem, tspace)?;
-                    item.values.push(value);
-                }
-                Instr::IndexSlotStore { slot, op, push } => {
-                    let idx = index_operand(item)?;
-                    let rhs = item.pop_value();
-                    let obj = bound_slot(item, frame_idx, func, compiled, *slot)?;
-                    // Resolve with a shared borrow, keeping the element type owned
-                    // only when it is not a plain scalar, so the store below can
-                    // take the memory mutably.
-                    let (tobj, offset, tspace, elem, cells) = {
-                        let (tobj, offset, tspace, elem, cells) =
-                            resolve_slot_index(&*world.memory, &world.program.structs, obj, idx)?;
-                        let elem = match elem {
-                            Type::Scalar(s) => ResolvedTy::Scalar(*s),
-                            other => ResolvedTy::Owned(other.clone()),
-                        };
-                        (tobj, offset, tspace, elem, cells)
-                    };
-                    let shared = tspace.is_shared();
-                    let mut new_value = match op {
-                        None => rhs,
-                        Some(binop) => {
-                            if shared {
+                            if *shared {
                                 record_shared(
                                     world.races.as_mut(),
                                     &item.ids,
-                                    tobj,
+                                    obj,
                                     offset,
-                                    cells,
+                                    1,
                                     AccessKind::Read,
                                 );
                             }
-                            let current = match &elem {
-                                ResolvedTy::Scalar(s) => {
-                                    Value::Scalar(world.memory.read_scalar(tobj, offset, *s)?)
-                                }
-                                ResolvedTy::Owned(ty) => read_value(
-                                    &*world.memory,
-                                    &world.program.structs,
-                                    tobj,
-                                    offset,
-                                    ty,
-                                    tspace,
-                                )?,
-                            };
-                            vm_value_binop(*binop, current, rhs)?
+                            let current = world.memory.read_scalar(obj, offset, *ty)?;
+                            vm_value_binop(*binop, Value::Scalar(current), rhs)?
                         }
                     };
-                    if shared {
+                    if *shared {
                         record_shared(
                             world.races.as_mut(),
                             &item.ids,
-                            tobj,
+                            obj,
                             offset,
-                            cells,
+                            1,
                             AccessKind::Write,
                         );
                     }
-                    match &elem {
-                        ResolvedTy::Scalar(s) => match &new_value {
-                            Value::Scalar(v) => world.memory.write_scalar(tobj, offset, *v, *s)?,
-                            Value::Pointer(_) => {
-                                world
-                                    .memory
-                                    .write_scalar(tobj, offset, Scalar::zero(*s), *s)?
-                            }
-                            other => {
-                                return Err(RuntimeError::TypeMismatch {
-                                    detail: format!(
-                                        "cannot store {} into {:?}",
-                                        other.kind(),
-                                        Type::Scalar(*s)
-                                    ),
-                                })
-                            }
-                        },
-                        ResolvedTy::Owned(ty) => {
-                            // Move the value into the store when the result
-                            // is discarded; clone only when it must also be
-                            // pushed.
-                            let stored = if *push {
-                                new_value.clone()
-                            } else {
-                                std::mem::replace(&mut new_value, Value::int(0))
-                            };
-                            write_value(
-                                world.memory,
-                                &world.program.structs,
-                                tobj,
-                                offset,
-                                ty,
-                                stored,
-                            )?;
-                        }
-                    }
+                    let bits = scalar_store_bits(*ty, &new_value)?;
+                    world.memory.write_cell(obj, offset, Cell::Bits(bits))?;
                     if *push {
                         item.values.push(new_value);
                     }
@@ -902,44 +685,17 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                         space: object.space,
                     });
                 }
-                Instr::PlaceDeref => {
-                    let v = item.pop_value();
-                    match v {
-                        Value::Pointer(p) => item.places.push(Place {
-                            obj: p.obj,
-                            offset: p.offset,
-                            ty: p.pointee,
-                            space: p.space,
-                        }),
-                        other => {
-                            return Err(RuntimeError::TypeMismatch {
-                                detail: format!("expected pointer, found {}", other.kind()),
-                            })
-                        }
+                Instr::PlaceDeref => match item.pop_value() {
+                    Value::Pointer(p) => item.places.push(p.into()),
+                    other => {
+                        return Err(RuntimeError::TypeMismatch {
+                            detail: format!("expected pointer, found {}", other.kind()),
+                        })
                     }
-                }
+                },
                 Instr::ResolveIndexable => {
-                    let place = item.places.last_mut().expect("place stack underflow");
-                    match &place.ty {
-                        Type::Array(..) => {}
-                        Type::Pointer(..) => {
-                            let ptr = match world.memory.read_cell(place.obj, place.offset)? {
-                                Cell::Ptr(p) => p,
-                                _ => {
-                                    return Err(RuntimeError::UninitializedRead {
-                                        object: world.memory.object(place.obj)?.name.clone(),
-                                    })
-                                }
-                            };
-                            *place = Place {
-                                obj: ptr.obj,
-                                offset: ptr.offset,
-                                ty: ptr.pointee,
-                                space: ptr.space,
-                            };
-                        }
-                        _ => {}
-                    }
+                    let place = item.pop_place().indexable(world.memory)?;
+                    item.places.push(place);
                 }
                 Instr::IndexPlace => {
                     let idx_value = item.pop_value();
@@ -949,74 +705,16 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                             detail: "index is not scalar".into(),
                         })?
                         .as_i64();
-                    let place = item.places.last_mut().expect("place stack underflow");
-                    let (elem_ty, stride_base) = match &place.ty {
-                        Type::Array(elem, len) => {
-                            if idx < 0 || idx as usize >= *len {
-                                return Err(RuntimeError::InvalidAccess {
-                                    detail: format!(
-                                        "array index {idx} out of bounds for length {len}"
-                                    ),
-                                });
-                            }
-                            ((**elem).clone(), place.offset)
-                        }
-                        other => (other.clone(), place.offset),
-                    };
-                    let stride = elem_ty.cell_count(&world.program.structs);
-                    if idx < 0 {
-                        return Err(RuntimeError::InvalidAccess {
-                            detail: format!("negative index {idx}"),
-                        });
-                    }
-                    place.offset = stride_base + idx as usize * stride;
-                    place.ty = elem_ty;
+                    let place = item.pop_place().index(idx, &world.program.structs)?;
+                    item.places.push(place);
                 }
                 Instr::FieldPlace(field) => {
-                    let place = item.places.last_mut().expect("place stack underflow");
-                    let field_offset = place
-                        .ty
-                        .field_offset(field, &world.program.structs)
-                        .ok_or_else(|| RuntimeError::TypeMismatch {
-                            detail: format!("no field `{field}` on {:?}", place.ty),
-                        })?;
-                    let field_ty = match &place.ty {
-                        Type::Struct(id) => world
-                            .program
-                            .struct_def(*id)
-                            .field(field)
-                            .map(|f| f.ty.clone())
-                            .ok_or_else(|| RuntimeError::TypeMismatch {
-                                detail: format!("no field `{field}`"),
-                            })?,
-                        _ => {
-                            return Err(RuntimeError::TypeMismatch {
-                                detail: "field access on non-struct".into(),
-                            })
-                        }
-                    };
-                    place.offset += field_offset;
-                    place.ty = field_ty;
+                    let place = item.pop_place().field(field, &world.program.structs)?;
+                    item.places.push(place);
                 }
                 Instr::LanePlace(lane) => {
-                    let place = item.places.last_mut().expect("place stack underflow");
-                    match &place.ty {
-                        Type::Vector(elem, width) => {
-                            let lane = *lane as usize;
-                            if lane >= width.lanes() {
-                                return Err(RuntimeError::InvalidAccess {
-                                    detail: format!("swizzle lane {lane} out of range"),
-                                });
-                            }
-                            place.offset += lane;
-                            place.ty = Type::Scalar(*elem);
-                        }
-                        _ => {
-                            return Err(RuntimeError::TypeMismatch {
-                                detail: "swizzle store on non-vector".into(),
-                            })
-                        }
-                    }
+                    let place = item.pop_place().lane(*lane as usize)?;
+                    item.places.push(place);
                 }
                 Instr::LoadPlace => {
                     let place = item.pop_place();
@@ -2080,9 +1778,9 @@ fn start_segment(
 
 /// Whether executing `instr` next could depend on which work-item runs it,
 /// which ends a segment: a work-item or group identity query, any access
-/// to memory outside the private space (the run-time targets of
-/// pointer-based accesses are resolved here, without side effects), a
-/// `local` declaration or group-local place, a kernel-body barrier, or the
+/// to memory outside the private space (a pointer-based access has its
+/// target on the place stack by the time it loads or stores), a `local`
+/// declaration or group-local place, a kernel-body barrier, or the
 /// kernel's return.  Constant memory counts too: nothing in the emulator
 /// stops a kernel from writing it, and a segment must not read a value
 /// another work-item had yet to write.  An access whose target cannot be
@@ -2092,7 +1790,6 @@ fn lane_dependent(world: &World<'_>, item: &VmItem, frame_idx: usize, instr: &In
     let memory: &Memory = world.memory;
     let outside_private = |space: AddressSpace| space != AddressSpace::Private;
     let slot_obj = |slot: u16| item.frames[frame_idx].slots[slot as usize];
-    let arrow_space = |slot: u16| Some(memory.read_pointer(slot_obj(slot)?, 0).ok()?.space);
     match instr {
         Instr::Id(kind) => kind.is_identity_dependent(),
         // A slot bound to a `local` declaration or the permutation table
@@ -2101,28 +1798,7 @@ fn lane_dependent(world: &World<'_>, item: &VmItem, frame_idx: usize, instr: &In
         Instr::LoadSlot(slot) | Instr::PlaceSlot(slot) => slot_obj(*slot)
             .and_then(|obj| memory.object(obj).ok())
             .is_some_and(|object| outside_private(object.space)),
-        Instr::LoadScalarSlot { shared, .. }
-        | Instr::StoreScalarSlot { shared, .. }
-        | Instr::LoadVectorSlot { shared, .. }
-        | Instr::StoreVectorSlot { shared, .. } => *shared,
-        Instr::ArrowSlotLoad {
-            slot, ptr_shared, ..
-        }
-        | Instr::ArrowSlotStore {
-            slot, ptr_shared, ..
-        } => *ptr_shared || arrow_space(*slot).is_some_and(outside_private),
-        Instr::IndexSlotLoad { slot } | Instr::IndexSlotStore { slot, .. } => {
-            // The index operand is on top of the value stack.
-            let target = item
-                .values
-                .last()
-                .and_then(Value::as_scalar)
-                .zip(slot_obj(*slot))
-                .and_then(|(idx, obj)| {
-                    resolve_slot_index(memory, &world.program.structs, obj, idx.as_i64()).ok()
-                });
-            target.is_some_and(|(_, _, space, _, _)| outside_private(space))
-        }
+        Instr::LoadScalarSlot { shared, .. } | Instr::StoreScalarSlot { shared, .. } => *shared,
         Instr::LoadPlace | Instr::Store { .. } | Instr::ResolveIndexable => item
             .places
             .last()
@@ -2197,307 +1873,17 @@ fn comparison_elem(op: BinOp, elem: ScalarType) -> ScalarType {
     }
 }
 
-/// Reads `lanes` vector lanes with a single object lookup (mirrors the
-/// per-lane `read_scalar` loop of `read_value`, including its errors).
-fn read_lanes(
-    memory: &Memory,
-    obj: ObjId,
-    offset: usize,
-    ty: ScalarType,
-    lanes: usize,
-) -> Result<Lanes, RuntimeError> {
-    let object = memory.object(obj)?;
-    let mut out = Lanes::with_capacity(lanes);
-    for i in 0..lanes {
-        match object.cells.get(offset + i) {
-            Some(Cell::Bits(b)) => out.push(crate::value::mask(*b, ty)),
-            Some(Cell::Uninit) => {
-                return Err(RuntimeError::UninitializedRead {
-                    object: object.name.clone(),
-                })
-            }
-            Some(Cell::Ptr(_)) => {
-                return Err(RuntimeError::TypeMismatch {
-                    detail: format!("reading pointer cell of `{}` as scalar", object.name),
-                })
-            }
-            None => {
-                return Err(RuntimeError::InvalidAccess {
-                    detail: format!("offset {} out of bounds for `{}`", offset + i, object.name),
-                })
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Writes vector lanes with a single object lookup (mirrors the per-lane
-/// `write_scalar` loop of `write_value`, including its errors and its
-/// partial-write behaviour on out-of-bounds offsets).
-fn write_lanes(
-    memory: &mut Memory,
-    obj: ObjId,
-    offset: usize,
-    ty: ScalarType,
-    lanes: impl Iterator<Item = u64>,
-) -> Result<(), RuntimeError> {
-    let object = memory.object_mut(obj)?;
-    for (i, bits) in lanes.enumerate() {
-        match object.cells.get_mut(offset + i) {
-            Some(slot) => *slot = Cell::Bits(crate::value::mask(bits, ty)),
-            None => {
-                return Err(RuntimeError::InvalidAccess {
-                    detail: format!(
-                        "offset {} out of bounds for `{}` ({} cells)",
-                        offset + i,
-                        object.name,
-                        object.cells.len()
-                    ),
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Loads a statically typed scalar/vector leaf, recording the read when the
-/// location is shared.  Single source of the fused instructions' read
-/// semantics (mirrors `AccessCtx::load` for these two type shapes).
-fn load_leaf(
-    world: &mut World<'_>,
-    ids: ThreadIds,
-    obj: ObjId,
-    offset: usize,
-    leaf: &LeafTy,
-    shared: bool,
-) -> Result<Value, RuntimeError> {
-    match leaf {
-        LeafTy::Scalar(s) => {
-            if shared {
-                record_shared(world.races.as_mut(), &ids, obj, offset, 1, AccessKind::Read);
-            }
-            Ok(Value::Scalar(world.memory.read_scalar(obj, offset, *s)?))
-        }
-        LeafTy::Vector(s, w) => {
-            let lanes = w.lanes();
-            if shared {
-                record_shared(
-                    world.races.as_mut(),
-                    &ids,
-                    obj,
-                    offset,
-                    lanes,
-                    AccessKind::Read,
-                );
-            }
-            Ok(Value::Vector(
-                *s,
-                read_lanes(&*world.memory, obj, offset, *s, lanes)?,
-            ))
-        }
-    }
-}
-
-/// Stores into a statically typed scalar/vector leaf, recording the write
-/// when the location is shared.  Single source of the fused instructions'
-/// store-conversion semantics (mirrors `write_value` for these two type
-/// shapes: scalar conversion, the pointer-to-integer zero token, the vector
-/// lane-count check and the scalar broadcast).
-fn store_leaf(
-    world: &mut World<'_>,
-    ids: ThreadIds,
-    obj: ObjId,
-    offset: usize,
-    leaf: &LeafTy,
-    shared: bool,
-    value: &Value,
-) -> Result<(), RuntimeError> {
-    if shared {
-        let cells = match leaf {
-            LeafTy::Scalar(_) => 1,
-            LeafTy::Vector(_, w) => w.lanes(),
-        };
-        record_shared(
-            world.races.as_mut(),
-            &ids,
-            obj,
-            offset,
-            cells,
-            AccessKind::Write,
-        );
-    }
-    match (leaf, value) {
-        (LeafTy::Scalar(s), Value::Scalar(v)) => world.memory.write_scalar(obj, offset, *v, *s),
-        (LeafTy::Scalar(s), Value::Pointer(_)) => {
-            world.memory.write_scalar(obj, offset, Scalar::zero(*s), *s)
-        }
-        (LeafTy::Vector(s, w), Value::Vector(_, l)) => {
-            if l.len() != w.lanes() {
-                return Err(RuntimeError::TypeMismatch {
-                    detail: "vector store with mismatched lane count".into(),
-                });
-            }
-            write_lanes(world.memory, obj, offset, *s, l.iter().copied())
-        }
-        (LeafTy::Vector(s, w), Value::Scalar(v)) => {
-            // Broadcast store: the scalar is converted to the element type
-            // once.
-            let bits = v.convert(*s).bits;
-            write_lanes(
-                world.memory,
-                obj,
-                offset,
-                *s,
-                std::iter::repeat_n(bits, w.lanes()),
-            )
-        }
-        (LeafTy::Scalar(s), other) => Err(RuntimeError::TypeMismatch {
-            detail: format!("cannot store {} into {:?}", other.kind(), Type::Scalar(*s)),
-        }),
-        (LeafTy::Vector(s, w), other) => Err(RuntimeError::TypeMismatch {
-            detail: format!(
-                "cannot store {} into {:?}",
-                other.kind(),
-                Type::Vector(*s, *w)
-            ),
+/// The bits `write_value` stores for `value` into a `ty` location: the
+/// value converted to `ty`, the pointer-to-integer zero token, or the
+/// identical `TypeMismatch` for anything else.
+fn scalar_store_bits(ty: ScalarType, value: &Value) -> Result<u64, RuntimeError> {
+    match value {
+        Value::Scalar(v) => Ok(v.convert(ty).bits),
+        Value::Pointer(_) => Ok(Scalar::zero(ty).bits),
+        other => Err(RuntimeError::TypeMismatch {
+            detail: format!("cannot store {} into {:?}", other.kind(), Type::Scalar(ty)),
         }),
     }
-}
-
-/// The resolved target of a fused `p->field` access.
-enum ArrowTarget {
-    /// The pointee matched the compiled struct id: location plus space
-    /// (the leaf type comes from the instruction).
-    Leaf(ObjId, usize, AddressSpace),
-    /// The pointee was retyped (pointer cast): a dynamically resolved place
-    /// mirroring `eval_place`'s field handling.
-    Place(Place),
-}
-
-/// Loads the pointer held by a slot and resolves the fused field access
-/// against it, mirroring `eval_pointer` + the `Field` arm of `eval_place`.
-fn resolve_arrow(
-    world: &mut World<'_>,
-    ids: ThreadIds,
-    obj: ObjId,
-    ptr_shared: bool,
-    expect: clc::StructId,
-    add: u32,
-    field: &str,
-) -> Result<ArrowTarget, RuntimeError> {
-    if ptr_shared {
-        record_shared(world.races.as_mut(), &ids, obj, 0, 1, AccessKind::Read);
-    }
-    let p = world.memory.read_pointer(obj, 0)?;
-    match &p.pointee {
-        Type::Struct(id) if *id == expect => {
-            Ok(ArrowTarget::Leaf(p.obj, p.offset + add as usize, p.space))
-        }
-        pointee => {
-            let field_offset = pointee
-                .field_offset(field, &world.program.structs)
-                .ok_or_else(|| RuntimeError::TypeMismatch {
-                    detail: format!("no field `{field}` on {pointee:?}"),
-                })?;
-            let field_ty = match pointee {
-                Type::Struct(id) => world
-                    .program
-                    .struct_def(*id)
-                    .field(field)
-                    .map(|f| f.ty.clone())
-                    .ok_or_else(|| RuntimeError::TypeMismatch {
-                        detail: format!("no field `{field}`"),
-                    })?,
-                _ => {
-                    return Err(RuntimeError::TypeMismatch {
-                        detail: "field access on non-struct".into(),
-                    })
-                }
-            };
-            Ok(ArrowTarget::Place(Place {
-                obj: p.obj,
-                offset: p.offset + field_offset,
-                ty: field_ty,
-                space: p.space,
-            }))
-        }
-    }
-}
-
-/// The element type of a resolved index target: scalars stay as a copyable
-/// tag so the hot store path never clones a `Type`.
-enum ResolvedTy {
-    Scalar(ScalarType),
-    Owned(Type),
-}
-
-/// Pops and converts an index operand (mirrors `eval_place`'s index
-/// handling).
-fn index_operand(item: &mut VmItem) -> Result<i64, RuntimeError> {
-    let idx_value = item.pop_value();
-    Ok(idx_value
-        .as_scalar()
-        .ok_or_else(|| RuntimeError::TypeMismatch {
-            detail: "index is not scalar".into(),
-        })?
-        .as_i64())
-}
-
-/// The fused equivalent of `ResolveIndexable` + `IndexPlace` on a slot's
-/// object: resolves the indexable base (arrays in place, pointers through
-/// their cell) and applies the bounds-checked index, returning the target
-/// location, element type (borrowed — no clones) and its cell count.
-fn resolve_slot_index<'m>(
-    memory: &'m Memory,
-    structs: &[clc::StructDef],
-    obj: ObjId,
-    idx: i64,
-) -> Result<(ObjId, usize, AddressSpace, &'m Type, usize), RuntimeError> {
-    let object = memory.object(obj)?;
-    let (tobj, toffset, tspace, tty): (ObjId, usize, AddressSpace, &Type) = match &object.ty {
-        Type::Pointer(..) => match object.cells.first() {
-            Some(Cell::Ptr(p)) => (p.obj, p.offset, p.space, &p.pointee),
-            Some(_) => {
-                return Err(RuntimeError::UninitializedRead {
-                    object: object.name.clone(),
-                })
-            }
-            None => {
-                return Err(RuntimeError::InvalidAccess {
-                    detail: format!(
-                        "offset 0 out of bounds for `{}` ({} cells)",
-                        object.name,
-                        object.cells.len()
-                    ),
-                })
-            }
-        },
-        other => (obj, 0, object.space, other),
-    };
-    let (elem, stride_base): (&Type, usize) = match tty {
-        Type::Array(elem, len) => {
-            if idx < 0 || idx as usize >= *len {
-                return Err(RuntimeError::InvalidAccess {
-                    detail: format!("array index {idx} out of bounds for length {len}"),
-                });
-            }
-            (&**elem, toffset)
-        }
-        other => (other, toffset),
-    };
-    let stride = elem.cell_count(structs);
-    if idx < 0 {
-        return Err(RuntimeError::InvalidAccess {
-            detail: format!("negative index {idx}"),
-        });
-    }
-    Ok((
-        tobj,
-        stride_base + idx as usize * stride,
-        tspace,
-        elem,
-        stride,
-    ))
 }
 
 /// Resolves a slot to the place of its whole object (the bytecode analogue

@@ -933,6 +933,35 @@ fn builtins_match_native_arithmetic_on_vectors() {
     }
 }
 
+/// `abs` of a vector has the unsigned element type, as `abs` of a scalar
+/// has: every lane is read through a direct widening cast, which
+/// zero-extends it (`(ulong)abs((char2)(-128, 5)).s0` is 128, not
+/// `0xffffffffffffff80`).  The test above stores the result into a vector
+/// of the argument type first, which hides the result's signedness.
+#[test]
+fn vector_abs_lanes_are_unsigned() {
+    for ty in ScalarType::ALL {
+        let values = edges(ty);
+        for lanes in [2, 4, 16] {
+            let mut table = Table::default();
+            for (chunk_index, chunk) in values.chunks(lanes).enumerate() {
+                let column: Vec<N> = (0..lanes)
+                    .map(|i| *chunk.get(i).unwrap_or(&chunk[0]))
+                    .collect();
+                let v = table.vector(&column);
+                for (i, &a) in column.iter().enumerate() {
+                    table.check(
+                        Expr::lane(Expr::builtin(Builtin::Abs, vec![v.clone()]), i as u8),
+                        builtin(Builtin::Abs, &[a]).expect("abs is defined"),
+                        format!("abs chunk {chunk_index} lane {i} of {column:?}"),
+                    );
+                }
+            }
+            table.run(&format!("abs on {ty}{lanes}"));
+        }
+    }
+}
+
 /// Binary operators on vectors: lane by lane, shifts in the element type
 /// and comparisons as -1 / 0, with a vector or a scalar right operand.
 #[test]

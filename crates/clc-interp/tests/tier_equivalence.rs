@@ -1027,6 +1027,358 @@ fn dangling_pointers_fail_identically_on_both_tiers() {
     }
 }
 
+// --- Member, index and vector accesses ---------------------------------------
+//
+// `p->f`, `v[i]` and whole-vector stores take the same place instructions
+// on the bytecode tier as every other access.  Each case below pins a
+// result or an error of such an access, under every schedule, on both
+// tiers: a pointer whose run-time pointee is another struct than its
+// declared one, indices out of range on arrays and through pointers, and
+// vector stores of the wrong width or of a broadcast scalar.
+
+/// Runs `program` on both tiers under every schedule and asserts that
+/// each run fails with `expected`.
+fn assert_fails_alike(program: &Program, expected: &clc_interp::RuntimeError, label: &str) {
+    for schedule in SCHEDULES {
+        for tier in ExecutionTier::ALL {
+            let err = launch(program, &options_for(tier, true, schedule))
+                .expect_err(&format!("{label} must fail on the {} tier", tier.name()));
+            assert_eq!(
+                &err,
+                expected,
+                "{label}, {schedule:?}, on the {} tier",
+                tier.name()
+            );
+        }
+    }
+}
+
+/// Runs `program` on both tiers under every schedule and asserts that
+/// each run writes `expected` to `out`.
+fn assert_writes_alike(program: &Program, expected: &[u64], label: &str) {
+    for schedule in SCHEDULES {
+        for result in launch_both(program, schedule, label) {
+            assert_eq!(outputs(&result), expected, "{label}, {schedule:?}");
+        }
+    }
+}
+
+/// `G *p` aimed at a `G` through a cast to another struct type: `p->f`
+/// resolves `f` in the pointee the pointer carries at run time, so it
+/// reads, writes and compound-assigns `B`'s layout over `g`, and a field
+/// past `g`'s cells or missing from the pointee fails alike.
+#[test]
+fn arrow_through_a_pointer_cast_to_another_struct_uses_the_runtime_pointee() {
+    use clc::types::{Field, StructDef};
+    use clc_interp::RuntimeError;
+    let program_with = |tail: Vec<Stmt>| {
+        let mut program = program_over(LaunchConfig::single_group(2), Vec::new());
+        let sid = add_pair_struct(&mut program);
+        // `struct B { int b; int a; int c; }`: `a` and `b` swapped.
+        let bid = program.add_struct(StructDef::new(
+            "B",
+            vec![
+                Field::new("b", int_ty()),
+                Field::new("a", int_ty()),
+                Field::new("c", int_ty()),
+            ],
+        ));
+        let cid = program.add_struct(StructDef::new("C", vec![Field::new("z", int_ty())]));
+        let mut body = pair_decl("g", sid, 10, 20);
+        body.push(Stmt::decl(
+            "p",
+            pair_ptr(sid),
+            Some(Expr::cast(pair_ptr(bid), Expr::addr_of(Expr::var("g")))),
+        ));
+        body.push(Stmt::decl(
+            "r",
+            pair_ptr(sid),
+            Some(Expr::cast(pair_ptr(cid), Expr::addr_of(Expr::var("g")))),
+        ));
+        body.extend(tail);
+        program.kernel.body = clc::Block::of(body);
+        (program, cid)
+    };
+    let arrow = |name: &str, field: &str| Expr::arrow(Expr::var(name), field);
+    // `p->a` is `g.b`, `p->b` is `g.a`.
+    let (reads, _) = program_with(vec![
+        Stmt::expr(Expr::assign_op(
+            clc::AssignOp::AddAssign,
+            arrow("p", "a"),
+            Expr::int(5),
+        )),
+        Stmt::assign(
+            arrow("p", "b"),
+            Expr::binary(BinOp::Add, arrow("p", "b"), Expr::int(1)),
+        ),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(BinOp::Mul, Expr::field(Expr::var("g"), "b"), Expr::int(100)),
+            arrow("p", "b"),
+        )),
+    ]);
+    assert_writes_alike(&reads, &[2511, 2511], "p->f through a cast pointer");
+
+    let past_end = |detail: &str| RuntimeError::InvalidAccess {
+        detail: detail.into(),
+    };
+    let (read_c, cid) = program_with(vec![store_out(arrow("p", "c"))]);
+    let (write_c, _) = program_with(vec![Stmt::assign(arrow("p", "c"), Expr::int(1))]);
+    let (add_c, _) = program_with(vec![Stmt::expr(Expr::assign_op(
+        clc::AssignOp::AddAssign,
+        arrow("p", "c"),
+        Expr::int(1),
+    ))]);
+    let (missing, _) = program_with(vec![store_out(arrow("r", "a"))]);
+    let (write_missing, _) = program_with(vec![Stmt::assign(arrow("r", "b"), Expr::int(1))]);
+    let no_field = |field: &str| RuntimeError::TypeMismatch {
+        detail: format!("no field `{field}` on {:?}", clc::Type::Struct(cid)),
+    };
+    let cases = [
+        (
+            &read_c,
+            past_end("offset 2 out of bounds for `g`"),
+            "read p->c",
+        ),
+        (
+            &write_c,
+            past_end("offset 2 out of bounds for `g` (2 cells)"),
+            "write p->c",
+        ),
+        (
+            &add_c,
+            past_end("offset 2 out of bounds for `g`"),
+            "p->c += 1",
+        ),
+        (&missing, no_field("a"), "read r->a"),
+        (&write_missing, no_field("b"), "write r->b"),
+    ];
+    for (program, expected, label) in cases {
+        assert_fails_alike(program, &expected, label);
+    }
+}
+
+/// `v[i]` with `i` past the end or negative, read, written and
+/// compound-assigned, on a private array (literal and register indices),
+/// through a pointer slot, and through a helper's pointer parameter.
+#[test]
+fn out_of_range_indices_fail_identically_on_arrays_and_through_pointers() {
+    use clc::types::AddressSpace;
+    use clc_interp::RuntimeError;
+    let program_with = |tail: Vec<Stmt>| {
+        let mut body = vec![Stmt::decl("arr", int_ty().array_of(4), None)];
+        for k in 0..4 {
+            body.push(Stmt::assign(
+                Expr::index(Expr::var("arr"), Expr::int(k)),
+                Expr::int(k + 1),
+            ));
+        }
+        body.push(Stmt::decl(
+            "q",
+            int_ty().pointer_to(AddressSpace::Private),
+            Some(Expr::addr_of(Expr::index(Expr::var("arr"), Expr::int(0)))),
+        ));
+        body.extend(tail);
+        let mut program = program_over(LaunchConfig::single_group(2), body);
+        // `int get(int *q, int i) { return q[i]; }`
+        program.functions.push(clc::FunctionDef::new(
+            "get",
+            Some(int_ty()),
+            vec![
+                clc::Param::new("q", int_ty().pointer_to(AddressSpace::Private)),
+                clc::Param::new("i", int_ty()),
+            ],
+            clc::Block::of(vec![Stmt::Return(Some(Expr::index(
+                Expr::var("q"),
+                Expr::var("i"),
+            )))]),
+        ));
+        program
+    };
+    // In range, every form reads and writes the same cells.
+    let in_range = program_with(vec![
+        Stmt::decl("i", int_ty(), Some(Expr::int(3))),
+        Stmt::expr(Expr::assign_op(
+            clc::AssignOp::AddAssign,
+            Expr::index(Expr::var("arr"), Expr::var("i")),
+            Expr::int(10),
+        )),
+        Stmt::expr(Expr::assign_op(
+            clc::AssignOp::MulAssign,
+            Expr::index(Expr::var("q"), Expr::int(1)),
+            Expr::int(3),
+        )),
+        store_out(Expr::binary(
+            BinOp::Add,
+            Expr::binary(
+                BinOp::Mul,
+                Expr::index(Expr::var("q"), Expr::var("i")),
+                Expr::int(100),
+            ),
+            Expr::call("get", vec![Expr::var("q"), Expr::int(1)]),
+        )),
+    ]);
+    assert_writes_alike(&in_range, &[1406, 1406], "indices in range");
+
+    let invalid = |detail: String| RuntimeError::InvalidAccess { detail };
+    for idx in [4i64, -1] {
+        let index = |base: &str, literal: bool| {
+            let at = if literal {
+                Expr::int(idx)
+            } else {
+                Expr::var("i")
+            };
+            Expr::index(Expr::var(base), at)
+        };
+        let forms = |base: &str, literal: bool| {
+            [
+                ("read", store_out(index(base, literal))),
+                ("write", Stmt::assign(index(base, literal), Expr::int(7))),
+                (
+                    "+=",
+                    Stmt::expr(Expr::assign_op(
+                        clc::AssignOp::AddAssign,
+                        index(base, literal),
+                        Expr::int(7),
+                    )),
+                ),
+            ]
+        };
+        let array_error = invalid(format!("array index {idx} out of bounds for length 4"));
+        for literal in [true, false] {
+            for (what, stmt) in forms("arr", literal) {
+                let program =
+                    program_with(vec![Stmt::decl("i", int_ty(), Some(Expr::int(idx))), stmt]);
+                let label = format!("{what} arr[{idx}], literal index {literal}");
+                assert_fails_alike(&program, &array_error, &label);
+            }
+        }
+        for literal in [true, false] {
+            for (what, stmt) in forms("q", literal) {
+                let expected = match (idx, what) {
+                    (-1, _) => invalid("negative index -1".into()),
+                    (_, "write") => invalid("offset 4 out of bounds for `arr` (4 cells)".into()),
+                    _ => invalid("offset 4 out of bounds for `arr`".into()),
+                };
+                let program =
+                    program_with(vec![Stmt::decl("i", int_ty(), Some(Expr::int(idx))), stmt]);
+                let label = format!("{what} q[{idx}], literal index {literal}");
+                assert_fails_alike(&program, &expected, &label);
+            }
+        }
+        let call = program_with(vec![store_out(Expr::call(
+            "get",
+            vec![Expr::var("q"), Expr::int(idx)],
+        ))]);
+        let expected = if idx < 0 {
+            invalid("negative index -1".into())
+        } else {
+            invalid("offset 4 out of bounds for `arr`".into())
+        };
+        assert_fails_alike(&call, &expected, &format!("get(q, {idx})"));
+    }
+}
+
+/// A vector store checks the stored vector's width, whether the target is
+/// a variable, a struct field, a field through a pointer or an array
+/// element; a scalar stored into any of them is broadcast to every lane.
+#[test]
+fn vector_stores_check_width_and_broadcast_scalars_alike() {
+    use clc::types::{AddressSpace, Field, StructDef, VectorWidth};
+    use clc_interp::RuntimeError;
+    let int4 = || clc::Type::vector(ScalarType::Int, VectorWidth::W4);
+    let lit = |width: VectorWidth, lanes: &[i64]| Expr::VectorLit {
+        elem: ScalarType::Int,
+        width,
+        parts: lanes.iter().map(|&l| Expr::int(l)).collect(),
+    };
+    let program_with = |tail: Vec<Stmt>| {
+        let mut program = program_over(LaunchConfig::single_group(2), Vec::new());
+        // `struct S { int4 v; int k; }`
+        let sid = program.add_struct(StructDef::new(
+            "S",
+            vec![Field::new("v", int4()), Field::new("k", int_ty())],
+        ));
+        let mut body = vec![
+            Stmt::decl("v", int4(), Some(lit(VectorWidth::W4, &[1, 2, 3, 4]))),
+            Stmt::decl("s", clc::Type::Struct(sid), None),
+            Stmt::decl(
+                "p",
+                clc::Type::Struct(sid).pointer_to(AddressSpace::Private),
+                Some(Expr::addr_of(Expr::var("s"))),
+            ),
+            Stmt::decl("vs", int4().array_of(2), None),
+            Stmt::decl("i", int_ty(), Some(Expr::int(1))),
+        ];
+        body.extend(tail);
+        program.kernel.body = clc::Block::of(body);
+        program
+    };
+    let targets = || {
+        [
+            ("v", Expr::var("v")),
+            ("s.v", Expr::field(Expr::var("s"), "v")),
+            ("p->v", Expr::arrow(Expr::var("p"), "v")),
+            ("vs[i]", Expr::index(Expr::var("vs"), Expr::var("i"))),
+            ("vs[0]", Expr::index(Expr::var("vs"), Expr::int(0))),
+        ]
+    };
+    let narrow = || lit(VectorWidth::W2, &[5, 6]);
+    let wrong_width = RuntimeError::TypeMismatch {
+        detail: "vector store with mismatched lane count".into(),
+    };
+    for (name, target) in targets() {
+        let store = program_with(vec![Stmt::assign(target.clone(), narrow())]);
+        assert_fails_alike(&store, &wrong_width, &format!("{name} = (int2)"));
+        let wide = program_with(vec![Stmt::assign(
+            target,
+            lit(VectorWidth::W8, &[1, 2, 3, 4, 5, 6, 7, 8]),
+        )]);
+        assert_fails_alike(&wide, &wrong_width, &format!("{name} = (int8)"));
+    }
+    let compound = program_with(vec![Stmt::expr(Expr::assign_op(
+        clc::AssignOp::AddAssign,
+        Expr::var("v"),
+        narrow(),
+    ))]);
+    let widths = RuntimeError::TypeMismatch {
+        detail: "vector operands of different widths".into(),
+    };
+    assert_fails_alike(&compound, &widths, "v += (int2)");
+
+    // Broadcasts: every target gets 7 in every lane, then `+= 2` through
+    // the pointer and the register index.
+    let mut tail: Vec<Stmt> = targets()
+        .into_iter()
+        .map(|(_, target)| Stmt::assign(target, Expr::int(7)))
+        .collect();
+    for target in [
+        Expr::arrow(Expr::var("p"), "v"),
+        Expr::index(Expr::var("vs"), Expr::var("i")),
+    ] {
+        tail.push(Stmt::expr(Expr::assign_op(
+            clc::AssignOp::AddAssign,
+            target,
+            Expr::int(2),
+        )));
+    }
+    let lane = |e: Expr, l: u8| Expr::lane(e, l);
+    let sum = [
+        lane(Expr::var("v"), 3),
+        lane(Expr::field(Expr::var("s"), "v"), 0),
+        lane(Expr::index(Expr::var("vs"), Expr::int(1)), 2),
+        lane(Expr::index(Expr::var("vs"), Expr::int(0)), 1),
+    ]
+    .into_iter()
+    .zip([1000, 100, 10, 1])
+    .fold(Expr::int(0), |acc, (e, k)| {
+        Expr::binary(BinOp::Add, acc, Expr::binary(BinOp::Mul, e, Expr::int(k)))
+    });
+    tail.push(store_out(sum));
+    let broadcast = program_with(tail);
+    assert_writes_alike(&broadcast, &[7997, 7997], "broadcast stores");
+}
+
 // --- The bytecode tier's call memo ----------------------------------------
 //
 // The bytecode tier serves a call of a memoisable helper from the launch's

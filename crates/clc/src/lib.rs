@@ -74,6 +74,6 @@ pub use fingerprint::{fnv1a, Fingerprint, ProgramHasher};
 pub use printer::{print_expr, print_program, print_stmt};
 pub use program::{BufferInit, BufferSpec, FunctionDef, KernelDef, LaunchConfig, Param, Program};
 pub use stmt::{Block, EmiBlock, Initializer, MemFence, Stmt};
-pub use typecheck::{check_program, type_of_expr_in_kernel, TypeError};
+pub use typecheck::{check_program, TypeError};
 pub use types::{AddressSpace, Field, ScalarType, StructDef, StructId, Type, VectorWidth};
 pub use visit::{walk_block, walk_expr, walk_stmt, VisitCtx, Visitor};

@@ -47,21 +47,6 @@ pub fn check_program(program: &Program) -> Result<(), TypeError> {
     Ok(())
 }
 
-/// Infers the type of an expression in the context of a function of the
-/// program.  Exposed for use by the reducer and by tests.
-///
-/// # Errors
-///
-/// Returns a [`TypeError`] when the expression is ill-typed.
-pub fn type_of_expr_in_kernel(program: &Program, expr: &Expr) -> Result<Type, TypeError> {
-    let mut checker = Checker::new(program);
-    checker.enter_function("kernel", &program.kernel.params);
-    // Bring kernel-body declarations into scope so callers can query
-    // arbitrary sub-expressions.
-    checker.collect_decls(&program.kernel.body);
-    checker.type_of(expr)
-}
-
 struct Checker<'p> {
     program: &'p Program,
     /// Current variable scope (flat map; the generator never reuses names
@@ -118,14 +103,6 @@ impl<'p> Checker<'p> {
         for p in params {
             self.vars.insert(p.name.clone(), p.ty.clone());
         }
-    }
-
-    fn collect_decls(&mut self, block: &Block) {
-        block.for_each(&mut |s| {
-            if let Stmt::Decl { name, ty, .. } = s {
-                self.vars.insert(name.clone(), ty.clone());
-            }
-        });
     }
 
     fn check_function(&mut self, f: &FunctionDef) -> Result<(), TypeError> {
@@ -815,14 +792,5 @@ mod tests {
             vec![Expr::int(3)],
         )));
         assert!(check_program(&p).is_err());
-    }
-
-    #[test]
-    fn type_of_expr_entry_point() {
-        let body = Block::of(vec![Stmt::decl("x", Type::Scalar(ScalarType::Short), None)]);
-        let p = program_with_body(body);
-        let t = type_of_expr_in_kernel(&p, &Expr::binary(BinOp::Add, Expr::var("x"), Expr::int(1)))
-            .unwrap();
-        assert_eq!(t, Type::Scalar(ScalarType::Int));
     }
 }

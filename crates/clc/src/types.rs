@@ -433,20 +433,27 @@ impl Type {
     /// Unions always have offset zero.  Returns `None` if this is not a
     /// struct type or the field does not exist.
     pub fn field_offset(&self, name: &str, structs: &[StructDef]) -> Option<usize> {
+        self.field_of(name, structs).map(|(offset, _)| offset)
+    }
+
+    /// Cell offset and type of field `name` inside a struct of this type
+    /// (the first field of that name), found in one pass over the fields.
+    ///
+    /// Unions always have offset zero.  Returns `None` if this is not a
+    /// struct type or the field does not exist.
+    pub fn field_of<'s>(&self, name: &str, structs: &'s [StructDef]) -> Option<(usize, &'s Type)> {
         let Type::Struct(id) = self else { return None };
         let def = &structs[id.0];
-        if def.is_union {
-            def.field(name).map(|_| 0)
-        } else {
-            let mut offset = 0;
-            for f in &def.fields {
-                if f.name == name {
-                    return Some(offset);
-                }
+        let mut offset = 0;
+        for f in &def.fields {
+            if f.name == name {
+                return Some((offset, &f.ty));
+            }
+            if !def.is_union {
                 offset += f.ty.cell_count(structs);
             }
-            None
         }
+        None
     }
 
     /// Renders the type as OpenCL C (without address-space qualifier).

@@ -283,12 +283,9 @@ impl FaultPlan {
             opencl_sim::store::set_io_fault_hook(None);
             return;
         }
-        let events = self.io_events.clone();
+        let plan = self.clone();
         opencl_sim::store::set_io_fault_hook(Some(std::sync::Arc::new(move |_op, ordinal| {
-            events
-                .iter()
-                .any(|&(first, count)| ordinal >= first && ordinal - first < count as u64)
-                .then_some(std::io::ErrorKind::Other)
+            plan.io_fault(ordinal).then_some(std::io::ErrorKind::Other)
         })));
     }
 }
