@@ -185,6 +185,13 @@ pub(crate) enum Instr {
     /// assignment; pushes the stored value unless `push` is false
     /// (statement position).
     Store { op: Option<BinOp>, push: bool },
+    /// `rhs-value, place → value?` — [`Instr::Store`] into the named lanes
+    /// of the vector at the place (a multi-lane swizzle target).
+    StoreLanes {
+        lanes: Box<[u8]>,
+        op: Option<BinOp>,
+        push: bool,
+    },
     /// `→` — open a lexical scope (objects declared inside are freed on
     /// exit).
     EnterScope,
@@ -1394,6 +1401,17 @@ impl<'p> FnCompiler<'p> {
             }
         }
         self.expr(rhs);
+        if let Expr::Swizzle { base, lanes } = lhs {
+            if lanes.len() > 1 {
+                self.place(base);
+                self.emit(Instr::StoreLanes {
+                    lanes: lanes.clone().into_boxed_slice(),
+                    op,
+                    push,
+                });
+                return;
+            }
+        }
         if let Some((slot, offset, Type::Scalar(ty), shared)) = self.static_slot_path(lhs) {
             self.emit(Instr::StoreScalarSlot {
                 slot,

@@ -379,6 +379,65 @@ impl AccessCtx<'_> {
             value,
         )
     }
+
+    /// Assigns `rhs` to the lanes `lanes` of the vector at `place`, combined
+    /// with their current values by `op` for a compound assignment, and
+    /// returns the value assigned.  A scalar `rhs` is broadcast to every
+    /// named lane.  A multi-lane swizzle is an lvalue whose lanes need not
+    /// be contiguous, so it has no [`Place`] of its own: each named lane is
+    /// read and written on its own, and no other lane is touched.  Naming a
+    /// lane twice is an error, as it is in OpenCL C.
+    pub(crate) fn store_lanes(
+        &mut self,
+        place: &Place,
+        lanes: &[u8],
+        op: Option<BinOp>,
+        rhs: Value,
+    ) -> Result<Value, RuntimeError> {
+        let Type::Vector(elem, _) = place.ty else {
+            return Err(RuntimeError::TypeMismatch {
+                detail: "swizzle store on non-vector".into(),
+            });
+        };
+        let places = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, &lane)| {
+                if lanes[..i].contains(&lane) {
+                    return Err(RuntimeError::TypeMismatch {
+                        detail: format!("swizzle store names lane {lane} twice"),
+                    });
+                }
+                place.clone().lane(lane as usize)
+            })
+            .collect::<Result<Vec<Place>, RuntimeError>>()?;
+        let value = match op {
+            None => rhs,
+            Some(op) => {
+                let mut current = Vec::with_capacity(places.len());
+                for lane in &places {
+                    self.record(lane, 1, AccessKind::Read);
+                    current.push(self.memory.read_scalar(lane.obj, lane.offset, elem)?.bits);
+                }
+                value_binop(op, Value::Vector(elem, current), rhs)?
+            }
+        };
+        for (i, lane) in places.iter().enumerate() {
+            let part = match &value {
+                Value::Vector(elem, data) if data.len() == lanes.len() => {
+                    Value::Scalar(Scalar::from_bits(data[i], *elem))
+                }
+                Value::Vector(..) => {
+                    return Err(RuntimeError::TypeMismatch {
+                        detail: "vector store with mismatched lane count".into(),
+                    })
+                }
+                scalar => scalar.clone(),
+            };
+            self.store(lane, part)?;
+        }
+        Ok(value)
+    }
 }
 
 /// Records a shared-memory access on the race detector (both tiers route
@@ -566,6 +625,14 @@ pub fn eval_expr(ctx: &mut Ctx<'_, '_>, env: &mut Env, expr: &Expr) -> Result<Va
         }
         Expr::Assign { op, lhs, rhs } => {
             let rhs_value = eval_expr(ctx, env, rhs)?;
+            if let Expr::Swizzle { base, lanes } = &**lhs {
+                if lanes.len() > 1 {
+                    let place = eval_place(ctx, env, base)?;
+                    return ctx
+                        .access()
+                        .store_lanes(&place, lanes, op.binop(), rhs_value);
+                }
+            }
             let place = eval_place(ctx, env, lhs)?;
             let new_value = match op.binop() {
                 None => rhs_value,

@@ -738,6 +738,16 @@ fn run_frames(world: &mut World<'_>, item: &mut VmItem) -> Result<(), RuntimeErr
                         world.access(item.ids).store(&place, new_value)?;
                     }
                 }
+                Instr::StoreLanes { lanes, op, push } => {
+                    let place = item.pop_place();
+                    let rhs = item.pop_value();
+                    let value = world
+                        .access(item.ids)
+                        .store_lanes(&place, lanes, *op, rhs)?;
+                    if *push {
+                        item.values.push(value);
+                    }
+                }
                 Instr::EnterScope => {
                     let frame = &mut item.frames[frame_idx];
                     frame.scope_bases.push(frame.owned.len());
@@ -1799,7 +1809,10 @@ fn lane_dependent(world: &World<'_>, item: &VmItem, frame_idx: usize, instr: &In
             .and_then(|obj| memory.object(obj).ok())
             .is_some_and(|object| outside_private(object.space)),
         Instr::LoadScalarSlot { shared, .. } | Instr::StoreScalarSlot { shared, .. } => *shared,
-        Instr::LoadPlace | Instr::Store { .. } | Instr::ResolveIndexable => item
+        Instr::LoadPlace
+        | Instr::Store { .. }
+        | Instr::StoreLanes { .. }
+        | Instr::ResolveIndexable => item
             .places
             .last()
             .is_some_and(|place| outside_private(place.space)),

@@ -17,6 +17,10 @@
 //! (`RegBinopImm`), an array element against a literal (`BinaryImm`), a
 //! compound assignment of a literal to a register (`StoreRegImm`), and two
 //! register operands (`Binary`).
+//!
+//! Swizzles are checked the same way against plain Rust arrays: one-lane
+//! and multi-lane selections read from vectors, and written into them by a
+//! store, a compound assignment and a scalar broadcast.
 
 use clc::expr::{AssignOp, BinOp, Builtin, Expr, UnOp};
 use clc::types::{Type, VectorWidth};
@@ -1018,5 +1022,251 @@ fn vector_operators_match_native_arithmetic() {
             }
             table.run(&format!("{ty} vector {}", op.symbol()));
         }
+    }
+}
+
+// --- Swizzles ----------------------------------------------------------------
+
+/// A distinct value per lane: 53 is odd, so `53 i` differs from lane to lane
+/// modulo every width, and the offset makes the first lanes negative.
+fn lane_values(ty: ScalarType, lanes: usize) -> Vec<N> {
+    (0..lanes)
+        .map(|i| N::of(ty, 53 * i as i128 - 0x70))
+        .collect()
+}
+
+/// The vector type of `lanes` lanes of `elem`.
+fn vector_type(elem: ScalarType, lanes: usize) -> Type {
+    let width = VectorWidth::from_lanes(lanes).expect("a vector width");
+    Type::Vector(elem, width)
+}
+
+/// `(T)(lane, …)` — a vector literal.
+fn vector_lit(lanes: &[N]) -> Expr {
+    let Type::Vector(elem, width) = vector_type(lanes[0].ty(), lanes.len()) else {
+        unreachable!()
+    };
+    Expr::VectorLit {
+        elem,
+        width,
+        parts: lanes.iter().map(|n| n.lit()).collect(),
+    }
+}
+
+fn swizzle(base: Expr, lanes: &[u8]) -> Expr {
+    Expr::Swizzle {
+        base: Box::new(base),
+        lanes: lanes.to_vec(),
+    }
+}
+
+/// Multi-lane selections of a `lanes`-lane vector that name each lane at
+/// most once, so they are lvalues as well as rvalues: all lanes reversed,
+/// the last and the first, a shuffled four and, on 16 lanes, the odd eight.
+fn distinct_selections(lanes: usize) -> Vec<Vec<u8>> {
+    let n = lanes as u8;
+    let mut selections = vec![(0..n).rev().collect(), vec![n - 1, 0]];
+    if lanes >= 4 {
+        selections.push(vec![3, 0, 2, 1]);
+    }
+    if lanes == 16 {
+        selections.push((1..16).step_by(2).rev().collect());
+    }
+    selections
+}
+
+/// Selections that are rvalues only: a repeated lane, and selections wider
+/// than the vector they read.
+fn repeating_selections(lanes: usize) -> Vec<Vec<u8>> {
+    let n = lanes as u8;
+    vec![
+        vec![1, 1],
+        vec![0, n - 1, n - 1, 0],
+        (0..16).map(|i| (i * 7) % n).collect(),
+    ]
+}
+
+impl Table {
+    /// `T name[1]; name[0] = (T)(lane, …);` — a vector array element, which
+    /// the bytecode tier reaches through an indexed place.
+    fn vector_element(&mut self, lanes: &[N]) -> Expr {
+        let name = self.fresh("e");
+        self.body.push(Stmt::decl(
+            name.clone(),
+            vector_type(lanes[0].ty(), lanes.len()).array_of(1),
+            None,
+        ));
+        let at = Expr::index(Expr::var(name), Expr::int(0));
+        self.body.push(Stmt::assign(at.clone(), vector_lit(lanes)));
+        at
+    }
+}
+
+/// One-lane and multi-lane swizzles as rvalues, on 2-, 4- and 16-lane
+/// vectors of every type: of a vector variable, of a vector array element
+/// and of a vector literal, each selecting lanes of a plain Rust array.
+#[test]
+fn swizzles_read_the_lanes_they_name() {
+    for ty in ScalarType::ALL {
+        for lanes in [2, 4, 16] {
+            let values = lane_values(ty, lanes);
+            let mut table = Table::default();
+            let bases = [
+                ("variable", table.vector(&values)),
+                ("element", table.vector_element(&values)),
+                ("literal", vector_lit(&values)),
+            ];
+            for (form, base) in bases {
+                for (i, &value) in values.iter().enumerate() {
+                    table.check(
+                        Expr::lane(base.clone(), i as u8),
+                        value,
+                        format!("{form}.s{i:x}"),
+                    );
+                }
+                for selection in distinct_selections(lanes)
+                    .into_iter()
+                    .chain(repeating_selections(lanes))
+                {
+                    let expected: Vec<N> = selection.iter().map(|&l| values[l as usize]).collect();
+                    table.check_lanes(
+                        swizzle(base.clone(), &selection),
+                        &expected,
+                        &format!("{form} swizzle {selection:?}"),
+                    );
+                }
+            }
+            table.run(&format!("swizzle reads on {ty}{lanes}"));
+        }
+    }
+}
+
+/// One-lane and multi-lane swizzles as lvalues, on 2-, 4- and 16-lane
+/// vectors of every type, held in a variable and in an array element: a
+/// store, a compound assignment of a vector and of a scalar, and a scalar
+/// broadcast into the selected lanes.  Every lane of the vector is checked
+/// afterwards against a plain Rust array, so a store that touches a lane it
+/// does not name shows too.
+#[test]
+fn swizzles_write_the_lanes_they_name() {
+    let ops = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::BitAnd,
+        BinOp::BitOr,
+        BinOp::BitXor,
+    ];
+    for ty in ScalarType::ALL {
+        for lanes in [2, 4, 16] {
+            let values = lane_values(ty, lanes);
+            let mut table = Table::default();
+            // A store of the selection's own width into fresh vectors of
+            // both kinds, then checks of the whole vector.
+            let written = |table: &mut Table,
+                           selection: &[u8],
+                           rhs: Expr,
+                           op: Option<BinOp>,
+                           lane: &dyn Fn(N, usize) -> N,
+                           label: String| {
+                let mut expected = values.clone();
+                for (k, &l) in selection.iter().enumerate() {
+                    expected[l as usize] = lane(values[l as usize], k);
+                }
+                for (form, v) in [
+                    ("variable", table.vector(&values)),
+                    ("element", table.vector_element(&values)),
+                ] {
+                    let target = swizzle(v.clone(), selection);
+                    let assign = match op.and_then(assign_op) {
+                        Some(assign) => Expr::assign_op(assign, target, rhs.clone()),
+                        None => Expr::assign(target, rhs.clone()),
+                    };
+                    table.body.push(Stmt::expr(assign));
+                    table.check_lanes(v, &expected, &format!("{form} {label}"));
+                }
+            };
+            let scalar = N::Int(-0x12345679);
+            for i in 0..lanes {
+                let new = N::of(ty, 0x1F0 + i as i128);
+                written(
+                    &mut table,
+                    &[i as u8],
+                    new.lit(),
+                    None,
+                    &|_, _| new,
+                    format!(".s{i:x} = {new:?}"),
+                );
+                written(
+                    &mut table,
+                    &[i as u8],
+                    scalar.lit(),
+                    None,
+                    &|_, _| scalar.to(ty),
+                    format!(".s{i:x} = {scalar:?}"),
+                );
+                let op = ops[i % ops.len()];
+                let rhs = N::max_of(ty);
+                written(
+                    &mut table,
+                    &[i as u8],
+                    rhs.lit(),
+                    Some(op),
+                    &|a, _| binop(op, a, rhs).expect("defined").to(ty),
+                    format!(".s{i:x} {}= {rhs:?}", op.symbol()),
+                );
+            }
+            for (j, selection) in distinct_selections(lanes).into_iter().enumerate() {
+                let new: Vec<N> = (0..selection.len())
+                    .map(|k| N::of(ty, -0x2B3 * (k as i128 + 1)))
+                    .collect();
+                written(
+                    &mut table,
+                    &selection,
+                    vector_lit(&new),
+                    None,
+                    &|_, k| new[k],
+                    format!("{selection:?} = {new:?}"),
+                );
+                written(
+                    &mut table,
+                    &selection,
+                    scalar.lit(),
+                    None,
+                    &|_, _| scalar.to(ty),
+                    format!("{selection:?} = {scalar:?} (broadcast)"),
+                );
+                let op = ops[j % ops.len()];
+                written(
+                    &mut table,
+                    &selection,
+                    vector_lit(&new),
+                    Some(op),
+                    &|a, k| lane_binop(op, a, new[k]).expect("defined"),
+                    format!("{selection:?} {}= {new:?}", op.symbol()),
+                );
+                let op = ops[(j + 3) % ops.len()];
+                written(
+                    &mut table,
+                    &selection,
+                    scalar.lit(),
+                    Some(op),
+                    &|a, _| lane_binop(op, a, scalar.to(ty)).expect("defined"),
+                    format!("{selection:?} {}= {scalar:?}", op.symbol()),
+                );
+            }
+            table.run(&format!("swizzle writes on {ty}{lanes}"));
+        }
+        // A selection that names a lane twice is no lvalue.
+        let mut table = Table::default();
+        let v = table.vector(&lane_values(ty, 4));
+        assert_fails(
+            table,
+            Expr::assign(swizzle(v, &[2, 1, 2, 0]), vector_lit(&lane_values(ty, 4))),
+            RuntimeError::TypeMismatch {
+                detail: "swizzle store names lane 2 twice".into(),
+            },
+            &format!("a repeated lane on {ty}4"),
+        );
     }
 }

@@ -7,6 +7,11 @@
 //! correctness is checked by differential tests against the reference
 //! emulator; the *bugs* that the paper's testing campaign finds live in
 //! [`crate::bugs`], not here.
+//!
+//! An optimising target's outcome is cached under a key derived from the
+//! source program, not from what these passes make of it (see
+//! [`crate::platform`]), so a change to what any pass does must bump the
+//! outcome store's format (see [`crate::store`]).
 
 use clc::expr::{BinOp, Expr, UnOp};
 use clc::stmt::{Block, Stmt};

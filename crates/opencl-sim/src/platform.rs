@@ -23,31 +23,40 @@
 //! into two phases:
 //!
 //! * the **front end** ([`Session::compile`]) — deterministic bug rules,
-//!   background-rate rolls, optimisation passes and the choice of triggered
+//!   background-rate rolls, whether to optimise and the choice of triggered
 //!   miscompilations, producing a [`CompiledProgram`]: either an outcome
 //!   decided without execution, or a [`Recipe`] for the AST to execute —
-//!   the session's source or optimised AST plus the target's ordered
-//!   transforms, not yet applied;
+//!   the session's source program, whether to optimise it, and the
+//!   target's ordered transforms, none of them applied yet;
 //! * the **execution phase** — memoised in the campaign's [`OutcomeCache`]
-//!   by `(recipe key, exec-relevant options)`: the AST is built only when
-//!   no cache level holds the recipe's outcome, and launched only when the
-//!   cache holds nothing under the built AST's live key either (see below),
-//!   so each distinct live program is launched once per distinct
-//!   execution-option set, and every further target is served from the
-//!   cache.
+//!   by `(recipe key, exec-relevant options)`: the AST is built (optimised
+//!   and transformed) only when no cache level holds the recipe's outcome,
+//!   and launched only when the cache holds nothing under the built AST's
+//!   live key either (see below), so each distinct live program is
+//!   launched once per distinct execution-option set, and every further
+//!   target is served from the cache.
 //!
-//! The recipe key ([`Recipe::key`]) is the base AST's structural
-//! [`Fingerprint`] when the target transforms nothing — so i−/i+ targets
-//! whose optimisation passes change nothing share one launch — and
-//! otherwise a hash of that fingerprint and the transform list, which
-//! together determine the built AST exactly.  A transform that happens to
-//! leave the AST unchanged therefore gets a key of its own instead of
-//! sharing its base's entry; results are the same either way.
+//! The recipe key ([`Recipe::key`]) names what decides the built AST, never
+//! the AST itself: it is the source's structural [`Fingerprint`] when the
+//! target neither optimises nor transforms, a hash of that fingerprint and
+//! the transform list when it only transforms, and a hash of an "optimized"
+//! tag, the fingerprint and the transform list when it optimises.  So a
+//! warm cache answers an optimising target without running the optimiser.
+//! The price is that two recipes reaching one AST by different routes get
+//! different keys: an optimising target whose passes change nothing does
+//! not share its non-optimising twin's entry, nor does an EMI variant that
+//! optimises to its base's AST share the base's, except through the live
+//! key.  Likewise a transform that happens to leave the AST unchanged gets
+//! a key of its own.  Results are the same either way; only a launch is
+//! repeated.  Generated kernels make this rare: a cold single-worker
+//! `table1 120` campaign (720 kernels) launched 3 709 times both with
+//! these keys and with keys taken from the optimised AST, whose
+//! fingerprint would cost every miss a pass over the AST.
 //!
 //! A [`Session`] carries the per-kernel state both phases reuse across
 //! targets (detected [`Features`], the captured program hasher, the
-//! optimised AST); a fan-out over 42 targets typically collapses to a
-//! handful of real emulator launches.
+//! optimised AST once a build has needed it); a fan-out over 42 targets
+//! typically collapses to a handful of real emulator launches.
 //!
 //! There are two outcome-cache levels, both keyed by `(recipe key, exec
 //! key)`: the **campaign cache** ([`ExecOptions::cache`], lock-striped and
@@ -70,10 +79,11 @@
 //! A launch puts both keys into the cache; a hit at the third lookup puts
 //! the recipe key.  The store only ever holds recipe keys, and every recipe
 //! served is written under its own, so a warm store answers every recipe
-//! without building an AST.  Live keys are hashed under a tag into a
-//! namespace of their own: a variant whose EMI bodies are already empty has
-//! the base's live fingerprint as its recipe key, and without the tag its
-//! first lookup would hit the base's live entry and skip its store write.
+//! without optimising or building an AST.  Live keys are hashed under a tag
+//! into a namespace of their own: a variant whose EMI bodies are already
+//! empty has the base's live fingerprint as its recipe key, and without the
+//! tag its first lookup would hit the base's live entry and skip its store
+//! write.
 //!
 //! Caching never changes results — outcomes are deterministic in either
 //! key, and the invariance matrix
@@ -202,8 +212,8 @@ pub enum CompiledProgram<'s> {
         outcome: TestOutcome,
     },
     /// The kernel must run.  `recipe` names the AST the device executes —
-    /// the session's source or optimised AST plus the target's transforms —
-    /// without building it: the execution phase memoises on the recipe's
+    /// the session's source, optimised or not, plus the target's transforms
+    /// — without building it: the execution phase memoises on the recipe's
     /// [`Recipe::key`] and builds the AST only when every cache level
     /// misses.
     Execute {
@@ -212,60 +222,84 @@ pub enum CompiledProgram<'s> {
     },
 }
 
-/// How to build the AST one target executes: a base AST borrowed from the
-/// [`Session`] (the source, or its optimised form) and the ordered
-/// miscompilation transforms the target applies to it — the triggered bug
-/// rules' miscompilations, then the background literal perturbation.
+/// How to build the AST one target executes: the [`Session`]'s source
+/// program, whether the target optimises it first, and the ordered
+/// miscompilation transforms the target applies — the triggered bug rules'
+/// miscompilations, then the background literal perturbation.
 ///
-/// The base and the transform list determine the built AST exactly, so the
-/// recipe stands in for it as a cache key ([`Recipe::key`]) and the AST is
-/// built ([`Recipe::build`]) only when the execution phase has to launch
-/// it.
+/// Those three determine the built AST exactly, so the recipe stands in for
+/// it as a cache key ([`Recipe::key`]).  The AST is built ([`Recipe::build`])
+/// only when the execution phase has to launch it, and an optimising
+/// recipe runs the optimiser only then: it borrows the session's empty
+/// optimised-AST cell and fills it on its first build.
 #[derive(Debug)]
 pub struct Recipe<'s> {
-    base: &'s Program,
+    source: &'s Program,
+    optimized: Option<&'s OnceCell<Program>>,
     transforms: Vec<Miscompilation>,
     key: Fingerprint,
 }
 
 impl<'s> Recipe<'s> {
-    /// A recipe over `base`, whose structural fingerprint is
-    /// `base_fingerprint`.
+    /// A recipe over `source`, whose structural fingerprint is
+    /// `source_fingerprint`, optimised through the session's `optimized`
+    /// cell when one is given.
     fn new(
-        base: &'s Program,
-        base_fingerprint: Fingerprint,
+        source: &'s Program,
+        source_fingerprint: Fingerprint,
+        optimized: Option<&'s OnceCell<Program>>,
         transforms: Vec<Miscompilation>,
     ) -> Recipe<'s> {
-        let key = if transforms.is_empty() {
-            base_fingerprint
+        let key = if optimized.is_some() {
+            let mut h = DefaultHasher::new();
+            ("optimized", source_fingerprint, &transforms).hash(&mut h);
+            Fingerprint(h.finish())
+        } else if transforms.is_empty() {
+            source_fingerprint
         } else {
             let mut h = DefaultHasher::new();
-            (base_fingerprint, &transforms).hash(&mut h);
+            (source_fingerprint, &transforms).hash(&mut h);
             Fingerprint(h.finish())
         };
         Recipe {
-            base,
+            source,
+            optimized,
             transforms,
             key,
         }
     }
 
-    /// The key both outcome-cache levels use for the built AST: the base's
-    /// structural fingerprint when there are no transforms, and otherwise a
-    /// hash of that fingerprint and the transform list.  Equal recipes share
-    /// a key; a transform that happens to leave the AST unchanged still
-    /// gets a key of its own.
+    /// The key both outcome-cache levels use for the built AST, computed
+    /// without building it: the source's structural fingerprint when the
+    /// recipe neither optimises nor transforms, a hash of that fingerprint
+    /// and the transform list when it only transforms, and a hash of an
+    /// "optimized" tag, the fingerprint and the transform list when it
+    /// optimises.  Equal recipes share a key.  An optimising recipe never
+    /// shares one with a non-optimising recipe, even where the optimiser
+    /// leaves the program unchanged, and a transform that happens to leave
+    /// the AST unchanged still gets a key of its own.
     pub fn key(&self) -> Fingerprint {
         self.key
     }
 
-    /// The AST the device executes: the base itself when there are no
-    /// transforms, otherwise a copy with each transform applied in order.
+    /// The AST the device executes: the source, or its optimised form, when
+    /// there are no transforms, and otherwise a copy with each transform
+    /// applied in order.  The first build of an optimising recipe clones the
+    /// source and runs [`passes::optimize_traced`] into the session's cell,
+    /// which every later optimising recipe of the session reuses.
     pub fn build(&self) -> Cow<'s, Program> {
+        let base = match self.optimized {
+            Some(cell) => cell.get_or_init(|| {
+                let mut optimized = self.source.clone();
+                passes::optimize_traced(&mut optimized);
+                optimized
+            }),
+            None => self.source,
+        };
         if self.transforms.is_empty() {
-            return Cow::Borrowed(self.base);
+            return Cow::Borrowed(base);
         }
-        let mut program = self.base.clone();
+        let mut program = base.clone();
         for transform in &self.transforms {
             apply_miscompilation(&mut program, *transform);
         }
@@ -428,12 +462,15 @@ impl fmt::Debug for OutcomeCache {
 /// A per-kernel differential execution session.
 ///
 /// Construction performs the per-kernel work exactly once — a single hash
-/// pass capturing reusable hasher state ([`ProgramHasher`]); feature
-/// detection and the optimised AST are computed lazily, also at most once —
-/// and every [`Session::execute`] call reuses it.  The execution phase is
-/// memoised through the options' [`OutcomeCache`]: targets whose front end
-/// produces the same [`Recipe`] (and identical execution-relevant options)
-/// share a single emulator launch, across every session of the campaign.
+/// pass capturing reusable hasher state ([`ProgramHasher`]) — and every
+/// [`Session::execute`] call reuses it.  Feature detection runs lazily, at
+/// most once.  The optimised AST is built at most once too, and only by the
+/// first optimising [`Recipe`] the execution phase has to build: the front
+/// end never optimises, so a session whose every target the caches answer
+/// never runs the optimiser.  The execution phase is memoised through the
+/// options' [`OutcomeCache`]: targets whose front end produces the same
+/// [`Recipe`] (and identical execution-relevant options) share a single
+/// emulator launch, across every session of the campaign.
 ///
 /// Sessions are single-threaded by design (the campaign engine runs one
 /// kernel job per worker); the memo of counters is [`Rc`]-based precisely
@@ -443,7 +480,7 @@ pub struct Session<'p> {
     hasher: ProgramHasher,
     base_fingerprint: Fingerprint,
     features: OnceCell<Features>,
-    optimized: OnceCell<(Program, Fingerprint)>,
+    optimized: OnceCell<Program>,
     memo: Rc<ExecMemo>,
 }
 
@@ -497,25 +534,13 @@ impl<'p> Session<'p> {
         (h % 1_000_000) as f64 / 1_000_000.0
     }
 
-    /// The passes-optimised AST and its fingerprint (computed once and
-    /// shared by every optimising target).
-    fn optimized(&self) -> (&Program, Fingerprint) {
-        let (program, fingerprint) = self.optimized.get_or_init(|| {
-            let mut optimized = self.program.clone();
-            passes::optimize_traced(&mut optimized);
-            let fingerprint = optimized.fingerprint();
-            (optimized, fingerprint)
-        });
-        (program, *fingerprint)
-    }
-
     /// The front-end phase: deterministic bug rules, background-rate rolls,
-    /// optimisation passes and triggered miscompilations for one target.
+    /// whether to optimise and triggered miscompilations for one target.
     ///
-    /// Pure per target — it touches no cache except the session's shared
-    /// optimised AST — and returns either a decided outcome or the
-    /// [`Recipe`] of the AST to execute.  It never builds a transformed
-    /// AST: [`Session::execute`] does that only on a cache miss.
+    /// Pure per target — it touches no cache — and returns either a decided
+    /// outcome or the [`Recipe`] of the AST to execute.  It never optimises
+    /// or transforms an AST: [`Session::execute`] builds one only on a cache
+    /// miss.
     pub fn compile(&self, config: &Configuration, opt: OptLevel) -> CompiledProgram<'_> {
         // --- Deterministic bug rules --------------------------------------
         let mut transforms = Vec::new();
@@ -582,17 +607,13 @@ impl<'p> Session<'p> {
         }
 
         // --- Compilation --------------------------------------------------
-        let (base, base_fingerprint) = if opt == OptLevel::Enabled && config.optimizes {
-            self.optimized()
-        } else {
-            (self.program, self.base_fingerprint)
-        };
+        let optimized = (opt == OptLevel::Enabled && config.optimizes).then_some(&self.optimized);
         if perturb {
             let salt = self.hasher.chain(&(config.id, "perturb"));
             transforms.push(Miscompilation::PerturbLiteral(salt));
         }
         CompiledProgram::Execute {
-            recipe: Recipe::new(base, base_fingerprint, transforms),
+            recipe: Recipe::new(self.program, self.base_fingerprint, optimized, transforms),
         }
     }
 
@@ -617,7 +638,7 @@ impl<'p> Session<'p> {
     /// and by the reducer), through the same memoised execution phase.
     pub fn reference_execute(&self, exec: &ExecOptions) -> TestOutcome {
         self.memo.stats.bump(Counter::Requests);
-        let recipe = Recipe::new(self.program, self.base_fingerprint, Vec::new());
+        let recipe = Recipe::new(self.program, self.base_fingerprint, None, Vec::new());
         self.run(&recipe, exec)
     }
 
@@ -1106,7 +1127,12 @@ mod tests {
                     CompiledProgram::Execute { recipe, .. } => Some(recipe),
                     CompiledProgram::Decided { .. } => None,
                 })
-                .chain([Recipe::new(program, program.fingerprint(), Vec::new())]);
+                .chain([Recipe::new(
+                    program,
+                    program.fingerprint(),
+                    None,
+                    Vec::new(),
+                )]);
             for recipe in recipes_of {
                 let live = clc_interp::live_fingerprint(&recipe.build(), &none);
                 launched.insert(live.ok_or(recipe.key()));
@@ -1162,9 +1188,9 @@ mod tests {
     fn front_end_reuses_the_optimised_ast_across_targets() {
         let p = trivial_program(6);
         let session = Session::new(&p);
-        // Two optimising configurations at the enabled level: both borrow
-        // the session's optimised AST (same fingerprint) unless a
-        // miscompilation or perturbation applies.
+        // Two optimising configurations at the enabled level: both name the
+        // session's optimised AST (same key) unless a miscompilation or
+        // perturbation applies.
         let mut fingerprints = Vec::new();
         for id in [1usize, 3] {
             if let CompiledProgram::Execute { recipe, .. } =
@@ -1214,19 +1240,25 @@ mod tests {
                     else {
                         continue;
                     };
-                    let base_fingerprint = recipe.base.fingerprint();
+                    let source_fingerprint = recipe.source.fingerprint();
                     let transforms = &recipe.transforms;
+                    let optimizes = recipe.optimized.is_some();
                     *transformed_by_mode.entry(mode).or_insert(0) +=
                         usize::from(!transforms.is_empty());
                     assert_eq!(
-                        recipe.key() == base_fingerprint,
-                        transforms.is_empty(),
-                        "the key is the base fingerprint exactly when nothing transforms it: {transforms:?}"
+                        recipe.key() == source_fingerprint,
+                        !optimizes && transforms.is_empty(),
+                        "the key is the source fingerprint exactly when the recipe neither optimises nor transforms: {transforms:?}"
                     );
                     // Equal recipes share a key, and a key names one recipe.
-                    let again = Recipe::new(recipe.base, base_fingerprint, transforms.clone());
+                    let again = Recipe::new(
+                        recipe.source,
+                        source_fingerprint,
+                        recipe.optimized,
+                        transforms.clone(),
+                    );
                     assert_eq!(again.key(), recipe.key());
-                    let identity = (base_fingerprint, transforms.clone());
+                    let identity = (source_fingerprint, optimizes, transforms.clone());
                     let previous = identity_by_key.insert(recipe.key(), identity.clone());
                     assert!(
                         previous.is_none_or(|previous| previous == identity),
@@ -1239,7 +1271,12 @@ mod tests {
                             perturbed += 1;
                             let mut resalted = transforms.clone();
                             resalted[i] = Miscompilation::PerturbLiteral(salt.wrapping_add(1));
-                            let resalted = Recipe::new(recipe.base, base_fingerprint, resalted);
+                            let resalted = Recipe::new(
+                                recipe.source,
+                                source_fingerprint,
+                                recipe.optimized,
+                                resalted,
+                            );
                             assert_ne!(resalted.key(), recipe.key());
                         }
                     }
@@ -1255,5 +1292,109 @@ mod tests {
         // Each target perturbs with a salt of its own, so two perturbed
         // targets are two salts whose keys the map above kept apart.
         assert!(perturbed >= 2, "{perturbed} perturbed targets");
+    }
+
+    #[test]
+    fn recipe_keys_name_the_source_the_optimiser_and_the_transforms() {
+        // Sessions over equal programs name every target alike.
+        let (a, b) = (trivial_program(8), trivial_program(8));
+        let (sa, sb) = (Session::new(&a), Session::new(&b));
+        for config in all_configurations() {
+            for opt in OptLevel::BOTH {
+                match (sa.compile(&config, opt), sb.compile(&config, opt)) {
+                    (
+                        CompiledProgram::Execute { recipe: ra },
+                        CompiledProgram::Execute { recipe: rb },
+                    ) => assert_eq!(ra.key(), rb.key(), "config {} {opt}", config.id),
+                    (
+                        CompiledProgram::Decided { outcome: x },
+                        CompiledProgram::Decided { outcome: y },
+                    ) => {
+                        assert_eq!(x, y, "config {} {opt}", config.id)
+                    }
+                    other => panic!("config {} {opt}: {other:?}", config.id),
+                }
+            }
+        }
+        // Optimising gets a key of its own, whatever the transforms, and
+        // naming a recipe never runs the optimiser.
+        let other = trivial_program(9);
+        let cell = OnceCell::new();
+        for transforms in [Vec::new(), vec![Miscompilation::PerturbLiteral(1)]] {
+            let source = Recipe::new(&a, sa.fingerprint(), None, transforms.clone());
+            let optimised = Recipe::new(&a, sa.fingerprint(), Some(&cell), transforms.clone());
+            assert_ne!(source.key(), optimised.key(), "{transforms:?}");
+            let elsewhere = Recipe::new(&other, other.fingerprint(), Some(&cell), transforms);
+            assert_ne!(elsewhere.key(), optimised.key());
+        }
+        assert!(cell.get().is_none(), "a key was computed by optimising");
+    }
+
+    #[test]
+    fn warm_store_answers_every_target_without_optimising() {
+        use clsmith::{generate, GenMode, GeneratorOptions};
+        let programs: Vec<Program> = GenMode::ALL
+            .into_iter()
+            .flat_map(|mode| (0..2u64).map(move |seed| (mode, seed)))
+            .map(|(mode, seed)| {
+                generate(&GeneratorOptions {
+                    min_threads: 16,
+                    max_threads: 64,
+                    ..GeneratorOptions::new(mode, seed)
+                })
+            })
+            .collect();
+        let targets: Vec<(Configuration, OptLevel)> = all_configurations()
+            .into_iter()
+            .flat_map(|c| OptLevel::BOTH.map(|o| (c.clone(), o)))
+            .collect();
+        // One pass: fresh sessions run every program on every target, and
+        // each reports whether it built its optimised AST.
+        let pass = |exec: &ExecOptions| {
+            let memo = Rc::new(ExecMemo::new());
+            let mut outcomes = Vec::new();
+            let mut optimised = Vec::new();
+            for program in &programs {
+                let session = Session::with_memo(program, Rc::clone(&memo));
+                outcomes.extend(
+                    targets
+                        .iter()
+                        .map(|(config, opt)| session.execute(config, *opt, exec)),
+                );
+                optimised.push(session.optimized.get().is_some());
+            }
+            (outcomes, optimised, memo.stats())
+        };
+
+        let dir = std::env::temp_dir().join(format!("clfuzz-platform-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
+        let cold = ExecOptions {
+            store: Some(Arc::clone(&store)),
+            ..ExecOptions::default()
+        };
+        let (outcomes, optimised, stats) = pass(&cold);
+        assert!(stats.launches > 0);
+        assert!(
+            optimised.iter().any(|&built| built),
+            "no cold session optimised"
+        );
+
+        let reopened = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
+        let warm = ExecOptions {
+            store: Some(Arc::clone(&reopened)),
+            ..ExecOptions::default()
+        };
+        let (warm_outcomes, warm_optimised, warm_stats) = pass(&warm);
+        assert_eq!(warm_outcomes, outcomes);
+        assert_eq!(warm_stats.launches, 0);
+        let read = reopened.stats();
+        assert_eq!((read.misses, read.writes), (0, 0));
+        assert!(read.hits > 0);
+        assert!(
+            !warm_optimised.iter().any(|&built| built),
+            "a warm session optimised: {warm_optimised:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

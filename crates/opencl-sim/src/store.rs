@@ -11,19 +11,32 @@
 //!
 //! The program key is the platform's [`Recipe::key`](crate::Recipe::key)
 //! (the `fingerprint` argument of [`OutcomeStore::get`] and
-//! [`OutcomeStore::put`]).  For a program no miscompilation transforms it
-//! is the structural fingerprint of the source or optimised AST; for a
-//! transformed program it is a hash of that base fingerprint and the
-//! ordered transform list, which stands for the transformed AST without
-//! building it.
+//! [`OutcomeStore::put`]).  It names what decides the executed AST without
+//! building it: the source AST's structural fingerprint when the target
+//! neither optimises nor transforms it, a hash of that fingerprint and the
+//! ordered transform list when it only transforms, and a hash of an
+//! "optimized" tag, the fingerprint and the transform list when it
+//! optimises.
 //!
 //! An entry is therefore valid only under the platform semantics of the
-//! build that wrote it: the emulator that computed the outcome and the
-//! miscompilation transforms a key names.  A change to either must bump
-//! the format tag (`FORMAT`, the header's `CLFUZZ-STORE 4`), which turns
-//! every older entry into a miss.  A lookup deletes such an entry, so two
-//! builds of different formats sharing one directory delete each other's
-//! entries.
+//! build that wrote it: the emulator that computed the outcome, and the
+//! optimisation passes and miscompilation transforms a key names.  A change
+//! to any of them must bump the format tag (`FORMAT`, the header's
+//! `CLFUZZ-STORE 4`), which turns every older entry into a miss.  A lookup
+//! deletes such an entry, so two builds of different formats sharing one
+//! directory delete each other's entries.
+//!
+//! A change to how keys are derived needs no bump as long as every key a
+//! recipe can still reach names the AST its entry holds the outcome of.
+//! Optimised recipes used to be keyed by the optimised AST's own
+//! fingerprint, or by a hash of that fingerprint and the transforms, and
+//! `CLFUZZ-STORE 4` entries written that way stay in place.  A key of that
+//! shape is reached now only by a non-optimising recipe whose source has
+//! that fingerprint, with the same transforms, so it names the same AST and
+//! the entry's outcome is still the right one.  Optimised keys carry their
+//! tag, so no old entry answers them.  The old entries nothing reaches any
+//! more are never read again, and the cap's oldest-first eviction reclaims
+//! them.
 //!
 //! ## Entry format
 //!
@@ -108,7 +121,8 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The store format tag; bumping the version invalidates (as misses) every
 /// existing entry.  Bump it whenever the entry encoding, the emulator's
-/// semantics or a miscompilation transform changes (see the module docs).
+/// semantics, an optimisation pass or a miscompilation transform changes
+/// (see the module docs).
 const FORMAT: &str = "CLFUZZ-STORE 4";
 
 /// Size cap (bytes) of a store opened without an explicit one.
