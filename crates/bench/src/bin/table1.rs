@@ -20,7 +20,6 @@
 use std::fmt::Write as _;
 
 use bench::{Cli, Source};
-use clsmith::GeneratorOptions;
 use fuzz_harness::{
     reliability_rows, render_reliability_table, Campaign, CampaignOptions, ClassificationCampaign,
     ClassificationTally,
@@ -39,11 +38,7 @@ impl bench::Table for Table1 {
 
     fn build(cli: &Cli, configs: &[Configuration], exec: ExecOptions) -> ClassificationCampaign {
         let options = CampaignOptions {
-            generator: cli.generator_or(GeneratorOptions {
-                min_threads: 16,
-                max_threads: 64,
-                ..GeneratorOptions::default()
-            }),
+            generator: cli.generator(64),
             exec,
             ..CampaignOptions::default()
         };

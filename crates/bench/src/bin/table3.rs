@@ -20,7 +20,6 @@
 //! journal, even under injected worker faults.
 
 use bench::{Cli, Source};
-use clsmith::GeneratorOptions;
 use fuzz_harness::{render_table, CellCampaign, Cells, EMPTY_CELL};
 use opencl_sim::{Configuration, ExecOptions};
 
@@ -36,11 +35,7 @@ impl bench::Table for Table3 {
 
     fn build(cli: &Cli, configs: &[Configuration], exec: ExecOptions) -> CellCampaign {
         let bodies = cli.scale_arg(0, "bodies per benchmark", 3);
-        let generator = cli.generator_or(GeneratorOptions {
-            min_threads: 16,
-            max_threads: 32,
-            ..GeneratorOptions::default()
-        });
+        let generator = cli.generator(32);
         CellCampaign::new(bodies, &generator, configs, exec)
     }
 

@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 
 use bench::{Cli, Source};
-use clsmith::{GenMode, GeneratorOptions};
+use clsmith::GenMode;
 use fuzz_harness::{
     render_campaign_table, Campaign, CampaignOptions, ModeCampaign, MultiModeTally,
 };
@@ -40,11 +40,7 @@ impl bench::Table for Table4 {
     fn build(cli: &Cli, configs: &[Configuration], exec: ExecOptions) -> ModeCampaign {
         let options = CampaignOptions {
             kernels: cli.scale_arg(0, "kernels per mode", 20),
-            generator: cli.generator_or(GeneratorOptions {
-                min_threads: 16,
-                max_threads: 64,
-                ..GeneratorOptions::default()
-            }),
+            generator: cli.generator(64),
             exec,
             ..CampaignOptions::default()
         };

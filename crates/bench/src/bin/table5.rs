@@ -7,11 +7,12 @@
 //! and `--paper-scale` generates base kernels at the paper's 100–10 000
 //! work-item scale).
 //!
-//! The job space is the live-base index space (every process that runs
-//! jobs — a shard, a coordinator, each fleet worker — probes the cheap base
-//! list once, deterministically, then judges only its jobs).
-//! `table5 merge J1 [J2 ...]` merges shard journals into the table without
-//! re-probing or re-judging anything.
+//! The job space is the live-base index space.  Only a process that starts
+//! the campaign — a plain run, a shard, a coordinator — probes for the live
+//! bases, deterministically; their candidate indices go into every journal
+//! header, so fleet workers rebuild the campaign from the coordinator's
+//! header without probing, and `table5 merge J1 [J2 ...]` merges shard
+//! journals into the table without re-probing or re-judging anything.
 //!
 //! `table5 coordinate [bases] [variants] --fleet-dir DIR [--workers N]
 //! [--faults SPEC] [--follow]` runs the same campaign as a crash-tolerant
@@ -22,7 +23,6 @@
 use std::fmt::Write as _;
 
 use bench::{Cli, Source};
-use clsmith::GeneratorOptions;
 use fuzz_harness::{
     render_emi_table, Campaign, CampaignOptions, EmiCampaign, EmiCampaignOptions, EmiTally,
 };
@@ -43,11 +43,7 @@ impl bench::Table for Table5 {
             bases: cli.scale_arg(0, "bases", 4),
             variants_per_base: cli.scale_arg(1, "variants per base", 10),
             campaign: CampaignOptions {
-                generator: cli.generator_or(GeneratorOptions {
-                    min_threads: 16,
-                    max_threads: 64,
-                    ..GeneratorOptions::default()
-                }),
+                generator: cli.generator(64),
                 exec,
                 ..CampaignOptions::default()
             },

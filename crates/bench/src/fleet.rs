@@ -1,19 +1,20 @@
 //! Fleet-mode glue shared by the campaign binaries.
 //!
 //! A binary becomes a fleet by re-invoking itself: `<binary> coordinate …`
-//! partitions the campaign's job space and spawns `<binary> worker …`
-//! children (over stdin/stdout, via [`ProcessWorker`]), each of which
-//! builds the campaign once and runs leases through
-//! [`fuzz_harness::run_lease`].  The coordinator's stdout is exactly what
-//! `<binary> merge <lease journals…>` would print, so a fleet run — even one
-//! riddled with injected faults — can be byte-diffed against a fault-free
-//! batch run's merged table.
+//! writes its campaign's journal header into the fleet directory,
+//! partitions the job space and spawns `<binary> worker …` children (over
+//! stdin/stdout, via [`ProcessWorker`]), each of which rebuilds the
+//! campaign from that header without running a kernel and runs leases
+//! through [`fuzz_harness::run_lease`].  The coordinator's stdout is exactly
+//! what `<binary> merge <lease journals…>` would print, so a fleet run —
+//! even one riddled with injected faults — can be byte-diffed against a
+//! fault-free batch run's merged table.
 //!
-//! Fault injection (`--faults SPEC` or `CLFUZZ_FAULTS`) is resolved by the
-//! *workers*: each worker derives the same deterministic [`FaultPlan`] from
-//! the campaign seed and enacts its share per lease — truncating the lease
-//! at the fault's job index and then aborting (kill), tearing the journal
-//! tail first (torn), or going silent so the coordinator's journal-growth
+//! Fault injection (`--faults SPEC`) is resolved by the *workers*: each
+//! worker derives the same deterministic [`FaultPlan`] from the campaign
+//! seed and enacts its share per lease — truncating the lease at the
+//! fault's job index and then aborting (kill), tearing the journal tail
+//! first (torn), or going silent so the coordinator's journal-growth
 //! liveness check must revoke the lease (hang).  Store I/O faults install
 //! the `opencl_sim::store` hook instead.  The coordinator only writes the
 //! resolved schedule to `<fleet-dir>/faults.log` for the record.
@@ -26,8 +27,8 @@ use std::time::Duration;
 use fuzz_harness::faults::{FaultKind, FaultPlan, FaultSpec, LeaseFault};
 use fuzz_harness::fleet::append_worker_log;
 use fuzz_harness::{
-    run_lease, run_worker, tear_journal_tail, Campaign, Coordinator, FleetOptions, FleetOutcome,
-    LeaseRecord, ProcessWorker, WorkerLink,
+    load_journal, run_lease, run_worker, tear_journal_tail, Campaign, Coordinator, FleetOptions,
+    FleetOutcome, JournalWriter, LeaseRecord, ProcessWorker, ShardSelect, ShardSpec, WorkerLink,
 };
 use opencl_sim::Configuration;
 
@@ -37,12 +38,15 @@ use crate::{fail, merged_table, report_refold_summary, usage_error, Cli, Table};
 /// (dead-lettered) ranges: the table printed, but it has gaps.
 pub const FLEET_EXIT_QUARANTINE: i32 = 4;
 
+/// The file in the fleet directory holding the campaign's journal header.
+const CAMPAIGN_HEADER: &str = "campaign.journal";
+
 /// The coordinator options implied by the fleet flags.  `--fleet-dir` is
-/// required: lease journals, `fleet.log`, `dead-letters.log`, and
-/// `faults.log` all live there.
+/// required: the campaign header, lease journals, `fleet.log`,
+/// `dead-letters.log`, and `faults.log` all live there.
 pub fn fleet_options(cli: &Cli) -> FleetOptions {
     let Some(journal_dir) = cli.fleet.fleet_dir.clone() else {
-        usage_error("coordinate requires --fleet-dir PATH");
+        usage_error("coordinate and worker require --fleet-dir PATH");
     };
     FleetOptions {
         workers: cli.fleet.workers,
@@ -55,32 +59,23 @@ pub fn fleet_options(cli: &Cli) -> FleetOptions {
     }
 }
 
-/// The flags a coordinator forwards to its `worker` re-invocations so both
-/// sides derive the same campaign (generator scale, store, fault plan,
-/// scheduler shape).
+/// The deployment flags a coordinator forwards to its `worker`
+/// re-invocations besides the fleet directory: store, fault plan and
+/// scheduler shape.
 pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
-    let mut flags = Vec::new();
-    if cli.paper_scale {
-        flags.push("--paper-scale".to_string());
-    }
-    if cli.no_store {
-        flags.push("--no-store".to_string());
-    }
-    if let Some(store) = &cli.store {
-        flags.push(format!("--store={}", store.display()));
-    }
-    if let Some(spec) = &cli.fleet.faults {
-        flags.push(format!("--faults={spec}"));
-    }
-    flags.push(format!("--threads={}", cli.scheduler.threads()));
+    let mut flags = vec![format!("--threads={}", cli.scheduler.threads())];
+    flags.extend(cli.no_store.then(|| "--no-store".to_string()));
+    flags.extend(cli.store.iter().map(|s| format!("--store={}", s.display())));
+    flags.extend(cli.fleet.faults.iter().map(|f| format!("--faults={f}")));
     flags
 }
 
-/// Runs the coordinator side and exits: spawns `worker` re-invocations of
-/// this binary with the same scale arguments, leases the campaign's job
-/// space to them, then prints the merge of the completed lease journals.
-/// Writes the resolved fault schedule to `faults.log` first so chaos runs
-/// leave an auditable record even if the fleet dies.
+/// Runs the coordinator side and exits: writes the campaign's header into
+/// the fleet directory, spawns `worker` re-invocations of this binary,
+/// leases the campaign's job space to them, then prints the merge of the
+/// completed lease journals.  Writes the resolved fault schedule to
+/// `faults.log` first so chaos runs leave an auditable record even if the
+/// fleet dies.
 ///
 /// Under `--follow` every coordinator event streams to stderr, and the
 /// partial table re-renders from the completed lease journals after every
@@ -88,13 +83,20 @@ pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
 /// journals of completed leases (the same ones the final merge reads), so
 /// a live rendering failure is reported but never aborts the fleet.
 pub fn coordinate<T: Table>(cli: &Cli, campaign: &T::Campaign, configs: &[Configuration]) -> ! {
-    let mut worker_args = vec!["worker".to_string()];
-    worker_args.extend(cli.positional.iter().cloned());
+    let options = fleet_options(cli);
+    let fleet_dir = format!("--fleet-dir={}", options.journal_dir.display());
+    let mut worker_args = vec!["worker".to_string(), fleet_dir];
     worker_args.extend(forwarded_worker_flags(cli));
     let (campaign_seed, total_jobs) = (campaign.seed(), campaign.total_jobs());
-    let options = fleet_options(cli);
     let mut coordinator = Coordinator::new(options.clone(), total_jobs).unwrap_or_else(|e| fail(e));
-    let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
+    let header = ShardSpec::select(campaign_seed, total_jobs, ShardSelect::whole());
+    let header = header.header(&campaign.descriptor());
+    let written = JournalWriter::create(&options.journal_dir.join(CAMPAIGN_HEADER), &header);
+    written
+        .and_then(JournalWriter::finish)
+        .unwrap_or_else(|e| fail(e));
+    let spec =
+        FaultSpec::parse(cli.fleet.faults.as_deref().unwrap_or("")).unwrap_or_else(|e| fail(e));
     let plan = FaultPlan::resolve(&spec, campaign_seed, total_jobs);
     if let Ok(mut log) = std::fs::File::create(options.journal_dir.join("faults.log")) {
         let _ = writeln!(log, "campaign-seed {campaign_seed:016x} jobs {total_jobs}");
@@ -184,12 +186,21 @@ pub fn report_fleet_outcome(outcome: &FleetOutcome) -> i32 {
     FLEET_EXIT_QUARANTINE
 }
 
-/// Runs the worker side: serves leases of `campaign` from stdin until the
-/// coordinator hangs up, enacting this worker's share of the deterministic
-/// fault plan (a scheduled fault truncates its lease at the fault's job
-/// index).  Never returns normally except through process exit.
-pub fn worker_loop<C: Campaign>(cli: &Cli, campaign: &C) -> ! {
-    let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
+/// Runs the worker side: rebuilds the campaign over `configs` from the
+/// header in the fleet directory, then serves its leases from stdin until
+/// the coordinator hangs up, enacting this worker's share of the
+/// deterministic fault plan (a scheduled fault truncates its lease at the
+/// fault's job index).  Never returns normally except through process exit.
+pub fn worker_loop<T: Table>(cli: &Cli, configs: &[Configuration]) -> ! {
+    if !cli.positional.is_empty() || cli.paper_scale {
+        usage_error("worker takes no scale argument and no --paper-scale");
+    }
+    let path = fleet_options(cli).journal_dir.join(CAMPAIGN_HEADER);
+    let campaign = load_journal(&path)
+        .and_then(|journal| T::Campaign::parse(&journal.header, configs, cli.exec_options()))
+        .unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
+    let spec =
+        FaultSpec::parse(cli.fleet.faults.as_deref().unwrap_or("")).unwrap_or_else(|e| fail(e));
     let plan = FaultPlan::resolve(&spec, campaign.seed(), campaign.total_jobs());
     plan.install_store_faults();
     let stdin = std::io::stdin();
@@ -200,7 +211,7 @@ pub fn worker_loop<C: Campaign>(cli: &Cli, campaign: &C) -> ! {
         let fault = plan.lease_action(&(lease.start..lease.end), lease.attempt);
         let stop_before = fault.as_ref().map(|f| f.stop_before);
         let run =
-            run_lease(&cli.scheduler, campaign, lease, stop_before).map_err(|e| e.to_string())?;
+            run_lease(&cli.scheduler, &campaign, lease, stop_before).map_err(|e| e.to_string())?;
         if let Some(fault) = fault {
             enact_lease_fault(&fault, lease);
         }

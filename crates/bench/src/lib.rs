@@ -23,8 +23,9 @@
 //!   record from a mid-write kill is detected by checksum and dropped);
 //! * `<binary> merge J1 [J2 ...]` merges any subset of shard or lease
 //!   journals into the (full or partial) table without re-running anything;
-//! * `<binary> coordinate …` and `<binary> worker …` run the campaign as a
-//!   crash-tolerant worker fleet (see [`fleet`]).
+//! * `<binary> coordinate …` runs the campaign as a crash-tolerant fleet
+//!   of `<binary> worker` processes, which rebuild it from the header the
+//!   coordinator writes into the fleet directory (see [`fleet`]).
 //!
 //! Every table binary also speaks the cross-campaign outcome store:
 //! `--store PATH` points executions at an on-disk outcome cache shared
@@ -57,11 +58,11 @@ pub trait Table {
     /// How many scale positionals the binary takes (kernels per mode,
     /// bases, ...); a run given more is a usage error.
     const SCALE_ARGS: usize;
-    /// The configurations the table covers; merges validate journals
-    /// against them.
+    /// The configurations the table covers; merges and fleet workers
+    /// parse journal headers against them.
     fn configs() -> Vec<Configuration>;
     /// Builds the campaign from the scale positionals of `cli` (any
-    /// `coordinate`/`worker` subcommand already removed).
+    /// `coordinate` subcommand already removed).
     fn build(cli: &Cli, configs: &[Configuration], exec: ExecOptions) -> Self::Campaign;
     /// Renders the (full or partial) table of `tally`.
     fn render(
@@ -101,6 +102,9 @@ pub fn run<T: Table>() {
         Some("coordinate" | "worker") => Some(cli.positional.remove(0)),
         _ => None,
     };
+    if role.as_deref() == Some("worker") {
+        fleet::worker_loop::<T>(&cli, &configs);
+    }
     if let Some(extra) = cli.positional.get(T::SCALE_ARGS) {
         usage_error(format!(
             "unexpected argument {extra:?}: this binary takes at most {} scale argument(s), \
@@ -110,10 +114,8 @@ pub fn run<T: Table>() {
     }
     let exec = cli.exec_options();
     let campaign = T::build(&cli, &configs, exec.clone());
-    match role.as_deref() {
-        Some("worker") => fleet::worker_loop(&cli, &campaign),
-        Some(_) => fleet::coordinate::<T>(&cli, &campaign, &configs),
-        None => {}
+    if role.is_some() {
+        fleet::coordinate::<T>(&cli, &campaign, &configs);
     }
     let journal = cli.journal_options();
     let run = run_shard(&cli.scheduler, &campaign, cli.shard, journal.as_ref())
@@ -182,10 +184,10 @@ pub struct FleetCliOptions {
     pub lease_timeout_ms: u64,
     /// Re-lease attempts before a range is quarantined (`--max-retries N`).
     pub max_retries: u32,
-    /// Directory for lease journals and fleet logs (`--fleet-dir PATH`;
-    /// required by `coordinate`).
+    /// Directory for the campaign header, lease journals and fleet logs
+    /// (`--fleet-dir PATH`; required by `coordinate` and `worker`).
     pub fleet_dir: Option<PathBuf>,
-    /// Fault-injection spec (`--faults SPEC`; `CLFUZZ_FAULTS` overrides).
+    /// Fault-injection spec (`--faults SPEC`).
     pub faults: Option<String>,
     /// Whether `--follow` was given: stream fleet events to stderr live.
     pub follow: bool,
@@ -219,14 +221,17 @@ impl Cli {
     }
 
     /// The base generator options selected by the flags: the paper's
-    /// generation scale under `--paper-scale`, otherwise the given fast
-    /// default.  Mode and seed are overridden per kernel by the campaign
-    /// drivers either way.
-    pub fn generator_or(&self, fast_default: GeneratorOptions) -> GeneratorOptions {
+    /// generation scale under `--paper-scale`, otherwise the fast default of
+    /// 16 to `max_threads` work-items.  Mode and seed are overridden per
+    /// kernel by the campaign drivers either way.
+    pub fn generator(&self, max_threads: usize) -> GeneratorOptions {
         if self.paper_scale {
-            GeneratorOptions::paper_scale(GenMode::All, 0)
-        } else {
-            fast_default
+            return GeneratorOptions::paper_scale(GenMode::All, 0);
+        }
+        GeneratorOptions {
+            min_threads: 16,
+            max_threads,
+            ..GeneratorOptions::default()
         }
     }
 

@@ -12,7 +12,7 @@ use std::process::{Command, Output};
 
 use fuzz_harness::checksum;
 
-/// The campaign binary `name` with no ambient store or fault plan.
+/// The campaign binary `name` with no ambient store.
 fn bare_bin(name: &str) -> Command {
     let mut cmd = Command::new(match name {
         "table1" => env!("CARGO_BIN_EXE_table1"),
@@ -21,7 +21,7 @@ fn bare_bin(name: &str) -> Command {
         "table5" => env!("CARGO_BIN_EXE_table5"),
         other => panic!("no campaign binary {other}"),
     });
-    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
+    for var in ["CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
         cmd.env_remove(var);
     }
     cmd
@@ -86,17 +86,51 @@ fn assert_journal_error(out: Output, what: &str) {
 
 #[test]
 fn stray_arguments_are_usage_errors() {
-    let cases: [(&str, &[&str]); 5] = [
+    let cases: [(&str, &[&str]); 8] = [
         ("table4", &["2", "merge"]),
         ("table5", &["2", "1", "7"]),
         ("table1", &["1", "bogus"]),
         ("table4", &["1", "--checkpoint-every", "16"]),
         ("table4", &["worker", "1", "--checkpoint-every=16"]),
+        // A worker's campaign comes from the header in its fleet
+        // directory, so it takes no scale and no --paper-scale.
+        ("table5", &["worker", "1", "--fleet-dir", "unused"]),
+        (
+            "table5",
+            &["worker", "--paper-scale", "--fleet-dir", "unused"],
+        ),
+        (
+            "table1",
+            &["worker", "2", "--paper-scale", "--fleet-dir", "unused"],
+        ),
     ];
     for (bin, args) in cases {
         let out = campaign_bin(bin).args(args).output().expect("spawn");
         assert_error(out, 2, &format!("{bin} {}", args.join(" ")));
     }
+}
+
+/// A journal in the v2 format, whose descriptors fingerprinted the
+/// generator options instead of naming them, is refused like any other
+/// journal without a valid header.
+#[test]
+fn v2_journals_are_errors_in_merge_and_resume() {
+    let dir = std::env::temp_dir().join(format!("clfuzz-hostile-v2-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create scratch dir");
+    let mut v2 = header_fields("table4", &["1"], &dir);
+    assert_eq!(v2[1], "3", "this build writes v3 journals");
+    v2[1] = "2".to_string();
+    let journal = write_journal(&dir, "v2.journal", &v2, &record(0, &"k".repeat(20)));
+    let merge = campaign_bin("table4").arg("merge").arg(&journal).output();
+    let stderr = assert_error(merge.expect("spawn merge"), 1, "table4 merge v2");
+    assert!(stderr.contains("no valid journal header"), "{stderr}");
+    let resume = campaign_bin("table4")
+        .args(["1", "--resume", "--journal"])
+        .arg(&journal)
+        .output();
+    assert_journal_error(resume.expect("spawn resume"), "table4 resume v2");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

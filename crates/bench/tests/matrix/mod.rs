@@ -466,7 +466,7 @@ fn reference<C: Campaign<Tally: Debug>>(subject: &Subject<C>, dir: &Path) -> Obs
 }
 
 /// The campaign binary `name`, its tier chosen by `CLC_INTERP_TIER`, with
-/// no ambient store or fault plan.
+/// no ambient store.
 pub fn campaign_bin(name: &str, tier: ExecutionTier) -> Command {
     let mut cmd = Command::new(match name {
         "table1" => env!("CARGO_BIN_EXE_table1"),
@@ -475,7 +475,7 @@ pub fn campaign_bin(name: &str, tier: ExecutionTier) -> Command {
         "table5" => env!("CARGO_BIN_EXE_table5"),
         other => panic!("no campaign binary {other}"),
     });
-    for var in ["CLFUZZ_FAULTS", "CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
+    for var in ["CLFUZZ_STORE", "CLFUZZ_STORE_CAP"] {
         cmd.env_remove(var);
     }
     cmd.env("CLC_INTERP_TIER", tier.name());

@@ -62,6 +62,6 @@ fn journals_are_self_describing_and_versioned() {
     assert_eq!(loaded.header.shard_count, 2);
     assert_eq!(loaded.records.len(), 4, "shard 1/2 of 8 jobs holds 4");
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("CLFUZZ-JOURNAL 2 "));
+    assert!(text.starts_with("CLFUZZ-JOURNAL 3 "));
     let _ = std::fs::remove_dir_all(&dir);
 }

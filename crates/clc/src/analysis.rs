@@ -24,10 +24,6 @@ pub struct Features {
     /// A struct whose first field is `char`/`uchar` and whose second field is
     /// wider (Figure 1(a); the AMD struct bug).
     pub struct_char_then_wider: bool,
-    /// Any struct or union definition exists.
-    pub uses_structs: bool,
-    /// Any union definition exists.
-    pub uses_unions: bool,
     /// A union appears nested inside a struct initialiser (Figure 2(a)).
     pub union_in_initializer: bool,
     /// A vector type appears as a struct field (Figure 1(c); Altera ICE).
@@ -43,9 +39,6 @@ pub struct Features {
     pub max_struct_cells: usize,
     /// Number of `barrier()` statements.
     pub barrier_count: usize,
-    /// A barrier appears inside a helper function (not directly in the
-    /// kernel body).
-    pub barrier_in_callee: bool,
     /// A barrier appears inside a *forward declared* helper function
     /// (Figure 2(c)).
     pub barrier_in_forward_declared_callee: bool,
@@ -58,16 +51,11 @@ pub struct Features {
     /// A logical (`&&`, `||`, `!`) operator is applied to a vector operand
     /// (the Altera front-end rejection described in §6).
     pub vector_logical_op: bool,
-    /// `rotate` builtin is used.
-    pub uses_rotate: bool,
     /// `rotate` is called with a literal zero rotation amount
     /// (Figure 2(b); the Intel constant-folding bug).
     pub rotate_by_zero_literal: bool,
     /// The comma operator appears anywhere.
     pub uses_comma: bool,
-    /// The comma operator appears in a loop or `if` condition
-    /// (Figure 2(f); the Oclgrind bug).
-    pub comma_in_condition: bool,
     /// A group id appears as an operand of a comparison (Figure 2(e)).
     pub group_id_in_comparison: bool,
     /// A work-item/group id (which has type `size_t` in OpenCL C) appears as
@@ -80,18 +68,12 @@ pub struct Features {
     /// Largest literal `for` bound enclosing an infinite `while` loop
     /// (Figure 1(e): compile hang when the bound reaches 197).
     pub max_for_bound_over_infinite_loop: i128,
-    /// Any `volatile` declaration or field.
-    pub uses_volatile: bool,
     /// Number of helper functions.
     pub function_count: usize,
     /// Number of loops (`for` + `while`).
     pub loop_count: usize,
     /// Total statement count.
     pub statement_count: usize,
-    /// Number of EMI blocks.
-    pub emi_block_count: usize,
-    /// Number of struct definitions.
-    pub struct_count: usize,
 }
 
 impl Features {
@@ -108,8 +90,6 @@ struct Detector<'p> {
     /// the most recent declaration, which is sufficient for feature
     /// detection).
     var_types: HashMap<String, Type>,
-    /// Set while walking a helper function body (vs the kernel body).
-    in_callee: bool,
     /// Set while walking a forward-declared helper function body.
     forward_declared: bool,
 }
@@ -120,7 +100,6 @@ impl<'p> Detector<'p> {
             program,
             features: Features::default(),
             var_types: HashMap::new(),
-            in_callee: false,
             forward_declared: false,
         }
     }
@@ -130,17 +109,13 @@ impl<'p> Detector<'p> {
         self.collect_var_types();
         self.features.function_count = self.program.functions.len();
         self.features.statement_count = self.program.statement_count();
-        self.features.struct_count = self.program.structs.len();
-        self.features.emi_block_count = self.program.emi_blocks().len();
 
         let program = self.program;
         for f in &program.functions {
-            self.in_callee = true;
             self.forward_declared = f.forward_declared;
             visit::walk_block(&mut self, &f.body, VisitCtx::default());
             self.scan_function_param_writes(f);
         }
-        self.in_callee = false;
         self.forward_declared = false;
         visit::walk_block(&mut self, &program.kernel.body, VisitCtx::default());
         self.features
@@ -148,10 +123,6 @@ impl<'p> Detector<'p> {
 
     fn scan_structs(&mut self) {
         for def in &self.program.structs {
-            self.features.uses_structs = true;
-            if def.is_union {
-                self.features.uses_unions = true;
-            }
             if let (Some(first), Some(second)) = (def.fields.first(), def.fields.get(1)) {
                 if !def.is_union {
                     if let (Type::Scalar(a), Some(b)) = (&first.ty, second.ty.scalar_elem()) {
@@ -161,20 +132,8 @@ impl<'p> Detector<'p> {
                     }
                 }
             }
-            for field in &def.fields {
-                if field.volatile {
-                    self.features.uses_volatile = true;
-                }
-                if field.ty.is_vector() {
-                    self.features.vector_in_struct = true;
-                }
-                if let Type::Struct(inner) = &field.ty {
-                    if self.program.struct_def(*inner).is_union {
-                        // a union nested inside a struct: its initialisation
-                        // via a brace list is the Figure 2(a) pattern.
-                        self.features.uses_unions = true;
-                    }
-                }
+            if def.fields.iter().any(|field| field.ty.is_vector()) {
+                self.features.vector_in_struct = true;
             }
             let cells = Type::Struct(crate::types::StructId(
                 self.program
@@ -199,12 +158,8 @@ impl<'p> Detector<'p> {
         }
         let mut decls: Vec<(String, Type)> = Vec::new();
         self.program.for_each_stmt(&mut |s| {
-            if let Stmt::Decl {
-                name, ty, volatile, ..
-            } = s
-            {
+            if let Stmt::Decl { name, ty, .. } = s {
                 decls.push((name.clone(), ty.clone()));
-                let _ = volatile;
             }
         });
         for (name, ty) in decls {
@@ -320,15 +275,7 @@ impl<'p> Detector<'p> {
 impl Visitor<'_> for Detector<'_> {
     fn enter_stmt(&mut self, stmt: &Stmt, cx: &VisitCtx) {
         match stmt {
-            Stmt::Decl {
-                ty,
-                volatile,
-                init_list,
-                ..
-            } => {
-                if *volatile {
-                    self.features.uses_volatile = true;
-                }
+            Stmt::Decl { ty, init_list, .. } => {
                 if ty.is_vector() {
                     self.features.uses_vectors = true;
                 }
@@ -349,11 +296,8 @@ impl Visitor<'_> for Detector<'_> {
             }
             Stmt::Barrier(_) => {
                 self.features.barrier_count += 1;
-                if self.in_callee {
-                    self.features.barrier_in_callee = true;
-                    if self.forward_declared {
-                        self.features.barrier_in_forward_declared_callee = true;
-                    }
+                if self.forward_declared {
+                    self.features.barrier_in_forward_declared_callee = true;
                 }
                 if cx.in_loop {
                     self.features.barrier_in_loop = true;
@@ -363,7 +307,7 @@ impl Visitor<'_> for Detector<'_> {
         }
     }
 
-    fn enter_expr(&mut self, e: &Expr, cx: &VisitCtx) {
+    fn enter_expr(&mut self, e: &Expr, _: &VisitCtx) {
         match e {
             Expr::VectorLit { .. } => self.features.uses_vectors = true,
             Expr::Unary { op, expr } if *op == UnOp::LNot && self.is_vector_expr(expr) => {
@@ -392,23 +336,13 @@ impl Visitor<'_> for Detector<'_> {
                     self.features.whole_struct_assignment = true;
                 }
             }
-            Expr::Comma { .. } => {
-                self.features.uses_comma = true;
-                if cx.in_condition {
-                    self.features.comma_in_condition = true;
-                }
-            }
+            Expr::Comma { .. } => self.features.uses_comma = true,
             Expr::BuiltinCall { func, args } => {
                 if func.is_atomic() {
                     self.features.atomic_count += 1;
                 }
-                if *func == Builtin::Rotate {
-                    self.features.uses_rotate = true;
-                    if let Some(amount) = args.get(1) {
-                        if is_zero_valued(amount) {
-                            self.features.rotate_by_zero_literal = true;
-                        }
-                    }
+                if *func == Builtin::Rotate && args.get(1).is_some_and(is_zero_valued) {
+                    self.features.rotate_by_zero_literal = true;
                 }
             }
             Expr::Field { base, arrow, .. }
@@ -490,7 +424,6 @@ mod tests {
         ));
         let f = Features::detect(&p);
         assert!(f.struct_char_then_wider);
-        assert!(f.uses_structs);
         assert_eq!(f.max_struct_cells, 2);
     }
 
@@ -509,7 +442,6 @@ mod tests {
             )],
         ));
         let f = Features::detect(&p);
-        assert!(f.uses_unions);
         assert!(f.vector_in_struct);
     }
 
@@ -535,7 +467,6 @@ mod tests {
         });
         let f = Features::detect(&p);
         assert_eq!(f.barrier_count, 2);
-        assert!(f.barrier_in_callee);
         assert!(f.barrier_in_forward_declared_callee);
         assert!(f.barrier_in_loop);
     }
@@ -569,10 +500,8 @@ mod tests {
             Block::of(vec![Stmt::Break]),
         ));
         let f = Features::detect(&p);
-        assert!(f.uses_rotate);
         assert!(f.rotate_by_zero_literal);
         assert!(f.uses_comma);
-        assert!(f.comma_in_condition);
         assert!(f.uses_vectors);
     }
 

@@ -647,12 +647,20 @@ impl Expr {
     }
 
     /// Whether this expression is a syntactically valid assignment target.
+    /// A swizzle is one only when it names each lane at most once, as in
+    /// OpenCL C (`v.s22` is not).
     pub fn is_lvalue(&self) -> bool {
         match self {
             Expr::Var(_) | Expr::Deref(_) => true,
             Expr::Index { base, .. } => base.is_lvalue() || base.is_pointer_like(),
             Expr::Field { base, arrow, .. } => *arrow || base.is_lvalue(),
-            Expr::Swizzle { base, .. } => base.is_lvalue(),
+            Expr::Swizzle { base, lanes } => {
+                let repeats = lanes
+                    .iter()
+                    .enumerate()
+                    .any(|(i, l)| lanes[..i].contains(l));
+                base.is_lvalue() && !repeats
+            }
             _ => false,
         }
     }

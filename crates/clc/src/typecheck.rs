@@ -776,6 +776,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_swizzle_targets_that_name_a_lane_twice() {
+        let assign = |lanes: Vec<u8>| {
+            let target = Expr::Swizzle {
+                base: Box::new(Expr::var("v")),
+                lanes,
+            };
+            let literal = |width: VectorWidth| Expr::VectorLit {
+                elem: ScalarType::UInt,
+                width,
+                parts: vec![Expr::lit(1, ScalarType::UInt); width.lanes()],
+            };
+            let body = Block::of(vec![
+                Stmt::decl(
+                    "v",
+                    Type::Vector(ScalarType::UInt, VectorWidth::W4),
+                    Some(literal(VectorWidth::W4)),
+                ),
+                Stmt::assign(target, literal(VectorWidth::W2)),
+            ]);
+            check_program(&program_with_body(body))
+        };
+        assert!(assign(vec![2, 3]).is_ok());
+        let err = assign(vec![2, 2]).unwrap_err();
+        assert!(err.message.contains("not an lvalue"), "{err}");
+    }
+
+    #[test]
     fn atomic_requires_pointer_to_int() {
         let mut p = program_with_body(Block::new());
         p.kernel.params.push(Param::new(

@@ -206,6 +206,121 @@ impl GeneratorOptions {
         self.emi = Some(EmiOptions::default());
         self
     }
+
+    /// Checks that the generator can run these options in every mode: at
+    /// least one work-item and a non-empty range to draw the count from, a
+    /// permutation row to draw for each sync point, and, with EMI on, a
+    /// `dead` array of at least two entries (a guard compares two of them)
+    /// and a non-empty range of block counts.
+    pub fn check(&self) -> Result<(), String> {
+        let emi_ok = self
+            .emi
+            .as_ref()
+            .is_none_or(|e| e.dead_len >= 2 && e.min_blocks <= e.max_blocks);
+        if self.min_threads == 0
+            || self.min_threads >= self.max_threads
+            || self.permutation_rows == 0
+            || !emi_ok
+        {
+            return Err(format!("the generator cannot run options {self:?}"));
+        }
+        Ok(())
+    }
+
+    /// The options a kernel depends on besides its mode and seed, as
+    /// numbers: the sizes in declaration order, from `min_threads` to
+    /// `permutation_rows`, then with EMI on `dead_len`, `min_blocks`,
+    /// `max_blocks` and `allow_infinite_loops` (0 or 1).  The patterns are
+    /// exhaustive, so a new option cannot be left out.
+    pub fn sizes(&self) -> Vec<usize> {
+        let GeneratorOptions {
+            seed: _,
+            mode: _,
+            min_threads,
+            max_threads,
+            max_group_size,
+            global_fields,
+            extra_structs,
+            helper_functions,
+            block_statements,
+            max_block_depth,
+            max_expr_depth,
+            barrier_sync_points,
+            atomic_sections,
+            atomic_reductions,
+            permutation_rows,
+            ref emi,
+        } = *self;
+        let mut sizes = vec![
+            min_threads,
+            max_threads,
+            max_group_size,
+            global_fields,
+            extra_structs,
+            helper_functions,
+            block_statements,
+            max_block_depth,
+            max_expr_depth,
+            barrier_sync_points,
+            atomic_sections,
+            atomic_reductions,
+            permutation_rows,
+        ];
+        if let Some(EmiOptions {
+            dead_len,
+            min_blocks,
+            max_blocks,
+            allow_infinite_loops,
+        }) = *emi
+        {
+            sizes.extend([
+                dead_len,
+                min_blocks,
+                max_blocks,
+                allow_infinite_loops.into(),
+            ]);
+        }
+        sizes
+    }
+
+    /// The options whose [sizes](GeneratorOptions::sizes) are `sizes`, with
+    /// the default mode and seed, or an error when the list is not such a
+    /// list or names options the generator cannot run
+    /// ([`GeneratorOptions::check`]).
+    pub fn from_sizes(sizes: &[usize]) -> Result<GeneratorOptions, String> {
+        let emi = match *sizes {
+            [_, _, _, _, _, _, _, _, _, _, _, _, _] => None,
+            [.., dead_len, min_blocks, max_blocks, infinite @ (0 | 1)] if sizes.len() == 17 => {
+                Some(EmiOptions {
+                    dead_len,
+                    min_blocks,
+                    max_blocks,
+                    allow_infinite_loops: infinite == 1,
+                })
+            }
+            _ => return Err(format!("{sizes:?} are not generator option sizes")),
+        };
+        let options = GeneratorOptions {
+            seed: 0,
+            mode: GenMode::Basic,
+            min_threads: sizes[0],
+            max_threads: sizes[1],
+            max_group_size: sizes[2],
+            global_fields: sizes[3],
+            extra_structs: sizes[4],
+            helper_functions: sizes[5],
+            block_statements: sizes[6],
+            max_block_depth: sizes[7],
+            max_expr_depth: sizes[8],
+            barrier_sync_points: sizes[9],
+            atomic_sections: sizes[10],
+            atomic_reductions: sizes[11],
+            permutation_rows: sizes[12],
+            emi,
+        };
+        options.check()?;
+        Ok(options)
+    }
 }
 
 /// Probabilities for the three EMI pruning strategies (§5).
@@ -323,5 +438,83 @@ mod tests {
         assert_eq!(paper.max_threads, 10_000);
         let emi = GeneratorOptions::new(GenMode::Basic, 3).with_emi();
         assert!(emi.emi.is_some());
+    }
+
+    #[test]
+    fn sizes_round_trip_and_refuse_what_the_generator_cannot_run() {
+        let emi = GeneratorOptions {
+            emi: Some(EmiOptions {
+                allow_infinite_loops: true,
+                ..EmiOptions::default()
+            }),
+            ..GeneratorOptions::default()
+        };
+        for options in [GeneratorOptions::default(), emi] {
+            assert_eq!(GeneratorOptions::from_sizes(&options.sizes()), Ok(options));
+        }
+        let paper = GeneratorOptions::paper_scale(GenMode::All, 7);
+        let parsed = GeneratorOptions::from_sizes(&paper.sizes()).unwrap();
+        assert_eq!(parsed.sizes(), paper.sizes());
+        let mut zero_threads = paper.sizes();
+        zero_threads[0] = 0;
+        for bad in [&zero_threads[..], &[1, 2], &[0; 17]] {
+            assert!(GeneratorOptions::from_sizes(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Every option at 0, 1 and 2 in turn, with EMI off and on: `check`
+    /// refuses exactly the options on which the generator panics.
+    #[test]
+    fn check_refuses_exactly_the_options_the_generator_cannot_run() {
+        let base = GeneratorOptions {
+            min_threads: 2,
+            max_threads: 4,
+            ..GeneratorOptions::default()
+        };
+        let fields: [fn(&mut GeneratorOptions) -> &mut usize; 16] = [
+            |o| &mut o.min_threads,
+            |o| &mut o.max_threads,
+            |o| &mut o.max_group_size,
+            |o| &mut o.global_fields,
+            |o| &mut o.extra_structs,
+            |o| &mut o.helper_functions,
+            |o| &mut o.block_statements,
+            |o| &mut o.max_block_depth,
+            |o| &mut o.max_expr_depth,
+            |o| &mut o.barrier_sync_points,
+            |o| &mut o.atomic_sections,
+            |o| &mut o.atomic_reductions,
+            |o| &mut o.permutation_rows,
+            |o| &mut o.emi.as_mut().unwrap().dead_len,
+            |o| &mut o.emi.as_mut().unwrap().min_blocks,
+            |o| &mut o.emi.as_mut().unwrap().max_blocks,
+        ];
+        let mut refused = 0;
+        for (index, field) in fields.iter().enumerate() {
+            let emi = index >= 13;
+            for value in 0..3 {
+                let mut options = if emi {
+                    base.clone().with_emi()
+                } else {
+                    base.clone()
+                };
+                *field(&mut options) = value;
+                let runs = GenMode::ALL.iter().all(|&mode| {
+                    (0..4).all(|seed| {
+                        let options = GeneratorOptions {
+                            mode,
+                            seed,
+                            ..options.clone()
+                        };
+                        std::panic::catch_unwind(|| crate::generate(&options)).is_ok()
+                    })
+                });
+                assert_eq!(options.check().is_ok(), runs, "{options:?}");
+                refused += usize::from(!runs);
+            }
+        }
+        // `min_threads` 0, `max_threads` 0–2, `permutation_rows` 0,
+        // `dead_len` 0–1 and `max_blocks` 0.
+        assert_eq!(refused, 8);
     }
 }

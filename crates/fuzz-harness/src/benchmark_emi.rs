@@ -9,7 +9,7 @@
 //! runs it over the Parboil/Rodinia miniatures × configurations grid, one
 //! job per cell.
 
-use crate::campaign::{generator_fingerprint, parsed_options};
+use crate::campaign::{descriptor_fields, descriptor_number, generator_field, parse_generator};
 use crate::exec::StagedJob;
 use crate::journal::{checksum, JournalError, JournalHeader};
 use crate::shard::{Campaign, JournalPayload};
@@ -17,7 +17,7 @@ use clsmith::emi::{inject_emi_blocks, InjectionOptions};
 use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecOptions, OptLevel, Session, TestOutcome};
 use parboil_rodinia::table3_benchmarks;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A benchmark prepared for EMI testing.
 #[derive(Debug, Clone)]
@@ -273,9 +273,12 @@ pub fn evaluate_benchmark(
 /// the whole cell is one execute stage (generate and judge pass through).
 #[derive(Debug)]
 pub struct CellJob {
-    benchmark: Arc<EmiBenchmark>,
-    config: Configuration,
-    exec: ExecOptions,
+    /// The benchmark with its EMI bodies.
+    pub benchmark: Arc<EmiBenchmark>,
+    /// The configuration it runs on.
+    pub config: Configuration,
+    /// Execution options.
+    pub exec: ExecOptions,
 }
 
 impl StagedJob for CellJob {
@@ -305,33 +308,28 @@ pub struct Cells(pub Vec<Option<BenchmarkCell>>);
 /// (the `table3_benchmarks` list, rows) × configurations (columns) grid.
 #[derive(Debug)]
 pub struct CellCampaign {
-    /// Bodies per benchmark plus fingerprints of the generator options and
-    /// the cell grid.
-    descriptor: String,
+    /// EMI block bodies per benchmark.
+    bodies: usize,
+    /// The generator options the bodies' donor kernels are drawn with.
+    generator: GeneratorOptions,
     /// The benchmark names, in row order.
     pub names: Vec<String>,
     /// The configurations, in column order.
     pub configs: Vec<Configuration>,
-    /// The benchmarks with their EMI bodies (empty when parsed).
-    benchmarks: Vec<Arc<EmiBenchmark>>,
+    /// The benchmarks with their EMI bodies, built by the first job, so a
+    /// campaign that is only merged never generates a donor.
+    benchmarks: OnceLock<Vec<Arc<EmiBenchmark>>>,
     exec: ExecOptions,
 }
 
 /// Fingerprint token of the benchmark × configuration grid, embedded in
-/// the campaign descriptor and re-validated on merge so journals recorded
-/// over a different grid (reordered configurations, changed benchmark
-/// list) cannot silently land under the wrong rows/columns.
+/// the campaign descriptor so journals recorded over a different grid
+/// (reordered configurations, changed benchmark list) cannot silently land
+/// under the wrong rows/columns.
 fn grid_token(names: &[String], configs: &[Configuration]) -> String {
     let config_ids: Vec<String> = configs.iter().map(|c| c.id.to_string()).collect();
     let grid = format!("{}\n---\n{}", names.join("\n"), config_ids.join("\n"));
     format!("grid{:016x}", checksum(grid.as_bytes()))
-}
-
-fn benchmark_names() -> Vec<String> {
-    table3_benchmarks()
-        .iter()
-        .map(|b| b.name.to_string())
-        .collect()
 }
 
 impl CellCampaign {
@@ -345,47 +343,49 @@ impl CellCampaign {
         configs: &[Configuration],
         exec: ExecOptions,
     ) -> CellCampaign {
-        let donor_bodies: Vec<clc::Block> = (0..bodies)
-            .map(|i| {
-                let donor = generate(
-                    &GeneratorOptions {
-                        mode: GenMode::Basic,
-                        seed: 900 + i as u64,
-                        ..generator.clone()
-                    }
-                    .with_emi(),
-                );
-                donor
-                    .emi_blocks()
-                    .first()
-                    .map(|b| b.body.clone())
-                    .unwrap_or_default()
-            })
-            .collect();
-        let benchmarks = table3_benchmarks()
-            .into_iter()
-            .map(|bench| {
-                Arc::new(EmiBenchmark {
-                    name: bench.name.to_string(),
-                    program: bench.program,
-                    bodies: donor_bodies.clone(),
-                    injection_points: 1,
-                })
-            })
-            .collect();
-        let names = benchmark_names();
-        let descriptor = format!(
-            "table3:bodies{bodies}:gen{:016x}:{}",
-            generator_fingerprint(generator),
-            grid_token(&names, configs)
-        );
+        let names = table3_benchmarks().into_iter().map(|b| b.name.to_string());
         CellCampaign {
-            descriptor,
-            names,
+            bodies,
+            generator: generator.clone(),
+            names: names.collect(),
             configs: configs.to_vec(),
-            benchmarks,
+            benchmarks: OnceLock::new(),
             exec,
         }
+    }
+
+    /// The benchmarks, each with the campaign's donor bodies.
+    fn benchmarks(&self) -> &[Arc<EmiBenchmark>] {
+        self.benchmarks.get_or_init(|| {
+            let donor_bodies: Vec<clc::Block> = (0..self.bodies)
+                .map(|i| {
+                    let donor = generate(
+                        &GeneratorOptions {
+                            mode: GenMode::Basic,
+                            seed: 900 + i as u64,
+                            ..self.generator.clone()
+                        }
+                        .with_emi(),
+                    );
+                    donor
+                        .emi_blocks()
+                        .first()
+                        .map(|b| b.body.clone())
+                        .unwrap_or_default()
+                })
+                .collect();
+            table3_benchmarks()
+                .into_iter()
+                .map(|bench| {
+                    Arc::new(EmiBenchmark {
+                        name: bench.name.to_string(),
+                        program: bench.program,
+                        bodies: donor_bodies.clone(),
+                        injection_points: 1,
+                    })
+                })
+                .collect()
+        })
     }
 }
 
@@ -393,26 +393,26 @@ impl Campaign for CellCampaign {
     type Job = CellJob;
     type Tally = Cells;
 
+    /// Bodies per benchmark, the donors' generator options and a
+    /// fingerprint of the cell grid.
     fn descriptor(&self) -> String {
-        self.descriptor.clone()
+        format!(
+            "table3:bodies{}:{}:{}",
+            self.bodies,
+            generator_field(&self.generator),
+            grid_token(&self.names, &self.configs)
+        )
     }
 
-    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
-        let names = benchmark_names();
-        let descriptor = header.campaign.clone();
-        if !descriptor.starts_with("table3:") || !descriptor.ends_with(&grid_token(&names, configs))
-        {
-            return Err(JournalError::Mismatch(format!(
-                "campaign {descriptor:?} is not Table 3 over this build's cell grid"
-            )));
-        }
-        Ok(CellCampaign {
-            descriptor,
-            names,
-            configs: configs.to_vec(),
-            benchmarks: Vec::new(),
-            exec: parsed_options(0, 0).exec,
-        })
+    fn decode(
+        header: &JournalHeader,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> Result<Self, JournalError> {
+        let [bodies, generator, _] = descriptor_fields(&header.campaign, "table3")?;
+        let bodies = descriptor_number(bodies, "bodies")?;
+        let generator = parse_generator(generator)?;
+        Ok(CellCampaign::new(bodies, &generator, configs, exec))
     }
 
     fn seed(&self) -> u64 {
@@ -427,7 +427,7 @@ impl Campaign for CellCampaign {
     fn job(&self, g: u64) -> (u64, CellJob) {
         let cols = self.configs.len() as u64;
         let job = CellJob {
-            benchmark: Arc::clone(&self.benchmarks[(g / cols) as usize]),
+            benchmark: Arc::clone(&self.benchmarks()[(g / cols) as usize]),
             config: self.configs[(g % cols) as usize].clone(),
             exec: self.exec.clone(),
         };

@@ -9,17 +9,8 @@ use crate::shard::{
 };
 use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecOptions, OptLevel, TestOutcome};
+use std::str::FromStr;
 use std::sync::Arc;
-
-/// The options of a campaign [parsed](Campaign::parse) from a journal: its
-/// kernels and seed, the rest defaults, since its jobs never run.
-pub(crate) fn parsed_options(kernels: usize, seed_offset: u64) -> CampaignOptions {
-    CampaignOptions {
-        kernels,
-        seed_offset,
-        ..CampaignOptions::default()
-    }
-}
 
 /// Per-target tallies for a batch of kernels (one cell block of Table 4).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -365,69 +356,117 @@ fn mode_from_token(token: &str) -> Result<GenMode, JournalError> {
         .ok_or_else(|| JournalError::Format(format!("unknown generation mode token {token:?}")))
 }
 
-/// A fingerprint of the base generator options, embedded in campaign
-/// descriptors so shards or resumes run at different generation scales
-/// (e.g. one with `--paper-scale`, one without) refuse to combine.
-/// `GeneratorOptions` is a flat value struct, so its `Debug` form is a
-/// stable serialization.
-pub(crate) fn generator_fingerprint(generator: &GeneratorOptions) -> u64 {
-    checksum(format!("{generator:?}").as_bytes())
+/// The descriptor field of the generator options a job does not set itself
+/// (all but mode and seed): `gen` and their
+/// [sizes](GeneratorOptions::sizes), `.`-separated.
+pub(crate) fn generator_field(generator: &GeneratorOptions) -> String {
+    format!("gen{}", number_list(&generator.sizes()))
 }
 
-/// The self-describing campaign descriptor of a (multi-)mode campaign
-/// journal: the modes, kernels per mode, and fingerprints of the generator
-/// options and target columns.
+/// Decodes a [`generator_field`]; options the generator cannot run are a
+/// format error.
+pub(crate) fn parse_generator(field: &str) -> Result<GeneratorOptions, JournalError> {
+    GeneratorOptions::from_sizes(&descriptor_numbers(field, "gen")?).map_err(JournalError::Format)
+}
+
+/// A kernel campaign's descriptor: its `kind` (with the modes of a mode
+/// campaign), kernels per mode, the prefilter flag, the generator options
+/// and the target columns' fingerprint.
+fn kernel_descriptor(
+    kind: &str,
+    kernels: usize,
+    prefilter: bool,
+    generator: &GeneratorOptions,
+    targets: &[TestTarget],
+) -> String {
+    format!(
+        "{kind}:k{kernels}:p{}:{}:cfg{:016x}",
+        u8::from(prefilter),
+        generator_field(generator),
+        target_fingerprint(targets)
+    )
+}
+
+/// The campaign options a [`kernel_descriptor`]'s fields after its kind
+/// encode, seeded `seed_offset` and executing with `exec` (the target
+/// fingerprint is left to the round trip of [`Campaign::parse`]).
+fn kernel_options(
+    [kernels, prefilter, generator, _]: [&str; 4],
+    seed_offset: u64,
+    exec: ExecOptions,
+) -> Result<CampaignOptions, JournalError> {
+    Ok(CampaignOptions {
+        kernels: descriptor_number(kernels, "k")?,
+        generator: parse_generator(generator)?,
+        exec,
+        seed_offset,
+        // Any flag but `p1` rebuilds as `p0`, which the round trip refuses
+        // unless the field was `p0`.
+        prefilter: descriptor_number::<u8>(prefilter, "p")? == 1,
+    })
+}
+
+/// The kind of a (multi-)mode campaign's descriptor: `modes:` and its
+/// modes.
+fn mode_kind(modes: &[GenMode]) -> String {
+    let names: Vec<String> = modes.iter().map(|m| mode_token(*m)).collect();
+    format!("modes:{}", names.join("+"))
+}
+
+/// The campaign descriptor of a (multi-)mode campaign journal without the
+/// static prefilter: the modes, kernels per mode, the prefilter flag, the
+/// generator options and a fingerprint of the target columns.
 pub fn mode_campaign_descriptor(
     modes: &[GenMode],
     kernels: usize,
     generator: &GeneratorOptions,
     targets: &[TestTarget],
 ) -> String {
-    let names: Vec<String> = modes.iter().map(|m| mode_token(*m)).collect();
-    format!(
-        "modes:{}:k{kernels}:gen{:016x}:cfg{:016x}",
-        names.join("+"),
-        generator_fingerprint(generator),
-        target_fingerprint(targets)
-    )
+    kernel_descriptor(&mode_kind(modes), kernels, false, generator, targets)
 }
 
-/// Splits a campaign descriptor `<kind>:…:gen<fp>:cfg<fp>` of `count`
-/// fields, checking its kind and that it was recorded over `targets`.  (The
-/// generator fingerprint is not re-validated — a merge has no generator
-/// options; journals only merge when their descriptors agree verbatim,
-/// which pins it across shards.)
-pub(crate) fn descriptor_fields<'a>(
+/// The `N` fields after `<kind>:` of a campaign descriptor.
+pub(crate) fn descriptor_fields<'a, const N: usize>(
     descriptor: &'a str,
     kind: &str,
-    count: usize,
-    targets: &[TestTarget],
-) -> Result<Vec<&'a str>, JournalError> {
-    let fields: Vec<&str> = descriptor.split(':').collect();
-    if fields.len() != count || fields[0] != kind || !fields[count - 2].starts_with("gen") {
-        return Err(JournalError::Format(format!(
-            "bad {kind} campaign descriptor {descriptor:?}"
-        )));
-    }
-    let expected = format!("cfg{:016x}", target_fingerprint(targets));
-    if fields[count - 1] != expected {
-        return Err(JournalError::Mismatch(format!(
-            "journal was recorded over a different target set ({} vs {expected})",
-            fields[count - 1]
-        )));
-    }
-    Ok(fields)
+) -> Result<[&'a str; N], JournalError> {
+    let bad = || JournalError::Format(format!("bad {kind} campaign descriptor {descriptor:?}"));
+    let fields = descriptor
+        .strip_prefix(kind)
+        .and_then(|d| d.strip_prefix(':'));
+    let fields: Vec<&str> = fields.ok_or_else(bad)?.split(':').collect();
+    fields.try_into().map_err(|_| bad())
 }
 
-/// The number in a descriptor field, after its one-letter `prefix`.
-pub(crate) fn descriptor_number<T: std::str::FromStr>(
-    field: &str,
-    prefix: char,
-) -> Result<T, JournalError> {
+fn bad_field(field: &str) -> JournalError {
+    JournalError::Format(format!("bad campaign descriptor field {field:?}"))
+}
+
+/// The number in a descriptor field, after its `prefix`.
+pub(crate) fn descriptor_number<T: FromStr>(field: &str, prefix: &str) -> Result<T, JournalError> {
     field
         .strip_prefix(prefix)
         .and_then(|n| n.parse().ok())
-        .ok_or_else(|| JournalError::Format(format!("bad campaign descriptor field {field:?}")))
+        .ok_or_else(|| bad_field(field))
+}
+
+/// The `.`-separated numbers of a descriptor field after its `prefix` (none
+/// when the field is the prefix alone).
+pub(crate) fn descriptor_numbers<T: FromStr>(
+    field: &str,
+    prefix: &str,
+) -> Result<Vec<T>, JournalError> {
+    let list = field.strip_prefix(prefix).ok_or_else(|| bad_field(field))?;
+    let numbers = list.split('.').filter(|_| !list.is_empty());
+    numbers
+        .map(|n| n.parse().map_err(|_| bad_field(field)))
+        .collect()
+}
+
+/// Numbers as a descriptor list, `.`-separated.
+pub(crate) fn number_list<T: ToString>(numbers: &[T]) -> String {
+    let numbers: Vec<String> = numbers.iter().map(T::to_string).collect();
+    numbers.join(".")
 }
 
 /// The size of a job space of `groups` × `per_group` jobs, or an error
@@ -436,20 +475,6 @@ pub(crate) fn job_space(groups: usize, per_group: usize) -> Result<u64, String> 
     (groups as u64)
         .checked_mul(per_group as u64)
         .ok_or_else(|| format!("{groups} × {per_group} jobs do not fit a 64-bit job index"))
-}
-
-/// Parses a [`mode_campaign_descriptor`] back into (modes, kernels per
-/// mode), validating the target fingerprint against `targets`.
-fn parse_mode_campaign_descriptor(
-    descriptor: &str,
-    targets: &[TestTarget],
-) -> Result<(Vec<GenMode>, usize), JournalError> {
-    let fields = descriptor_fields(descriptor, "modes", 5, targets)?;
-    let modes = fields[1].split('+').map(mode_from_token);
-    Ok((
-        modes.collect::<Result<_, _>>()?,
-        descriptor_number(fields[2], 'k')?,
-    ))
 }
 
 /// A sharded (multi-)mode campaign's outcome: per-mode partial results over
@@ -550,23 +575,23 @@ impl Campaign for ModeCampaign {
     type Tally = MultiModeTally;
 
     fn descriptor(&self) -> String {
-        mode_campaign_descriptor(
-            &self.modes,
-            self.options.kernels,
-            &self.options.generator,
-            &self.targets,
-        )
+        let (kind, options) = (mode_kind(&self.modes), &self.options);
+        let (kernels, prefilter) = (options.kernels, options.prefilter);
+        kernel_descriptor(&kind, kernels, prefilter, &options.generator, &self.targets)
     }
 
-    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
-        let targets = targets_for(configs);
-        let (modes, kernels) = parse_mode_campaign_descriptor(&header.campaign, &targets)?;
-        job_space(modes.len(), kernels).map_err(JournalError::Format)?;
-        Ok(ModeCampaign {
-            modes,
-            options: parsed_options(kernels, header.campaign_seed),
-            targets: Arc::new(targets),
-        })
+    fn decode(
+        header: &JournalHeader,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> Result<Self, JournalError> {
+        let [modes, fields @ ..] = descriptor_fields::<5>(&header.campaign, "modes")?;
+        let modes: Vec<GenMode> = modes
+            .split('+')
+            .map(mode_from_token)
+            .collect::<Result<_, _>>()?;
+        let options = kernel_options(fields, header.campaign_seed, exec)?;
+        ModeCampaign::try_new(&modes, configs, &options).map_err(JournalError::Format)
     }
 
     fn seed(&self) -> u64 {
@@ -694,17 +719,15 @@ pub fn reliability_rows(
         .collect()
 }
 
-/// The self-describing campaign descriptor of a classification journal.
+/// The campaign descriptor of a classification journal without the static
+/// prefilter: kernels per mode, the prefilter flag, the generator options
+/// and a fingerprint of the target columns.
 pub fn classification_descriptor(
     kernels_per_mode: usize,
     generator: &GeneratorOptions,
     targets: &[TestTarget],
 ) -> String {
-    format!(
-        "classify:k{kernels_per_mode}:gen{:016x}:cfg{:016x}",
-        generator_fingerprint(generator),
-        target_fingerprint(targets)
-    )
+    kernel_descriptor("classify", kernels_per_mode, false, generator, targets)
 }
 
 /// A sharded classification run: partial rows over this shard's slice, the
@@ -774,24 +797,26 @@ impl Campaign for ClassificationCampaign {
     type Tally = ClassificationTally;
 
     fn descriptor(&self) -> String {
-        classification_descriptor(
-            self.kernels_per_mode,
-            &self.options.generator,
+        let options = &self.options;
+        let (kernels, prefilter) = (self.kernels_per_mode, options.prefilter);
+        kernel_descriptor(
+            "classify",
+            kernels,
+            prefilter,
+            &options.generator,
             &self.targets,
         )
     }
 
-    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
-        let targets = targets_for(configs);
-        let fields = descriptor_fields(&header.campaign, "classify", 4, &targets)?;
-        let kernels_per_mode = descriptor_number(fields[1], 'k')?;
-        job_space(GenMode::ALL.len(), kernels_per_mode).map_err(JournalError::Format)?;
-        Ok(ClassificationCampaign {
-            kernels_per_mode,
-            options: parsed_options(0, header.campaign_seed),
-            configs: configs.to_vec(),
-            targets: Arc::new(targets),
-        })
+    fn decode(
+        header: &JournalHeader,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> Result<Self, JournalError> {
+        let fields = descriptor_fields(&header.campaign, "classify")?;
+        let options = kernel_options(fields, header.campaign_seed, exec)?;
+        ClassificationCampaign::try_new(configs, options.kernels, &options)
+            .map_err(JournalError::Format)
     }
 
     fn seed(&self) -> u64 {
@@ -910,20 +935,38 @@ mod tests {
 
     #[test]
     fn mode_campaign_descriptor_round_trips_and_pins_the_target_set() {
-        let targets = targets_for(&[opencl_sim::configuration(1), opencl_sim::configuration(9)]);
-        let generator = GeneratorOptions::default();
-        let descriptor = mode_campaign_descriptor(&GenMode::ALL, 20, &generator, &targets);
-        let (modes, kernels) = parse_mode_campaign_descriptor(&descriptor, &targets).unwrap();
-        assert_eq!(modes, GenMode::ALL.to_vec());
-        assert_eq!(kernels, 20);
+        let configs = [opencl_sim::configuration(1), opencl_sim::configuration(9)];
+        let options = CampaignOptions {
+            kernels: 20,
+            ..CampaignOptions::default()
+        };
+        let campaign = ModeCampaign::new(&GenMode::ALL, &configs, &options);
+        let header = JournalHeader {
+            campaign: campaign.descriptor(),
+            campaign_seed: 0,
+            total_jobs: 120,
+            shard_index: 0,
+            shard_count: 1,
+            range: (0, 120),
+        };
+        let parsed = ModeCampaign::parse(&header, &configs, ExecOptions::default()).unwrap();
+        assert_eq!(parsed.modes, GenMode::ALL.to_vec());
+        assert_eq!(parsed.options.kernels, 20);
+        assert_eq!(parsed.options.generator, options.generator);
         // A different target set refuses the descriptor.
-        let other = targets_for(&[opencl_sim::configuration(1)]);
-        assert!(parse_mode_campaign_descriptor(&descriptor, &other).is_err());
+        let other = ModeCampaign::parse(&header, &configs[..1], ExecOptions::default());
+        assert!(matches!(other, Err(JournalError::Mismatch(_))), "{other:?}");
         // Different generator options change the descriptor (so resumes
         // across e.g. --paper-scale runs refuse to combine).
+        let targets = targets_for(&configs);
         let paper = GeneratorOptions::paper_scale(GenMode::All, 0);
+        let generator = &options.generator;
+        assert_eq!(
+            header.campaign,
+            mode_campaign_descriptor(&GenMode::ALL, 20, generator, &targets)
+        );
         assert_ne!(
-            descriptor,
+            header.campaign,
             mode_campaign_descriptor(&GenMode::ALL, 20, &paper, &targets)
         );
     }
@@ -959,13 +1002,16 @@ mod tests {
         let huge_k = |descriptor: String| descriptor.replace(":k1:", ":k18446744073709551615:");
         let mut one = ModeCampaign::new(&GenMode::ALL, &configs, &options);
         one.options.kernels = 1;
-        assert!(ModeCampaign::parse(&header(one.descriptor()), &configs).is_ok());
-        let parsed = ModeCampaign::parse(&header(huge_k(one.descriptor())), &configs);
+        let exec = ExecOptions::default;
+        assert!(ModeCampaign::parse(&header(one.descriptor()), &configs, exec()).is_ok());
+        let parsed = ModeCampaign::parse(&header(huge_k(one.descriptor())), &configs, exec());
         assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
         let classify = ClassificationCampaign::new(&configs, 1, &options);
-        assert!(ClassificationCampaign::parse(&header(classify.descriptor()), &configs).is_ok());
         let parsed =
-            ClassificationCampaign::parse(&header(huge_k(classify.descriptor())), &configs);
+            ClassificationCampaign::parse(&header(classify.descriptor()), &configs, exec());
+        assert!(parsed.is_ok());
+        let parsed =
+            ClassificationCampaign::parse(&header(huge_k(classify.descriptor())), &configs, exec());
         assert!(matches!(parsed, Err(JournalError::Format(_))), "{parsed:?}");
     }
 

@@ -10,8 +10,8 @@
 //! comparison is needed, which is the selling point of EMI testing (§3.2).
 
 use crate::campaign::{
-    descriptor_fields, descriptor_number, generator_fingerprint, parsed_options,
-    target_fingerprint, CampaignOptions,
+    descriptor_fields, descriptor_number, descriptor_numbers, generator_field, number_list,
+    parse_generator, target_fingerprint, CampaignOptions,
 };
 use crate::differential::{targets_for, TestTarget};
 use crate::exec::{job_seed, Scheduler, StagedJob};
@@ -142,14 +142,8 @@ impl StagedJob for LivenessProbeJob {
     type Output = Option<clc::Program>;
 
     fn generate(self) -> LivenessCandidate {
-        let gen_opts = GeneratorOptions {
-            mode: GenMode::All,
-            seed: self.seed,
-            ..self.generator
-        }
-        .with_emi();
         LivenessCandidate {
-            program: generate(&gen_opts),
+            program: candidate_base(&self.generator, self.seed),
             exec: self.exec,
         }
     }
@@ -186,43 +180,26 @@ impl StagedJob for LivenessProbeJob {
     }
 }
 
-/// Generates base programs that pass the §7.4 liveness check: the EMI blocks
-/// must not all sit in already-dead code, which is checked by comparing the
-/// reference result with the `dead` array inverted.
-///
-/// Probes are evaluated in chunks of candidate seeds, but acceptance scans
-/// candidates strictly in index order and keeps the first `options.bases`
-/// live ones — exactly the set the sequential loop accepts — so the base
-/// list is independent of both the worker count and the chunk size.
+/// Candidate base `seed`: the ALL-mode EMI kernel a liveness probe checks
+/// and a live base's job judges.
+fn candidate_base(generator: &GeneratorOptions, seed: u64) -> clc::Program {
+    let options = GeneratorOptions {
+        mode: GenMode::All,
+        seed,
+        ..generator.clone()
+    };
+    generate(&options.with_emi())
+}
+
+/// Generates base programs that pass the §7.4 liveness check: the bases of
+/// [`EmiCampaign::new`].
 pub fn generate_live_bases_with(
     scheduler: &Scheduler,
     options: &EmiCampaignOptions,
 ) -> Vec<clc::Program> {
-    let max_attempts = options.bases * 20 + 50;
-    let mut bases = Vec::new();
-    let mut attempt = 0usize;
-    while bases.len() < options.bases && attempt < max_attempts {
-        // Probe as many candidates as are still missing, or one per worker
-        // if that is more: bases are accepted in candidate order, so probing
-        // further ahead changes no base and only wastes probes.
-        let missing = options.bases - bases.len();
-        let chunk = missing.max(scheduler.threads());
-        let upper = (attempt + chunk).min(max_attempts);
-        let jobs: Vec<LivenessProbeJob> = (attempt..upper)
-            .map(|candidate| LivenessProbeJob {
-                seed: job_seed(options.campaign.seed_offset, candidate as u64),
-                generator: options.campaign.generator.clone(),
-                exec: options.campaign.exec.clone(),
-            })
-            .collect();
-        for program in scheduler.run_staged_all(jobs).into_iter().flatten() {
-            if bases.len() < options.bases {
-                bases.push(program);
-            }
-        }
-        attempt = upper;
-    }
-    bases
+    let campaign = EmiCampaign::new(scheduler, &[], options);
+    let bases = (0..campaign.total_jobs()).map(|g| campaign.job(g).1.base);
+    bases.collect()
 }
 
 /// The evenly subsampled pruning grid of the requested size.
@@ -415,15 +392,16 @@ impl JournalPayload for Vec<BaseJudgement> {
     }
 }
 
-/// The self-describing campaign descriptor of an EMI campaign journal:
-/// requested bases, variants per base, and fingerprints of the generator
-/// options and target columns.
+/// The descriptor of an EMI campaign's options: requested bases, variants
+/// per base, the generator options and a fingerprint of the target columns.
+/// A campaign's [descriptor](Campaign::descriptor) adds the candidate
+/// indices of its live bases as a last field, `live<i>.<j>…`.
 pub fn emi_campaign_descriptor(options: &EmiCampaignOptions, configs: &[Configuration]) -> String {
     format!(
-        "emi:b{}:v{}:gen{:016x}:cfg{:016x}",
+        "emi:b{}:v{}:{}:cfg{:016x}",
         options.bases,
         pruning_grid(options.variants_per_base).len(),
-        generator_fingerprint(&options.campaign.generator),
+        generator_field(&options.campaign.generator),
         target_fingerprint(&targets_for(configs))
     )
 }
@@ -439,45 +417,79 @@ pub struct ShardedEmiCampaign {
     pub tally: EmiTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Live bases found across the whole campaign (the global job space).
-    pub total_bases: usize,
 }
 
 /// The CLsmith+EMI campaign of Table 5: the job space is the live-base
 /// index space, job `g` judging base `g` seeded `job_seed(seed_offset, g)`.
 ///
-/// Building it probes for live bases ([`generate_live_bases_with`]);
-/// generation is a small fraction of judging cost, and acceptance scans
-/// candidates in index order, so every process that builds the campaign
-/// agrees on the base list bit for bit.
+/// Only [`EmiCampaign::new`] probes for live bases: the campaign keeps
+/// their candidate indices, which its descriptor records, and each job
+/// regenerates its base from its index, so a campaign
+/// [parsed](Campaign::parse) from a header runs the same jobs without
+/// probing.
 #[derive(Debug, Clone)]
 pub struct EmiCampaign {
     /// Campaign scale options.
     pub options: EmiCampaignOptions,
     /// The configurations, in column order (each at both opt levels).
     pub configs: Arc<Vec<Configuration>>,
-    /// The live bases (empty in a campaign parsed from a journal).
-    bases: Vec<clc::Program>,
-    /// Live bases found: the size of the job space.
-    live: u64,
+    /// The candidate index of each live base, ascending: the job space.
+    live: Vec<u64>,
     /// The pruning-probability grid every base is judged over.
     grid: Arc<Vec<PruneProbabilities>>,
 }
 
 impl EmiCampaign {
     /// Probes for `options.bases` live bases and builds the campaign over
-    /// `configs`.
+    /// `configs`.  A base passes the §7.4 liveness check when its EMI
+    /// blocks do not all sit in already-dead code: inverting the `dead`
+    /// array changes the reference result.
+    ///
+    /// Probes are evaluated in chunks of candidate seeds, but acceptance
+    /// scans candidates strictly in index order and keeps the first
+    /// `options.bases` live ones — exactly the set the sequential loop
+    /// accepts — so the base list is independent of both the worker count
+    /// and the chunk size.
     pub fn new(
         scheduler: &Scheduler,
         configs: &[Configuration],
         options: &EmiCampaignOptions,
     ) -> EmiCampaign {
-        let bases = generate_live_bases_with(scheduler, options);
+        let max_attempts = options.bases * 20 + 50;
+        let mut live = Vec::new();
+        let mut attempt = 0usize;
+        while live.len() < options.bases && attempt < max_attempts {
+            // Probe as many candidates as are still missing, or one per
+            // worker if that is more: bases are accepted in candidate
+            // order, so probing further ahead changes no base and only
+            // wastes probes.
+            let missing = options.bases - live.len();
+            let upper = (attempt + missing.max(scheduler.threads())).min(max_attempts);
+            let jobs: Vec<LivenessProbeJob> = (attempt..upper)
+                .map(|candidate| LivenessProbeJob {
+                    seed: job_seed(options.campaign.seed_offset, candidate as u64),
+                    generator: options.campaign.generator.clone(),
+                    exec: options.campaign.exec.clone(),
+                })
+                .collect();
+            let probed = (attempt as u64..).zip(scheduler.run_staged_all(jobs));
+            let passed = probed.filter_map(|(candidate, base)| base.map(|_| candidate));
+            live.extend(passed.take(missing));
+            attempt = upper;
+        }
+        EmiCampaign::with_live(configs, options, live)
+    }
+
+    /// The campaign over the live bases at candidate indices `live`.
+    fn with_live(
+        configs: &[Configuration],
+        options: &EmiCampaignOptions,
+        live: Vec<u64>,
+    ) -> EmiCampaign {
         EmiCampaign {
             options: options.clone(),
             configs: Arc::new(configs.to_vec()),
-            live: bases.len() as u64,
-            bases,
+            live,
             grid: Arc::new(pruning_grid(options.variants_per_base)),
         }
     }
@@ -503,30 +515,28 @@ impl Campaign for EmiCampaign {
     type Tally = EmiTally;
 
     fn descriptor(&self) -> String {
-        emi_campaign_descriptor(&self.options, &self.configs)
+        let options = emi_campaign_descriptor(&self.options, &self.configs);
+        format!("{options}:live{}", number_list(&self.live))
     }
 
-    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError> {
-        let fields = descriptor_fields(&header.campaign, "emi", 5, &targets_for(configs))?;
-        let bases: u64 = descriptor_number(fields[1], 'b')?;
-        let variants_per_base = descriptor_number(fields[2], 'v')?;
-        if header.total_jobs > bases {
-            return Err(JournalError::Mismatch(format!(
-                "journals claim {} live bases of the {bases} requested",
-                header.total_jobs
-            )));
-        }
-        Ok(EmiCampaign {
-            options: EmiCampaignOptions {
-                bases: bases as usize,
-                variants_per_base,
-                campaign: parsed_options(0, header.campaign_seed),
+    fn decode(
+        header: &JournalHeader,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> Result<Self, JournalError> {
+        let [bases, variants, generator, _, live] = descriptor_fields(&header.campaign, "emi")?;
+        let options = EmiCampaignOptions {
+            bases: descriptor_number(bases, "b")?,
+            variants_per_base: descriptor_number(variants, "v")?,
+            campaign: CampaignOptions {
+                generator: parse_generator(generator)?,
+                exec,
+                seed_offset: header.campaign_seed,
+                ..CampaignOptions::default()
             },
-            configs: Arc::new(configs.to_vec()),
-            bases: Vec::new(),
-            live: header.total_jobs,
-            grid: Arc::new(pruning_grid(variants_per_base)),
-        })
+        };
+        let live = descriptor_numbers(live, "live")?;
+        Ok(EmiCampaign::with_live(configs, &options, live))
     }
 
     fn seed(&self) -> u64 {
@@ -534,12 +544,13 @@ impl Campaign for EmiCampaign {
     }
 
     fn total_jobs(&self) -> u64 {
-        self.live
+        self.live.len() as u64
     }
 
     fn job(&self, g: u64) -> (u64, EmiBaseJob) {
+        let candidate = job_seed(self.seed(), self.live[g as usize]);
         let job = EmiBaseJob {
-            base: self.bases[g as usize].clone(),
+            base: candidate_base(&self.options.campaign.generator, candidate),
             base_index: g as usize,
             campaign_seed: self.seed(),
             grid: Arc::clone(&self.grid),
@@ -581,7 +592,6 @@ pub fn run_emi_campaign_sharded(
         result: campaign.result(&run.aggregate, run.jobs),
         tally: run.aggregate,
         metrics: run.metrics,
-        total_bases: campaign.bases.len(),
     })
 }
 

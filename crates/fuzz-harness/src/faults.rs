@@ -7,7 +7,7 @@
 //! reachable *on purpose*, from a compact spec that is deterministic given
 //! the campaign seed, so a CI chaos run is reproducible bit for bit.
 //!
-//! ## Spec grammar (`CLFUZZ_FAULTS` / `--faults`)
+//! ## Spec grammar (`--faults`)
 //!
 //! A spec is a comma-separated list of events:
 //!
@@ -162,15 +162,6 @@ impl FaultSpec {
             Ok(SpecEvent::Seeded { kind, count })
         } else {
             Err(bad())
-        }
-    }
-
-    /// Parses `CLFUZZ_FAULTS` if set, else the explicit `--faults` value,
-    /// else the empty spec.
-    pub fn from_env_or(cli: Option<&str>) -> Result<FaultSpec, String> {
-        match std::env::var("CLFUZZ_FAULTS") {
-            Ok(text) => FaultSpec::parse(&text),
-            Err(_) => cli.map_or(Ok(FaultSpec::default()), FaultSpec::parse),
         }
     }
 

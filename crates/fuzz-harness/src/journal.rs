@@ -15,18 +15,23 @@
 //! carrying its own checksum ([`checksum`], [`clc::fnv1a`]):
 //!
 //! ```text
-//! CLFUZZ-JOURNAL 2 <campaign> <seed:016x> <total_jobs> <shard>/<of> <start>-<end> <crc:016x>
+//! CLFUZZ-JOURNAL 3 <campaign> <seed:016x> <total_jobs> <shard>/<of> <start>-<end> <crc:016x>
 //! R <job_index> <job_seed:016x> <digest:016x> <payload> <crc:016x>
 //! R ...
 //! ```
 //!
-//! * The header is self-describing: format version, a campaign descriptor
-//!   (a single token encoding the driver and its scale parameters, used to
-//!   reject resumes/merges against the wrong campaign), the campaign seed,
-//!   the size of the job index space, which shard of it this journal covers,
-//!   and the explicit `[start, end)` job index range.  Fleet lease journals
-//!   use the shard field `L/0` (`L` = lease ordinal, count `0` as the
-//!   "not an I-of-N shard" sentinel) with the range carrying the lease.
+//! * The header is self-describing: format version, a campaign descriptor,
+//!   the campaign seed, the size of the job index space, which shard of it
+//!   this journal covers, and the explicit `[start, end)` job index range.
+//!   Fleet lease journals use the shard field `L/0` (`L` = lease ordinal,
+//!   count `0` as the "not an I-of-N shard" sentinel) with the range
+//!   carrying the lease.
+//! * The descriptor is a `:`-separated token naming the campaign kind and
+//!   every input its jobs read besides the seed (scale, prefilter flag,
+//!   generator options, Table 5's live bases by candidate index) and a
+//!   fingerprint of the target columns, so the header alone rebuilds a
+//!   runnable campaign ([`crate::shard::Campaign::parse`]).  Version 2
+//!   only fingerprinted the generator options; v1 and v2 are refused.
 //! * Each `R` record names its job index, the job's derived RNG seed, a
 //!   digest of the payload (checked again on load), the serialized per-job
 //!   tally contribution, and the line checksum.  Records are the whole
@@ -67,7 +72,7 @@ use std::time::Duration;
 
 /// Version tag of the on-disk journal format.  Bump when the line format
 /// changes; [`load_journal`] accepts this version only.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// Magic token opening every journal header line.
 pub const JOURNAL_MAGIC: &str = "CLFUZZ-JOURNAL";
@@ -125,8 +130,8 @@ impl From<std::io::Error> for JournalError {
 /// The self-describing first line of a journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalHeader {
-    /// Single-token campaign descriptor (driver kind + scale parameters,
-    /// e.g. `modes:BARRIER:k20:cfg1a2b3c4d`).  Resume and merge reject
+    /// Single-token campaign descriptor (the campaign kind and every input
+    /// its jobs read, see the module docs).  Resume and merge reject
     /// journals whose descriptor does not match.
     pub campaign: String,
     /// The campaign seed every job seed derives from.
@@ -584,16 +589,23 @@ mod tests {
     #[test]
     fn v1_journals_are_rejected() {
         // A hand-crafted v1 journal (6-field header, no range field) is not
-        // a journal any more: it fails like any other missing header.
+        // a journal any more: it fails like any other missing header, and
+        // so does a v2 journal, whose header had the v3 fields.
         let path = temp_path("v1");
-        let body = format!("{JOURNAL_MAGIC} 1 legacy:k10 {:016x} 10 1/3", 0xBEEFu64);
-        let mut text = format!("{body} {:016x}\n", checksum(body.as_bytes()));
-        let rbody = format!("R 3 {:016x} {:016x} a", 103, checksum(b"a"));
-        text.push_str(&format!("{rbody} {:016x}\n", checksum(rbody.as_bytes())));
-        std::fs::write(&path, &text).unwrap();
-        match load_journal(&path) {
-            Err(JournalError::Format(msg)) => assert!(msg.contains("no valid journal header")),
-            other => panic!("expected a format error, got {other:?}"),
+        let v1 = format!("{JOURNAL_MAGIC} 1 legacy:k10 {:016x} 10 1/3", 0xBEEFu64);
+        let v2 = format!(
+            "{JOURNAL_MAGIC} 2 legacy:k10 {:016x} 10 1/3 0-10",
+            0xBEEFu64
+        );
+        for body in [v1, v2] {
+            let mut text = format!("{body} {:016x}\n", checksum(body.as_bytes()));
+            let rbody = format!("R 3 {:016x} {:016x} a", 103, checksum(b"a"));
+            text.push_str(&format!("{rbody} {:016x}\n", checksum(rbody.as_bytes())));
+            std::fs::write(&path, &text).unwrap();
+            match load_journal(&path) {
+                Err(JournalError::Format(msg)) => assert!(msg.contains("no valid journal header")),
+                other => panic!("expected a format error, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_file(&path);
     }

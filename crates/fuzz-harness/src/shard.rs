@@ -15,7 +15,7 @@
 //!   [`run_lease`] runs a fleet lease under its lease header.
 //! * [`merge`] — any subset of a campaign's shard or lease journals merges
 //!   into one tally for full or partial tables, rebuilding the campaign
-//!   from the journals' descriptor alone.
+//!   from the journals' header alone ([`Campaign::parse`]).
 //!
 //! Journals hold only per-job records, so resume and merge share one path:
 //! decode the journaled records and fold them in job order.  The invariant
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use opencl_sim::Configuration;
+use opencl_sim::{Configuration, ExecOptions};
 
 use crate::exec::{JobFailure, JobResult, Scheduler, StagedJob};
 use crate::fleet::LeaseRecord;
@@ -479,12 +479,10 @@ fn check_in_range(
 /// Job `g` of `0..total_jobs()` is built by [`Campaign::job`] with its
 /// seed, run whole on one worker, and its output (journaled as a
 /// [`JournalPayload`]) is folded into the campaign's tally by
-/// [`Campaign::fold`] in job-index order.  [`Campaign::descriptor`] names
-/// the job space in every journal header, and [`Campaign::parse`] rebuilds
-/// the campaign from such a header: the job space, tally and fold — all a
-/// merge needs — but not job inputs the descriptor only fingerprints
-/// (generator options, live bases), so a parsed campaign is merged, never
-/// run.
+/// [`Campaign::fold`] in job-index order.  A campaign is its journal
+/// header: [`Campaign::descriptor`] names every input its jobs read
+/// besides the seed, so [`Campaign::parse`] rebuilds from a header a
+/// campaign that runs the very jobs of the one that wrote it.
 pub trait Campaign: Sized {
     /// One job of the space.
     type Job: StagedJob<Output: JournalPayload>;
@@ -493,9 +491,34 @@ pub trait Campaign: Sized {
 
     /// The single-token descriptor written into every journal header.
     fn descriptor(&self) -> String;
-    /// Rebuilds the campaign from a journal header (`configs` are the
-    /// target configurations the merging table renders).
-    fn parse(header: &JournalHeader, configs: &[Configuration]) -> Result<Self, JournalError>;
+    /// Builds the campaign a header's descriptor and seed name, through the
+    /// constructor a fresh run uses, over `configs` (the configurations the
+    /// table covers), its jobs executing with `exec`.
+    fn decode(
+        header: &JournalHeader,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> Result<Self, JournalError>;
+    /// [`Campaign::decode`], accepting the header only when the rebuilt
+    /// campaign's descriptor, seed and job count are the header's.
+    fn parse(
+        header: &JournalHeader,
+        configs: &[Configuration],
+        exec: ExecOptions,
+    ) -> Result<Self, JournalError> {
+        let campaign = Self::decode(header, configs, exec)?;
+        let descriptor = campaign.descriptor();
+        if descriptor != header.campaign
+            || campaign.seed() != header.campaign_seed
+            || campaign.total_jobs() != header.total_jobs
+        {
+            return Err(JournalError::Mismatch(format!(
+                "the header's campaign {:?} (seed {:016x}, {} jobs) does not round-trip",
+                header.campaign, header.campaign_seed, header.total_jobs
+            )));
+        }
+        Ok(campaign)
+    }
     /// The campaign seed every job seed derives from.
     fn seed(&self) -> u64;
     /// Size of the job index space.
@@ -604,14 +627,15 @@ pub struct RefoldSummary {
 /// tally, without generating or running a single job.
 ///
 /// The campaign is [parsed](Campaign::parse) from the first journal's
-/// header, and every journal must carry the same descriptor, seed and job
-/// count.  Records are folded in job-index order; duplicate indices must
-/// carry identical digests (overlapping shards or leases are fine,
-/// conflicting ones are corrupt).
+/// header (with default execution options: a merge runs no job), and every
+/// journal must carry the same descriptor, seed and job count.  Records are
+/// folded in job-index order; duplicate indices must carry identical
+/// digests (overlapping shards or leases are fine, conflicting ones are
+/// corrupt).
 ///
-/// Journal input is checked before anything is folded: a header job count
-/// that differs from the campaign's, a record outside its journal's range,
-/// and an output of the wrong width are each a [`JournalError`].
+/// Journal input is checked before anything is folded: a header the
+/// campaign does not round-trip, a record outside its journal's range, and
+/// an output of the wrong width are each a [`JournalError`].
 pub fn merge<C: Campaign>(
     paths: &[PathBuf],
     configs: &[Configuration],
@@ -626,15 +650,7 @@ pub fn merge<C: Campaign>(
         ));
     };
     let header = first.header.clone();
-    let campaign = C::parse(&header, configs)?;
-    if campaign.total_jobs() != header.total_jobs {
-        return Err(JournalError::Mismatch(format!(
-            "journals claim {} jobs; campaign {:?} has {}",
-            header.total_jobs,
-            header.campaign,
-            campaign.total_jobs()
-        )));
-    }
+    let campaign = C::parse(&header, configs, ExecOptions::default())?;
     let mut records: BTreeMap<u64, JournalRecord> = BTreeMap::new();
     // (descriptor, seed, job count): what every journal must share.
     let key = |h: &JournalHeader| (h.campaign.clone(), h.campaign_seed, h.total_jobs);
@@ -781,7 +797,11 @@ mod tests {
         fn descriptor(&self) -> String {
             format!("test:{}:{}", self.name, self.total)
         }
-        fn parse(header: &JournalHeader, _: &[Configuration]) -> Result<Sum, JournalError> {
+        fn decode(
+            header: &JournalHeader,
+            _: &[Configuration],
+            _: ExecOptions,
+        ) -> Result<Sum, JournalError> {
             match header.campaign.split(':').collect::<Vec<_>>()[..] {
                 ["test", name, total] => {
                     Ok(sum(name, header.campaign_seed, total.parse().unwrap()))
